@@ -17,9 +17,9 @@ from repro.algebra.updates import (
     set_value,
 )
 from repro.analysis import expected_size, summarize, world_entropy
-from repro.core import InstanceBuilder, TabularOPF, lint_instance
+from repro.check.model import format_issues, lint_instance
+from repro.core import InstanceBuilder, TabularOPF
 from repro.core.instance import ProbabilisticInstance
-from repro.core.lint import format_issues
 from repro.core.unroll import unroll
 from repro.core.weak_instance import WeakInstance
 from repro.queries import QueryEngine, expected_match_count

@@ -266,22 +266,24 @@ def instance_from_epsilon_pass(
 
     surviving: set[Oid] = {pi.root}
     for level in range(depth):
-        label = path.labels[level]
-        next_surviving: set[Oid] = set()
+        # A child is kept when it can still match below (eps > 0) *and*
+        # its parent's rewritten OPF ever includes it: a child every
+        # containing set gives zero mass would get card [0, 0] and sit
+        # in the result unreachable from the root.  Dropping it drops
+        # its subtree too (its children never see it in ``surviving``).
+        children_of: dict[Oid, list[Oid]] = {}
         for src, dst in sweep.match.level_edges[level]:
-            if src in surviving and sweep.epsilon.get(dst, 0.0) > 0.0:
-                next_surviving.add(dst)
-        for oid in sweep.match.levels[level]:
-            if oid not in surviving:
-                continue
-            children = sorted(
-                dst
-                for src, dst in sweep.match.level_edges[level]
-                if src == oid and sweep.epsilon.get(dst, 0.0) > 0.0
-            )
-            if children:
-                result_weak.set_lch(oid, label, children)
-        surviving = next_surviving
+            opf = sweep.opfs.get(src)
+            if (
+                src in surviving
+                and opf is not None
+                and sweep.epsilon.get(dst, 0.0) > 0.0
+                and opf.marginal_inclusion(dst) > 0.0
+            ):
+                children_of.setdefault(src, []).append(dst)
+        for oid in sorted(children_of):
+            result_weak.set_lch(oid, path.labels[level], sorted(children_of[oid]))
+        surviving = {dst for kept in children_of.values() for dst in kept}
 
     # Attach the rewritten OPFs and recomputed cardinalities.
     for oid, opf in sweep.opfs.items():

@@ -15,8 +15,8 @@ dataguide proves has zero existence probability), and times:
   ``dead_on`` serves the certified constant without touching the
   instance (the ``check.absint_skips`` path), ``dead_off`` walks it.
 
-Engines run with ``use_index=False`` (so the absint short-circuit, not
-the structural index's own dataguide skip, serves the dead plan) and
+Engines run with ``use_index=False`` (so ``dead_off`` is the walked
+evaluation the series has always measured, not an indexed match) and
 ``caching=False`` (so every evaluation is real work, not a cache hit).
 The ``dead_on`` record carries its ``dead_off``-relative speedup; both
 it and the answers' equality are also asserted by the test suite.

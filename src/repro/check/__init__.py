@@ -8,7 +8,7 @@ severity, an optional source span, and a fix hint.
 
 * **Model pass** (:mod:`repro.check.model`) — exhaustive linting of a
   probabilistic instance's legality conditions (Theorem 1 preconditions)
-  plus summary statistics.  Absorbs the former ``repro.core.lint``.
+  plus summary statistics.
 * **Dataguide** (:mod:`repro.check.dataguide`) — a strong-dataguide
   label-path summary of the weak instance with per-path existence
   probability intervals; the structural oracle the plan pass consults.
@@ -32,6 +32,13 @@ severity, an optional source span, and a fix hint.
 a fixture corpus (see :mod:`repro.check.cli`).
 """
 
+from repro.check.absint import (
+    CardInterval,
+    PlanCertificate,
+    ProbInterval,
+    certify_plan,
+    verify_execution,
+)
 from repro.check.dataguide import DataGuide, DataGuideCache, build_dataguide
 from repro.check.diagnostics import (
     ERROR,
@@ -43,40 +50,10 @@ from repro.check.diagnostics import (
     Span,
 )
 from repro.check.model import Issue, check_instance, format_issues, has_errors, lint_instance
-
-# The plan and query passes import the engine and PXQL layers, which in
-# turn import repro.core — and repro.core imports the model pass (via
-# the repro.core.lint shim).  Loading them lazily (PEP 562) keeps this
-# package importable from anywhere in that cycle.
-_LAZY = {
-    "check_plan": "repro.check.plans",
-    "check_statement": "repro.check.query",
-    "check_text": "repro.check.query",
-    "RewriteJustification": "repro.check.rewrites",
-    "justify_rewrites": "repro.check.rewrites",
-    "CardInterval": "repro.check.absint",
-    "PlanCertificate": "repro.check.absint",
-    "ProbInterval": "repro.check.absint",
-    "certify_plan": "repro.check.absint",
-    "verify_execution": "repro.check.absint",
-    "ScriptTracker": "repro.check.script",
-    "parse_script": "repro.check.script",
-    "script_diagnostics": "repro.check.script",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY))
-
+from repro.check.plans import check_plan
+from repro.check.query import check_statement, check_text
+from repro.check.rewrites import RewriteJustification, justify_rewrites
+from repro.check.script import ScriptTracker, parse_script, script_diagnostics
 
 __all__ = [
     "CardInterval",

@@ -59,6 +59,7 @@ from repro.engine.plan import (
 )
 from repro.semistructured.graph import EdgeLabeledGraph, Oid
 from repro.semistructured.paths import PathExpression, PathMatch, match_path
+from repro.storage.derived import catalog_generation
 
 #: Slack applied when comparing guard bounds against interval endpoints,
 #: mirroring the engine's probability tolerance.
@@ -272,9 +273,12 @@ def _guide_targets(state: _State, path: PathExpression) -> frozenset[Oid] | None
 class _AbstractInterpreter:
     """Bottom-up interval propagation over one plan tree."""
 
-    def __init__(self, database: Any, guides: DataGuideCache) -> None:
+    def __init__(
+        self, database: Any, guides: DataGuideCache, generation: int
+    ) -> None:
         self.database = database
         self.guides = guides
+        self.generation = generation
         self.states: dict[int, _State] = {}
         self.guards: list[GuardFinding] = []
         self.zero_conditions: list[tuple[str, str, str]] = []
@@ -321,7 +325,7 @@ class _AbstractInterpreter:
             return _opaque_instance()
         guide: DataGuide | None
         try:
-            guide = self.guides.get(self.database, node.name)
+            guide = self.guides.get(self.database, node.name, self.generation)
         except Exception:
             guide = None
         if guide is not None and guide.truncated:
@@ -678,10 +682,18 @@ def certify_plan(
     plan: PlanNode,
     database: Any,
     guides: DataGuideCache | None = None,
+    generation: int | None = None,
 ) -> PlanCertificate:
-    """Abstractly interpret a (prepared) plan into a certificate."""
+    """Abstractly interpret a (prepared) plan into a certificate.
+
+    ``generation`` is the catalog generation the calling statement
+    already read (every guide lookup is keyed under it); omitted, it is
+    read here, once.
+    """
     interpreter = _AbstractInterpreter(
-        database, guides if guides is not None else DataGuideCache()
+        database,
+        guides if guides is not None else DataGuideCache(),
+        generation if generation is not None else catalog_generation(database),
     )
     root_state = interpreter.state_of(plan)
     facts = tuple(

@@ -18,11 +18,11 @@ union bound over incoming chains and the lower bound falls back to zero
 Paths whose upper bound is zero are pruned: the dataguide therefore
 contains a label path **iff** that path has nonzero existence
 probability, which is exactly the oracle the plan checker needs to flag
-statically doomed path expressions — and the oracle the query engine's
-:class:`~repro.index.pathindex.PathIndex` reuses to skip instances that
-provably cannot match.  :class:`DataGuideCache` memoizes guides per
-``(name, version, generation)`` against a
-:class:`~repro.storage.database.Database`, so repeated checks of an
+statically doomed path expressions — and the oracle the abstract
+interpreter (:mod:`repro.check.absint`) folds into the certificates
+that let the engine skip plans that provably cannot match.
+:class:`DataGuideCache` memoizes guides per name under the catalog token
+(:func:`repro.storage.derived.cache_token`), so repeated checks of an
 unchanged catalog are free but cross-process catalog mutations (which
 bump the generation without touching in-process version counters) still
 invalidate.
@@ -36,6 +36,7 @@ from typing import Iterator, Mapping
 from repro.core.instance import ProbabilisticInstance
 from repro.semistructured.graph import Label, Oid
 from repro.semistructured.paths import PathExpression
+from repro.storage.derived import DerivedCache
 
 #: Safety valve: stop expanding a guide past this many label paths.
 DEFAULT_MAX_PATHS = 10_000
@@ -227,49 +228,15 @@ def build_dataguide(
     return DataGuide(weak.root, entries, is_tree, truncated)
 
 
-def _cache_token(database, name: str) -> tuple[int, int]:
-    """``(version, generation)`` — the invalidation key for ``name``.
-
-    ``version(name)`` only advances on in-process re-registration; the
-    catalog-wide ``generation()`` (when the catalog has one) also
-    advances when *another process* mutates the shared store under the
-    catalog file lock.  Keying on both closes the stale-guide window a
-    version-only key left open.  Catalogs without a ``generation``
-    contribute a constant 0 (version-only keying, as before).
-    """
-    generation = getattr(database, "generation", None)
-    return (
-        database.version(name),
-        int(generation()) if callable(generation) else 0,
-    )
-
-
-class DataGuideCache:
-    """Memoizes dataguides per ``(name, version, generation)``.
+class DataGuideCache(DerivedCache[DataGuide]):
+    """Memoizes dataguides per catalog name and token.
 
     The catalog only needs ``get(name)`` and ``version(name)``
     (``generation()`` is used when present);
-    :class:`repro.storage.database.Database` provides all three.  Stale
-    tokens of a name are evicted on refresh, so the cache stays
-    bounded by the number of live names.
+    :class:`repro.storage.database.Database` provides all three.  An
+    interpreter, its engine and the checker passes they run share one
+    of these, so a guide is built once per instance version.
     """
 
     def __init__(self, max_paths: int = DEFAULT_MAX_PATHS) -> None:
-        self._max_paths = max_paths
-        self._guides: dict[tuple[str, tuple[int, int]], DataGuide] = {}
-
-    def get(self, database, name: str) -> DataGuide:
-        """The (possibly cached) dataguide of a named instance."""
-        token = _cache_token(database, name)
-        key = (name, token)
-        cached = self._guides.get(key)
-        if cached is not None:
-            return cached
-        for stale in [k for k in self._guides if k[0] == name]:
-            del self._guides[stale]
-        guide = build_dataguide(database.get(name), self._max_paths)
-        self._guides[key] = guide
-        return guide
-
-    def __len__(self) -> int:
-        return len(self._guides)
+        super().__init__(lambda _name, pi: build_dataguide(pi, max_paths))

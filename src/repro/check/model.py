@@ -18,8 +18,6 @@ Severities:
 * ``error`` — the model has no coherent semantics (Theorem 1 fails).
 * ``warning`` — legal but suspicious: dead objects, unreachable mass,
   children that can never be chosen, degenerate distributions.
-
-``repro.core.lint`` remains as a thin re-export shim for back-compat.
 """
 
 from __future__ import annotations

@@ -43,6 +43,7 @@ from repro.engine.plan import (
 )
 from repro.semistructured.graph import EdgeLabeledGraph, Oid
 from repro.semistructured.paths import PathExpression, PathMatch, match_path
+from repro.storage.derived import catalog_generation
 
 
 @dataclass
@@ -107,6 +108,8 @@ class PlanChecker:
     ) -> None:
         self.database = database
         self.guides = guides if guides is not None else DataGuideCache()
+        #: Read once: every guide this pass looks up is keyed under it.
+        self.generation = catalog_generation(database)
         self.subject = subject
         self.diagnostics: list[Diagnostic] = []
 
@@ -160,7 +163,7 @@ class PlanChecker:
             )
             return _UNKNOWN
         try:
-            guide = self.guides.get(self.database, node.name)
+            guide = self.guides.get(self.database, node.name, self.generation)
         except Exception:
             guide = None
         return _Shape(
@@ -482,7 +485,9 @@ def check_plan(
         try:
             from repro.check.absint import absint_diagnostics, certify_plan
 
-            certificate = certify_plan(plan, database, checker.guides)
+            certificate = certify_plan(
+                plan, database, checker.guides, checker.generation
+            )
             flagged: set[tuple[str, str]] = set()
             for d in diagnostics:
                 if d.code.startswith("PX22") and d.path is not None \
@@ -502,7 +507,7 @@ def check_plan(
             # Mirror the engine's two-stage prepare (algebraic rules to a
             # fixpoint, then index lowering) so every rewrite an
             # execution could apply gets a checked justification.
-            cost = CostModel(database)
+            cost = CostModel(database).at(checker.generation)
             optimized, _ = optimize(plan, cost, trace=trace)
             optimize(optimized, cost, INDEX_RULES, trace=trace)
         except Exception:

@@ -16,7 +16,6 @@ from repro.core.distributions import (
     ValueProbabilityFunction,
 )
 from repro.core.instance import ProbabilisticInstance
-from repro.core.lint import Issue, format_issues, has_errors, lint_instance
 from repro.core.interpretation import LocalInterpretation
 from repro.core.potential import (
     ChildSet,
@@ -35,7 +34,6 @@ __all__ = [
     "ChildSet",
     "IndependentOPF",
     "InstanceBuilder",
-    "Issue",
     "LocalInterpretation",
     "NonEmptyIndependentOPF",
     "ObjectProbabilityFunction",
@@ -48,9 +46,6 @@ __all__ = [
     "ValueProbabilityFunction",
     "WeakInstance",
     "count_potential_child_sets",
-    "format_issues",
-    "has_errors",
-    "lint_instance",
     "count_potential_l_child_sets",
     "hitting_sets",
     "potential_child_sets",

@@ -1,12 +1,13 @@
 """A small, thread-safe LRU cache with hit/miss/eviction counters.
 
-The engine keeps two of these: one for optimized plans and one for
-execution results.  Keys are ``(canonical plan fingerprint, instance
-versions)`` tuples — the version half comes from
-:meth:`repro.storage.database.Database.version`, which increases
-monotonically whenever an instance is (re-)registered, reloaded or
-touched, so stale entries can never be returned: a mutated input changes
-the key, and the orphaned entry simply ages out of the LRU order.
+The engine keeps two of these: one for prepared plans (optimized plan
+plus certificate) and one for execution results.  Keys are ``(canonical
+plan fingerprint, catalog token of every scanned instance)`` tuples —
+the token (:func:`repro.storage.derived.cache_token`) moves whenever an
+instance is (re-)registered, reloaded or touched, or any process
+mutates the shared catalog, so stale entries can never be returned: a
+mutated input changes the key, and the orphaned entry simply ages out
+of the LRU order.
 
 When constructed with a ``name`` and a
 :class:`~repro.obs.metrics.MetricsRegistry`, every hit/miss/eviction is
@@ -99,7 +100,7 @@ class LRUCache:
             self._metrics.gauge(f"{self.name}.size").set(len(self._entries))
 
     # ------------------------------------------------------------------
-    def get(self, key: Hashable, default=None):
+    def get(self, key: Hashable, default: object = None) -> object:
         """Look up ``key``, counting a hit or miss and refreshing recency."""
         fault_point(self._fault_site)
         with self._lock:
@@ -119,7 +120,7 @@ class LRUCache:
         with self._lock:
             return key in self._entries
 
-    def put(self, key: Hashable, value) -> None:
+    def put(self, key: Hashable, value: object) -> None:
         """Insert or refresh an entry, evicting the oldest past capacity."""
         fault_point(self._fault_site)
         with self._lock:

@@ -4,7 +4,7 @@ The model tracks three quantities per sub-plan — estimated object count,
 estimated total OPF/VPF entries (the paper's Section 7 cost parameter),
 and whether the result is tree-structured — plus the root object id the
 sub-plan will produce.  Scans are measured exactly from the catalog
-(memoized per instance version); operators propagate:
+(memoized per instance under the catalog token); operators propagate:
 
 * projection and selection keep the structure (upper bound: same size);
 * product sums sizes (minus the two merged roots) and multiplies the
@@ -19,6 +19,7 @@ computation whenever the instance is a tree).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from repro.core.instance import ProbabilisticInstance
@@ -33,6 +34,7 @@ from repro.engine.plan import (
     SelectNode,
     fingerprint,
 )
+from repro.storage.derived import DerivedCache
 
 #: Above this many interpretation entries a non-tree instance is judged
 #: too large for exact Bayesian-network elimination and sampled instead.
@@ -66,9 +68,9 @@ class CostModel:
 
     Args:
         catalog: any object with ``get(name) -> ProbabilisticInstance``
-            and optionally ``version(name) -> int`` (used to memoize
-            per-instance measurements; a missing ``version`` disables
-            memoization-by-version and measures every time).
+            and ``version(name) -> int`` (``generation()`` is used when
+            present): per-instance measurements are memoized under the
+            catalog token.
     """
 
     #: Hint tables are cleared wholesale past this size (cheap leak guard;
@@ -77,10 +79,28 @@ class CostModel:
 
     def __init__(self, catalog) -> None:
         self._catalog = catalog
-        self._measured: dict[tuple[str, int], Estimate] = {}
+        #: The generation scans are keyed under (None: ask the catalog).
+        self._generation: int | None = None
+        self._measured: DerivedCache[Estimate] = DerivedCache(
+            lambda _name, pi: self.measure_instance(pi)
+        )
         self._hints: dict[str, tuple[int, int]] = {}
-        #: How many estimates were sharpened by an absint hint.
-        self.hint_hits = 0
+        self._hint_hits = [0]   # a cell, so ``at()`` views count into it too
+
+    def at(self, generation: int) -> "CostModel":
+        """This model keyed under a generation the caller already read.
+
+        A view for one statement: it shares the measurement memo, the
+        hint table and the hint counter with the model it came from.
+        """
+        view = copy.copy(self)
+        view._generation = generation
+        return view
+
+    @property
+    def hint_hits(self) -> int:
+        """How many estimates were sharpened by an absint hint."""
+        return self._hint_hits[0]
 
     # ------------------------------------------------------------------
     def note_hint(self, key: str, lo: int, hi: int) -> None:
@@ -106,15 +126,7 @@ class CostModel:
         )
 
     def _scan(self, name: str) -> Estimate:
-        version = getattr(self._catalog, "version", lambda _n: None)(name)
-        if version is not None:
-            cached = self._measured.get((name, version))
-            if cached is not None:
-                return cached
-        estimate = self.measure_instance(self._catalog.get(name))
-        if version is not None:
-            self._measured[(name, version)] = estimate
-        return estimate
+        return self._measured.get(self._catalog, name, self._generation)
 
     # ------------------------------------------------------------------
     def estimate(self, plan: PlanNode) -> Estimate:
@@ -128,7 +140,7 @@ class CostModel:
                 lo, hi = hint
                 objects = (lo + hi) // 2
                 if objects != child.objects:
-                    self.hint_hits += 1
+                    self._hint_hits[0] += 1
                     scale = objects / child.objects if child.objects else 0.0
                     return Estimate(
                         objects=objects,

@@ -4,13 +4,16 @@
 into plans, inlines the lineage of previously computed results, runs the
 rewrite optimizer, executes plans bottom-up with per-node wall-clock
 timings / output cardinalities / cache status, and memoizes both
-optimized plans and node results in versioned LRU caches.
+prepared plans (optimized plan + absint certificate, one record) and
+node results in versioned LRU caches.
 
 Result caching is per *sub-plan*: a node's key is its canonical
-fingerprint plus the current version of every instance it scans, so two
+fingerprint plus the catalog token of every instance it scans, so two
 different statements that share a sub-expression share its result, and
 re-registering or touching any input invalidates every dependent entry
-implicitly (the key changes).
+implicitly (the key changes).  The catalog generation half of those
+tokens is read once per statement and threaded to every key built for
+it, so one statement sees one catalog snapshot.
 
 Since the observability PR the executor is span-backed: every plan node
 execution opens a :class:`repro.obs.tracing.Span` on the engine's
@@ -31,9 +34,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
-    # pxql -> engine, and check.absint -> engine.plan -> engine (this
-    # module): the absint names appear only in annotations here; the
-    # runtime imports live inside the methods that need them.
+    # pxql -> engine, and check -> engine.plan -> engine (this module):
+    # nothing of repro.check is imported here at run time.  Its names
+    # appear only in annotations; the runtime imports live inside the
+    # methods that need them.
     from repro.check.absint import (
         CardInterval,
         NodeFacts,
@@ -56,7 +60,6 @@ from repro.algebra.selection import (
     chain_to,
     select_local,
 )
-from repro.check.dataguide import DataGuideCache
 from repro.core.cardinality import CardinalityInterval
 from repro.core.instance import ProbabilisticInstance
 from repro.engine.cache import LRUCache
@@ -83,7 +86,7 @@ from repro.engine.plan import (
 )
 from repro.engine.rewrite import DEFAULT_RULES, INDEX_RULES, optimize
 from repro.errors import AlgebraError, BudgetExceeded
-from repro.index import IndexCache, PathIndex, match_path_indexed
+from repro.index import IndexCache, match_path_indexed
 from repro.index.columnar import ColumnarInstance
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.tracing import Span, Tracer, use_tracer
@@ -92,6 +95,7 @@ from repro.queries.engine import QueryEngine
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.budget import current_budget
 from repro.resilience.faults import fault_point
+from repro.storage.derived import cache_token, catalog_generation
 
 _PROJECTION_OPERATORS = {
     "ancestor": ancestor_projection_local,
@@ -99,9 +103,9 @@ _PROJECTION_OPERATORS = {
     "single": single_projection_local,
 }
 
-#: Constant results of the numeric query kinds when the dataguide proves
-#: the path matches nothing with certainty (factories, so dict results
-#: are never shared between statements).
+#: Constant results of the numeric query kinds when the certificate
+#: proves the path matches nothing with certainty (factories, so dict
+#: results are never shared between statements).
 _SKIP_RESULTS = {
     "exists": lambda: 0.0,
     "count": lambda: 0.0,
@@ -227,6 +231,17 @@ class _CacheEntry:
 
 
 @dataclass
+class _Prepared:
+    """One plan-cache entry: everything decided about a plan before it
+    runs — the optimized plan, the rules that produced it and, once
+    computed, its abstract-interpretation certificate."""
+
+    plan: PlanNode
+    applied: tuple[str, ...]
+    certificate: PlanCertificate | None = None
+
+
+@dataclass
 class _Lineage:
     plan: PlanNode
     registered_version: int
@@ -348,11 +363,13 @@ class Engine:
         )
         self.rules = DEFAULT_RULES
         self.index_cache = IndexCache()
-        self.path_index = PathIndex()
-        self.absint_cache = LRUCache(
-            cache_size, name="engine.cache.absint", metrics=self.metrics
-        )
-        self._guides = DataGuideCache()
+        from repro.check.dataguide import DataGuideCache
+
+        #: The dataguides certification reads; the interpreter's static
+        #: checker shares them, so each guide is built once.
+        self.guides = DataGuideCache()
+        #: The record :meth:`prepare` last returned, for :meth:`certify`.
+        self._last_prepared: _Prepared | None = None
         self.breaker = (
             breaker if breaker is not None
             else CircuitBreaker(name="engine.optimizer")
@@ -374,23 +391,26 @@ class Engine:
             (name, self.database.version(name)) for name in scan_names(plan)
         )
 
-    def cache_key(self, plan: PlanNode) -> tuple:
+    def cache_key(self, plan: PlanNode, generation: int | None = None) -> tuple:
         """The versioned cache key of a (sub-)plan.
 
-        Keyed on the in-process versions of every scanned instance
-        *and* the catalog's on-disk generation counter: versions move
-        on re-registration within this process, the generation moves
-        when any process mutates the shared catalog directory.  The
-        generation term is what lets shard processes restarted over the
-        same directory (and engines in sibling processes) reuse or
-        invalidate cached plans/results correctly — an in-memory
-        database reports generation 0, so unbacked engines key exactly
-        as before.
+        The plan's fingerprint plus the catalog token of every scanned
+        instance: versions move on re-registration within this process,
+        the generation when any process mutates the shared catalog
+        directory — which is what lets shard processes restarted over
+        one directory (and engines in sibling processes) reuse or
+        invalidate cached plans/results correctly.  ``generation`` is
+        the value the running statement already read; omitted, the
+        catalog is asked once.
         """
+        if generation is None:
+            generation = catalog_generation(self.database)
         return (
             fingerprint(plan),
-            self.versions_of(plan),
-            self.database.generation(),
+            tuple(
+                (name, cache_token(self.database, name, generation))
+                for name in scan_names(plan)
+            ),
         )
 
     def record_lineage(self, name: str, plan: PlanNode,
@@ -409,14 +429,19 @@ class Engine:
         if entry is None:
             return None
         try:
-            if self.database.version(name) != entry.registered_version:
-                return None
-            for input_name, version in entry.input_versions:
-                if self.database.version(input_name) != version:
-                    return None
+            valid = self.database.version(name) == entry.registered_version \
+                and all(
+                    self.database.version(input_name) == version
+                    for input_name, version in entry.input_versions
+                )
         except Exception:
-            return None
-        return entry.plan
+            valid = False    # the name or an input was dropped
+        if valid:
+            return entry.plan
+        # Versions only grow, so a stale entry can never match again.
+        if self._lineage.get(name) is entry:
+            del self._lineage[name]
+        return None
 
     def expand(self, plan: PlanNode, _depth: int = 0) -> PlanNode:
         """Inline valid lineage plans under every scan, recursively."""
@@ -452,24 +477,30 @@ class Engine:
         counts against :attr:`breaker`; with the breaker open the layer
         is skipped entirely until its cool-down elapses.
         """
+        record = self._prepare(plan, catalog_generation(self.database))
+        self._last_prepared = record
+        return record.plan, record.applied
+
+    def _prepare(self, plan: PlanNode, generation: int) -> _Prepared:
         expanded = self.expand(plan)
         if not self.optimizer or not self.breaker.allow():
-            return expanded, ()
-        key = self.cache_key(expanded)
+            return _Prepared(expanded, ())
+        key = self.cache_key(expanded, generation)
         if self.caching:
             cached = self._cache_get(self.plan_cache, key)
             if cached is not None:
                 return cached
         try:
-            optimized, applied = optimize(expanded, self.cost, self.rules)
+            cost = self.cost.at(generation)
+            optimized, applied = optimize(expanded, cost, self.rules)
             if self.use_index:
                 # Second stage: lower path navigation onto the index.
                 # Runs after the algebraic rules reach their fixpoint so
                 # collapse/push still see the Project/Select/Scan shapes
                 # the lowering would otherwise hide.
-                optimized, lowered = optimize(optimized, self.cost, INDEX_RULES)
+                optimized, lowered = optimize(optimized, cost, INDEX_RULES)
                 applied = applied + lowered
-            prepared = (optimized, applied)
+            prepared = _Prepared(optimized, applied)
         except Exception as exc:
             self.breaker.record_failure()
             self.metrics.counter("resilience.optimizer_errors").inc()
@@ -477,7 +508,7 @@ class Engine:
                 "resilience.optimizer_error",
                 error=f"{type(exc).__name__}: {exc}",
             )
-            return expanded, ()
+            return _Prepared(expanded, ())
         self.breaker.record_success()
         if self.caching:
             self._cache_put(self.plan_cache, key, prepared)
@@ -489,35 +520,45 @@ class Engine:
     def certify(self, prepared: PlanNode) -> PlanCertificate | None:
         """Abstract-interpret a prepared plan into an interval certificate.
 
-        Memoized per versioned plan key (same discipline as the result
-        cache: any input re-registration changes the key).  Advisory by
-        construction — a failure inside the interpreter is counted and
-        swallowed, never surfaced to the query.  Tight cardinality
-        intervals are installed as cost-model hints as a side effect.
+        Kept on the prepared-plan record, so it lives and dies with the
+        plan-cache entry; a plan that did not just come from
+        :meth:`prepare` is certified afresh.  Advisory by construction —
+        a failure inside the interpreter is counted and swallowed, never
+        surfaced to the query.  Tight cardinality intervals are
+        installed as cost-model hints as a side effect.
         """
+        record = self._last_prepared
+        if record is None or record.plan is not prepared:
+            record = _Prepared(prepared, ())
+        return self._certify(record, catalog_generation(self.database))
+
+    def _certify(
+        self, record: _Prepared, generation: int
+    ) -> PlanCertificate | None:
         if not self.absint:
             return None
-        from repro.check.absint import certify_plan
+        certificate = record.certificate
+        if certificate is None:
+            from repro.check.absint import certify_plan
 
-        key = self.cache_key(prepared)
-        if self.caching:
-            cached = self._cache_get(self.absint_cache, key)
-            if cached is not None:
-                self._install_hints(prepared, cached)
-                return cached
-        try:
-            with self.tracer.span("check.absint.certify"):
-                certificate = certify_plan(prepared, self.database, self._guides)
-        except Exception as exc:
-            self.metrics.counter("check.absint_errors").inc()
-            self.tracer.event(
-                "check.absint_error", error=f"{type(exc).__name__}: {exc}"
-            )
-            return None
-        self._install_hints(prepared, certificate)
-        if self.caching:
-            self._cache_put(self.absint_cache, key, certificate)
+            try:
+                with self.tracer.span("check.absint.certify"):
+                    certificate = certify_plan(
+                        record.plan, self.database, self.guides, generation
+                    )
+            except Exception as exc:
+                self._absint_error(exc)
+                return None
+            record.certificate = certificate
+        self._install_hints(record.plan, certificate)
         return certificate
+
+    def _absint_error(self, exc: Exception) -> None:
+        """The pass is advisory: count and trace a failure, never raise."""
+        self.metrics.counter("check.absint_errors").inc()
+        self.tracer.event(
+            "check.absint_error", error=f"{type(exc).__name__}: {exc}"
+        )
 
     def _install_hints(
         self, prepared: PlanNode, certificate: PlanCertificate
@@ -532,24 +573,6 @@ class Engine:
                 self.cost.note_hint(
                     fingerprint(node), facts.card.lo, facts.card.hi
                 )
-
-    def _index_skip_would_fire(self, prepared: PlanNode) -> bool:
-        """Whether the indexed executor's own dataguide skip will handle
-        this plan (it keeps its historical ``index.skipped_instances``
-        accounting, so the absint short-circuit defers to it)."""
-        if not (
-            self.use_index
-            and isinstance(prepared, IndexedPathStepNode)
-            and prepared.op != "project-ancestor"
-            and isinstance(prepared.child, ScanNode)
-        ):
-            return False
-        try:
-            return self.path_index.can_match(
-                self.database, prepared.child.name, prepared.path
-            ) is False
-        except Exception:
-            return False
 
     def _skip_execution(
         self, prepared: PlanNode, certificate: PlanCertificate
@@ -583,10 +606,7 @@ class Engine:
         try:
             violations = tuple(verify_execution(certificate, value, stats))
         except Exception as exc:
-            self.metrics.counter("check.absint_errors").inc()
-            self.tracer.event(
-                "check.absint_error", error=f"{type(exc).__name__}: {exc}"
-            )
+            self._absint_error(exc)
             return ()
         for message in violations:
             self.metrics.counter("check.absint_violations").inc()
@@ -688,6 +708,7 @@ class Engine:
         value: object,
         extra: dict,
         stats: NodeStats,
+        generation: int,
     ) -> None:
         """A persistent-cache spill that can never fail a query."""
         if self.disk_cache is None:
@@ -700,7 +721,7 @@ class Engine:
                 return
             self.disk_cache.store(
                 key,
-                self.database.generation(),
+                generation,
                 inputs,
                 payload,
                 extra=dict(extra),
@@ -724,16 +745,14 @@ class Engine:
         """Prepare and run a plan."""
         with self._ambient():
             with self.tracer.span("engine.execute_plan") as root:
-                prepared, applied = self.prepare(plan)
-                certificate = self.certify(prepared)
-                if (
-                    certificate is not None
-                    and certificate.skippable
-                    and not self._index_skip_would_fire(prepared)
-                ):
+                generation = catalog_generation(self.database)
+                record = self._prepare(plan, generation)
+                certificate = self._certify(record, generation)
+                prepared, applied = record.plan, record.applied
+                if certificate is not None and certificate.skippable:
                     value, stats = self._skip_execution(prepared, certificate)
                 else:
-                    value, _extra, stats = self._run(prepared)
+                    value, _extra, stats = self._run(prepared, generation)
                 root.attributes["rewrites"] = len(applied)
             violations = self._verify_certificate(certificate, value, stats)
             self.metrics.counter("engine.executions").inc()
@@ -752,7 +771,9 @@ class Engine:
             )
         return self.execute_plan(plan)
 
-    def _run(self, node: PlanNode) -> tuple[object, dict, NodeStats]:
+    def _run(
+        self, node: PlanNode, generation: int
+    ) -> tuple[object, dict, NodeStats]:
         budget = current_budget()
         if budget is not None:
             # Cooperative guardrail: deadline / node-evaluation limits
@@ -776,43 +797,37 @@ class Engine:
         disk_key: str | None = None
         disk_inputs: tuple[tuple[str, str], ...] | None = None
         if use_cache:
-            key = self.cache_key(node)
-            entry = self._cache_get(self.result_cache, key)
+            key = self.cache_key(node, generation)
+            entry, origin = self._cache_get(self.result_cache, key), "hit"
+            if entry is None and self.disk_cache is not None:
+                disk_inputs = self._disk_inputs(node)
+                if disk_inputs is not None:
+                    disk_key = result_key(fingerprint(node), disk_inputs)
+                    entry, origin = self._disk_get(disk_key, disk_inputs), "disk"
+                    if entry is not None:
+                        # Promote to the in-memory LRU so later hits
+                        # skip the decode entirely.
+                        self._cache_put(self.result_cache, key, entry)
             if entry is not None:
-                value, extra, stats = self._serve_hit(node, entry)
+                value, extra, stats = self._serve_hit(node, entry, origin)
                 if budget is not None and isinstance(
                     value, ProbabilisticInstance
                 ):
                     budget.charge_objects(len(value), node.label())
                 return value, extra, stats
-            if self.disk_cache is not None:
-                disk_inputs = self._disk_inputs(node)
-                if disk_inputs is not None:
-                    disk_key = result_key(fingerprint(node), disk_inputs)
-                    entry = self._disk_get(disk_key, disk_inputs)
-                    if entry is not None:
-                        # Promote to the in-memory LRU so later hits
-                        # skip the decode entirely.
-                        self._cache_put(self.result_cache, key, entry)
-                        value, extra, stats = self._serve_hit(
-                            node, entry, origin="disk"
-                        )
-                        if budget is not None and isinstance(
-                            value, ProbabilisticInstance
-                        ):
-                            budget.charge_objects(len(value), node.label())
-                        return value, extra, stats
 
         with self.tracer.span(
             f"engine.node.{node.label()}",
             cache="miss" if use_cache else "off",
         ) as span:
-            child_results = [self._run(child) for child in node.children()]
+            child_results = [
+                self._run(child, generation) for child in node.children()
+            ]
             inputs = [value for value, _extra, _stats in child_results]
             with self.tracer.span(
                 "engine.apply", operator=type(node).__name__
             ) as apply_span:
-                value, strategy, extra = self._apply(node, inputs)
+                value, strategy, extra = self._apply(node, inputs, generation)
             span.attributes["strategy"] = strategy
             if isinstance(value, ProbabilisticInstance):
                 span.attributes["objects"] = len(value)
@@ -840,7 +855,9 @@ class Engine:
                 key, _CacheEntry(value, dict(extra), _copy_stats(stats)),
             )
             if disk_key is not None and disk_inputs is not None:
-                self._disk_put(disk_key, disk_inputs, value, extra, stats)
+                self._disk_put(
+                    disk_key, disk_inputs, value, extra, stats, generation
+                )
         return value, extra, stats
 
     def _serve_hit(
@@ -878,7 +895,7 @@ class Engine:
         return value, dict(entry.extra), stats
 
     def _apply(
-        self, node: PlanNode, inputs: list
+        self, node: PlanNode, inputs: list, generation: int
     ) -> tuple[object, str, dict]:
         if isinstance(node, ProjectNode):
             (pi,) = inputs
@@ -902,45 +919,35 @@ class Engine:
             return self._apply_query(node, pi)
         if isinstance(node, IndexedPathStepNode):
             (pi,) = inputs
-            return self._apply_indexed(node, pi)
+            return self._apply_indexed(node, pi, generation)
         raise PlanError(f"cannot execute {type(node).__name__}")
 
     def _apply_indexed(
-        self, node: IndexedPathStepNode, pi: ProbabilisticInstance
+        self,
+        node: IndexedPathStepNode,
+        pi: ProbabilisticInstance,
+        generation: int,
     ) -> tuple[object, str, dict]:
         """Evaluate a lowered path step via the columnar index.
 
-        Three exits, in order:
+        Two exits (provably dead paths never get here: the certificate
+        short-circuits them in :meth:`execute_plan`):
 
-        1. *skip* — for numeric query ops, the catalog's dataguide proves
-           the path has zero existence probability, so the answer is a
-           constant and the instance is never matched at all;
-        2. *indexed* — match on the columnar snapshot and feed the
+        1. *indexed* — match on the columnar snapshot and feed the
            (identical) :class:`PathMatch` to the Section 6 algorithms;
-        3. *fallback* — the snapshot cannot be built or is not a tree
+        2. *fallback* — the snapshot cannot be built or is not a tree
            (the plan-time estimate was stale): run the walked operator
            the lowering replaced.  Correctness never depends on the
            plan-time guess.
         """
         name = node.child.name if isinstance(node.child, ScanNode) else None
 
-        if name is not None and node.op != "project-ancestor":
-            # Guide-based pruning is only sound for the numeric query
-            # kinds: a project-ancestor result is an *instance* whose
-            # bare-root skeleton the shortcut could not reproduce.
-            if self.path_index.can_match(self.database, name, node.path) is False:
-                self.metrics.counter("index.skipped_instances").inc()
-                with self.tracer.span(
-                    f"query.{node.op}", strategy="indexed", index="skipped"
-                ) as qspan:
-                    value = _SKIP_RESULTS[node.op]()
-                self._record_indexed_query(node.op, qspan)
-                return value, "indexed", {"index": "skipped"}
-
         col: ColumnarInstance | None = None
         if name is not None:
             try:
-                col = self.index_cache.get(self.database, name, instance=pi)
+                col = self.index_cache.get(
+                    self.database, name, generation, instance=pi
+                )
             except Exception as exc:
                 self.tracer.event(
                     "index.build_error", instance=name,
@@ -1076,10 +1083,11 @@ class Engine:
 
     def explain(self, plan: PlanNode) -> str:
         """Render the optimized plan with estimates (no execution)."""
-        prepared, applied = self.prepare(plan)
-        certificate = self.certify(prepared)
-        lines = _render_plan(prepared, self, certificate)
-        lines.append(_rules_line(applied))
+        generation = catalog_generation(self.database)
+        record = self._prepare(plan, generation)
+        certificate = self._certify(record, generation)
+        lines = _render_plan(record.plan, self, certificate, generation)
+        lines.append(_rules_line(record.applied))
         if certificate is not None:
             lines.append(_certificate_line(certificate))
         return "\n".join(lines)
@@ -1185,15 +1193,17 @@ def _certificate_line(certificate: "PlanCertificate") -> str:
 def _render_plan(
     plan: PlanNode,
     engine: Engine,
-    certificate: "PlanCertificate | None" = None,
+    certificate: "PlanCertificate | None",
+    generation: int,
 ) -> list[str]:
+    cost = engine.cost.at(generation)
     facts_of: dict[int, NodeFacts] = {}
     if certificate is not None:
         for plan_node, facts in zip(walk(plan), certificate.facts):
             facts_of[id(plan_node)] = facts
 
     def render(node: PlanNode) -> str:
-        estimate = engine.cost.estimate(node)
+        estimate = cost.estimate(node)
         details = [
             f"est. {estimate.objects} objects",
             f"{estimate.entries} entries",
@@ -1204,17 +1214,17 @@ def _render_plan(
             details.append(f"est_rows={_card_text(facts.card)}")
             details.append(f"prob={_prob_text(facts.prob)}")
         if isinstance(node, QueryNode):
-            details.append(f"strategy={engine.cost.choose_strategy(estimate)}")
+            details.append(f"strategy={cost.choose_strategy(estimate)}")
         elif isinstance(node, IndexedPathStepNode):
             details.append("strategy=indexed")
             details.append(
-                f"nav_cost={engine.cost.navigation_cost(estimate, indexed=True):.1f}"
-                f" vs {engine.cost.navigation_cost(estimate, indexed=False):.1f}"
+                f"nav_cost={cost.navigation_cost(estimate, indexed=True):.1f}"
+                f" vs {cost.navigation_cost(estimate, indexed=False):.1f}"
             )
         elif not isinstance(node, ScanNode):
             details.append("strategy=local")
         if not isinstance(node, ScanNode) and engine.caching:
-            cached = engine.result_cache.peek(engine.cache_key(node))
+            cached = engine.result_cache.peek(engine.cache_key(node, generation))
             details.append("cache=warm" if cached else "cache=cold")
         return f"{node.label()}  ({', '.join(details)})"
 

@@ -12,29 +12,28 @@ this package gives the engine flat-array alternatives:
   results identical to :func:`repro.semistructured.paths.match_path`;
 * :mod:`repro.index.opf` — vectorized OPF marginalization for the
   Section 6.1 epsilon pass (numpy fast path, pure-Python fallback);
-* :mod:`repro.index.pathindex` — catalog-wide path -> posting-list
-  pruning built on the `repro.check` strong dataguides;
-* :mod:`repro.index.cache` — the per-engine snapshot cache keyed by
-  ``(version, Database.generation())``.
+* :mod:`repro.index.cache` — the per-engine snapshot cache, keyed by
+  the catalog token (:mod:`repro.storage.derived`).
+
+Pruning of provably dead paths is not done here: the abstract
+interpreter (:mod:`repro.check.absint`) folds the dataguide into its
+certificate and the engine has one skip site for it.
 
 numpy is optional throughout (:mod:`repro.index.np_compat`); every
 vectorized routine has a pure-Python twin with identical semantics.
 """
 
-from repro.index.cache import IndexCache, cache_token
+from repro.index.cache import IndexCache
 from repro.index.columnar import ColumnarInstance, match_path_indexed
 from repro.index.encoding import IntervalEncoding
 from repro.index.np_compat import HAS_NUMPY
 from repro.index.opf import marginalize_opf, marginalize_python
-from repro.index.pathindex import PathIndex
 
 __all__ = [
     "HAS_NUMPY",
     "ColumnarInstance",
     "IndexCache",
     "IntervalEncoding",
-    "PathIndex",
-    "cache_token",
     "marginalize_opf",
     "marginalize_python",
     "match_path_indexed",

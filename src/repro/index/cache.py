@@ -1,93 +1,40 @@
 """Versioned cache of columnar snapshots.
 
-One :class:`ColumnarInstance` per catalog name, keyed by the name's
-``(version, generation)`` pair: ``version`` invalidates on in-process
-re-registration and ``Database.generation()`` invalidates when another
-process mutates the shared catalog under the PR-5 file lock (the same
-token the generation-aware :class:`~repro.check.dataguide.DataGuideCache`
-uses).  Builds, hits and misses land on the ambient metrics registry
-(``index.builds`` / ``index.hits`` / ``index.misses``) and every build
-runs inside an ``index.build`` span, so ``PROFILE`` shows exactly when a
-statement paid for a snapshot.
+One :class:`ColumnarInstance` per catalog name, held in the shared
+:class:`~repro.storage.derived.DerivedCache` under the name's
+:func:`~repro.storage.derived.cache_token`.  Builds, hits and misses
+land on the ambient metrics registry (``index.builds`` / ``index.hits``
+/ ``index.misses``) and every build runs inside an ``index.build`` span,
+so ``PROFILE`` shows exactly when a statement paid for a snapshot.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING
 
 from repro.index.columnar import ColumnarInstance
 from repro.obs.metrics import current_registry
 from repro.obs.tracing import current_tracer
+from repro.storage.derived import DerivedCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.instance import ProbabilisticInstance
 
 
-class _Catalog(Protocol):
-    def get(self, name: str) -> "ProbabilisticInstance": ...
-    def version(self, name: str) -> int: ...
+def _build_snapshot(
+    name: str, instance: "ProbabilisticInstance"
+) -> ColumnarInstance:
+    with current_tracer().span("index.build", instance=name) as span:
+        snapshot = ColumnarInstance.from_instance(instance)
+        span.attributes["objects"] = len(snapshot)
+        span.attributes["edges"] = snapshot.num_edges
+        span.attributes["tree"] = snapshot.is_tree
+    current_registry().counter("index.builds").inc()
+    return snapshot
 
 
-def cache_token(database: _Catalog, name: str) -> tuple[int, int]:
-    """``(version, generation)`` — the invalidation key for ``name``.
-
-    Catalogs without a ``generation`` (plain dict-backed fakes in tests)
-    contribute a constant 0, degrading gracefully to version-only keying.
-    """
-    generation = getattr(database, "generation", None)
-    return (
-        database.version(name),
-        int(generation()) if callable(generation) else 0,
-    )
-
-
-class IndexCache:
+class IndexCache(DerivedCache[ColumnarInstance]):
     """Thread-safe name -> columnar snapshot cache for one engine."""
 
     def __init__(self) -> None:
-        self._entries: dict[str, tuple[tuple[int, int], ColumnarInstance]] = {}
-        self._lock = threading.Lock()
-
-    def get(
-        self,
-        database: _Catalog,
-        name: str,
-        instance: "ProbabilisticInstance | None" = None,
-    ) -> ColumnarInstance:
-        """The current snapshot of ``name``, building it on miss.
-
-        When the caller already holds the scanned instance it should
-        pass it as ``instance`` so the snapshot is built from exactly
-        the value being evaluated (not a possibly-racing re-read).
-        """
-        token = cache_token(database, name)
-        registry = current_registry()
-        with self._lock:
-            entry = self._entries.get(name)
-        if entry is not None and entry[0] == token:
-            registry.counter("index.hits").inc()
-            return entry[1]
-        registry.counter("index.misses").inc()
-        source = instance if instance is not None else database.get(name)
-        with current_tracer().span("index.build", instance=name) as span:
-            snapshot = ColumnarInstance.from_instance(source)
-            span.attributes["objects"] = len(snapshot)
-            span.attributes["edges"] = snapshot.num_edges
-            span.attributes["tree"] = snapshot.is_tree
-        registry.counter("index.builds").inc()
-        with self._lock:
-            self._entries[name] = (token, snapshot)
-        return snapshot
-
-    def invalidate(self, name: str | None = None) -> None:
-        """Drop one name's snapshot, or all of them."""
-        with self._lock:
-            if name is None:
-                self._entries.clear()
-            else:
-                self._entries.pop(name, None)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        super().__init__(_build_snapshot, counters="index")

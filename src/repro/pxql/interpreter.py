@@ -38,7 +38,6 @@ from repro.algebra.selection import (
     ObjectValueCondition,
     select_local,
 )
-from repro.check.dataguide import DataGuideCache
 from repro.check.diagnostics import ERROR, CheckError, Diagnostic, DiagnosticReport
 from repro.core.cardinality import CardinalityInterval
 from repro.core.instance import ProbabilisticInstance
@@ -149,7 +148,6 @@ class Interpreter:
                              use_index=use_index, cache_size=cache_size,
                              tracer=self.tracer, metrics=self.metrics)
         self._counter = 0
-        self._guides = DataGuideCache()
         #: Session-level dataflow state (:mod:`repro.check.script`):
         #: every executed statement is recorded, so ``CHECK`` and
         #: ``EXPLAIN LINT`` can flag shadowed results / timeouts (PX31x).
@@ -286,7 +284,8 @@ class Interpreter:
             from repro.check.query import check_statement
 
             return check_statement(
-                statement, self.database, spans=spans, guides=self._guides,
+                statement, self.database, spans=spans,
+                guides=self.engine.guides,
                 subject=subject, rewrites=rewrites,
             )
         except Exception:

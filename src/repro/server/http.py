@@ -401,7 +401,7 @@ class HttpFrontDoor:
         if request.path == "/rebalance/status" and request.method == "GET":
             return self._route_rebalance_status()
         if request.path == "/metrics" and request.method == "GET":
-            return 200, {"metrics": self.backend.metrics.as_dict()}
+            return await self._route_metrics()
         return 404, {
             "error": {"type": "NotFound", "message": request.path}
         }
@@ -515,6 +515,18 @@ class HttpFrontDoor:
         health = await loop.run_in_executor(None, self.backend.health)
         ready = bool(health.get("ready")) and not self._draining
         return (200 if ready else 503), {"health": health}
+
+    async def _route_metrics(self) -> tuple[int, dict[str, object]]:
+        snapshot = getattr(self.backend, "metrics_snapshot", None)
+        metrics: object
+        if callable(snapshot):
+            # A sharded backend mirrors every shard's counters in with
+            # one blocking pipe call per shard: keep that off the loop.
+            loop = asyncio.get_running_loop()
+            metrics = await loop.run_in_executor(None, snapshot)
+        else:
+            metrics = self.backend.metrics.as_dict()
+        return 200, {"metrics": metrics}
 
     def _route_rebalance_status(self) -> tuple[int, dict[str, object]]:
         status_of = getattr(self.backend, "rebalance_status", None)

@@ -359,16 +359,6 @@ class Database:
                 return self._next_version(name)
         raise DatabaseError(f"unknown instance: {name!r}")
 
-    def cache_token(self, name: str) -> tuple[int, int]:
-        """``(version, generation)`` — the invalidation key for ``name``.
-
-        The pair every versioned derived structure (dataguides, columnar
-        index snapshots, engine caches) should key on: ``version``
-        changes on in-process re-registration, ``generation`` when any
-        process mutates the shared catalog directory.
-        """
-        return (self.version(name), self.generation())
-
     def sidecar_checksum(self, name: str) -> str | None:
         """The on-disk content checksum recorded for ``name``.
 

@@ -20,7 +20,7 @@ import argparse
 import sys
 
 from repro.analysis import summarize
-from repro.core.lint import format_issues, has_errors, lint_instance
+from repro.check.model import format_issues, has_errors, lint_instance
 from repro.io.json_codec import read_instance
 from repro.render import render_distribution, render_instance, render_tree, to_dot
 from repro.semantics.global_interpretation import GlobalInterpretation

@@ -316,16 +316,28 @@ class TestEngineIntegration:
         assert result.certificate is None
         assert engine.metrics.counter("check.absint_skips").value == 0
 
-    def test_index_skip_takes_precedence(self, database):
-        # With the structural index on, the dataguide skip inside the
-        # indexed operator serves dead paths; absint defers to it so the
-        # index's own skip statistics stay meaningful.
-        plan = QueryNode("count", ScanNode("bib"),
-                         path=PathExpression("R", ("book", DEAD_LABEL)))
+    def test_dead_path_has_one_skip_site_with_index_on(self, database):
+        # One proof, one skip: under use_index the lowered plan's
+        # certificate short-circuits it, and the indexed operator (which
+        # has no skip of its own) gives the same constant when matched.
+        dead = PathExpression("R", ("book", DEAD_LABEL))
         engine = _engine(database, use_index=True, caching=False)
-        result = engine.execute_plan(plan)
-        assert result.value == 0.0
-        assert engine.metrics.counter("check.absint_skips").value == 0
+        matched = _engine(database, use_index=True, caching=False,
+                          absint=False)
+        walked = _engine(database, use_index=False, caching=False,
+                         absint=False)
+        for kind in KINDS:
+            plan = _query_plan(kind, "bib", dead, oid="B1")
+            result = engine.execute_plan(plan)
+            assert "lower_query_to_index" in result.applied_rules
+            assert result.certificate.skippable
+            assert (result.stats.cache, result.stats.strategy) == \
+                ("skip", "absint")
+            assert matched.execute_plan(plan).value == result.value
+            assert walked.execute_plan(plan).value == result.value
+        assert engine.metrics.counter("check.absint_skips").value == len(KINDS)
+        assert engine.metrics.counter("index.builds").value == 0
+        assert matched.metrics.counter("check.absint_skips").value == 0
 
     def test_cost_model_consumes_tight_hints(self, database):
         model = CostModel(database)

@@ -380,9 +380,9 @@ class TestCacheHitStatsRegression:
             engine.cache_key(node),
             _CacheEntry({"a": {"b": 1}}, {}, NodeStats(node.label(), "miss")),
         )
-        first, _extra, _stats = engine._run(node)
+        first, _extra, _stats = engine._run(node, 0)
         first["a"]["b"] = 999                  # nested mutation
-        second, _extra, _stats = engine._run(node)
+        second, _extra, _stats = engine._run(node, 0)
         assert second == {"a": {"b": 1}}
 
     def test_engine_metrics_match_cache_counters(self, database):
@@ -460,4 +460,87 @@ class TestGenerationKeyedCache:
         assert database.generation() == 0
         engine = Engine(database)
         plan = PlanBuilder.scan("bib").point("R.x", "A").build()
-        assert engine.cache_key(plan)[-1] == 0
+        _fingerprint, tokens = engine.cache_key(plan)
+        assert tokens == (("bib", (database.version("bib"), 0)),)
+
+
+class TestOneTokenPerStatement:
+    """The duplication cannot come back: one statement builds each guide
+    once and reads the catalog generation once per pass over it — the
+    static checker, then ``Engine.execute_plan`` — not once per key."""
+
+    @pytest.fixture
+    def counted(self, tmp_path, monkeypatch):
+        import repro.check.dataguide as dataguide
+        import repro.storage.database as storage
+        from repro.workloads.generator import WorkloadSpec, generate_workload
+
+        database = Database(tmp_path)
+        database.register("t", generate_workload(
+            WorkloadSpec(depth=3, branching=3, labeling="SL", seed=1)
+        ).instance)
+        database.save("t")
+        calls = {"build_dataguide": 0, "read_generation": 0}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(dataguide, "build_dataguide")
+        counting(storage, "read_generation")
+        return Interpreter(database), calls
+
+    def test_cold_then_cached_statement(self, counted):
+        interpreter, calls = counted
+        statement = "EXISTS o0.l0_0.l1_0.l2_0 IN t"
+        cold = interpreter.execute(statement)
+        assert 0.0 < cold.value <= 1.0
+        assert calls["build_dataguide"] == 1
+        assert calls["read_generation"] <= 3
+
+        calls.update(build_dataguide=0, read_generation=0)
+        hits = interpreter.cache_stats["results"]["hits"]
+        assert interpreter.execute(statement).value == cold.value
+        assert interpreter.cache_stats["results"]["hits"] == hits + 1
+        assert calls["build_dataguide"] == 0
+        assert calls["read_generation"] <= 3
+
+    def test_checker_and_engine_share_the_guides(self, counted):
+        interpreter, _calls = counted
+        assert not hasattr(interpreter, "_guides")
+        interpreter.execute("EXISTS o0.l0_0 IN t")
+        assert len(interpreter.engine.guides) == 1
+
+
+class TestLineageEviction:
+    """``Engine._lineage`` forgets names that were dropped or whose
+    inputs moved, the first time a lookup finds the entry invalid."""
+
+    def test_project_as_drop_cycle_leaves_nothing_behind(self):
+        from repro.engine.plan import ScanNode
+
+        interpreter = Interpreter(Database())
+        interpreter.database.register("bib", small_instance())
+        engine = interpreter.engine
+        for _round in range(3):
+            interpreter.execute("PROJECT R.x FROM bib AS tmp")
+            assert engine.expand(ScanNode("tmp")) != ScanNode("tmp")
+            assert set(engine._lineage) == {"tmp"}
+            interpreter.execute("DROP tmp")
+            assert engine.expand(ScanNode("tmp")) == ScanNode("tmp")
+            assert engine._lineage == {}
+
+    def test_entry_whose_input_was_replaced_is_evicted(self):
+        from repro.engine.plan import ScanNode
+
+        interpreter = Interpreter(Database())
+        interpreter.database.register("bib", small_instance())
+        interpreter.execute("PROJECT R.x FROM bib AS view")
+        interpreter.database.register("bib", small_instance(p=0.3), replace=True)
+        assert interpreter.engine.expand(ScanNode("view")) == ScanNode("view")
+        assert interpreter.engine._lineage == {}

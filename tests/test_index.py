@@ -3,14 +3,15 @@
 The load-bearing contract is *parity*: every vectorized structure must
 produce results identical to the walked evaluators it replaces.  The
 randomized suites below hold that on 52 generated tree instances plus
-DAG-shaped ones, and exercise the cache invalidation keys, the
-dataguide-based pruning and the engine's runtime fallback.
+DAG-shaped ones, and exercise the cache invalidation token, the
+certificate-based skip of dead paths and the engine's runtime fallback.
 """
 
 import random
 
 import pytest
 
+from repro.check.absint import certify_plan
 from repro.check.dataguide import DataGuideCache
 from repro.core.builder import InstanceBuilder
 from repro.core.distributions import TabularOPF
@@ -27,8 +28,6 @@ from repro.index import (
     ColumnarInstance,
     IndexCache,
     IntervalEncoding,
-    PathIndex,
-    cache_token,
     marginalize_opf,
     marginalize_python,
     match_path_indexed,
@@ -38,6 +37,7 @@ from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.pxql import Interpreter
 from repro.semistructured.paths import PathExpression, match_path
 from repro.storage.database import Database
+from repro.storage.derived import cache_token
 from repro.workloads.generator import (
     WorkloadSpec,
     generate_workload,
@@ -265,7 +265,7 @@ def test_marginalize_all_certain_short_circuits():
 
 
 # ----------------------------------------------------------------------
-# Cache keys: (version, generation)
+# The one catalog token: (version, generation)
 # ----------------------------------------------------------------------
 class _GenerationCatalog:
     """A fake catalog whose generation counter the test can bump."""
@@ -297,6 +297,19 @@ class TestCacheTokens:
                 return 3
 
         assert cache_token(_Plain(), "x") == (3, 0)
+
+    def test_a_generation_the_statement_read_is_not_read_again(self):
+        catalog = _GenerationCatalog(build_bib())
+
+        def read_again():
+            raise AssertionError("the generation was read a second time")
+
+        catalog.generation = read_again
+        assert cache_token(catalog, "bib", 4) == (7, 4)
+        guides = DataGuideCache()
+        first = guides.get(catalog, "bib", 4)
+        assert guides.get(catalog, "bib", 4) is first
+        assert guides.get(catalog, "bib", 5) is not first
 
     def test_dataguide_cache_invalidated_by_generation(self):
         """Regression: a same-version catalog mutated by another process
@@ -344,37 +357,47 @@ class TestIndexCache:
 
 
 # ----------------------------------------------------------------------
-# PathIndex: dataguide-backed pruning
+# The dead-path proof: dataguide folded into the absint certificate
 # ----------------------------------------------------------------------
-class TestPathIndex:
-    def test_tri_state_answers(self):
+def _zero_mass_bib():
+    """``R.book.isbn`` matches the weak structure (B2 has an isbn) but
+    B2 has zero inclusion probability, so only the guide can kill it."""
+    b = InstanceBuilder("R")
+    b.children("R", "book", ["B1", "B2"], card=(1, 2))
+    b.opf("R", {("B1",): 1.0})
+    b.leaf("B1", "title", ["t"], {"t": 1.0})
+    b.children("B2", "isbn", ["I2"], card=(1, 1))
+    b.opf("B2", {("I2",): 1.0})
+    b.leaf("I2", "code", ["c"], {"c": 1.0})
+    return b.build()
+
+
+def _skippable(database, path, guides=None):
+    plan = PlanBuilder.scan("bib").exists(PathExpression.parse(path)).build()
+    return certify_plan(plan, database, guides).skippable
+
+
+class TestDeadPathProof:
+    def test_proof_only_from_a_covering_guide(self):
         database = Database()
         database.register("bib", build_bib())
-        index = PathIndex()
-        book = PathExpression.parse("R.book")
-        assert index.can_match(database, "bib", book) is True
-        assert (
-            index.can_match(database, "bib", PathExpression.parse("R.movie"))
-            is False
-        )
+        assert not _skippable(database, "R.book")
+        assert _skippable(database, "R.movie")
         # Rooted at a non-root object: the guide cannot prove anything.
-        assert (
-            index.can_match(database, "bib", PathExpression.parse("B1.author"))
-            is None
-        )
+        assert not _skippable(database, "B1.author")
 
-    def test_posting_list(self):
+    def test_proof_only_from_an_untruncated_guide(self):
         database = Database()
-        database.register("bib", build_bib())
-        index = PathIndex()
-        assert index.posting_list(
-            database, "bib", PathExpression.parse("R.book")
-        ) == frozenset({"B1", "B2"})
-        assert index.posting_list(
-            database, "bib", PathExpression.parse("R.movie")
-        ) == frozenset()
+        database.register("bib", _zero_mass_bib())
+        assert match_path(
+            database.get("bib").weak.graph(), PathExpression.parse("R.book.isbn")
+        ).matched == {"I2"}
+        assert _skippable(database, "R.book.isbn")
+        truncated = DataGuideCache(max_paths=1)
+        assert truncated.get(database, "bib").truncated
+        assert not _skippable(database, "R.book.isbn", truncated)
 
-    def test_broken_catalog_is_unknown(self):
+    def test_broken_catalog_proves_nothing(self):
         class _Broken:
             def get(self, name):
                 raise RuntimeError("boom")
@@ -382,11 +405,7 @@ class TestPathIndex:
             def version(self, name):
                 return 1
 
-        index = PathIndex()
-        assert (
-            index.can_match(_Broken(), "bib", PathExpression.parse("R.book"))
-            is None
-        )
+        assert not _skippable(_Broken(), "R.book")
 
 
 # ----------------------------------------------------------------------
@@ -505,8 +524,8 @@ def test_engine_runtime_fallback_on_stale_lowering():
 
 
 def test_engine_skips_provably_unmatchable_paths():
-    """The dataguide proves R.movie can never match: the engine must
-    short-circuit without building a match, and count the skip."""
+    """The certificate proves R.movie can never match: the engine must
+    short-circuit without building a snapshot or a match, and count it."""
     registry = MetricsRegistry()
     database = Database()
     database.register("bib", build_bib())
@@ -519,18 +538,29 @@ def test_engine_skips_provably_unmatchable_paths():
     assert exists.value == 0.0
     count = engine.execute_plan(PlanBuilder.scan("bib").count(absent).build())
     assert count.value == 0.0
+    point = engine.execute_plan(
+        PlanBuilder.scan("bib").point(absent, "B1").build()
+    )
+    assert point.value == 0.0
     dist = engine.execute_plan(QueryNode("dist", ScanNode("bib"), path=absent))
     assert dist.value == {0: 1.0}
-    assert registry.counter("index.skipped_instances").value == 3
-    assert any(
-        stats.extra.get("index") == "skipped" for stats in exists.stats.walk()
-    )
+    assert registry.counter("check.absint_skips").value == 4
+    assert registry.counter("index.builds").value == 0
+    assert exists.certificate.skippable
+    assert (exists.stats.cache, exists.stats.strategy) == ("skip", "absint")
 
-    # Parity: the walked engine agrees the probability is zero.
-    plain = Engine(database, caching=False, use_index=False)
-    assert plain.execute_plan(
-        PlanBuilder.scan("bib").exists(absent).build()
-    ).value == 0.0
+    # Parity: with the proof off the indexed operator matches the path
+    # and the walked engine walks it; both agree on every constant.
+    for use_index in (True, False):
+        plain = Engine(
+            database, caching=False, use_index=use_index, absint=False
+        )
+        assert plain.execute_plan(
+            PlanBuilder.scan("bib").exists(absent).build()
+        ).value == 0.0
+        assert plain.execute_plan(
+            QueryNode("dist", ScanNode("bib"), path=absent)
+        ).value == {0: 1.0}
 
 
 def test_explain_shows_index_lowering():

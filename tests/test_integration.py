@@ -16,7 +16,7 @@ from repro import (
 from repro.algebra.extensions import rename_objects
 from repro.analysis import summarize
 from repro.bayesnet import PXMLBayesianNetwork
-from repro.core.lint import lint_instance
+from repro.check.model import lint_instance
 from repro.io.json_codec import read_instance, write_instance
 from repro.protdb.patterns import (
     PatternNode,

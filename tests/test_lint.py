@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.check.model import format_issues, has_errors, lint_instance
 from repro.core.builder import InstanceBuilder
 from repro.core.cardinality import CardinalityInterval
 from repro.core.distributions import TabularOPF, TabularVPF
 from repro.core.instance import ProbabilisticInstance
-from repro.core.lint import format_issues, has_errors, lint_instance
 from repro.core.weak_instance import WeakInstance
 from repro.paper import figure2_instance
 from repro.render import to_dot
@@ -123,14 +123,14 @@ class TestLint:
     def test_unknown_mnemonic_rejected_at_construction(self):
         # Every mnemonic must map to a stable PX code; a typo in an
         # emitting site must fail loudly, not produce a codeless issue.
-        from repro.core.lint import Issue
+        from repro.check.model import Issue
 
         with pytest.raises(ValueError, match="unknown lint mnemonic"):
             Issue(severity="error", oid=None, code="no-such-mnemonic",
                   message="boom")
 
     def test_known_mnemonic_gets_its_px_code(self):
-        from repro.core.lint import Issue
+        from repro.check.model import Issue
 
         issue = Issue(severity="error", oid=None, code="missing-opf",
                       message="m")

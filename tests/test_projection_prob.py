@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from repro.algebra.projection_more import descendant_projection_local
 from repro.algebra.projection_prob import (
     ancestor_projection_global,
     ancestor_projection_local,
@@ -125,6 +126,25 @@ class TestResultShape:
     def test_pruned_siblings_absent(self, tree):
         local = ancestor_projection_local(tree, "R.book.author")
         assert "T1" not in local
+
+    def test_child_the_parent_never_includes_is_dropped(self):
+        """Regression: ``r``'s OPF gives every set containing ``n1`` zero
+        mass while eps(n1) = 1, and float rounding leaves the root's
+        empty mass just below 1 — the result used to keep ``n1`` under
+        ``card(r, L0) = [0, 0]`` and fail its own ``validate()``."""
+        pi = random_tree_instance(random.Random(263), depth=2, max_children=2)
+        assert pi.weak.lch("r", "L0") == frozenset({"n1"})
+        assert pi.opf("r").marginal_inclusion("n1") == 0.0
+        path = PathExpression("r", ("L0",))
+        assert 0.0 < epsilon_pass(pi, path).root_empty_mass < 1.0
+        local = ancestor_projection_local(pi, path)
+        local.validate()
+        assert local.objects == {"r"}
+        assert_local_matches_global(pi, path)
+        # Descendant projection grafts onto the same skeleton.
+        descendant = descendant_projection_local(pi, path)
+        descendant.validate()
+        assert descendant.objects == {"r"}
 
     def test_dag_instance_rejected(self):
         with pytest.raises(NonTreeInstanceError):

@@ -9,7 +9,7 @@ rather than hand-picked fixtures.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.algebra.projection_prob import (
     ancestor_projection_global,
@@ -163,6 +163,7 @@ class TestSemanticsProperties:
 
     @HEAVY
     @given(st.integers(min_value=0, max_value=10_000), st.integers(1, 3))
+    @example(263, 1)  # a matched child the parent's OPF never includes
     def test_projection_local_equals_global(self, seed, length):
         rng = random.Random(seed)
         pi = random_tree_instance(rng, depth=2, max_children=2)

@@ -24,8 +24,9 @@ from repro.errors import (
     Overloaded,
     ShardUnavailable,
 )
+from repro.io.json_codec import dumps
 from repro.pxql.lexer import PXQLSyntaxError
-from repro.server import HttpFrontDoor, PXQLServer
+from repro.server import HttpFrontDoor, PXQLServer, ShardedServer
 from repro.server.http import error_payload
 from repro.storage.database import Database
 
@@ -64,12 +65,14 @@ def _request(port, method, path, payload=None):
 class _Door:
     """A front door + backend + loop thread, torn down in order."""
 
-    def __init__(self, **front_kwargs):
-        database = Database()
-        database.register("bib", build_bib())
-        self.backend = PXQLServer(
-            database=database, workers=1, queue_size=8, poll_s=0.005
-        ).start()
+    def __init__(self, backend=None, **front_kwargs):
+        if backend is None:
+            database = Database()
+            database.register("bib", build_bib())
+            backend = PXQLServer(
+                database=database, workers=1, queue_size=8, poll_s=0.005
+            ).start()
+        self.backend = backend
         self.loop = asyncio.new_event_loop()
         self.thread = threading.Thread(
             target=self.loop.run_forever, name="http-test-loop", daemon=True
@@ -85,7 +88,7 @@ class _Door:
         )
 
     def close(self):
-        if self.backend.state != "stopped":
+        if getattr(self.backend, "state", None) != "stopped":
             self._run(self.front.shutdown(drain_timeout_s=10.0))
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(10.0)
@@ -197,6 +200,29 @@ class TestProbes:
         status, body = _request(door.port, "GET", "/metrics")
         assert status == 200
         assert "server.submitted" in body["metrics"]
+
+    def test_metrics_route_includes_every_shard_counter(self, tmp_path):
+        """Regression: over a sharded backend ``/metrics`` serialised the
+        router's registry only, so no ``shardN.*`` key ever appeared."""
+        backend = ShardedServer(tmp_path, shards=2, workers_per_shard=1)
+        backend.start()
+        harness = _Door(backend=backend)
+        try:
+            name = next(
+                f"bib{i}" for i in range(200) if backend.owner(f"bib{i}") == 0
+            )
+            backend.register_instance(name, dumps(build_bib()))
+            status, _body = _request(
+                harness.port, "POST", "/execute",
+                {"statement": f"EXISTS R.book.author IN {name}"},
+            )
+            assert status == 200
+            status, body = _request(harness.port, "GET", "/metrics")
+        finally:
+            harness.close()
+        assert status == 200
+        assert body["metrics"]["router.submitted"]["value"] == 1
+        assert body["metrics"]["shard0.server.completed"]["value"] == 1
 
     def test_shutdown_drains_and_stops_the_backend(self, door):
         door._run(door.front.shutdown(drain_timeout_s=10.0))
