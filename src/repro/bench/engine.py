@@ -4,7 +4,8 @@ For each grid cell the benchmark builds the canonical three-operator
 pipeline — ancestor projection, then a selection on the projected path,
 then a point query — and measures it four ways:
 
-* ``naive``     — optimizer off, caching off (the pre-engine eager path);
+* ``naive``     — optimizer off, caching off (the plan as planned, a
+  benchmark reference);
 * ``optimized`` — optimizer on, caching off (rewrites only);
 * ``cold``      — optimizer on, caching on, first execution;
 * ``warm``      — optimizer on, caching on, repeated execution (every

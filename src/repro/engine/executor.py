@@ -116,6 +116,9 @@ _SKIP_RESULTS = {
 #: Maximum depth of lineage inlining (cycle / runaway guard).
 _MAX_INLINE_DEPTH = 16
 
+#: LRU capacity of the plan cache and of the result cache.
+_CACHE_SIZE = 256
+
 
 @dataclass
 class NodeStats:
@@ -254,18 +257,9 @@ class Engine:
     Args:
         database: the catalog plans scan (must expose ``get`` and
             ``version``; :class:`repro.storage.database.Database` does).
-        optimizer: apply the rewrite rules (off = execute plans as
-            written, for A/B parity against the naive path).
+        optimizer: apply the rewrite rules (off = execute the
+            lineage-expanded plan unrewritten, a benchmark reference).
         caching: keep a versioned result cache across executions.
-        cache_size: LRU capacity of the plan and result caches.
-        copy_on_hit: hand out copies of cached instances so callers can
-            register/mutate them without corrupting the cache.
-        samples: Monte-Carlo sample count for the ``sample`` strategy.
-        seed: RNG seed for the ``sample`` strategy.
-        inline_lineage: expand scans of engine-produced results into the
-            plans that produced them (when their inputs are unchanged),
-            turning statement sequences into multi-operator plans the
-            rewrite rules can work across.
         use_index: lower path navigation onto the structural index
             (``repro.index``) where the cost model prices it cheaper.
             The lowering is an equivalence (runtime falls back to the
@@ -294,9 +288,9 @@ class Engine:
             instance if omitted).  Rewrite-optimizer failures degrade
             that statement to the unoptimized plan and count against the
             breaker; cache get/put failures are isolated (treated as a
-            miss / skipped) and count too.  Once tripped, plans run
-            unoptimized and uncached — correct, just slower — until the
-            cool-down elapses and a probe succeeds.
+            miss / skipped) and count too.  Once tripped, plans run as
+            written (:meth:`execute_as_written`) — correct, just slower
+            — until the cool-down elapses and a probe succeeds.
         tracer: span collector for executions (own instance if omitted;
             pass a shared one to join a larger trace, e.g. the PXQL
             interpreter's statement spans).
@@ -311,11 +305,6 @@ class Engine:
         database,
         optimizer: bool = True,
         caching: bool = True,
-        cache_size: int = 256,
-        copy_on_hit: bool = True,
-        samples: int = 2000,
-        seed: int | None = None,
-        inline_lineage: bool = True,
         use_index: bool = True,
         absint: bool = True,
         disk_cache: bool | None = None,
@@ -326,10 +315,6 @@ class Engine:
         self.database = database
         self.optimizer = optimizer
         self.caching = caching
-        self.copy_on_hit = copy_on_hit
-        self.samples = samples
-        self.seed = seed
-        self.inline_lineage = inline_lineage
         self.use_index = use_index
         self.absint = absint
         #: When set (``EXPLAIN ANALYZE`` / ``PROFILE``), observed
@@ -340,7 +325,7 @@ class Engine:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cost = CostModel(database)
         self.result_cache = LRUCache(
-            cache_size, name="engine.cache.results", metrics=self.metrics
+            _CACHE_SIZE, name="engine.cache.results", metrics=self.metrics
         )
         #: Persistent spill segment (None = disabled / unbacked catalog).
         self.disk_cache: DiskResultCache | None = None
@@ -359,7 +344,7 @@ class Engine:
                 self.metrics.counter("engine.cache.disk_errors").inc()
                 self.disk_cache = None
         self.plan_cache = LRUCache(
-            cache_size, name="engine.cache.plans", metrics=self.metrics
+            _CACHE_SIZE, name="engine.cache.plans", metrics=self.metrics
         )
         self.rules = DEFAULT_RULES
         self.index_cache = IndexCache()
@@ -444,8 +429,10 @@ class Engine:
         return None
 
     def expand(self, plan: PlanNode, _depth: int = 0) -> PlanNode:
-        """Inline valid lineage plans under every scan, recursively."""
-        if not self.inline_lineage or _depth >= _MAX_INLINE_DEPTH:
+        """Inline valid lineage plans under every scan, recursively:
+        statement sequences become multi-operator plans the rewrite
+        rules can work across."""
+        if _depth >= _MAX_INLINE_DEPTH:
             return plan
         if isinstance(plan, ScanNode):
             recorded = self._lineage_plan(plan.name)
@@ -475,15 +462,31 @@ class Engine:
         The optimizer/cache layer degrades rather than fails: a rewrite
         failure falls back to the unoptimized (still correct) plan and
         counts against :attr:`breaker`; with the breaker open the layer
-        is skipped entirely until its cool-down elapses.
+        is skipped entirely (the plan comes back as written) until its
+        cool-down elapses.
         """
-        record = self._prepare(plan, catalog_generation(self.database))
+        record = (
+            self._prepare(plan, catalog_generation(self.database))
+            if self.breaker.allow() else _Prepared(plan, ())
+        )
         self._last_prepared = record
         return record.plan, record.applied
 
+    def _decide(
+        self, plan: PlanNode, generation: int, accelerated: bool
+    ) -> tuple[_Prepared, PlanCertificate | None]:
+        """The plan to run and its certificate — or, un-accelerated, the
+        plan as written: no lineage expansion (a registered result is
+        scanned more cheaply than its lineage is recomputed), no
+        rewrite, no plan cache, no certificate."""
+        if not accelerated:
+            return _Prepared(plan, ()), None
+        record = self._prepare(plan, generation)
+        return record, self._certify(record, generation)
+
     def _prepare(self, plan: PlanNode, generation: int) -> _Prepared:
         expanded = self.expand(plan)
-        if not self.optimizer or not self.breaker.allow():
+        if not self.optimizer:
             return _Prepared(expanded, ())
         key = self.cache_key(expanded, generation)
         if self.caching:
@@ -742,17 +745,36 @@ class Engine:
     # Execution
     # ------------------------------------------------------------------
     def execute_plan(self, plan: PlanNode) -> ExecutionResult:
-        """Prepare and run a plan."""
+        """Prepare and run a plan (as written while the breaker is open)."""
+        return self._execute(plan, accelerated=self.breaker.allow())
+
+    def execute_as_written(self, plan: PlanNode) -> ExecutionResult:
+        """Run a plan with every accelerator bypassed.
+
+        Internal: the one un-accelerated path, taken by
+        :meth:`execute_plan` while the breaker is open and by the PXQL
+        interpreter when it retries a failed statement.  Lineage
+        expansion, rewrite rules, certificate/skip and the plan, result,
+        disk and index caches are all skipped; everything below them —
+        budget ticks, node spans, ``engine.objects_scanned``, the
+        probability guard — is the same :meth:`_run` / :meth:`_apply`.
+        """
+        return self._execute(plan, accelerated=False)
+
+    def _execute(self, plan: PlanNode, accelerated: bool) -> ExecutionResult:
         with self._ambient():
             with self.tracer.span("engine.execute_plan") as root:
                 generation = catalog_generation(self.database)
-                record = self._prepare(plan, generation)
-                certificate = self._certify(record, generation)
+                record, certificate = self._decide(
+                    plan, generation, accelerated
+                )
                 prepared, applied = record.plan, record.applied
                 if certificate is not None and certificate.skippable:
                     value, stats = self._skip_execution(prepared, certificate)
                 else:
-                    value, _extra, stats = self._run(prepared, generation)
+                    value, _extra, stats = self._run(
+                        prepared, generation, accelerated and self.caching
+                    )
                 root.attributes["rewrites"] = len(applied)
             violations = self._verify_certificate(certificate, value, stats)
             self.metrics.counter("engine.executions").inc()
@@ -772,7 +794,7 @@ class Engine:
         return self.execute_plan(plan)
 
     def _run(
-        self, node: PlanNode, generation: int
+        self, node: PlanNode, generation: int, use_cache: bool
     ) -> tuple[object, dict, NodeStats]:
         budget = current_budget()
         if budget is not None:
@@ -793,7 +815,6 @@ class Engine:
             )
             return pi, {}, stats
 
-        use_cache = self.caching and self.breaker.allow()
         disk_key: str | None = None
         disk_inputs: tuple[tuple[str, str], ...] | None = None
         if use_cache:
@@ -821,7 +842,8 @@ class Engine:
             cache="miss" if use_cache else "off",
         ) as span:
             child_results = [
-                self._run(child, generation) for child in node.children()
+                self._run(child, generation, use_cache)
+                for child in node.children()
             ]
             inputs = [value for value, _extra, _stats in child_results]
             with self.tracer.span(
@@ -870,19 +892,18 @@ class Engine:
         re-executed, so re-reporting the original miss timings would
         double-count them — and sharing the live list would let every
         hit alias the same mutable stats objects).  Values are guarded
-        the same way: instances are copied (``copy_on_hit``) and dict
-        results are deep-copied symmetrically, so callers mutating a
+        the same way: instances are copied and dict results are
+        deep-copied symmetrically, so callers mutating a
         returned result can never corrupt subsequent hits.
         """
         with self.tracer.span(
             f"engine.node.{node.label()}", cache=origin
         ) as span:
             value = entry.value
-            if self.copy_on_hit:
-                if isinstance(value, ProbabilisticInstance):
-                    value = value.copy()
-                elif isinstance(value, dict):
-                    value = copy.deepcopy(value)
+            if isinstance(value, ProbabilisticInstance):
+                value = value.copy()
+            elif isinstance(value, dict):
+                value = copy.deepcopy(value)
         stats = NodeStats(
             entry.stats.label, cache=origin,
             wall_s=span.wall_s,
@@ -903,7 +924,7 @@ class Engine:
             return projected, "local", {}
         if isinstance(node, SelectNode):
             (pi,) = inputs
-            selection = select_local(pi, _condition_of(node))
+            selection = select_local(pi, condition_of(node))
             check_probability_guard(
                 selection.probability, node.prob_op, node.prob_bound
             )
@@ -1048,9 +1069,7 @@ class Engine:
             return match_count_distribution(pi, node.path), "aggregate", {}
 
         strategy = self.cost.choose_strategy(self.cost.measure_instance(pi))
-        engine = QueryEngine(
-            pi, strategy=strategy, samples=self.samples, seed=self.seed
-        )
+        engine = QueryEngine(pi, strategy=strategy)
         if node.kind == "point":
             value = engine.point(node.path, node.oid)
         elif node.kind == "exists":
@@ -1084,8 +1103,9 @@ class Engine:
     def explain(self, plan: PlanNode) -> str:
         """Render the optimized plan with estimates (no execution)."""
         generation = catalog_generation(self.database)
-        record = self._prepare(plan, generation)
-        certificate = self._certify(record, generation)
+        record, certificate = self._decide(
+            plan, generation, self.breaker.allow()
+        )
         lines = _render_plan(record.plan, self, certificate, generation)
         lines.append(_rules_line(record.applied))
         if certificate is not None:
@@ -1138,7 +1158,8 @@ def check_probability_guard(
         )
 
 
-def _condition_of(node: SelectNode):
+def condition_of(node: SelectNode):
+    """The selection condition a planned ``SelectNode`` stands for."""
     if node.card_label is not None:
         low, high = node.card_bounds
         return ObjectCardinalityCondition(

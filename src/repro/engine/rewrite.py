@@ -4,8 +4,8 @@ Each rule is a function ``rule(node, cost) -> PlanNode | None`` returning
 a replacement for ``node`` (or ``None`` when it does not apply).  The
 optimizer applies the rules bottom-up to a fixpoint.  Every rule is an
 *equivalence* on the global semantics — the randomized parity suite
-(``tests/test_engine_parity.py``) checks each one against the naive
-eager path on generated instances.
+(``tests/test_engine_parity.py``) checks each one against direct calls
+to the operators on generated instances.
 
 The rules and their soundness arguments:
 

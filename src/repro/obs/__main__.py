@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.obs trace SCRIPT.pxql [-d DIR] [--format text|jsonl]
                               [--slow-ms N] [--metrics OUT.json]
-                              [--spans OUT.jsonl] [--strategy engine|naive]
+                              [--spans OUT.jsonl]
     python -m repro.obs records [--path results/bench_records.json]
                               [--operation engine]
 
@@ -53,7 +53,6 @@ def _run_trace(args: argparse.Namespace) -> int:
     directory = args.database if args.database else script.parent
     interpreter = Interpreter(
         Database(directory),
-        strategy=args.strategy,
         check="warn",
         slow_query_s=args.slow_ms / 1e3,
     )
@@ -148,8 +147,6 @@ def main(argv: list[str] | None = None) -> int:
     trace.add_argument("--format", choices=("text", "jsonl"), default="text")
     trace.add_argument("--slow-ms", type=float, default=250.0,
                        help="slow-query threshold in milliseconds")
-    trace.add_argument("--strategy", choices=("engine", "naive"),
-                       default="engine")
     trace.add_argument("--metrics", metavar="PATH",
                        help="also write the metrics registry as JSON")
     trace.add_argument("--spans", metavar="PATH",

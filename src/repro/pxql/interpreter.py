@@ -6,15 +6,18 @@ an auto-generated ``_resultN`` name — so queries compose across
 statements exactly the way Section 2's situations chain operations.
 Query statements (POINT / EXISTS / CHAIN / PROB) return probabilities.
 
-Since the engine PR, algebra and query statements are routed through
+Algebra and query statements reach an operator only through
 :class:`repro.engine.Engine`: statements become logical plans, the
 lineage of registered results is inlined so rewrite rules can work
 across statement boundaries, sub-plan results are cached under
 ``(fingerprint, instance versions)`` keys, and ``EXPLAIN`` /
 ``EXPLAIN ANALYZE`` expose the chosen plan, per-node strategy, timings
-and cache status.  Construct the interpreter with ``strategy="naive"``
-to get the original eager one-call-per-statement path (used by the
-parity test suite for A/B comparison).
+and cache status.  There is no second evaluator here: a statement the
+engine fails on is retried once on its plan *as written*
+(:meth:`Engine.execute_as_written` — same executor, accelerators
+bypassed), and the reference the parity suites compare against is the
+operators themselves (``repro.algebra`` / ``repro.queries`` /
+``repro.semantics``, see ``tests/helpers.py::evaluate_directly``).
 
 Efficient algorithms are used on tree-structured instances; DAGs fall
 back to the exact Bayesian-network / global engines automatically.
@@ -26,22 +29,10 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from repro.algebra.projection_more import (
-    descendant_projection_local,
-    single_projection_local,
-)
-from repro.algebra.projection_prob import ancestor_projection_local
-from repro.algebra.product import cartesian_product
-from repro.algebra.selection import (
-    ObjectCardinalityCondition,
-    ObjectCondition,
-    ObjectValueCondition,
-    select_local,
-)
 from repro.check.diagnostics import ERROR, CheckError, Diagnostic, DiagnosticReport
-from repro.core.cardinality import CardinalityInterval
 from repro.core.instance import ProbabilisticInstance
-from repro.engine.executor import Engine, ExecutionResult, check_probability_guard
+from repro.engine.executor import Engine, ExecutionResult, condition_of
+from repro.engine.plan import plan_statement
 from repro.errors import BudgetExceeded, EmptyResultError, PXMLError
 from repro.obs.export import render_span_tree
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -49,26 +40,26 @@ from repro.obs.slowlog import SlowQueryLog
 from repro.obs.tracing import Tracer, use_tracer
 from repro.pxql import ast
 from repro.pxql.parser import SpanMap, parse, parse_spanned
-from repro.queries.engine import QueryEngine
 from repro.render import render_distribution, render_instance
 from repro.resilience.budget import Budget, use_budget
 from repro.semantics.global_interpretation import GlobalInterpretation
 from repro.storage.database import Database, DatabaseError
 
-_STRATEGIES = ("engine", "naive")
 _CHECK_MODES = ("error", "warn", "off")
 
+#: Instance-producing statement kinds (registered under their ``AS`` name).
+_ALGEBRA = (ast.ProjectStatement, ast.SelectStatement, ast.ProductStatement)
+
 #: Statement kinds routed through the engine — the ones the graceful
-#: degradation path can re-run on the naive strategy.
-_ENGINE_ROUTED = (
-    ast.ProjectStatement, ast.SelectStatement, ast.ProductStatement,
+#: degradation path can re-run on the plan as written.
+_ENGINE_ROUTED = _ALGEBRA + (
     ast.PointStatement, ast.ExistsStatement, ast.ChainStatement,
     ast.ProbStatement, ast.CountStatement, ast.DistStatement,
 )
 
-#: Failures that must *not* trigger the naive fallback: budgets are
-#: user-imposed limits, check/catalog/empty-result errors are semantic —
-#: the naive path would fail identically (or worse, mask the limit).
+#: Failures that must *not* trigger the retry: budgets are user-imposed
+#: limits, check/catalog/empty-result errors are semantic — the plan as
+#: written would fail identically (or worse, mask the limit).
 _FALLBACK_EXEMPT = (
     BudgetExceeded, CheckError, DatabaseError, EmptyResultError,
 )
@@ -96,12 +87,6 @@ class Interpreter:
 
     Args:
         database: the catalog to execute against (fresh one if omitted).
-        strategy: ``"engine"`` (plan, optimize, cache) or ``"naive"``
-            (the original eager path; kept for A/B parity testing).
-        optimizer: whether the engine applies its rewrite rules.
-        use_index: whether the engine lowers path navigation onto the
-            structural index (:mod:`repro.index`); off = pre-index plans.
-        cache_size: LRU capacity of the engine's plan and result caches.
         check: check-before-execute mode.  ``"error"`` (default) runs
             the static checker before each statement and raises
             :class:`~repro.check.diagnostics.CheckError` with the whole
@@ -120,32 +105,21 @@ class Interpreter:
     def __init__(
         self,
         database: Database | None = None,
-        strategy: str = "engine",
-        optimizer: bool = True,
-        use_index: bool = True,
-        cache_size: int = 256,
         check: str = "error",
         slow_query_s: float = 0.25,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        if strategy not in _STRATEGIES:
-            raise PXMLError(
-                f"unknown interpreter strategy {strategy!r}; "
-                f"choose one of {_STRATEGIES}"
-            )
         if check not in _CHECK_MODES:
             raise PXMLError(
                 f"unknown check mode {check!r}; choose one of {_CHECK_MODES}"
             )
         self.database = database if database is not None else Database()
-        self.strategy = strategy
         self.check = check
         self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.slow_log = SlowQueryLog(threshold_s=slow_query_s)
-        self.engine = Engine(self.database, optimizer=optimizer,
-                             use_index=use_index, cache_size=cache_size,
+        self.engine = Engine(self.database,
                              tracer=self.tracer, metrics=self.metrics)
         self._counter = 0
         #: Session-level dataflow state (:mod:`repro.check.script`):
@@ -166,7 +140,7 @@ class Interpreter:
         #: Session-wide statement deadline set by ``SET TIMEOUT`` (None: off).
         self._session_timeout_s: float | None = None
         #: Record of graceful degradations: ``(statement label, engine error)``
-        #: for every statement that was retried on the naive path.
+        #: for every statement answered by the retry on its plan as written.
         self.fallbacks: list[tuple[str, Exception]] = []
 
     # ------------------------------------------------------------------
@@ -188,7 +162,7 @@ class Interpreter:
             timeout_s = statement.seconds
             self._statement_timeout_s = statement.seconds
             statement = statement.statement
-        handler = getattr(self, f"_run_{type(statement).__name__}", None)
+        handler = self._handler_for(statement)
         if handler is None:
             raise PXMLError(f"unsupported statement: {statement!r}")
         self._spans = spans
@@ -239,26 +213,33 @@ class Interpreter:
         with use_budget(Budget(deadline_s=timeout_s)) as budget:
             yield budget
 
-    def _dispatch(self, handler, statement: ast.Statement, label: str):
-        """Run a handler, degrading engine failures to the naive path.
+    def _handler_for(self, statement: ast.Statement):
+        if isinstance(statement, _ENGINE_ROUTED):
+            return self._run_planned
+        return getattr(self, f"_run_{type(statement).__name__}", None)
 
-        An unexpected engine-strategy failure on an engine-routed
-        statement is retried once with ``strategy="naive"`` — the
-        original eager path, which shares no planner/optimizer/cache
-        machinery with the engine — and recorded in :attr:`fallbacks`,
-        the ``resilience.fallbacks`` counter and a ``resilience.fallback``
-        trace event.  Budget, check, catalog and empty-result errors
-        propagate untouched (see ``_FALLBACK_EXEMPT``).
+    def _dispatch(self, handler, statement: ast.Statement, label: str):
+        """Run a handler, degrading engine failures to the plan as written.
+
+        An unexpected failure on an engine-routed statement is retried
+        once through :meth:`Engine.execute_as_written` — the same
+        executor with lineage expansion, rewrite, certificate/skip and
+        every cache bypassed, so it covers faults in those accelerator
+        layers and nothing below them.  A retry that *answers* is
+        recorded in :attr:`fallbacks`, the ``resilience.fallbacks``
+        counter and a ``resilience.fallback`` trace event; one that
+        fails too was the user's error, and raises as such.  Budget,
+        check, catalog and empty-result errors propagate untouched (see
+        ``_FALLBACK_EXEMPT``).
         """
         try:
             return handler(statement)
         except _FALLBACK_EXEMPT:
             raise
         except Exception as exc:
-            if self.strategy != "engine" or not isinstance(
-                statement, _ENGINE_ROUTED
-            ):
+            if not isinstance(statement, _ENGINE_ROUTED):
                 raise
+            result = self._run_planned(statement, as_written=True)
             self.metrics.counter("resilience.fallbacks").inc()
             self.tracer.event(
                 "resilience.fallback",
@@ -266,11 +247,7 @@ class Interpreter:
                 error=f"{type(exc).__name__}: {exc}",
             )
             self.fallbacks.append((label, exc))
-            self.strategy = "naive"
-            try:
-                return handler(statement)
-            finally:
-                self.strategy = "engine"
+            return result
 
     def _static_diagnostics(
         self,
@@ -306,171 +283,38 @@ class Interpreter:
         self.database.register(name, instance, replace=True)
         return name
 
-    def _query_engine(self, name: str) -> QueryEngine:
-        return QueryEngine(self.database.get(name))
+    # ------------------------------------------------------------------
+    # Planned statements: algebra and queries, through the engine only
+    # ------------------------------------------------------------------
+    def _evaluate(
+        self, statement: ast.Statement, as_written: bool = False
+    ) -> tuple[ExecutionResult, str | None]:
+        """Execute an engine-routed statement; register an algebra result.
 
-    # ------------------------------------------------------------------
-    # Engine routing
-    # ------------------------------------------------------------------
-    def _engine_algebra(
-        self, statement: ast.Statement, target: str | None
-    ) -> tuple[ExecutionResult, str]:
-        """Execute an instance-producing statement through the engine."""
-        plan = self.engine.plan_statement(statement)
-        input_versions = self.engine.versions_of(plan)
-        execution = self.engine.execute_plan(plan)
-        name = self._register(target, execution.value)
-        self.engine.record_lineage(name, plan, input_versions)
+        ``as_written`` is the degraded retry: the statement's own plan
+        on :meth:`Engine.execute_as_written`.
+        """
+        engine = self.engine
+        if not isinstance(statement, _ALGEBRA):
+            if as_written:
+                return engine.execute_as_written(
+                    engine.plan_statement(statement)
+                ), None
+            return engine.execute_statement(statement), None
+        plan = engine.plan_statement(statement)
+        input_versions = engine.versions_of(plan)
+        execute = engine.execute_as_written if as_written else engine.execute_plan
+        execution = execute(plan)
+        name = self._register(statement.target, execution.value)
+        engine.record_lineage(name, plan, input_versions)
         return execution, name
 
-    def _engine_query(self, statement: ast.Statement) -> ExecutionResult:
-        """Execute a probability-returning statement through the engine."""
-        return self.engine.execute_statement(statement)
-
-    # ------------------------------------------------------------------
-    # Algebra statements
-    # ------------------------------------------------------------------
-    def _run_ProjectStatement(self, stmt: ast.ProjectStatement) -> Result:
-        if self.strategy == "naive":
-            source = self.database.get(stmt.source)
-            operator = {
-                "ancestor": ancestor_projection_local,
-                "descendant": descendant_projection_local,
-                "single": single_projection_local,
-            }[stmt.kind]
-            projected = operator(source, stmt.path)
-            name = self._register(stmt.target, projected)
-        else:
-            execution, name = self._engine_algebra(stmt, stmt.target)
-            projected = execution.value
+    def _run_planned(
+        self, statement: ast.Statement, as_written: bool = False
+    ) -> Result:
+        execution, name = self._evaluate(statement, as_written)
         return Result(
-            projected, name,
-            f"{stmt.kind} projection of {stmt.path} -> {name} "
-            f"({len(projected)} objects)",
-        )
-
-    def _run_SelectStatement(self, stmt: ast.SelectStatement) -> Result:
-        condition = self._condition_of(stmt)
-        if self.strategy == "naive":
-            source = self.database.get(stmt.source)
-            selection = select_local(source, condition)
-            check_probability_guard(
-                selection.probability, stmt.prob_op, stmt.prob_bound
-            )
-            instance = selection.instance
-            probability = selection.probability
-            name = self._register(stmt.target, instance)
-        else:
-            execution, name = self._engine_algebra(stmt, stmt.target)
-            instance = execution.value
-            probability = execution.condition_probability
-        return Result(
-            instance, name,
-            f"selection [{condition}] -> {name} "
-            f"(condition probability {probability:.6g})",
-        )
-
-    @staticmethod
-    def _condition_of(stmt: ast.SelectStatement):
-        if stmt.card_label is not None:
-            low, high = stmt.card_bounds
-            return ObjectCardinalityCondition(
-                stmt.path, stmt.oid, stmt.card_label, CardinalityInterval(low, high)
-            )
-        if stmt.value is not None:
-            return ObjectValueCondition(stmt.path, stmt.oid, stmt.value)
-        return ObjectCondition(stmt.path, stmt.oid)
-
-    def _run_ProductStatement(self, stmt: ast.ProductStatement) -> Result:
-        if self.strategy == "naive":
-            product = cartesian_product(
-                self.database.get(stmt.left),
-                self.database.get(stmt.right),
-                stmt.new_root,
-            )
-            name = self._register(stmt.target, product)
-        else:
-            execution, name = self._engine_algebra(stmt, stmt.target)
-            product = execution.value
-        return Result(
-            product, name,
-            f"product of {stmt.left} and {stmt.right} -> {name} "
-            f"({len(product)} objects)",
-        )
-
-    # ------------------------------------------------------------------
-    # Query statements
-    # ------------------------------------------------------------------
-    def _run_PointStatement(self, stmt: ast.PointStatement) -> Result:
-        if self.strategy == "naive":
-            probability = self._query_engine(stmt.source).point(stmt.path, stmt.oid)
-        else:
-            probability = self._engine_query(stmt).value
-        return Result(
-            probability, None,
-            f"P({stmt.oid} in {stmt.path}) = {probability:.6g}",
-        )
-
-    def _run_ExistsStatement(self, stmt: ast.ExistsStatement) -> Result:
-        if self.strategy == "naive":
-            probability = self._query_engine(stmt.source).exists(stmt.path)
-        else:
-            probability = self._engine_query(stmt).value
-        return Result(
-            probability, None,
-            f"P(exists {stmt.path}) = {probability:.6g}",
-        )
-
-    def _run_ChainStatement(self, stmt: ast.ChainStatement) -> Result:
-        if self.strategy == "naive":
-            probability = self._query_engine(stmt.source).chain(list(stmt.chain))
-        else:
-            probability = self._engine_query(stmt).value
-        return Result(
-            probability, None,
-            f"P({'.'.join(stmt.chain)}) = {probability:.6g}",
-        )
-
-    def _run_ProbStatement(self, stmt: ast.ProbStatement) -> Result:
-        if self.strategy == "naive":
-            probability = self._query_engine(stmt.source).object_exists(stmt.oid)
-        else:
-            probability = self._engine_query(stmt).value
-        return Result(
-            probability, None,
-            f"P({stmt.oid} exists) = {probability:.6g}",
-        )
-
-    def _run_CountStatement(self, stmt: ast.CountStatement) -> Result:
-        if self.strategy == "naive":
-            from repro.queries.aggregates import expected_match_count
-
-            expectation = expected_match_count(
-                self.database.get(stmt.source), stmt.path
-            )
-        else:
-            expectation = self._engine_query(stmt).value
-        return Result(
-            expectation, None,
-            f"E[#objects in {stmt.path}] = {expectation:.6g}",
-        )
-
-    def _run_DistStatement(self, stmt: ast.DistStatement) -> Result:
-        if self.strategy == "naive":
-            from repro.queries.aggregates import match_count_distribution
-
-            distribution = match_count_distribution(
-                self.database.get(stmt.source), stmt.path
-            )
-        else:
-            distribution = self._engine_query(stmt).value
-        rows = "\n".join(
-            f"  {count}: {probability:.6g}"
-            for count, probability in sorted(distribution.items())
-        )
-        return Result(
-            distribution, None,
-            f"#objects in {stmt.path}:\n{rows}",
+            execution.value, name, _describe(statement, execution, name)
         )
 
     # ------------------------------------------------------------------
@@ -497,14 +341,7 @@ class Interpreter:
             text = self.engine.explain(plan)
             return Result(text, None, text)
         with self._verified_execution():
-            if isinstance(
-                inner,
-                (ast.ProjectStatement, ast.SelectStatement,
-                 ast.ProductStatement),
-            ):
-                execution, name = self._engine_algebra(inner, inner.target)
-            else:
-                execution, name = self._engine_query(inner), None
+            execution, name = self._evaluate(inner)
             # Rendered inside the scope: explain_analyze only prints the
             # violations line while verification is on.
             text = self.engine.explain_analyze(execution)
@@ -563,7 +400,7 @@ class Interpreter:
     # ------------------------------------------------------------------
     def _run_ProfileStatement(self, stmt: ast.ProfileStatement) -> Result:
         inner = stmt.statement
-        handler = getattr(self, f"_run_{type(inner).__name__}", None)
+        handler = self._handler_for(inner)
         if handler is None or isinstance(
             inner, (ast.ExplainStatement, ast.CheckStatement,
                     ast.ProfileStatement)
@@ -671,3 +508,35 @@ class Interpreter:
             return Result(None, stmt.name, f"saved {stmt.name} to {stmt.path}")
         path = self.database.save(stmt.name)
         return Result(None, stmt.name, f"saved {stmt.name} to {path}")
+
+
+def _describe(
+    stmt: ast.Statement, execution: ExecutionResult, name: str | None
+) -> str:
+    """The human-readable outcome line of an engine-routed statement."""
+    value = execution.value
+    if isinstance(stmt, ast.ProjectStatement):
+        return (f"{stmt.kind} projection of {stmt.path} -> {name} "
+                f"({len(value)} objects)")
+    if isinstance(stmt, ast.SelectStatement):
+        return (f"selection [{condition_of(plan_statement(stmt))}] -> {name} "
+                f"(condition probability "
+                f"{execution.condition_probability:.6g})")
+    if isinstance(stmt, ast.ProductStatement):
+        return (f"product of {stmt.left} and {stmt.right} -> {name} "
+                f"({len(value)} objects)")
+    if isinstance(stmt, ast.PointStatement):
+        return f"P({stmt.oid} in {stmt.path}) = {value:.6g}"
+    if isinstance(stmt, ast.ExistsStatement):
+        return f"P(exists {stmt.path}) = {value:.6g}"
+    if isinstance(stmt, ast.ChainStatement):
+        return f"P({'.'.join(stmt.chain)}) = {value:.6g}"
+    if isinstance(stmt, ast.ProbStatement):
+        return f"P({stmt.oid} exists) = {value:.6g}"
+    if isinstance(stmt, ast.CountStatement):
+        return f"E[#objects in {stmt.path}] = {value:.6g}"
+    rows = "\n".join(
+        f"  {count}: {probability:.6g}"
+        for count, probability in sorted(value.items())
+    )
+    return f"#objects in {stmt.path}:\n{rows}"

@@ -1304,57 +1304,40 @@ class ShardedServer:
             payload["deadline_s"] = deadline_s
         remote = handle.request(payload)  # raises ShardUnavailable when dead
 
+        def _failed(error: BaseException) -> None:
+            """Fail ``outer`` — after one dual-check retry at the key's
+            new owner when the failure is a cutover race."""
+            retry_shard = self._dual_check_shard(inner, shard, error, retried)
+            if retry_shard is None:
+                self.metrics.counter("router.failed").inc()
+                outer.set_error(error)
+                return
+            self.metrics.counter("router.dual_check_retries").inc()
+            chained = self._submit_to_shard(
+                retry_shard, text, deadline_s, inner, retried=True
+            )
+
+            def _chain(p: PendingResult) -> None:
+                chained_error = p.error(0.0)
+                if chained_error is not None:
+                    outer.set_error(chained_error)
+                else:
+                    outer.set_result(p.result(0.0))
+
+            chained.add_done_callback(_chain)
+
         def _resolved(pending: PendingResult) -> None:
             error = pending.error(0.0)
             if error is not None:
-                retry_shard = self._dual_check_shard(
-                    inner, shard, error, retried
-                )
-                if retry_shard is not None:
-                    self.metrics.counter("router.dual_check_retries").inc()
-                    chained = self._submit_to_shard(
-                        retry_shard, text, deadline_s, inner, retried=True
-                    )
-
-                    def _chain(p: PendingResult) -> None:
-                        chained_error = p.error(0.0)
-                        if chained_error is not None:
-                            outer.set_error(chained_error)
-                        else:
-                            outer.set_result(p.result(0.0))
-
-                    chained.add_done_callback(_chain)
-                    return
-                self.metrics.counter("router.failed").inc()
-                outer.set_error(error)
+                _failed(error)
                 return
             response = pending.result(0.0)
             assert isinstance(response, dict)
             if not response.get("ok"):
                 raw = response.get("error")
-                decoded = _decode_error(
+                _failed(_decode_error(
                     raw if isinstance(raw, dict) else {}, shard
-                )
-                retry_shard = self._dual_check_shard(
-                    inner, shard, decoded, retried
-                )
-                if retry_shard is not None:
-                    self.metrics.counter("router.dual_check_retries").inc()
-                    chained = self._submit_to_shard(
-                        retry_shard, text, deadline_s, inner, retried=True
-                    )
-
-                    def _chain(p: PendingResult) -> None:
-                        chained_error = p.error(0.0)
-                        if chained_error is not None:
-                            outer.set_error(chained_error)
-                        else:
-                            outer.set_result(p.result(0.0))
-
-                    chained.add_done_callback(_chain)
-                    return
-                self.metrics.counter("router.failed").inc()
-                outer.set_error(decoded)
+                ))
                 return
             value = response.get("value")
             result = (

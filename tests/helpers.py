@@ -1,13 +1,34 @@
-"""Random-instance generators shared by the test suite."""
+"""Random-instance generators and the direct-operator reference
+evaluator shared by the test suite."""
 
 from __future__ import annotations
 
 import random
 
+from repro.algebra.product import cartesian_product
+from repro.algebra.projection_more import (
+    descendant_projection_local,
+    single_projection_local,
+)
+from repro.algebra.projection_prob import ancestor_projection_local
+from repro.algebra.selection import (
+    ObjectCardinalityCondition,
+    ObjectCondition,
+    ObjectValueCondition,
+    select_local,
+)
+from repro.core.cardinality import CardinalityInterval
 from repro.core.distributions import TabularOPF, TabularVPF
 from repro.core.instance import ProbabilisticInstance
 from repro.core.interpretation import LocalInterpretation
 from repro.core.weak_instance import WeakInstance
+from repro.engine.executor import check_probability_guard
+from repro.pxql import ast, parse
+from repro.queries.aggregates import (
+    expected_match_count,
+    match_count_distribution,
+)
+from repro.queries.engine import QueryEngine
 from repro.semistructured.types import LeafType
 
 
@@ -103,3 +124,61 @@ def random_dag_instance(rng: random.Random, width: int = 3) -> ProbabilisticInst
     pi = ProbabilisticInstance(weak, interp)
     pi.validate()
     return pi
+
+
+# ----------------------------------------------------------------------
+# The reference evaluator the engine parity suites compare against
+# ----------------------------------------------------------------------
+def evaluate_directly(database, text: str):
+    """One PXQL statement answered by a direct call to the operator it
+    names — ``repro.algebra`` / ``repro.queries``, no plan, no engine.
+
+    Returns the produced instance or number; an algebra result is
+    registered under its ``AS`` target so later statements can read it.
+    """
+    stmt = parse(text)
+
+    def keep(produced):
+        if stmt.target is not None:
+            database.register(stmt.target, produced, replace=True)
+        return produced
+
+    if isinstance(stmt, ast.ProductStatement):
+        return keep(cartesian_product(
+            database.get(stmt.left), database.get(stmt.right), stmt.new_root
+        ))
+    source = database.get(stmt.source)
+    if isinstance(stmt, ast.ProjectStatement):
+        return keep({
+            "ancestor": ancestor_projection_local,
+            "descendant": descendant_projection_local,
+            "single": single_projection_local,
+        }[stmt.kind](source, stmt.path))
+    if isinstance(stmt, ast.SelectStatement):
+        if stmt.card_label is not None:
+            condition = ObjectCardinalityCondition(
+                stmt.path, stmt.oid, stmt.card_label,
+                CardinalityInterval(*stmt.card_bounds),
+            )
+        elif stmt.value is not None:
+            condition = ObjectValueCondition(stmt.path, stmt.oid, stmt.value)
+        else:
+            condition = ObjectCondition(stmt.path, stmt.oid)
+        selection = select_local(source, condition)
+        check_probability_guard(
+            selection.probability, stmt.prob_op, stmt.prob_bound
+        )
+        return keep(selection.instance)
+    if isinstance(stmt, ast.PointStatement):
+        return QueryEngine(source).point(stmt.path, stmt.oid)
+    if isinstance(stmt, ast.ExistsStatement):
+        return QueryEngine(source).exists(stmt.path)
+    if isinstance(stmt, ast.ChainStatement):
+        return QueryEngine(source).chain(list(stmt.chain))
+    if isinstance(stmt, ast.ProbStatement):
+        return QueryEngine(source).object_exists(stmt.oid)
+    if isinstance(stmt, ast.CountStatement):
+        return expected_match_count(source, stmt.path)
+    if isinstance(stmt, ast.DistStatement):
+        return match_count_distribution(source, stmt.path)
+    raise ValueError(f"no direct form of {text!r}")

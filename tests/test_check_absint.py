@@ -43,6 +43,7 @@ from repro.workloads.generator import (
     generate_workload,
     random_projection_path,
 )
+from tests.helpers import evaluate_directly
 
 TOL = 1e-9
 
@@ -401,7 +402,7 @@ def test_dead_plan_parity_and_skip(spec):
     """PX260 short-circuits are answer-preserving on the corpus.
 
     The same dead-path queries run on an absint engine and a plain one
-    (plus the naive interpreter for ``EXISTS``); all answers must agree
+    (plus a direct ``QueryEngine`` call for ``EXISTS``); all answers must agree
     and the absint engine must actually have served them as skips.
     """
     workload, path, _oid = _workload_targets(spec)
@@ -417,9 +418,7 @@ def test_dead_plan_parity_and_skip(spec):
     assert on.metrics.counter("check.absint_skips").value == 3
     assert off.metrics.counter("check.absint_skips").value == 0
 
-    naive = Interpreter(Database(), strategy="naive")
-    naive.database.register("base", workload.instance.copy())
-    assert naive.execute(f"EXISTS {dead} IN base").value == 0.0
+    assert evaluate_directly(database, f"EXISTS {dead} IN base") == 0.0
 
 
 @settings(deadline=None, max_examples=25)

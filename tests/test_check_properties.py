@@ -10,7 +10,7 @@ Three contracts from the subsystem's design:
    existence probability exactly.
 3. *Checker/runtime agreement*: on >= 20 generated instances the plan
    checker's never-match and unsatisfiable-guard verdicts agree with
-   what naive execution actually does.
+   what direct execution of the operators actually does.
 """
 
 import random
@@ -25,7 +25,6 @@ from repro.check.model import has_errors, lint_instance
 from repro.check.plans import check_plan
 from repro.engine.plan import PlanBuilder
 from repro.errors import EmptyResultError
-from repro.pxql import Interpreter
 from repro.semistructured.paths import PathExpression, match_path
 from repro.storage.database import Database
 from repro.workloads.generator import (
@@ -33,6 +32,7 @@ from repro.workloads.generator import (
     generate_workload,
     random_projection_path,
 )
+from tests.helpers import evaluate_directly
 
 SPEC_STRATEGY = st.builds(
     WorkloadSpec,
@@ -91,7 +91,7 @@ def test_dataguide_paths_iff_nonzero_existence(spec):
 
 
 # ----------------------------------------------------------------------
-# Checker verdicts vs naive execution, on >= 20 generated instances
+# Checker verdicts vs direct (engine-free) execution, on >= 20 generated instances
 # ----------------------------------------------------------------------
 AGREEMENT_SPECS = [
     WorkloadSpec(depth=2, branching=2, labeling=labeling, seed=seed,
@@ -116,7 +116,6 @@ def test_never_match_verdicts_agree_with_naive_execution(spec):
 
     database = Database()
     database.register("base", workload.instance)
-    naive = Interpreter(database, strategy="naive", check="off")
 
     # Checker: the live path is fine, the dead one is a never-match.
     live_plan = PlanBuilder.scan("base").project(live_path).build()
@@ -124,18 +123,18 @@ def test_never_match_verdicts_agree_with_naive_execution(spec):
     dead_plan = PlanBuilder.scan("base").project(dead_path).build()
     assert "PX210" in [d.code for d in check_plan(dead_plan, database)]
 
-    # Naive execution agrees: the live projection keeps a real match,
+    # Direct execution agrees: the live projection keeps a real match,
     # the dead one degenerates to the bare root.
-    live = naive.execute(f"PROJECT {live_path} FROM base AS live").value
+    live = evaluate_directly(database, f"PROJECT {live_path} FROM base AS live")
     assert len(live) > 1
-    dead = naive.execute(f"PROJECT {dead_path} FROM base AS dead").value
+    dead = evaluate_directly(database, f"PROJECT {dead_path} FROM base AS dead")
     assert set(dead.objects) == {workload.instance.root}
 
     # EXISTS verdicts agree too (PX240 <-> probability zero).
     exists_plan = PlanBuilder.scan("base").exists(dead_path).build()
     assert "PX240" in [d.code for d in check_plan(exists_plan, database)]
-    assert naive.execute(f"EXISTS {dead_path} IN base").value == 0.0
-    assert naive.execute(f"EXISTS {live_path} IN base").value > 0.0
+    assert evaluate_directly(database, f"EXISTS {dead_path} IN base") == 0.0
+    assert evaluate_directly(database, f"EXISTS {live_path} IN base") > 0.0
 
 
 @pytest.mark.parametrize("spec", AGREEMENT_SPECS, ids=_spec_id)
@@ -154,6 +153,7 @@ def test_unsatisfiable_guard_verdicts_agree_with_naive_execution(spec):
     ).build()
     assert "PX225" in [d.code for d in check_plan(plan, database)]
 
-    naive = Interpreter(database, strategy="naive", check="off")
     with pytest.raises(EmptyResultError):
-        naive.execute(f"SELECT {path} = {oid} AND PROB > 1.0 FROM base")
+        evaluate_directly(
+            database, f"SELECT {path} = {oid} AND PROB > 1.0 FROM base"
+        )

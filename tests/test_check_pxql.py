@@ -8,6 +8,7 @@ from repro.errors import EmptyResultError, PXMLError
 from repro.pxql import Interpreter
 from repro.pxql.parser import parse, parse_spanned
 from repro.storage.database import Database, DatabaseError
+from tests.helpers import evaluate_directly
 
 
 def build_bib():
@@ -118,7 +119,7 @@ class TestCheckBeforeExecute:
         assert any(d.code == "PX210" for d in it.last_diagnostics)
 
     def test_off_mode_defers_to_runtime(self):
-        it = Interpreter(Database(), check="off", strategy="naive")
+        it = Interpreter(Database(), check="off")
         it.database.register("sloppy", build_sloppy())
         with pytest.raises(EmptyResultError):
             it.execute("SELECT S.x = b FROM sloppy")
@@ -140,19 +141,24 @@ class TestCheckBeforeExecute:
 
 
 class TestProbGuard:
-    @pytest.mark.parametrize("strategy", ["engine", "naive"])
-    def test_guard_violation_raises(self, strategy):
-        it = Interpreter(Database(), strategy=strategy, check="off")
+    def test_guard_violation_raises(self):
+        it = Interpreter(Database(), check="off")
         it.database.register("bib", build_bib())
         with pytest.raises(EmptyResultError):
             it.execute("SELECT R.book = B1 AND PROB > 0.99 FROM bib")
+        with pytest.raises(EmptyResultError):
+            evaluate_directly(
+                it.database, "SELECT R.book = B1 AND PROB > 0.99 FROM bib"
+            )
 
-    @pytest.mark.parametrize("strategy", ["engine", "naive"])
-    def test_guard_pass_through(self, strategy):
-        it = Interpreter(Database(), strategy=strategy)
+    def test_guard_pass_through(self):
+        it = Interpreter(Database())
         it.database.register("bib", build_bib())
         result = it.execute("SELECT R.book = B1 AND PROB > 0.5 FROM bib AS s")
         assert result.instance_name == "s"
+        assert result.value.objects == evaluate_directly(
+            it.database, "SELECT R.book = B1 AND PROB > 0.5 FROM bib"
+        ).objects
 
     def test_static_unsatisfiable_guard(self, interpreter):
         with pytest.raises(CheckError) as info:

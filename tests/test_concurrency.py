@@ -92,11 +92,10 @@ class TestLRUCacheContention:
         ) * self.THREADS
         assert stats.size <= cache.capacity
 
-    @pytest.mark.parametrize("copy_on_hit", [True, False])
-    def test_engine_caches_under_concurrent_queries(self, copy_on_hit):
+    def test_engine_caches_under_concurrent_queries(self):
         database = Database()
         database.register("bib", figure2_instance())
-        engine = Engine(database, copy_on_hit=copy_on_hit)
+        engine = Engine(database)
         statement = parse("EXISTS R.book.author IN bib")
         reference = engine.execute_statement(statement).value
 

@@ -173,7 +173,7 @@ class TestEngineResultCache:
         )
 
     def test_copy_on_hit_protects_the_cache(self, database):
-        engine = Engine(database, copy_on_hit=True)
+        engine = Engine(database)
         plan = PlanBuilder.scan("bib").project("R.x").build()
         first = engine.execute_plan(plan).value
         second = engine.execute_plan(plan).value
@@ -380,9 +380,9 @@ class TestCacheHitStatsRegression:
             engine.cache_key(node),
             _CacheEntry({"a": {"b": 1}}, {}, NodeStats(node.label(), "miss")),
         )
-        first, _extra, _stats = engine._run(node, 0)
+        first, _extra, _stats = engine._run(node, 0, use_cache=True)
         first["a"]["b"] = 999                  # nested mutation
-        second, _extra, _stats = engine._run(node, 0)
+        second, _extra, _stats = engine._run(node, 0, use_cache=True)
         assert second == {"a": {"b": 1}}
 
     def test_engine_metrics_match_cache_counters(self, database):

@@ -1,8 +1,11 @@
-"""Randomized parity: the engine path must equal the naive eager path.
+"""Randomized parity: the engine path must equal the operators it plans.
 
-Every rewrite rule and the full optimizer are checked against the
-original one-call-per-statement interpreter on generated instances
-(Section 7.1 workloads); probabilities must agree within 1e-9.  The
+Every rewrite rule and the full optimizer are checked against direct
+calls to the Section 5/6 operators (``tests.helpers.evaluate_directly``)
+on generated instances (Section 7.1 workloads); probabilities must
+agree within 1e-9.  The degraded retry (every accelerator bypassed) and,
+on these depth-2 specs, the enumerated semantics are held to the same
+answers.  The
 suite runs on 52 generated instances (13 seeds x 2 labelings x 2 OPF
 representations) plus hand-built disjoint-OID instances for the product
 cases (generated instances share the ``o0, o1, ...`` namespace, so they
@@ -22,7 +25,7 @@ from repro.engine import (
     collapse_adjacent_projections,
     push_selection_below_projection,
 )
-from repro.pxql import Interpreter
+from repro.pxql import Interpreter, ast, parse
 from repro.queries.engine import QueryEngine
 from repro.semistructured.paths import match_path
 from repro.storage.database import Database
@@ -32,6 +35,7 @@ from repro.workloads.generator import (
     random_projection_path,
     random_selection_target,
 )
+from tests.helpers import evaluate_directly
 
 TOL = 1e-9
 
@@ -61,10 +65,10 @@ def _point(pi, path, oid):
 
 
 # ----------------------------------------------------------------------
-# Full-path parity: engine interpreter vs the naive eager interpreter
+# Full-path parity: the interpreter vs direct operator calls
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
-def test_statement_parity(spec):
+def _parity_script(spec):
+    """``(workload, instance-producing statements, numeric probes)``."""
     workload = generate_workload(spec)
     rng = random.Random(spec.seed + 1000)
     path = random_projection_path(workload, rng)
@@ -72,15 +76,6 @@ def test_statement_parity(spec):
     sel_path, sel_oid = random_selection_target(workload, rng)
     graph = workload.instance.weak.graph()
     child = sorted(graph.children(workload.instance.root))[0]
-
-    naive = Interpreter(Database(), strategy="naive")
-    engine = Interpreter(Database(), strategy="engine")
-    for interp in (naive, engine):
-        interp.database.register("base", workload.instance.copy())
-    # Runtime soundness: every engine execution is checked against its
-    # absint certificate; the violation counter must stay at zero.
-    engine.engine.absint_verify = True
-
     statements = [
         f"PROJECT {path} FROM base AS p",
         f"SELECT {sel_path} = {sel_oid} FROM base AS s",
@@ -88,11 +83,6 @@ def test_statement_parity(spec):
         # exactly the pattern the pushdown rule rewrites (via lineage).
         f"SELECT {path} = {path_oid} FROM p AS ps",
     ]
-    for text in statements:
-        produced_naive = naive.execute(text).value
-        produced_engine = engine.execute(text).value
-        assert produced_naive.objects == produced_engine.objects, text
-
     probes = [
         f"POINT {path} : {path_oid} IN base",
         f"POINT {path} : {path_oid} IN p",
@@ -103,12 +93,101 @@ def test_statement_parity(spec):
         f"CHAIN {workload.instance.root}.{child} IN base",
         f"COUNT {path} IN base",
     ]
+    return workload, statements, probes
+
+
+def _assert_parity(engine, oracle, statements, probes):
+    for text in statements:
+        expected = evaluate_directly(oracle, text)
+        assert engine.execute(text).value.objects == expected.objects, text
     for text in probes:
-        expected = naive.execute(text).value
-        actual = engine.execute(text).value
-        assert actual == pytest.approx(expected, abs=TOL), text
+        expected = evaluate_directly(oracle, text)
+        assert engine.execute(text).value == pytest.approx(
+            expected, abs=TOL
+        ), text
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
+def test_statement_parity(spec):
+    workload, statements, probes = _parity_script(spec)
+    oracle = Database()
+    engine = Interpreter(Database())
+    for database in (oracle, engine.database):
+        database.register("base", workload.instance.copy())
+    # Runtime soundness: every engine execution is checked against its
+    # absint certificate; the violation counter must stay at zero.
+    engine.engine.absint_verify = True
+
+    _assert_parity(engine, oracle, statements, probes)
 
     assert engine.metrics.counter("check.absint_violations").value == 0
+    assert engine.fallbacks == []
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=_spec_id)
+def test_degraded_parity(spec, monkeypatch):
+    """With the prepare step broken, every statement is answered by the
+    retry on its plan as written — same answers, no accelerator touched."""
+    workload, statements, probes = _parity_script(spec)
+    oracle = Database()
+    engine = Interpreter(Database())
+    for database in (oracle, engine.database):
+        database.register("base", workload.instance.copy())
+    registered = []
+    register = engine.database.register
+
+    def recording_register(name, *args, **kwargs):
+        registered.append(name)
+        return register(name, *args, **kwargs)
+
+    monkeypatch.setattr(engine.database, "register", recording_register)
+
+    def explode(plan, generation):
+        raise RuntimeError("prepare exploded")
+
+    monkeypatch.setattr(engine.engine, "_prepare", explode)
+
+    _assert_parity(engine, oracle, statements, probes)
+
+    count = len(statements) + len(probes)
+    assert len(engine.fallbacks) == count
+    assert engine.metrics.counter("resilience.fallbacks").value == count
+    assert engine.metrics.counter("pxql.errors").value == 0
+    # The retry is the engine's own executor, so what it keeps is kept
+    # by construction: one execution per statement, lineage recorded.
+    assert engine.metrics.counter("engine.executions").value == count
+    assert registered == ["p", "s", "ps"]
+    assert all(engine.engine._lineage_plan(name) is not None
+               for name in registered)
+    assert len(engine.engine.plan_cache) == 0
+    assert len(engine.engine.result_cache) == 0
+    assert len(engine.engine.index_cache) == 0
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=_spec_id)
+def test_enumeration_oracle(spec):
+    """``POINT`` / ``EXISTS`` also equal the enumerated semantics (every
+    compatible world, Theorem 1) — on the base instance and on derived ones."""
+    workload, statements, probes = _parity_script(spec)
+    engine = Interpreter(Database())
+    engine.database.register("base", workload.instance.copy())
+    for text in statements:
+        engine.execute(text)
+    for text in probes:
+        stmt = parse(text)
+        if isinstance(stmt, ast.PointStatement):
+            worlds = QueryEngine(
+                engine.database.get(stmt.source), strategy="enumerate"
+            ).point(stmt.path, stmt.oid)
+        elif isinstance(stmt, ast.ExistsStatement):
+            worlds = QueryEngine(
+                engine.database.get(stmt.source), strategy="enumerate"
+            ).exists(stmt.path)
+        else:
+            continue
+        assert engine.execute(text).value == pytest.approx(
+            worlds, abs=TOL
+        ), text
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=_spec_id)
@@ -231,21 +310,18 @@ class TestProductParity:
 
     def test_product_statement_parity(self):
         left, right = _disjoint_pair()
-        naive = Interpreter(Database(), strategy="naive")
-        engine = Interpreter(Database(), strategy="engine")
-        for interp in (naive, engine):
-            interp.database.register("l", left.copy())
-            interp.database.register("r", right.copy())
+        oracle = Database()
+        engine = Interpreter(Database())
+        for database in (oracle, engine.database):
+            database.register("l", left.copy())
+            database.register("r", right.copy())
 
-        statement = "PRODUCT l, r ROOT lr AS prod"
-        produced_naive = naive.execute(statement).value
-        produced_engine = engine.execute(statement).value
-        assert produced_naive.objects == produced_engine.objects
-        for probe in ("PROB a1 IN prod", "PROB b1 IN prod",
-                      "EXISTS lr.x IN prod", "COUNT lr.y IN prod"):
-            expected = naive.execute(probe).value
-            actual = engine.execute(probe).value
-            assert actual == pytest.approx(expected, abs=TOL), probe
+        _assert_parity(
+            engine, oracle,
+            ["PRODUCT l, r ROOT lr AS prod"],
+            ["PROB a1 IN prod", "PROB b1 IN prod",
+             "EXISTS lr.x IN prod", "COUNT lr.y IN prod"],
+        )
 
     def test_optimizer_reorders_product_statement_soundly(self):
         left, right = _disjoint_pair()

@@ -8,7 +8,7 @@ import pytest
 from repro.errors import BudgetExceeded, FaultError, PXMLError
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.tracing import Tracer, use_tracer
-from repro.paper import figure2_instance
+from repro.paper import example52_instance, figure2_instance
 from repro.pxql.interpreter import Interpreter
 from repro.pxql.lexer import PXQLSyntaxError
 from repro.pxql.parser import parse
@@ -362,6 +362,8 @@ class TestEngineDegradation:
         ).value >= 1.0
 
     def test_statement_falls_back_to_naive_path(self):
+        """The fallback is a retry on the statement's plan as written,
+        through the same engine (the test id is kept stable)."""
         interpreter = _fig2_interpreter()
 
         def explode(statement):
@@ -370,13 +372,93 @@ class TestEngineDegradation:
         interpreter.engine.execute_statement = explode
         result = interpreter.execute("PROB B1 IN fig2")
         assert result.value == pytest.approx(0.8)
-        assert interpreter.strategy == "engine"  # restored after fallback
         assert len(interpreter.fallbacks) == 1
         label, error = interpreter.fallbacks[0]
         assert "PROB" in label and "exploded" in str(error)
         assert interpreter.metrics.counter(
             "resilience.fallbacks"
         ).value == 1.0
+        assert interpreter.metrics.counter("engine.executions").value == 1.0
+        assert interpreter.tracer.last.find("engine.node.Query[prob B1]") is not None
+
+    def test_user_errors_are_not_fallbacks(self):
+        """A statement that fails on its plan as written too is the
+        user's error: raised, counted in ``pxql.errors``, never recorded
+        as a degradation."""
+        from repro.errors import PXMLError
+
+        interpreter = _fig2_interpreter()
+        statements = [
+            "PROJECT R.book.author FROM fig2 AS p",      # fig2 is a DAG
+            "DIST R.book.author IN fig2",
+            "SELECT R.book = B1 AND PROB > 0.99 FROM fig2 AS s",
+        ]
+        for text in statements:
+            with pytest.raises(PXMLError):
+                interpreter.execute(text)
+        assert interpreter.fallbacks == []
+        assert interpreter.metrics.counter("resilience.fallbacks").value == 0
+        assert interpreter.metrics.counter("pxql.errors").value == 3
+        assert not any(
+            root.find("resilience.fallback")
+            for root in interpreter.tracer.roots()
+        )
+        assert {"p", "s"}.isdisjoint(interpreter.database.names())
+
+    def test_breaker_open_and_retry_take_the_same_path(self, monkeypatch):
+        """Two triggers, one un-accelerated path: an open breaker and
+        the interpreter's retry report the same ``NodeStats`` shapes."""
+        statements = ["EXISTS R.book IN ex52", "PROJECT R.book FROM ex52 AS p",
+                      "POINT R.book : B1 IN p"]
+
+        def fresh():
+            interpreter = Interpreter(check="off")
+            interpreter.database.register("ex52", example52_instance())
+            return interpreter
+
+        def shapes(interpreter, entry):
+            """Per statement, the NodeStats tree ``Engine.<entry>`` returned."""
+            executed = []
+            original = getattr(interpreter.engine, entry)
+
+            def recording(plan):
+                executed.append(original(plan))
+                return executed[-1]
+
+            monkeypatch.setattr(interpreter.engine, entry, recording)
+            for text in statements:
+                interpreter.execute(text)
+            return [
+                [(node.label, node.cache, node.strategy)
+                 for node in execution.stats.walk()]
+                for execution in executed
+            ]
+
+        tripped = fresh()
+        for _ in range(tripped.engine.breaker.failure_threshold):
+            tripped.engine.breaker.record_failure()
+        assert tripped.engine.breaker.state == "open"
+
+        retried = fresh()
+
+        def explode(plan, generation):
+            raise RuntimeError("prepare exploded")
+
+        monkeypatch.setattr(retried.engine, "_prepare", explode)
+
+        opened = shapes(tripped, "execute_plan")
+        degraded = shapes(retried, "execute_as_written")
+        assert len(retried.fallbacks) == len(statements)
+        assert tripped.fallbacks == []
+        assert opened == degraded
+        for label, cache, _strategy in (n for tree in opened for n in tree):
+            assert not label.startswith("Indexed")
+            assert cache == ("scan" if label.startswith("Scan") else "off")
+        # For contrast, the accelerated run of the same statement lowers
+        # onto the index and fills the caches.
+        accelerated = shapes(fresh(), "execute_plan")[0]
+        assert accelerated[0][0].startswith("Indexed")
+        assert accelerated[0][1] == "miss"
 
     def test_budget_errors_are_not_degraded(self):
         interpreter = _fig2_interpreter()
