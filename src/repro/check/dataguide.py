@@ -232,8 +232,8 @@ class DataGuideCache(DerivedCache[DataGuide]):
     """Memoizes dataguides per catalog name and token.
 
     The catalog only needs ``get(name)`` and ``version(name)``
-    (``generation()`` is used when present);
-    :class:`repro.storage.database.Database` provides all three.  An
+    (``generation()`` and ``epoch()`` are used when present);
+    :class:`repro.storage.database.Database` provides all four.  An
     interpreter, its engine and the checker passes they run share one
     of these, so a guide is built once per instance version.
     """

@@ -380,13 +380,13 @@ class Engine:
         """The versioned cache key of a (sub-)plan.
 
         The plan's fingerprint plus the catalog token of every scanned
-        instance: versions move on re-registration within this process,
-        the generation when any process mutates the shared catalog
-        directory — which is what lets shard processes restarted over
-        one directory (and engines in sibling processes) reuse or
-        invalidate cached plans/results correctly.  ``generation`` is
-        the value the running statement already read; omitted, the
-        catalog is asked once.
+        instance: a name's version moves when this process re-registers
+        it, its epoch when another process mutates it in the shared
+        catalog directory — which is what lets shard processes
+        restarted over one directory (and engines in sibling processes)
+        reuse or invalidate cached plans/results correctly, name by
+        name.  ``generation`` is the value the running statement
+        already read; omitted, the catalog is asked once.
         """
         if generation is None:
             generation = catalog_generation(self.database)

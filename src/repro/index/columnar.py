@@ -106,7 +106,7 @@ class ColumnarInstance:
         self._children_cache: dict[Label, dict[int, list[int]]] = {}
         # Bounded memo of materialized path matches.  Sound because the
         # snapshot is immutable: the IndexCache drops the whole snapshot
-        # (memo included) when the instance's (version, generation) key
+        # (memo included) when the instance's (version, epoch) token
         # moves, so a memoized PathMatch can never go stale.
         self._match_memo: dict[PathExpression, PathMatch] = {}
         self._parent_map: dict[Oid, Oid] | None = None

@@ -399,8 +399,8 @@ class PXQLServer:
                         fault_point, "server.worker.handoff"
                     )
                 except Exception as exc:
-                    request.result.set_error(exc)
                     self.metrics.counter("server.failed").inc()
+                    request.result.set_error(exc)
                     continue
                 with self._state_lock:
                     self._inflight += 1
@@ -435,11 +435,13 @@ class PXQLServer:
             # silently not apply to the execution.
             result = request.context.run(call)
         except Exception as exc:
-            request.result.set_error(exc)
+            # Count first, then resolve: a client that has its reply
+            # must find it in /metrics.
             self.metrics.counter("server.failed").inc()
+            request.result.set_error(exc)
         else:
-            request.result.set_result(result)
             self.metrics.counter("server.completed").inc()
+            request.result.set_result(result)
 
     def __repr__(self) -> str:
         return (

@@ -111,9 +111,20 @@ class Database:
 
     Every name carries a monotonically increasing *version*: registering
     (or re-registering, lazily loading, touching) an instance assigns the
-    next value of a database-wide counter.  The engine's caches key on
-    these versions, so any mutation of the catalog invalidates dependent
-    cached results implicitly.
+    next value of a database-wide counter.  Versions describe what *this
+    object* did to a name; what *anyone else* did to it on the shared
+    directory is its :meth:`epoch` — the on-disk generation of the last
+    mutation of that name this object did not make, attributed from the
+    journal's commit records the first time a statement sees the
+    generation ahead of what this object has accounted for.  The
+    engine's caches key on the pair
+    (:func:`repro.storage.derived.cache_token`), so a mutation of one
+    name invalidates the cached state derived from that name and leaves
+    every other name's standing; only a change the journal cannot
+    attribute (compacted, torn, a gap, a lock timeout) invalidates them
+    all.  Observing a foreign mutation also drops this object's *clean*
+    in-memory copy of the name, so the next :meth:`get` reloads the new
+    bytes; a copy with unsaved changes stays authoritative.
 
     **Concurrency.**  A :class:`Database` is thread-safe: the in-memory
     catalog (instances, versions, counter) lives under one internal
@@ -163,6 +174,12 @@ class Database:
         self._file_lock: FileLock | None = None
         self._generation_path: Path | None = None
         self._journal: Journal | None = None
+        # Foreign-mutation accounting (see ``epoch``): the highest
+        # on-disk generation accounted for, the generation of the last
+        # foreign mutation per known name, and the blanket floor.
+        self._seen = 0
+        self._epochs: dict[str, int] = {}
+        self._floor = 0
         if self._directory is not None:
             self._directory.mkdir(parents=True, exist_ok=True)
             # One lock object per directory process-wide: independent
@@ -173,6 +190,7 @@ class Database:
             self._generation_path = self._directory / GENERATION_NAME
             self._journal = Journal(self._directory)
             self.recover()
+            self._seen = self.generation()
 
     @property
     def directory(self) -> Path | None:
@@ -241,9 +259,16 @@ class Database:
     def _bump_generation(self) -> int:
         """Advance the on-disk generation (callers hold the file lock);
         returns the new value (0 when unbacked)."""
-        if self._generation_path is not None:
-            return bump_generation(self._generation_path)
-        return 0
+        if self._generation_path is None:
+            return 0
+        generation = bump_generation(self._generation_path)
+        with self._lock:
+            # Nobody else wrote in between: versions already describe
+            # this mutation.  Otherwise the next statement's generation
+            # read is ahead of ``_seen`` and attributes the whole range.
+            if generation == self._seen + 1:
+                self._seen = generation
+        return generation
 
     def generation(self) -> int:
         """The catalog's on-disk generation counter (0 when unbacked).
@@ -256,6 +281,69 @@ class Database:
         if self._generation_path is None:
             return 0
         return read_generation(self._generation_path)
+
+    def epoch(self, name: str, generation: int) -> int:
+        """The generation of the last mutation of ``name`` this object
+        did not make (0 when there was none), as of ``generation`` —
+        the value the running statement already read.
+
+        Not behind: one integer comparison, no lock.  Behind: the
+        foreign generations are attributed first (:meth:`_observe`).
+        Only :func:`repro.storage.derived.cache_token` asks.
+        """
+        if generation > self._seen:
+            self._observe(generation)
+        return max(self._floor, self._epochs.get(name, 0))
+
+    def _observe(self, generation: int) -> None:
+        """Account for every on-disk generation in ``(_seen, now]``.
+
+        Under the catalog lock, each one is attributed to the name of
+        its journal commit record.  Anything that cannot be attributed
+        — a compacted or torn journal, a gap, a lock timeout — is the
+        blanket case of the same accounting (:meth:`_invalidate`).
+        """
+        assert self._file_lock is not None and self._journal is not None
+        try:
+            with self._file_lock:
+                if generation <= self._seen:
+                    return  # another thread accounted for it meanwhile
+                records, torn = self._journal.read()
+                commits = {
+                    r.generation: r.name for r in records
+                    if r.state == "commit" and r.generation is not None
+                    and r.generation > self._seen
+                }
+                top = max([generation, *commits])
+                attributed = not torn and sorted(commits) == list(
+                    range(self._seen + 1, top + 1)
+                )
+                self._invalidate(top, commits if attributed else None)
+        except (LockError, JournalError):
+            self._invalidate(generation, None)
+
+    def _invalidate(self, top: int, commits: dict[int, str] | None) -> None:
+        """Move the epoch of every name in ``commits`` (generation ->
+        name) — of every name, raising the blanket floor to ``top``,
+        when ``None`` — drop its clean in-memory copy and bump its
+        version, so the next :meth:`get` reloads and lineage entries
+        die.  A dirty copy stays authoritative."""
+        with self._lock:
+            if commits is None:
+                stale = set(self._versions)
+                self._floor = max(self._floor, top)
+                self._epochs.clear()
+            else:
+                stale = set(commits.values())
+                for foreign, name in sorted(commits.items()):
+                    # A name without a version has no token to move.
+                    if name in self._versions:
+                        self._epochs[name] = foreign
+            for name in stale - self._dirty:
+                self._instances.pop(name, None)
+                if name in self._versions:
+                    self._next_version(name)
+            self._seen = max(self._seen, top)
 
     def _read(self, path: Path, name: str) -> ProbabilisticInstance:
         """Load one instance file inside a ``db.load`` span.
@@ -321,6 +409,7 @@ class Database:
         with self._lock:
             self._instances.pop(name, None)
             self._versions.pop(name, None)
+            self._epochs.pop(name, None)
             self._dirty.discard(name)
         current_registry().counter("db.corrupt_quarantined").inc()
         return DatabaseError(
@@ -535,6 +624,7 @@ class Database:
         with self._lock:
             self._instances.pop(name, None)
             self._versions.pop(name, None)
+            self._epochs.pop(name, None)
             self._dirty.discard(name)
         current_registry().counter("db.drops").inc()
 

@@ -1,14 +1,19 @@
 """The catalog token and the one cache of state derived from an instance.
 
-A named instance's identity is one pair: ``version(name)`` moves on
-in-process re-registration, reload or touch, and the catalog-wide
-``generation()`` moves when *any* process mutates the shared directory
-under the catalog file lock.  :func:`cache_token` is the only place that
-pair is built, and :class:`DerivedCache` the only implementation of
-"name -> (token, value); rebuild when the token moves" — dataguides,
-columnar snapshots and cost measurements are instances of it.  A
-statement reads :func:`catalog_generation` once and passes it to every
-key it builds, so all of them see one catalog snapshot.
+A named instance's identity is one pair, both halves about *that
+name*: ``version(name)`` moves when this catalog object re-registers,
+reloads, touches or drops it, and ``epoch(name)`` is the on-disk
+generation of the last mutation of it that some *other* process (or
+catalog object) made on the shared directory.  A write to one name
+therefore leaves every other name's derived state standing; only a
+foreign change the catalog cannot attribute to a name moves them all
+(:meth:`repro.storage.database.Database.epoch`).  :func:`cache_token` is
+the only place that pair is built — and the only caller of ``epoch`` —
+and :class:`DerivedCache` the only implementation of "name -> (token,
+value); rebuild when the token moves" — dataguides, columnar snapshots
+and cost measurements are instances of it.  A statement reads
+:func:`catalog_generation` once and passes it to every key it builds, so
+all of them see one catalog snapshot.
 """
 
 from __future__ import annotations
@@ -22,14 +27,17 @@ from repro.obs.metrics import current_registry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.instance import ProbabilisticInstance
 
-#: ``(version, generation)`` — the invalidation key of one named instance.
+#: ``(version, epoch)`` — the invalidation key of one named instance:
+#: what this catalog object did to the name, and the generation of the
+#: last mutation of it that anyone else did.
 Token = tuple[int, int]
 
 V = TypeVar("V")
 
 
 class Catalog(Protocol):
-    """What derived state needs of a catalog (``generation()`` optional)."""
+    """What derived state needs of a catalog (``generation()`` and
+    ``epoch()`` optional)."""
 
     def get(self, name: str) -> "ProbabilisticInstance": ...
     def version(self, name: str) -> int: ...
@@ -49,10 +57,16 @@ def cache_token(
     catalog: Catalog, name: str, generation: int | None = None
 ) -> Token:
     """The invalidation key for ``name``, under the ``generation`` the
-    running statement already read (omitted: the catalog is asked now)."""
+    running statement already read (omitted: the catalog is asked now).
+
+    A catalog exposing only ``generation()`` contributes it whole.  The
+    epoch is asked first: observing a foreign mutation bumps the version.
+    """
     if generation is None:
         generation = catalog_generation(catalog)
-    return (catalog.version(name), generation)
+    ask = getattr(catalog, "epoch", None)
+    epoch = int(ask(name, generation)) if callable(ask) else generation
+    return (catalog.version(name), epoch)
 
 
 class DerivedCache(Generic[V]):

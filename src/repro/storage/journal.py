@@ -38,6 +38,19 @@ discarded and the journal truncated back to the good prefix, which is
 exactly the prefix-consistency the catalog needs: a journal record is
 only trusted once it was durably and completely written.
 
+**What is verified when.**  Every record is parsed and crc-checked on
+open (:func:`recover_directory`), by fsck, and by the first mutating
+operation after *anything else* touched the file.  In between, a
+:class:`Journal` remembers what its last verified read established
+(next seq, record count, open begins) together with the identity of the
+file it left behind — inode, size, mtime — and its own fsynced appends
+extend that verified prefix without re-reading it.  The memo is trusted
+only while the identity is unchanged; a sibling's append, compaction or
+truncation changes it, and a torn read is never remembered.  A record
+is therefore trusted either after a full verified read or as this
+object's own durable append to a verified, unchanged file — the same
+guarantee, at a cost independent of the journal's length.
+
 **Quarantine naming.**  Quarantined files are suffixed with the catalog
 generation at the time of the move plus a dedup counter
 (``name.pxml.json.g7``, ``name.pxml.json.g7-2``), so quarantining a
@@ -52,6 +65,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 from repro.errors import JournalError
 from repro.io.json_codec import (
@@ -86,7 +100,7 @@ OPS = ("save", "drop", "quarantine")
 COMPACT_THRESHOLD = 512
 
 
-def record_crc(fields: dict) -> str:
+def record_crc(fields: dict[str, Any]) -> str:
     """The integrity checksum of a record (canonical JSON, no ``crc``)."""
     canonical = json.dumps(
         {k: v for k, v in sorted(fields.items()) if k != "crc"},
@@ -96,16 +110,13 @@ def record_crc(fields: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-_record_crc = record_crc  # backward-compatible private alias
-
-
-def _checked_line(fields: dict) -> str:
+def _checked_line(fields: dict[str, Any]) -> str:
     fields = dict(fields)
     fields["crc"] = record_crc(fields)
     return json.dumps(fields, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def append_checked(path: Path, fields: dict) -> None:
+def append_checked(path: Path, fields: dict[str, Any]) -> None:
     """Append one crc-stamped JSONL record and fsync it durable.
 
     The generic building block behind every journal in the tree (the
@@ -123,7 +134,7 @@ def append_checked(path: Path, fields: dict) -> None:
         raise JournalError(f"cannot append to journal {path}: {exc}") from exc
 
 
-def read_checked(path: Path) -> tuple[list[dict], bool]:
+def read_checked(path: Path) -> tuple[list[dict[str, Any]], bool]:
     """``(records, torn_tail)`` — the trusted prefix of a checked JSONL.
 
     Reads raw record dicts (crc verified and stripped of nothing —
@@ -144,7 +155,7 @@ def read_checked(path: Path) -> tuple[list[dict], bool]:
         raw = raw[: raw.rfind(b"\n") + 1]
         torn = True
     text = raw.decode("utf-8", errors="replace")
-    records: list[dict] = []
+    records: list[dict[str, Any]] = []
     for line in text.splitlines():
         if not line.strip():
             continue
@@ -164,7 +175,7 @@ def read_checked(path: Path) -> tuple[list[dict], bool]:
     return records, torn
 
 
-def rewrite_checked(path: Path, records: list[dict]) -> None:
+def rewrite_checked(path: Path, records: list[dict[str, Any]]) -> None:
     """Atomically rewrite a checked JSONL as exactly ``records``
     (crc-stamped) — how a torn tail is truncated away."""
     replace_atomically(
@@ -184,8 +195,8 @@ class JournalRecord:
     generation: int | None = None   # commits / checkpoints
     recovered: bool = False         # written by replay, not by the op itself
 
-    def as_fields(self) -> dict:
-        fields: dict = {"seq": self.seq, "state": self.state}
+    def as_fields(self) -> dict[str, Any]:
+        fields: dict[str, Any] = {"seq": self.seq, "state": self.state}
         if self.op:
             fields["op"] = self.op
         if self.name:
@@ -199,7 +210,7 @@ class JournalRecord:
         return fields
 
 
-def _parse_record(fields: dict) -> JournalRecord | None:
+def _parse_record(fields: dict[str, Any]) -> JournalRecord | None:
     seq = fields.get("seq")
     state = fields.get("state")
     if not isinstance(seq, int) or state not in (
@@ -219,18 +230,37 @@ def _parse_record(fields: dict) -> JournalRecord | None:
     )
 
 
+#: ``(st_ino, st_size, st_mtime_ns)`` of the journal file; ``None``
+#: while it does not exist.
+_Identity = tuple[int, int, int] | None
+
+
+@dataclass
+class _Tail:
+    """What a verified read of the journal established, and the identity
+    of the file it was read from."""
+
+    identity: _Identity
+    next_seq: int
+    count: int
+    open_begins: set[int]
+    torn: bool = False
+
+
 class Journal:
     """The append-only operation journal of one catalog directory.
 
     All mutating methods must be called while holding the catalog's
     cross-process ``catalog.lock`` — the journal itself takes no lock
     (its callers, :class:`~repro.storage.database.Database` and the
-    fsck/recovery pass, already serialize on it).
+    fsck/recovery pass, already serialize on it).  That lock is also
+    what guards the remembered tail (see the module docstring).
     """
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self.path = self.directory / JOURNAL_NAME
+        self._tail: _Tail | None = None
 
     # ------------------------------------------------------------------
     # Reading
@@ -283,18 +313,70 @@ class Journal:
         return max((r.seq for r in records), default=0) + 1
 
     # ------------------------------------------------------------------
+    # The remembered tail (callers hold the catalog lock)
+    # ------------------------------------------------------------------
+    def _identity(self) -> _Identity:
+        try:
+            status = os.stat(self.path)
+        except FileNotFoundError:
+            return None
+        except OSError as exc:
+            raise JournalError(
+                f"cannot stat journal {self.path}: {exc}"
+            ) from exc
+        return (status.st_ino, status.st_size, status.st_mtime_ns)
+
+    def _remembered_tail(self) -> _Tail | None:
+        """The memo, or ``None`` (dropping it) once anyone else touched
+        the file."""
+        if self._tail is not None and self._tail.identity != self._identity():
+            self._tail = None
+        return self._tail
+
+    def _verified_tail(self) -> _Tail:
+        """The memo while it holds, else one full verified read —
+        remembered unless it found a torn tail."""
+        tail = self._remembered_tail()
+        if tail is None:
+            # Identity first: a write racing the read (a caller without
+            # the lock) leaves a memo that is already stale, not wrong.
+            identity = self._identity()
+            records, torn = self.read()
+            tail = _Tail(
+                identity,
+                self._next_seq(records),
+                len(records),
+                {r.seq for r in self.pending(records)},
+                torn,
+            )
+            self._tail = None if torn else tail
+        return tail
+
+    # ------------------------------------------------------------------
     # Writing (callers hold the catalog lock)
     # ------------------------------------------------------------------
     def _append(self, record: JournalRecord) -> None:
+        tail = self._remembered_tail()
+        self._tail = None   # stays dropped if the append fails part-way
         append_checked(self.path, record.as_fields())
         current_registry().counter("db.journal_records").inc()
+        if tail is not None:
+            # An own fsynced append extends the verified prefix.
+            tail.count += 1
+            tail.next_seq = max(tail.next_seq, record.seq + 1)
+            if record.state == "begin":
+                tail.open_begins.add(record.seq)
+            else:
+                tail.open_begins.discard(record.seq)
+            tail.identity = self._identity()
+            self._tail = tail
 
     def begin(self, op: str, name: str, checksum: str | None = None) -> int:
         """Journal the intent of a mutating operation; returns its seq."""
         if op not in OPS:
             raise JournalError(f"unknown journal op {op!r}")
         fault_point("journal.begin")
-        seq = self._next_seq()
+        seq = self._verified_tail().next_seq
         self._append(
             JournalRecord(seq=seq, state="begin", op=op, name=name,
                           checksum=checksum)
@@ -334,6 +416,11 @@ class Journal:
         threshold.  The rewrite is atomic, and the checkpoint carries
         the next sequence number so seqs stay monotone forever.
         """
+        tail = self._verified_tail()
+        if tail.torn or tail.count < threshold or tail.open_begins:
+            return False
+        # Due: the rewrite discards records, so it decides from (and
+        # folds) a fresh verified read, never from the memo.
         records, torn = self.read()
         if torn or len(records) < threshold or self.pending(records):
             return False
@@ -346,12 +433,14 @@ class Journal:
             state="checkpoint",
             generation=self.committed_generation(records),
         )
+        self._tail = None
         rewrite_checked(self.path, [checkpoint.as_fields()])
         current_registry().counter("db.journal_compactions").inc()
 
     def truncate_to(self, records: list[JournalRecord]) -> None:
         """Atomically rewrite the journal as exactly ``records``
         (recovery uses this to drop a torn tail)."""
+        self._tail = None
         rewrite_checked(self.path, [r.as_fields() for r in records])
 
 

@@ -317,6 +317,64 @@ class TestDatabaseConcurrency:
         stop.set()
         assert errors == []
 
+    def test_two_catalog_objects_under_threads_lose_no_write(self, tmp_path):
+        """Writers on two ``Database`` objects over one directory plus
+        token-building readers, with more threads than cores and a
+        short switch interval: a remembered journal tail or a foreign-
+        mutation mark that lost an update would issue a duplicate seq,
+        skip a generation, or leave a stale copy behind a moved token."""
+        import os
+        import sys
+
+        from repro.paper import example52_instance
+        from repro.storage.derived import cache_token
+        from repro.storage.journal import Journal
+
+        mine, sibling = Database(tmp_path), Database(tmp_path)
+        mine.register("shared", figure2_instance())
+        mine.save("shared")
+        threads = 3 * (os.cpu_count() or 2)
+
+        def work(index: int) -> None:
+            role = index % 3
+            for step in range(8):
+                if role == 0:    # own writes: move nothing of ``shared``
+                    name = f"own{index}"
+                    mine.register(name, figure2_instance(), replace=True)
+                    mine.save(name)
+                    mine.drop(name)
+                elif role == 1:  # foreign writes to the shared name
+                    instance = (
+                        example52_instance() if step % 2
+                        else figure2_instance()
+                    )
+                    sibling.register("shared", instance, replace=True)
+                    sibling.save("shared")
+                else:            # readers on the first object
+                    cache_token(mine, "shared")
+                    assert mine.get("shared") is not None
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            errors = run_threads(threads, work)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+
+        records, torn = Journal(tmp_path).read()
+        assert not torn
+        begins = [r.seq for r in records if r.state == "begin"]
+        assert begins == sorted(set(begins))
+        # (A compaction may have folded the oldest into a checkpoint.)
+        commits = [r.generation for r in records if r.generation is not None]
+        assert commits == list(range(commits[0], commits[0] + len(commits)))
+        assert commits[-1] == mine.generation()
+        # Everyone stopped: one token build brings ``mine`` up to date.
+        cache_token(mine, "shared")
+        assert len(mine.get("shared")) == len(Database(tmp_path).get("shared"))
+        assert mine._seen == mine.generation()
+
     def test_generation_moves_with_saves_and_drops(self, tmp_path):
         database = Database(tmp_path)
         database.register("bib", figure2_instance())

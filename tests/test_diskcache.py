@@ -1,5 +1,6 @@
 """Tests for the persistent, shared result-cache segment."""
 
+from repro.core.builder import InstanceBuilder
 from repro.engine.diskcache import (
     DiskResultCache,
     decode_value,
@@ -135,8 +136,50 @@ class TestEngineIntegration:
         interp.execute(QUERY)
         assert interp.engine.metrics.value("engine.cache.disk_hits") == 0
         db.save("a")  # clean again: the disk cache re-engages
-        interp.execute(QUERY)
-        assert interp.engine.metrics.value("engine.cache.disk_hits") == 1
+        # The own save moved no key, so ``interp`` answers from memory;
+        # a fresh interpreter has only the disk cache to ask.
+        fresh = Interpreter(database=db)
+        fresh.execute(QUERY)
+        assert fresh.engine.metrics.value("engine.cache.disk_hits") == 1
+
+    def test_foreign_save_never_poisons_the_shared_cache(self, tmp_path):
+        """A sibling process replaces ``bib``: the clean in-memory copy
+        must not answer again, and above all its answer must not be
+        spilled under the *new* file's checksum for others to read."""
+
+        def bib(p):
+            b = InstanceBuilder("R")
+            b.children("R", "x", ["A"])
+            b.opf("R", {("A",): p, (): 1 - p})
+            b.leaf("A", "t", ["v"], {"v": 1.0})
+            return b.build()
+
+        statement = "EXISTS R.x IN bib"
+        db_a = Database(tmp_path)
+        db_a.register("bib", bib(0.5))
+        db_a.save("bib")
+        first = Interpreter(database=db_a)
+        assert first.execute(statement).value == 0.5
+
+        sibling = Database(tmp_path)
+        sibling.register("bib", bib(0.9), replace=True)
+        sibling.save("bib")
+
+        assert first.execute(statement).value == 0.9
+        assert first.execute(statement).value == 0.9
+        restarted = Interpreter(database=Database(tmp_path))
+        assert restarted.execute(statement).value == 0.9
+
+    def test_foreign_save_leaves_a_dirty_copy_authoritative(self, tmp_path):
+        db = _populated(tmp_path)
+        interp = Interpreter(database=db)
+        db.touch("a")  # unsaved in-memory state
+        mine = db.get("a")
+        Database(tmp_path).save("a")
+        interp.execute(QUERY)  # observes the sibling's save
+        assert db.get("a") is mine
+        assert interp.engine.metrics.value("engine.cache.disk_hits") == 0
+        assert interp.engine.metrics.value("engine.cache.disk_spills") == 0
 
     def test_memoryless_database_disables_disk(self):
         db = Database()

@@ -7,6 +7,7 @@ from repro.engine import Engine, LRUCache, PlanBuilder
 from repro.pxql import Interpreter
 from repro.queries.engine import QueryEngine
 from repro.storage.database import Database, DatabaseError
+from repro.storage.derived import cache_token
 
 
 def small_instance(root="R", leaf="A", p=0.6):
@@ -410,19 +411,25 @@ class TestCacheHitStatsRegression:
 
 
 class TestGenerationKeyedCache:
-    """``Engine.cache_key`` carries the catalog's on-disk generation:
-    sibling-process mutations invalidate, restarts over an unchanged
+    """``Engine.cache_key`` carries each scanned name's catalog token:
+    a sibling process's mutation of *that name* invalidates, its
+    mutation of another name does not, restarts over an unchanged
     directory reuse, in-memory databases key exactly as before."""
 
-    def test_sibling_process_mutation_moves_the_key(self, tmp_path):
+    @staticmethod
+    def _served(tmp_path):
         db_a = Database(tmp_path)
         db_a.register("bib", small_instance())
         db_a.save("bib")
         engine = Engine(db_a)
         plan = PlanBuilder.scan("bib").point("R.x", "A").build()
-        key_before = engine.cache_key(plan)
         engine.execute_plan(plan)
         assert engine.execute_plan(plan).stats.cache == "hit"
+        return engine, plan
+
+    def test_sibling_mutation_of_another_name_leaves_the_key(self, tmp_path):
+        engine, plan = self._served(tmp_path)
+        key_before = engine.cache_key(plan)
 
         # A second Database over the same directory stands in for a
         # sibling process; its save bumps the shared generation.
@@ -430,14 +437,26 @@ class TestGenerationKeyedCache:
         db_b.register("other", small_instance(root="S", leaf="B"))
         db_b.save("other")
 
-        key_after = engine.cache_key(plan)
-        assert key_after != key_before
-        # The in-memory entry is gone (the key moved), but ``bib``'s
-        # bytes never changed, so the content-addressed persistent
-        # segment still serves it — as a disk hit, not a memory hit.
-        assert engine.execute_plan(plan).stats.cache == "disk"
-        # The disk hit repopulates the LRU and the key is stable again
-        # until the next mutation.
+        assert engine.database.generation() > 1
+        assert engine.cache_key(plan) == key_before
+        # ``bib`` was not written: its in-memory entry still serves.
+        assert engine.execute_plan(plan).stats.cache == "hit"
+
+    def test_sibling_process_mutation_moves_the_key(self, tmp_path):
+        engine, plan = self._served(tmp_path)
+        key_before = engine.cache_key(plan)
+        cold = engine.execute_plan(plan).value
+
+        db_b = Database(tmp_path)
+        db_b.register("bib", small_instance(p=0.9), replace=True)
+        db_b.save("bib")
+
+        assert engine.cache_key(plan) != key_before
+        # Neither the memory entry nor the content-addressed persistent
+        # one (keyed on the old bytes) can serve the new file.
+        fresh = engine.execute_plan(plan)
+        assert fresh.stats.cache == "miss"
+        assert fresh.value != cold
         assert engine.execute_plan(plan).stats.cache == "hit"
 
     def test_restart_over_unchanged_directory_reuses_the_key(self, tmp_path):
@@ -462,6 +481,176 @@ class TestGenerationKeyedCache:
         plan = PlanBuilder.scan("bib").point("R.x", "A").build()
         _fingerprint, tokens = engine.cache_key(plan)
         assert tokens == (("bib", (database.version("bib"), 0)),)
+
+
+class TestPerNameEpoch:
+    """A write to one name leaves every other name's derived state
+    standing; a foreign write to a name always moves that name's token;
+    what cannot be attributed to a name moves them all."""
+
+    @pytest.fixture
+    def served(self, tmp_path):
+        """A catalog object with warm derived state for two names."""
+        from repro.check.dataguide import DataGuideCache
+        from repro.index import IndexCache
+
+        database = Database(tmp_path)
+        database.register("bib", small_instance())
+        database.register("lib", small_instance(root="L", leaf="M"))
+        database.save("bib")
+        database.save("lib")
+        caches = (IndexCache(), DataGuideCache())
+        engine = Engine(database)
+        plan = PlanBuilder.scan("bib").point("R.x", "A").build()
+        built = self._derived(database, caches, engine, plan)
+        return database, caches, engine, plan, built
+
+    @staticmethod
+    def _derived(database, caches, engine, plan):
+        """Everything derived from ``bib`` right now."""
+        return (
+            engine.cache_key(plan),
+            [cache.get(database, "bib") for cache in caches],
+        )
+
+    @staticmethod
+    def _standing(now, built):
+        return now[0] == built[0] and all(
+            new is old for new, old in zip(now[1], built[1])
+        )
+
+    @staticmethod
+    def _all_moved(now, built):
+        return now[0] != built[0] and not any(
+            new is old for new, old in zip(now[1], built[1])
+        )
+
+    def test_unrelated_foreign_save_leaves_everything_standing(
+        self, served, tmp_path
+    ):
+        database, caches, engine, plan, built = served
+        sibling = Database(tmp_path)
+        sibling.register("lib", small_instance(root="L", leaf="N"), replace=True)
+        sibling.save("lib")
+        sibling.register("new", small_instance(root="S", leaf="B"))
+        sibling.save("new")
+        assert self._standing(
+            self._derived(database, caches, engine, plan), built
+        )
+        assert cache_token(database, "lib")[1] == database.generation() - 1
+
+    def test_foreign_save_of_the_name_moves_everything(self, served, tmp_path):
+        database, caches, engine, plan, built = served
+        sibling = Database(tmp_path)
+        sibling.register("bib", small_instance(p=0.9), replace=True)
+        sibling.save("bib")
+        assert self._all_moved(
+            self._derived(database, caches, engine, plan), built
+        )
+        assert cache_token(database, "bib")[1] == database.generation()
+
+    def test_foreign_drop_of_the_name_moves_its_token(self, served, tmp_path):
+        database, _caches, _engine, _plan, _built = served
+        before = cache_token(database, "bib")
+        Database(tmp_path).drop("bib")
+        after = cache_token(database, "bib")
+        assert after != before and after[1] == database.generation()
+        with pytest.raises(DatabaseError):
+            database.get("bib")  # the clean copy went with the file
+
+    def test_foreign_quarantine_of_the_name_moves_its_token(
+        self, served, tmp_path
+    ):
+        database, _caches, _engine, _plan, _built = served
+        before = cache_token(database, "bib")
+        (tmp_path / "bib.pxml.json").write_text("not json", encoding="utf-8")
+        sibling = Database(tmp_path, on_corrupt="quarantine")
+        with pytest.raises(DatabaseError):
+            sibling.get("bib")
+        assert sibling.quarantined() == ["bib"]
+        after = cache_token(database, "bib")
+        assert after != before and after[1] == database.generation()
+
+    def test_own_save_and_drop_move_nothing_else(self, served):
+        database, caches, engine, plan, built = served
+        database.touch("lib")
+        database.save("lib")
+        database.register("tmp", small_instance(root="T", leaf="U"))
+        database.save("tmp")
+        database.drop("tmp")
+        assert self._standing(
+            self._derived(database, caches, engine, plan), built
+        )
+        assert cache_token(database, "lib")[1] == 0
+
+    def test_compacted_journal_is_a_blanket_floor(self, served, tmp_path):
+        database, caches, engine, plan, built = served
+        sibling = Database(tmp_path)
+        sibling.register("new", small_instance(root="S", leaf="B"))
+        sibling.save("new")
+        assert sibling.journal.maybe_compact(threshold=1)
+        assert self._all_moved(
+            self._derived(database, caches, engine, plan), built
+        )
+        floor = database.generation()
+        assert cache_token(database, "bib")[1] == floor
+        assert cache_token(database, "lib")[1] == floor
+
+    def test_unjournaled_generation_is_a_blanket_floor(self, served, tmp_path):
+        from repro.storage.locking import GENERATION_NAME, bump_generation
+
+        database, _caches, _engine, _plan, _built = served
+        before = cache_token(database, "bib")
+        bump_generation(tmp_path / GENERATION_NAME)  # a gap: no commit record
+        after = cache_token(database, "bib")
+        assert after[0] > before[0] and after[1] == database.generation()
+
+    def test_lock_timeout_is_a_blanket_floor(self, served, tmp_path, monkeypatch):
+        from repro.errors import LockTimeout
+        from repro.storage.locking import FileLock
+
+        database, _caches, _engine, _plan, _built = served
+        sibling = Database(tmp_path)
+        sibling.register("new", small_instance(root="S", leaf="B"))
+        sibling.save("new")
+
+        def contended(self, timeout_s=None):
+            raise LockTimeout("held elsewhere", path=str(self.path))
+
+        monkeypatch.setattr(FileLock, "acquire", contended)
+        assert cache_token(database, "bib")[1] == database.generation()
+
+    def test_epochs_are_bounded_by_live_names(self, served, tmp_path):
+        database, _caches, _engine, _plan, _built = served
+        sibling = Database(tmp_path)
+        sibling.touch("bib")
+        sibling.save("bib")
+        sibling.register("unseen", small_instance(root="S", leaf="B"))
+        sibling.save("unseen")
+        cache_token(database, "lib")
+        assert set(database._epochs) == {"bib"}  # ``unseen`` has no token yet
+        database.drop("bib")
+        assert database._epochs == {}
+
+    def test_not_behind_takes_no_lock_and_reads_nothing(self, served, monkeypatch):
+        database, _caches, _engine, _plan, _built = served
+        monkeypatch.setattr(
+            Database, "_observe",
+            lambda self, generation: pytest.fail("observed while not behind"),
+        )
+        database.touch("lib")
+        database.save("lib")
+        assert cache_token(database, "bib")[1] == 0
+
+    def test_generation_only_catalog_contributes_it_whole(self):
+        class Fake:
+            def version(self, name):
+                return 7
+
+            def generation(self):
+                return 3
+
+        assert cache_token(Fake(), "any") == (7, 3)
 
 
 class TestOneTokenPerStatement:

@@ -87,6 +87,161 @@ class TestJournalRecords:
         assert not journal.maybe_compact(threshold=1)
 
 
+class TestRememberedTail:
+    """The journal trusts a record only after a full crc-verified read
+    or as its own fsynced append to a verified, unchanged file: own
+    writes cost no read, anyone else's write forces one."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        import repro.storage.journal as journal_module
+
+        calls = []
+        real = journal_module.read_checked
+
+        def counting(path):
+            calls.append(path)
+            return real(path)
+
+        monkeypatch.setattr(journal_module, "read_checked", counting)
+        return calls
+
+    def test_steady_state_writes_never_reread(self, tmp_path, reads):
+        db = Database(tmp_path)
+        db.register("a", figure2_instance())
+        db.save("a")
+        db.drop("a")
+        del reads[:]
+        for _cycle in range(50):
+            db.register("a", figure2_instance())
+            db.save("a")
+            db.drop("a")
+        assert reads == []  # >= 200 before the tail was remembered
+        records, torn = db.journal.read()
+        assert not torn
+        assert [r.seq for r in records if r.state == "begin"] == list(
+            range(1, 103)
+        )
+
+    def test_sibling_append_forces_a_reread(self, tmp_path, reads):
+        mine, sibling = Journal(tmp_path), Journal(tmp_path)
+        seq = mine.begin("save", "a")
+        mine.commit(seq, "save", "a", generation=1)
+        theirs = sibling.begin("save", "b")
+        sibling.commit(theirs, "save", "b", generation=2)
+        del reads[:]
+        assert mine.begin("drop", "a") > theirs
+        assert len(reads) == 1
+
+    def test_sibling_database_interleaving_keeps_seqs_monotone(self, tmp_path):
+        first, second = Database(tmp_path), Database(tmp_path)
+        for round_ in range(3):
+            for db, name in ((first, "a"), (second, "b"), (first, "c")):
+                db.register(name, figure2_instance(), replace=True)
+                db.save(name)
+            second.drop("b")
+        records, torn = Journal(tmp_path).read()
+        assert not torn
+        begins = [r.seq for r in records if r.state == "begin"]
+        assert begins == sorted(set(begins))
+        generations = [r.generation for r in records if r.state == "commit"]
+        assert generations == list(range(1, len(generations) + 1))
+
+    def test_sibling_compaction_is_detected(self, tmp_path, reads):
+        mine, sibling = Journal(tmp_path), Journal(tmp_path)
+        for index in range(3):
+            seq = mine.begin("save", f"n{index}")
+            mine.commit(seq, "save", f"n{index}", generation=index + 1)
+        inode = mine.path.stat().st_ino
+        assert sibling.maybe_compact(threshold=2)
+        assert mine.path.stat().st_ino != inode
+        del reads[:]
+        assert mine.begin("save", "late") == 5  # the checkpoint took 4
+        assert len(reads) == 1
+
+    def test_truncate_to_is_detected(self, tmp_path, reads):
+        mine, sibling = Journal(tmp_path), Journal(tmp_path)
+        seq = mine.begin("save", "a")
+        mine.commit(seq, "save", "a", generation=1)
+        mine.begin("save", "b")
+        records, _ = sibling.read()
+        sibling.truncate_to(records[:2])  # by a sibling ...
+        del reads[:]
+        assert mine.begin("save", "c") == 2
+        assert len(reads) == 1
+        records, _ = mine.read()
+        mine.truncate_to(records[:2])  # ... and by this object itself
+        del reads[:]
+        assert mine.begin("save", "d") == 2
+        assert len(reads) == 1
+
+    def test_torn_tail_is_never_remembered(self, tmp_path, reads):
+        journal = Journal(tmp_path)
+        seq = journal.begin("save", "a")
+        journal.commit(seq, "save", "a", generation=1)
+        with open(journal.path, "a", encoding="utf-8") as handle:
+            handle.write('{"seq": 3, "state": "beg')  # torn append
+        for _attempt in range(3):
+            del reads[:]
+            assert not journal.maybe_compact(threshold=1)
+            assert len(reads) == 1
+        # Recovery truncates the tail; from then on the memo holds.
+        recover_directory(tmp_path, journal)
+        seq = journal.begin("save", "b")
+        del reads[:]
+        journal.commit(seq, "save", "b", generation=2)
+        assert reads == []
+
+    def test_failed_append_drops_the_memo(self, tmp_path, reads, monkeypatch):
+        import repro.storage.journal as journal_module
+        from repro.errors import JournalError
+
+        journal = Journal(tmp_path)
+        seq = journal.begin("save", "a")
+        journal.commit(seq, "save", "a", generation=1)
+
+        def failing(path, fields):
+            raise JournalError("disk full")
+
+        real = journal_module.append_checked
+        monkeypatch.setattr(journal_module, "append_checked", failing)
+        with pytest.raises(JournalError):
+            journal.begin("save", "b")
+        monkeypatch.setattr(journal_module, "append_checked", real)
+        del reads[:]
+        assert journal.begin("save", "b") == 2
+        assert len(reads) == 1
+
+    def test_compaction_fires_at_the_threshold(self, tmp_path, reads):
+        from repro.storage.journal import COMPACT_THRESHOLD
+
+        journal = Journal(tmp_path)
+        for index in range(COMPACT_THRESHOLD // 2 - 1):
+            seq = journal.begin("save", "a")
+            journal.commit(seq, "save", "a", generation=index + 1)
+        assert reads == [journal.path]  # the first begin's, no other
+        records, _ = journal.read()
+        assert len(records) == COMPACT_THRESHOLD - 2
+        seq = journal.begin("save", "a")
+        journal.commit(seq, "save", "a", generation=COMPACT_THRESHOLD // 2)
+        records, _ = journal.read()
+        assert [r.state for r in records] == ["checkpoint"]
+        assert records[0].generation == COMPACT_THRESHOLD // 2
+        assert journal.begin("save", "a") == seq + 2
+
+    def test_compaction_waits_for_an_open_begin(self, tmp_path):
+        journal = Journal(tmp_path)
+        held = journal.begin("quarantine", "stuck")
+        for index in range(4):
+            seq = journal.begin("save", "a")
+            journal.commit(seq, "save", "a", generation=index + 1)
+            assert not journal.maybe_compact(threshold=4)
+        assert [r.seq for r in journal.pending()] == [held]
+        journal.abort(held, "quarantine", "stuck")
+        assert journal.maybe_compact(threshold=4)
+        assert [r.state for r in journal.read()[0]] == ["checkpoint"]
+
+
 class TestReplay:
     def test_torn_save_rolls_forward(self, tmp_path):
         db = Database(tmp_path)

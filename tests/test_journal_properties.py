@@ -9,6 +9,11 @@ catalog must land on a consistent state.
   :class:`~repro.storage.database.Database`, leaves a directory that a
   fresh open replays to zero pending records, checksum-clean loads for
   every surviving name, and a clean fsck.
+* **Two catalog objects** — the same op sequences split arbitrarily
+  between two :class:`Database` objects on one directory (each one's
+  remembered journal tail goes stale whenever the other writes) still
+  issue strictly increasing seqs and generations, and each object,
+  once it builds a token for a name, holds exactly the bytes on disk.
 * **Journal damage** — truncating the journal at an arbitrary byte
   offset or corrupting an arbitrary byte must never break the parser's
   prefix rule: :meth:`Journal.read` returns a prefix of the undamaged
@@ -20,8 +25,10 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.io.json_codec import dumps
 from repro.paper import example52_instance, figure2_instance
 from repro.storage.database import Database, DatabaseError
+from repro.storage.derived import cache_token
 from repro.storage.fsck import fsck_directory
 from repro.storage.journal import Journal
 
@@ -34,22 +41,29 @@ _OPS = st.tuples(
 )
 
 
+def _apply_op(db: Database, op: str, index: int, flavour: int = 0) -> None:
+    name = NAMES[index]
+    if op == "save":
+        instance = (
+            figure2_instance() if (index + flavour) % 2
+            else example52_instance()
+        )
+        db.register(name, instance, replace=True)
+        db.save(name)
+    elif op == "resave":
+        if name in db.names():
+            db.touch(name)
+            db.save(name)
+    elif op == "drop":
+        if name in db.names():
+            db.drop(name)
+
+
 def _apply_ops(directory: Path, ops: list[tuple[str, int]]) -> None:
     """Drive one op sequence through a real database."""
     db = Database(directory, on_corrupt="quarantine")
     for op, index in ops:
-        name = NAMES[index]
-        if op == "save":
-            instance = figure2_instance() if index % 2 else example52_instance()
-            db.register(name, instance, replace=True)
-            db.save(name)
-        elif op == "resave":
-            if name in db.names():
-                db.touch(name)
-                db.save(name)
-        elif op == "drop":
-            if name in db.names():
-                db.drop(name)
+        _apply_op(db, op, index)
 
 
 def _assert_consistent(directory: Path) -> None:
@@ -71,6 +85,35 @@ def _assert_consistent(directory: Path) -> None:
 def test_any_op_interleaving_reopens_consistent(tmp_path_factory, ops):
     directory = tmp_path_factory.mktemp("journal-ops")
     _apply_ops(directory, ops)
+    _assert_consistent(directory)
+
+
+@settings(deadline=None, max_examples=20)
+@given(ops=st.lists(st.tuples(st.booleans(), _OPS), min_size=1, max_size=16))
+def test_two_databases_interleaved_stay_consistent(tmp_path_factory, ops):
+    directory = tmp_path_factory.mktemp("journal-pair")
+    pair = (
+        Database(directory, on_corrupt="quarantine"),
+        Database(directory, on_corrupt="quarantine"),
+    )
+    for second, (op, index) in ops:
+        # The two objects save different content under one name, so a
+        # stale in-memory copy would show below.
+        _apply_op(pair[second], op, index, flavour=second)
+
+    records, torn = Journal(directory).read()
+    assert not torn
+    begins = [r.seq for r in records if r.state == "begin"]
+    assert begins == sorted(set(begins))
+    generations = [r.generation for r in records if r.state == "commit"]
+    assert generations == sorted(set(generations))
+    # Every op here saves what it registers, so no copy is dirty: once
+    # a token is built, the in-memory copy is the file's.
+    for db in pair:
+        for path in directory.glob("*.pxml.json"):
+            name = path.name[: -len(".pxml.json")]
+            cache_token(db, name)
+            assert dumps(db.get(name)) == path.read_text(encoding="utf-8")
     _assert_consistent(directory)
 
 

@@ -360,6 +360,43 @@ class TestProbes:
         assert health["queue_depth"] == 0
 
 
+    def test_a_reply_is_counted_before_it_is_visible(self, database):
+        """Whoever holds a reply finds it in the counters: the callback
+        runs on the resolving thread, at the moment of resolution."""
+        metrics = MetricsRegistry()
+        gate = threading.Event()
+        seen = {}
+
+        def at_resolve(name):
+            return lambda _future: seen.__setitem__(name, metrics.value(name))
+
+        with gated_server(database, gate, metrics=metrics) as server:
+            good = server.submit(QUERY)
+            bad = server.submit("EXISTS R.book.author IN missing")
+            good.add_done_callback(at_resolve("server.completed"))
+            bad.add_done_callback(at_resolve("server.failed"))
+            gate.set()
+            good.wait(10.0)
+            bad.wait(10.0)
+        assert seen == {"server.completed": 1, "server.failed": 1}
+
+        # The handoff-fault branch resolves without executing; the one
+        # worker is parked in a gated request while the callback lands.
+        handoff = FaultInjector(FaultSpec(site="server.worker.handoff"))
+        gate.clear()
+        seen.clear()
+        with gated_server(database, gate, metrics=metrics) as server:
+            parked = server.submit(QUERY)
+            with handoff:
+                future = server.submit(QUERY)
+            future.add_done_callback(at_resolve("server.failed"))
+            gate.set()
+            parked.wait(10.0)
+            future.wait(10.0)
+        assert handoff.fired("server.worker.handoff") == 1
+        assert seen == {"server.failed": 2}
+
+
 class TestContextPropagation:
     def test_submitters_fault_injector_reaches_the_worker(self, tmp_path):
         """Ambient ContextVars are captured at submit and replayed in
