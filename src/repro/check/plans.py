@@ -105,11 +105,16 @@ class PlanChecker:
         database,
         guides: DataGuideCache | None = None,
         subject: str | None = None,
+        generation: int | None = None,
     ) -> None:
         self.database = database
         self.guides = guides if guides is not None else DataGuideCache()
-        #: Read once: every guide this pass looks up is keyed under it.
-        self.generation = catalog_generation(database)
+        #: Read once — by the caller, when it already had to: every
+        #: guide this pass looks up is keyed under it.
+        self.generation = (
+            generation if generation is not None
+            else catalog_generation(database)
+        )
         self.subject = subject
         self.diagnostics: list[Diagnostic] = []
 
@@ -467,6 +472,7 @@ def check_plan(
     guides: DataGuideCache | None = None,
     subject: str | None = None,
     rewrites: bool = False,
+    generation: int | None = None,
 ) -> list[Diagnostic]:
     """Run the plan pass over one logical plan.
 
@@ -474,7 +480,7 @@ def check_plan(
     trace, and every applied rewrite is re-verified and annotated
     (``PX250``/``PX251``).
     """
-    checker = PlanChecker(database, guides, subject)
+    checker = PlanChecker(database, guides, subject, generation)
     diagnostics = list(checker.check(plan))
     if not any(d.severity == ERROR for d in diagnostics):
         # Interval pass: only meaningful on plans the base checker found

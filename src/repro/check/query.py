@@ -101,13 +101,15 @@ def check_statement(
     guides: DataGuideCache | None = None,
     subject: str | None = None,
     rewrites: bool = False,
+    generation: int | None = None,
 ) -> list[Diagnostic]:
     """Statically check one parsed PXQL statement against a catalog.
 
     Returns the combined plan-pass and query-pass findings; never
     executes the statement.  ``CHECK``, ``EXPLAIN``, ``PROFILE`` and
     ``... WITH TIMEOUT`` wrappers are unwrapped to their inner statement
-    first.
+    first.  ``generation`` is the catalog generation the caller already
+    read for this statement (omitted: the plan pass reads it).
     """
     while isinstance(
         statement,
@@ -119,7 +121,8 @@ def check_statement(
     plan = plan_statement(statement)
     if plan is not None:
         diagnostics = check_plan(plan, database, guides=guides,
-                                 subject=subject, rewrites=rewrites)
+                                 subject=subject, rewrites=rewrites,
+                                 generation=generation)
         return _attach_spans(diagnostics, spans)
 
     diagnostics = []

@@ -32,6 +32,7 @@ history — surfacing the findings that do not need future knowledge
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -267,6 +268,11 @@ def script_diagnostics(
     return [diagnostic for _line, diagnostic in _findings(list(script), prefix)]
 
 
+#: Statements a session looks back over; a served interpreter lives as
+#: long as its server, so the history is a window, not a log.
+HISTORY_WINDOW = 512
+
+
 @dataclass
 class ScriptTracker:
     """Session-level dataflow state for an interactive interpreter.
@@ -279,24 +285,27 @@ class ScriptTracker:
     use-before-register need the rest of the script.
     """
 
-    _history: list[ScriptStatement] = field(default_factory=list)
+    _observed: int = 0
+    _history: deque[ScriptStatement] = field(
+        default_factory=lambda: deque(maxlen=HISTORY_WINDOW)
+    )
 
     def observe(self, statement: ast.Statement, text: str | None = None) -> None:
         """Record one successfully executed statement."""
-        position = len(self._history) + 1
+        self._observed += 1
         label = text if text is not None else type(statement).__name__
-        self._history.append(ScriptStatement(position, label, statement))
+        self._history.append(ScriptStatement(self._observed, label, statement))
 
     def preview(
         self, statement: ast.Statement, subject: str | None = None
     ) -> list[Diagnostic]:
         """Findings a candidate statement would add to the session."""
-        position = len(self._history) + 1
+        position = self._observed + 1
         label = subject if subject is not None else type(statement).__name__
         candidate = ScriptStatement(position, label, statement)
         return [
             diagnostic
-            for line, diagnostic in _findings(self._history + [candidate], None)
+            for line, diagnostic in _findings([*self._history, candidate], None)
             if line == position
             and diagnostic.code in (SHADOWED_RESULT, SHADOWED_TIMEOUT)
         ]

@@ -19,19 +19,27 @@ bypassed), and the reference the parity suites compare against is the
 operators themselves (``repro.algebra`` / ``repro.queries`` /
 ``repro.semantics``, see ``tests/helpers.py::evaluate_directly``).
 
+Ahead of it sits the *statement tier*: a bare read's outcome is kept
+under ``(text, check mode, catalog token of its source)`` — the key
+discipline of :meth:`Engine.cache_key` — and a repeat whose input has
+not moved is answered before parse, check, plan and certify.  A front
+tier, not a fork: the engine's caches keep serving its misses.
+
 Efficient algorithms are used on tree-structured instances; DAGs fall
 back to the exact Bayesian-network / global engines automatically.
 """
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.check.diagnostics import ERROR, CheckError, Diagnostic, DiagnosticReport
 from repro.core.instance import ProbabilisticInstance
-from repro.engine.executor import Engine, ExecutionResult, condition_of
+from repro.engine.cache import LRUCache
+from repro.engine.executor import _CACHE_SIZE, Engine, ExecutionResult, condition_of
 from repro.engine.plan import plan_statement
 from repro.errors import BudgetExceeded, EmptyResultError, PXMLError
 from repro.obs.export import render_span_tree
@@ -39,23 +47,29 @@ from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.tracing import Tracer, use_tracer
 from repro.pxql import ast
-from repro.pxql.parser import SpanMap, parse, parse_spanned
+from repro.pxql.parser import SpanMap, parse_memo
 from repro.render import render_distribution, render_instance
-from repro.resilience.budget import Budget, use_budget
+from repro.resilience.breaker import CLOSED
+from repro.resilience.budget import Budget, current_budget, use_budget
 from repro.semantics.global_interpretation import GlobalInterpretation
 from repro.storage.database import Database, DatabaseError
+from repro.storage.derived import cache_token, catalog_generation
 
 _CHECK_MODES = ("error", "warn", "off")
 
 #: Instance-producing statement kinds (registered under their ``AS`` name).
 _ALGEBRA = (ast.ProjectStatement, ast.SelectStatement, ast.ProductStatement)
 
-#: Statement kinds routed through the engine — the ones the graceful
-#: degradation path can re-run on the plan as written.
-_ENGINE_ROUTED = _ALGEBRA + (
+#: Read-only query kinds: one ``source``, a number or a distribution
+#: out, no side effect — what the statement tier may answer.
+_READS = (
     ast.PointStatement, ast.ExistsStatement, ast.ChainStatement,
     ast.ProbStatement, ast.CountStatement, ast.DistStatement,
 )
+
+#: Statement kinds routed through the engine — the ones the graceful
+#: degradation path can re-run on the plan as written.
+_ENGINE_ROUTED = _ALGEBRA + _READS
 
 #: Failures that must *not* trigger the retry: budgets are user-imposed
 #: limits, check/catalog/empty-result errors are semantic — the plan as
@@ -80,6 +94,12 @@ class Result:
     value: object
     instance_name: str | None
     text: str
+
+
+def _unshared(result: Result) -> Result:
+    """A copy whose (``DIST``: mutable) value a caller cannot reach the
+    statement tier through."""
+    return Result(copy.deepcopy(result.value), result.instance_name, result.text)
 
 
 class Interpreter:
@@ -130,6 +150,12 @@ class Interpreter:
         from repro.check.script import ScriptTracker
 
         self.script = ScriptTracker()
+        self._parse = parse_memo()
+        #: The statement tier: ``key -> (diagnostics, Result)`` of bare
+        #: read statements (see :meth:`_statement_key` for the key).
+        self._statements = LRUCache(
+            _CACHE_SIZE, name="pxql.cache.statements", metrics=self.metrics
+        )
         self._spans: SpanMap | None = None
         self._subject: str | None = None
         #: WITH TIMEOUT seconds of the statement currently running
@@ -145,16 +171,66 @@ class Interpreter:
 
     # ------------------------------------------------------------------
     def execute(self, text: str) -> Result:
-        """Parse and run one statement."""
-        statement, spans = parse_spanned(text)
-        return self.run(statement, spans=spans, subject=text.strip())
+        """Parse and run one statement — or, for a repeated bare read
+        whose inputs have not moved, answer it from the statement tier."""
+        statement, spans = self._parse(text)
+        subject = text.strip()
+        generation, key = self._statement_key(text, statement)
+        entry = (
+            self.engine._cache_get(self._statements, key)
+            if key is not None else None
+        )
+        if entry is not None:
+            diagnostics, result = entry
+            if self.check != "off":
+                self.last_diagnostics = list(diagnostics)
+            with self._reported(statement, statement, subject,
+                                cache="statement"):
+                budget = current_budget()
+                if budget is not None:
+                    budget.tick_node(subject)
+            return _unshared(result)
+        breaker = self.engine.breaker
+        before = len(self.fallbacks), breaker.failures
+        result = self.run(statement, spans, subject, generation)
+        # Kept only when nothing degraded on the way: no retry as
+        # written, no optimizer or cache failure absorbed by the engine.
+        if key is not None and (len(self.fallbacks), breaker.failures) <= before:
+            self.engine._cache_put(
+                self._statements, key,
+                (tuple(self.last_diagnostics), _unshared(result)),
+            )
+        return result
+
+    def _statement_key(
+        self, text: str, statement: ast.Statement
+    ) -> tuple[int | None, tuple | None]:
+        """``(generation, key)``: this request's one catalog read and —
+        unless the tier must stay out (accelerators off, breaker not
+        closed, a session deadline, an unknown name) — the entry's key."""
+        engine = self.engine
+        if not (
+            isinstance(statement, _READS) and engine.caching
+            and self._session_timeout_s is None
+            and engine.breaker.state == CLOSED
+        ):
+            return None, None
+        generation = catalog_generation(self.database)
+        try:
+            token = cache_token(self.database, statement.source, generation)
+        except DatabaseError:  # the slow path words the error
+            return generation, None
+        return generation, (text, self.check, ((statement.source, token),))
 
     def run(
         self,
         statement: ast.Statement,
         spans: SpanMap | None = None,
         subject: str | None = None,
+        generation: int | None = None,
     ) -> Result:
+        """Run a parsed statement; ``generation`` is the catalog
+        generation the caller already read for it, if it did."""
         original = statement
         timeout_s = self._session_timeout_s
         self._statement_timeout_s = None
@@ -173,23 +249,37 @@ class Interpreter:
             # PROFILE is checked through its inner statement (the
             # checker unwraps it): it executes, so it must be gated.
             self.last_diagnostics = self._static_diagnostics(
-                statement, spans, subject
+                statement, spans, subject, generation=generation
             )
             if self.check == "error":
                 errors = [d for d in self.last_diagnostics
                           if d.severity == ERROR]
                 if errors:
                     raise CheckError(errors)
+        with self._reported(original, statement, subject) as label:
+            with self._budget_scope(timeout_s):
+                return self._dispatch(handler, statement, label)
+
+    @contextmanager
+    def _reported(
+        self,
+        original: ast.Statement,
+        statement: ast.Statement,
+        subject: str | None,
+        **attributes: object,
+    ) -> Iterator[str]:
+        """The root span of one statement (yielding its label), and
+        what is reported once it succeeded — however it was answered."""
         label = subject if subject is not None else type(statement).__name__
         with use_tracer(self.tracer), use_registry(self.metrics):
             with self.tracer.span(
                 "pxql.statement",
                 kind=type(statement).__name__,
                 statement=label,
+                **attributes,
             ) as span:
                 try:
-                    with self._budget_scope(timeout_s):
-                        result = self._dispatch(handler, statement, label)
+                    yield label
                 except BaseException:
                     self.metrics.counter("pxql.errors").inc()
                     raise
@@ -202,7 +292,6 @@ class Interpreter:
             self.script.observe(original, subject)
         except Exception:
             pass
-        return result
 
     @contextmanager
     def _budget_scope(self, timeout_s: float | None) -> Iterator[Budget | None]:
@@ -255,6 +344,7 @@ class Interpreter:
         spans: SpanMap | None,
         subject: str | None,
         rewrites: bool = False,
+        generation: int | None = None,
     ) -> list[Diagnostic]:
         """Run the static checker, never letting a checker bug block execution."""
         try:
@@ -263,15 +353,16 @@ class Interpreter:
             return check_statement(
                 statement, self.database, spans=spans,
                 guides=self.engine.guides,
-                subject=subject, rewrites=rewrites,
+                subject=subject, rewrites=rewrites, generation=generation,
             )
         except Exception:
             return []
 
     @property
     def cache_stats(self) -> dict[str, dict[str, int]]:
-        """The engine's plan/result cache counters."""
-        return self.engine.cache_stats
+        """The engine's cache counters plus the statement tier's."""
+        statements = self._statements.stats.as_dict()
+        return {**self.engine.cache_stats, "statements": statements}
 
     # ------------------------------------------------------------------
     def _fresh_name(self) -> str:

@@ -10,6 +10,9 @@ AST-only signature.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
+
 from repro.pxql import ast
 from repro.pxql.lexer import PXQLSyntaxError, Token, tokenize
 from repro.semistructured.paths import PathExpression
@@ -18,6 +21,10 @@ from repro.semistructured.paths import PathExpression
 SpanMap = dict[str, tuple[int, int]]
 
 _PROB_OPS = (">", ">=", "<", "<=")
+
+#: Distinct statement texts a :func:`parse_memo` remembers (the engine's
+#: LRUs hold as many entries: a working set past it re-plans anyway).
+PARSE_MEMO_SIZE = 256
 
 
 class _Parser:
@@ -341,3 +348,11 @@ def parse_spanned(text: str) -> tuple[ast.Statement, SpanMap]:
     parser = _Parser(tokenize(text))
     statement = parser.parse()
     return statement, parser.spans
+
+
+def parse_memo() -> Callable[[str], tuple[ast.Statement, SpanMap]]:
+    """A bounded, thread-safe memo over :func:`parse_spanned`, one per
+    owner that sees the same texts again and again (an interpreter, the
+    shard router).  The AST is frozen; the span map is shared with it
+    and read-only.  Syntax errors are raised every time, not kept."""
+    return functools.lru_cache(maxsize=PARSE_MEMO_SIZE)(parse_spanned)

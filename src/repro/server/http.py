@@ -50,8 +50,19 @@ Gone`` instead of a 404.  The map is also hard-bounded at
 drain-then-stop on ``SIGTERM``/``SIGINT``: admissions stop (503s),
 shards drain, the listener closes, :meth:`serve_forever` returns.
 
-Blocking backend calls run in the event loop's default executor, so
-the loop itself never stalls on a slow statement.
+**Connections.**  A connection serves requests in order: HTTP/1.1 is
+persistent unless the request says ``Connection: close``, HTTP/1.0 only
+when it says ``keep-alive``, and every reply states which it was.  The
+server closes after a request it cannot frame (a 400 first), after a
+last-resort 500, once it is draining, and after :data:`IDLE_TIMEOUT_S`
+without a complete request; :meth:`HttpFrontDoor.shutdown` closes the
+connections that are waiting for one.
+
+``/execute`` and ``/submit`` admit on the loop (admission never blocks)
+and ``/execute`` awaits a loop future the backend's resolving thread
+settles — no thread is parked per request.  What does block (``/health``,
+a sharded ``/metrics``, drain and stop) runs in the loop's default
+executor, so the loop itself never stalls.
 """
 
 from __future__ import annotations
@@ -86,11 +97,20 @@ DEFAULT_EXECUTE_TIMEOUT_S = 60.0
 #: How long an unclaimed ``/submit`` result is retained (seconds).
 DEFAULT_RESULT_TTL_S = 300.0
 
+#: How long a connection may sit without a complete request (seconds).
+IDLE_TIMEOUT_S = 30.0
+
 #: Hard cap on simultaneously retained pending results.
 DEFAULT_MAX_PENDING = 1024
 
 #: How many evicted ids are remembered for 410 (vs 404) answers.
 EXPIRED_ID_MEMORY = 4096
+
+_REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
+            404: "Not Found", 405: "Method Not Allowed",
+            408: "Request Timeout", 409: "Conflict", 410: "Gone",
+            429: "Too Many Requests",
+            500: "Internal Server Error", 503: "Service Unavailable"}
 
 
 class Backend(Protocol):
@@ -147,13 +167,32 @@ def _result_payload(result: Result) -> dict[str, object]:
     }
 
 
+def _resolved_payload(future: PendingResult) -> tuple[int, dict[str, object]]:
+    """The reply for a request its backend has resolved."""
+    error = future.error(0.0)
+    if error is not None:
+        return error_payload(error)
+    value = future.result(0.0)
+    if not isinstance(value, Result):
+        return error_payload(
+            ServerError(
+                "backend resolved the request with a non-Result "
+                f"{type(value).__name__!r}"
+            )
+        )
+    return 200, {"result": _result_payload(value)}
+
+
 class _Request:
     """One parsed HTTP request."""
 
-    def __init__(self, method: str, path: str, body: bytes) -> None:
+    def __init__(
+        self, method: str, path: str, body: bytes, keep_alive: bool
+    ) -> None:
         self.method = method
         self.path = path
         self.body = body
+        self.keep_alive = keep_alive  # the client allows another request
 
     def json(self) -> dict[str, object]:
         if not self.body:
@@ -203,6 +242,8 @@ class HttpFrontDoor:
         self._next_id = 0
         self._draining = False
         self._sweeper: asyncio.Task[None] | None = None
+        #: Connections waiting for a request: :meth:`shutdown` closes them.
+        self._idle: set[asyncio.StreamWriter] = set()
 
     @property
     def bound_port(self) -> int:
@@ -250,6 +291,12 @@ class HttpFrontDoor:
         server = self._server
         if server is not None:
             server.close()
+            # Every admitted request has its reply; close what waits for
+            # a request (3.12's wait_closed waits for every connection),
+            # once a connection accepted just now has reached its wait.
+            await asyncio.sleep(0)
+            for writer in list(self._idle):
+                writer.close()
             await server.wait_closed()
         if self._shutdown is not None:
             self._shutdown.set()
@@ -305,21 +352,45 @@ class HttpFrontDoor:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Answer the connection's requests in order until one side is
+        done with it (see **Connections** in the module docstring)."""
+        self.backend.metrics.counter("http.connections").inc()
+        loop = asyncio.get_running_loop()
         try:
-            request = await self._read_request(reader)
-            if request is None:
-                return
-            status, body = await self._dispatch(request)
-        except (ValueError, UnicodeDecodeError) as exc:
-            status, body = 400, {
-                "error": {"type": "BadRequest", "message": str(exc)}
-            }
-        except Exception as exc:  # noqa: BLE001 - last-resort JSON 500
-            status, body = 500, {
-                "error": {"type": type(exc).__name__, "message": str(exc)}
-            }
-        try:
-            await self._write_response(writer, status, body)
+            while True:
+                # Closing the transport is how a wait for a request ends
+                # early (the idle bound here, shutdown() through _idle):
+                # the read then sees EOF.
+                idle = loop.call_later(IDLE_TIMEOUT_S, writer.close)
+                self._idle.add(writer)
+                keep_alive = False  # until a whole request says otherwise
+                try:
+                    try:
+                        request = await self._read_request(reader)
+                    except (EOFError, OSError, ConnectionError):
+                        return  # disconnected mid-request
+                    finally:
+                        self._idle.discard(writer)
+                        idle.cancel()
+                    if request is None:
+                        return
+                    keep_alive = request.keep_alive
+                    status, body = await self._dispatch(request)
+                except (ValueError, UnicodeDecodeError) as exc:
+                    status, body = 400, {
+                        "error": {"type": "BadRequest", "message": str(exc)}
+                    }
+                except Exception as exc:  # noqa: BLE001 - last-resort JSON 500
+                    status, body = 500, {
+                        "error": {"type": type(exc).__name__, "message": str(exc)}
+                    }
+                    keep_alive = False
+                keep_alive = keep_alive and not self._draining
+                await self._write_response(writer, status, body, keep_alive)
+                if not keep_alive:
+                    return
+        except (OSError, ConnectionError):
+            pass  # the client went away mid-reply
         finally:
             writer.close()
             try:
@@ -330,25 +401,31 @@ class HttpFrontDoor:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> _Request | None:
-        try:
-            request_line = await reader.readline()
-        except (OSError, ConnectionError):
+        """The next request (``None`` at EOF); ``ValueError`` when the
+        bytes read cannot be framed as one."""
+        request_line = await reader.readline()
+        if not request_line:
             return None
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
-            return None
+            raise ValueError("malformed request line")
         method, path = parts[0].upper(), parts[1]
+        version = parts[2].upper() if len(parts) > 2 else ""
         content_length = 0
+        connection = ""
         while True:
             line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
+            name = name.strip().lower()
+            if name == "content-length":
                 try:
                     content_length = int(value.strip())
                 except ValueError as exc:
                     raise ValueError("bad Content-Length header") from exc
+            elif name == "connection":
+                connection = value.strip().lower()
         if content_length > MAX_BODY_BYTES:
             raise ValueError(
                 f"body exceeds {MAX_BODY_BYTES} bytes"
@@ -358,25 +435,26 @@ class HttpFrontDoor:
             if content_length
             else b""
         )
-        return _Request(method, path, body)
+        keep_alive = (
+            "close" not in connection if version == "HTTP/1.1"
+            else version == "HTTP/1.0" and "keep-alive" in connection
+        )
+        return _Request(method, path, body, keep_alive)
 
     async def _write_response(
         self,
         writer: asyncio.StreamWriter,
         status: int,
         body: dict[str, object],
+        keep_alive: bool,
     ) -> None:
-        reasons = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                   404: "Not Found", 405: "Method Not Allowed",
-                   408: "Request Timeout", 409: "Conflict", 410: "Gone",
-                   429: "Too Many Requests",
-                   500: "Internal Server Error", 503: "Service Unavailable"}
+        self.backend.metrics.counter("http.requests").inc()
         payload = json.dumps(body).encode("utf-8")
         head = (
-            f"HTTP/1.1 {status} {reasons.get(status, 'Unknown')}\r\n"
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
             "Content-Type: application/json\r\n"
             f"Content-Length: {len(payload)}\r\n"
-            "Connection: close\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
             "\r\n"
         )
         writer.write(head.encode("latin-1") + payload)
@@ -427,22 +505,29 @@ class HttpFrontDoor:
             return error_payload(
                 Overloaded("front door is draining", reason="draining")
             )
-        loop = asyncio.get_running_loop()
-
-        def _call() -> Result:
-            value = self.backend.submit(statement).result(timeout_s)
-            if not isinstance(value, Result):
-                raise ServerError(
-                    "backend resolved the request with a non-Result "
-                    f"{type(value).__name__!r}"
-                )
-            return value
-
         try:
-            result = await loop.run_in_executor(None, _call)
+            pending = self.backend.submit(statement)
         except Exception as exc:  # noqa: BLE001 - typed JSON transport
             return error_payload(exc)
-        return 200, {"result": _result_payload(result)}
+        loop = asyncio.get_running_loop()
+        done: asyncio.Future[None] = loop.create_future()
+
+        def _settle() -> None:
+            if not done.done():  # cancelled when the wait timed out
+                done.set_result(None)
+
+        # The callback runs on the resolving thread: it only hands
+        # completion to the loop.
+        pending.add_done_callback(
+            lambda _resolved: loop.call_soon_threadsafe(_settle)
+        )
+        try:
+            await asyncio.wait_for(done, timeout_s)
+        except asyncio.TimeoutError:  # worded as PendingResult.error words it
+            return error_payload(ServerError(
+                f"request did not complete within {timeout_s:g}s"
+            ))
+        return _resolved_payload(pending)
 
     async def _route_submit(
         self, request: _Request
@@ -497,18 +582,7 @@ class HttpFrontDoor:
             return 202, {"id": ident, "done": False}
         with self._pending_lock:
             self._pending.pop(ident, None)
-        error = future.error(0.0)
-        if error is not None:
-            return error_payload(error)
-        value = future.result(0.0)
-        if not isinstance(value, Result):
-            return error_payload(
-                ServerError(
-                    "backend resolved the request with a non-Result "
-                    f"{type(value).__name__!r}"
-                )
-            )
-        return 200, {"result": _result_payload(value)}
+        return _resolved_payload(future)
 
     async def _route_health(self) -> tuple[int, dict[str, object]]:
         loop = asyncio.get_running_loop()

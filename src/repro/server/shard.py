@@ -73,7 +73,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.pxql import ast
 from repro.pxql.interpreter import Result
-from repro.pxql.parser import parse
+from repro.pxql.parser import parse_memo
 from repro.resilience.budget import Budget
 from repro.resilience.faults import FaultInjector, FaultSpec
 from repro.resilience.retry import RetryPolicy
@@ -633,6 +633,8 @@ class ShardedServer:
         self._rebalance_status = RebalanceStatus()
         self._counter = 0
         self._counter_lock = threading.Lock()
+        #: Routing needs only the AST, and the same texts keep coming.
+        self._parse = parse_memo()
         self._pool = ThreadPoolExecutor(
             max_workers=max(2, shards), thread_name_prefix=f"{name}-router"
         )
@@ -1191,7 +1193,7 @@ class ShardedServer:
             raise ServerError("sharded server not started (call start())")
         self.metrics.counter("router.submitted").inc()
         try:
-            statement = parse(text)
+            statement, _spans = self._parse(text)
         except PXMLError as exc:
             # Parse errors are execution errors, not admission errors:
             # surface them through the future like the thread server does.

@@ -227,7 +227,10 @@ class TestInterpreterCaching:
         one = interp.execute("POINT R.x : A IN bib")
         two = interp.execute("POINT R.x : A IN bib")
         assert one.value == pytest.approx(two.value)
-        assert interp.cache_stats["results"]["hits"] > 0
+        # The repeat is answered above the engine: it counts in the
+        # statement tier, and the engine's result cache is never asked.
+        assert interp.cache_stats["statements"]["hits"] == 1
+        assert interp.cache_stats["results"]["gets"] == 1
 
     def test_mutation_invalidates_across_statements(self):
         interp = Interpreter()
@@ -655,8 +658,9 @@ class TestPerNameEpoch:
 
 class TestOneTokenPerStatement:
     """The duplication cannot come back: one statement builds each guide
-    once and reads the catalog generation once per pass over it — the
-    static checker, then ``Engine.execute_plan`` — not once per key."""
+    once and reads the catalog generation once for the statement-tier
+    probe and the static checker together, once more in
+    ``Engine.execute_plan`` when the probe missed — not once per key."""
 
     @pytest.fixture
     def counted(self, tmp_path, monkeypatch):
@@ -690,20 +694,222 @@ class TestOneTokenPerStatement:
         cold = interpreter.execute(statement)
         assert 0.0 < cold.value <= 1.0
         assert calls["build_dataguide"] == 1
-        assert calls["read_generation"] <= 3
+        assert calls["read_generation"] <= 2
 
         calls.update(build_dataguide=0, read_generation=0)
-        hits = interpreter.cache_stats["results"]["hits"]
+        hits = interpreter.cache_stats["statements"]["hits"]
         assert interpreter.execute(statement).value == cold.value
-        assert interpreter.cache_stats["results"]["hits"] == hits + 1
+        assert interpreter.cache_stats["statements"]["hits"] == hits + 1
         assert calls["build_dataguide"] == 0
-        assert calls["read_generation"] <= 3
+        assert calls["read_generation"] == 1
 
     def test_checker_and_engine_share_the_guides(self, counted):
         interpreter, _calls = counted
         assert not hasattr(interpreter, "_guides")
         interpreter.execute("EXISTS o0.l0_0 IN t")
         assert len(interpreter.engine.guides) == 1
+
+
+class TestStatementTier:
+    """A repeated bare read is answered before parse, check, plan and
+    certify — under the token of every name it scans as of *this*
+    request, so nothing computed from superseded bytes is ever served."""
+
+    POINT = "POINT R.x : A IN bib"
+
+    @pytest.fixture
+    def interp(self):
+        interp = Interpreter()
+        interp.database.register("bib", small_instance(p=0.6))
+        return interp
+
+    @staticmethod
+    def _hits(interp):
+        return interp.cache_stats["statements"]["hits"]
+
+    def test_hit_skips_check_plan_and_certify(self, interp, monkeypatch):
+        import repro.check.query as query
+        import repro.engine.executor as executor
+
+        interp.execute(self.POINT)
+
+        def unreachable(*_args, **_kwargs):
+            raise AssertionError("a statement-tier hit did the slow path's work")
+
+        monkeypatch.setattr(query, "check_plan", unreachable)
+        monkeypatch.setattr(executor, "plan_statement", unreachable)
+        assert interp.execute(self.POINT).value == pytest.approx(0.6)
+        assert self._hits(interp) == 1
+        assert interp.metrics.value("pxql.cache.statements.hits") == 1
+        assert interp.metrics.value("pxql.statements") == 2
+
+    def test_hit_opens_the_root_span_marked_statement(self, interp):
+        interp.execute(self.POINT)
+        interp.execute(self.POINT)
+        cold, warm = [
+            span for span in interp.tracer.roots()
+            if span.name == "pxql.statement"
+        ]
+        assert "cache" not in cold.attributes
+        assert warm.attributes["cache"] == "statement"
+        assert warm.attributes["kind"] == "PointStatement"
+        assert warm.children == []
+
+    def test_own_reregister_misses(self, interp):
+        interp.execute(self.POINT)
+        interp.database.register("bib", small_instance(p=0.25), replace=True)
+        assert interp.execute(self.POINT).value == pytest.approx(0.25)
+        assert self._hits(interp) == 0
+
+    def test_touch_misses(self, interp):
+        interp.execute(self.POINT)
+        interp.database.touch("bib")
+        interp.execute(self.POINT)
+        assert self._hits(interp) == 0
+
+    def test_drop_then_query_is_an_error_never_a_stale_value(self, interp):
+        interp.execute(self.POINT)
+        interp.execute("DROP bib")
+        with pytest.raises(Exception, match="bib"):
+            interp.execute(self.POINT)
+        assert self._hits(interp) == 0
+
+    def test_result_replaced_under_the_same_name_misses(self, interp):
+        interp.database.register("lib", small_instance(p=0.9))
+        interp.execute("PROJECT R.x FROM bib AS p")
+        query = "EXISTS R.x IN p"
+        assert interp.execute(query).value == pytest.approx(0.6)
+        assert interp.execute(query).value == pytest.approx(0.6)
+        assert self._hits(interp) == 1
+        interp.execute("PROJECT R.x FROM lib AS p")
+        assert interp.execute(query).value == pytest.approx(0.9)
+        assert self._hits(interp) == 1
+
+    def test_foreign_mutation_of_the_name_misses_of_another_hits(
+        self, tmp_path
+    ):
+        database = Database(tmp_path)
+        database.register("bib", small_instance(p=0.6))
+        database.register("lib", small_instance(root="L", leaf="M"))
+        database.save("bib")
+        database.save("lib")
+        interp = Interpreter(database)
+        interp.execute(self.POINT)
+
+        sibling = Database(tmp_path)
+        sibling.register("lib", small_instance(root="L", leaf="N"), replace=True)
+        sibling.save("lib")
+        sibling.register("new", small_instance(root="S", leaf="B"))
+        sibling.save("new")
+        sibling.drop("new")
+        assert interp.execute(self.POINT).value == pytest.approx(0.6)
+        assert self._hits(interp) == 1
+
+        sibling.register("bib", small_instance(p=0.9), replace=True)
+        sibling.save("bib")
+        assert interp.execute(self.POINT).value == pytest.approx(0.9)
+        assert self._hits(interp) == 1
+
+        sibling.drop("bib")
+        with pytest.raises(Exception, match="bib"):
+            interp.execute(self.POINT)
+        assert self._hits(interp) == 1
+
+    def test_mutating_a_returned_dist_does_not_reach_the_tier(self, interp):
+        expected = dict(interp.execute("DIST R.x IN bib").value)
+        interp.execute("DIST R.x IN bib").value.clear()   # the cold answer's copy
+        served = interp.execute("DIST R.x IN bib")
+        assert served.value == expected
+        served.value[99] = 1.0
+        assert interp.execute("DIST R.x IN bib").value == expected
+        assert self._hits(interp) == 3
+
+    def test_warn_mode_restores_the_diagnostics(self):
+        interp = Interpreter(check="warn")
+        interp.database.register("bib", small_instance())
+        statement = "EXISTS R.nothing IN bib"
+        interp.execute(statement)
+        cold = list(interp.last_diagnostics)
+        assert "PX240" in [d.code for d in cold]
+        interp.execute("LIST")
+        interp.last_diagnostics = []
+        assert interp.execute(statement).value == 0.0
+        assert self._hits(interp) == 1
+        assert interp.last_diagnostics == cold
+
+    def test_check_mode_is_part_of_the_key(self, interp):
+        interp.check = "warn"
+        interp.execute(self.POINT)
+        interp.check = "error"
+        interp.execute(self.POINT)
+        assert self._hits(interp) == 0
+
+    def test_expired_budget_raises_on_a_hit(self, interp):
+        from repro.errors import BudgetExceeded
+        from repro.resilience.budget import Budget, use_budget
+
+        interp.execute(self.POINT)
+        clock = iter([0.0, 5.0, 5.0, 5.0]).__next__
+        with use_budget(Budget(deadline_s=1.0, clock=clock)):
+            with pytest.raises(BudgetExceeded):
+                interp.execute(self.POINT)
+        assert self._hits(interp) == 1
+        assert interp.metrics.value("pxql.errors") == 1
+
+    def test_faulted_probe_is_a_miss(self, interp):
+        from repro.resilience.faults import FaultInjector, FaultSpec
+
+        interp.execute(self.POINT)
+        with FaultInjector(FaultSpec("pxql.cache.statements.get")):
+            assert interp.execute(self.POINT).value == pytest.approx(0.6)
+        assert self._hits(interp) == 0
+        assert interp.metrics.value("resilience.cache_errors") == 1
+
+    def test_open_breaker_bypasses(self, interp):
+        interp.execute(self.POINT)
+        for _ in range(interp.engine.breaker.failure_threshold):
+            interp.engine.breaker.record_failure()
+        assert interp.execute(self.POINT).value == pytest.approx(0.6)
+        assert interp.cache_stats["statements"]["gets"] == 1
+
+    def test_timeouts_and_caching_off_bypass(self, interp):
+        interp.execute(self.POINT + " WITH TIMEOUT 5")
+        interp.execute(self.POINT + " WITH TIMEOUT 5")
+        interp.execute("SET TIMEOUT 5")
+        interp.execute(self.POINT)
+        interp.execute(self.POINT)
+        interp.execute("SET TIMEOUT 0")
+        interp.engine.caching = False
+        interp.execute(self.POINT)
+        assert interp.cache_stats["statements"]["gets"] == 0
+
+    def test_only_bare_reads_that_succeeded_normally_enter(self, interp):
+        for statement in (
+            "PROJECT R.x FROM bib AS p", "LIST",
+            "EXPLAIN " + self.POINT, "CHECK " + self.POINT,
+            "PROFILE " + self.POINT,
+        ):
+            interp.execute(statement)
+            interp.execute(statement)
+        with pytest.raises(Exception):
+            interp.execute("POINT R.x : A IN nowhere")
+        interp.engine.execute_statement = None   # not callable: degrade
+        interp.execute(self.POINT)
+        assert len(interp.fallbacks) == 1
+        assert interp.cache_stats["statements"]["size"] == 0
+
+    def test_error_mode_blocks_on_every_execution(self, interp):
+        statement = "SELECT R.x = Z FROM bib"
+        from repro.check.diagnostics import CheckError
+
+        for _ in range(2):
+            with pytest.raises(CheckError):
+                interp.execute(statement)
+        blocked = "PROB Z IN bib"   # a read kind with an error finding
+        for _ in range(3):
+            with pytest.raises(CheckError):
+                interp.execute(blocked)
+        assert interp.cache_stats["statements"]["size"] == 0
 
 
 class TestLineageEviction:

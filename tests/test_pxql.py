@@ -309,3 +309,54 @@ class TestUnrollAndEstimate:
         stmt = parse("ESTIMATE R.book IN bib")
         assert stmt.samples == 1000
         assert stmt.oid is None
+
+
+class TestSessionHistoryIsBounded:
+    """A served interpreter lives as long as its server: what it keeps
+    per executed statement must not grow with the number executed."""
+
+    def test_ten_thousand_reads_leave_a_fixed_history(self, interpreter):
+        from repro.check.script import HISTORY_WINDOW
+
+        reads = ["EXISTS R.book IN bib", "POINT R.book : B1 IN bib"]
+        for index in range(10_000):
+            interpreter.execute(reads[index % len(reads)])
+        assert len(interpreter.script._history) == HISTORY_WINDOW
+        # Positions keep counting, and what is inside the window still
+        # fires: the shadowed registration is named by its session line.
+        interpreter.execute("PROJECT R.book FROM bib AS p")
+        found = interpreter.execute("CHECK PROJECT R.book FROM bib AS p").value
+        assert "line 10001" in next(
+            d.message for d in found if d.code == "PX313"
+        )
+        assert len(interpreter.script._history) == HISTORY_WINDOW
+
+    def test_shadowing_older_than_the_window_goes_unreported(self):
+        from repro.check.script import HISTORY_WINDOW, ScriptTracker
+
+        tracker = ScriptTracker()
+        tracker.observe(parse("SET TIMEOUT 5"))
+        tracker.observe(parse("PROJECT R.book FROM bib AS p"))
+        again = parse("PROJECT R.book FROM bib AS p WITH TIMEOUT 1")
+        assert len(tracker.preview(again)) == 2
+        for _ in range(HISTORY_WINDOW):
+            tracker.observe(parse("LIST"))
+        assert tracker.preview(again) == []
+
+
+class TestParseMemo:
+    def test_repeats_share_one_parse_and_errors_are_never_remembered(self):
+        from repro.pxql.parser import PARSE_MEMO_SIZE, parse_memo, parse_spanned
+
+        memo = parse_memo()
+        text = "POINT R.book : B1 IN bib"
+        first = memo(text)
+        assert first == parse_spanned(text)
+        assert memo(text) is first
+        for _attempt in range(2):
+            with pytest.raises(PXQLSyntaxError):
+                memo("FROB the knob")
+        info = memo.cache_info()
+        assert (info.hits, info.currsize, info.maxsize) == (1, 1, PARSE_MEMO_SIZE)
+        # One memo per owner: nothing is shared through the module.
+        assert parse_memo().cache_info().currsize == 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -22,11 +23,16 @@ from repro.core.builder import InstanceBuilder
 from repro.errors import (
     BudgetExceeded,
     Overloaded,
+    ServerError,
     ShardUnavailable,
 )
 from repro.io.json_codec import dumps
+from repro.obs.metrics import MetricsRegistry
+from repro.pxql.interpreter import Result
 from repro.pxql.lexer import PXQLSyntaxError
 from repro.server import HttpFrontDoor, PXQLServer, ShardedServer
+from repro.server import http as http_module
+from repro.server.admission import PendingResult
 from repro.server.http import error_payload
 from repro.storage.database import Database
 
@@ -59,7 +65,8 @@ def _request(port, method, path, payload=None):
         with urllib.request.urlopen(request, timeout=30) as response:
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
+        with error:  # owns the socket of a non-2xx reply
+            return error.code, json.loads(error.read())
 
 
 class _Door:
@@ -88,8 +95,9 @@ class _Door:
         )
 
     def close(self):
-        if getattr(self.backend, "state", None) != "stopped":
-            self._run(self.front.shutdown(drain_timeout_s=10.0))
+        # Also after a test stopped the backend itself: the listener and
+        # the sweeper are the front door's to close.
+        self._run(self.front.shutdown(drain_timeout_s=10.0))
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(10.0)
         self.loop.close()
@@ -346,3 +354,247 @@ class TestResultRetention:
             assert status in (200, 202)
         finally:
             harness.close()
+
+
+# ----------------------------------------------------------------------
+# Persistent connections, over raw sockets
+# ----------------------------------------------------------------------
+def _message(method, path, payload=None, version="HTTP/1.1", headers=()):
+    body = json.dumps(payload).encode("utf-8") if payload is not None else b""
+    lines = [f"{method} {path} {version}", "Host: test",
+             f"Content-Length: {len(body)}", *headers]
+    return "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n" + body
+
+
+class _Wire:
+    """One client socket, reading replies by their framing only — so a
+    byte too many or too few in any reply derails every later one."""
+
+    def __init__(self, port):
+        self.sock = socket.create_connection(("127.0.0.1", port), 10.0)
+        self.buffer = b""
+
+    def close(self):
+        self.sock.close()
+
+    def _fill(self):
+        chunk = self.sock.recv(65536)
+        if not chunk:
+            raise EOFError("server closed the connection")
+        self.buffer += chunk
+
+    def reply(self):
+        """``(status, headers, decoded body)`` of the next reply."""
+        while b"\r\n\r\n" not in self.buffer:
+            self._fill()
+        head, _, self.buffer = self.buffer.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = {
+            name.strip().lower(): value.strip()
+            for name, _, value in (line.partition(":") for line in lines)
+        }
+        length = int(headers["content-length"])
+        while len(self.buffer) < length:
+            self._fill()
+        body, self.buffer = self.buffer[:length], self.buffer[length:]
+        return int(status_line.split()[1]), headers, json.loads(body)
+
+    def exchange(self, *args, **kwargs):
+        self.sock.sendall(_message(*args, **kwargs))
+        return self.reply()
+
+    def at_eof(self):
+        """The server closed, having sent nothing beyond the replies read."""
+        self.sock.settimeout(10.0)
+        return self.buffer == b"" and self.sock.recv(1) == b""
+
+
+@pytest.fixture()
+def wire(door):
+    client = _Wire(door.port)
+    yield client
+    client.close()
+
+
+def _connection_tasks(harness):
+    """Connection handlers still alive on the front door's loop."""
+    async def count():
+        await asyncio.sleep(0.05)  # let finished handlers unwind
+        return sum(
+            "_handle_connection" in repr(task.get_coro())
+            for task in asyncio.all_tasks()
+        )
+    return harness._run(count())
+
+
+class TestPersistentConnections:
+    def test_fifty_requests_share_one_connection(self, door, wire):
+        for _ in range(50):
+            status, headers, body = wire.exchange(
+                "POST", "/execute", {"statement": STABLE_QUERY}
+            )
+            assert status == 200
+            assert headers["connection"] == "keep-alive"
+            assert body["result"]["value"] == pytest.approx(0.59)
+        assert wire.buffer == b""
+        metrics = door.backend.metrics
+        assert metrics.value("http.connections") == 1
+        assert metrics.value("http.requests") == 50
+
+    def test_pipelined_requests_are_answered_in_order(self, wire):
+        wire.sock.sendall(
+            _message("POST", "/execute", {"statement": STABLE_QUERY})
+            + _message("GET", "/nope")
+            + _message("POST", "/execute", {"statement": "PROB B1 IN bib"})
+        )
+        statuses = [wire.reply()[0] for _ in range(3)]
+        assert statuses == [200, 404, 200]
+
+    def test_connection_close_is_honoured(self, wire):
+        status, headers, _ = wire.exchange(
+            "POST", "/execute", {"statement": STABLE_QUERY},
+            headers=("Connection: close",),
+        )
+        assert (status, headers["connection"]) == (200, "close")
+        assert wire.at_eof()
+
+    def test_http_1_0_closes_unless_asked_to_keep_alive(self, door):
+        plain = _Wire(door.port)
+        kept = _Wire(door.port)
+        try:
+            _, headers, _ = plain.exchange("GET", "/health", version="HTTP/1.0")
+            assert headers["connection"] == "close"
+            assert plain.at_eof()
+            for _ in range(2):
+                _, headers, _ = kept.exchange(
+                    "GET", "/health", version="HTTP/1.0",
+                    headers=("Connection: keep-alive",),
+                )
+                assert headers["connection"] == "keep-alive"
+        finally:
+            plain.close()
+            kept.close()
+
+    def test_errors_with_known_framing_keep_the_connection(self, wire):
+        wire.sock.sendall(
+            b"POST /execute HTTP/1.1\r\nContent-Length: 9\r\n\r\n{not json"
+        )
+        status, headers, body = wire.reply()
+        assert (status, body["error"]["type"]) == (400, "BadRequest")
+        assert headers["connection"] == "keep-alive"
+        status, _, _ = wire.exchange("POST", "/nope", {"ignored": "body"})
+        assert status == 404
+        status, _, body = wire.exchange(
+            "POST", "/execute", {"statement": STABLE_QUERY}
+        )
+        assert status == 200 and wire.buffer == b""
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"POST /execute HTTP/1.1\r\nContent-Length: nine\r\n\r\n{}",
+        b"POST /execute HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n",
+        b"GARBAGE\r\n",
+    ])
+    def test_unframeable_request_is_a_400_then_close(self, wire, request_bytes):
+        wire.sock.sendall(request_bytes)
+        status, headers, body = wire.reply()
+        assert (status, body["error"]["type"]) == (400, "BadRequest")
+        assert headers["connection"] == "close"
+        assert wire.at_eof()
+
+    def test_disconnects_leave_no_task_behind(self, door):
+        silent = _Wire(door.port)          # connects, never sends
+        partial = _Wire(door.port)         # dies inside the body
+        partial.sock.sendall(
+            b"POST /execute HTTP/1.1\r\nContent-Length: 50\r\n\r\n{"
+        )
+        assert _connection_tasks(door) == 2
+        silent.close()
+        partial.close()
+        assert _connection_tasks(door) == 0
+
+    def test_idle_connection_is_closed_after_the_bound(self, monkeypatch):
+        monkeypatch.setattr(http_module, "IDLE_TIMEOUT_S", 0.05)
+        harness = _Door()
+        client = _Wire(harness.port)
+        try:
+            status, _, _ = client.exchange("GET", "/health")
+            assert status == 200
+            assert client.at_eof()         # silently, after the bound
+            assert _connection_tasks(harness) == 0
+        finally:
+            client.close()
+            harness.close()
+
+    def test_shutdown_closes_idle_connections(self):
+        harness = _Door()
+        idle = _Wire(harness.port)
+        try:
+            assert idle.exchange("GET", "/health")[0] == 200
+            started = time.monotonic()
+            harness._run(harness.front.shutdown(drain_timeout_s=10.0))
+            assert time.monotonic() - started < 1.0
+            assert idle.at_eof()
+        finally:
+            idle.close()
+            harness.close()
+
+    def test_draining_front_door_answers_close(self, door, wire):
+        assert wire.exchange("GET", "/health")[1]["connection"] == "keep-alive"
+        door.front._draining = True
+        status, headers, body = wire.exchange(
+            "POST", "/execute", {"statement": STABLE_QUERY}
+        )
+        assert (status, body["error"]["reason"]) == (503, "draining")
+        assert headers["connection"] == "close"
+        assert wire.at_eof()
+        door.front._draining = False
+
+    def test_execute_timeout_is_the_same_typed_error(self):
+        backend = _StuckBackend()
+        harness = _Door(backend=backend)
+        client = _Wire(harness.port)
+        try:
+            with pytest.raises(ServerError) as waited:
+                PendingResult().result(0.05)
+            status, headers, body = client.exchange(
+                "POST", "/execute",
+                {"statement": STABLE_QUERY, "timeout_s": 0.05},
+            )
+            assert status == 400
+            assert body["error"] == {
+                "type": "ServerError", "message": str(waited.value),
+            }
+            assert headers["connection"] == "keep-alive"
+            # The late completion is dropped; the connection serves on,
+            # and a resolved request is answered without a parked thread.
+            backend.admitted[0].set_result(Result(1.0, None, "late"))
+            threading.Timer(
+                0.05, lambda: backend.admitted[1].set_result(
+                    Result(0.25, None, "in time")
+                )
+            ).start()
+            status, _, body = client.exchange(
+                "POST", "/execute", {"statement": STABLE_QUERY}
+            )
+            assert (status, body["result"]["text"]) == (200, "in time")
+        finally:
+            client.close()
+            harness.close()
+
+
+class _StuckBackend:
+    """Admits everything and resolves nothing: the test does."""
+
+    def __init__(self):
+        self.metrics = MetricsRegistry()
+        self.admitted = []
+
+    def submit(self, text):
+        self.admitted.append(PendingResult())
+        return self.admitted[-1]
+
+    def drain(self, timeout_s=30.0):
+        return True
+
+    def stop(self, drain=True, timeout_s=30.0):
+        return True
