@@ -11,9 +11,6 @@ Usage::
     python -m repro.bench index  --smoke [--metrics OUT.json]
     python -m repro.bench absint [--quick] [--json OUT.json]
     python -m repro.bench absint --smoke [--metrics OUT.json]
-    python -m repro.bench server [--quick] [--json OUT.json]
-    python -m repro.bench server --smoke [--metrics OUT.json]
-    python -m repro.bench server --rebalance [--smoke]
     python -m repro.bench gate   [--threshold 0.30]
     python -m repro.bench all    [--quick] [--json OUT.json]
 
@@ -24,11 +21,10 @@ cache effect (naive / optimized / cold-cache / warm-cache) on a
 projection-selection-query pipeline; ``index`` compares indexed vs
 walked path navigation (:mod:`repro.bench.index`); ``absint`` measures
 the abstract interpreter's certification overhead and provably-empty
-short-circuit win (:mod:`repro.bench.absint`); ``server`` measures
-end-to-end serving throughput, single-process thread pool vs sharded
-worker processes (:mod:`repro.bench.server`); ``gate`` checks the
+short-circuit win (:mod:`repro.bench.absint`); ``gate`` checks the
 recorded ratio metrics against their trajectory and exits non-zero on
-a regression (:mod:`repro.bench.gate`).
+a regression (:mod:`repro.bench.gate`).  Served throughput and latency
+are measured through a socket by ``benchmarks/e2e`` (``BENCHMARK.json``).
 
 ``--smoke`` is the CI entry point: the quick grid with minimal repeats,
 plus a :mod:`repro.obs` metrics dump (``--metrics``, default
@@ -107,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "figure",
         choices=("fig7a", "fig7b", "fig7c", "engine", "index", "absint",
-                 "server", "gate", "all", "report"),
+                 "gate", "all", "report"),
     )
     parser.add_argument("--quick", action="store_true", help="use the small grid")
     parser.add_argument(
@@ -132,11 +128,6 @@ def main(argv: list[str] | None = None) -> int:
         "--threshold", type=float, default=None,
         help="gate: maximum tolerated relative drop of a ratio metric "
              "(default 0.30)",
-    )
-    parser.add_argument(
-        "--rebalance", action="store_true",
-        help="server: also measure throughput during a live 2 -> 3 "
-             "shard migration (and the migration's wall time)",
     )
     args = parser.parse_args(argv)
     if args.smoke:
@@ -178,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
         print("Figure 7(c) detail: selection — disk-write component (ms)")
         print(format_series(records, "write"))
         print()
-    if args.figure in ("engine", "index", "absint", "server", "all"):
+    if args.figure in ("engine", "index", "absint", "all"):
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
@@ -232,31 +223,6 @@ def main(argv: list[str] | None = None) -> int:
             all_records.extend(absint_records_to_dicts(absint_records))
             print("Absint: mean per-evaluation time per mode (ms)")
             print(format_absint_records(absint_records))
-            print()
-
-        if args.figure in ("server", "all"):
-            from repro.bench.server import (
-                format_server_records,
-                records_to_dicts as server_records_to_dicts,
-                run_server_bench,
-            )
-
-            server_records = run_server_bench(
-                quick=args.quick,
-                ops=48 if args.smoke else None,
-                metrics=registry,
-            )
-            if args.rebalance:
-                from repro.bench.server import run_rebalance_bench
-
-                server_records.extend(run_rebalance_bench(
-                    quick=args.quick,
-                    ops=48 if args.smoke else None,
-                    metrics=registry,
-                ))
-            all_records.extend(server_records_to_dicts(server_records))
-            print("Server: end-to-end throughput per serving mode")
-            print(format_server_records(server_records))
             print()
 
         metrics_path = args.metrics

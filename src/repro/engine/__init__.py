@@ -20,7 +20,6 @@ the language and the algebra:
 
 from repro.engine.cache import CacheStats, LRUCache
 from repro.engine.cost import CostModel, Estimate
-from repro.engine.diskcache import DiskEntry, DiskResultCache
 from repro.engine.executor import Engine, ExecutionResult, NodeStats
 from repro.engine.plan import (
     IndexedPathStepNode,
@@ -53,8 +52,6 @@ __all__ = [
     "CacheStats",
     "CostModel",
     "DEFAULT_RULES",
-    "DiskEntry",
-    "DiskResultCache",
     "Engine",
     "Estimate",
     "ExecutionResult",

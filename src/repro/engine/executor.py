@@ -64,12 +64,6 @@ from repro.core.cardinality import CardinalityInterval
 from repro.core.instance import ProbabilisticInstance
 from repro.engine.cache import LRUCache
 from repro.engine.cost import CostModel
-from repro.engine.diskcache import (
-    DiskResultCache,
-    decode_value,
-    encode_value,
-    result_key,
-)
 from repro.engine.plan import (
     IndexedPathStepNode,
     PlanError,
@@ -136,7 +130,7 @@ class NodeStats:
     """
 
     label: str
-    cache: str              # "hit" | "disk" | "miss" | "off" | "scan" | "skip"
+    cache: str              # "hit" | "miss" | "off" | "scan" | "skip"
     wall_s: float = 0.0
     objects: int | None = None
     strategy: str | None = None
@@ -273,17 +267,7 @@ class Engine:
             touching an instance (counted in ``check.absint_skips``).
             The pass is advisory: any failure inside it falls back to
             normal execution (counted in ``check.absint_errors``).
-        disk_cache: spill result-cache entries to a checksummed
-            on-disk segment under the catalog directory
-            (``cache/results.segment``), keyed by plan fingerprint +
-            the content checksums of every scanned instance — a
-            *cross-process stable* key, so cached results survive
-            process restarts and are shared between sibling shard
-            processes over the same directory.  ``None`` (default) =
-            auto: on iff ``caching`` is on and the database is
-            directory-backed.  Entirely fail-open: corruption, key
-            mismatches and I/O trouble are silently misses, counted in
-            the ``engine.cache.disk_*`` metrics family.
+        disk_cache: accepted and ignored (``benchmarks/e2e`` passes it).
         breaker: circuit breaker over the optimizer/cache layer (own
             instance if omitted).  Rewrite-optimizer failures degrade
             that statement to the unoptimized plan and count against the
@@ -327,22 +311,6 @@ class Engine:
         self.result_cache = LRUCache(
             _CACHE_SIZE, name="engine.cache.results", metrics=self.metrics
         )
-        #: Persistent spill segment (None = disabled / unbacked catalog).
-        self.disk_cache: DiskResultCache | None = None
-        directory = getattr(database, "directory", None)
-        enable_disk = (
-            disk_cache if disk_cache is not None
-            else (caching and directory is not None)
-        )
-        if enable_disk and directory is not None:
-            try:
-                self.disk_cache = DiskResultCache(
-                    directory, metrics=self.metrics
-                )
-            except Exception:
-                # Fail-open: a broken segment must never break queries.
-                self.metrics.counter("engine.cache.disk_errors").inc()
-                self.disk_cache = None
         self.plan_cache = LRUCache(
             _CACHE_SIZE, name="engine.cache.plans", metrics=self.metrics
         )
@@ -382,11 +350,11 @@ class Engine:
         The plan's fingerprint plus the catalog token of every scanned
         instance: a name's version moves when this process re-registers
         it, its epoch when another process mutates it in the shared
-        catalog directory — which is what lets shard processes
-        restarted over one directory (and engines in sibling processes)
-        reuse or invalidate cached plans/results correctly, name by
-        name.  ``generation`` is the value the running statement
-        already read; omitted, the catalog is asked once.
+        catalog directory — which is what lets engines in sibling
+        processes over one directory keep or invalidate their cached
+        plans/results correctly, name by name.  ``generation`` is the
+        value the running statement already read; omitted, the catalog
+        is asked once.
         """
         if generation is None:
             generation = catalog_generation(self.database)
@@ -492,6 +460,9 @@ class Engine:
         if self.caching:
             cached = self._cache_get(self.plan_cache, key)
             if cached is not None:
+                # A clean hit is a success of the guarded layer: it
+                # settles a half-open probe like a fresh rewrite does.
+                self.breaker.record_success()
                 return cached
         try:
             cost = self.cost.at(generation)
@@ -645,103 +616,6 @@ class Engine:
             self._cache_error("put", cache, exc)
 
     # ------------------------------------------------------------------
-    # Persistent result cache (fail-open, cross-process)
-    # ------------------------------------------------------------------
-    def _disk_inputs(
-        self, node: PlanNode
-    ) -> tuple[tuple[str, str], ...] | None:
-        """``(name, content checksum)`` for every scanned instance.
-
-        ``None`` when any input is not *clean on disk* — unbacked
-        catalog, unsaved in-memory mutations, missing sidecar — in
-        which case the persistent cache must stay out of the query: a
-        divergent in-memory instance could otherwise be answered from
-        another process's on-disk state.
-        """
-        clean = getattr(self.database, "clean_on_disk", None)
-        sidecar = getattr(self.database, "sidecar_checksum", None)
-        if clean is None or sidecar is None:
-            return None
-        inputs: list[tuple[str, str]] = []
-        for name in scan_names(node):
-            try:
-                if not clean(name):
-                    return None
-                checksum = sidecar(name)
-            except Exception:
-                return None
-            if checksum is None:
-                return None
-            inputs.append((name, checksum))
-        return tuple(inputs)
-
-    def _disk_get(
-        self, key: str, inputs: tuple[tuple[str, str], ...]
-    ) -> "_CacheEntry | None":
-        """A persistent-cache lookup that can never fail a query."""
-        if self.disk_cache is None:
-            return None
-        try:
-            fault_point("engine.cache.disk.get")
-            raw = self.disk_cache.lookup(key, inputs)
-            if raw is None:
-                return None
-            value = decode_value(raw.value)
-            info = raw.stats if isinstance(raw.stats, dict) else {}
-            stats = NodeStats(
-                str(info.get("label", "cached")),
-                cache="disk",
-                objects=info.get("objects"),
-                strategy=info.get("strategy"),
-                extra=dict(raw.extra),
-            )
-            return _CacheEntry(value, dict(raw.extra), stats)
-        except Exception as exc:
-            self.metrics.counter("engine.cache.disk_errors").inc()
-            self.tracer.event(
-                "engine.cache.disk_error", op="get",
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            return None
-
-    def _disk_put(
-        self,
-        key: str,
-        inputs: tuple[tuple[str, str], ...],
-        value: object,
-        extra: dict,
-        stats: NodeStats,
-        generation: int,
-    ) -> None:
-        """A persistent-cache spill that can never fail a query."""
-        if self.disk_cache is None:
-            return
-        try:
-            fault_point("engine.cache.disk.put")
-            payload = encode_value(value)
-            if payload is None:
-                self.metrics.counter("engine.cache.disk_skipped").inc()
-                return
-            self.disk_cache.store(
-                key,
-                generation,
-                inputs,
-                payload,
-                extra=dict(extra),
-                stats={
-                    "label": stats.label,
-                    "objects": stats.objects,
-                    "strategy": stats.strategy,
-                },
-            )
-        except Exception as exc:
-            self.metrics.counter("engine.cache.disk_errors").inc()
-            self.tracer.event(
-                "engine.cache.disk_error", op="put",
-                error=f"{type(exc).__name__}: {exc}",
-            )
-
-    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def execute_plan(self, plan: PlanNode) -> ExecutionResult:
@@ -754,8 +628,8 @@ class Engine:
         Internal: the one un-accelerated path, taken by
         :meth:`execute_plan` while the breaker is open and by the PXQL
         interpreter when it retries a failed statement.  Lineage
-        expansion, rewrite rules, certificate/skip and the plan, result,
-        disk and index caches are all skipped; everything below them —
+        expansion, rewrite rules, certificate/skip and the plan, result
+        and index caches are all skipped; everything below them —
         budget ticks, node spans, ``engine.objects_scanned``, the
         probability guard — is the same :meth:`_run` / :meth:`_apply`.
         """
@@ -815,22 +689,11 @@ class Engine:
             )
             return pi, {}, stats
 
-        disk_key: str | None = None
-        disk_inputs: tuple[tuple[str, str], ...] | None = None
         if use_cache:
             key = self.cache_key(node, generation)
-            entry, origin = self._cache_get(self.result_cache, key), "hit"
-            if entry is None and self.disk_cache is not None:
-                disk_inputs = self._disk_inputs(node)
-                if disk_inputs is not None:
-                    disk_key = result_key(fingerprint(node), disk_inputs)
-                    entry, origin = self._disk_get(disk_key, disk_inputs), "disk"
-                    if entry is not None:
-                        # Promote to the in-memory LRU so later hits
-                        # skip the decode entirely.
-                        self._cache_put(self.result_cache, key, entry)
+            entry = self._cache_get(self.result_cache, key)
             if entry is not None:
-                value, extra, stats = self._serve_hit(node, entry, origin)
+                value, extra, stats = self._serve_hit(node, entry)
                 if budget is not None and isinstance(
                     value, ProbabilisticInstance
                 ):
@@ -876,14 +739,10 @@ class Engine:
                 self.result_cache,
                 key, _CacheEntry(value, dict(extra), _copy_stats(stats)),
             )
-            if disk_key is not None and disk_inputs is not None:
-                self._disk_put(
-                    disk_key, disk_inputs, value, extra, stats, generation
-                )
         return value, extra, stats
 
     def _serve_hit(
-        self, node: PlanNode, entry: "_CacheEntry", origin: str = "hit"
+        self, node: PlanNode, entry: "_CacheEntry"
     ) -> tuple[object, dict, NodeStats]:
         """Hand out a cached sub-plan result.
 
@@ -897,7 +756,7 @@ class Engine:
         returned result can never corrupt subsequent hits.
         """
         with self.tracer.span(
-            f"engine.node.{node.label()}", cache=origin
+            f"engine.node.{node.label()}", cache="hit"
         ) as span:
             value = entry.value
             if isinstance(value, ProbabilisticInstance):
@@ -905,7 +764,7 @@ class Engine:
             elif isinstance(value, dict):
                 value = copy.deepcopy(value)
         stats = NodeStats(
-            entry.stats.label, cache=origin,
+            entry.stats.label, cache="hit",
             wall_s=span.wall_s,
             objects=entry.stats.objects,
             strategy=entry.stats.strategy,
@@ -1085,28 +944,20 @@ class Engine:
     # ------------------------------------------------------------------
     @property
     def cache_stats(self) -> dict[str, dict[str, int]]:
-        """Hit/miss/eviction counters of both caches (plus the
-        persistent segment's counters when it is enabled)."""
-        stats = {
+        """Hit/miss/eviction counters of both caches."""
+        return {
             "results": self.result_cache.stats.as_dict(),
             "plans": self.plan_cache.stats.as_dict(),
         }
-        if self.disk_cache is not None:
-            stats["disk"] = {
-                "entries": len(self.disk_cache),
-                "hits": self.metrics.value("engine.cache.disk_hits"),
-                "misses": self.metrics.value("engine.cache.disk_misses"),
-                "spills": self.metrics.value("engine.cache.disk_spills"),
-            }
-        return stats
 
     def explain(self, plan: PlanNode) -> str:
         """Render the optimized plan with estimates (no execution)."""
         generation = catalog_generation(self.database)
-        record, certificate = self._decide(
-            plan, generation, self.breaker.allow()
+        accelerated = self.breaker.allow()
+        record, certificate = self._decide(plan, generation, accelerated)
+        lines = _render_plan(
+            record.plan, self, certificate, generation, accelerated
         )
-        lines = _render_plan(record.plan, self, certificate, generation)
         lines.append(_rules_line(record.applied))
         if certificate is not None:
             lines.append(_certificate_line(certificate))
@@ -1216,6 +1067,7 @@ def _render_plan(
     engine: Engine,
     certificate: "PlanCertificate | None",
     generation: int,
+    accelerated: bool,
 ) -> list[str]:
     cost = engine.cost.at(generation)
     facts_of: dict[int, NodeFacts] = {}
@@ -1245,8 +1097,12 @@ def _render_plan(
         elif not isinstance(node, ScanNode):
             details.append("strategy=local")
         if not isinstance(node, ScanNode) and engine.caching:
-            cached = engine.result_cache.peek(engine.cache_key(node, generation))
-            details.append("cache=warm" if cached else "cache=cold")
+            if not accelerated:
+                details.append("cache=off")
+            elif engine.result_cache.peek(engine.cache_key(node, generation)):
+                details.append("cache=warm")
+            else:
+                details.append("cache=cold")
         return f"{node.label()}  ({', '.join(details)})"
 
     return _tree_lines(render, lambda node: node.children(), plan)

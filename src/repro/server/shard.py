@@ -34,11 +34,11 @@ every in-flight and future request with
 :class:`~repro.errors.ShardUnavailable` until
 :meth:`ShardedServer.restart_shard` brings it back.
 
-**Cache coherence.**  Each shard's engine caches key on the catalog's
-``catalog.generation`` counter (see ``Engine.cache_key``): a shard
-restarted over the same directory reuses whatever is still valid and
-recomputes what another process invalidated — no router-coordinated
-invalidation protocol is needed.
+**Cache coherence.**  Each shard's engine caches are in memory and key
+on a per-name ``(version, epoch)`` token (see ``Engine.cache_key``): a
+write by another process moves the epoch of the names it touched, so
+only entries scanning those names stop matching, and a restarted shard
+starts cold — no router-coordinated invalidation protocol is needed.
 
 See ``docs/SERVER.md`` ("Sharding and the async front door").
 """
@@ -85,7 +85,6 @@ from repro.server.rebalance import (
     RebalanceStatus,
     ShardManifest,
     build_ring,
-    hash_position,
     plan_rebalance,
     read_manifest,
     resume_rebalance,
@@ -799,9 +798,8 @@ class ShardedServer:
     def restart_shard(self, index: int) -> None:
         """Start a fresh process for one shard over its directory.
 
-        The replacement re-opens the same catalog directory; its engine
-        caches key on the directory's generation counter, so whatever
-        survived the crash is reused and whatever changed is recomputed.
+        The replacement re-opens the same catalog directory with empty
+        engine caches: the first touch of each statement recomputes.
         """
         self._check_index(index)
         handle = self._handles[index]
@@ -1674,8 +1672,3 @@ class _LiveShardAccess:
             )
         except DatabaseError:
             pass  # already gone: resume re-runs deletes idempotently
-
-
-# Backward-compatible alias: the ring hash moved to repro.server.rebalance
-# so offline tools (resume, fsck, the crash sweep) need no router import.
-_hash = hash_position

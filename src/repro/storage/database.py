@@ -456,8 +456,7 @@ class Database:
         is the *cross-process stable* identity of an instance's bytes:
         in-process version counters restart at zero in every process,
         but the sidecar digest is the same for every process looking at
-        the same file, which is what the persistent result cache keys
-        on.
+        the same file.
         """
         if self._directory is None:
             return None
@@ -468,25 +467,6 @@ class Database:
         except OSError:
             return None
         return text or None
-
-    def clean_on_disk(self, name: str) -> bool:
-        """Whether ``name``'s in-memory copy is known to match its file.
-
-        True only when the catalog is directory-backed, the name has no
-        unsaved in-memory mutations (register/touch without a save), and
-        both the data file and its checksum sidecar exist.  The
-        persistent result cache only engages for plans whose every input
-        satisfies this — otherwise an in-memory-divergent instance could
-        be answered from another process's on-disk state.
-        """
-        if self._directory is None:
-            return False
-        _validate_name(name)
-        with self._lock:
-            if name in self._dirty:
-                return False
-        path = self._directory / f"{name}{_SUFFIX}"
-        return path.exists() and checksum_sidecar(path).exists()
 
     def touch(self, name: str) -> int:
         """Bump ``name``'s version after an in-place mutation.

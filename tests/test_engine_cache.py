@@ -552,6 +552,37 @@ class TestPerNameEpoch:
         )
         assert cache_token(database, "bib")[1] == database.generation()
 
+    def test_foreign_save_is_answered_from_the_new_file(self, tmp_path):
+        """A sibling process replaces ``bib``: the clean in-memory copy
+        must not answer again — not on the next statement, not on its
+        repeat, not after a restart."""
+        statement = "EXISTS R.x IN bib"
+        database = Database(tmp_path)
+        database.register("bib", small_instance(p=0.5))
+        database.save("bib")
+        first = Interpreter(database=database)
+        assert first.execute(statement).value == 0.5
+
+        sibling = Database(tmp_path)
+        sibling.register("bib", small_instance(p=0.9), replace=True)
+        sibling.save("bib")
+
+        assert first.execute(statement).value == 0.9
+        assert first.execute(statement).value == 0.9
+        restarted = Interpreter(database=Database(tmp_path))
+        assert restarted.execute(statement).value == 0.9
+
+    def test_foreign_save_leaves_a_dirty_copy_authoritative(
+        self, served, tmp_path
+    ):
+        database, _caches, _engine, _plan, _built = served
+        interp = Interpreter(database=database)
+        database.touch("bib")  # unsaved in-memory state
+        mine = database.get("bib")
+        Database(tmp_path).save("bib")
+        interp.execute("EXISTS R.x IN bib")  # observes the sibling's save
+        assert database.get("bib") is mine
+
     def test_foreign_drop_of_the_name_moves_its_token(self, served, tmp_path):
         database, _caches, _engine, _plan, _built = served
         before = cache_token(database, "bib")
@@ -910,6 +941,119 @@ class TestStatementTier:
             with pytest.raises(CheckError):
                 interp.execute(blocked)
         assert interp.cache_stats["statements"]["size"] == 0
+
+
+class TestReadsWriteNothing:
+    """A statement that is not ``SAVE``/``DROP``/``LOAD`` touches the
+    catalog directory read-only: every result tier is in memory, so no
+    file appears or changes, nothing is fsynced and no instance is
+    serialised — cold, repeated, after a restart or on a second worker."""
+
+    QUERIES = (
+        "POINT R.x : A IN bib",
+        "EXISTS R.x IN bib",
+        "COUNT L.x IN lib",
+        "DIST L.x IN lib",
+        "CHAIN R.A IN bib",
+        "PROB M IN lib",
+    )
+    #: Independent of each other: pool workers run them in any order.
+    DERIVATIONS = (
+        "PROJECT R.x FROM bib AS unsaved",
+        "SELECT R.x = A FROM bib AS chosen",
+        "EXPLAIN ANALYZE EXISTS L.x IN lib",
+    )
+
+    @staticmethod
+    def _tree(root):
+        tree = {}
+        for path in root.rglob("*"):
+            stat = path.stat()
+            tree[str(path.relative_to(root))] = (stat.st_size, stat.st_mtime_ns)
+        return tree
+
+    @pytest.fixture
+    def catalog(self, tmp_path, monkeypatch):
+        """Two saved instances, and counters on the two calls a spill
+        would have to make."""
+        import os
+
+        from repro.io import json_codec
+
+        database = Database(tmp_path)
+        database.register("bib", small_instance())
+        database.register("lib", small_instance(root="L", leaf="M"))
+        database.save("bib")
+        database.save("lib")
+        calls = {"fsync": 0, "encode": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(os, "fsync", counted("fsync", os.fsync))
+        monkeypatch.setattr(
+            json_codec, "encode_instance",
+            counted("encode", json_codec.encode_instance),
+        )
+        return database, calls
+
+    def test_cold_repeated_restarted_and_pooled_reads(self, catalog, tmp_path):
+        from repro.server import PXQLServer
+
+        database, calls = catalog
+        statements = self.QUERIES + self.DERIVATIONS
+        # Opening a catalog takes ``catalog.lock`` for recovery (the
+        # holder record is stamped and truncated); statements do not.
+        reopened, served = Database(tmp_path), Database(tmp_path)
+        before = self._tree(tmp_path)
+
+        interp = Interpreter(database=database)
+        cold = [interp.execute(text).value for text in self.QUERIES]
+        assert [interp.execute(text).value for text in self.QUERIES] == cold
+        assert interp.cache_stats["statements"]["hits"] == len(self.QUERIES)
+        for text in self.DERIVATIONS * 2:
+            interp.execute(text)
+
+        # The restart case: a new process has the instances and nothing
+        # else to load, and answers the same.
+        restarted = Interpreter(database=reopened)
+        assert [restarted.execute(text).value for text in self.QUERIES] == cold
+        assert restarted.cache_stats["statements"]["hits"] == 0
+        for text in self.DERIVATIONS:
+            restarted.execute(text)
+
+        with PXQLServer(database=served, workers=2, queue_size=64) as server:
+            replies = [server.submit(text) for text in statements * 2]
+            pooled = [reply.result(10.0).value for reply in replies]
+        assert pooled[:len(self.QUERIES)] == cold
+
+        assert self._tree(tmp_path) == before
+        assert not (tmp_path / "cache").exists()
+        assert calls == {"fsync": 0, "encode": 0}
+
+    def test_a_save_moves_all_three(self, catalog, tmp_path):
+        """The pin above is not vacuous: the write path trips it."""
+        database, calls = catalog
+        before = self._tree(tmp_path)
+        interp = Interpreter(database=database)
+        interp.execute("PROJECT R.x FROM bib AS kept")
+        interp.execute("SAVE kept")
+        assert self._tree(tmp_path) != before
+        assert calls["fsync"] > 0 and calls["encode"] > 0
+
+    def test_the_engine_reports_two_tiers_the_interpreter_three(self, catalog):
+        database, _calls = catalog
+        interp = Interpreter(database=database)
+        interp.execute(self.QUERIES[0])
+        assert set(interp.engine.cache_stats) == {"results", "plans"}
+        assert set(interp.cache_stats) == {"results", "plans", "statements"}
+        # ``benchmarks/e2e`` still passes the keyword; it selects nothing.
+        assert set(Engine(database, disk_cache=False).cache_stats) == {
+            "results", "plans"
+        }
 
 
 class TestLineageEviction:

@@ -460,6 +460,46 @@ class TestEngineDegradation:
         assert accelerated[0][0].startswith("Indexed")
         assert accelerated[0][1] == "miss"
 
+    def test_explain_under_an_open_breaker_reports_no_cache(self):
+        """``EXPLAIN`` words the path the statement would take: peeked
+        cache state while accelerated, ``cache=off`` as written."""
+        interpreter = _fig2_interpreter()
+        explain = "EXPLAIN EXISTS R.book IN fig2"
+        assert "cache=cold" in interpreter.execute(explain).text
+        interpreter.execute("EXISTS R.book IN fig2")
+        closed = interpreter.execute(explain).text
+        assert "cache=warm" in closed and "cache=off" not in closed
+
+        breaker = interpreter.engine.breaker
+        for _ in range(breaker.failure_threshold):
+            breaker.record_failure()
+        opened = interpreter.execute(explain).text
+        assert "cache=off" in opened
+        assert "cache=cold" not in opened and "cache=warm" not in opened
+
+    def test_half_open_probe_hitting_the_plan_cache_closes_the_breaker(self):
+        """A clean plan-cache hit is a success of the guarded layer, so
+        a repeating workload gets its accelerators back with the probe."""
+        clock = FakeClock()
+        interpreter = _fig2_interpreter()
+        engine = interpreter.engine
+        engine.breaker = CircuitBreaker(
+            failure_threshold=1, reset_after_s=30.0, clock=clock
+        )
+        statement = "EXISTS R.book IN fig2"
+        plan = engine.plan_statement(parse(statement))
+        engine.execute_plan(plan)  # the prepared plan is cached from here
+        engine.breaker.record_failure()
+        assert engine.execute_plan(plan).stats.cache == "off"
+
+        clock.advance(31.0)
+        assert engine.execute_plan(plan).stats.cache == "hit"  # the probe
+        assert engine.breaker.state == "closed"
+        assert engine.execute_plan(plan).stats.cache == "hit"
+        interpreter.execute(statement)
+        interpreter.execute(statement)
+        assert interpreter.cache_stats["statements"]["hits"] == 1
+
     def test_budget_errors_are_not_degraded(self):
         interpreter = _fig2_interpreter()
 

@@ -217,13 +217,9 @@ def test_chaos_suite(tmp_path, seed):
         THREADS * OPS_PER_THREAD
     )
 
-    # No torn cache stats in any worker's engine.  (The persistent
-    # "disk" section counts hits/misses but has no gets counter — the
-    # locked-LRU invariant is about the in-memory caches.)
+    # No torn cache stats in any worker's engine.
     for interpreter in interpreters:
         for name, stats in interpreter.engine.cache_stats.items():
-            if name == "disk":
-                continue
             assert stats["gets"] == stats["hits"] + stats["misses"], name
 
     # The catalog came out consistent: every surviving file reloads
