@@ -44,8 +44,9 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from repro.check.dataguide import DataGuide, DataGuideCache
+from repro.check.dataguide import DataGuideCache
 from repro.check.diagnostics import WARNING, Diagnostic
+from repro.check.locate import UNKNOWN, Site, scan_site
 from repro.core.instance import ProbabilisticInstance
 from repro.engine.plan import (
     IndexedPathStepNode,
@@ -57,8 +58,7 @@ from repro.engine.plan import (
     SelectNode,
     walk,
 )
-from repro.semistructured.graph import EdgeLabeledGraph, Oid
-from repro.semistructured.paths import PathExpression, PathMatch, match_path
+from repro.semistructured.paths import PathExpression
 from repro.storage.derived import catalog_generation
 
 #: Slack applied when comparing guard bounds against interval endpoints,
@@ -237,9 +237,11 @@ class PlanCertificate:
 class _State:
     """Abstract value + residual shape knowledge for one sub-plan.
 
-    ``pi`` / ``guide`` are only present directly above a scan (the same
-    precision cliff the plan checker has); ``graph`` survives ancestor
-    projection as the exact result structure.
+    ``site`` is where paths are located on the sub-plan's output
+    (:mod:`repro.check.locate`): its ``pi`` / ``guide`` are only present
+    directly above a scan (the same precision cliff the plan checker
+    has); its ``graph`` survives ancestor projection as the exact result
+    structure.
     """
 
     card: CardInterval
@@ -247,27 +249,12 @@ class _State:
     exact: bool
     condition: ProbInterval | None = None
     result: tuple[float, float] | None = None
-    root: Oid | None = None
-    graph: EdgeLabeledGraph | None = None
-    pi: ProbabilisticInstance | None = None
-    guide: DataGuide | None = None
+    site: Site = UNKNOWN
     tree: bool = False
 
 
 def _opaque_instance() -> _State:
     return _State(card=CardInterval.top(), prob=ProbInterval.top(), exact=False)
-
-
-def _match_on(state: _State, path: PathExpression) -> PathMatch | None:
-    if state.graph is None:
-        return None
-    return match_path(state.graph, path)
-
-
-def _guide_targets(state: _State, path: PathExpression) -> frozenset[Oid] | None:
-    if state.guide is None or not state.guide.covers(path):
-        return None
-    return state.guide.targets(path.labels)
 
 
 class _AbstractInterpreter:
@@ -323,25 +310,19 @@ class _AbstractInterpreter:
         except Exception:
             self.can_raise = True
             return _opaque_instance()
-        guide: DataGuide | None
-        try:
-            guide = self.guides.get(self.database, node.name, self.generation)
-        except Exception:
-            guide = None
-        if guide is not None and guide.truncated:
-            # A truncated guide's per-object bounds may be missing
-            # contributions from unexpanded parents: unsound, drop it.
-            guide = None
-        graph = pi.weak.graph()
-        tree = guide.is_tree if guide is not None else graph.is_tree(pi.root)
+        site = scan_site(
+            self.database, node.name, pi, self.guides, self.generation
+        )
+        assert site.graph is not None
+        tree = (
+            site.guide.is_tree if site.guide is not None
+            else site.graph.is_tree(pi.root)
+        )
         return _State(
             card=CardInterval.exactly(len(pi)),
             prob=ONE,
             exact=True,
-            root=pi.root,
-            graph=graph,
-            pi=pi,
-            guide=guide,
+            site=site,
             tree=tree,
         )
 
@@ -355,7 +336,8 @@ class _AbstractInterpreter:
                 prob=ProbInterval.top(),
                 exact=False,
             )
-        match = _match_on(child, path)
+        site = child.site
+        match = site.match(path)
         if match is None:
             return _State(
                 card=CardInterval(1, child.card.hi),
@@ -364,38 +346,30 @@ class _AbstractInterpreter:
             )
         if match.is_empty:
             # The result is the bare root, deterministically.
-            graph = EdgeLabeledGraph()
-            if child.root is not None:
-                graph.add_vertex(child.root)
             return _State(
                 card=CardInterval.exactly(1), prob=ONE, exact=True,
-                root=child.root, graph=graph, tree=True,
+                site=site.projected(), tree=True,
             )
-        kept = set(match.kept_objects())
-        if child.root is not None:
-            kept.add(child.root)
+        result = site.projected(match)
+        assert result.graph is not None
+        kept = len(result.graph)
         # The projection's weak structure is exactly the matched chains
         # on trees; on DAGs (or when the guide prunes zero-probability
         # targets the structural match still contains) only the upper
         # bound is safe.
         exact_structure = child.tree
         card = (
-            CardInterval.exactly(len(kept)) if exact_structure
-            else CardInterval(1, len(kept))
+            CardInterval.exactly(kept) if exact_structure
+            else CardInterval(1, kept)
         )
         prob = ProbInterval.top()
-        if child.guide is not None and child.guide.covers(path):
-            lo, hi = child.guide.interval(path.labels)
+        guide = site.guide_for(path)
+        if guide is not None:
+            lo, hi = guide.interval(path.labels)
             prob = ProbInterval(lo, min(1.0, hi))
-        assert child.graph is not None
-        graph = EdgeLabeledGraph()
-        for oid in kept:
-            graph.add_vertex(oid)
-        for src, dst in match.edges:
-            graph.add_edge(src, dst, child.graph.label(src, dst))
         return _State(
             card=card, prob=prob, exact=exact_structure and child.exact,
-            root=child.root, graph=graph, tree=child.tree,
+            site=result, tree=child.tree,
         )
 
     # ------------------------------------------------------------------
@@ -415,26 +389,23 @@ class _AbstractInterpreter:
             prob=condition,
             exact=child.exact and condition.is_point,
             condition=condition,
-            root=child.root,
-            graph=child.graph,
+            site=Site(child.site.root, child.site.graph),
             tree=child.tree,
         )
 
     def _condition_interval(self, node: SelectNode, child: _State) -> ProbInterval:
-        match = _match_on(child, node.path)
-        if match is not None and node.oid not in match.matched:
-            return ZERO
-        guide_targets = _guide_targets(child, node.path)
-        if guide_targets is not None and node.oid not in guide_targets:
+        alive = child.site.alive(node.path)
+        if alive is not None and node.oid not in alive:
             return ZERO
         base = ProbInterval.top()
-        if child.guide is not None and child.guide.covers(node.path):
-            entry = child.guide.entry(node.path.labels)
+        guide = child.site.guide_for(node.path)
+        if guide is not None:
+            entry = guide.entry(node.path.labels)
             if entry is not None:
                 bounds = entry.object_bounds.get(node.oid)
                 if bounds is not None:
                     base = ProbInterval(bounds[0], min(1.0, bounds[1]))
-        return base.times(self._clause_factor(node, child.pi))
+        return base.times(self._clause_factor(node, child.site.pi))
 
     def _clause_factor(
         self, node: SelectNode, pi: ProbabilisticInstance | None
@@ -512,8 +483,8 @@ class _AbstractInterpreter:
         if kind == "prob":
             return self._object_query(oid, child)
         assert path is not None
-        match = _match_on(child, path)
-        if match is None:
+        alive = child.site.alive(path)
+        if alive is None:
             hi = child.card.hi
             return _State(
                 card=CardInterval(0, hi),
@@ -521,13 +492,8 @@ class _AbstractInterpreter:
                 exact=False,
                 result=(0.0, math.inf) if kind == "count" else (0.0, 1.0),
             )
-        alive = match.matched
-        guide_targets = _guide_targets(child, path)
-        if guide_targets is not None:
-            alive = alive & guide_targets
-        entry = None
-        if child.guide is not None and child.guide.covers(path):
-            entry = child.guide.entry(path.labels)
+        guide = child.site.guide_for(path)
+        entry = guide.entry(path.labels) if guide is not None else None
 
         if kind == "point":
             if oid is None or oid not in alive:
@@ -570,7 +536,9 @@ class _AbstractInterpreter:
                     lo, hi_p = entry.object_bounds.get(target, (0.0, 1.0))
                     lows.append(max(0.0, lo))
                     highs.append(min(1.0, hi_p))
-                result = (sum(lows), sum(highs))
+                # fsum: the bound must not depend on the iteration
+                # order of a set of object ids.
+                result = (math.fsum(lows), math.fsum(highs))
             else:
                 result = (0.0, float(len(alive)))
             return _State(
@@ -597,12 +565,12 @@ class _AbstractInterpreter:
     def _chain_query(
         self, chain: tuple[str, ...] | None, child: _State
     ) -> _State:
-        if not chain or child.pi is None or child.root != chain[0]:
+        pi = child.site.pi
+        if not chain or pi is None or child.site.root != chain[0]:
             return _State(
                 card=CardInterval.top(), prob=ProbInterval.top(),
                 exact=False, result=(0.0, 1.0),
             )
-        pi = child.pi
         interval = ONE
         for parent, target in zip(chain, chain[1:]):
             opf = pi.opf(parent)
@@ -619,7 +587,8 @@ class _AbstractInterpreter:
         )
 
     def _object_query(self, oid: str | None, child: _State) -> _State:
-        if oid is None or child.guide is None:
+        guide = child.site.guide
+        if oid is None or guide is None:
             return _State(
                 card=CardInterval.top(), prob=ProbInterval.top(),
                 exact=False, result=(0.0, 1.0),
@@ -627,7 +596,7 @@ class _AbstractInterpreter:
         lows: list[float] = []
         high_total = 0.0
         found = False
-        for entry in child.guide.paths():
+        for entry in guide.paths():
             bounds = entry.object_bounds.get(oid)
             if bounds is None:
                 continue
@@ -692,7 +661,7 @@ def certify_plan(
     """
     interpreter = _AbstractInterpreter(
         database,
-        guides if guides is not None else DataGuideCache(),
+        guides if guides is not None else DataGuideCache.of(database),
         generation if generation is not None else catalog_generation(database),
     )
     root_state = interpreter.state_of(plan)

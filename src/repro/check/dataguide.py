@@ -204,9 +204,14 @@ def build_dataguide(
             for oid, (olow, ohigh) in bounds.items():
                 for label in weak.labels_of(oid):
                     card = weak.card(oid, label)
-                    if card.max < 1:
-                        continue          # dead label: children never chosen
-                    for child in weak.lch(oid, label):
+                    children = weak.lch(oid, label)
+                    if card.max < 1 or card.min > len(children):
+                        # Not an edge of the weak instance graph (no
+                        # potential child set holds these children): the
+                        # guide walks exactly the edges a structural
+                        # match walks, so targets stay a subset of it.
+                        continue
+                    for child in children:
                         mlow, mhigh = _marginal_bounds(pi, oid, child)
                         high = ohigh * mhigh
                         if high <= 0.0:

@@ -27,10 +27,9 @@ constant (bare root, probability zero, trivial distribution).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.check.dataguide import DataGuide, DataGuideCache
+from repro.check.dataguide import DataGuideCache
 from repro.check.diagnostics import ERROR, WARNING, Diagnostic
+from repro.check.locate import UNKNOWN, Site, scan_site
 from repro.check.rewrites import rewrite_diagnostics
 from repro.core.instance import ProbabilisticInstance
 from repro.engine.plan import (
@@ -41,51 +40,16 @@ from repro.engine.plan import (
     ScanNode,
     SelectNode,
 )
-from repro.semistructured.graph import EdgeLabeledGraph, Oid
-from repro.semistructured.paths import PathExpression, PathMatch, match_path
+from repro.semistructured.graph import EdgeLabeledGraph
+from repro.semistructured.paths import PathExpression
 from repro.storage.derived import catalog_generation
 
 
-@dataclass
-class _Shape:
-    """What the checker knows about a sub-plan's output instance.
-
-    ``graph`` is an over-approximation of the result's weak structure
-    (``None`` = unknown: checks above this node are skipped).  ``pi``
-    and ``guide`` are only set at scan level, where they are exact.
-    """
-
-    root: Oid | None
-    graph: EdgeLabeledGraph | None
-    pi: ProbabilisticInstance | None = None
-    guide: DataGuide | None = None
-    name: str | None = None
-
-    @property
-    def known(self) -> bool:
-        return self.graph is not None
-
-
-_UNKNOWN = _Shape(root=None, graph=None)
-
-
-def _match(shape: _Shape, path: PathExpression) -> PathMatch | None:
-    if shape.graph is None:
+def _never_match_hint(site: Site, path: PathExpression) -> str | None:
+    guide = site.guide_for(path)
+    if guide is None:
         return None
-    return match_path(shape.graph, path)
-
-
-def _guide_targets(shape: _Shape, path: PathExpression) -> frozenset[Oid] | None:
-    """The probability-pruned target set, when the guide speaks for the path."""
-    if shape.guide is None or not shape.guide.covers(path):
-        return None
-    return shape.guide.targets(path.labels)
-
-
-def _never_match_hint(shape: _Shape, path: PathExpression) -> str | None:
-    if shape.guide is None or not shape.guide.covers(path):
-        return None
-    length, continuations = shape.guide.probe(path.labels)
+    length, continuations = guide.probe(path.labels)
     if length == len(path.labels):
         return None
     prefix = ".".join((path.root, *path.labels[:length]))
@@ -105,16 +69,14 @@ class PlanChecker:
         database,
         guides: DataGuideCache | None = None,
         subject: str | None = None,
-        generation: int | None = None,
     ) -> None:
         self.database = database
-        self.guides = guides if guides is not None else DataGuideCache()
-        #: Read once — by the caller, when it already had to: every
-        #: guide this pass looks up is keyed under it.
-        self.generation = (
-            generation if generation is not None
-            else catalog_generation(database)
+        self.guides = (
+            guides if guides is not None else DataGuideCache.of(database)
         )
+        #: Read once (the value the running statement pinned, when it
+        #: did): every guide this pass looks up is keyed under it.
+        self.generation = catalog_generation(database)
         self.subject = subject
         self.diagnostics: list[Diagnostic] = []
 
@@ -140,7 +102,7 @@ class PlanChecker:
         self._shape_of(plan)
         return self.diagnostics
 
-    def _shape_of(self, node: PlanNode) -> _Shape:
+    def _shape_of(self, node: PlanNode) -> Site:
         if isinstance(node, ScanNode):
             return self._check_scan(node)
         if isinstance(node, ProjectNode):
@@ -153,11 +115,11 @@ class PlanChecker:
             )
         if isinstance(node, QueryNode):
             self._check_query(node, self._shape_of(node.child))
-            return _UNKNOWN
-        return _UNKNOWN
+            return UNKNOWN
+        return UNKNOWN
 
     # ------------------------------------------------------------------
-    def _check_scan(self, node: ScanNode) -> _Shape:
+    def _check_scan(self, node: ScanNode) -> Site:
         try:
             pi = self.database.get(node.name)
         except Exception:
@@ -166,30 +128,21 @@ class PlanChecker:
                 f"unknown instance {node.name!r} in catalog",
                 hint="LIST shows the registered names",
             )
-            return _UNKNOWN
-        try:
-            guide = self.guides.get(self.database, node.name, self.generation)
-        except Exception:
-            guide = None
-        return _Shape(
-            root=pi.root, graph=pi.weak.graph(), pi=pi, guide=guide,
-            name=node.name,
+            return UNKNOWN
+        return scan_site(
+            self.database, node.name, pi, self.guides, self.generation
         )
 
     # ------------------------------------------------------------------
-    def _check_project(self, node: ProjectNode, shape: _Shape) -> _Shape:
+    def _check_project(self, node: ProjectNode, shape: Site) -> Site:
         if not shape.known:
-            return _UNKNOWN
-        match = _match(shape, node.path)
-        assert match is not None
-        structurally_empty = match.is_empty
-        guide_targets = _guide_targets(shape, node.path)
-        probabilistically_empty = (
-            guide_targets is not None and not (match.matched & guide_targets)
-        )
-        if structurally_empty or probabilistically_empty:
+            return UNKNOWN
+        if not shape.alive(node.path):
+            # A failing path: the match is only asked for the wording.
+            match = shape.match(node.path)
+            assert match is not None
             reason = (
-                "matches no object of the weak structure" if structurally_empty
+                "matches no object of the weak structure" if match.is_empty
                 else "matches only objects with zero existence probability"
             )
             self._emit(
@@ -198,57 +151,48 @@ class PlanChecker:
                 f"the bare root",
                 path=node.path, hint=_never_match_hint(shape, node.path),
             )
-            root = shape.root
-            graph = EdgeLabeledGraph()
-            if root is not None:
-                graph.add_vertex(root)
-            return _Shape(root=root, graph=graph)
+            return shape.projected()
         if node.kind != "ancestor":
             # Descendant / single projections re-root and re-label; the
             # structural over-approximation stops here.
-            return _UNKNOWN
-        graph = EdgeLabeledGraph()
-        for level in match.levels:
-            for oid in level:
-                graph.add_vertex(oid)
-        if shape.root is not None:
-            graph.add_vertex(shape.root)
-        for src, dst in match.edges:
-            graph.add_edge(src, dst, shape.graph.label(src, dst))
-        return _Shape(root=shape.root, graph=graph)
+            return UNKNOWN
+        return shape.projected(shape.match(node.path))
 
     # ------------------------------------------------------------------
-    def _check_select(self, node: SelectNode, shape: _Shape) -> _Shape:
+    def _check_select(self, node: SelectNode, shape: Site) -> Site:
         self._check_prob_guard(node)
         if not shape.known:
-            return _UNKNOWN
-        match = _match(shape, node.path)
-        assert match is not None
-        if node.oid not in match.matched:
-            self._emit(
-                "PX220", ERROR,
-                f"selection condition {node.path} = {node.oid} has probability "
-                f"zero: {node.oid!r} can never satisfy the path",
-                oid=node.oid, path=node.path,
-                hint=_never_match_hint(shape, node.path)
-                or "executing this raises EmptyResultError",
-            )
-            return shape
-        guide_targets = _guide_targets(shape, node.path)
-        if guide_targets is not None and node.oid not in guide_targets:
-            self._emit(
-                "PX220", ERROR,
-                f"selection condition {node.path} = {node.oid} has probability "
-                f"zero: some chain link has zero inclusion probability",
-                oid=node.oid, path=node.path,
-                hint="executing this raises EmptyResultError",
-            )
+            return UNKNOWN
+        alive = shape.alive(node.path)
+        assert alive is not None
+        if node.oid not in alive:
+            # A failing condition: the match is only asked for the wording.
+            match = shape.match(node.path)
+            assert match is not None
+            if node.oid not in match.matched:
+                self._emit(
+                    "PX220", ERROR,
+                    f"selection condition {node.path} = {node.oid} has "
+                    f"probability zero: {node.oid!r} can never satisfy the path",
+                    oid=node.oid, path=node.path,
+                    hint=_never_match_hint(shape, node.path)
+                    or "executing this raises EmptyResultError",
+                )
+            else:
+                self._emit(
+                    "PX220", ERROR,
+                    f"selection condition {node.path} = {node.oid} has "
+                    f"probability zero: some chain link has zero inclusion "
+                    f"probability",
+                    oid=node.oid, path=node.path,
+                    hint="executing this raises EmptyResultError",
+                )
             return shape
         if node.value is not None and shape.pi is not None:
             self._check_value_clause(node, shape.pi)
         if node.card_label is not None and shape.pi is not None:
             self._check_card_clause(node, shape.pi)
-        return _Shape(root=shape.root, graph=shape.graph)
+        return Site(root=shape.root, graph=shape.graph)
 
     def _check_value_clause(self, node: SelectNode, pi: ProbabilisticInstance) -> None:
         oid = node.oid
@@ -361,10 +305,10 @@ class PlanChecker:
 
     # ------------------------------------------------------------------
     def _check_product(
-        self, node: ProductNode, left: _Shape, right: _Shape
-    ) -> _Shape:
+        self, node: ProductNode, left: Site, right: Site
+    ) -> Site:
         if not (left.known and right.known):
-            return _UNKNOWN
+            return UNKNOWN
         assert left.graph is not None and right.graph is not None
         left_keep = left.graph.vertices - {left.root}
         right_keep = right.graph.vertices - {right.root}
@@ -377,7 +321,7 @@ class PlanChecker:
                 hint="rename one operand's objects first "
                      "(executing this raises AlgebraError)",
             )
-            return _UNKNOWN
+            return UNKNOWN
         new_root = node.new_root
         if new_root is None:
             new_root = f"{left.root}x{right.root}"
@@ -389,7 +333,7 @@ class PlanChecker:
                 oid=new_root,
                 hint="pick a fresh ROOT id",
             )
-            return _UNKNOWN
+            return UNKNOWN
         graph = EdgeLabeledGraph()
         graph.add_vertex(new_root)
         for side in (left, right):
@@ -397,10 +341,10 @@ class PlanChecker:
             for src, dst, label in side.graph.edges():
                 source = new_root if src == side.root else src
                 graph.add_edge(source, dst, label)
-        return _Shape(root=new_root, graph=graph)
+        return Site(root=new_root, graph=graph)
 
     # ------------------------------------------------------------------
-    def _check_query(self, node: QueryNode, shape: _Shape) -> None:
+    def _check_query(self, node: QueryNode, shape: Site) -> None:
         if not shape.known:
             return
         if node.kind == "chain":
@@ -418,12 +362,8 @@ class PlanChecker:
                 )
             return
         assert node.path is not None
-        match = _match(shape, node.path)
-        assert match is not None
-        guide_targets = _guide_targets(shape, node.path)
-        alive = match.matched
-        if guide_targets is not None:
-            alive = alive & guide_targets
+        alive = shape.alive(node.path)
+        assert alive is not None
         if not alive:
             constant = "the empty distribution {0: 1}" if node.kind == "dist" else "0"
             self._emit(
@@ -441,7 +381,7 @@ class PlanChecker:
                 oid=node.oid, path=node.path,
             )
 
-    def _check_chain(self, node: QueryNode, shape: _Shape) -> None:
+    def _check_chain(self, node: QueryNode, shape: Site) -> None:
         assert node.chain is not None and shape.graph is not None
         chain = node.chain
         if not chain:
@@ -472,7 +412,6 @@ def check_plan(
     guides: DataGuideCache | None = None,
     subject: str | None = None,
     rewrites: bool = False,
-    generation: int | None = None,
 ) -> list[Diagnostic]:
     """Run the plan pass over one logical plan.
 
@@ -480,7 +419,7 @@ def check_plan(
     trace, and every applied rewrite is re-verified and annotated
     (``PX250``/``PX251``).
     """
-    checker = PlanChecker(database, guides, subject, generation)
+    checker = PlanChecker(database, guides, subject)
     diagnostics = list(checker.check(plan))
     if not any(d.severity == ERROR for d in diagnostics):
         # Interval pass: only meaningful on plans the base checker found

@@ -101,15 +101,13 @@ def check_statement(
     guides: DataGuideCache | None = None,
     subject: str | None = None,
     rewrites: bool = False,
-    generation: int | None = None,
 ) -> list[Diagnostic]:
     """Statically check one parsed PXQL statement against a catalog.
 
     Returns the combined plan-pass and query-pass findings; never
     executes the statement.  ``CHECK``, ``EXPLAIN``, ``PROFILE`` and
     ``... WITH TIMEOUT`` wrappers are unwrapped to their inner statement
-    first.  ``generation`` is the catalog generation the caller already
-    read for this statement (omitted: the plan pass reads it).
+    first.
     """
     while isinstance(
         statement,
@@ -121,8 +119,7 @@ def check_statement(
     plan = plan_statement(statement)
     if plan is not None:
         diagnostics = check_plan(plan, database, guides=guides,
-                                 subject=subject, rewrites=rewrites,
-                                 generation=generation)
+                                 subject=subject, rewrites=rewrites)
         return _attach_spans(diagnostics, spans)
 
     diagnostics = []

@@ -63,6 +63,25 @@ class Estimate:
     root: str
 
 
+def measure_instance(pi: ProbabilisticInstance) -> Estimate:
+    """Exact properties of a concrete instance (one walk of all of it)."""
+    return Estimate(
+        objects=len(pi),
+        entries=pi.total_interpretation_entries(),
+        is_tree=pi.weak.graph().is_tree(pi.root),
+        root=pi.root,
+    )
+
+
+class MeasurementCache(DerivedCache[Estimate]):
+    """Memoizes :func:`measure_instance` per catalog name and token;
+    ``MeasurementCache.of(catalog)`` is shared by every cost model over
+    that catalog in this process."""
+
+    def __init__(self) -> None:
+        super().__init__(lambda _name, pi: measure_instance(pi))
+
+
 class CostModel:
     """Estimates plan properties against a catalog of instances.
 
@@ -81,9 +100,7 @@ class CostModel:
         self._catalog = catalog
         #: The generation scans are keyed under (None: ask the catalog).
         self._generation: int | None = None
-        self._measured: DerivedCache[Estimate] = DerivedCache(
-            lambda _name, pi: self.measure_instance(pi)
-        )
+        self._measured = MeasurementCache.of(catalog)
         self._hints: dict[str, tuple[int, int]] = {}
         self._hint_hits = [0]   # a cell, so ``at()`` views count into it too
 
@@ -116,23 +133,21 @@ class CostModel:
         self._hints[key] = (lo, hi)
 
     # ------------------------------------------------------------------
-    def measure_instance(self, pi: ProbabilisticInstance) -> Estimate:
-        """Exact properties of a concrete instance."""
-        return Estimate(
-            objects=len(pi),
-            entries=pi.total_interpretation_entries(),
-            is_tree=pi.weak.graph().is_tree(pi.root),
-            root=pi.root,
+    def scan(
+        self, name: str, instance: ProbabilisticInstance | None = None
+    ) -> Estimate:
+        """The measurements of catalog name ``name`` (of ``instance``,
+        when the caller already holds what it scanned), memoized under
+        the name's token."""
+        return self._measured.get(
+            self._catalog, name, self._generation, instance
         )
-
-    def _scan(self, name: str) -> Estimate:
-        return self._measured.get(self._catalog, name, self._generation)
 
     # ------------------------------------------------------------------
     def estimate(self, plan: PlanNode) -> Estimate:
         """Recursive estimate of the plan's result."""
         if isinstance(plan, ScanNode):
-            return self._scan(plan.name)
+            return self.scan(plan.name)
         if isinstance(plan, (ProjectNode, SelectNode)):
             child = self.estimate(plan.child)
             hint = self._hints.get(fingerprint(plan))

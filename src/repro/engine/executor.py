@@ -63,7 +63,7 @@ from repro.algebra.selection import (
 from repro.core.cardinality import CardinalityInterval
 from repro.core.instance import ProbabilisticInstance
 from repro.engine.cache import LRUCache
-from repro.engine.cost import CostModel
+from repro.engine.cost import CostModel, Estimate, measure_instance
 from repro.engine.plan import (
     IndexedPathStepNode,
     PlanError,
@@ -112,6 +112,9 @@ _MAX_INLINE_DEPTH = 16
 
 #: LRU capacity of the plan cache and of the result cache.
 _CACHE_SIZE = 256
+
+#: Lineage entries recorded before the first sweep of dead ones.
+_LINEAGE_SWEEP_MIN = 32
 
 
 @dataclass
@@ -248,6 +251,14 @@ class _Lineage:
 class Engine:
     """Planner + optimizer + instrumented, caching executor.
 
+    The plan, result (and, in the interpreter, statement) tiers are this
+    engine's own.  The state *derived from an instance* — columnar
+    snapshots with their match memos (:attr:`index_cache`), dataguides
+    (:attr:`guides`), cost measurements — is the catalog's: immutable,
+    stamped with the token it was built under, and shared by every
+    engine over the same catalog object in this process
+    (:meth:`repro.storage.derived.DerivedCache.of`).
+
     Args:
         database: the catalog plans scan (must expose ``get`` and
             ``version``; :class:`repro.storage.database.Database` does).
@@ -315,12 +326,14 @@ class Engine:
             _CACHE_SIZE, name="engine.cache.plans", metrics=self.metrics
         )
         self.rules = DEFAULT_RULES
-        self.index_cache = IndexCache()
         from repro.check.dataguide import DataGuideCache
 
-        #: The dataguides certification reads; the interpreter's static
-        #: checker shares them, so each guide is built once.
-        self.guides = DataGuideCache()
+        #: The catalog's snapshots and dataguides, not this engine's:
+        #: every engine, pool worker and checker pass over ``database``
+        #: in this process reads the same ones, so each is built once
+        #: per name and token.
+        self.index_cache = IndexCache.of(database)
+        self.guides = DataGuideCache.of(database)
         #: The record :meth:`prepare` last returned, for :meth:`certify`.
         self._last_prepared: _Prepared | None = None
         self.breaker = (
@@ -328,6 +341,7 @@ class Engine:
             else CircuitBreaker(name="engine.optimizer")
         )
         self._lineage: dict[str, _Lineage] = {}
+        self._lineage_sweep_at = _LINEAGE_SWEEP_MIN
 
     @contextmanager
     def _ambient(self):
@@ -376,6 +390,16 @@ class Engine:
         self._lineage[name] = _Lineage(
             plan, self.database.version(name), input_versions
         )
+        if len(self._lineage) >= self._lineage_sweep_at:
+            # A dropped name is never looked up again, so nothing else
+            # would remove its entry; sweeping when the table has
+            # doubled keeps it within a constant of the live names at
+            # amortised O(1) per record.
+            for recorded in list(self._lineage):
+                self._lineage_plan(recorded)
+            self._lineage_sweep_at = max(
+                _LINEAGE_SWEEP_MIN, 2 * len(self._lineage)
+            )
 
     def _lineage_plan(self, name: str) -> PlanNode | None:
         entry = self._lineage.get(name)
@@ -796,7 +820,7 @@ class Engine:
             return product, "local", {}
         if isinstance(node, QueryNode):
             (pi,) = inputs
-            return self._apply_query(node, pi)
+            return self._apply_query(node, pi, generation)
         if isinstance(node, IndexedPathStepNode):
             (pi,) = inputs
             return self._apply_indexed(node, pi, generation)
@@ -835,7 +859,7 @@ class Engine:
                 )
         if col is None or not col.is_tree:
             self.metrics.counter("index.fallbacks").inc()
-            return self._apply_walked(node, pi)
+            return self._apply_walked(node, pi, generation)
 
         if node.op == "project-ancestor":
             with self.tracer.span(
@@ -891,7 +915,11 @@ class Engine:
                         match_count_distribution,
                     )
 
-                    value = match_count_distribution(pi, node.path, match=match)
+                    # ``col.is_tree`` is the tree proof, made once when
+                    # the snapshot was built under this token.
+                    value = match_count_distribution(
+                        pi, node.path, match=match, assume_tree=True
+                    )
         self._record_indexed_query(node.op, qspan)
         return value, "indexed", {"index": "columnar"}
 
@@ -901,21 +929,39 @@ class Engine:
         self.metrics.histogram("query.wall_s").observe(qspan.wall_s)
 
     def _apply_walked(
-        self, node: IndexedPathStepNode, pi: ProbabilisticInstance
+        self,
+        node: IndexedPathStepNode,
+        pi: ProbabilisticInstance,
+        generation: int,
     ) -> tuple[object, str, dict]:
         """Run the operator an indexed path step was lowered from."""
         if node.op == "project-ancestor":
             projected = _PROJECTION_OPERATORS["ancestor"](pi, node.path)
             return projected, "local", {"index": "fallback"}
         value, strategy, extra = self._apply_query(
-            QueryNode(node.op, node.child, path=node.path, oid=node.oid), pi
+            QueryNode(node.op, node.child, path=node.path, oid=node.oid),
+            pi, generation,
         )
         extra = dict(extra)
         extra["index"] = "fallback"
         return value, strategy, extra
 
+    def _measure(
+        self, source: PlanNode, pi: ProbabilisticInstance, generation: int
+    ) -> Estimate:
+        """The measurements of ``pi``, the output of ``source``: a
+        scanned name's are memoised under its token (a lookup that can
+        never fail a query); a derived input has no token and is
+        measured directly."""
+        if isinstance(source, ScanNode):
+            try:
+                return self.cost.at(generation).scan(source.name, pi)
+            except Exception:
+                pass
+        return measure_instance(pi)
+
     def _apply_query(
-        self, node: QueryNode, pi: ProbabilisticInstance
+        self, node: QueryNode, pi: ProbabilisticInstance, generation: int
     ) -> tuple[object, str, dict]:
         if node.kind in ("count", "dist"):
             from repro.queries.aggregates import (
@@ -927,7 +973,9 @@ class Engine:
                 return expected_match_count(pi, node.path), "aggregate", {}
             return match_count_distribution(pi, node.path), "aggregate", {}
 
-        strategy = self.cost.choose_strategy(self.cost.measure_instance(pi))
+        strategy = self.cost.choose_strategy(
+            self._measure(node.child, pi, generation)
+        )
         engine = QueryEngine(pi, strategy=strategy)
         if node.kind == "point":
             value = engine.point(node.path, node.oid)

@@ -12,7 +12,7 @@ this package gives the engine flat-array alternatives:
   results identical to :func:`repro.semistructured.paths.match_path`;
 * :mod:`repro.index.opf` — vectorized OPF marginalization for the
   Section 6.1 epsilon pass (numpy fast path, pure-Python fallback);
-* :mod:`repro.index.cache` — the per-engine snapshot cache, keyed by
+* :mod:`repro.index.cache` — the per-catalog snapshot cache, keyed by
   the catalog token (:mod:`repro.storage.derived`).
 
 Pruning of provably dead paths is not done here: the abstract

@@ -1,11 +1,14 @@
 """Versioned cache of columnar snapshots.
 
-One :class:`ColumnarInstance` per catalog name, held in the shared
+One :class:`ColumnarInstance` per catalog name, held in a
 :class:`~repro.storage.derived.DerivedCache` under the name's
-:func:`~repro.storage.derived.cache_token`.  Builds, hits and misses
-land on the ambient metrics registry (``index.builds`` / ``index.hits``
-/ ``index.misses``) and every build runs inside an ``index.build`` span,
-so ``PROFILE`` shows exactly when a statement paid for a snapshot.
+:func:`~repro.storage.derived.cache_token` — ``IndexCache.of(catalog)``
+is the one every reader of that catalog in this process shares, so pool
+workers, the static checker and the engine match against one snapshot
+and one path-match memo per name.  Builds, hits and misses land on the
+ambient metrics registry (``index.builds`` / ``index.hits`` /
+``index.misses``) and every build runs inside an ``index.build`` span
+of the ambient tracer.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ def _build_snapshot(
 
 
 class IndexCache(DerivedCache[ColumnarInstance]):
-    """Thread-safe name -> columnar snapshot cache for one engine."""
+    """Thread-safe name -> columnar snapshot cache for one catalog."""
 
     def __init__(self) -> None:
         super().__init__(_build_snapshot, counters="index")

@@ -28,6 +28,7 @@ it is importable (see :mod:`repro.index.np_compat`).
 
 from __future__ import annotations
 
+import threading
 from itertools import groupby
 from typing import TYPE_CHECKING, Any, Iterable
 
@@ -65,6 +66,7 @@ class ColumnarInstance:
         "_csr_cache",
         "_children_cache",
         "_match_memo",
+        "_memo_lock",
         "_oids_np",
         "_parent_map",
     )
@@ -107,8 +109,12 @@ class ColumnarInstance:
         # Bounded memo of materialized path matches.  Sound because the
         # snapshot is immutable: the IndexCache drops the whole snapshot
         # (memo included) when the instance's (version, epoch) token
-        # moves, so a memoized PathMatch can never go stale.
+        # moves, so a memoized PathMatch can never go stale.  A snapshot
+        # is shared by every reader of its catalog, so the memo's
+        # evict-then-insert runs under a lock; the adjacency caches
+        # above are idempotent builds published by one assignment.
         self._match_memo: dict[PathExpression, PathMatch] = {}
+        self._memo_lock = threading.Lock()
         self._parent_map: dict[Oid, Oid] | None = None
 
     # ------------------------------------------------------------------
@@ -214,9 +220,10 @@ def match_path_indexed(
     else:
         result = _match_python(col, path, root_position)
     if memo:
-        if len(col._match_memo) >= _MATCH_MEMO_CAP:
-            col._match_memo.pop(next(iter(col._match_memo)))
-        col._match_memo[path] = result
+        with col._memo_lock:
+            if len(col._match_memo) >= _MATCH_MEMO_CAP:
+                col._match_memo.pop(next(iter(col._match_memo)))
+            col._match_memo[path] = result
     return result
 
 

@@ -53,7 +53,7 @@ from repro.resilience.breaker import CLOSED
 from repro.resilience.budget import Budget, current_budget, use_budget
 from repro.semantics.global_interpretation import GlobalInterpretation
 from repro.storage.database import Database, DatabaseError
-from repro.storage.derived import cache_token, catalog_generation
+from repro.storage.derived import cache_token, catalog_generation, reading_at
 
 _CHECK_MODES = ("error", "warn", "off")
 
@@ -192,7 +192,9 @@ class Interpreter:
             return _unshared(result)
         breaker = self.engine.breaker
         before = len(self.fallbacks), breaker.failures
-        result = self.run(statement, spans, subject, generation)
+        # The checker and the engine see the catalog this read saw.
+        with reading_at(self.database, generation):
+            result = self.run(statement, spans, subject)
         # Kept only when nothing degraded on the way: no retry as
         # written, no optimizer or cache failure absorbed by the engine.
         if key is not None and (len(self.fallbacks), breaker.failures) <= before:
@@ -205,17 +207,20 @@ class Interpreter:
     def _statement_key(
         self, text: str, statement: ast.Statement
     ) -> tuple[int | None, tuple | None]:
-        """``(generation, key)``: this request's one catalog read and —
-        unless the tier must stay out (accelerators off, breaker not
-        closed, a session deadline, an unknown name) — the entry's key."""
+        """``(generation, key)``: this request's one catalog read — the
+        checker and the engine are handed it — and, unless the tier must
+        stay out (not a bare read, accelerators off, breaker not closed,
+        a session deadline, an unknown name), the entry's key."""
+        if not isinstance(statement, _ENGINE_ROUTED):
+            return None, None
+        generation = catalog_generation(self.database)
         engine = self.engine
         if not (
             isinstance(statement, _READS) and engine.caching
             and self._session_timeout_s is None
             and engine.breaker.state == CLOSED
         ):
-            return None, None
-        generation = catalog_generation(self.database)
+            return generation, None
         try:
             token = cache_token(self.database, statement.source, generation)
         except DatabaseError:  # the slow path words the error
@@ -227,10 +232,8 @@ class Interpreter:
         statement: ast.Statement,
         spans: SpanMap | None = None,
         subject: str | None = None,
-        generation: int | None = None,
     ) -> Result:
-        """Run a parsed statement; ``generation`` is the catalog
-        generation the caller already read for it, if it did."""
+        """Run a parsed statement."""
         original = statement
         timeout_s = self._session_timeout_s
         self._statement_timeout_s = None
@@ -249,7 +252,7 @@ class Interpreter:
             # PROFILE is checked through its inner statement (the
             # checker unwraps it): it executes, so it must be gated.
             self.last_diagnostics = self._static_diagnostics(
-                statement, spans, subject, generation=generation
+                statement, spans, subject
             )
             if self.check == "error":
                 errors = [d for d in self.last_diagnostics
@@ -344,17 +347,19 @@ class Interpreter:
         spans: SpanMap | None,
         subject: str | None,
         rewrites: bool = False,
-        generation: int | None = None,
     ) -> list[Diagnostic]:
         """Run the static checker, never letting a checker bug block execution."""
         try:
             from repro.check.query import check_statement
 
-            return check_statement(
-                statement, self.database, spans=spans,
-                guides=self.engine.guides,
-                subject=subject, rewrites=rewrites, generation=generation,
-            )
+            # A snapshot the pass builds is counted where the engine's
+            # builds are (``index.builds``).
+            with use_registry(self.metrics):
+                return check_statement(
+                    statement, self.database, spans=spans,
+                    guides=self.engine.guides,
+                    subject=subject, rewrites=rewrites,
+                )
         except Exception:
             return []
 

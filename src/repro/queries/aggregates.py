@@ -75,18 +75,24 @@ def match_count_distribution(
     pi: ProbabilisticInstance,
     path: PathExpression | str,
     match: PathMatch | None = None,
+    assume_tree: bool = False,
 ) -> dict[int, float]:
     """The exact distribution of ``#objects satisfying p`` (trees).
 
     Computed bottom-up with per-branch count-generating convolutions —
     polynomial in the number of matched objects, never enumerating
-    worlds.  A precomputed ``match`` skips the structural locate step.
+    worlds.  A precomputed ``match`` skips the structural locate step;
+    a caller that already holds a proof of tree shape (a columnar
+    snapshot's, made when it was built) passes ``assume_tree=True`` to
+    skip the O(V) check, as for
+    :func:`~repro.algebra.projection_prob.epsilon_pass`.
     """
     if isinstance(path, str):
         path = PathExpression.parse(path)
-    from repro.algebra.projection_prob import _require_tree
+    if not assume_tree:
+        from repro.algebra.projection_prob import _require_tree
 
-    _require_tree(pi)
+        _require_tree(pi)
     if match is None:
         match = match_path(pi.weak.graph(), path)
     if match.is_empty:

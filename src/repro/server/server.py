@@ -22,10 +22,14 @@ The concurrency contract, piece by piece:
   query ends in a typed :class:`~repro.errors.BudgetExceeded` instead
   of occupying a worker forever;
 * **isolation** — each worker owns a private
-  :class:`~repro.pxql.interpreter.Interpreter` (fresh result names are
-  worker-prefixed, so two ``PROJECT ... `` statements without ``AS``
-  can never clash), while the database, tracer and metrics registry are
-  shared and thread-safe;
+  :class:`~repro.pxql.interpreter.Interpreter` with its own plan,
+  result and statement tiers (fresh result names are worker-prefixed,
+  so two ``PROJECT ... `` statements without ``AS`` can never clash),
+  while the database, tracer and metrics registry are shared and
+  thread-safe — and with the database the immutable, token-stamped
+  state derived from its instances (snapshots, dataguides, cost
+  measurements: one per name per catalog object, see
+  :meth:`repro.storage.derived.DerivedCache.of`);
 * **shutdown** — :meth:`drain` stops admissions and waits for the
   queue and in-flight work to finish; :meth:`stop` then (or
   immediately, with ``drain=False``) halts the pool and resolves every

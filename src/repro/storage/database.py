@@ -28,6 +28,7 @@ from repro.obs.metrics import current_registry
 from repro.obs.tracing import current_tracer
 from repro.resilience.faults import fault_point
 from repro.resilience.retry import RetryPolicy, retry_call
+from repro.storage.derived import forget
 from repro.storage.journal import (
     Journal,
     RecoveryReport,
@@ -344,6 +345,11 @@ class Database:
                 if name in self._versions:
                     self._next_version(name)
             self._seen = max(self._seen, top)
+        for name in stale:
+            # Its token moved: what was derived from the old bytes can
+            # never be looked up again (and after a foreign DROP there
+            # is no next lookup to replace it).
+            forget(self, name)
 
     def _read(self, path: Path, name: str) -> ProbabilisticInstance:
         """Load one instance file inside a ``db.load`` span.
@@ -411,6 +417,7 @@ class Database:
             self._versions.pop(name, None)
             self._epochs.pop(name, None)
             self._dirty.discard(name)
+        forget(self, name)
         current_registry().counter("db.corrupt_quarantined").inc()
         return DatabaseError(
             f"instance {name!r} was corrupt and has been quarantined "
@@ -606,6 +613,7 @@ class Database:
             self._versions.pop(name, None)
             self._epochs.pop(name, None)
             self._dirty.discard(name)
+        forget(self, name)
         current_registry().counter("db.drops").inc()
 
     def names(self) -> list[str]:

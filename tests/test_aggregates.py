@@ -93,6 +93,18 @@ class TestMatchCounts:
         dist = match_count_distribution(tree, "R.book")
         assert sum(dist.values()) == pytest.approx(1.0)
 
+    def test_dag_is_refused_unless_the_caller_holds_a_tree_proof(self, tree):
+        """The tree check is only skipped for a caller that passes the
+        proof it holds (the executor: its snapshot's ``is_tree``)."""
+        from repro.errors import NonTreeInstanceError
+        from repro.paper import figure2_instance
+
+        with pytest.raises(NonTreeInstanceError):
+            match_count_distribution(figure2_instance(), "R.book.author")
+        assert match_count_distribution(
+            tree, "R.book.author", assume_tree=True
+        ) == match_count_distribution(tree, "R.book.author")
+
 
 class TestValueAggregates:
     def test_value_point_query_matches_enumeration(self, tree):

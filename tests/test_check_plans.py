@@ -210,6 +210,106 @@ class TestPlanChecker:
         assert "PX244" in codes(check_plan(plan, database))
 
 
+class TestLocate:
+    """The check passes locate through ``repro.check.locate``: guide
+    first, then — lazily — the catalog's shared snapshot, else the walk."""
+
+    def test_a_statement_the_guide_decides_builds_no_snapshot(self, database):
+        from repro.index import IndexCache
+
+        for text in ("R.book.author", "R.movie"):
+            path = PathExpression.parse(text)
+            check_plan(PlanBuilder.scan("bib").exists(path).build(), database)
+            check_plan(PlanBuilder.scan("bib").point(path, "A1").build(), database)
+        live = PathExpression.parse("R.book.author")
+        check_plan(PlanBuilder.scan("bib").select(live, "A1").build(), database)
+        assert len(IndexCache.of(database)) == 0
+        # Only the wording of a finding on a failing condition asks for
+        # the match itself.
+        dead = PlanBuilder.scan("bib").select("R.movie", "A1").build()
+        assert "PX220" in codes(check_plan(dead, database))
+        assert len(IndexCache.of(database)) == 1
+
+    def test_projection_leaves_its_match_in_the_shared_memo(self, database):
+        from repro.index import IndexCache
+
+        path = PathExpression.parse("R.book.author")
+        assert check_plan(
+            PlanBuilder.scan("bib").project(path).build(), database
+        ) == []
+        col = IndexCache.of(database).get(database, "bib")
+        assert path in col._match_memo      # the executor's match: a hit
+
+    def test_unbuildable_snapshot_degrades_to_the_walk(
+        self, database, monkeypatch
+    ):
+        from repro.index import ColumnarInstance
+        from repro.obs.tracing import Tracer, use_tracer
+
+        live = PlanBuilder.scan("bib").project("R.book.author").build()
+        dead = PlanBuilder.scan("bib").project("R.movie").build()
+        expected = [check_plan(plan, database) for plan in (live, dead)]
+        assert codes(expected[1]) == ["PX210"]
+        database.touch("bib")               # the snapshot must be rebuilt
+
+        def explode(cls, pi):
+            raise RuntimeError("no snapshot today")
+
+        monkeypatch.setattr(
+            ColumnarInstance, "from_instance", classmethod(explode)
+        )
+        tracer = Tracer()
+        with use_tracer(tracer):
+            degraded = [check_plan(plan, database) for plan in (live, dead)]
+        assert degraded == expected
+        assert any(
+            root.name == "index.build_error" for root in tracer.roots()
+        )
+
+
+class TestTruncatedGuide:
+    """A guide cut off at ``max_paths`` has no entry for paths that do
+    match: it is no evidence of anything, to the plan checker as to the
+    abstract interpreter, so a valid statement draws no finding from it
+    (a false ``PX220`` is an *error*: it used to block the ``SELECT``)."""
+
+    PATH = "o0.l0_0.l1_0.l2_0.l3_0"
+
+    @pytest.fixture
+    def interpreter(self):
+        from repro.pxql import Interpreter
+        from repro.workloads.generator import WorkloadSpec, generate_workload
+
+        interpreter = Interpreter()
+        interpreter.database.register("t", generate_workload(
+            WorkloadSpec(depth=4, branching=2, labeling="FR", seed=1)
+        ).instance)
+        interpreter.engine.guides = DataGuideCache(max_paths=3)
+        assert interpreter.engine.guides.get(interpreter.database, "t").truncated
+        return interpreter
+
+    def test_point_past_the_truncation_is_not_called_dead(self, interpreter):
+        result = interpreter.execute(f"POINT {self.PATH} : o18 IN t")
+        assert result.value > 0.0
+        assert codes(interpreter.last_diagnostics) == []
+
+    def test_select_past_the_truncation_executes(self, interpreter):
+        result = interpreter.execute(f"SELECT {self.PATH} = o18 FROM t AS s")
+        assert result.instance_name == "s"
+        assert "s" in interpreter.database.names()
+        assert not {"PX220", "PX240"} & set(codes(interpreter.last_diagnostics))
+
+    def test_no_plan_finding_from_a_truncated_guide(self, interpreter):
+        database, guides = interpreter.database, interpreter.engine.guides
+        path = PathExpression.parse(self.PATH)
+        for plan in (
+            PlanBuilder.scan("t").exists(path).build(),
+            PlanBuilder.scan("t").project(path).build(),
+            PlanBuilder.scan("t").select(path, "o18").build(),
+        ):
+            assert codes(check_plan(plan, database, guides=guides)) == []
+
+
 class TestRewriteJustifications:
     def test_all_default_rules_justified(self, database):
         path = PathExpression.parse("R.book.author")

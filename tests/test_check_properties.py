@@ -11,19 +11,27 @@ Three contracts from the subsystem's design:
 3. *Checker/runtime agreement*: on >= 20 generated instances the plan
    checker's never-match and unsatisfiable-guard verdicts agree with
    what direct execution of the operators actually does.
+4. *One locate, same verdicts*: every guide target lies in the
+   structural match of its path, so answering "which objects can
+   satisfy ``p``" from a sound guide or from the shared snapshot gives
+   the findings and certificates the ``match_path`` walk gives.
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import existence_probability
-from repro.check.dataguide import build_dataguide
+from repro.check.absint import certify_plan
+from repro.check.dataguide import DataGuideCache, build_dataguide
+from repro.check.locate import Site
 from repro.check.model import has_errors, lint_instance
 from repro.check.plans import check_plan
-from repro.engine.plan import PlanBuilder
+from repro.core.builder import InstanceBuilder
+from repro.engine.plan import PlanBuilder, QueryNode, ScanNode
 from repro.errors import EmptyResultError
 from repro.semistructured.paths import PathExpression, match_path
 from repro.storage.database import Database
@@ -32,7 +40,11 @@ from repro.workloads.generator import (
     generate_workload,
     random_projection_path,
 )
-from tests.helpers import evaluate_directly
+from tests.helpers import (
+    evaluate_directly,
+    random_dag_instance,
+    random_tree_instance,
+)
 
 SPEC_STRATEGY = st.builds(
     WorkloadSpec,
@@ -157,3 +169,103 @@ def test_unsatisfiable_guard_verdicts_agree_with_naive_execution(spec):
         evaluate_directly(
             database, f"SELECT {path} = {oid} AND PROB > 1.0 FROM base"
         )
+
+
+# ----------------------------------------------------------------------
+# One locate: guide / snapshot answers == the walk's, finding by finding
+# ----------------------------------------------------------------------
+def _zero_edge_instance():
+    """``R.book.isbn`` matches the weak structure (through B2) but B2
+    has zero inclusion probability: alive and matched differ."""
+    b = InstanceBuilder("R")
+    b.children("R", "book", ["B1", "B2"], card=(1, 2))
+    b.opf("R", {("B1",): 1.0})
+    b.leaf("B1", "title", ["t"], {"t": 1.0})
+    b.children("B2", "isbn", ["I2"], card=(1, 1))
+    b.opf("B2", {("I2",): 1.0})
+    b.leaf("I2", "code", ["c"], {"c": 1.0})
+    return b.build()
+
+
+INSTANCE_STRATEGY = st.one_of(
+    SPEC_STRATEGY.map(lambda spec: generate_workload(spec).instance),
+    st.integers(min_value=0, max_value=10_000).map(
+        lambda seed: random_tree_instance(random.Random(seed))
+    ),
+    st.integers(min_value=0, max_value=10_000).map(
+        lambda seed: random_dag_instance(random.Random(seed))
+    ),
+    st.just(None).map(lambda _: _zero_edge_instance()),
+)
+
+
+def _walk_match(site, path):
+    return None if site.graph is None else match_path(site.graph, path)
+
+
+def _walk_alive(site, path):
+    """The alive set as the passes computed it before they shared one
+    helper: always walk, then intersect with the guide's targets."""
+    match = _walk_match(site, path)
+    if match is None:
+        return None
+    guide = site.guide_for(path)
+    if guide is None:
+        return match.matched
+    return match.matched & guide.targets(path.labels)
+
+
+def _probe_plans(instance, structural):
+    """Plans of every located kind over every structural path (alive or
+    not), a dead extension, and a path rooted below the root (which no
+    guide speaks for)."""
+    root = instance.root
+    paths = [PathExpression(root, labels) for labels in sorted(structural)]
+    paths.append(PathExpression(root, (*paths[-1].labels, "zzz")))
+    below = sorted(structural.get(paths[1].labels, ())) if len(paths) > 2 else []
+    if below:
+        graph = instance.weak.graph()
+        labels = sorted({graph.label(below[0], c) for c in graph.children(below[0])})
+        paths.append(PathExpression(below[0], tuple(labels[:1])))
+    for path in paths:
+        objects = sorted(structural.get(path.labels, ())) if path.root == root else []
+        scan = PlanBuilder.scan("base")
+        yield scan.exists(path).build()
+        yield scan.count(path).build()
+        yield QueryNode("dist", ScanNode("base"), path=path)
+        yield scan.project(path).build()
+        for oid in [*objects[:2], root]:
+            yield scan.point(path, oid).build()
+            yield scan.select(path, oid).build()
+            yield scan.project(path).select(path, oid).build()
+
+
+@settings(max_examples=30, deadline=None)
+@given(instance=INSTANCE_STRATEGY, truncated=st.booleans())
+def test_guide_and_snapshot_locate_like_the_walk(instance, truncated):
+    graph = instance.weak.graph()
+    structural = _structural_paths(graph, instance.root)
+    guide = build_dataguide(instance)
+    for entry in guide.paths():
+        matched = match_path(
+            graph, PathExpression(instance.root, entry.labels)
+        ).matched
+        assert entry.targets <= matched, entry.labels
+
+    database = Database()
+    database.register("base", instance)
+    # A truncated guide must be as good as none, to both passes alike.
+    guides = DataGuideCache(max_paths=2 if truncated else 10_000)
+    for plan in _probe_plans(instance, structural):
+        located = (
+            check_plan(plan, database, guides=guides),
+            certify_plan(plan, database, guides),
+        )
+        with mock.patch.object(Site, "match", _walk_match), \
+                mock.patch.object(Site, "alive", _walk_alive):
+            walked = (
+                check_plan(plan, database, guides=guides),
+                certify_plan(plan, database, guides),
+            )
+        assert located[0] == walked[0], plan.label()
+        assert located[1] == walked[1], plan.label()

@@ -111,6 +111,66 @@ class TestLRUCacheContention:
 
 
 # ----------------------------------------------------------------------
+# The catalog's shared columnar snapshot
+# ----------------------------------------------------------------------
+class TestSharedSnapshot:
+    """One snapshot per name serves every pool worker, the checker and
+    the engine: its bounded match memo is the only compound update on
+    it, and must neither tear nor outgrow its cap under contention."""
+
+    THREADS = 4
+    PATHS = 400
+
+    def test_match_memo_under_contention(self):
+        import sys
+
+        from repro.check.dataguide import build_dataguide
+        from repro.index import IndexCache, match_path_indexed
+        from repro.index.columnar import _MATCH_MEMO_CAP
+        from repro.semistructured.paths import PathExpression, match_path
+        from repro.workloads.generator import WorkloadSpec, generate_workload
+
+        assert self.PATHS > _MATCH_MEMO_CAP
+        database = Database()
+        database.register("t", generate_workload(WorkloadSpec(
+            depth=4, branching=3, labeling="FR", seed=3, labels_per_depth=3,
+        )).instance)
+        pi = database.get("t")
+        live = [entry.labels for entry in build_dataguide(pi).paths()]
+        # Live paths plus dead extensions of them: distinct, and past
+        # the memo's capacity, so evictions run the whole time.
+        paths = [
+            PathExpression(pi.root, (*live[i % len(live)], *(
+                (f"x{i // len(live)}",) if i >= len(live) else ()
+            )))
+            for i in range(self.PATHS)
+        ]
+        assert len(set(paths)) == self.PATHS
+        graph = pi.weak.graph()
+        expected = {path: match_path(graph, path) for path in paths}
+        col = IndexCache.of(database).get(database, "t")
+
+        def match_all(index: int) -> None:
+            assert IndexCache.of(database).get(database, "t") is col
+            # Each thread walks the list from its own offset, so some
+            # meet on a path and others evict each other's entries.
+            start = index * self.PATHS // self.THREADS
+            for _round in range(2):
+                for path in paths[start:] + paths[:start]:
+                    assert match_path_indexed(col, path) == expected[path]
+                    assert len(col._match_memo) <= _MATCH_MEMO_CAP
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            errors = run_threads(self.THREADS, match_all)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert 0 < len(col._match_memo) <= _MATCH_MEMO_CAP
+
+
+# ----------------------------------------------------------------------
 # Metrics and tracer
 # ----------------------------------------------------------------------
 class TestObsThreadSafety:

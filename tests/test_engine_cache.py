@@ -689,9 +689,10 @@ class TestPerNameEpoch:
 
 class TestOneTokenPerStatement:
     """The duplication cannot come back: one statement builds each guide
-    once and reads the catalog generation once for the statement-tier
-    probe and the static checker together, once more in
-    ``Engine.execute_plan`` when the probe missed — not once per key."""
+    once, reads the catalog generation once — for the statement-tier
+    probe, the static checker and ``Engine.execute_plan`` together, not
+    once per key — and locates its path once: no ``lch`` walk, at most
+    one match on the catalog's shared snapshot, no tree proof redone."""
 
     @pytest.fixture
     def counted(self, tmp_path, monkeypatch):
@@ -725,7 +726,7 @@ class TestOneTokenPerStatement:
         cold = interpreter.execute(statement)
         assert 0.0 < cold.value <= 1.0
         assert calls["build_dataguide"] == 1
-        assert calls["read_generation"] <= 2
+        assert calls["read_generation"] == 1
 
         calls.update(build_dataguide=0, read_generation=0)
         hits = interpreter.cache_stats["statements"]["hits"]
@@ -739,6 +740,106 @@ class TestOneTokenPerStatement:
         assert not hasattr(interpreter, "_guides")
         interpreter.execute("EXISTS o0.l0_0 IN t")
         assert len(interpreter.engine.guides) == 1
+
+    @pytest.fixture
+    def located(self, counted, monkeypatch):
+        """``counted`` plus counters on the three ways to locate a path
+        or prove a tree: ``lch`` walks (every ``match_path`` runs
+        ``level_sets``), snapshot-memo misses, ``is_tree`` walks."""
+        import repro.index.columnar as columnar
+        import repro.semistructured.paths as paths
+        from repro.semistructured.graph import EdgeLabeledGraph
+
+        interpreter, calls = counted
+        calls.update(walks=0, snapshot_matches=0, is_tree=0)
+
+        def counting(owner, name, counter):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[counter] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(paths, "level_sets", "walks")
+        counting(columnar, "_match_numpy", "snapshot_matches")
+        counting(columnar, "_match_python", "snapshot_matches")
+        counting(EdgeLabeledGraph, "is_tree", "is_tree")
+        return interpreter, calls
+
+    @staticmethod
+    def _cold_statements(interpreter):
+        """One statement of each cold kind over ``t``, each on a path
+        no other uses (a repeated path would be a memo hit), with the
+        most snapshot matches it may make."""
+        guide = interpreter.engine.guides.get(interpreter.database, "t")
+        deepest = [e for e in guide.paths() if len(e.labels) >= 2]
+        assert len(deepest) >= 5
+        texts = [".".join(("o0", *entry.labels)) for entry in deepest]
+        target = sorted(deepest[3].targets)[0]
+        return [
+            (f"EXISTS {texts[0]} IN t", 1),
+            (f"COUNT {texts[1]} IN t", 1),
+            (f"DIST {texts[2]} IN t", 1),
+            (f"POINT {texts[3]} : {target} IN t", 0),
+            (f"PROJECT {texts[4]} FROM t AS w", 1),
+        ]
+
+    def test_cold_statements_locate_once(self, located):
+        interpreter, calls = located
+        interpreter.execute("EXISTS o0.l0_0 IN t")      # first touch of t
+        interpreter.execute("DIST o0.l0_0 IN t")
+        for statement, matches in self._cold_statements(interpreter):
+            calls.update(walks=0, snapshot_matches=0, is_tree=0)
+            interpreter.execute(statement)
+            assert calls["walks"] == 0, statement
+            assert calls["is_tree"] == 0, statement
+            if statement.startswith("PROJECT"):
+                assert calls["snapshot_matches"] == matches, statement
+            else:
+                assert calls["snapshot_matches"] <= matches, statement
+        assert interpreter.fallbacks == []
+
+    def test_pool_workers_share_one_snapshot_and_one_guide(self, located):
+        from repro.server import PXQLServer
+
+        seed, calls = located
+        statements = [text for text, _ in self._cold_statements(seed)]
+        interpreters = []
+
+        def factory(index):
+            interpreters.append(Interpreter(seed.database))
+            return interpreters[-1]
+
+        calls.update(build_dataguide=0)
+        with PXQLServer(
+            database=seed.database, workers=2, interpreter_factory=factory
+        ) as server:
+            sent = 0
+            # Both workers must have run something: one after another,
+            # until each interpreter has answered a read.
+            while sent < len(statements) or not all(
+                i.cache_stats["statements"]["gets"] for i in interpreters
+            ):
+                server.execute(
+                    statements[sent] if sent < len(statements)
+                    else f"COUNT o0.l0_{sent % 2} IN t",
+                    timeout_s=10.0,
+                )
+                sent += 1
+                assert sent < 200
+            builds = sum(
+                i.metrics.value("index.builds") or 0 for i in interpreters
+            )
+        assert len(interpreters) == 2
+        # ``t`` and the projection's result ``w``: one guide each at
+        # most, one snapshot for ``t`` — however many workers asked.
+        assert builds == 1
+        assert calls["build_dataguide"] <= 2
+        assert interpreters[0].engine.index_cache is \
+            interpreters[1].engine.index_cache
+        assert interpreters[0].engine.guides is interpreters[1].engine.guides
 
 
 class TestStatementTier:
@@ -1083,3 +1184,81 @@ class TestLineageEviction:
         interpreter.database.register("bib", small_instance(p=0.3), replace=True)
         assert interpreter.engine.expand(ScanNode("view")) == ScanNode("view")
         assert interpreter.engine._lineage == {}
+
+
+class TestDroppedNamesAreForgotten:
+    """A dropped name leaves every derived cache of its catalog
+    (``Database.drop`` forgets it there) and, at the next sweep, each
+    engine's lineage: memory follows the live names, not every name a
+    server has ever derived."""
+
+    CYCLES = 300
+
+    @staticmethod
+    def _cycle(execute, number):
+        name = f"w_{number}"
+        execute(f"PROJECT R.x FROM src AS {name}")
+        execute(f"EXISTS R.x IN {name}")
+        execute(f"DROP {name}")
+
+    @staticmethod
+    def _kept(engines):
+        """Derived entries + lineage records, summed over ``engines``
+        (the derived caches are the catalog's: counted once)."""
+        engine = engines[0]
+        derived = (
+            len(engine.guides) + len(engine.index_cache)
+            + len(engine.cost._measured)
+        )
+        return derived + sum(len(e._lineage) for e in engines)
+
+    def test_through_one_interpreter(self):
+        from repro.engine.executor import _LINEAGE_SWEEP_MIN
+
+        interpreter = Interpreter()
+        interpreter.database.register("src", small_instance())
+        for number in range(self.CYCLES):
+            self._cycle(interpreter.execute, number)
+        assert interpreter.database.names() == ["src"]
+        # One live name: at most a guide, a snapshot and a measurement.
+        assert self._kept([interpreter.engine]) <= 3 + _LINEAGE_SWEEP_MIN
+        interpreter.engine._lineage_sweep_at = 0
+        interpreter.execute("PROJECT R.x FROM src AS last")
+        assert set(interpreter.engine._lineage) == {"last"}
+
+    def test_through_a_two_worker_server(self, tmp_path):
+        from repro.engine.executor import _LINEAGE_SWEEP_MIN
+        from repro.server import PXQLServer
+
+        database = Database(tmp_path)
+        database.register("src", small_instance())
+        database.save("src")
+        interpreters = []
+
+        def factory(index):
+            interpreters.append(Interpreter(database))
+            return interpreters[-1]
+
+        with PXQLServer(
+            database=database, workers=2, interpreter_factory=factory
+        ) as server:
+            for number in range(self.CYCLES):
+                self._cycle(
+                    lambda text: server.execute(text, timeout_s=10.0), number
+                )
+        assert database.names() == ["src"]
+        engines = [i.engine for i in interpreters]
+        assert self._kept(engines) <= 3 + len(engines) * _LINEAGE_SWEEP_MIN
+
+    def test_foreign_drop_is_forgotten_too(self, tmp_path):
+        database = Database(tmp_path)
+        interpreter = Interpreter(database)
+        database.register("src", small_instance())
+        database.save("src")
+        interpreter.execute("EXISTS R.x IN src")
+        assert len(interpreter.engine.guides) == 1
+        Database(tmp_path).drop("src")
+        with pytest.raises(Exception, match="src"):
+            interpreter.execute("EXISTS R.x IN src")
+        assert len(interpreter.engine.guides) == 0
+        assert len(interpreter.engine.cost._measured) == 0
