@@ -28,7 +28,12 @@ from dataclasses import dataclass
 from repro.core.cardinality import CardinalityInterval
 from repro.core.distributions import TabularVPF
 from repro.core.instance import ProbabilisticInstance
-from repro.errors import AlgebraError, DistributionError, EmptyResultError
+from repro.errors import (
+    AlgebraError,
+    DistributionError,
+    EmptyResultError,
+    NonTreeInstanceError,
+)
 from repro.semantics.global_interpretation import GlobalInterpretation
 from repro.semistructured.graph import Label, Oid
 from repro.semistructured.instance import SemistructuredInstance
@@ -197,7 +202,8 @@ def chain_to(
 ) -> list[Oid]:
     """The unique chain ``root, o_1, ..., o_n = oid`` matching ``path``.
 
-    Requires a tree-structured weak instance graph.  Raises
+    Requires a tree-structured weak instance graph
+    (:class:`NonTreeInstanceError` otherwise).  Raises
     :class:`AlgebraError` when ``oid`` does not satisfy the path in the
     weak instance (in which case the selection probability is zero).
 
@@ -212,7 +218,9 @@ def chain_to(
         )
     graph = pi.weak.graph()
     if parent_of is None and not graph.is_tree(pi.root):
-        raise AlgebraError("chain extraction requires a tree-structured instance")
+        raise NonTreeInstanceError(
+            "chain extraction requires a tree-structured instance"
+        )
     if oid not in graph:
         raise AlgebraError(f"object {oid!r} is not in the instance")
     chain = [oid]

@@ -13,11 +13,14 @@ dataguide proves has zero existence probability), and times:
   short-circuit;
 * ``dead_on`` / ``dead_off`` — the dead query with the pass on vs off:
   ``dead_on`` serves the certified constant without touching the
-  instance (the ``check.absint_skips`` path), ``dead_off`` walks it.
+  instance (the ``check.absint_skips`` path), ``dead_off`` plans it
+  and walks it (:meth:`Engine.prepare`, then
+  :meth:`Engine.execute_as_written`): the evaluation the series has
+  always measured — not a match on the snapshot — so ``speedup`` keeps
+  meaning *skip vs planned-and-walked*.
 
-Engines run with ``use_index=False`` (so ``dead_off`` is the walked
-evaluation the series has always measured, not an indexed match) and
-``caching=False`` (so every evaluation is real work, not a cache hit).
+Engines run with ``caching=False`` (so every evaluation is real work,
+not a cache hit).
 The ``dead_on`` record carries its ``dead_off``-relative speedup; both
 it and the answers' equality are also asserted by the test suite.
 Records land in ``results/bench_records.json`` with
@@ -28,11 +31,12 @@ from __future__ import annotations
 
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from repro.check.absint import certify_plan
 from repro.check.dataguide import DataGuideCache
-from repro.engine.executor import Engine
+from repro.engine.executor import Engine, ExecutionResult
 from repro.engine.plan import PlanNode, QueryNode, ScanNode
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.storage.database import Database
@@ -88,19 +92,19 @@ class AbsintRecord:
 
 def _engine(database: Database, absint: bool) -> Engine:
     return Engine(
-        database, use_index=False, caching=False, absint=absint,
-        metrics=MetricsRegistry(),
+        database, caching=False, absint=absint, metrics=MetricsRegistry(),
     )
 
 
 def _time_executions(
-    engine: Engine, plan: PlanNode, repeats: int
+    execute: Callable[[PlanNode], ExecutionResult], plan: PlanNode,
+    repeats: int,
 ) -> tuple[float, object]:
     value: object = None
-    engine.execute_plan(plan)           # untimed warmup (guide build etc.)
+    execute(plan)                       # untimed warmup (guide build etc.)
     start = time.perf_counter()
     for _ in range(repeats):
-        value = engine.execute_plan(plan).value
+        value = execute(plan).value
     return (time.perf_counter() - start) / repeats, value
 
 
@@ -129,10 +133,18 @@ def _measure_cell(
     certify_s = (time.perf_counter() - certify_start) / repeats
 
     on, off = _engine(database, absint=True), _engine(database, absint=False)
-    live_on_s, live_on = _time_executions(on, live_plan, repeats)
-    live_off_s, live_off = _time_executions(off, live_plan, repeats)
-    dead_on_s, dead_on = _time_executions(on, dead_plan, repeats)
-    dead_off_s, dead_off = _time_executions(off, dead_plan, repeats)
+    live_on_s, live_on = _time_executions(on.execute_plan, live_plan, repeats)
+    live_off_s, live_off = _time_executions(
+        off.execute_plan, live_plan, repeats
+    )
+    dead_on_s, dead_on = _time_executions(on.execute_plan, dead_plan, repeats)
+    def planned_and_walked(plan: PlanNode) -> ExecutionResult:
+        off.prepare(plan)
+        return off.execute_as_written(plan)
+
+    dead_off_s, dead_off = _time_executions(
+        planned_and_walked, dead_plan, repeats
+    )
     if (live_on, dead_on) != (live_off, dead_off):
         raise AssertionError(
             f"absint changed an answer: live {live_on} vs {live_off}, "

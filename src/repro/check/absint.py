@@ -49,7 +49,6 @@ from repro.check.diagnostics import WARNING, Diagnostic
 from repro.check.locate import UNKNOWN, Site, scan_site
 from repro.core.instance import ProbabilisticInstance
 from repro.engine.plan import (
-    IndexedPathStepNode,
     PlanNode,
     ProductNode,
     ProjectNode,
@@ -173,8 +172,7 @@ class NodeFacts:
     """The abstract value the interpreter inferred for one plan node.
 
     ``kind`` is ``"instance"`` for instance-producing nodes (scan,
-    project, select, product, indexed ancestor projection) and
-    ``"query"`` for numeric ones; ``card`` bounds the output object
+    project, select, product) and ``"query"`` for numeric ones; ``card`` bounds the output object
     count (instance nodes) or the structural match count (query nodes);
     ``prob`` bounds the node's characteristic probability (existence of
     the navigated path, a selection's condition probability, a query's
@@ -293,11 +291,6 @@ class _AbstractInterpreter:
         if isinstance(node, QueryNode):
             return self._query(node.kind, node.path, node.oid, node.chain,
                                self.state_of(node.child))
-        if isinstance(node, IndexedPathStepNode):
-            child = self.state_of(node.child)
-            if node.op == "project-ancestor":
-                return self._project("ancestor", node.path, child)
-            return self._query(node.op, node.path, node.oid, None, child)
         for unknown_child in node.children():
             self.state_of(unknown_child)
         self.can_raise = True
@@ -627,24 +620,11 @@ SKIPPABLE_KINDS = ("exists", "count", "point", "dist")
 
 
 def _facts_of(node: PlanNode, state: _State) -> NodeFacts:
-    kind = (
-        "query"
-        if isinstance(node, QueryNode)
-        or (isinstance(node, IndexedPathStepNode) and node.op != "project-ancestor")
-        else "instance"
-    )
+    kind = "query" if isinstance(node, QueryNode) else "instance"
     return NodeFacts(
         label=node.label(), kind=kind, card=state.card, prob=state.prob,
         condition=state.condition, exact=state.exact,
     )
-
-
-def _root_kind(plan: PlanNode) -> str | None:
-    if isinstance(plan, QueryNode):
-        return plan.kind
-    if isinstance(plan, IndexedPathStepNode) and plan.op != "project-ancestor":
-        return plan.op
-    return None
 
 
 def certify_plan(
@@ -668,7 +648,7 @@ def certify_plan(
     facts = tuple(
         _facts_of(node, interpreter.states[id(node)]) for node in walk(plan)
     )
-    kind = _root_kind(plan)
+    kind = plan.kind if isinstance(plan, QueryNode) else None
     result = root_state.result if kind is not None else None
     support: CardInterval | None = None
     if kind == "dist":
@@ -775,9 +755,8 @@ def verify_execution(
     execution.  Returns a list of violation messages — empty when every
     observed cardinality, condition probability and result lies inside
     its predicted interval.  When the executed shape diverged from the
-    certified plan (an index fallback replayed a different operator
-    tree, or a cached subtree flattened the stats) the check is skipped
-    rather than guessed at.
+    certified plan (a cached subtree flattened the stats) the check is
+    skipped rather than guessed at.
     """
     flat = list(stats.walk())
     if len(flat) != len(certificate.facts):

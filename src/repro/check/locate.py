@@ -34,7 +34,6 @@ from typing import Any
 from repro.check.dataguide import DataGuide, DataGuideCache
 from repro.core.instance import ProbabilisticInstance
 from repro.index import ColumnarInstance, IndexCache, match_path_indexed
-from repro.obs.tracing import current_tracer
 from repro.semistructured.graph import EdgeLabeledGraph, Oid
 from repro.semistructured.paths import PathExpression, PathMatch, match_path
 
@@ -132,16 +131,7 @@ def scan_site(
 
     @functools.cache
     def snapshot() -> ColumnarInstance | None:
-        try:
-            return IndexCache.of(database).get(
-                database, name, generation, instance=pi
-            )
-        except Exception as exc:
-            current_tracer().event(
-                "index.build_error", instance=name,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            return None
+        return IndexCache.of(database).try_get(database, name, generation, pi)
 
     return Site(
         root=pi.root, graph=pi.weak.graph(), pi=pi, guide=guide,

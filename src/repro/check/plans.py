@@ -445,16 +445,13 @@ def check_plan(
             pass    # the interval pass is advisory; never block checking
     if rewrites:
         from repro.engine.cost import CostModel
-        from repro.engine.rewrite import INDEX_RULES, optimize
+        from repro.engine.rewrite import optimize
 
         trace: list[tuple[str, PlanNode, PlanNode]] = []
         try:
-            # Mirror the engine's two-stage prepare (algebraic rules to a
-            # fixpoint, then index lowering) so every rewrite an
-            # execution could apply gets a checked justification.
-            cost = CostModel(database).at(checker.generation)
-            optimized, _ = optimize(plan, cost, trace=trace)
-            optimize(optimized, cost, INDEX_RULES, trace=trace)
+            optimize(
+                plan, CostModel(database).at(checker.generation), trace=trace
+            )
         except Exception:
             trace = []    # unknown scans etc.; the scan check already fired
         diagnostics.extend(rewrite_diagnostics(trace, subject))

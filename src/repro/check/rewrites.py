@@ -15,16 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.check.diagnostics import ERROR, INFO, Diagnostic
-from repro.engine.plan import (
-    IndexedPathStepNode,
-    IndexedScanNode,
-    PlanNode,
-    ProductNode,
-    ProjectNode,
-    QueryNode,
-    ScanNode,
-    SelectNode,
-)
+from repro.engine.plan import PlanNode, ProductNode, ProjectNode, SelectNode
 
 #: Diagnostic codes for the rewrite checks.
 UNSOUND_REWRITE = "PX250"
@@ -121,77 +112,10 @@ def _justify_reorder(before: PlanNode, after: PlanNode) -> RewriteJustification:
     )
 
 
-def _lowering_preserves_scan(before_child: PlanNode, after: PlanNode) -> bool:
-    """The after-side is an indexed step over the *same* catalog scan."""
-    return (
-        isinstance(after, IndexedPathStepNode)
-        and type(before_child) is ScanNode
-        and isinstance(after.child, IndexedScanNode)
-        and after.child.name == before_child.name
-    )
-
-
-def _justify_lower_projection(
-    before: PlanNode, after: PlanNode
-) -> RewriteJustification:
-    argument = (
-        "the columnar matcher returns the identical backward-pruned "
-        "PathMatch (interval containment on a tree equals the edge-by-edge "
-        "prune) and feeds the same Section 6.1 epsilon pass, with a runtime "
-        "fallback to the walked operator when the snapshot is not a tree"
-    )
-    holds = (
-        isinstance(before, ProjectNode)
-        and before.kind == "ancestor"
-        and isinstance(after, IndexedPathStepNode)
-        and after.op == "project-ancestor"
-        and after.path == before.path
-        and after.oid is None
-        and _lowering_preserves_scan(before.child, after)
-    )
-    return RewriteJustification(
-        "lower_projection_to_index", holds,
-        "ancestor projection directly over a catalog scan, with path, scan "
-        "name and operation carried over unchanged",
-        argument,
-    )
-
-
-def _justify_lower_query(
-    before: PlanNode, after: PlanNode
-) -> RewriteJustification:
-    argument = (
-        "the indexed evaluator answers the query from the identical "
-        "PathMatch / parent chain the walked algorithms compute, with a "
-        "runtime fallback to those algorithms when the snapshot is not a "
-        "tree"
-    )
-    holds = (
-        isinstance(before, QueryNode)
-        and before.kind in ("exists", "count", "dist", "point")
-        and before.path is not None
-        and before.chain is None
-        and isinstance(after, IndexedPathStepNode)
-        and after.op == before.kind
-        and after.path == before.path
-        and after.oid == before.oid
-        and _lowering_preserves_scan(before.child, after)
-    )
-    return RewriteJustification(
-        "lower_query_to_index", holds,
-        "path-shaped query (exists/count/dist/point) directly over a catalog "
-        "scan, with kind, path, target oid and scan name carried over "
-        "unchanged",
-        argument,
-    )
-
-
 _JUSTIFIERS = {
     "collapse_adjacent_projections": _justify_collapse,
     "push_selection_below_projection": _justify_push,
     "reorder_product_by_size": _justify_reorder,
-    "lower_projection_to_index": _justify_lower_projection,
-    "lower_query_to_index": _justify_lower_query,
 }
 
 

@@ -9,11 +9,12 @@ the language and the algebra:
 * :mod:`repro.engine.cost` — size/entry/tree-ness estimates driving
   rewrite decisions and execution-strategy choice;
 * :mod:`repro.engine.rewrite` — a rule-based optimizer (projection
-  collapse, selection pushdown, product reordering, plus a second-stage
-  pass lowering path navigation onto the :mod:`repro.index` columnar
-  snapshots where the cost model prices it cheaper);
+  collapse, selection pushdown, product reordering);
 * :mod:`repro.engine.executor` — an instrumented executor producing
   per-node timings, cardinalities and cache status (``EXPLAIN ANALYZE``);
+  its path operators locate their path on the :mod:`repro.index`
+  columnar snapshot when their input is a scanned tree, by the walk
+  otherwise — an access method chosen at run time, not a plan shape;
 * :mod:`repro.engine.cache` — an LRU result cache keyed by canonical
   plan fingerprint plus the versions of every scanned instance.
 """
@@ -22,8 +23,6 @@ from repro.engine.cache import CacheStats, LRUCache
 from repro.engine.cost import CostModel, Estimate
 from repro.engine.executor import Engine, ExecutionResult, NodeStats
 from repro.engine.plan import (
-    IndexedPathStepNode,
-    IndexedScanNode,
     PlanBuilder,
     PlanError,
     PlanNode,
@@ -38,11 +37,8 @@ from repro.engine.plan import (
 )
 from repro.engine.rewrite import (
     DEFAULT_RULES,
-    INDEX_RULES,
     RewriteRule,
     collapse_adjacent_projections,
-    lower_projection_to_index,
-    lower_query_to_index,
     optimize,
     push_selection_below_projection,
     reorder_product_by_size,
@@ -55,9 +51,6 @@ __all__ = [
     "Engine",
     "Estimate",
     "ExecutionResult",
-    "INDEX_RULES",
-    "IndexedPathStepNode",
-    "IndexedScanNode",
     "LRUCache",
     "NodeStats",
     "PlanBuilder",
@@ -71,8 +64,6 @@ __all__ = [
     "SelectNode",
     "collapse_adjacent_projections",
     "fingerprint",
-    "lower_projection_to_index",
-    "lower_query_to_index",
     "optimize",
     "plan_statement",
     "push_selection_below_projection",

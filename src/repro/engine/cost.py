@@ -14,7 +14,9 @@ sub-plan will produce.  Scans are measured exactly from the catalog
 The estimates drive two decisions: product input ordering in the rewrite
 optimizer, and the ``local`` vs ``bayes`` vs ``sample`` execution
 strategy per query node (Section 6's thesis: prefer per-object local
-computation whenever the instance is a tree).
+computation whenever the instance is a tree).  A scan's measured
+tree-ness is also what the executor's access-method decision reads
+(``Engine._strategy``); there is no price for it here.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 
 from repro.core.instance import ProbabilisticInstance
 from repro.engine.plan import (
-    IndexedPathStepNode,
     PlanError,
     PlanNode,
     ProductNode,
@@ -39,18 +40,6 @@ from repro.storage.derived import DerivedCache
 #: Above this many interpretation entries a non-tree instance is judged
 #: too large for exact Bayesian-network elimination and sampled instead.
 SAMPLE_ENTRY_THRESHOLD = 200_000
-
-#: Abstract per-object cost of walked path navigation: every level-set
-#: step scans the frontier's out-edges through per-node ``lch`` calls.
-WALK_COST_PER_OBJECT = 1.0
-
-#: Abstract per-object cost of indexed navigation: batched membership
-#: tests over flat per-label edge arrays plus interval-range pruning.
-INDEXED_COST_PER_OBJECT = 0.15
-
-#: Amortized per-object share of building (or re-validating) the
-#: columnar snapshot, which the index cache reuses across statements.
-INDEX_BUILD_AMORTIZED_PER_OBJECT = 0.05
 
 
 @dataclass(frozen=True)
@@ -180,26 +169,7 @@ class CostModel:
             )
         if isinstance(plan, QueryNode):
             return self.estimate(plan.child)
-        if isinstance(plan, IndexedPathStepNode):
-            # Navigation is a representation change, not a size change.
-            return self.estimate(plan.child)
         raise PlanError(f"cannot estimate {type(plan).__name__}")
-
-    # ------------------------------------------------------------------
-    def navigation_cost(self, estimate: Estimate, indexed: bool) -> float:
-        """Abstract cost of matching a path over an instance like this.
-
-        Prices walked navigation (per-node ``lch`` graph walks) against
-        indexed navigation (flat-array sweeps plus the amortized snapshot
-        build).  The lowering rules only fire when the indexed side is
-        strictly cheaper, so the constants — not hard-coded rule guards —
-        decide when lowering pays off.
-        """
-        if indexed:
-            return (
-                INDEXED_COST_PER_OBJECT + INDEX_BUILD_AMORTIZED_PER_OBJECT
-            ) * estimate.objects
-        return WALK_COST_PER_OBJECT * estimate.objects
 
     # ------------------------------------------------------------------
     def choose_strategy(self, estimate: Estimate) -> str:

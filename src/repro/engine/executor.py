@@ -31,7 +31,7 @@ from __future__ import annotations
 import copy
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     # pxql -> engine, and check -> engine.plan -> engine (this module):
@@ -57,7 +57,6 @@ from repro.algebra.selection import (
     ObjectCardinalityCondition,
     ObjectCondition,
     ObjectValueCondition,
-    chain_to,
     select_local,
 )
 from repro.core.cardinality import CardinalityInterval
@@ -65,7 +64,6 @@ from repro.core.instance import ProbabilisticInstance
 from repro.engine.cache import LRUCache
 from repro.engine.cost import CostModel, Estimate, measure_instance
 from repro.engine.plan import (
-    IndexedPathStepNode,
     PlanError,
     PlanNode,
     ProductNode,
@@ -78,17 +76,21 @@ from repro.engine.plan import (
     scan_names,
     walk,
 )
-from repro.engine.rewrite import DEFAULT_RULES, INDEX_RULES, optimize
-from repro.errors import AlgebraError, BudgetExceeded
+from repro.engine.rewrite import DEFAULT_RULES, optimize
 from repro.index import IndexCache, match_path_indexed
 from repro.index.columnar import ColumnarInstance
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.tracing import Span, Tracer, use_tracer
-from repro.queries.chain import chain_probability
+from repro.queries.aggregates import (
+    expected_match_count,
+    match_count_distribution,
+)
 from repro.queries.engine import QueryEngine
+from repro.queries.point import point_query
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.budget import current_budget
 from repro.resilience.faults import fault_point
+from repro.semistructured.paths import PathMatch
 from repro.storage.derived import cache_token, catalog_generation
 
 _PROJECTION_OPERATORS = {
@@ -106,6 +108,9 @@ _SKIP_RESULTS = {
     "point": lambda: 0.0,
     "dist": lambda: {0: 1.0},
 }
+
+#: Query kinds whose path the columnar snapshot can locate.
+_INDEXED_QUERY_KINDS = ("exists", "count", "dist", "point")
 
 #: Maximum depth of lineage inlining (cycle / runaway guard).
 _MAX_INLINE_DEPTH = 16
@@ -251,6 +256,11 @@ class _Lineage:
 class Engine:
     """Planner + optimizer + instrumented, caching executor.
 
+    A plan is prepared by one rewrite fixpoint and executed bottom-up;
+    how a path operator locates its path — on the catalog's columnar
+    snapshot or by the walk — is not part of the plan but decided when
+    the operator runs, from what it can observe (:meth:`_strategy`).
+
     The plan, result (and, in the interpreter, statement) tiers are this
     engine's own.  The state *derived from an instance* — columnar
     snapshots with their match memos (:attr:`index_cache`), dataguides
@@ -265,11 +275,6 @@ class Engine:
         optimizer: apply the rewrite rules (off = execute the
             lineage-expanded plan unrewritten, a benchmark reference).
         caching: keep a versioned result cache across executions.
-        use_index: lower path navigation onto the structural index
-            (``repro.index``) where the cost model prices it cheaper.
-            The lowering is an equivalence (runtime falls back to the
-            walked operators when the snapshot is not a tree); off = the
-            pre-index plans, for A/B parity and ablation.
         absint: run the abstract interpreter (:mod:`repro.check.absint`)
             over every prepared plan.  The certificate's cardinality
             intervals sharpen the cost model, ``EXPLAIN`` renders them
@@ -300,7 +305,6 @@ class Engine:
         database,
         optimizer: bool = True,
         caching: bool = True,
-        use_index: bool = True,
         absint: bool = True,
         disk_cache: bool | None = None,
         tracer: Tracer | None = None,
@@ -310,7 +314,6 @@ class Engine:
         self.database = database
         self.optimizer = optimizer
         self.caching = caching
-        self.use_index = use_index
         self.absint = absint
         #: When set (``EXPLAIN ANALYZE`` / ``PROFILE``), observed
         #: cardinalities and probabilities are checked against the
@@ -489,16 +492,9 @@ class Engine:
                 self.breaker.record_success()
                 return cached
         try:
-            cost = self.cost.at(generation)
-            optimized, applied = optimize(expanded, cost, self.rules)
-            if self.use_index:
-                # Second stage: lower path navigation onto the index.
-                # Runs after the algebraic rules reach their fixpoint so
-                # collapse/push still see the Project/Select/Scan shapes
-                # the lowering would otherwise hide.
-                optimized, lowered = optimize(optimized, cost, INDEX_RULES)
-                applied = applied + lowered
-            prepared = _Prepared(optimized, applied)
+            prepared = _Prepared(
+                *optimize(expanded, self.cost.at(generation), self.rules)
+            )
         except Exception as exc:
             self.breaker.record_failure()
             self.metrics.counter("resilience.optimizer_errors").inc()
@@ -652,8 +648,9 @@ class Engine:
         Internal: the one un-accelerated path, taken by
         :meth:`execute_plan` while the breaker is open and by the PXQL
         interpreter when it retries a failed statement.  Lineage
-        expansion, rewrite rules, certificate/skip and the plan, result
-        and index caches are all skipped; everything below them —
+        expansion, rewrite rules, certificate/skip, the plan and result
+        caches and the snapshot access method are all skipped (the
+        walked operators are the reference); everything below them —
         budget ticks, node spans, ``engine.objects_scanned``, the
         probability guard — is the same :meth:`_run` / :meth:`_apply`.
         """
@@ -671,7 +668,8 @@ class Engine:
                     value, stats = self._skip_execution(prepared, certificate)
                 else:
                     value, _extra, stats = self._run(
-                        prepared, generation, accelerated and self.caching
+                        prepared, generation, accelerated and self.caching,
+                        accelerated,
                     )
                 root.attributes["rewrites"] = len(applied)
             violations = self._verify_certificate(certificate, value, stats)
@@ -692,7 +690,8 @@ class Engine:
         return self.execute_plan(plan)
 
     def _run(
-        self, node: PlanNode, generation: int, use_cache: bool
+        self, node: PlanNode, generation: int, use_cache: bool,
+        accelerated: bool = False,
     ) -> tuple[object, dict, NodeStats]:
         budget = current_budget()
         if budget is not None:
@@ -729,14 +728,16 @@ class Engine:
             cache="miss" if use_cache else "off",
         ) as span:
             child_results = [
-                self._run(child, generation, use_cache)
+                self._run(child, generation, use_cache, accelerated)
                 for child in node.children()
             ]
             inputs = [value for value, _extra, _stats in child_results]
             with self.tracer.span(
                 "engine.apply", operator=type(node).__name__
             ) as apply_span:
-                value, strategy, extra = self._apply(node, inputs, generation)
+                value, strategy, extra = self._apply(
+                    node, inputs, generation, accelerated
+                )
             span.attributes["strategy"] = strategy
             if isinstance(value, ProbabilisticInstance):
                 span.attributes["objects"] = len(value)
@@ -799,12 +800,28 @@ class Engine:
         return value, dict(entry.extra), stats
 
     def _apply(
-        self, node: PlanNode, inputs: list, generation: int
+        self, node: PlanNode, inputs: list, generation: int,
+        accelerated: bool,
     ) -> tuple[object, str, dict]:
-        if isinstance(node, ProjectNode):
+        if isinstance(node, (ProjectNode, QueryNode)):
             (pi,) = inputs
-            projected = _PROJECTION_OPERATORS[node.kind](pi, node.path)
-            return projected, "local", {}
+
+            def measured(source: PlanNode) -> Estimate:
+                return self._measure(source, pi, generation)
+
+            strategy = self._strategy(node, measured, accelerated)
+            if strategy == "indexed":
+                col = self.index_cache.try_get(
+                    self.database, node.child.name, generation, pi
+                )
+                if col is not None and col.is_tree:
+                    return self._apply_indexed(node, pi, col)
+                self.metrics.counter("index.fallbacks").inc()
+                strategy = self._strategy(node, measured, accelerated=False)
+            if isinstance(node, ProjectNode):
+                projected = _PROJECTION_OPERATORS[node.kind](pi, node.path)
+                return projected, strategy, {}
+            return self._apply_query(node, pi, strategy)
         if isinstance(node, SelectNode):
             (pi,) = inputs
             selection = select_local(pi, condition_of(node))
@@ -818,133 +835,94 @@ class Engine:
             left, right = inputs
             product = cartesian_product(left, right, node.new_root)
             return product, "local", {}
-        if isinstance(node, QueryNode):
-            (pi,) = inputs
-            return self._apply_query(node, pi, generation)
-        if isinstance(node, IndexedPathStepNode):
-            (pi,) = inputs
-            return self._apply_indexed(node, pi, generation)
         raise PlanError(f"cannot execute {type(node).__name__}")
+
+    def _strategy(
+        self,
+        node: PlanNode,
+        measured: Callable[[PlanNode], Estimate],
+        accelerated: bool,
+    ) -> str:
+        """How ``node`` is evaluated on its input — the one place the
+        access method is decided, asked by the operator when it runs
+        (``measured`` = the input's memoised measurement) and by
+        ``EXPLAIN`` (``measured`` = the cost model's estimate).
+
+        ``"indexed"``: the path is located on the catalog's shared
+        columnar snapshot — only when the statement runs accelerated,
+        the input is a scanned name (a derived instance has no token to
+        keep a snapshot under) and it measures as a tree (the encoding's
+        domain; the Section 6 algorithms fed the match assume it).
+        Otherwise the walked operator: ``local``, or for the queries the
+        strategy facade answers on DAGs, whatever
+        :meth:`CostModel.choose_strategy` picks.
+        """
+        if isinstance(node, ProjectNode):
+            indexable = node.kind == "ancestor"
+        elif isinstance(node, QueryNode):
+            indexable = node.kind in _INDEXED_QUERY_KINDS
+        else:
+            return "local"
+        source = None
+        if indexable and accelerated and isinstance(node.child, ScanNode):
+            source = measured(node.child)
+            if source.is_tree:
+                return "indexed"
+        if isinstance(node, QueryNode) and node.kind != "dist":
+            return self.cost.choose_strategy(source or measured(node.child))
+        return "local"    # projections and DIST are tree-only algorithms
 
     def _apply_indexed(
         self,
-        node: IndexedPathStepNode,
+        node: ProjectNode | QueryNode,
         pi: ProbabilisticInstance,
-        generation: int,
+        col: ColumnarInstance,
     ) -> tuple[object, str, dict]:
-        """Evaluate a lowered path step via the columnar index.
+        """Evaluate a path operator over a scanned tree: the match (or,
+        for a point query, the target's root chain from the parent
+        pointers) comes from the snapshot and feeds the same Section 6
+        algorithms the walked operators run.  ``col.is_tree`` is the
+        tree proof, made once when the snapshot was built under this
+        token, so they skip their own O(V) check."""
 
-        Two exits (provably dead paths never get here: the certificate
-        short-circuits them in :meth:`execute_plan`):
-
-        1. *indexed* — match on the columnar snapshot and feed the
-           (identical) :class:`PathMatch` to the Section 6 algorithms;
-        2. *fallback* — the snapshot cannot be built or is not a tree
-           (the plan-time estimate was stale): run the walked operator
-           the lowering replaced.  Correctness never depends on the
-           plan-time guess.
-        """
-        name = node.child.name if isinstance(node.child, ScanNode) else None
-
-        col: ColumnarInstance | None = None
-        if name is not None:
-            try:
-                col = self.index_cache.get(
-                    self.database, name, generation, instance=pi
-                )
-            except Exception as exc:
-                self.tracer.event(
-                    "index.build_error", instance=name,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-        if col is None or not col.is_tree:
-            self.metrics.counter("index.fallbacks").inc()
-            return self._apply_walked(node, pi, generation)
-
-        if node.op == "project-ancestor":
+        def match() -> PathMatch:
             with self.tracer.span(
-                "index.match", path=str(node.path), instance=name or pi.root
+                "index.match", path=str(node.path), instance=node.child.name
             ) as span:
-                match = match_path_indexed(col, node.path)
-                span.attributes["matched"] = len(match.matched)
-            sweep = epsilon_pass(pi, node.path, match=match, assume_tree=True)
+                found = match_path_indexed(col, node.path)
+                span.attributes["matched"] = len(found.matched)
+            return found
+
+        if isinstance(node, ProjectNode):
+            sweep = epsilon_pass(pi, node.path, match=match(), assume_tree=True)
             projected = instance_from_epsilon_pass(pi, node.path, sweep)
             return projected, "indexed", {"index": "columnar"}
 
-        # Numeric query kinds keep their ``query.<kind>`` span and
-        # counters (the contract the walked QueryEngine established), so
-        # traces and PROFILE stay comparable across strategies.
+        # The ``query.<kind>`` span and counters are the contract the
+        # walked QueryEngine established, so traces and PROFILE stay
+        # comparable across access methods.
         with self.tracer.span(
-            f"query.{node.op}", strategy="indexed"
+            f"query.{node.kind}", strategy="indexed"
         ) as qspan:
-            if node.op == "point":
-                # A point query never needs the full match: the target's
-                # root chain comes straight from the parent pointers.
-                assert node.oid is not None
-                try:
-                    chain = chain_to(pi, node.path, node.oid,
-                                     parent_of=col.parent_map())
-                    value = chain_probability(pi, chain)
-                except AlgebraError:
-                    value = 0.0
-            else:
-                with self.tracer.span(
-                    "index.match", path=str(node.path), instance=name or pi.root
-                ) as span:
-                    match = match_path_indexed(col, node.path)
-                    span.attributes["matched"] = len(match.matched)
-                if node.op == "exists":
-                    sweep = epsilon_pass(
-                        pi, node.path, match=match, assume_tree=True
-                    )
-                    value = sweep.root_epsilon
-                elif node.op == "count":
-                    parent_map = col.parent_map()
-                    total = 0.0
-                    for oid in sorted(match.matched):
-                        try:
-                            chain = chain_to(
-                                pi, node.path, oid, parent_of=parent_map
-                            )
-                        except AlgebraError:
-                            continue
-                        total += chain_probability(pi, chain)
-                    value = total
-                else:  # "dist"
-                    from repro.queries.aggregates import (
-                        match_count_distribution,
-                    )
-
-                    # ``col.is_tree`` is the tree proof, made once when
-                    # the snapshot was built under this token.
-                    value = match_count_distribution(
-                        pi, node.path, match=match, assume_tree=True
-                    )
-        self._record_indexed_query(node.op, qspan)
-        return value, "indexed", {"index": "columnar"}
-
-    def _record_indexed_query(self, kind: str, qspan: Span) -> None:
-        """Mirror ``QueryEngine._record``'s counters for indexed queries."""
-        self.metrics.counter(f"query.{kind}").inc()
+            if node.kind == "point":
+                value = point_query(
+                    pi, node.path, node.oid, parent_of=col.parent_map()
+                )
+            elif node.kind == "exists":
+                value = epsilon_pass(
+                    pi, node.path, match=match(), assume_tree=True
+                ).root_epsilon
+            elif node.kind == "count":
+                value = expected_match_count(
+                    pi, node.path, match=match(), parent_of=col.parent_map()
+                )
+            else:  # "dist"
+                value = match_count_distribution(
+                    pi, node.path, match=match(), assume_tree=True
+                )
+        self.metrics.counter(f"query.{node.kind}").inc()
         self.metrics.histogram("query.wall_s").observe(qspan.wall_s)
-
-    def _apply_walked(
-        self,
-        node: IndexedPathStepNode,
-        pi: ProbabilisticInstance,
-        generation: int,
-    ) -> tuple[object, str, dict]:
-        """Run the operator an indexed path step was lowered from."""
-        if node.op == "project-ancestor":
-            projected = _PROJECTION_OPERATORS["ancestor"](pi, node.path)
-            return projected, "local", {"index": "fallback"}
-        value, strategy, extra = self._apply_query(
-            QueryNode(node.op, node.child, path=node.path, oid=node.oid),
-            pi, generation,
-        )
-        extra = dict(extra)
-        extra["index"] = "fallback"
-        return value, strategy, extra
+        return value, "indexed", {"index": "columnar"}
 
     def _measure(
         self, source: PlanNode, pi: ProbabilisticInstance, generation: int
@@ -961,26 +939,18 @@ class Engine:
         return measure_instance(pi)
 
     def _apply_query(
-        self, node: QueryNode, pi: ProbabilisticInstance, generation: int
+        self, node: QueryNode, pi: ProbabilisticInstance, strategy: str
     ) -> tuple[object, str, dict]:
-        if node.kind in ("count", "dist"):
-            from repro.queries.aggregates import (
-                expected_match_count,
-                match_count_distribution,
-            )
-
-            if node.kind == "count":
-                return expected_match_count(pi, node.path), "aggregate", {}
-            return match_count_distribution(pi, node.path), "aggregate", {}
-
-        strategy = self.cost.choose_strategy(
-            self._measure(node.child, pi, generation)
-        )
+        """The walked query operators, under the strategy decided."""
+        if node.kind == "dist":
+            return match_count_distribution(pi, node.path), strategy, {}
         engine = QueryEngine(pi, strategy=strategy)
         if node.kind == "point":
             value = engine.point(node.path, node.oid)
         elif node.kind == "exists":
             value = engine.exists(node.path)
+        elif node.kind == "count":
+            value = engine.count(node.path)
         elif node.kind == "chain":
             value = engine.chain(list(node.chain))
         else:  # "prob"
@@ -1134,23 +1104,20 @@ def _render_plan(
         if facts is not None:
             details.append(f"est_rows={_card_text(facts.card)}")
             details.append(f"prob={_prob_text(facts.prob)}")
-        if isinstance(node, QueryNode):
-            details.append(f"strategy={cost.choose_strategy(estimate)}")
-        elif isinstance(node, IndexedPathStepNode):
-            details.append("strategy=indexed")
-            details.append(
-                f"nav_cost={cost.navigation_cost(estimate, indexed=True):.1f}"
-                f" vs {cost.navigation_cost(estimate, indexed=False):.1f}"
-            )
+        if node is plan and certificate is not None and certificate.skippable:
+            # What executing it reports: served from the proof.
+            details += ["strategy=absint", "cache=skip"]
         elif not isinstance(node, ScanNode):
-            details.append("strategy=local")
-        if not isinstance(node, ScanNode) and engine.caching:
-            if not accelerated:
-                details.append("cache=off")
-            elif engine.result_cache.peek(engine.cache_key(node, generation)):
-                details.append("cache=warm")
-            else:
-                details.append("cache=cold")
+            # The same question the operator asks when it runs.
+            strategy = engine._strategy(node, cost.estimate, accelerated)
+            details.append(f"strategy={strategy}")
+            if engine.caching:
+                if not accelerated:
+                    details.append("cache=off")
+                elif engine.result_cache.peek(engine.cache_key(node, generation)):
+                    details.append("cache=warm")
+                else:
+                    details.append("cache=cold")
         return f"{node.label()}  ({', '.join(details)})"
 
     return _tree_lines(render, lambda node: node.children(), plan)

@@ -70,63 +70,6 @@ class ScanNode(PlanNode):
 
 
 @dataclass(frozen=True)
-class IndexedScanNode(ScanNode):
-    """A catalog scan whose consumer navigates via the columnar index.
-
-    Subclasses :class:`ScanNode` (no extra fields) so version tracking,
-    cache keys and lineage — all keyed off ``isinstance(node, ScanNode)``
-    — treat it as the scan it is; only the label (and hence the
-    fingerprint) differs, keeping indexed and walked results in separate
-    cache entries.
-    """
-
-    def label(self) -> str:
-        return f"IndexedScan({self.name})"
-
-
-#: Path-navigation operations an :class:`IndexedPathStepNode` can run.
-INDEXED_OPS = ("project-ancestor", "exists", "count", "dist", "point")
-
-
-@dataclass(frozen=True)
-class IndexedPathStepNode(PlanNode):
-    """Path navigation lowered onto the columnar index.
-
-    Produced by the lowering rewrite rules from an ancestor
-    :class:`ProjectNode` or a path-shaped :class:`QueryNode` sitting
-    directly over a tree catalog scan.  The executor matches the path on
-    the :class:`~repro.index.columnar.ColumnarInstance` snapshot and
-    feeds the identical :class:`~repro.semistructured.paths.PathMatch`
-    to the same Section 6 algorithms the walked operators use — falling
-    back to those operators at runtime if the snapshot turns out not to
-    be a tree.
-    """
-
-    op: str                            # one of INDEXED_OPS
-    path: PathExpression
-    child: PlanNode
-    oid: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.op not in INDEXED_OPS:
-            raise PlanError(f"unknown indexed path op {self.op!r}")
-        if self.op == "point" and self.oid is None:
-            raise PlanError("indexed point navigation needs a target oid")
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-    def with_children(self, children: tuple[PlanNode, ...]) -> "IndexedPathStepNode":
-        (child,) = children
-        return IndexedPathStepNode(self.op, self.path, child, self.oid)
-
-    def label(self) -> str:
-        if self.op == "point":
-            return f"IndexedPathStep[point {self.path} : {self.oid}]"
-        return f"IndexedPathStep[{self.op} {self.path}]"
-
-
-@dataclass(frozen=True)
 class ProjectNode(PlanNode):
     """Ancestor / descendant / single projection of a path expression."""
 

@@ -38,17 +38,8 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional
 
-from repro.engine.cost import CostModel, Estimate
-from repro.engine.plan import (
-    IndexedPathStepNode,
-    IndexedScanNode,
-    PlanNode,
-    ProductNode,
-    ProjectNode,
-    QueryNode,
-    ScanNode,
-    SelectNode,
-)
+from repro.engine.cost import CostModel
+from repro.engine.plan import PlanNode, ProductNode, ProjectNode, SelectNode
 from repro.obs.metrics import current_registry
 from repro.obs.tracing import current_tracer
 
@@ -116,92 +107,6 @@ DEFAULT_RULES: tuple[RewriteRule, ...] = (
     collapse_adjacent_projections,
     push_selection_below_projection,
     reorder_product_by_size,
-)
-
-
-# ----------------------------------------------------------------------
-# Index lowering (a separate rule set, applied after DEFAULT_RULES so
-# the algebraic rules see the original Project/Select/Scan shapes).
-# ----------------------------------------------------------------------
-#: Query kinds whose path navigation the index can run.
-INDEXABLE_QUERY_KINDS = ("exists", "count", "dist", "point")
-
-
-def _indexable_scan(
-    child: PlanNode, cost: CostModel | None
-) -> "tuple[ScanNode, Estimate] | None":
-    """The scan + estimate when lowering pays off, else ``None``.
-
-    Guards: the child must be a plain catalog scan (``type`` check so an
-    already-lowered :class:`IndexedScanNode` is never re-lowered), the
-    instance must currently be a tree (the encoding's domain; the
-    executor re-checks at runtime and falls back on mismatch), and the
-    cost model must price indexed navigation strictly cheaper.
-    """
-    if cost is None or type(child) is not ScanNode:
-        return None
-    try:
-        estimate = cost.estimate(child)
-    except Exception:
-        return None   # unknown catalog name: leave the plan alone
-    if not estimate.is_tree:
-        return None
-    if cost.navigation_cost(estimate, indexed=True) >= cost.navigation_cost(
-        estimate, indexed=False
-    ):
-        return None
-    return child, estimate
-
-
-def lower_projection_to_index(
-    node: PlanNode, cost: CostModel | None = None
-) -> PlanNode | None:
-    """``Π^anc_p(Scan) -> IndexedPathStep[project-ancestor](IndexedScan)``.
-
-    The indexed evaluator computes the identical backward-pruned
-    :class:`~repro.semistructured.paths.PathMatch` (interval containment
-    on a tree equals the edge-by-edge prune) and feeds it to the same
-    Section 6.1 epsilon pass, so the result instance is unchanged.
-    """
-    if not (isinstance(node, ProjectNode) and node.kind == "ancestor"):
-        return None
-    lowered = _indexable_scan(node.child, cost)
-    if lowered is None:
-        return None
-    scan, _estimate = lowered
-    return IndexedPathStepNode(
-        "project-ancestor", node.path, IndexedScanNode(scan.name)
-    )
-
-
-def lower_query_to_index(
-    node: PlanNode, cost: CostModel | None = None
-) -> PlanNode | None:
-    """``Query[exists|count|dist|point](Scan) -> IndexedPathStep(IndexedScan)``.
-
-    Same match-equivalence argument as :func:`lower_projection_to_index`;
-    the numeric evaluators (existential epsilon, chain products, count
-    convolutions) run on the indexed match unchanged.
-    """
-    if not (
-        isinstance(node, QueryNode)
-        and node.kind in INDEXABLE_QUERY_KINDS
-        and node.path is not None
-    ):
-        return None
-    lowered = _indexable_scan(node.child, cost)
-    if lowered is None:
-        return None
-    scan, _estimate = lowered
-    return IndexedPathStepNode(
-        node.kind, node.path, IndexedScanNode(scan.name), node.oid
-    )
-
-
-#: The lowering rule set ``Engine.prepare`` applies after DEFAULT_RULES.
-INDEX_RULES: tuple[RewriteRule, ...] = (
-    lower_projection_to_index,
-    lower_query_to_index,
 )
 
 

@@ -1,7 +1,9 @@
 """Structural path index and columnar instance core.
 
 The walked evaluators navigate the Python object graph node-at-a-time;
-this package gives the engine flat-array alternatives:
+this package gives the engine a flat-array *access method* for the same
+operators — chosen by the executor at run time for a scanned tree whose
+snapshot is there (``Engine._strategy``), never a different plan:
 
 * :mod:`repro.index.encoding` — pre/size/level interval encoding of
   trees (the XPath-accelerator design), turning ancestor/descendant
@@ -13,7 +15,8 @@ this package gives the engine flat-array alternatives:
 * :mod:`repro.index.opf` — vectorized OPF marginalization for the
   Section 6.1 epsilon pass (numpy fast path, pure-Python fallback);
 * :mod:`repro.index.cache` — the per-catalog snapshot cache, keyed by
-  the catalog token (:mod:`repro.storage.derived`).
+  the catalog token (:mod:`repro.storage.derived`), with the one
+  fail-open fetch (:meth:`IndexCache.try_get`) every reader uses.
 
 Pruning of provably dead paths is not done here: the abstract
 interpreter (:mod:`repro.check.absint`) folds the dataguide into its

@@ -10,6 +10,9 @@ tree-structured instances.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
+
 from repro.core.instance import ProbabilisticInstance
 from repro.errors import QueryError
 from repro.queries.chain import chain_probability
@@ -57,18 +60,24 @@ def expected_match_count(
     pi: ProbabilisticInstance,
     path: PathExpression | str,
     match: PathMatch | None = None,
+    parent_of: Mapping[Oid, Oid] | None = None,
 ) -> float:
     """``E[#objects satisfying p]`` — the sum of the point probabilities.
 
-    Exact on trees by linearity of expectation; no enumeration.  A
-    precomputed ``match`` (e.g. from the columnar matcher) skips the
-    structural locate step.
+    Exact on trees by linearity of expectation; no enumeration (a
+    non-tree raises, as :func:`~repro.queries.point.point_query` does).
+    A precomputed ``match`` and ``parent_of`` map (from a tree-verified
+    columnar snapshot) skip the structural locate step and the per-point
+    tree check.  Summed with :func:`math.fsum`: the matched objects are
+    a set, and the answer must not depend on its iteration order.
     """
     if isinstance(path, str):
         path = PathExpression.parse(path)
     if match is None:
         match = match_path(pi.weak.graph(), path)
-    return sum(point_query(pi, path, oid) for oid in match.matched)
+    return math.fsum(
+        point_query(pi, path, oid, parent_of) for oid in match.matched
+    )
 
 
 def match_count_distribution(

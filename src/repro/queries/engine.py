@@ -17,6 +17,8 @@ path ``p``?" — can be answered three ways:
 
 from __future__ import annotations
 
+import math
+
 from repro.bayesnet.mapping import PXMLBayesianNetwork
 from repro.core.instance import ProbabilisticInstance
 from repro.errors import QueryError
@@ -26,13 +28,13 @@ from repro.queries.chain import chain_probability
 from repro.queries.point import existential_query, point_query
 from repro.semantics.global_interpretation import GlobalInterpretation
 from repro.semistructured.graph import Oid
-from repro.semistructured.paths import PathExpression
+from repro.semistructured.paths import PathExpression, match_path
 
 _STRATEGIES = ("auto", "local", "bayes", "enumerate", "sample")
 
 
 class QueryEngine:
-    """Answers probabilistic point/existential/chain queries.
+    """Answers probabilistic point/existential/count/chain queries.
 
     Every query runs inside a ``query.<kind>`` span on the ambient
     tracer (:func:`repro.obs.tracing.current_tracer`), so standalone use
@@ -100,27 +102,41 @@ class QueryEngine:
     def _estimate_extra(estimate) -> dict:
         return {"samples": estimate.samples, "stderr": estimate.stderr}
 
+    def _point(self, path: PathExpression, oid: Oid) -> tuple[float, dict]:
+        if self.strategy == "local":
+            return point_query(self.pi, path, oid), {}
+        if self.strategy == "bayes":
+            return self._bayes().point_query(path, oid), {}
+        if self.strategy == "sample":
+            from repro.semantics.sampling import estimate_point_query
+
+            estimate = estimate_point_query(
+                self.pi, path, oid, self.samples, self.seed
+            )
+            return estimate.probability, self._estimate_extra(estimate)
+        return self._enumeration().prob_object_at_path(path, oid), {}
+
     def point(self, path: PathExpression | str, oid: Oid) -> float:
         """``P(o in p)`` (Definition 6.1)."""
         path = self._as_path(path)
-        extra: dict = {}
         with current_tracer().span(
             "query.point", strategy=self.strategy
         ) as span:
-            if self.strategy == "local":
-                value = point_query(self.pi, path, oid)
-            elif self.strategy == "bayes":
-                value = self._bayes().point_query(path, oid)
-            elif self.strategy == "sample":
-                from repro.semantics.sampling import estimate_point_query
-
-                estimate = estimate_point_query(
-                    self.pi, path, oid, self.samples, self.seed
-                )
-                value, extra = estimate.probability, self._estimate_extra(estimate)
-            else:
-                value = self._enumeration().prob_object_at_path(path, oid)
+            value, extra = self._point(path, oid)
         self._record("point", span, extra)
+        return value
+
+    def count(self, path: PathExpression | str) -> float:
+        """``E[#objects satisfying p]`` as the sum of ``P(o in p)`` over
+        the structural matches: linearity of expectation needs no tree,
+        so every strategy that answers a point query answers this."""
+        path = self._as_path(path)
+        with current_tracer().span(
+            "query.count", strategy=self.strategy
+        ) as span:
+            matched = match_path(self.pi.weak.graph(), path).matched
+            value = math.fsum(self._point(path, oid)[0] for oid in matched)
+        self._record("count", span)
         return value
 
     def exists(self, path: PathExpression | str) -> float:

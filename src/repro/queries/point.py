@@ -15,27 +15,38 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 from repro.algebra.projection_prob import epsilon_pass
 from repro.algebra.selection import chain_to
 from repro.core.instance import ProbabilisticInstance
-from repro.errors import AlgebraError
+from repro.errors import AlgebraError, NonTreeInstanceError
 from repro.queries.chain import chain_probability
 from repro.semistructured.graph import Oid
 from repro.semistructured.paths import PathExpression
 
 
 def point_query(
-    pi: ProbabilisticInstance, path: PathExpression | str, oid: Oid
+    pi: ProbabilisticInstance,
+    path: PathExpression | str,
+    oid: Oid,
+    parent_of: Mapping[Oid, Oid] | None = None,
 ) -> float:
     """``P(o in p)`` on a tree-structured probabilistic instance.
 
     Returns 0.0 when ``o`` does not satisfy the path even in the weak
-    instance ("it is obvious that the probability must be zero").
+    instance ("it is obvious that the probability must be zero"); a
+    non-tree raises :class:`~repro.errors.NonTreeInstanceError` — the
+    chain product does not apply, which is not a zero.  ``parent_of`` is
+    a tree-verified snapshot's child-to-parent map, as for
+    :func:`~repro.algebra.selection.chain_to`.
     """
     if isinstance(path, str):
         path = PathExpression.parse(path)
     try:
-        chain = chain_to(pi, path, oid)
+        chain = chain_to(pi, path, oid, parent_of)
+    except NonTreeInstanceError:
+        raise
     except AlgebraError:
         return 0.0
     return chain_probability(pi, chain)

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.algebra.product import cartesian_product
 from repro.algebra.projection_more import (
     descendant_projection_local,
@@ -24,10 +26,7 @@ from repro.core.interpretation import LocalInterpretation
 from repro.core.weak_instance import WeakInstance
 from repro.engine.executor import check_probability_guard
 from repro.pxql import ast, parse
-from repro.queries.aggregates import (
-    expected_match_count,
-    match_count_distribution,
-)
+from repro.queries.aggregates import match_count_distribution
 from repro.queries.engine import QueryEngine
 from repro.semistructured.types import LeafType
 
@@ -178,7 +177,46 @@ def evaluate_directly(database, text: str):
     if isinstance(stmt, ast.ProbStatement):
         return QueryEngine(source).object_exists(stmt.oid)
     if isinstance(stmt, ast.CountStatement):
-        return expected_match_count(source, stmt.path)
+        return QueryEngine(source).count(stmt.path)
     if isinstance(stmt, ast.DistStatement):
         return match_count_distribution(source, stmt.path)
     raise ValueError(f"no direct form of {text!r}")
+
+
+# ----------------------------------------------------------------------
+# The five path operators, as statements, and answer comparison
+# ----------------------------------------------------------------------
+PATH_KINDS = ("exists", "count", "dist", "point", "project")
+
+
+def path_statement(kind: str, path, oid=None, source: str = "base") -> str:
+    """The PXQL statement of one path operator over ``source``."""
+    return {
+        "exists": f"EXISTS {path} IN {source}",
+        "count": f"COUNT {path} IN {source}",
+        "dist": f"DIST {path} IN {source}",
+        "point": f"POINT {path} : {oid} IN {source}",
+        "project": f"PROJECT {path} FROM {source}",
+    }[kind]
+
+
+def assert_same_answer(got, expected, context, tol: float = 1e-9) -> None:
+    """Two answers of one statement agree: floats (of type ``float``)
+    and ``DIST`` dicts within ``tol``; instances in objects, edges and
+    every OPF."""
+    if isinstance(expected, ProbabilisticInstance):
+        assert got.objects == expected.objects, context
+        assert set(got.weak.graph().edges()) == \
+            set(expected.weak.graph().edges()), context
+        for oid in expected.non_leaves():
+            assert_same_answer(
+                dict(got.opf(oid).support()),
+                dict(expected.opf(oid).support()), (context, oid), tol,
+            )
+    elif isinstance(expected, dict):
+        assert set(got) == set(expected), context
+        for key, probability in expected.items():
+            assert got[key] == pytest.approx(probability, abs=tol), context
+    else:
+        assert type(got) is type(expected) is float, context
+        assert got == pytest.approx(expected, abs=tol), context

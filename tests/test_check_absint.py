@@ -260,7 +260,7 @@ class TestVerifyExecution:
     def test_clean_execution_has_no_violations(self, database):
         plan = QueryNode("count", ScanNode("bib"),
                          path=PathExpression("R", ("book",)))
-        engine = _engine(database, use_index=False, caching=False)
+        engine = _engine(database, caching=False)
         result = engine.execute_plan(plan)
         assert verify_execution(result.certificate, result.value,
                                 result.stats) == []
@@ -268,7 +268,7 @@ class TestVerifyExecution:
     def test_tampered_result_interval_is_flagged(self, database):
         plan = QueryNode("exists", ScanNode("bib"),
                          path=PathExpression("R", ("book",)))
-        engine = _engine(database, use_index=False, caching=False)
+        engine = _engine(database, caching=False)
         result = engine.execute_plan(plan)
         bogus = dataclasses.replace(result.certificate, result=(0.0, 0.1))
         violations = verify_execution(bogus, result.value, result.stats)
@@ -277,14 +277,14 @@ class TestVerifyExecution:
     def test_shape_mismatch_skips_the_check(self, database):
         plan = QueryNode("exists", ScanNode("bib"),
                          path=PathExpression("R", ("book",)))
-        engine = _engine(database, use_index=False, caching=False)
+        engine = _engine(database, caching=False)
         result = engine.execute_plan(plan)
         truncated = dataclasses.replace(
             result.certificate, facts=result.certificate.facts[:1])
         assert verify_execution(truncated, result.value, result.stats) == []
 
     def test_engine_verify_counter_stays_zero(self, database):
-        engine = _engine(database, use_index=False, caching=False)
+        engine = _engine(database, caching=False)
         engine.absint_verify = True
         for kind in KINDS:
             plan = _query_plan(kind, "bib", PathExpression("R", ("book",)),
@@ -301,7 +301,7 @@ class TestEngineIntegration:
     def test_dead_plan_short_circuits(self, database):
         plan = QueryNode("count", ScanNode("bib"),
                          path=PathExpression("R", ("book", DEAD_LABEL)))
-        engine = _engine(database, use_index=False, caching=False)
+        engine = _engine(database, caching=False)
         result = engine.execute_plan(plan)
         assert result.value == 0.0
         assert engine.metrics.counter("check.absint_skips").value == 1
@@ -310,32 +310,30 @@ class TestEngineIntegration:
     def test_absint_off_engine_never_skips(self, database):
         plan = QueryNode("count", ScanNode("bib"),
                          path=PathExpression("R", ("book", DEAD_LABEL)))
-        engine = _engine(database, use_index=False, caching=False,
-                         absint=False)
+        engine = _engine(database, caching=False, absint=False)
         result = engine.execute_plan(plan)
         assert result.value == 0.0
         assert result.certificate is None
         assert engine.metrics.counter("check.absint_skips").value == 0
 
     def test_dead_path_has_one_skip_site_with_index_on(self, database):
-        # One proof, one skip: under use_index the lowered plan's
-        # certificate short-circuits it, and the indexed operator (which
-        # has no skip of its own) gives the same constant when matched.
+        # One proof, one skip: the certificate short-circuits the plan
+        # before any access method is chosen, and the indexed operator
+        # (which has no skip of its own) gives the same constant when
+        # matched, as does the walk.
         dead = PathExpression("R", ("book", DEAD_LABEL))
-        engine = _engine(database, use_index=True, caching=False)
-        matched = _engine(database, use_index=True, caching=False,
-                          absint=False)
-        walked = _engine(database, use_index=False, caching=False,
-                         absint=False)
+        engine = _engine(database, caching=False)
+        matched = _engine(database, caching=False, absint=False)
         for kind in KINDS:
             plan = _query_plan(kind, "bib", dead, oid="B1")
             result = engine.execute_plan(plan)
-            assert "lower_query_to_index" in result.applied_rules
             assert result.certificate.skippable
             assert (result.stats.cache, result.stats.strategy) == \
                 ("skip", "absint")
-            assert matched.execute_plan(plan).value == result.value
-            assert walked.execute_plan(plan).value == result.value
+            indexed = matched.execute_plan(plan)
+            assert indexed.stats.strategy == "indexed"
+            assert indexed.value == result.value
+            assert matched.execute_as_written(plan).value == result.value
         assert engine.metrics.counter("check.absint_skips").value == len(KINDS)
         assert engine.metrics.counter("index.builds").value == 0
         assert matched.metrics.counter("check.absint_skips").value == 0
@@ -353,7 +351,7 @@ class TestEngineIntegration:
     def test_explain_renders_intervals(self, database):
         plan = QueryNode("exists", ScanNode("bib"),
                          path=PathExpression("R", ("book",)))
-        engine = _engine(database, use_index=False, caching=False)
+        engine = _engine(database, caching=False)
         text = engine.explain(plan)
         assert "est_rows=[" in text
         assert "prob=[" in text
@@ -362,7 +360,7 @@ class TestEngineIntegration:
     def test_explain_marks_provably_empty(self, database):
         plan = QueryNode("exists", ScanNode("bib"),
                          path=PathExpression("R", ("book", DEAD_LABEL)))
-        engine = _engine(database, use_index=False, caching=False)
+        engine = _engine(database, caching=False)
         assert "provably empty" in engine.explain(plan)
 
     def test_explain_analyze_reports_verification(self):
@@ -381,20 +379,22 @@ def test_corpus_answers_inside_certified_intervals(spec):
     workload, path, oid = _workload_targets(spec)
     database = Database()
     database.register("base", workload.instance)
-    for use_index in (False, True):
-        engine = _engine(database, use_index=use_index, caching=False)
-        engine.absint_verify = True
-        for kind in KINDS:
-            plan = _query_plan(kind, "base", path, oid=oid)
-            result = engine.execute_plan(plan)
-            assert result.violations == (), (kind, use_index)
-            certificate = result.certificate
-            assert certificate is not None
-            lo, hi = certificate.result
-            answer = _scalar_answer(kind, result.value)
-            assert lo - TOL <= answer <= hi + TOL, (kind, use_index)
-        assert engine.metrics.counter("check.absint_violations").value == 0
-        assert engine.metrics.counter("check.absint_errors").value == 0
+    engine = _engine(database, caching=False)
+    engine.absint_verify = True
+    for kind in KINDS:
+        plan = _query_plan(kind, "base", path, oid=oid)
+        result = engine.execute_plan(plan)
+        assert result.violations == (), kind
+        certificate = result.certificate
+        assert certificate is not None
+        lo, hi = certificate.result
+        # The interval is about the statement, not the access method:
+        # the indexed answer and the walked one both lie inside it.
+        for run in (result, engine.execute_as_written(plan)):
+            answer = _scalar_answer(kind, run.value)
+            assert lo - TOL <= answer <= hi + TOL, (kind, run.stats.strategy)
+    assert engine.metrics.counter("check.absint_violations").value == 0
+    assert engine.metrics.counter("check.absint_errors").value == 0
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=_spec_id)
@@ -410,8 +410,8 @@ def test_dead_plan_parity_and_skip(spec):
 
     database = Database()
     database.register("base", workload.instance)
-    on = _engine(database, use_index=False, caching=False)
-    off = _engine(database, use_index=False, caching=False, absint=False)
+    on = _engine(database, caching=False)
+    off = _engine(database, caching=False, absint=False)
     for kind in ("exists", "count", "dist"):
         plan = _query_plan(kind, "base", dead)
         assert on.execute_plan(plan).value == off.execute_plan(plan).value
@@ -427,10 +427,10 @@ def test_dead_plan_parity_and_skip(spec):
     opf_kind=st.sampled_from(("tabular", "independent")),
     seed=st.integers(min_value=0, max_value=10_000),
     kind=st.sampled_from(KINDS),
-    use_index=st.booleans(),
+    as_written=st.booleans(),
 )
 def test_property_interval_soundness(labeling, opf_kind, seed, kind,
-                                     use_index):
+                                     as_written):
     """Property: on any generated workload, any supported query kind's
     exact answer lies inside the certified interval and the runtime
     verifier finds nothing to complain about."""
@@ -439,12 +439,13 @@ def test_property_interval_soundness(labeling, opf_kind, seed, kind,
     workload, path, oid = _workload_targets(spec)
     database = Database()
     database.register("base", workload.instance)
-    engine = _engine(database, use_index=use_index, caching=False)
+    engine = _engine(database, caching=False)
     engine.absint_verify = True
     plan = _query_plan(kind, "base", path, oid=oid)
     result = engine.execute_plan(plan)
     assert result.violations == ()
     lo, hi = result.certificate.result
-    answer = _scalar_answer(kind, result.value)
+    run = engine.execute_as_written(plan) if as_written else result
+    answer = _scalar_answer(kind, run.value)
     assert lo - TOL <= answer <= hi + TOL
     assert engine.metrics.counter("check.absint_violations").value == 0

@@ -741,6 +741,31 @@ class TestOneTokenPerStatement:
         interpreter.execute("EXISTS o0.l0_0 IN t")
         assert len(interpreter.engine.guides) == 1
 
+    def test_one_rewrite_fixpoint_per_cold_statement(self, counted, monkeypatch):
+        """Preparing a plan is one ``optimize`` fixpoint (the access
+        method is not a second rule set); a plan-cache hit runs none."""
+        import repro.engine.executor as executor
+
+        interpreter, calls = counted
+        real = executor.optimize
+
+        def counting(*args, **kwargs):
+            calls["optimize"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "optimize", counting)
+        derive = "PROJECT o0.l0_0.l1_0.l2_0 FROM t AS w"
+        for statement in ("EXISTS o0.l0_0.l1_0 IN t", "COUNT o0.l0_0 IN t",
+                          derive):
+            calls["optimize"] = 0
+            interpreter.execute(statement)
+            assert calls["optimize"] == 1, statement
+        calls["optimize"] = 0
+        hits = interpreter.engine.plan_cache.stats.hits
+        interpreter.execute(derive)
+        assert interpreter.engine.plan_cache.stats.hits == hits + 1
+        assert calls["optimize"] == 0
+
     @pytest.fixture
     def located(self, counted, monkeypatch):
         """``counted`` plus counters on the three ways to locate a path

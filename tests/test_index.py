@@ -1,4 +1,4 @@
-"""repro.index: encoding, columnar matcher parity, caches, engine lowering.
+"""repro.index: encoding, columnar matcher parity, caches, engine access.
 
 The load-bearing contract is *parity*: every vectorized structure must
 produce results identical to the walked evaluators it replaces.  The
@@ -17,11 +17,10 @@ from repro.core.builder import InstanceBuilder
 from repro.core.distributions import TabularOPF
 from repro.engine import (
     Engine,
-    IndexedPathStepNode,
-    IndexedScanNode,
     PlanBuilder,
     QueryNode,
     ScanNode,
+    plan_statement,
 )
 from repro.index import (
     HAS_NUMPY,
@@ -34,7 +33,7 @@ from repro.index import (
 )
 from repro.index.columnar import _MATCH_MEMO_CAP, _match_python
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.pxql import Interpreter
+from repro.pxql import Interpreter, parse
 from repro.semistructured.paths import PathExpression, match_path
 from repro.storage.database import Database
 from repro.storage.derived import cache_token
@@ -43,7 +42,12 @@ from repro.workloads.generator import (
     generate_workload,
     random_projection_path,
 )
-from tests.helpers import random_dag_instance
+from tests.helpers import (
+    assert_same_answer,
+    evaluate_directly,
+    path_statement,
+    random_dag_instance,
+)
 
 TOL = 1e-9
 
@@ -409,15 +413,21 @@ class TestDeadPathProof:
 
 
 # ----------------------------------------------------------------------
-# Engine parity: use_index on vs off, all lowered query kinds
+# Engine parity: the snapshot is an access method — the accelerated run
+# (path located on it), the run as written (walked: the in-engine
+# reference) and the direct operator call answer alike, on one plan
 # ----------------------------------------------------------------------
-def _query_plans(path, oid):
+def _path_statements(path, oid):
     return {
-        "exists": PlanBuilder.scan("base").exists(path).build(),
-        "count": PlanBuilder.scan("base").count(path).build(),
-        "point": PlanBuilder.scan("base").point(path, oid).build(),
-        "dist": QueryNode("dist", ScanNode("base"), path=path),
+        kind: path_statement(kind, path, oid)
+        for kind in ("exists", "count", "point", "dist")
     }
+
+
+def _engine_over(instance, **options):
+    database = Database()
+    database.register("base", instance.copy())
+    return Engine(database, caching=False, **options)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
@@ -428,25 +438,19 @@ def test_engine_index_parity(spec):
     graph = workload.instance.weak.graph()
     oid = rng.choice(sorted(match_path(graph, path).matched))
 
-    values = {}
-    for use_index in (False, True):
-        database = Database()
-        database.register("base", workload.instance.copy())
-        engine = Engine(database, caching=False, use_index=use_index)
-        cell = {}
-        for kind, plan in _query_plans(path, oid).items():
-            execution = engine.execute_plan(plan)
-            cell[kind] = execution.value
-            if use_index:
-                assert "lower_query_to_index" in execution.applied_rules, kind
-        values[use_index] = cell
-
-    walked, indexed = values[False], values[True]
-    for kind in ("exists", "count", "point"):
-        assert indexed[kind] == pytest.approx(walked[kind], abs=TOL), kind
-    assert set(indexed["dist"]) == set(walked["dist"])
-    for count, probability in walked["dist"].items():
-        assert indexed["dist"][count] == pytest.approx(probability, abs=TOL)
+    engine = _engine_over(workload.instance)
+    for kind, text in _path_statements(path, oid).items():
+        plan = plan_statement(parse(text))
+        indexed = engine.execute_plan(plan)
+        assert indexed.stats.strategy == "indexed", kind
+        assert indexed.stats.extra["index"] == "columnar", kind
+        assert (indexed.plan, indexed.applied_rules) == (plan, ()), kind
+        walked = engine.execute_as_written(plan)
+        assert walked.stats.strategy == "local", kind
+        assert_same_answer(indexed.value, walked.value, kind)
+        assert_same_answer(
+            indexed.value, evaluate_directly(engine.database, text), kind
+        )
 
 
 @pytest.mark.parametrize("spec", SPECS[::4], ids=_spec_id)
@@ -454,73 +458,63 @@ def test_engine_indexed_projection_parity(spec):
     workload = generate_workload(spec)
     rng = random.Random(spec.seed + 901)
     path = random_projection_path(workload, rng)
-    graph = workload.instance.weak.graph()
-    oid = rng.choice(sorted(match_path(graph, path).matched))
 
-    produced = {}
-    for use_index in (False, True):
-        database = Database()
-        database.register("base", workload.instance.copy())
-        engine = Engine(database, caching=False, use_index=use_index)
-        execution = engine.execute_plan(
-            PlanBuilder.scan("base").project(path).build()
-        )
-        if use_index:
-            assert "lower_projection_to_index" in execution.applied_rules
-        produced[use_index] = execution.value
-
-    assert produced[True].objects == produced[False].objects
-    from repro.queries.engine import QueryEngine
-
-    assert QueryEngine(produced[True], strategy="local").point(
-        path, oid
-    ) == pytest.approx(
-        QueryEngine(produced[False], strategy="local").point(path, oid),
-        abs=TOL,
-    )
+    engine = _engine_over(workload.instance)
+    text = path_statement("project", path)
+    plan = plan_statement(parse(text))
+    indexed = engine.execute_plan(plan)
+    assert indexed.stats.strategy == "indexed"
+    assert (indexed.plan, indexed.applied_rules) == (plan, ())
+    walked = engine.execute_as_written(plan)
+    assert walked.stats.strategy == "local"
+    for reference in (walked.value, evaluate_directly(engine.database, text)):
+        assert_same_answer(indexed.value, reference, text)
 
 
 def test_engine_dag_stays_walked():
-    """On a DAG the lowering guard never fires; results still agree."""
-    pi = random_dag_instance(random.Random(3))
-    path = PathExpression.parse("r.a.b")
-    values = {}
-    for use_index in (False, True):
-        database = Database()
-        database.register("base", pi.copy())
-        engine = Engine(database, caching=False, use_index=use_index)
-        for kind in ("exists", "count"):
-            plan = _query_plans(path, None)[kind]
-            execution = engine.execute_plan(plan)
-            assert "lower_query_to_index" not in execution.applied_rules
-            values[(use_index, kind)] = execution.value
-    for kind in ("exists", "count"):
-        assert values[(True, kind)] == pytest.approx(
-            values[(False, kind)], abs=TOL
-        )
-
-
-def test_engine_runtime_fallback_on_stale_lowering():
-    """A lowered plan over a DAG (stale plan-time estimate) must detect
-    the shape at runtime, fall back to the walked operator, and count it."""
-    pi = random_dag_instance(random.Random(4))
-    path = PathExpression.parse("r.a.b")
+    """A DAG's measurement says not-a-tree before any snapshot is asked
+    for: the walked operators answer, and results still agree."""
     registry = MetricsRegistry()
-    database = Database()
-    database.register("dag", pi)
-    engine = Engine(
-        database, optimizer=False, caching=False, metrics=registry
+    engine = _engine_over(
+        random_dag_instance(random.Random(3)), metrics=registry
     )
-    lowered = IndexedPathStepNode("exists", path, IndexedScanNode("dag"))
-    walked = Engine(Database(), caching=False, use_index=False)
-    walked.database.register("dag", pi.copy())
-    expected = walked.execute_plan(
-        PlanBuilder.scan("dag").exists(path).build()
-    ).value
-    assert engine.execute_plan(lowered).value == pytest.approx(
-        expected, abs=TOL
-    )
+    path = PathExpression.parse("r.a.b")
+    for kind in ("exists", "count"):
+        text = _path_statements(path, None)[kind]
+        plan = plan_statement(parse(text))
+        execution = engine.execute_plan(plan)
+        assert execution.stats.strategy == "bayes", kind
+        assert_same_answer(
+            execution.value, engine.execute_as_written(plan).value, kind
+        )
+        assert_same_answer(
+            execution.value, evaluate_directly(engine.database, text), kind
+        )
+    assert registry.counter("index.builds").value == 0
+    assert registry.counter("index.fallbacks").value == 0
+
+
+def test_engine_unbuildable_snapshot_falls_back_to_the_walk(monkeypatch):
+    """A fault at the snapshot build is an ``index.build_error`` event
+    and one ``index.fallbacks``; the walked operator answers."""
+    registry = MetricsRegistry()
+    engine = _engine_over(build_bib(), metrics=registry)
+    plan = PlanBuilder.scan("base").exists("R.book.author").build()
+    expected = engine.execute_as_written(plan).value
+
+    def explode(cls, pi):
+        raise RuntimeError("no snapshot today")
+
+    monkeypatch.setattr(ColumnarInstance, "from_instance", classmethod(explode))
+    execution = engine.execute_plan(plan)
+    assert execution.value == pytest.approx(expected, abs=TOL)
+    assert execution.stats.strategy == "local"
     assert registry.counter("index.fallbacks").value == 1
+    assert registry.counter("index.builds").value == 0
+    assert any(
+        span.name == "index.build_error"
+        for root in engine.tracer.roots() for span in root.walk()
+    )
 
 
 def test_engine_skips_provably_unmatchable_paths():
@@ -550,31 +544,32 @@ def test_engine_skips_provably_unmatchable_paths():
     assert (exists.stats.cache, exists.stats.strategy) == ("skip", "absint")
 
     # Parity: with the proof off the indexed operator matches the path
-    # and the walked engine walks it; both agree on every constant.
-    for use_index in (True, False):
-        plain = Engine(
-            database, caching=False, use_index=use_index, absint=False
-        )
-        assert plain.execute_plan(
-            PlanBuilder.scan("bib").exists(absent).build()
-        ).value == 0.0
-        assert plain.execute_plan(
+    # and the run as written walks it; both agree on every constant.
+    plain = Engine(database, caching=False, absint=False)
+    for run in (plain.execute_plan, plain.execute_as_written):
+        assert run(PlanBuilder.scan("bib").exists(absent).build()).value == 0.0
+        assert run(
             QueryNode("dist", ScanNode("bib"), path=absent)
         ).value == {0: 1.0}
 
 
 def test_explain_shows_index_lowering():
-    """EXPLAIN surfaces the lowered operators on a corpus query."""
+    """EXPLAIN shows the statement as written and names the access
+    method its path step will use — and did use."""
     interpreter = Interpreter(Database())
     interpreter.database.register("bib", build_bib())
     result = interpreter.execute("EXPLAIN EXISTS R.book.author IN bib")
-    assert "IndexedScan(bib)" in result.text
-    assert "lower_query_to_index" in result.text
+    root = result.text.splitlines()[0]
+    assert root.startswith("Query[exists R.book.author]")
+    assert "strategy=indexed" in root
+    assert "rewrites: none" in result.text
 
     analyzed = interpreter.execute(
         "EXPLAIN ANALYZE EXISTS R.book.author IN bib"
     )
-    assert "IndexedScan(bib)" in analyzed.text
+    root = analyzed.text.splitlines()[0]
+    assert root.startswith("Query[exists R.book.author]")
+    assert "strategy=indexed" in root
 
 
 def test_numpy_flag_is_consistent():
