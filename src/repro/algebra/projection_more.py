@@ -26,14 +26,14 @@ same global/local split as ancestor projection:
 from __future__ import annotations
 
 from repro.algebra.projection import descendant_projection, single_projection
-from repro.algebra.projection_prob import ancestor_projection_local, epsilon_pass
+from repro.algebra.projection_prob import _require_tree, ancestor_projection_local
 from repro.core.distributions import TabularOPF
 from repro.core.instance import ProbabilisticInstance
 from repro.core.potential import ChildSet
 from repro.errors import SemanticsError
 from repro.semantics.global_interpretation import GlobalInterpretation
 from repro.semistructured.graph import Oid
-from repro.semistructured.paths import PathExpression
+from repro.semistructured.paths import PathExpression, match_path
 
 
 def descendant_projection_global(
@@ -115,8 +115,8 @@ def single_projection_local(
     """
     if isinstance(path, str):
         path = PathExpression.parse(path)
-    sweep = epsilon_pass(pi, path)
-    match = sweep.match
+    _require_tree(pi)
+    match = match_path(pi.weak.graph(), path)
     depth = len(match.levels) - 1 if match.levels else 0
 
     from repro.core.weak_instance import WeakInstance

@@ -40,7 +40,6 @@ from repro.core.cardinality import CardinalityInterval
 from repro.core.compact import IndependentOPF, NonEmptyIndependentOPF
 from repro.core.distributions import ObjectProbabilityFunction, TabularOPF
 from repro.core.instance import ProbabilisticInstance
-from repro.core.potential import ChildSet
 from repro.core.weak_instance import WeakInstance
 from repro.errors import NonTreeInstanceError, SemanticsError
 from repro.index.opf import marginalize_opf
@@ -97,6 +96,21 @@ def _require_tree(pi: ProbabilisticInstance) -> None:
         )
 
 
+def _locate(
+    pi: ProbabilisticInstance,
+    path: PathExpression | str,
+    match: PathMatch | None,
+    assume_tree: bool,
+) -> PathMatch:
+    """``path``'s match on ``pi`` (the caller's, if it brought one),
+    behind the tree check unless the caller holds the proof."""
+    if isinstance(path, str):
+        path = PathExpression.parse(path)
+    if not assume_tree:
+        _require_tree(pi)
+    return match if match is not None else match_path(pi.weak.graph(), path)
+
+
 def epsilon_pass(
     pi: ProbabilisticInstance,
     path: PathExpression | str,
@@ -113,12 +127,7 @@ def epsilon_pass(
     separately; callers that already verified tree-shape (e.g. from a
     columnar snapshot) pass ``assume_tree=True`` to skip the O(V) check.
     """
-    if isinstance(path, str):
-        path = PathExpression.parse(path)
-    if not assume_tree:
-        _require_tree(pi)
-    if match is None:
-        match = match_path(pi.weak.graph(), path)
+    match = _locate(pi, path, match, assume_tree)
     epsilon: dict[Oid, float] = {}
     opfs: dict[Oid, ObjectProbabilityFunction] = {}
 
@@ -167,6 +176,57 @@ def epsilon_pass(
     )
 
 
+def root_epsilon(
+    pi: ProbabilisticInstance,
+    path: PathExpression | str,
+    match: PathMatch | None = None,
+    assume_tree: bool = False,
+) -> float:
+    """``eps_r`` alone — the probability that some object satisfies ``path``.
+
+    :func:`epsilon_pass`'s sweep (same arguments, same empty /
+    zero-label / missing-OPF behaviour) carrying one float per object
+    and rewriting no OPF: all an existential query reads.  Independent
+    OPFs get ``1 - prod_j (1 - p_j eps_j)`` (over the non-empty mass
+    when conditioned on it); any other sums its support once.
+    """
+    match = _locate(pi, path, match, assume_tree)
+    if match.is_empty:
+        return 0.0
+    depth = len(match.levels) - 1
+    if depth == 0:
+        return 1.0    # zero-label path: the root matches itself
+    # On a tree an object's children on the match are exactly its
+    # children with an epsilon: every object has one depth.
+    epsilon: dict[Oid, float] = dict.fromkeys(match.levels[depth], 1.0)
+    for level in range(depth - 1, -1, -1):
+        for oid in match.levels[level]:
+            opf = pi.opf(oid)
+            if opf is None:
+                raise SemanticsError(f"non-leaf object {oid!r} has no OPF")
+            if isinstance(opf, (IndependentOPF, NonEmptyIndependentOPF)):
+                dead = 1.0
+                for child, included in opf.inclusion.items():
+                    dead *= 1.0 - included * epsilon.get(child, 0.0)
+                epsilon[oid] = (1.0 - dead) / (
+                    opf.nonempty_mass
+                    if isinstance(opf, NonEmptyIndependentOPF) else 1.0
+                )
+                continue
+            total = dead = 0.0
+            for child_set, mass in opf.support():
+                total += mass
+                for child in child_set:
+                    survives = epsilon.get(child)
+                    if survives is not None:
+                        mass *= 1.0 - survives
+                dead += mass
+            # As epsilon_pass: the root keeps its empty-set mass, every
+            # other object is measured by its surviving mass.
+            epsilon[oid] = (1.0 if oid == pi.root else total) - dead
+    return epsilon.get(pi.root, 0.0)
+
+
 def _update_independent(
     opf: IndependentOPF,
     kept: list[Oid],
@@ -201,8 +261,9 @@ def _update_tabular(
     epsilon: dict[Oid, float],
     is_root: bool,
 ) -> tuple[ObjectProbabilityFunction | None, float]:
-    """Generic support-enumeration update (any OPF representation)."""
-    accum = _marginalize(opf, kept, epsilon)
+    """Generic support-enumeration update (any OPF representation): the
+    unified marginalization formula of the module docstring."""
+    accum = marginalize_opf(opf, kept, epsilon)
     survive_mass = sum(p for c, p in accum.items() if c)
     if is_root:
         return TabularOPF(accum), survive_mass
@@ -212,21 +273,6 @@ def _update_tabular(
         TabularOPF({c: p / survive_mass for c, p in accum.items() if c}),
         survive_mass,
     )
-
-
-def _marginalize(
-    opf: ObjectProbabilityFunction,
-    kept: list[Oid],
-    epsilon: dict[Oid, float],
-) -> dict[ChildSet, float]:
-    """The unified marginalization formula (see module docstring).
-
-    Delegates to :func:`repro.index.opf.marginalize_opf`, which runs the
-    ``2^(#uncertain kept children)`` enumeration as one dense numpy
-    weight matrix when numpy is available and as the original sparse
-    Python loop otherwise (same keys, same values either way).
-    """
-    return marginalize_opf(opf, kept, epsilon)
 
 
 def ancestor_projection_local(

@@ -71,11 +71,13 @@ def existence_probability(pi: ProbabilisticInstance, oid: Oid) -> float:
     """``P(o occurs)`` on a *tree-structured* instance, in closed form.
 
     The product of marginal inclusion probabilities up the (unique)
-    parent chain.
+    parent chain; zero for an object the instance does not have.
     """
     graph = pi.weak.graph()
     if not graph.is_tree(pi.root):
         raise SemanticsError("closed-form existence needs a tree; use the BN engine")
+    if oid not in graph:
+        return 0.0
     probability = 1.0
     current = oid
     while current != pi.root:

@@ -27,6 +27,9 @@ constant (bare root, probability zero, trivial distribution).
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from typing import TYPE_CHECKING
+
 from repro.check.dataguide import DataGuideCache
 from repro.check.diagnostics import ERROR, WARNING, Diagnostic
 from repro.check.locate import UNKNOWN, Site, scan_site
@@ -43,6 +46,9 @@ from repro.engine.plan import (
 from repro.semistructured.graph import EdgeLabeledGraph
 from repro.semistructured.paths import PathExpression
 from repro.storage.derived import catalog_generation
+
+if TYPE_CHECKING:  # pragma: no cover - the interval pass is imported lazily
+    from repro.check.absint import PlanCertificate
 
 
 def _never_match_hint(site: Site, path: PathExpression) -> str | None:
@@ -99,14 +105,15 @@ class PlanChecker:
     # ------------------------------------------------------------------
     def check(self, plan: PlanNode) -> list[Diagnostic]:
         """Run the pass; returns (and stores) the findings."""
-        self._shape_of(plan)
+        # The root's own shape is nobody's input: checked, not built.
+        self._shape_of(plan, used=False)
         return self.diagnostics
 
-    def _shape_of(self, node: PlanNode) -> Site:
+    def _shape_of(self, node: PlanNode, used: bool = True) -> Site:
         if isinstance(node, ScanNode):
             return self._check_scan(node)
         if isinstance(node, ProjectNode):
-            return self._check_project(node, self._shape_of(node.child))
+            return self._check_project(node, self._shape_of(node.child), used)
         if isinstance(node, SelectNode):
             return self._check_select(node, self._shape_of(node.child))
         if isinstance(node, ProductNode):
@@ -134,7 +141,9 @@ class PlanChecker:
         )
 
     # ------------------------------------------------------------------
-    def _check_project(self, node: ProjectNode, shape: Site) -> Site:
+    def _check_project(
+        self, node: ProjectNode, shape: Site, used: bool
+    ) -> Site:
         if not shape.known:
             return UNKNOWN
         if not shape.alive(node.path):
@@ -152,9 +161,10 @@ class PlanChecker:
                 path=node.path, hint=_never_match_hint(shape, node.path),
             )
             return shape.projected()
-        if node.kind != "ancestor":
+        if node.kind != "ancestor" or not used:
             # Descendant / single projections re-root and re-label; the
-            # structural over-approximation stops here.
+            # structural over-approximation stops here.  Nor is a shape
+            # built that no operator above will locate a path on.
             return UNKNOWN
         return shape.projected(shape.match(node.path))
 
@@ -412,12 +422,15 @@ def check_plan(
     guides: DataGuideCache | None = None,
     subject: str | None = None,
     rewrites: bool = False,
+    certified: Callable[[PlanNode, int, PlanCertificate], None] | None = None,
 ) -> list[Diagnostic]:
     """Run the plan pass over one logical plan.
 
     With ``rewrites=True`` the optimizer is additionally run with a
     trace, and every applied rewrite is re-verified and annotated
-    (``PX250``/``PX251``).
+    (``PX250``/``PX251``).  ``certified`` is handed the plan, the
+    generation it was read under and the interval certificate computed
+    for it (:meth:`repro.engine.Engine.adopt_certificate`).
     """
     checker = PlanChecker(database, guides, subject)
     diagnostics = list(checker.check(plan))
@@ -433,6 +446,8 @@ def check_plan(
             certificate = certify_plan(
                 plan, database, checker.guides, checker.generation
             )
+            if certified is not None:
+                certified(plan, checker.generation, certificate)
             flagged: set[tuple[str, str]] = set()
             for d in diagnostics:
                 if d.code.startswith("PX22") and d.path is not None \

@@ -15,6 +15,7 @@ offending source position instead of an exception.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import replace
 
 from repro.check.dataguide import DataGuideCache
@@ -101,13 +102,14 @@ def check_statement(
     guides: DataGuideCache | None = None,
     subject: str | None = None,
     rewrites: bool = False,
+    certified: Callable[..., None] | None = None,
 ) -> list[Diagnostic]:
     """Statically check one parsed PXQL statement against a catalog.
 
     Returns the combined plan-pass and query-pass findings; never
     executes the statement.  ``CHECK``, ``EXPLAIN``, ``PROFILE`` and
     ``... WITH TIMEOUT`` wrappers are unwrapped to their inner statement
-    first.
+    first.  ``certified`` is :func:`~repro.check.plans.check_plan`'s.
     """
     while isinstance(
         statement,
@@ -119,7 +121,8 @@ def check_statement(
     plan = plan_statement(statement)
     if plan is not None:
         diagnostics = check_plan(plan, database, guides=guides,
-                                 subject=subject, rewrites=rewrites)
+                                 subject=subject, rewrites=rewrites,
+                                 certified=certified)
         return _attach_spans(diagnostics, spans)
 
     diagnostics = []

@@ -146,6 +146,13 @@ class PerLabelOPF(ObjectProbabilityFunction):
     def entry_count(self) -> int:
         return sum(opf.entry_count() for _, opf in self._components.values())
 
+    def marginal_inclusion(self, oid: str) -> float:
+        """The owning label's component answers (the others sum out)."""
+        for pool, opf in self._components.values():
+            if oid in pool:
+                return opf.marginal_inclusion(oid)
+        return 0.0
+
     def component(self, label: Label) -> ObjectProbabilityFunction:
         """The per-label component OPF."""
         return self._components[label][1]
@@ -198,6 +205,14 @@ class SymmetricOPF(ObjectProbabilityFunction):
 
     def entry_count(self) -> int:
         return len(self._size_prob)
+
+    def marginal_inclusion(self, oid: str) -> float:
+        """``sum_k P(|c| = k) * k / n``: a size-``k`` set is uniform."""
+        if oid not in self._candidates:
+            return 0.0
+        return sum(
+            mass * size for size, mass in self._size_prob.items()
+        ) / len(self._candidates)
 
     def __repr__(self) -> str:
         return (

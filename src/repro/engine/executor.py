@@ -51,8 +51,12 @@ from repro.algebra.projection_more import (
     descendant_projection_local,
     single_projection_local,
 )
-from repro.algebra.projection_prob import ancestor_projection_local
-from repro.algebra.projection_prob import epsilon_pass, instance_from_epsilon_pass
+from repro.algebra.projection_prob import (
+    ancestor_projection_local,
+    epsilon_pass,
+    instance_from_epsilon_pass,
+    root_epsilon,
+)
 from repro.algebra.selection import (
     ObjectCardinalityCondition,
     ObjectCondition,
@@ -85,6 +89,7 @@ from repro.queries.aggregates import (
     expected_match_count,
     match_count_distribution,
 )
+from repro.queries.chain import chain_probability
 from repro.queries.engine import QueryEngine
 from repro.queries.point import point_query
 from repro.resilience.breaker import CircuitBreaker
@@ -108,9 +113,6 @@ _SKIP_RESULTS = {
     "point": lambda: 0.0,
     "dist": lambda: {0: 1.0},
 }
-
-#: Query kinds whose path the columnar snapshot can locate.
-_INDEXED_QUERY_KINDS = ("exists", "count", "dist", "point")
 
 #: Maximum depth of lineage inlining (cycle / runaway guard).
 _MAX_INLINE_DEPTH = 16
@@ -339,6 +341,9 @@ class Engine:
         self.guides = DataGuideCache.of(database)
         #: The record :meth:`prepare` last returned, for :meth:`certify`.
         self._last_prepared: _Prepared | None = None
+        #: The static checker's certificate of the statement about to
+        #: run, under its cache key (:meth:`adopt_certificate`).
+        self._adopted: tuple[tuple, PlanCertificate] | None = None
         self.breaker = (
             breaker if breaker is not None
             else CircuitBreaker(name="engine.optimizer")
@@ -526,12 +531,26 @@ class Engine:
             record = _Prepared(prepared, ())
         return self._certify(record, catalog_generation(self.database))
 
+    def adopt_certificate(
+        self, plan: PlanNode, generation: int, certificate: PlanCertificate
+    ) -> None:
+        """Take the static checker's certificate of ``plan`` as written:
+        when no lineage is inlined and no rewrite fires, the prepared
+        plan has the same key and :meth:`_certify` does not redo it."""
+        self._adopted = (self.cache_key(plan, generation), certificate)
+
     def _certify(
         self, record: _Prepared, generation: int
     ) -> PlanCertificate | None:
         if not self.absint:
             return None
         certificate = record.certificate
+        adopted = self._adopted
+        if (
+            certificate is None and adopted is not None
+            and adopted[0] == self.cache_key(record.plan, generation)
+        ):
+            certificate = record.certificate = adopted[1]
         if certificate is None:
             from repro.check.absint import certify_plan
 
@@ -857,12 +876,11 @@ class Engine:
         strategy facade answers on DAGs, whatever
         :meth:`CostModel.choose_strategy` picks.
         """
-        if isinstance(node, ProjectNode):
-            indexable = node.kind == "ancestor"
-        elif isinstance(node, QueryNode):
-            indexable = node.kind in _INDEXED_QUERY_KINDS
-        else:
+        if not isinstance(node, (ProjectNode, QueryNode)):
             return "local"
+        # Every query reads the snapshot (the match, or the memoised
+        # root-chain products); of the projections, the ancestor one.
+        indexable = isinstance(node, QueryNode) or node.kind == "ancestor"
         source = None
         if indexable and accelerated and isinstance(node.child, ScanNode):
             source = measured(node.child)
@@ -878,12 +896,14 @@ class Engine:
         pi: ProbabilisticInstance,
         col: ColumnarInstance,
     ) -> tuple[object, str, dict]:
-        """Evaluate a path operator over a scanned tree: the match (or,
-        for a point query, the target's root chain from the parent
-        pointers) comes from the snapshot and feeds the same Section 6
-        algorithms the walked operators run.  ``col.is_tree`` is the
-        tree proof, made once when the snapshot was built under this
-        token, so they skip their own O(V) check."""
+        """Evaluate a path operator over a scanned tree: the match, the
+        parent pointers and the memoised root-chain products
+        (:meth:`ColumnarInstance.reach`) come from the snapshot and feed
+        the same Section 6 algorithms the walked operators run, each
+        computing its answer and nothing else — only ``PROJECT`` builds
+        the projection's OPFs.  ``col.is_tree`` is the tree proof, made
+        once when the snapshot was built under this token, so they skip
+        their own O(V) check."""
 
         def match() -> PathMatch:
             with self.tracer.span(
@@ -905,16 +925,18 @@ class Engine:
             f"query.{node.kind}", strategy="indexed"
         ) as qspan:
             if node.kind == "point":
-                value = point_query(
-                    pi, node.path, node.oid, parent_of=col.parent_map()
-                )
+                value = point_query(pi, node.path, node.oid, snapshot=col)
+            elif node.kind == "prob":
+                value = col.reach(pi, node.oid)
+            elif node.kind == "chain":
+                value = chain_probability(pi, node.chain, snapshot=col)
             elif node.kind == "exists":
-                value = epsilon_pass(
+                value = root_epsilon(
                     pi, node.path, match=match(), assume_tree=True
-                ).root_epsilon
+                )
             elif node.kind == "count":
                 value = expected_match_count(
-                    pi, node.path, match=match(), parent_of=col.parent_map()
+                    pi, node.path, match=match(), snapshot=col
                 )
             else:  # "dist"
                 value = match_count_distribution(

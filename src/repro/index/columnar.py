@@ -69,6 +69,7 @@ class ColumnarInstance:
         "_memo_lock",
         "_oids_np",
         "_parent_map",
+        "_reach",
     )
 
     def __init__(
@@ -116,6 +117,10 @@ class ColumnarInstance:
         self._match_memo: dict[PathExpression, PathMatch] = {}
         self._memo_lock = threading.Lock()
         self._parent_map: dict[Oid, Oid] | None = None
+        # ``P(o occurs)`` per position (:meth:`reach`); the token's, like
+        # the match memo.  A slot is one assignment of a value every
+        # thread computes identically, so it needs no lock.
+        self._reach: list[float | None] = [None] * len(oids)
 
     # ------------------------------------------------------------------
     # Construction
@@ -179,15 +184,31 @@ class ColumnarInstance:
             }
         return self._parent_map
 
-    def chain_of(self, oid: Oid) -> list[Oid]:
-        """The root-to-``oid`` object chain via parent pointers (trees)."""
-        position = self.index_of[oid]
-        chain = [oid]
-        while self.parent[position] >= 0:
-            position = self.parent[position]
-            chain.append(self.oids[position])
-        chain.reverse()
-        return chain
+    def reach(self, pi: "ProbabilisticInstance", oid: Oid) -> float:
+        """``P(oid occurs)`` in ``pi``, the tree this snapshot was built
+        from: ``reach(parent) * marginal_inclusion(oid)``, the chain
+        probability of Section 6.2 with every prefix of a root chain
+        computed once (0.0 for an unknown object or below a missing
+        OPF, as :func:`~repro.queries.chain.chain_probability`)."""
+        position = self.index_of.get(oid)
+        if position is None:
+            return 0.0
+        memo, parent, oids = self._reach, self.parent, self.oids
+        pending: list[int] = []
+        while (value := memo[position]) is None and parent[position] >= 0:
+            pending.append(position)
+            position = parent[position]
+        if value is None:
+            value = memo[position] = 1.0    # the root
+        for below in reversed(pending):
+            opf = pi.opf(oids[position]) if value else None
+            value = (
+                value * opf.marginal_inclusion(oids[below])
+                if opf is not None else 0.0
+            )
+            memo[below] = value
+            position = below
+        return value
 
 
 #: Entries kept in a snapshot's path-match memo before FIFO eviction.

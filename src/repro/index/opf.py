@@ -17,7 +17,8 @@ result keyed by ``(certain-mask << U) | survivor-mask``.  All weights
 are nonnegative, so a zero accumulated bin means no contribution and the
 nonzero bins are exactly the reference dict's keys.
 
-Without numpy (or outside the size guards) :func:`marginalize_python`
+Without numpy (or outside the size guards — the dense matrix only pays
+for itself from :data:`MIN_DENSE_CELLS` up) :func:`marginalize_python`
 runs — it is the former ``repro.algebra.projection_prob._marginalize``
 body moved here verbatim, and the parity tests hold the two equal.
 """
@@ -41,6 +42,13 @@ MAX_UNCERTAIN = 20
 #: before the vectorized path gives way to the Python one.
 MAX_CELLS = 1 << 22
 
+#: Lower bound on the same matrix: the dense path pays ~40 us of array
+#: set-up and a Python pass over the support before its first multiply.
+#: Measured crossover on full ``2^b`` tables, sparse / dense: 16 entries
+#: x 2^4 = 256 cells 75 / 67 us, 64 x 2^3 = 512 cells 217 / 176 us,
+#: 32 x 2^5 = 1,024 cells 227 / 108 us; 4 entries x 2^2: 4 / 40 us.
+MIN_DENSE_CELLS = 1 << 10
+
 
 def marginalize_opf(
     opf: ObjectProbabilityFunction,
@@ -56,12 +64,10 @@ def marginalize_opf(
     """
     certain = sorted(c for c in kept if epsilon[c] >= 1.0)
     uncertain = sorted(c for c in kept if epsilon[c] < 1.0)
-    if not HAS_NUMPY or not uncertain or len(uncertain) > MAX_UNCERTAIN:
+    if not HAS_NUMPY or not uncertain or len(kept) > MAX_UNCERTAIN:
         return marginalize_python(opf, kept, epsilon)
     support = list(opf.support())
-    if len(certain) + len(uncertain) > MAX_UNCERTAIN:
-        return marginalize_python(opf, kept, epsilon)
-    if len(support) * (1 << len(uncertain)) > MAX_CELLS:
+    if not MIN_DENSE_CELLS <= len(support) << len(uncertain) <= MAX_CELLS:
         return marginalize_python(opf, kept, epsilon)
     return _marginalize_numpy(support, certain, uncertain, epsilon)
 

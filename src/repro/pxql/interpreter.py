@@ -359,6 +359,7 @@ class Interpreter:
                     statement, self.database, spans=spans,
                     guides=self.engine.guides,
                     subject=subject, rewrites=rewrites,
+                    certified=self.engine.adopt_certificate,
                 )
         except Exception:
             return []

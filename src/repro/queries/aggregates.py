@@ -11,10 +11,12 @@ tree-structured instances.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 
+from repro.algebra.projection_prob import _locate
+from repro.core.compact import IndependentOPF, NonEmptyIndependentOPF
 from repro.core.instance import ProbabilisticInstance
 from repro.errors import QueryError
+from repro.index.columnar import ColumnarInstance
 from repro.queries.chain import chain_probability
 from repro.queries.point import point_query
 from repro.semistructured.graph import Label, Oid
@@ -60,24 +62,64 @@ def expected_match_count(
     pi: ProbabilisticInstance,
     path: PathExpression | str,
     match: PathMatch | None = None,
-    parent_of: Mapping[Oid, Oid] | None = None,
+    snapshot: ColumnarInstance | None = None,
 ) -> float:
     """``E[#objects satisfying p]`` — the sum of the point probabilities.
 
     Exact on trees by linearity of expectation; no enumeration (a
     non-tree raises, as :func:`~repro.queries.point.point_query` does).
-    A precomputed ``match`` and ``parent_of`` map (from a tree-verified
-    columnar snapshot) skip the structural locate step and the per-point
-    tree check.  Summed with :func:`math.fsum`: the matched objects are
-    a set, and the answer must not depend on its iteration order.
+    With ``pi``'s tree-verified columnar ``snapshot`` each term is the
+    matched object's memoised :meth:`~repro.index.columnar.
+    ColumnarInstance.reach` — an object on the match satisfies the
+    path, so nothing is left to validate.  Summed with
+    :func:`math.fsum`: the matched objects are a set, and the answer
+    must not depend on its iteration order.
     """
     if isinstance(path, str):
         path = PathExpression.parse(path)
     if match is None:
         match = match_path(pi.weak.graph(), path)
-    return math.fsum(
-        point_query(pi, path, oid, parent_of) for oid in match.matched
-    )
+    if snapshot is not None:
+        return math.fsum(snapshot.reach(pi, oid) for oid in match.matched)
+    return math.fsum(point_query(pi, path, oid) for oid in match.matched)
+
+
+def _convolve(left: list[float], right: list[float]) -> list[float]:
+    """The count polynomial of two independent branches' total."""
+    product = [0.0] * (len(left) + len(right) - 1)
+    for shift, weight in enumerate(left):
+        if weight:
+            for index, value in enumerate(right, shift):
+                product[index] += weight * value
+    return product
+
+
+def _add_scaled(total: list[float], weight: float, poly: list[float]) -> None:
+    for index, value in enumerate(poly):
+        total[index] += weight * value
+
+
+def _independent_counts(
+    opf: IndependentOPF | NonEmptyIndependentOPF,
+    counts: dict[Oid, list[float]],
+) -> list[float]:
+    """The product-of-binomials closed form: child ``j`` adds its count
+    polynomial with probability ``q_j`` — linear in the fan-out where
+    the support has ``2^fan-out`` entries.  The empty child set's mass
+    is carried apart (``none`` / ``some``), so conditioning on a
+    non-empty set drops it without a subtraction."""
+    none, some = 1.0, [0.0]
+    for child, q in opf.inclusion.items():
+        below = counts.get(child, [1.0])    # off the match: counts nothing
+        factor = [q * value for value in below]
+        factor[0] += 1.0 - q
+        some = _convolve(some, factor)
+        _add_scaled(some, none * q, below)
+        none *= 1.0 - q
+    if isinstance(opf, NonEmptyIndependentOPF):
+        return [value / opf.nonempty_mass for value in some]
+    some[0] += none
+    return some
 
 
 def match_count_distribution(
@@ -88,59 +130,71 @@ def match_count_distribution(
 ) -> dict[int, float]:
     """The exact distribution of ``#objects satisfying p`` (trees).
 
-    Computed bottom-up with per-branch count-generating convolutions —
-    polynomial in the number of matched objects, never enumerating
-    worlds.  A precomputed ``match`` skips the structural locate step;
-    a caller that already holds a proof of tree shape (a columnar
-    snapshot's, made when it was built) passes ``assume_tree=True`` to
-    skip the O(V) check, as for
+    Computed bottom-up with per-branch count-generating polynomials
+    (lists indexed by count) — polynomial in the number of matched
+    objects, never enumerating worlds.  An OPF's entries are grouped by
+    their *mask* over the object's children on the match, all the count
+    depends on, and a mask's product extends that of the mask without
+    its lowest child; independent OPFs use their closed form.  A
+    precomputed ``match`` skips the structural locate step; a caller
+    that already holds a proof of tree shape (a columnar snapshot's,
+    made when it was built) passes ``assume_tree=True`` to skip the
+    O(V) check, as for
     :func:`~repro.algebra.projection_prob.epsilon_pass`.
     """
-    if isinstance(path, str):
-        path = PathExpression.parse(path)
-    if not assume_tree:
-        from repro.algebra.projection_prob import _require_tree
-
-        _require_tree(pi)
-    if match is None:
-        match = match_path(pi.weak.graph(), path)
+    match = _locate(pi, path, match, assume_tree)
     if match.is_empty:
         return {0: 1.0}
     depth = len(match.levels) - 1
     if depth == 0:
         return {1: 1.0}
 
-    # counts[o] = distribution of matched descendants given o exists.
-    counts: dict[Oid, dict[int, float]] = {}
-    for oid in match.levels[depth]:
-        counts[oid] = {1: 1.0}
+    # counts[o][k] = P(k matched descendants | o exists).  On a tree an
+    # object's children on the match are its children with an entry.
+    counts: dict[Oid, list[float]] = dict.fromkeys(
+        match.levels[depth], [0.0, 1.0]
+    )
+
+    def product(mask: int) -> list[float]:
+        """Of the ``kept`` polynomials in ``mask``: the product of the
+        mask without its lowest child (remembered), times that child's."""
+        poly = products.get(mask)
+        if poly is None:
+            lowest = mask & -mask
+            poly = products[mask] = _convolve(
+                product(mask ^ lowest), kept[lowest.bit_length() - 1]
+            )
+        return poly
+
     for level in range(depth - 1, -1, -1):
-        children_of: dict[Oid, list[Oid]] = {}
-        for src, dst in match.level_edges[level]:
-            if dst in counts:
-                children_of.setdefault(src, []).append(dst)
         for oid in match.levels[level]:
-            kept = children_of.get(oid, [])
             opf = pi.opf(oid)
             if opf is None:
                 raise QueryError(f"non-leaf object {oid!r} has no OPF")
-            dist: dict[int, float] = {}
-            for child_set, p_children in opf.support():
-                partial = {0: 1.0}
-                for child in kept:
-                    if child not in child_set:
-                        continue
-                    merged: dict[int, float] = {}
-                    for left, lp in partial.items():
-                        for right, rp in counts[child].items():
-                            merged[left + right] = (
-                                merged.get(left + right, 0.0) + lp * rp
-                            )
-                    partial = merged
-                for total, probability in partial.items():
-                    dist[total] = dist.get(total, 0.0) + p_children * probability
+            if isinstance(opf, (IndependentOPF, NonEmptyIndependentOPF)):
+                counts[oid] = _independent_counts(opf, counts)
+                continue
+            bit_of: dict[Oid, int] = {}
+            mass_of: dict[int, float] = {}
+            for child_set, probability in opf.support():
+                mask = 0
+                for child in child_set:
+                    if child in counts:
+                        mask |= bit_of.setdefault(child, 1 << len(bit_of))
+                mass_of[mask] = mass_of.get(mask, 0.0) + probability
+            kept = [counts[child] for child in bit_of]
+            products = {0: [1.0]}
+            dist = [0.0] * (1 + sum(len(poly) - 1 for poly in kept))
+            for mask, mass in mass_of.items():
+                _add_scaled(dist, mass, product(mask))
             counts[oid] = dist
-    return counts.get(pi.root, {0: 1.0})
+    # Every term is a product of positive masses, so a zero is a count
+    # no world reaches — the keys are those of the enumerated support.
+    return {
+        count: probability
+        for count, probability in enumerate(counts.get(pi.root, [1.0]))
+        if probability
+    }
 
 
 def value_point_query(

@@ -18,15 +18,23 @@ from collections.abc import Sequence
 
 from repro.core.instance import ProbabilisticInstance
 from repro.errors import QueryError
+from repro.index.columnar import ColumnarInstance
 from repro.semistructured.graph import Oid
 
 
-def chain_probability(pi: ProbabilisticInstance, chain: Sequence[Oid]) -> float:
+def chain_probability(
+    pi: ProbabilisticInstance,
+    chain: Sequence[Oid],
+    snapshot: ColumnarInstance | None = None,
+) -> float:
     """``P(r.o1...on)`` for an explicit object chain starting at the root.
 
     Args:
         pi: the probabilistic instance (tree-structured for exactness).
         chain: the object ids, beginning with the instance root.
+        snapshot: ``pi``'s tree-verified columnar snapshot; a chain that
+            follows its parent pointers is the root chain of its last
+            object, whose product the snapshot memoises.
 
     Returns:
         The probability that each ``o_{i+1}`` is a child of ``o_i`` in a
@@ -38,6 +46,10 @@ def chain_probability(pi: ProbabilisticInstance, chain: Sequence[Oid]) -> float:
         raise QueryError(
             f"chain must start at the root {pi.root!r}, got {chain[0]!r}"
         )
+    if snapshot is not None:
+        parent_of = snapshot.parent_map()
+        if all(parent_of.get(c) == p for p, c in zip(chain, chain[1:])):
+            return snapshot.reach(pi, chain[-1])
     probability = 1.0
     for parent, child in zip(chain, chain[1:]):
         if parent not in pi or child not in pi:

@@ -12,16 +12,18 @@ path ``p``?" — can be answered three ways:
 * ``"sample"`` — Monte-Carlo forward sampling (unbiased estimates with
   standard errors; the only engine for huge DAG instances).
 
-``"auto"`` picks ``local`` for trees and ``bayes`` otherwise.
+``"auto"`` picks ``local`` for trees and ``bayes`` otherwise; the
+network is the DAG path only (``local`` compiles none on a tree).
 """
 
 from __future__ import annotations
 
 import math
 
+from repro.analysis import existence_probability
 from repro.bayesnet.mapping import PXMLBayesianNetwork
 from repro.core.instance import ProbabilisticInstance
-from repro.errors import QueryError
+from repro.errors import QueryError, SemanticsError
 from repro.obs.metrics import current_registry
 from repro.obs.tracing import Span, current_tracer
 from repro.queries.chain import chain_probability
@@ -197,9 +199,14 @@ class QueryEngine:
         with current_tracer().span(
             "query.object_exists", strategy=self.strategy
         ) as span:
-            if self.strategy in ("bayes", "local"):
-                # The local algorithms have no direct form for bare existence
-                # on DAGs; the BN marginal is cheap and exact either way.
+            if self.strategy == "local":
+                # The product up the object's one parent chain (Section
+                # 6.2); a DAG has no local form, the network answers.
+                try:
+                    value = existence_probability(self.pi, oid)
+                except SemanticsError:
+                    value = self._bayes().prob_exists(oid)
+            elif self.strategy == "bayes":
                 value = self._bayes().prob_exists(oid)
             elif self.strategy == "sample":
                 from repro.semantics.sampling import estimate_probability

@@ -8,19 +8,19 @@
 
 * :func:`existential_query` — ``P(exists o: o in p)``: keep *all* objects
   satisfying ``p`` plus their path ancestors and compute ``eps_r`` — the
-  root's survival probability from the Section 6.1 epsilon pass, which
-  performs exactly the inclusion-exclusion over sibling branches the sum
-  requires.
+  root's survival probability, by the scalar form of the Section 6.1
+  epsilon pass (:func:`~repro.algebra.projection_prob.root_epsilon`),
+  which performs exactly the inclusion-exclusion over sibling branches
+  the sum requires and rewrites no OPF.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
-from repro.algebra.projection_prob import epsilon_pass
+from repro.algebra.projection_prob import root_epsilon
 from repro.algebra.selection import chain_to
 from repro.core.instance import ProbabilisticInstance
 from repro.errors import AlgebraError, NonTreeInstanceError
+from repro.index.columnar import ColumnarInstance
 from repro.queries.chain import chain_probability
 from repro.semistructured.graph import Oid
 from repro.semistructured.paths import PathExpression
@@ -30,31 +30,34 @@ def point_query(
     pi: ProbabilisticInstance,
     path: PathExpression | str,
     oid: Oid,
-    parent_of: Mapping[Oid, Oid] | None = None,
+    snapshot: ColumnarInstance | None = None,
 ) -> float:
     """``P(o in p)`` on a tree-structured probabilistic instance.
 
     Returns 0.0 when ``o`` does not satisfy the path even in the weak
     instance ("it is obvious that the probability must be zero"); a
     non-tree raises :class:`~repro.errors.NonTreeInstanceError` — the
-    chain product does not apply, which is not a zero.  ``parent_of`` is
-    a tree-verified snapshot's child-to-parent map, as for
-    :func:`~repro.algebra.selection.chain_to`.
+    chain product does not apply, which is not a zero.  ``snapshot`` is
+    ``pi``'s tree-verified columnar snapshot: its parent pointers stand
+    in for the tree check and, the labels validated, its memoised
+    :meth:`~repro.index.columnar.ColumnarInstance.reach` is the product.
     """
     if isinstance(path, str):
         path = PathExpression.parse(path)
     try:
-        chain = chain_to(pi, path, oid, parent_of)
+        chain = chain_to(
+            pi, path, oid,
+            snapshot.parent_map() if snapshot is not None else None,
+        )
     except NonTreeInstanceError:
         raise
     except AlgebraError:
         return 0.0
+    if snapshot is not None:
+        return snapshot.reach(pi, oid)
     return chain_probability(pi, chain)
 
 
 def existential_query(pi: ProbabilisticInstance, path: PathExpression | str) -> float:
-    """``P(exists o: o in p)`` via the epsilon pass (``eps_r``)."""
-    if isinstance(path, str):
-        path = PathExpression.parse(path)
-    sweep = epsilon_pass(pi, path)
-    return sweep.root_epsilon
+    """``P(exists o: o in p)`` — the root's scalar ``eps_r``."""
+    return root_epsilon(pi, path)

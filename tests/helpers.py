@@ -188,15 +188,22 @@ def evaluate_directly(database, text: str):
 # ----------------------------------------------------------------------
 PATH_KINDS = ("exists", "count", "dist", "point", "project")
 
+#: The two object queries: ``PROB`` of an object, ``CHAIN`` of the
+#: dotted object chain passed as ``oid``.
+OBJECT_KINDS = ("prob", "chain")
+
 
 def path_statement(kind: str, path, oid=None, source: str = "base") -> str:
-    """The PXQL statement of one path operator over ``source``."""
+    """The PXQL statement of one path operator (or, ``path`` unused,
+    one object query) over ``source``."""
     return {
         "exists": f"EXISTS {path} IN {source}",
         "count": f"COUNT {path} IN {source}",
         "dist": f"DIST {path} IN {source}",
         "point": f"POINT {path} : {oid} IN {source}",
         "project": f"PROJECT {path} FROM {source}",
+        "prob": f"PROB {oid} IN {source}",
+        "chain": f"CHAIN {oid} IN {source}",
     }[kind]
 
 

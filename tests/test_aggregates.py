@@ -106,6 +106,70 @@ class TestMatchCounts:
         ) == match_count_distribution(tree, "R.book.author")
 
 
+class TestIndependentFanOut:
+    """Independent OPFs answer from their closed forms: the support of
+    a 24-child pool has 16.8 M entries, its count distribution is a
+    product of 24 binomials."""
+
+    @staticmethod
+    def _wide(fan_out, opf_class, tabular=False):
+        import random
+
+        rng = random.Random(fan_out)
+        builder = InstanceBuilder("R")
+        groups = ["G1", "G2"]
+        builder.children("R", "group", groups)
+        builder.opf("R", {("G1",): 0.3, ("G2",): 0.2, ("G1", "G2"): 0.5})
+        for group in groups:
+            items = [f"{group}i{n}" for n in range(fan_out)]
+            builder.children(group, "item", items[: fan_out // 2])
+            builder.children(group, "other", items[fan_out // 2:])
+            inclusion = {item: rng.choice([rng.random(), 1.0]) for item in items}
+            opf = opf_class(inclusion)
+            builder.opf(group, opf.to_tabular() if tabular else opf)
+            for item in items:
+                builder.leaf(item, "name", ["x"], {"x": 1.0})
+        # Validation enumerates every support: 2^24 sets at fan-out 24.
+        return builder.build(validate=fan_out <= 10)
+
+    @pytest.mark.parametrize("conditioned", (False, True))
+    def test_closed_forms_equal_the_enumerated_support(self, conditioned):
+        from repro.core.compact import IndependentOPF, NonEmptyIndependentOPF
+        from repro.queries.point import existential_query
+
+        opf_class = NonEmptyIndependentOPF if conditioned else IndependentOPF
+        compact = self._wide(10, opf_class)
+        table = self._wide(10, opf_class, tabular=True)
+        for path in ("R.group.item", "R.group.other"):
+            closed = match_count_distribution(compact, path)
+            enumerated = match_count_distribution(table, path)
+            assert set(closed) == set(enumerated)
+            for count, probability in enumerated.items():
+                assert closed[count] == pytest.approx(probability, abs=1e-12)
+            assert existential_query(compact, path) == pytest.approx(
+                existential_query(table, path), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("conditioned", (False, True))
+    def test_fan_out_24_is_not_enumerated(self, conditioned):
+        import time
+
+        from repro.core.compact import IndependentOPF, NonEmptyIndependentOPF
+        from repro.queries.point import existential_query
+
+        wide = self._wide(
+            24, NonEmptyIndependentOPF if conditioned else IndependentOPF
+        )
+        started = time.perf_counter()
+        dist = match_count_distribution(wide, "R.group.item")
+        exists = existential_query(wide, "R.group.item")
+        count = expected_match_count(wide, "R.group.item")
+        assert time.perf_counter() - started < 0.05
+        assert sum(dist.values()) == pytest.approx(1.0)
+        assert sum(k * p for k, p in dist.items()) == pytest.approx(count)
+        assert 1.0 - dist.get(0, 0.0) == pytest.approx(exists)
+
+
 class TestValueAggregates:
     def test_value_point_query_matches_enumeration(self, tree):
         path = PathExpression.parse("R.book.author")

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.core.compact import IndependentOPF, PerLabelOPF, SymmetricOPF
-from repro.core.distributions import TabularOPF
+from repro.core.distributions import ObjectProbabilityFunction, TabularOPF
 from repro.errors import DistributionError
 
 
@@ -126,6 +126,24 @@ class TestSymmetricOPF:
 
 
 class TestCrossRepresentation:
+    @pytest.mark.parametrize("opf", [
+        PerLabelOPF({
+            "author": (["A1", "A2"], TabularOPF(
+                {("A1",): 0.5, ("A2",): 0.1, ("A1", "A2"): 0.4})),
+            "title": (["T1"], TabularOPF({("T1",): 0.9, (): 0.1})),
+            "year": (["Y1", "Y2"], IndependentOPF({"Y1": 0.3, "Y2": 1.0})),
+        }),
+        SymmetricOPF(["v1", "v2", "v3", "v4"], {0: 0.1, 1: 0.2, 3: 0.3, 4: 0.4}),
+    ])
+    def test_closed_form_inclusion_equals_the_enumerated_support(self, opf):
+        children = {child for child_set, _ in opf.support() for child in child_set}
+        assert len(children) >= 4
+        for child in sorted(children | {"stranger"}):
+            assert opf.marginal_inclusion(child) == pytest.approx(
+                ObjectProbabilityFunction.marginal_inclusion(opf, child),
+                abs=1e-12,
+            )
+
     def test_independent_equals_tabular(self):
         inclusion = {"a": 0.25, "b": 0.5}
         compact = IndependentOPF(inclusion)

@@ -116,10 +116,43 @@ class TestLRUCacheContention:
 class TestSharedSnapshot:
     """One snapshot per name serves every pool worker, the checker and
     the engine: its bounded match memo is the only compound update on
-    it, and must neither tear nor outgrow its cap under contention."""
+    it, and must neither tear nor outgrow its cap under contention; its
+    ``reach`` memo is filled slot by slot with values every thread
+    computes identically, so any interleaving ends in the same memo."""
 
     THREADS = 4
     PATHS = 400
+
+    def test_reach_memo_under_contention(self):
+        import random
+        import sys
+
+        from repro.index import ColumnarInstance
+        from repro.workloads.generator import WorkloadSpec, generate_workload
+
+        pi = generate_workload(WorkloadSpec(
+            depth=5, branching=3, labeling="FR", seed=11,
+        )).instance
+        alone = ColumnarInstance.from_instance(pi)
+        objects = sorted(pi.objects)
+        expected = {oid: alone.reach(pi, oid) for oid in objects}
+        assert 0.0 < min(expected.values()) and max(expected.values()) == 1.0
+        shared = ColumnarInstance.from_instance(pi)
+
+        def fill(index: int) -> None:
+            order = list(objects)
+            random.Random(index).shuffle(order)
+            for oid in order:
+                assert shared.reach(pi, oid) == expected[oid]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            errors = run_threads(8, fill)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert shared._reach == alone._reach
 
     def test_match_memo_under_contention(self):
         import sys

@@ -826,6 +826,46 @@ class TestOneTokenPerStatement:
                 assert calls["snapshot_matches"] <= matches, statement
         assert interpreter.fallbacks == []
 
+    def test_cold_statements_certify_once_and_shape_once(
+        self, counted, monkeypatch
+    ):
+        """No rewrite fires on a one-operator statement, so the plan
+        the checker certified is the plan the engine runs: it adopts
+        that certificate instead of interpreting the plan again, and a
+        cold ``PROJECT ... AS`` builds its result shape once (for the
+        certificate's object count), not once per pass."""
+        import repro.check.absint as absint
+        from repro.check.locate import Site
+
+        interpreter, calls = counted
+        calls.update(certify_plan=0, projected=0)
+        real_certify = absint.certify_plan
+        real_projected = Site.projected
+
+        def certify(*args, **kwargs):
+            calls["certify_plan"] += 1
+            return real_certify(*args, **kwargs)
+
+        def projected(self, match=None):
+            calls["projected"] += 1
+            return real_projected(self, match)
+
+        monkeypatch.setattr(absint, "certify_plan", certify)
+        monkeypatch.setattr(Site, "projected", projected)
+        interpreter.execute("EXISTS o0.l0_0 IN t")      # first touch of t
+        for statement, _matches in self._cold_statements(interpreter):
+            calls.update(certify_plan=0, projected=0)
+            result = interpreter.execute(f"EXPLAIN ANALYZE {statement}")
+            assert "absint: kind=" in result.text, statement
+            assert calls["certify_plan"] == 1, statement
+            assert calls["projected"] == statement.startswith("PROJECT")
+        # A rewritten plan is not the plan the checker saw: certified
+        # on its own, as before.
+        calls.update(certify_plan=0)
+        interpreter.execute("PROJECT o0.l0_0.l1_0 FROM w AS v")
+        assert calls["certify_plan"] == 2
+        assert interpreter.fallbacks == []
+
     def test_pool_workers_share_one_snapshot_and_one_guide(self, located):
         from repro.server import PXQLServer
 

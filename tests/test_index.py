@@ -14,6 +14,7 @@ import pytest
 from repro.check.absint import certify_plan
 from repro.check.dataguide import DataGuideCache
 from repro.core.builder import InstanceBuilder
+from repro.core.compact import IndependentOPF
 from repro.core.distributions import TabularOPF
 from repro.engine import (
     Engine,
@@ -144,10 +145,15 @@ class TestColumnarInstance:
         for src, dst, _label in graph.edges():
             assert parent_map[dst] == src
 
-    def test_chain_of_follows_parent_pointers(self):
-        col = ColumnarInstance.from_instance(build_bib())
-        assert col.chain_of("A2") == ["R", "B2", "A2"]
-        assert col.chain_of("R") == ["R"]
+    def test_reach_follows_parent_pointers(self):
+        from repro.queries.chain import chain_probability
+
+        pi = build_bib()
+        col = ColumnarInstance.from_instance(pi)
+        assert 0.0 < col.reach(pi, "A2") < 1.0
+        assert col.reach(pi, "A2") == chain_probability(pi, ["R", "B2", "A2"])
+        assert col.reach(pi, "R") == 1.0
+        assert col.reach(pi, "nobody") == 0.0
 
     def test_dag_snapshot(self):
         pi = random_dag_instance(random.Random(1))
@@ -240,7 +246,9 @@ def _random_opf(rng, children):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_marginalize_parity(seed):
+def test_marginalize_parity(seed, monkeypatch):
+    # Tables this small take the sparse loop: hold the dense one to it.
+    monkeypatch.setattr("repro.index.opf.MIN_DENSE_CELLS", 0)
     rng = random.Random(seed)
     children = [f"c{i}" for i in range(6)]
     opf = _random_opf(rng, children)
@@ -254,6 +262,38 @@ def test_marginalize_parity(seed):
     assert set(fast) == set(reference)
     for key, value in reference.items():
         assert fast[key] == pytest.approx(value, abs=1e-12)
+
+
+def test_marginalize_takes_the_dense_path_only_where_it_wins(monkeypatch):
+    """Below ``MIN_DENSE_CELLS`` the sparse loop runs; from there up
+    the dense matrix does — with the same table either way."""
+    import repro.index.opf as opf_module
+
+    dense_calls = []
+    real = opf_module._marginalize_numpy
+
+    def counting(support, *args):
+        dense_calls.append(len(support))
+        return real(support, *args)
+
+    monkeypatch.setattr(opf_module, "_marginalize_numpy", counting)
+    rng = random.Random(4)
+    children = [f"c{i}" for i in range(8)]
+    small = _random_opf(rng, children[:4])                  # 8 entries
+    large = IndependentOPF(
+        {child: rng.uniform(0.2, 0.8) for child in children}
+    ).to_tabular()                                          # 256 entries
+    epsilon = {child: rng.uniform(0.05, 0.95) for child in children}
+    for opf, kept, dense in ((small, children[:4], False),
+                             (large, children[:2], True),
+                             (large, children, True)):
+        del dense_calls[:]
+        fast = marginalize_opf(opf, kept, epsilon)
+        assert bool(dense_calls) == (dense and HAS_NUMPY)
+        reference = marginalize_python(opf, kept, epsilon)
+        assert set(fast) == set(reference)
+        for key, value in reference.items():
+            assert fast[key] == pytest.approx(value, abs=1e-12)
 
 
 def test_marginalize_all_certain_short_circuits():
