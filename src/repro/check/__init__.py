@@ -23,7 +23,7 @@ severity, an optional source span, and a fix hint.
   analysis over the plan IR: probability and cardinality intervals per
   node, certified result bounds, provably-empty results (``PX26x``),
   and runtime-checkable :class:`~repro.check.absint.PlanCertificate`
-  records the engine consumes for short-circuiting and cost hints.
+  records the engine consumes for short-circuiting and ``EXPLAIN``.
 * **Script pass** (:mod:`repro.check.script`) — whole-script PXQL
   dataflow (``PX31x``): use-before-register, dead results, shadowed
   re-registrations, shadowed session timeouts.

@@ -137,18 +137,6 @@ class CardInterval:
     def is_exact(self) -> bool:
         return self.hi is not None and self.lo == self.hi
 
-    def is_tight(self) -> bool:
-        """Narrow enough for the cost model to trust the midpoint."""
-        if self.hi is None:
-            return False
-        return self.hi - self.lo <= max(1, self.lo // 8)
-
-    @property
-    def midpoint(self) -> int:
-        if self.hi is None:
-            return self.lo
-        return (self.lo + self.hi) // 2
-
     def contains(self, n: int) -> bool:
         return self.lo <= n and (self.hi is None or n <= self.hi)
 

@@ -33,7 +33,6 @@ from repro.engine.plan import (
     QueryNode,
     ScanNode,
     SelectNode,
-    fingerprint,
 )
 from repro.storage.derived import DerivedCache
 
@@ -81,45 +80,21 @@ class CostModel:
             catalog token.
     """
 
-    #: Hint tables are cleared wholesale past this size (cheap leak guard;
-    #: hints are re-derivable from the next certification).
-    MAX_HINTS = 4096
-
     def __init__(self, catalog) -> None:
         self._catalog = catalog
         #: The generation scans are keyed under (None: ask the catalog).
         self._generation: int | None = None
         self._measured = MeasurementCache.of(catalog)
-        self._hints: dict[str, tuple[int, int]] = {}
-        self._hint_hits = [0]   # a cell, so ``at()`` views count into it too
 
     def at(self, generation: int) -> "CostModel":
         """This model keyed under a generation the caller already read.
 
-        A view for one statement: it shares the measurement memo, the
-        hint table and the hint counter with the model it came from.
+        A view for one statement: it shares the measurement memo with
+        the model it came from.
         """
         view = copy.copy(self)
         view._generation = generation
         return view
-
-    @property
-    def hint_hits(self) -> int:
-        """How many estimates were sharpened by an absint hint."""
-        return self._hint_hits[0]
-
-    # ------------------------------------------------------------------
-    def note_hint(self, key: str, lo: int, hi: int) -> None:
-        """Install a certified cardinality interval for a plan fingerprint.
-
-        The abstract interpreter (:mod:`repro.check.absint`) proves
-        ``[lo, hi]`` bounds on a sub-plan's object count; when the
-        interval is tight the midpoint beats the structural upper bound
-        :meth:`estimate` would otherwise propagate.
-        """
-        if len(self._hints) > self.MAX_HINTS:
-            self._hints.clear()
-        self._hints[key] = (lo, hi)
 
     # ------------------------------------------------------------------
     def scan(
@@ -138,23 +113,9 @@ class CostModel:
         if isinstance(plan, ScanNode):
             return self.scan(plan.name)
         if isinstance(plan, (ProjectNode, SelectNode)):
-            child = self.estimate(plan.child)
-            hint = self._hints.get(fingerprint(plan))
-            if hint is not None:
-                lo, hi = hint
-                objects = (lo + hi) // 2
-                if objects != child.objects:
-                    self._hint_hits[0] += 1
-                    scale = objects / child.objects if child.objects else 0.0
-                    return Estimate(
-                        objects=objects,
-                        entries=int(round(child.entries * scale)),
-                        is_tree=child.is_tree,
-                        root=child.root,
-                    )
             # Structure-preserving (selection) or shrinking (projection):
             # the child's size is a safe upper bound either way.
-            return child
+            return self.estimate(plan.child)
         if isinstance(plan, ProductNode):
             left = self.estimate(plan.left)
             right = self.estimate(plan.right)

@@ -3,9 +3,10 @@
 :class:`Engine` ties the pieces together: it translates PXQL statements
 into plans, inlines the lineage of previously computed results, runs the
 rewrite optimizer, executes plans bottom-up with per-node wall-clock
-timings / output cardinalities / cache status, and memoizes both
-prepared plans (optimized plan + absint certificate, one record) and
-node results in versioned LRU caches.
+timings / output cardinalities / cache status, and memoizes node
+results in a versioned LRU cache.  Preparing a plan is a pure function
+of the plan, its lineage and the catalog tokens; nothing about it is
+remembered between statements.
 
 Result caching is per *sub-plan*: a node's key is its canonical
 fingerprint plus the catalog token of every instance it scans, so two
@@ -117,7 +118,7 @@ _SKIP_RESULTS = {
 #: Maximum depth of lineage inlining (cycle / runaway guard).
 _MAX_INLINE_DEPTH = 16
 
-#: LRU capacity of the plan cache and of the result cache.
+#: LRU capacity of the result cache.
 _CACHE_SIZE = 256
 
 #: Lineage entries recorded before the first sweep of dead ones.
@@ -237,15 +238,16 @@ class _CacheEntry:
     stats: NodeStats
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Prepared:
-    """One plan-cache entry: everything decided about a plan before it
-    runs — the optimized plan, the rules that produced it and, once
-    computed, its abstract-interpretation certificate."""
+    """Everything decided about a plan before it runs: the plan to
+    execute, the rules that produced it and its abstract-interpretation
+    certificate (None un-accelerated, or when the pass is off or
+    failed)."""
 
     plan: PlanNode
     applied: tuple[str, ...]
-    certificate: PlanCertificate | None = None
+    certificate: PlanCertificate | None
 
 
 @dataclass
@@ -263,10 +265,11 @@ class Engine:
     snapshot or by the walk — is not part of the plan but decided when
     the operator runs, from what it can observe (:meth:`_strategy`).
 
-    The plan, result (and, in the interpreter, statement) tiers are this
-    engine's own.  The state *derived from an instance* — columnar
-    snapshots with their match memos (:attr:`index_cache`), dataguides
-    (:attr:`guides`), cost measurements — is the catalog's: immutable,
+    The result tier (and, in the interpreter, the statement tier in
+    front of it) is this engine's own.  The state *derived from an
+    instance* — columnar snapshots with their match memos
+    (:attr:`index_cache`), dataguides (:attr:`guides`), cost
+    measurements — is the catalog's: immutable,
     stamped with the token it was built under, and shared by every
     engine over the same catalog object in this process
     (:meth:`repro.storage.derived.DerivedCache.of`).
@@ -278,11 +281,11 @@ class Engine:
             lineage-expanded plan unrewritten, a benchmark reference).
         caching: keep a versioned result cache across executions.
         absint: run the abstract interpreter (:mod:`repro.check.absint`)
-            over every prepared plan.  The certificate's cardinality
-            intervals sharpen the cost model, ``EXPLAIN`` renders them
-            as ``est_rows=[lo,hi] prob=[l,u]``, and plans whose result
-            the certificate proves constant-empty short-circuit without
-            touching an instance (counted in ``check.absint_skips``).
+            over every prepared plan.  ``EXPLAIN`` renders the
+            certificate's intervals as ``est_rows=[lo,hi] prob=[l,u]``,
+            and plans whose result the certificate proves constant-empty
+            short-circuit without touching an instance (counted in
+            ``check.absint_skips``).
             The pass is advisory: any failure inside it falls back to
             normal execution (counted in ``check.absint_errors``).
         disk_cache: accepted and ignored (``benchmarks/e2e`` passes it).
@@ -327,9 +330,6 @@ class Engine:
         self.result_cache = LRUCache(
             _CACHE_SIZE, name="engine.cache.results", metrics=self.metrics
         )
-        self.plan_cache = LRUCache(
-            _CACHE_SIZE, name="engine.cache.plans", metrics=self.metrics
-        )
         self.rules = DEFAULT_RULES
         from repro.check.dataguide import DataGuideCache
 
@@ -339,8 +339,6 @@ class Engine:
         #: per name and token.
         self.index_cache = IndexCache.of(database)
         self.guides = DataGuideCache.of(database)
-        #: The record :meth:`prepare` last returned, for :meth:`certify`.
-        self._last_prepared: _Prepared | None = None
         #: The static checker's certificate of the statement about to
         #: run, under its cache key (:meth:`adopt_certificate`).
         self._adopted: tuple[tuple, PlanCertificate] | None = None
@@ -374,7 +372,7 @@ class Engine:
         it, its epoch when another process mutates it in the shared
         catalog directory — which is what lets engines in sibling
         processes over one directory keep or invalidate their cached
-        plans/results correctly, name by name.  ``generation`` is the
+        results correctly, name by name.  ``generation`` is the
         value the running statement already read; omitted, the catalog
         is asked once.
         """
@@ -457,49 +455,38 @@ class Engine:
         return plan_statement(statement)
 
     def prepare(self, plan: PlanNode) -> tuple[PlanNode, tuple[str, ...]]:
-        """Expand lineage and optimize; memoized in the plan cache.
+        """Expand lineage and optimize.
 
-        The optimizer/cache layer degrades rather than fails: a rewrite
+        The optimizer layer degrades rather than fails: a rewrite
         failure falls back to the unoptimized (still correct) plan and
         counts against :attr:`breaker`; with the breaker open the layer
         is skipped entirely (the plan comes back as written) until its
         cool-down elapses.
         """
-        record = (
-            self._prepare(plan, catalog_generation(self.database))
-            if self.breaker.allow() else _Prepared(plan, ())
-        )
-        self._last_prepared = record
-        return record.plan, record.applied
+        if not self.breaker.allow():
+            return plan, ()
+        return self._prepare(plan, catalog_generation(self.database))
 
     def _decide(
         self, plan: PlanNode, generation: int, accelerated: bool
-    ) -> tuple[_Prepared, PlanCertificate | None]:
+    ) -> _Prepared:
         """The plan to run and its certificate — or, un-accelerated, the
         plan as written: no lineage expansion (a registered result is
         scanned more cheaply than its lineage is recomputed), no
-        rewrite, no plan cache, no certificate."""
+        rewrite, no certificate."""
         if not accelerated:
-            return _Prepared(plan, ()), None
-        record = self._prepare(plan, generation)
-        return record, self._certify(record, generation)
+            return _Prepared(plan, (), None)
+        prepared, applied = self._prepare(plan, generation)
+        return _Prepared(prepared, applied, self._certify(prepared, generation))
 
-    def _prepare(self, plan: PlanNode, generation: int) -> _Prepared:
+    def _prepare(
+        self, plan: PlanNode, generation: int
+    ) -> tuple[PlanNode, tuple[str, ...]]:
         expanded = self.expand(plan)
         if not self.optimizer:
-            return _Prepared(expanded, ())
-        key = self.cache_key(expanded, generation)
-        if self.caching:
-            cached = self._cache_get(self.plan_cache, key)
-            if cached is not None:
-                # A clean hit is a success of the guarded layer: it
-                # settles a half-open probe like a fresh rewrite does.
-                self.breaker.record_success()
-                return cached
+            return expanded, ()
         try:
-            prepared = _Prepared(
-                *optimize(expanded, self.cost.at(generation), self.rules)
-            )
+            optimized = optimize(expanded, self.cost.at(generation), self.rules)
         except Exception as exc:
             self.breaker.record_failure()
             self.metrics.counter("resilience.optimizer_errors").inc()
@@ -507,11 +494,9 @@ class Engine:
                 "resilience.optimizer_error",
                 error=f"{type(exc).__name__}: {exc}",
             )
-            return _Prepared(expanded, ())
+            return expanded, ()
         self.breaker.record_success()
-        if self.caching:
-            self._cache_put(self.plan_cache, key, prepared)
-        return prepared
+        return optimized
 
     # ------------------------------------------------------------------
     # Abstract interpretation (interval certificates)
@@ -519,17 +504,10 @@ class Engine:
     def certify(self, prepared: PlanNode) -> PlanCertificate | None:
         """Abstract-interpret a prepared plan into an interval certificate.
 
-        Kept on the prepared-plan record, so it lives and dies with the
-        plan-cache entry; a plan that did not just come from
-        :meth:`prepare` is certified afresh.  Advisory by construction —
-        a failure inside the interpreter is counted and swallowed, never
-        surfaced to the query.  Tight cardinality intervals are
-        installed as cost-model hints as a side effect.
+        Advisory by construction — a failure inside the interpreter is
+        counted and swallowed, never surfaced to the query.
         """
-        record = self._last_prepared
-        if record is None or record.plan is not prepared:
-            record = _Prepared(prepared, ())
-        return self._certify(record, catalog_generation(self.database))
+        return self._certify(prepared, catalog_generation(self.database))
 
     def adopt_certificate(
         self, plan: PlanNode, generation: int, certificate: PlanCertificate
@@ -540,31 +518,26 @@ class Engine:
         self._adopted = (self.cache_key(plan, generation), certificate)
 
     def _certify(
-        self, record: _Prepared, generation: int
+        self, prepared: PlanNode, generation: int
     ) -> PlanCertificate | None:
         if not self.absint:
             return None
-        certificate = record.certificate
         adopted = self._adopted
         if (
-            certificate is None and adopted is not None
-            and adopted[0] == self.cache_key(record.plan, generation)
+            adopted is not None
+            and adopted[0] == self.cache_key(prepared, generation)
         ):
-            certificate = record.certificate = adopted[1]
-        if certificate is None:
-            from repro.check.absint import certify_plan
+            return adopted[1]
+        from repro.check.absint import certify_plan
 
-            try:
-                with self.tracer.span("check.absint.certify"):
-                    certificate = certify_plan(
-                        record.plan, self.database, self.guides, generation
-                    )
-            except Exception as exc:
-                self._absint_error(exc)
-                return None
-            record.certificate = certificate
-        self._install_hints(record.plan, certificate)
-        return certificate
+        try:
+            with self.tracer.span("check.absint.certify"):
+                return certify_plan(
+                    prepared, self.database, self.guides, generation
+                )
+        except Exception as exc:
+            self._absint_error(exc)
+            return None
 
     def _absint_error(self, exc: Exception) -> None:
         """The pass is advisory: count and trace a failure, never raise."""
@@ -572,20 +545,6 @@ class Engine:
         self.tracer.event(
             "check.absint_error", error=f"{type(exc).__name__}: {exc}"
         )
-
-    def _install_hints(
-        self, prepared: PlanNode, certificate: PlanCertificate
-    ) -> None:
-        """Feed tight certified cardinalities to the cost model."""
-        for node, facts in zip(walk(prepared), certificate.facts):
-            if facts.kind != "instance":
-                continue
-            if not isinstance(node, (ProjectNode, SelectNode)):
-                continue
-            if facts.card.hi is not None and facts.card.is_tight():
-                self.cost.note_hint(
-                    fingerprint(node), facts.card.lo, facts.card.hi
-                )
 
     def _skip_execution(
         self, prepared: PlanNode, certificate: PlanCertificate
@@ -667,8 +626,8 @@ class Engine:
         Internal: the one un-accelerated path, taken by
         :meth:`execute_plan` while the breaker is open and by the PXQL
         interpreter when it retries a failed statement.  Lineage
-        expansion, rewrite rules, certificate/skip, the plan and result
-        caches and the snapshot access method are all skipped (the
+        expansion, rewrite rules, certificate/skip, the result cache
+        and the snapshot access method are all skipped (the
         walked operators are the reference); everything below them —
         budget ticks, node spans, ``engine.objects_scanned``, the
         probability guard — is the same :meth:`_run` / :meth:`_apply`.
@@ -679,10 +638,8 @@ class Engine:
         with self._ambient():
             with self.tracer.span("engine.execute_plan") as root:
                 generation = catalog_generation(self.database)
-                record, certificate = self._decide(
-                    plan, generation, accelerated
-                )
-                prepared, applied = record.plan, record.applied
+                decided = self._decide(plan, generation, accelerated)
+                prepared, certificate = decided.plan, decided.certificate
                 if certificate is not None and certificate.skippable:
                     value, stats = self._skip_execution(prepared, certificate)
                 else:
@@ -690,12 +647,12 @@ class Engine:
                         prepared, generation, accelerated and self.caching,
                         accelerated,
                     )
-                root.attributes["rewrites"] = len(applied)
+                root.attributes["rewrites"] = len(decided.applied)
             violations = self._verify_certificate(certificate, value, stats)
             self.metrics.counter("engine.executions").inc()
             self.metrics.histogram("engine.execute_s").observe(root.wall_s)
         return ExecutionResult(
-            value, prepared, stats, applied,
+            value, prepared, stats, decided.applied,
             certificate=certificate, violations=violations,
         )
 
@@ -984,33 +941,27 @@ class Engine:
     # ------------------------------------------------------------------
     @property
     def cache_stats(self) -> dict[str, dict[str, int]]:
-        """Hit/miss/eviction counters of both caches."""
-        return {
-            "results": self.result_cache.stats.as_dict(),
-            "plans": self.plan_cache.stats.as_dict(),
-        }
+        """Hit/miss/eviction counters of the result cache."""
+        return {"results": self.result_cache.stats.as_dict()}
 
     def explain(self, plan: PlanNode) -> str:
         """Render the optimized plan with estimates (no execution)."""
         generation = catalog_generation(self.database)
         accelerated = self.breaker.allow()
-        record, certificate = self._decide(plan, generation, accelerated)
+        decided = self._decide(plan, generation, accelerated)
         lines = _render_plan(
-            record.plan, self, certificate, generation, accelerated
+            decided.plan, self, decided.certificate, generation, accelerated
         )
-        lines.append(_rules_line(record.applied))
-        if certificate is not None:
-            lines.append(_certificate_line(certificate))
+        lines.append(_rules_line(decided.applied))
+        if decided.certificate is not None:
+            lines.append(_certificate_line(decided.certificate))
         return "\n".join(lines)
 
     def explain_analyze(self, result: ExecutionResult) -> str:
         """Render an executed plan with per-node measurements."""
         lines = _render_stats(result.stats)
         lines.append(_rules_line(result.applied_rules))
-        lines.append(
-            f"cache: results [{self.result_cache.stats}], "
-            f"plans [{self.plan_cache.stats}]"
-        )
+        lines.append(f"cache: results [{self.result_cache.stats}]")
         if result.certificate is not None:
             lines.append(_certificate_line(result.certificate))
             if self.absint_verify:

@@ -53,7 +53,7 @@ site                    where
                         sidecar is
 ``db.quarantine.move``  before a corrupt data file is moved to quarantine
 ``db.quarantine.sidecar`` after the data file moved, before its sidecar
-``engine.cache.*.get``  before an engine cache lookup (results / plans)
+``engine.cache.*.get``  before an engine cache lookup (results)
 ``engine.cache.*.put``  before an engine cache insert
 ``lock.engine.cache.*`` the engine cache's internal lock boundary
 ``lock.db.mutate``      before the catalog takes its in-memory lock for a

@@ -1,0 +1,285 @@
+"""The architecture lint walks: ``ast`` passes over ``src/repro`` that
+keep a deleted fork from growing back.  CI's ``lint`` job runs each by
+name (``pytest tests/test_architecture.py -k ...``); so does anyone
+without CI.  Paths in the allow-lists are relative to the repository
+root, which every test runs from.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(autouse=True)
+def _from_repository_root(monkeypatch):
+    monkeypatch.chdir(ROOT)
+
+
+def test_one_catalog_token():
+    """No ``.generation()`` / ``.epoch()`` call above ``repro.storage``.
+
+    ``repro.storage.derived.cache_token`` is the one place a
+    (version, epoch) pair is built: a layer that asks the catalog for
+    its generation itself is a sixth hand-rolled key, and only
+    ``cache_token`` may ask a catalog for a name's epoch.
+    """
+    banned = {
+        "generation": ("engine", "index", "check", "pxql"),
+        "epoch": ("engine", "index", "check", "pxql", "server"),
+    }
+    calls = sorted(
+        f"{path}:{node.lineno}: {called}("
+        for called, layers in banned.items()
+        for layer in layers
+        for path in pathlib.Path("src/repro", layer).rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and called in (getattr(node.func, "attr", ""), getattr(node.func, "id", ""))
+    )
+    # The statement tier keys like Engine.cache_key: tokens come
+    # from cache_token, never from a .version( paired by hand.
+    tier = ast.parse(pathlib.Path("src/repro/pxql/interpreter.py").read_text(encoding="utf-8"))
+    names = {
+        getattr(node.func, "attr", getattr(node.func, "id", ""))
+        for node in ast.walk(tier) if isinstance(node, ast.Call)
+    }
+    if "cache_token" not in names or "version" in names:
+        calls.append("src/repro/pxql/interpreter.py: key not built through cache_token alone")
+    assert not calls, "\n".join(calls)
+
+
+def test_one_execution_path():
+    """No ``repro.algebra`` / ``repro.queries`` import under ``repro.pxql``.
+
+    A PXQL statement reaches an operator only through the plan engine;
+    an import of the operators under ``repro.pxql`` is a second
+    evaluator growing back.
+    """
+    banned = ("repro.algebra", "repro.queries")
+    imports = [
+        f"{path}:{node.lineno}: {name}"
+        for path in sorted(pathlib.Path("src/repro/pxql").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in (
+            [node.module or ""] if isinstance(node, ast.ImportFrom)
+            else [alias.name for alias in node.names]
+        )
+        if name in banned or name.startswith(tuple(b + "." for b in banned))
+    ]
+    assert not imports, "\n".join(imports)
+
+
+def test_a_read_writes_nothing():
+    """No fsync / ``write_*`` / writable ``open`` below ``repro.pxql``.
+
+    Every result tier is in memory: a statement that is not
+    SAVE/DROP/LOAD leaves the catalog directory as it found it, so
+    nothing on the path from PXQL text to an operator may write a
+    file.  Writes belong to ``repro.storage`` and ``repro.io``.
+    """
+    layers = ("engine", "pxql", "index", "check", "queries", "algebra")
+    writers = {"fsync", "write_text", "write_bytes", "replace_atomically"}
+
+    def writes(node):
+        called = getattr(node.func, "attr", getattr(node.func, "id", ""))
+        if called in writers:
+            return True
+        if called != "open":
+            return False
+        # open(path, mode) as a builtin, .open(mode) as a Path method.
+        modes = node.args[1:2] if isinstance(node.func, ast.Name) else node.args[:2]
+        modes += [kw.value for kw in node.keywords if kw.arg == "mode"]
+        return any(
+            isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+            and set(mode.value) & set("wa+")
+            for mode in modes
+        )
+
+    sites = [
+        f"{path}:{node.lineno}: {ast.unparse(node.func)}("
+        for layer in layers
+        for path in sorted(pathlib.Path("src/repro", layer).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and writes(node)
+    ]
+    assert not sites, "\n".join(sites)
+
+
+def test_one_locate():
+    """``match_path`` only in ``repro.check.locate``; ``.is_tree()`` only
+    where a token-stamped value is built.
+
+    A cold statement locates its path once: the check passes ask
+    ``repro.check.locate`` (guide first, then the catalog's shared
+    snapshot), so a ``match_path`` walk anywhere else above the
+    operators is a pass re-deriving what a view already holds; and
+    tree-ness is proven where a token-stamped value is built, not per
+    statement (``col.is_tree`` / ``guide.is_tree`` are attribute reads).
+    """
+    layers = ("check", "engine", "pxql")
+    allowed = {
+        "match_path": {("src/repro/check/locate.py", "match")},
+        "is_tree": {
+            ("src/repro/check/dataguide.py", "build_dataguide"),
+            ("src/repro/engine/cost.py", "measure_instance"),
+            # the no-guide fallback of the abstract interpreter
+            ("src/repro/check/absint.py", "_scan"),
+        },
+    }
+
+    def calls(tree):
+        """(called name, enclosing function, line) of every call."""
+        def visit(node, function):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name) and func.id == "match_path":
+                    yield "match_path", function, node.lineno
+                if isinstance(func, ast.Attribute) and func.attr in allowed:
+                    yield func.attr, function, node.lineno
+            for child in ast.iter_child_nodes(node):
+                yield from visit(child, function)
+        yield from visit(tree, None)
+
+    sites = [
+        f"{path}:{line}: {called}( in {function}"
+        for layer in layers
+        for path in sorted(pathlib.Path("src/repro", layer).rglob("*.py"))
+        for called, function, line in calls(
+            ast.parse(path.read_text(encoding="utf-8"))
+        )
+        if (path.as_posix(), function) not in allowed[called]
+    ]
+    assert not sites, "\n".join(sites)
+
+
+def test_one_access_method_decision():
+    """No lowered plan nodes; one optimize; one indexed-match site; one
+    fail-open fetch; ``epsilon_pass`` for PROJECT only.
+
+    The columnar snapshot is an access method, not a plan shape: how a
+    path step is located is decided once, at run time, in
+    ``Engine._strategy``.  A lowered plan node, a lowering rule set, a
+    navigation price or an Engine switch is the fork growing back; so
+    is a second indexed-match site, a second optimize stage or a second
+    hand-written fail-open snapshot fetch.  And a query computes its
+    answer alone: the full epsilon pass builds the projection's OPFs,
+    so only the projections may run it.
+    """
+    banned = {"IndexedPathStepNode", "IndexedScanNode", "INDEX_RULES",
+              "navigation_cost", "use_index"}
+    # (file, enclosing function) allowed to call each name.
+    allowed = {
+        "match_path_indexed": {
+            ("src/repro/check/locate.py", "match"),
+            ("src/repro/engine/executor.py", "match"),
+            ("src/repro/bench/index.py", "_measure_cell"),
+        },
+        "optimize": {
+            ("src/repro/engine/executor.py", "_prepare"),
+            ("src/repro/check/plans.py", "check_plan"),
+        },
+        "try_get": {
+            ("src/repro/check/locate.py", "snapshot"),
+            ("src/repro/engine/executor.py", "_apply"),
+        },
+        "epsilon_pass": {
+            ("src/repro/algebra/projection_prob.py", "ancestor_projection_local"),
+            ("src/repro/engine/executor.py", "_apply_indexed"),
+            # the Figure 7 harness times the projection's steps
+            ("src/repro/bench/timing.py", "timed_ancestor_projection"),
+        },
+    }
+    seen = {name: [] for name in allowed}
+    problems = []
+
+    def visit(path, node, function, branch=None):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.If):
+            # Only the body is under the test; orelse is not.
+            visit(path, node.test, function, branch)
+            for child in node.body:
+                visit(path, child, function, ast.unparse(node.test))
+            for child in node.orelse:
+                visit(path, child, function, branch)
+            return
+        for name in (
+            getattr(node, "id", None), getattr(node, "attr", None),
+            getattr(node, "arg", None), getattr(node, "name", None),
+        ):
+            if name in banned:
+                problems.append(f"{path}:{node.lineno}: {name}")
+        if isinstance(node, ast.Call) and not path.startswith("src/repro/index/"):
+            called = getattr(node.func, "attr", getattr(node.func, "id", ""))
+            if called in allowed:
+                seen[called].append((path, function, node.lineno))
+            # In the executor, only under the ProjectNode test.
+            if (called == "epsilon_pass" and "engine/" in path
+                    and branch != "isinstance(node, ProjectNode)"):
+                problems.append(f"{path}:{node.lineno}: epsilon_pass( outside the ProjectNode branch")
+            # A snapshot is fetched through IndexCache.try_get: a
+            # bare .get( on the index cache above repro.index is a
+            # fetch that fails the query or swallows by hand.
+            target = ast.unparse(node.func)
+            if called == "get" and ("index_cache" in target or "IndexCache" in target):
+                problems.append(f"{path}:{node.lineno}: {target}(")
+        for child in ast.iter_child_nodes(node):
+            visit(path, child, function, branch)
+
+    for path in sorted(pathlib.Path("src/repro").rglob("*.py")):
+        visit(path.as_posix(), ast.parse(path.read_text(encoding="utf-8")), None)
+    for called, sites in seen.items():
+        for path, function, line in sites:
+            if (path, function) not in allowed[called]:
+                problems.append(f"{path}:{line}: {called}( in {function}")
+    prepares = [s for s in seen["optimize"] if s[0] == "src/repro/engine/executor.py"]
+    if len(prepares) != 1:
+        problems.append(f"engine/executor.py calls optimize( {len(prepares)} times, not once")
+    assert not problems, "\n".join(problems)
+
+
+def test_two_tiers():
+    """No plan tier, no cost-hint table; two ``LRUCache(`` constructions.
+
+    What is kept between statements is a materialised result: the
+    statement tier in the interpreter and the result tier in the
+    executor, under the one catalog token.  Preparing a plan is a pure
+    function of the plan, its lineage and the catalog tokens, so a
+    remembered plan, a remembered "last prepared" record or a table the
+    certificate writes into the cost model is the third tier growing
+    back — as is a third cache constructed anywhere.
+    """
+    banned = {"plan_cache", "_last_prepared", "note_hint", "hint_hits",
+              "_install_hints"}
+    tiers = {
+        "src/repro/engine/executor.py",   # the result tier
+        "src/repro/pxql/interpreter.py",  # the statement tier
+    }
+    problems = []
+    built = []
+    for file in sorted(pathlib.Path("src/repro").rglob("*.py")):
+        path = file.as_posix()
+        for node in ast.walk(ast.parse(file.read_text(encoding="utf-8"))):
+            for name in (
+                getattr(node, "id", None), getattr(node, "attr", None),
+                getattr(node, "arg", None), getattr(node, "name", None),
+            ):
+                if name in banned:
+                    problems.append(f"{path}:{node.lineno}: {name}")
+            if (
+                isinstance(node, ast.Call)
+                and "LRUCache" in (getattr(node.func, "attr", ""), getattr(node.func, "id", ""))
+                and path != "src/repro/engine/cache.py"
+            ):
+                built.append(path)
+    if sorted(built) != sorted(tiers):
+        problems.append(f"LRUCache( constructed in {built}, not once in each of {sorted(tiers)}")
+    assert not problems, "\n".join(problems)

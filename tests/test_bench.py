@@ -150,66 +150,3 @@ class TestAbsintBench:
 
         table = format_absint_records(records)
         assert "dead_on" in table and "certify" in table
-
-
-class TestGate:
-    def test_new_series_pass(self):
-        from repro.bench.gate import gate_records
-
-        lines, regressed = gate_records(
-            [{"operation": "absint", "mode": "dead_on", "labeling": "SL",
-              "branching": 2, "depth": 4, "speedup": 3.0}]
-        )
-        assert not regressed
-        assert any("new" in line for line in lines)
-
-    def test_regression_detected(self):
-        from repro.bench.gate import gate_records
-
-        history = [
-            {"operation": "absint", "mode": "dead_on", "labeling": "SL",
-             "branching": 2, "depth": 4, "speedup": s}
-            for s in (3.0, 3.2, 2.9, 1.0)
-        ]
-        lines, regressed = gate_records(history, threshold=0.30)
-        assert regressed
-        assert any("REGRESSION" in line for line in lines)
-
-    def test_within_threshold_passes(self):
-        from repro.bench.gate import gate_records
-
-        history = [
-            {"operation": "absint", "mode": "dead_on", "labeling": "SL",
-             "branching": 2, "depth": 4, "speedup": s}
-            for s in (3.0, 3.2, 2.9, 2.5)
-        ]
-        _lines, regressed = gate_records(history, threshold=0.30)
-        assert not regressed
-
-    def test_records_without_speedup_ignored(self):
-        from repro.bench.gate import gate_records
-
-        lines, regressed = gate_records(
-            [{"operation": "projection", "total_s": 0.1}]
-        )
-        assert not regressed
-        assert "no ratio metrics" in lines[-1]
-
-    def test_missing_file_fails(self, tmp_path):
-        from repro.bench.gate import run_gate
-
-        assert run_gate(tmp_path / "absent.json") == 1
-
-    def test_cli_entry_point(self, tmp_path, capsys):
-        import json
-
-        from repro.bench.gate import main
-
-        records = tmp_path / "records.json"
-        records.write_text(json.dumps([
-            {"operation": "absint", "mode": "dead_on", "labeling": "SL",
-             "branching": 2, "depth": 4, "speedup": s}
-            for s in (3.0, 2.8)
-        ]))
-        assert main(["--records", str(records)]) == 0
-        assert "gate: pass" in capsys.readouterr().out

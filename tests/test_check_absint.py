@@ -31,9 +31,8 @@ from repro.check.absint import (
 )
 from repro.check.plans import check_plan
 from repro.core.builder import InstanceBuilder
-from repro.engine.cost import CostModel
 from repro.engine.executor import Engine
-from repro.engine.plan import PlanBuilder, QueryNode, ScanNode, fingerprint
+from repro.engine.plan import PlanBuilder, QueryNode, ScanNode
 from repro.obs.metrics import MetricsRegistry
 from repro.pxql import Interpreter
 from repro.semistructured.paths import PathExpression
@@ -172,21 +171,11 @@ class TestCardInterval:
         assert not CardInterval(2, 5).contains(6)
         assert CardInterval(2, 5).contains(2)
 
-    def test_tightness_scales_with_magnitude(self):
-        assert CardInterval.exactly(7).is_tight()
-        assert not CardInterval(0, None).is_tight()
-        assert CardInterval(64, 70).is_tight()     # slack 6 <= 64 // 8
-        assert not CardInterval(2, 9).is_tight()   # slack 7 > max(1, 0)
-
     def test_plus_with_unbounded_side(self):
         assert CardInterval(1, 2).plus(CardInterval(3, 4)) == CardInterval(4, 6)
         assert CardInterval(1, 2).plus(CardInterval.top()).hi is None
         assert CardInterval(1, 2).plus(CardInterval(0, 0), shift=1) == \
             CardInterval(2, 3)
-
-    def test_midpoint(self):
-        assert CardInterval(2, 6).midpoint == 4
-        assert CardInterval.exactly(5).midpoint == 5
 
 
 # ----------------------------------------------------------------------
@@ -337,16 +326,6 @@ class TestEngineIntegration:
         assert engine.metrics.counter("check.absint_skips").value == len(KINDS)
         assert engine.metrics.counter("index.builds").value == 0
         assert matched.metrics.counter("check.absint_skips").value == 0
-
-    def test_cost_model_consumes_tight_hints(self, database):
-        model = CostModel(database)
-        plan = PlanBuilder.scan("bib").project("R.book").build()
-        before = model.estimate(plan).objects
-        model.note_hint(fingerprint(plan), 1, 1)
-        after = model.estimate(plan)
-        assert after.objects == 1
-        assert after.objects != before
-        assert model.hint_hits == 1
 
     def test_explain_renders_intervals(self, database):
         plan = QueryNode("exists", ScanNode("bib"),

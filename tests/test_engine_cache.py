@@ -211,6 +211,39 @@ class TestEngineResultCache:
         assert warm.stats.cache == "hit"
         assert warm.value == pytest.approx(cold.value)
 
+    @staticmethod
+    def _product_plan(database):
+        database.register("other", small_instance(root="S", leaf="B"))
+        return (
+            PlanBuilder.scan("bib").project("R.x")
+            .product(PlanBuilder.scan("other").project("S.x"), new_root="P")
+            .build()
+        )
+
+    def test_prepare_is_pure(self, database):
+        engine = Engine(database)
+        plan = self._product_plan(database)
+        before = engine.cache_stats
+        first = engine.prepare(plan)
+        assert engine.prepare(plan) == first
+        assert engine.cache_stats == before
+
+    def test_explain_writes_nothing(self, database):
+        engine = Engine(database)
+        plan = self._product_plan(database)
+
+        def state():
+            cache_metrics = {
+                name: engine.metrics.value(name)
+                for name in engine.metrics.names()
+                if name.startswith("engine.cache.")
+            }
+            return engine.cache_stats, cache_metrics, engine.cost.estimate(plan)
+
+        before = state()
+        assert engine.explain(plan) == engine.explain(plan)
+        assert state() == before
+
 
 class TestInterpreterCaching:
     def test_repeated_statement_hits_result_cache(self):
@@ -404,13 +437,6 @@ class TestCacheHitStatsRegression:
             "engine.cache.results.misses"
         ) == stats.misses
         assert engine.metrics.value("engine.cache.results.size") == stats.size
-        plan_stats = engine.plan_cache.stats
-        assert engine.metrics.value(
-            "engine.cache.plans.hits"
-        ) == plan_stats.hits
-        assert engine.metrics.value(
-            "engine.cache.plans.misses"
-        ) == plan_stats.misses
 
 
 class TestGenerationKeyedCache:
@@ -743,7 +769,9 @@ class TestOneTokenPerStatement:
 
     def test_one_rewrite_fixpoint_per_cold_statement(self, counted, monkeypatch):
         """Preparing a plan is one ``optimize`` fixpoint (the access
-        method is not a second rule set); a plan-cache hit runs none."""
+        method is not a second rule set), on a repeat too: no plan is
+        remembered, the result tier serves the repeat's root."""
+        import repro.check.absint as absint
         import repro.engine.executor as executor
 
         interpreter, calls = counted
@@ -760,11 +788,21 @@ class TestOneTokenPerStatement:
             calls["optimize"] = 0
             interpreter.execute(statement)
             assert calls["optimize"] == 1, statement
-        calls["optimize"] = 0
-        hits = interpreter.engine.plan_cache.stats.hits
+        real_certify = absint.certify_plan
+
+        def certify(*args, **kwargs):
+            calls["certify_plan"] += 1
+            return real_certify(*args, **kwargs)
+
+        monkeypatch.setattr(absint, "certify_plan", certify)
+        calls.update(optimize=0, certify_plan=0)
+        hits = interpreter.engine.result_cache.stats.hits
         interpreter.execute(derive)
-        assert interpreter.engine.plan_cache.stats.hits == hits + 1
-        assert calls["optimize"] == 0
+        assert calls["optimize"] == 1
+        assert calls["certify_plan"] == 1       # the checker's, adopted
+        assert interpreter.engine.result_cache.stats.hits == hits + 1
+        analyzed = interpreter.execute(f"EXPLAIN ANALYZE {derive}")
+        assert "cache=hit" in analyzed.text.splitlines()[0]
 
     @pytest.fixture
     def located(self, counted, monkeypatch):
@@ -1095,6 +1133,16 @@ class TestStatementTier:
         assert len(interp.fallbacks) == 1
         assert interp.cache_stats["statements"]["size"] == 0
 
+    def test_fallback_record_is_bounded_and_still_bars_admission(self, interp):
+        """The list keeps the last 128 (each entry pins a traceback);
+        admission compares a count that keeps growing past the cap."""
+        interp.engine.execute_statement = None   # not callable: degrade
+        for _ in range(300):                     # 172 of them past the cap
+            interp.execute(self.POINT)
+        assert len(interp.fallbacks) <= 128
+        assert interp.metrics.value("resilience.fallbacks") == 300
+        assert interp.cache_stats["statements"]["size"] == 0
+
     def test_error_mode_blocks_on_every_execution(self, interp):
         statement = "SELECT R.x = Z FROM bib"
         from repro.check.diagnostics import CheckError
@@ -1211,14 +1259,16 @@ class TestReadsWriteNothing:
         assert calls["fsync"] > 0 and calls["encode"] > 0
 
     def test_the_engine_reports_two_tiers_the_interpreter_three(self, catalog):
+        """(Named when there was a plan tier between them: the engine
+        now reports one tier, the interpreter two.)"""
         database, _calls = catalog
         interp = Interpreter(database=database)
         interp.execute(self.QUERIES[0])
-        assert set(interp.engine.cache_stats) == {"results", "plans"}
-        assert set(interp.cache_stats) == {"results", "plans", "statements"}
+        assert set(interp.engine.cache_stats) == {"results"}
+        assert set(interp.cache_stats) == {"results", "statements"}
         # ``benchmarks/e2e`` still passes the keyword; it selects nothing.
         assert set(Engine(database, disk_cache=False).cache_stats) == {
-            "results", "plans"
+            "results"
         }
 
 

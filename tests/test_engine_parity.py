@@ -168,7 +168,6 @@ def test_degraded_parity(spec, monkeypatch):
     assert registered == ["p", "s", "ps"]
     assert all(engine.engine._lineage_plan(name) is not None
                for name in registered)
-    assert len(engine.engine.plan_cache) == 0
     assert len(engine.engine.result_cache) == 0
     # The retry as written never asks for a snapshot.  (The catalog's
     # shared index cache may hold one all the same: the check pass ahead

@@ -262,7 +262,7 @@ class TestFaultInjector:
             with pytest.raises(FaultError):
                 fault_point("engine.cache.results.get")
             with pytest.raises(FaultError):
-                fault_point("engine.cache.plans.put")
+                fault_point("engine.cache.results.put")
             fault_point("engine.other")  # no match
         assert injector.fired("engine.cache.*") == 2
 
@@ -477,9 +477,10 @@ class TestEngineDegradation:
         assert "cache=off" in opened
         assert "cache=cold" not in opened and "cache=warm" not in opened
 
-    def test_half_open_probe_hitting_the_plan_cache_closes_the_breaker(self):
-        """A clean plan-cache hit is a success of the guarded layer, so
-        a repeating workload gets its accelerators back with the probe."""
+    def test_a_fresh_rewrite_closes_the_half_open_breaker(self):
+        """A clean rewrite is a success of the guarded layer — every
+        preparation runs one — so a repeating workload gets its
+        accelerators back with the probe."""
         clock = FakeClock()
         interpreter = _fig2_interpreter()
         engine = interpreter.engine
@@ -488,7 +489,7 @@ class TestEngineDegradation:
         )
         statement = "EXISTS R.book IN fig2"
         plan = engine.plan_statement(parse(statement))
-        engine.execute_plan(plan)  # the prepared plan is cached from here
+        engine.execute_plan(plan)  # the result is cached from here
         engine.breaker.record_failure()
         assert engine.execute_plan(plan).stats.cache == "off"
 
