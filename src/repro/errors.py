@@ -244,15 +244,21 @@ class RebalanceInProgress(RebalanceError):
 class RemoteExecutionError(ServerError):
     """A shard reported an error the router cannot reconstruct natively.
 
-    Cross-process error transport is by *description* (type name +
-    message), not by pickling live exception objects; error types the
-    router knows (``Overloaded``, ``BudgetExceeded``, ``DatabaseError``,
-    ...) are rebuilt as themselves, and everything else arrives as this
-    wrapper — still a typed :class:`ServerError`, never a raw crash.
+    Cross-process error transport is by *description* (type name,
+    message and the structured attributes, see
+    :func:`repro.server.wire.describe_error`), not by pickling live
+    exception objects; error types the router knows (``Overloaded``,
+    ``BudgetExceeded``, ``DatabaseError``, ...) are rebuilt as
+    themselves, and everything else arrives as this wrapper — still a
+    typed :class:`ServerError`, never a raw crash.
 
     Attributes:
         remote_type: the original exception's class name on the shard.
+        codes: the error-severity finding codes when the remote error
+            was a failed static check (``CheckError``), else empty.
     """
+
+    codes: tuple[str, ...] = ()
 
     def __init__(self, message: str, remote_type: str = "") -> None:
         super().__init__(message)

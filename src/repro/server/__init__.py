@@ -11,8 +11,13 @@ This package turns the interpreter into a long-running service:
 * :class:`~repro.server.shard.ShardedServer` — N worker *processes*
   (each a ``PXQLServer`` over a shard-local catalog directory) behind a
   consistent-hash router with scatter-gather cross-shard ``PRODUCT``,
-  a placement overlay for derived results, and chaos hooks
-  (``kill_shard`` / ``restart_shard``);
+  live ``resize`` and chaos hooks (``kill_shard`` / ``restart_shard``);
+  where a name is served — ring, placement overlay, migration state —
+  is the plain :class:`~repro.server.routing.Router`;
+* :mod:`repro.server.wire` — everything that crosses a process or
+  socket boundary: :class:`~repro.server.wire.ShardConfig`, the shard
+  process, the router's pipe handle, and the one description of a reply
+  (errors and results) that both the pipe and HTTP send;
 * :class:`~repro.server.http.HttpFrontDoor` — an asyncio HTTP/JSON
   endpoint (stdlib only) over either backend, translating typed errors
   to status codes and draining on SIGTERM;

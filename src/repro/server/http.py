@@ -27,9 +27,12 @@ route                 behavior
 ``GET /rebalance/status``  current migration status snapshot
 ====================  ==================================================
 
-**Typed error translation.**  Execution and admission errors become
-``{"error": {"type", "message", ...}}`` bodies with meaningful status
-codes: ``Overloaded(queue_full)`` → 429, ``Overloaded(draining/
+**Typed error translation.**  Bodies are the descriptions of
+:mod:`repro.server.wire` — the ones the shard pipe carries:
+``{"result": describe_result(...)}`` (a value that is not JSON all the
+way down is sent as the statement's text) or
+``{"error": describe_error(...)}``, with meaningful status codes:
+``Overloaded(queue_full)`` → 429, ``Overloaded(draining/
 stopped)``, ``ShardUnavailable`` and ``RebalanceInProgress`` (a write
 fenced off mid-migration; retryable) → 503, ``RebalanceError`` → 409,
 ``BudgetExceeded`` → 408, any other :class:`~repro.errors.PXMLError`
@@ -87,6 +90,7 @@ from repro.errors import (
 from repro.obs.metrics import MetricsRegistry
 from repro.pxql.interpreter import Result
 from repro.server.admission import PendingResult
+from repro.server.wire import describe_error, describe_result
 
 #: Largest accepted request body (bytes); statements are small.
 MAX_BODY_BYTES = 1 << 20
@@ -133,14 +137,6 @@ class Backend(Protocol):
 
 def error_payload(exc: BaseException) -> tuple[int, dict[str, object]]:
     """``(http_status, json_body)`` for an execution/admission error."""
-    body: dict[str, object] = {
-        "type": type(exc).__name__,
-        "message": str(exc),
-    }
-    for attr in ("reason", "limit", "where", "shard", "remote_type"):
-        value = getattr(exc, attr, None)
-        if isinstance(value, (str, int)) and value != "":
-            body[attr] = value
     if isinstance(exc, Overloaded):
         status = 429 if exc.reason == "queue_full" else 503
     elif isinstance(exc, (ShardUnavailable, RebalanceInProgress)):
@@ -153,18 +149,7 @@ def error_payload(exc: BaseException) -> tuple[int, dict[str, object]]:
         status = 400
     else:
         status = 500
-    return status, {"error": body}
-
-
-def _result_payload(result: Result) -> dict[str, object]:
-    value = result.value
-    if not isinstance(value, (str, int, float, bool, list, dict, type(None))):
-        value = result.text  # non-JSON values degrade to their rendering
-    return {
-        "value": value,
-        "instance_name": result.instance_name,
-        "text": result.text,
-    }
+    return status, {"error": describe_error(exc)}
 
 
 def _resolved_payload(future: PendingResult) -> tuple[int, dict[str, object]]:
@@ -180,7 +165,7 @@ def _resolved_payload(future: PendingResult) -> tuple[int, dict[str, object]]:
                 f"{type(value).__name__!r}"
             )
         )
-    return 200, {"result": _result_payload(value)}
+    return 200, {"result": describe_result(value)}
 
 
 class _Request:
@@ -381,9 +366,7 @@ class HttpFrontDoor:
                         "error": {"type": "BadRequest", "message": str(exc)}
                     }
                 except Exception as exc:  # noqa: BLE001 - last-resort JSON 500
-                    status, body = 500, {
-                        "error": {"type": type(exc).__name__, "message": str(exc)}
-                    }
+                    status, body = 500, {"error": describe_error(exc)}
                     keep_alive = False
                 keep_alive = keep_alive and not self._draining
                 await self._write_response(writer, status, body, keep_alive)

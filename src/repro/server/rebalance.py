@@ -392,10 +392,6 @@ class DirectoryShardAccess:
             self._databases[shard] = db
         return db
 
-    def names(self, shard: int) -> list[str]:
-        names = self.database(shard).names()
-        return list(names) if isinstance(names, list) else []
-
     def fetch(self, shard: int, name: str) -> str:
         from repro.io.json_codec import dumps
 

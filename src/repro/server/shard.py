@@ -1,36 +1,27 @@
-"""Sharded multi-process PXQL serving: router, shard workers, scatter-gather.
+"""Sharded multi-process PXQL serving: the router's lifecycle and dispatch.
 
 The single-process :class:`~repro.server.server.PXQLServer` is correct
-but GIL-bound.  This module scales it across *processes*:
+but GIL-bound.  :class:`ShardedServer` scales it across *processes*:
+it spawns N shard processes (``spawn`` start method — no
+fork-plus-threads hazards, and closing the child pipe end makes shard
+death visible as EOF) and serves PXQL across them.  The router is split
+at its three decisions:
 
-* :class:`ShardConfig` — the picklable description of one shard: its
-  catalog subdirectory, worker-pool shape, and (for chaos testing) the
-  fault specs the shard installs in its own process — ContextVar-based
-  injectors cannot cross a process boundary, so each shard re-creates
-  its injector from the specs and a derived seed;
-* ``_shard_main`` — the shard process entry point: a ``PXQLServer``
-  thread pool over a shard-local :class:`Database` directory, driven by
-  a small duplex-pipe RPC loop (execute / fetch / store / discard /
-  names / health / metrics / drain / stop);
-* :class:`ShardedServer` — the router: spawns N shard processes
-  (``spawn`` start method — no fork-plus-threads hazards, and closing
-  the child pipe end makes shard death visible as EOF), routes instance
-  names to shards by consistent hashing over a vnode ring, keeps a
-  *placement overlay* for derived results that live off their hash-home
-  shard, and runs cross-shard ``PRODUCT`` as a scatter-gather step:
-  fetch both serialized operands from their owning shards in parallel,
-  combine with :func:`~repro.algebra.product.cartesian_product` in the
-  router, store the product on the target name's shard.
+* :mod:`repro.server.wire` — what crosses a process or socket boundary:
+  :class:`ShardConfig`, the shard process, the router's handle on each
+  pipe, and the one description of a reply (shared with HTTP);
+* :mod:`repro.server.routing` — where a name is served: the
+  :class:`~repro.server.routing.Router` (ring, placement overlay,
+  per-key migration state, write fence, dual-check predicate), a plain
+  object with no process behind it;
+* this module — lifecycle (start, stop, kill / restart, the watchdog,
+  live :meth:`~ShardedServer.resize`), submit dispatch, the broadcast
+  ``LIST``, the cross-shard ``PRODUCT`` scatter-gather (fetch both
+  serialized operands in parallel, combine with
+  :func:`~repro.algebra.product.cartesian_product` in the router, store
+  the product on the target name's shard) and the probes.
 
-**Error transport.**  Exceptions cross the pipe by *description* (type
-name, message, and the structured attributes the router knows how to
-rebuild), never by pickling live exception objects — a shard can
-therefore never send the router something it cannot decode.  Known
-types (``Overloaded``, ``BudgetExceeded``, ``DatabaseError``,
-``FaultError``, ``LockTimeout``, ``ServerError``) are reconstructed
-natively; everything else becomes a typed
-:class:`~repro.errors.RemoteExecutionError`.  A dead shard answers
-every in-flight and future request with
+A dead shard answers every in-flight and future request with
 :class:`~repro.errors.ShardUnavailable` until
 :meth:`ShardedServer.restart_shard` brings it back.
 
@@ -45,26 +36,20 @@ See ``docs/SERVER.md`` ("Sharding and the async front door").
 
 from __future__ import annotations
 
-import multiprocessing
+import dataclasses
+import itertools
 import random
 import threading
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from multiprocessing.connection import Connection
-from multiprocessing.process import BaseProcess
 from pathlib import Path
+from typing import cast
 
 from repro.errors import (
-    BudgetExceeded,
-    FaultError,
-    LockTimeout,
-    Overloaded,
     PXMLError,
     RebalanceError,
     RebalanceInProgress,
-    RemoteExecutionError,
     ServerError,
     ShardConfigError,
     ShardUnavailable,
@@ -74,37 +59,24 @@ from repro.obs.tracing import Tracer
 from repro.pxql import ast
 from repro.pxql.interpreter import Result
 from repro.pxql.parser import parse_memo
-from repro.resilience.budget import Budget
-from repro.resilience.faults import FaultInjector, FaultSpec
+from repro.resilience.faults import FaultSpec
 from repro.resilience.retry import RetryPolicy
 from repro.server.admission import PendingResult
 from repro.server.rebalance import (
     MANIFEST_NAME,
-    Move,
     Rebalancer,
     RebalanceStatus,
     ShardManifest,
-    build_ring,
     plan_rebalance,
     read_manifest,
     resume_rebalance,
-    ring_owner,
     write_manifest,
 )
+from repro.server.routing import Router, unwrap
+from repro.server.wire import ShardConfig, _ShardHandle
 from repro.storage.database import Database, DatabaseError
 
 __all__ = ["MANIFEST_NAME", "ShardConfig", "ShardedServer"]
-
-#: Errors the router rebuilds natively from a shard's description.
-_DECODABLE: dict[str, type[PXMLError]] = {
-    "Overloaded": Overloaded,
-    "BudgetExceeded": BudgetExceeded,
-    "DatabaseError": DatabaseError,
-    "FaultError": FaultError,
-    "LockTimeout": LockTimeout,
-    "RebalanceError": RebalanceError,
-    "ServerError": ServerError,
-}
 
 #: Default watchdog backoff: 5 restart attempts per outage episode,
 #: 100 ms doubling to a 5 s ceiling, deterministic (chaos tests replay).
@@ -112,433 +84,14 @@ DEFAULT_WATCHDOG_BACKOFF = RetryPolicy(
     attempts=5, base_delay_s=0.1, max_delay_s=5.0, jitter=0.0
 )
 
-#: Statements that mutate the catalog entry they name; the router
-#: fences these on keys whose migration copy is in flight.
-_MUTATORS = (ast.DropStatement, ast.SaveStatement, ast.LoadStatement)
 
-#: Wrapper statements that are unwrapped for routing analysis.
-_WRAPPERS = (
-    ast.ExplainStatement,
-    ast.CheckStatement,
-    ast.ProfileStatement,
-    ast.TimeoutStatement,
-)
-
-
-@dataclass(frozen=True)
-class ShardConfig:
-    """The picklable recipe one shard process is built from.
-
-    Attributes:
-        index: the shard's position in the ring (stable across restarts).
-        directory: the shard-local catalog directory.
-        workers: worker-thread count of the shard's ``PXQLServer``.
-        queue_size: the shard's admission-queue bound.
-        poll_s: the shard pool's idle-poll interval.
-        default_deadline_s: default per-request deadline budget
-            (``None`` = unbudgeted unless the request carries one).
-        fault_specs: fault specs the shard installs in its own process
-            (the router's ambient injector cannot cross ``spawn``).
-        fault_seed: base seed; the shard derives ``fault_seed + index``
-            so different shards see different—but reproducible—schedules.
-    """
-
-    index: int
-    directory: str
-    workers: int = 2
-    queue_size: int = 16
-    poll_s: float = 0.005
-    default_deadline_s: float | None = None
-    fault_specs: tuple[FaultSpec, ...] = ()
-    fault_seed: int = 0
-
-
-def _encode_error(exc: BaseException) -> dict[str, object]:
-    """Describe an exception for pipe transport (never pickles it)."""
-    payload: dict[str, object] = {
-        "type": type(exc).__name__,
-        "message": str(exc),
-    }
-    for attr in ("reason", "limit", "where"):
-        value = getattr(exc, attr, None)
-        if isinstance(value, str) and value:
-            payload[attr] = value
-    return payload
-
-
-def _decode_error(payload: dict[str, object], shard: int) -> PXMLError:
-    """Rebuild a shard's error description as a typed exception."""
-    type_name = str(payload.get("type", "Exception"))
-    message = str(payload.get("message", ""))
-    if type_name == "Overloaded":
-        reason = payload.get("reason")
-        return Overloaded(
-            message, reason=reason if isinstance(reason, str) else "queue_full"
-        )
-    if type_name == "BudgetExceeded":
-        limit = payload.get("limit")
-        where = payload.get("where")
-        return BudgetExceeded(
-            message,
-            limit=limit if isinstance(limit, str) else "",
-            where=where if isinstance(where, str) else "",
-        )
-    known = _DECODABLE.get(type_name)
-    if known is not None:
-        return known(message)
-    return RemoteExecutionError(
-        f"shard {shard} raised {type_name}: {message}", remote_type=type_name
-    )
-
-
-def _encode_result(result: Result) -> dict[str, object]:
-    return {
-        "value": result.value,
-        "instance_name": result.instance_name,
-        "text": result.text,
-    }
-
-
-def _decode_result(payload: dict[str, object]) -> Result:
-    name = payload.get("instance_name")
-    return Result(
-        payload.get("value"),
-        name if isinstance(name, str) else None,
-        str(payload.get("text", "")),
-    )
-
-
-# ----------------------------------------------------------------------
-# Shard process
-# ----------------------------------------------------------------------
-class _ShardRuntime:
-    """The serving loop living inside one shard process."""
-
-    def __init__(self, config: ShardConfig, conn: Connection) -> None:
-        from repro.server.server import PXQLServer
-
-        self.config = config
-        self.conn = conn
-        self.database = Database(config.directory)
-        budget_factory: Callable[[], Budget] | None = None
-        if config.default_deadline_s is not None:
-            deadline = config.default_deadline_s
-            budget_factory = lambda: Budget(deadline_s=deadline)  # noqa: E731
-        self.server = PXQLServer(
-            database=self.database,
-            workers=config.workers,
-            queue_size=config.queue_size,
-            budget_factory=budget_factory,
-            poll_s=config.poll_s,
-            name=f"shard{config.index}",
-        )
-        self._send_lock = threading.Lock()
-
-    def _send(self, message: dict[str, object]) -> None:
-        """Send one response; pickling failures degrade to text form.
-
-        A ``Result`` whose value is not picklable (a span tree, a live
-        instance with exotic content) must not kill the shard loop —
-        the textual rendering is re-sent in its place.
-        """
-        try:
-            with self._send_lock:
-                self.conn.send(message)
-        except (OSError, EOFError):
-            pass  # router is gone; the shard loop will see EOF and exit
-        except Exception:  # noqa: BLE001 - unpicklable payloads
-            fallback = dict(message)
-            value = fallback.get("value")
-            if isinstance(value, dict) and "text" in value:
-                value = dict(value)
-                value["value"] = value.get("text")
-                fallback["value"] = value
-            else:
-                fallback["value"] = repr(value)
-            try:
-                with self._send_lock:
-                    self.conn.send(fallback)
-            except Exception:  # noqa: BLE001 - router gone mid-fallback
-                pass
-
-    def _on_execute(self, ident: int, message: dict[str, object]) -> None:
-        text = str(message.get("text", ""))
-        deadline = message.get("deadline_s")
-        budget = (
-            Budget(deadline_s=float(deadline))
-            if isinstance(deadline, (int, float))
-            else None
-        )
-        try:
-            future = self.server.submit(text, budget=budget)
-        except Exception as exc:  # noqa: BLE001 - transported, typed
-            self._send({"id": ident, "ok": False, "error": _encode_error(exc)})
-            return
-
-        def _resolved(pending: PendingResult) -> None:
-            error = pending.error(0.0)
-            if error is not None:
-                self._send(
-                    {"id": ident, "ok": False, "error": _encode_error(error)}
-                )
-                return
-            value = pending.result(0.0)
-            if isinstance(value, Result):
-                encoded: dict[str, object] = _encode_result(value)
-            else:  # pragma: no cover - defended in PXQLServer.execute too
-                encoded = {"value": None, "instance_name": None,
-                           "text": repr(value)}
-            self._send({"id": ident, "ok": True, "value": encoded})
-
-        future.add_done_callback(_resolved)
-
-    def _handle(self, message: dict[str, object]) -> bool:
-        """Dispatch one request; returns whether to keep serving."""
-        ident = message.get("id")
-        if not isinstance(ident, int):
-            return True
-        op = message.get("op")
-        if op == "execute":
-            self._on_execute(ident, message)
-            return True
-        try:
-            value = self._call(op, message)
-        except Exception as exc:  # noqa: BLE001 - transported, typed
-            self._send({"id": ident, "ok": False, "error": _encode_error(exc)})
-            return op != "stop"
-        self._send({"id": ident, "ok": True, "value": value})
-        return op != "stop"
-
-    def _call(self, op: object, message: dict[str, object]) -> object:
-        from repro.io.json_codec import dumps, loads
-
-        if op == "fetch":
-            name = str(message.get("name", ""))
-            return dumps(self.database.get(name))
-        if op == "store":
-            name = str(message.get("name", ""))
-            instance = loads(str(message.get("payload", "")))
-            self.database.register(name, instance, replace=True)
-            if bool(message.get("save", False)):
-                self.database.save(name)
-            return name
-        if op == "discard":
-            name = str(message.get("name", ""))
-            self.database.drop(name)
-            return name
-        if op == "names":
-            return self.database.names()
-        if op == "health":
-            health = self.server.health()
-            health["shard"] = self.config.index
-            health["generation"] = self.database.generation()
-            return health
-        if op == "metrics":
-            return self.server.metrics.as_dict()
-        if op == "drain":
-            timeout = message.get("timeout_s")
-            return self.server.drain(
-                float(timeout) if isinstance(timeout, (int, float)) else 30.0
-            )
-        if op == "stop":
-            drain = bool(message.get("drain", True))
-            timeout = message.get("timeout_s")
-            return self.server.stop(
-                drain=drain,
-                timeout_s=(
-                    float(timeout)
-                    if isinstance(timeout, (int, float))
-                    else 30.0
-                ),
-            )
-        raise ServerError(f"shard {self.config.index}: unknown op {op!r}")
-
-    def serve(self) -> None:
-        self.server.start()
-        try:
-            while True:
-                try:
-                    message = self.conn.recv()
-                except (EOFError, OSError):
-                    break  # router gone: drain what we can, then exit
-                if not isinstance(message, dict):
-                    continue
-                if not self._handle(message):
-                    break
-        finally:
-            self.server.stop(drain=False, timeout_s=5.0)
-            try:
-                self.conn.close()
-            except OSError:
-                pass
-
-
-def _shard_main(config: ShardConfig, conn: Connection) -> None:
-    """Shard process entry point (must be a module-level name: ``spawn``
-    imports it by reference in the fresh interpreter)."""
-    injector = (
-        FaultInjector(*config.fault_specs,
-                      seed=config.fault_seed + config.index)
-        if config.fault_specs
-        else None
-    )
-    runtime = _ShardRuntime(config, conn)
-    if injector is not None:
-        # Installed in the shard's main thread: submissions snapshot the
-        # ambient context, so every worker replays the injector.
-        with injector:
-            runtime.serve()
+def _forward(source: PendingResult, target: PendingResult) -> None:
+    """Resolve ``target`` as ``source`` was resolved."""
+    error = source.error(0.0)
+    if error is not None:
+        target.set_error(error)
     else:
-        runtime.serve()
-
-
-# ----------------------------------------------------------------------
-# Router side
-# ----------------------------------------------------------------------
-class _ShardHandle:
-    """The router's connection to one shard process."""
-
-    def __init__(self, config: ShardConfig) -> None:
-        self.config = config
-        self.index = config.index
-        self._context = multiprocessing.get_context("spawn")
-        self._process: BaseProcess | None = None
-        self._conn: Connection | None = None
-        self._reader: threading.Thread | None = None
-        self._send_lock = threading.Lock()
-        self._pending_lock = threading.Lock()
-        self._pending: dict[int, PendingResult] = {}
-        self._next_id = 0
-        self._dead = True
-
-    def start(self) -> None:
-        parent_conn, child_conn = self._context.Pipe(duplex=True)
-        process = self._context.Process(
-            target=_shard_main,
-            args=(self.config, child_conn),
-            name=f"pxql-shard-{self.index}",
-            daemon=True,
-        )
-        process.start()
-        # Close the router's copy of the child end: otherwise the pipe
-        # stays open after the shard dies and EOF never arrives.
-        child_conn.close()
-        self._process = process
-        self._conn = parent_conn
-        self._dead = False
-        self._reader = threading.Thread(
-            target=self._read_loop,
-            name=f"pxql-shard-{self.index}-reader",
-            daemon=True,
-        )
-        self._reader.start()
-
-    @property
-    def alive(self) -> bool:
-        process = self._process
-        return (
-            not self._dead
-            and process is not None
-            and process.is_alive()
-        )
-
-    def _read_loop(self) -> None:
-        conn = self._conn
-        assert conn is not None
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                break
-            if not isinstance(message, dict):
-                continue
-            ident = message.get("id")
-            if not isinstance(ident, int):
-                continue
-            with self._pending_lock:
-                pending = self._pending.pop(ident, None)
-            if pending is not None:
-                pending.set_result(message)
-        # The shard is gone: answer everything still in flight.
-        with self._pending_lock:
-            self._dead = True
-            orphaned = list(self._pending.values())
-            self._pending.clear()
-        for pending in orphaned:
-            pending.set_error(
-                ShardUnavailable(
-                    f"shard {self.index} died with the request in flight",
-                    shard=self.index,
-                )
-            )
-
-    def request(self, payload: dict[str, object]) -> PendingResult:
-        """Send one RPC; the future resolves with the raw response dict.
-
-        Raises :class:`ShardUnavailable` when the shard is already dead
-        (in-flight requests at death are resolved with the same error
-        by the reader thread — no request is ever silently dropped).
-        """
-        with self._pending_lock:
-            if self._dead:
-                raise ShardUnavailable(
-                    f"shard {self.index} is not running", shard=self.index
-                )
-            self._next_id += 1
-            ident = self._next_id
-            future = PendingResult()
-            self._pending[ident] = future
-        conn = self._conn
-        assert conn is not None
-        try:
-            with self._send_lock:
-                conn.send({**payload, "id": ident})
-        except (OSError, ValueError, EOFError) as exc:
-            with self._pending_lock:
-                self._pending.pop(ident, None)
-            raise ShardUnavailable(
-                f"shard {self.index} is unreachable: {exc}", shard=self.index
-            ) from exc
-        return future
-
-    def call(
-        self, payload: dict[str, object], timeout_s: float = 30.0
-    ) -> object:
-        """Synchronous RPC: returns the value or raises the typed error."""
-        response = self.request(payload).result(timeout_s)
-        assert isinstance(response, dict)
-        if response.get("ok"):
-            return response.get("value")
-        error = response.get("error")
-        raise _decode_error(
-            error if isinstance(error, dict) else {}, self.index
-        )
-
-    def kill(self) -> None:
-        process = self._process
-        if process is not None and process.is_alive():
-            process.kill()
-            process.join(timeout=10.0)
-        # The reader thread observes EOF and fails in-flight requests.
-
-    def join(self, timeout_s: float) -> bool:
-        process = self._process
-        if process is None:
-            return True
-        process.join(timeout=timeout_s)
-        if process.is_alive():
-            process.kill()
-            process.join(timeout=5.0)
-            return False
-        return True
-
-    def close(self) -> None:
-        conn = self._conn
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
+        target.set_result(source.result(0.0))
 
 
 class ShardedServer:
@@ -572,15 +125,14 @@ class ShardedServer:
             shard until it is seen alive again
             (``router.watchdog_gave_up``).
 
-    **Routing.**  An instance name's home shard is found by consistent
-    hashing (SHA-256 positions, ``vnodes`` per shard).  Statements are
-    routed to the home shard of their source instance; ``LIST`` is a
-    broadcast-and-merge; a cross-shard ``PRODUCT`` is a scatter-gather
-    run by the router.  Derived results (``AS`` targets, fresh names)
-    are created on the shard that executed the statement, which may not
-    be the name's hash home — the router records these in a *placement
-    overlay* consulted before the ring, rebuilt from the shards' actual
-    catalogs on start/restart, so later statements find them.
+    **Routing.**  Statements are routed by :attr:`router` to the shard
+    serving their source instance; ``LIST`` is a broadcast-and-merge; a
+    cross-shard ``PRODUCT`` is a scatter-gather run by the router.
+    Derived results (``AS`` targets, fresh names) are created on the
+    shard that executed the statement, which may not be the name's hash
+    home — the router's *placement overlay* records these, rebuilt from
+    the shards' actual catalogs on start/restart, so later statements
+    find them.
     """
 
     def __init__(
@@ -603,35 +155,24 @@ class ShardedServer:
         if shards < 1:
             raise ServerError("a sharded server needs at least one shard")
         self.directory = Path(directory)
-        self.shards = shards
         self.name = name
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
-        self._workers_per_shard = workers_per_shard
-        self._queue_size = queue_size
-        self._poll_s = poll_s
-        self._default_deadline_s = default_deadline_s
-        self._fault_specs = tuple(fault_specs)
-        self._fault_seed = fault_seed
+        #: Every shard's recipe but its index and directory.
+        self._template = ShardConfig(
+            index=0, directory="", workers=workers_per_shard,
+            queue_size=queue_size, poll_s=poll_s,
+            default_deadline_s=default_deadline_s,
+            fault_specs=tuple(fault_specs), fault_seed=fault_seed,
+        )
+        self.router = Router(shards, vnodes)
         self._handles: list[_ShardHandle] = [
             _ShardHandle(self._shard_config(index)) for index in range(shards)
         ]
-        self._vnodes = vnodes
         self._layout_epoch = 0
-        self._ring_positions, self._ring_owners = build_ring(shards, vnodes)
-        #: Derived-result placements that differ from the ring's answer.
-        self._overlay: dict[str, int] = {}
-        self._overlay_lock = threading.Lock()
-        #: Per-key migration state during a live resize:
-        #: name -> (move, phase); phase "pending"/"copying" route to the
-        #: source, "committed" to the destination; "copying" also fences
-        #: writes.  Cleared when the ring flips to the new layout.
-        self._migration: dict[str, tuple[Move, str]] = {}
-        self._migration_lock = threading.Lock()
         self._rebalance_lock = threading.Lock()
         self._rebalance_status = RebalanceStatus()
-        self._counter = 0
-        self._counter_lock = threading.Lock()
+        self._results = itertools.count(1)  # fresh product names
         #: Routing needs only the AST, and the same texts keep coming.
         self._parse = parse_memo()
         self._pool = ThreadPoolExecutor(
@@ -650,17 +191,14 @@ class ShardedServer:
         #: Wait bound for the internal fetch/store legs of scatter-gather.
         self.scatter_timeout_s = 30.0
 
+    @property
+    def shards(self) -> int:
+        """The shard count of the layout being served."""
+        return self.router.shards
+
     def _shard_config(self, index: int) -> ShardConfig:
-        return ShardConfig(
-            index=index,
-            directory=str(self.directory / f"shard-{index}"),
-            workers=self._workers_per_shard,
-            queue_size=self._queue_size,
-            poll_s=self._poll_s,
-            default_deadline_s=self._default_deadline_s,
-            fault_specs=self._fault_specs,
-            fault_seed=self._fault_seed,
-        )
+        directory = str(self.directory / f"shard-{index}")
+        return dataclasses.replace(self._template, index=index, directory=directory)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -691,7 +229,7 @@ class ShardedServer:
             handle.start()
         self._started = True
         self._stopping = False
-        self._rebuild_overlay()
+        self.router.install(self.shards, self._served())
         self._adopt_root_catalog()
         if self._watchdog_interval_s is not None:
             self._watchdog_stop.clear()
@@ -701,11 +239,12 @@ class ShardedServer:
                 daemon=True,
             )
             self._watchdog.start()
-        self.metrics.gauge("router.shards").set(float(self.shards))
-        self.metrics.gauge("router.layout_epoch").set(
-            float(self._layout_epoch)
-        )
+        self._layout_gauges()
         return self
+
+    def _layout_gauges(self) -> None:
+        self.metrics.gauge("router.shards").set(float(self.shards))
+        self.metrics.gauge("router.layout_epoch").set(float(self._layout_epoch))
 
     def _resume_pending_rebalance(self) -> None:
         """Finish a torn migration before serving (offline, in-process)."""
@@ -731,29 +270,30 @@ class ShardedServer:
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
         self.stop(drain=exc_type is None)
 
-    def drain(self, timeout_s: float = 30.0) -> bool:
-        """Drain every live shard; whether all finished in time."""
-        futures = []
-        for handle in self._handles:
+    def _broadcast(
+        self, op: str, handles: Sequence[_ShardHandle] | None = None,
+        **args: object,
+    ) -> list[tuple[int, PendingResult]]:
+        """Send ``op`` to every live shard of ``handles`` (default: all)
+        at once; ``(shard, future)`` for each that took it."""
+        sent = []
+        for handle in list(self._handles if handles is None else handles):
             if not handle.alive:
                 continue
             try:
-                futures.append(
-                    handle.request({"op": "drain", "timeout_s": timeout_s})
-                )
+                sent.append((handle.index, handle.request(op, **args)))
             except ShardUnavailable:
                 continue
+        return sent
+
+    def drain(self, timeout_s: float = 30.0) -> bool:
+        """Drain every live shard; whether all finished in time."""
         drained = True
-        for future in futures:
+        for _, future in self._broadcast("drain", timeout_s=timeout_s):
             try:
-                response = future.result(timeout_s + 5.0)
+                drained = bool(future.result(timeout_s + 5.0)) and drained
             except PXMLError:
                 drained = False
-                continue
-            assert isinstance(response, dict)
-            drained = drained and bool(
-                response.get("ok") and response.get("value")
-            )
         return drained
 
     def stop(self, drain: bool = True, timeout_s: float = 30.0) -> bool:
@@ -764,16 +304,8 @@ class ShardedServer:
             self._watchdog_stop.set()
             watchdog.join(timeout=5.0)
             self._watchdog = None
+        self._broadcast("stop", drain=drain, timeout_s=timeout_s)
         clean = True
-        for handle in self._handles:
-            if not handle.alive:
-                continue
-            try:
-                handle.request(
-                    {"op": "stop", "drain": drain, "timeout_s": timeout_s}
-                )
-            except ShardUnavailable:
-                clean = False
         deadline = time.monotonic() + timeout_s
         for handle in self._handles:
             remaining = max(0.5, deadline - time.monotonic())
@@ -808,13 +340,28 @@ class ShardedServer:
         replacement = _ShardHandle(handle.config)
         replacement.start()
         self._handles[index] = replacement
-        self._refresh_overlay(index)
+        self.router.relearn(index, self._served([replacement]))
         self.metrics.counter("router.shard_restarts").inc()
         self.tracer.event("router.shard_restarted", shard=index)
 
     def _check_index(self, index: int) -> None:
         if not 0 <= index < self.shards:
             raise ServerError(f"no shard {index} (have {self.shards})")
+
+    def _served(
+        self, handles: Sequence[_ShardHandle] | None = None
+    ) -> dict[str, int]:
+        """``name -> shard`` for every name the live ``handles`` (default:
+        all) actually serve; a shard that cannot answer is skipped."""
+        served: dict[str, int] = {}
+        for index, future in self._broadcast("names", handles):
+            try:
+                served.update(dict.fromkeys(
+                    cast("list[str]", future.result(10.0)), index
+                ))
+            except PXMLError:
+                continue
+        return served
 
     # ------------------------------------------------------------------
     # Self-healing watchdog
@@ -831,7 +378,7 @@ class ShardedServer:
         """
         interval = self._watchdog_interval_s
         assert interval is not None
-        rng = random.Random(self._fault_seed)
+        rng = random.Random(self._template.fault_seed)
         while not self._watchdog_stop.wait(interval):
             if not self._started or self._stopping:
                 continue
@@ -886,7 +433,8 @@ class ShardedServer:
         :class:`~repro.errors.RebalanceInProgress`), and the whole
         migration is journaled so a crash at any instant is resumed —
         never restarted — by the next :meth:`start`.  On success the
-        ring flips to the new layout and ``layout_epoch`` advances.
+        router adopts the new layout in one step and ``layout_epoch``
+        advances.
 
         Raises :class:`~repro.errors.RebalanceError` for an invalid
         target count or when a resize is already running.
@@ -925,26 +473,23 @@ class ShardedServer:
             handle.start()
             self._handles.append(handle)
         try:
-            placements: dict[str, int] = {}
-            for handle in self._handles[:old]:
-                names = handle.call({"op": "names"}, timeout_s=10.0)
-                if isinstance(names, list):
-                    for name in names:
-                        if isinstance(name, str):
-                            placements[name] = handle.index
+            # Every old shard must answer: a name left out of the plan
+            # would be stranded on a shard the new ring does not use.
+            placements = {
+                name: handle.index
+                for handle in self._handles[:old]
+                for name in cast("list[str]", handle.call("names", 10.0))
+            }
             plan = plan_rebalance(
                 placements, old, shards,
-                vnodes=self._vnodes, from_epoch=self._layout_epoch,
+                vnodes=self.router.vnodes, from_epoch=self._layout_epoch,
             )
-            with self._migration_lock:
-                self._migration = {
-                    move.name: (move, "pending") for move in plan.moves
-                }
+            self.router.migrate(plan.moves)
             status.total_moves = len(plan.moves)
             rebalancer = Rebalancer(
                 self.directory,
                 _LiveShardAccess(self),
-                on_phase=self._on_migration_phase,
+                on_phase=self.router.on_phase,
                 status=status,
             )
             with self.tracer.span(
@@ -955,46 +500,24 @@ class ShardedServer:
         except BaseException as exc:
             status.state = "failed"
             status.error = str(exc)
-            # Committed cutovers keep routing to their destination (the
-            # source copy may already be gone); everything earlier
-            # reverts to plain routing and is writable again.  The
-            # journal still holds the pending plan, so the next
+            # The journal still holds the pending plan, so the next
             # start() finishes the migration offline.
-            with self._migration_lock:
-                self._migration = {
-                    name: entry
-                    for name, entry in self._migration.items()
-                    if entry[1] == "committed"
-                }
+            self.router.abandon()
             self.metrics.counter("router.rebalances_failed").inc()
             raise
-        # Flip the ring: the new layout owns every key; committed-move
-        # routing and the fences retire with the migration map.
-        self._ring_positions, self._ring_owners = build_ring(
-            shards, self._vnodes
-        )
-        self.shards = shards
+        # Ring, overlay and the retired migration map flip together, the
+        # overlay learnt from where every name lives now: no read sees
+        # the new ring with the old overlay.
+        self.router.install(shards, self._served())
         self._layout_epoch = plan.to_epoch
-        with self._migration_lock:
-            self._migration = {}
-        if shards < old:
-            retired = self._handles[shards:]
-            del self._handles[shards:]
-            for handle in retired:
-                self._watchdog_state.pop(handle.index, None)
-                try:
-                    handle.request(
-                        {"op": "stop", "drain": True, "timeout_s": timeout_s}
-                    )
-                except ShardUnavailable:
-                    pass
-                handle.join(timeout_s)
-                handle.close()
-        self._rebuild_overlay()
-        self.metrics.gauge("router.shards").set(float(self.shards))
-        self.metrics.gauge("router.layout_epoch").set(
-            float(self._layout_epoch)
-        )
+        retired = self._handles[shards:]
+        del self._handles[shards:]
+        self._broadcast("stop", retired, drain=True, timeout_s=timeout_s)
+        for handle in retired:
+            self._watchdog_state.pop(handle.index, None)
+            handle.join(timeout_s)
+            handle.close()
+        self._layout_gauges()
         self.metrics.counter("router.rebalances").inc()
         self.tracer.event(
             "router.rebalanced",
@@ -1003,22 +526,12 @@ class ShardedServer:
         )
         return status
 
-    def _on_migration_phase(self, name: str, phase: str) -> None:
-        """Flip one key's routing exactly at its durable cutover."""
-        with self._migration_lock:
-            entry = self._migration.get(name)
-            if entry is None:
-                return
-            move = entry[0]
-            if phase == "done":
-                # Keep routing to the destination until the ring flips.
-                self._migration[name] = (move, "committed")
-            else:
-                self._migration[name] = (move, phase)
-
     def rebalance_status(self) -> dict[str, object]:
         """The last/current migration's progress, plus the live layout."""
         snapshot = self._rebalance_status.as_dict()
+        if snapshot["state"] == "done" and self._rebalance_lock.locked():
+            # Migrated, but the router has not adopted the layout yet.
+            snapshot["state"] = "finalizing"
         snapshot["layout_epoch"] = self._layout_epoch
         snapshot["shards"] = self.shards
         return snapshot
@@ -1044,7 +557,7 @@ class ShardedServer:
                 self.directory,
                 ShardManifest(
                     shards=self.shards,
-                    vnodes=self._vnodes,
+                    vnodes=self.router.vnodes,
                     layout_epoch=0,
                 ),
             )
@@ -1059,72 +572,17 @@ class ShardedServer:
                 configured=self.shards,
                 recorded=manifest.shards,
             )
-        if manifest.vnodes != self._vnodes:
-            self._vnodes = manifest.vnodes
-            self._ring_positions, self._ring_owners = build_ring(
-                self.shards, self._vnodes
-            )
+        if manifest.vnodes != self.router.vnodes:
+            self.router = Router(self.shards, manifest.vnodes)
         self._layout_epoch = manifest.layout_epoch
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
     def owner(self, name: str) -> int:
-        """The shard an instance name is *served* by, right now.
-
-        Consulted in order: the per-key migration state (a committed
-        cutover owns the name at its destination, anything earlier
-        still at its source), the placement overlay, then the ring.
-        """
-        with self._migration_lock:
-            entry = self._migration.get(name)
-        if entry is not None:
-            move, phase = entry
-            return move.dest if phase == "committed" else move.source
-        with self._overlay_lock:
-            placed = self._overlay.get(name)
-        if placed is not None:
-            return placed
-        return ring_owner(self._ring_positions, self._ring_owners, name)
-
-    def _record_placement(self, name: str, shard: int) -> None:
-        home = ring_owner(self._ring_positions, self._ring_owners, name)
-        with self._overlay_lock:
-            if home == shard:
-                self._overlay.pop(name, None)
-            else:
-                self._overlay[name] = shard
-
-    def _forget_placement(self, name: str) -> None:
-        with self._overlay_lock:
-            self._overlay.pop(name, None)
-
-    def _rebuild_overlay(self) -> None:
-        with self._overlay_lock:
-            self._overlay.clear()
-        for handle in self._handles:
-            self._refresh_overlay(handle.index)
-
-    def _refresh_overlay(self, index: int) -> None:
-        """Re-learn which names actually live on shard ``index``."""
-        handle = self._handles[index]
-        with self._overlay_lock:
-            stale = [
-                name for name, shard in self._overlay.items()
-                if shard == index
-            ]
-            for name in stale:
-                del self._overlay[name]
-        if not handle.alive:
-            return
-        try:
-            names = handle.call({"op": "names"}, timeout_s=10.0)
-        except PXMLError:
-            return
-        if isinstance(names, list):
-            for name in names:
-                if isinstance(name, str):
-                    self._record_placement(name, index)
+        """The shard an instance name is *served* by, right now (see
+        :meth:`Router.owner <repro.server.routing.Router.owner>`)."""
+        return self.router.owner(name)
 
     def _adopt_root_catalog(self) -> None:
         """Import loose instances from the root directory onto their
@@ -1146,16 +604,7 @@ class ShardedServer:
             return
         if not loose:
             return
-        served: set[str] = set()
-        for handle in self._handles:
-            if not handle.alive:
-                continue
-            try:
-                names = handle.call({"op": "names"}, timeout_s=10.0)
-            except PXMLError:
-                continue
-            if isinstance(names, list):
-                served.update(n for n in names if isinstance(n, str))
+        served = self._served()
         adopted = 0
         for name in loose:
             if name in served:
@@ -1169,14 +618,16 @@ class ShardedServer:
             self.metrics.counter("router.adopted_instances").inc(adopted)
             self.tracer.event("router.adopted_instances", count=adopted)
 
-    def _fresh_name(self) -> str:
-        with self._counter_lock:
-            self._counter += 1
-            return f"_router_result{self._counter}"
-
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
+    def _failed(self, error: PXMLError) -> PendingResult:
+        """A future already resolved with ``error`` (counted as failed)."""
+        future = PendingResult()
+        future.set_error(error)
+        self.metrics.counter("router.failed").inc()
+        return future
+
     def submit(
         self, text: str, deadline_s: float | None = None
     ) -> PendingResult:
@@ -1195,24 +646,16 @@ class ShardedServer:
         except PXMLError as exc:
             # Parse errors are execution errors, not admission errors:
             # surface them through the future like the thread server does.
-            future = PendingResult()
-            future.set_error(exc)
-            self.metrics.counter("router.failed").inc()
-            return future
-        inner = statement
-        while isinstance(inner, _WRAPPERS):
-            inner = inner.statement
-        fenced = self._fenced_write(inner)
+            return self._failed(exc)
+        inner = unwrap(statement)
+        fenced = self.router.fenced(inner)
         if fenced is not None:
-            future = PendingResult()
-            future.set_error(RebalanceInProgress(
+            self.metrics.counter("router.writes_fenced").inc()
+            return self._failed(RebalanceInProgress(
                 f"instance {fenced!r} is mid-migration (copy in flight); "
                 "retry shortly",
                 name=fenced,
             ))
-            self.metrics.counter("router.writes_fenced").inc()
-            self.metrics.counter("router.failed").inc()
-            return future
         if isinstance(inner, ast.ProductStatement):
             left_owner = self.owner(inner.left)
             right_owner = self.owner(inner.right)
@@ -1220,20 +663,17 @@ class ShardedServer:
                 if not isinstance(
                     statement, (ast.ProductStatement, ast.TimeoutStatement)
                 ):
-                    future = PendingResult()
-                    future.set_error(ServerError(
+                    return self._failed(ServerError(
                         "cross-shard PRODUCT cannot run under "
                         f"{type(statement).__name__}: both operands must "
                         "live on one shard for wrapped statements"
                     ))
-                    self.metrics.counter("router.failed").inc()
-                    return future
                 return self._submit_scatter_product(
                     inner, left_owner, right_owner, deadline_s
                 )
         if isinstance(inner, ast.ListStatement):
             return self._submit_broadcast_list()
-        shard = self._route(inner)
+        shard = self.router.route(inner)
         return self._submit_to_shard(shard, text, deadline_s, inner)
 
     def execute(
@@ -1251,44 +691,6 @@ class ShardedServer:
             )
         return value
 
-    def _fenced_write(self, inner: ast.Statement) -> str | None:
-        """The first mutated name whose migration copy is in flight.
-
-        A write accepted on the source *after* the copy read it would
-        silently vanish at cutover, so mutating statements (``DROP`` /
-        ``SAVE`` / ``LOAD`` and any ``AS``-target derivation) on a key
-        in its copy window are refused with the typed retryable
-        :class:`~repro.errors.RebalanceInProgress` instead.  The window
-        closes at the durable ``move-commit`` — typically milliseconds.
-        """
-        names: list[str] = []
-        if isinstance(inner, _MUTATORS):
-            names.append(inner.name)
-        target = getattr(inner, "target", None)
-        if isinstance(target, str):
-            names.append(target)
-        if not names:
-            return None
-        with self._migration_lock:
-            for name in names:
-                entry = self._migration.get(name)
-                if entry is not None and entry[1] == "copying":
-                    return name
-        return None
-
-    def _route(self, inner: ast.Statement) -> int:
-        """The shard a (non-product, non-list) statement belongs on."""
-        source = getattr(inner, "source", None)
-        if isinstance(source, str):
-            return self.owner(source)
-        name = getattr(inner, "name", None)
-        if isinstance(name, str):
-            return self.owner(name)
-        if isinstance(inner, ast.ProductStatement):
-            return self.owner(inner.left)  # same-shard product
-        # Sourceless statements (SET ...) go to shard 0.
-        return 0
-
     def _submit_to_shard(
         self,
         shard: int,
@@ -1297,125 +699,57 @@ class ShardedServer:
         inner: ast.Statement,
         retried: bool = False,
     ) -> PendingResult:
-        handle = self._handles[shard]
         outer = PendingResult()
-        payload: dict[str, object] = {"op": "execute", "text": text}
-        if deadline_s is not None:
-            payload["deadline_s"] = deadline_s
-        remote = handle.request(payload)  # raises ShardUnavailable when dead
-
-        def _failed(error: BaseException) -> None:
-            """Fail ``outer`` — after one dual-check retry at the key's
-            new owner when the failure is a cutover race."""
-            retry_shard = self._dual_check_shard(inner, shard, error, retried)
-            if retry_shard is None:
-                self.metrics.counter("router.failed").inc()
-                outer.set_error(error)
-                return
-            self.metrics.counter("router.dual_check_retries").inc()
-            chained = self._submit_to_shard(
-                retry_shard, text, deadline_s, inner, retried=True
-            )
-
-            def _chain(p: PendingResult) -> None:
-                chained_error = p.error(0.0)
-                if chained_error is not None:
-                    outer.set_error(chained_error)
-                else:
-                    outer.set_result(p.result(0.0))
-
-            chained.add_done_callback(_chain)
+        remote = self._handles[shard].request(
+            "execute", text=text, deadline_s=deadline_s
+        )  # raises ShardUnavailable when dead
 
         def _resolved(pending: PendingResult) -> None:
             error = pending.error(0.0)
-            if error is not None:
-                _failed(error)
+            if error is None:
+                result = cast(Result, pending.result(0.0))
+                if result.instance_name is not None:
+                    self.router.place(result.instance_name, shard)
+                if isinstance(inner, ast.DropStatement):
+                    self.router.forget(inner.name)
+                self.metrics.counter("router.completed").inc()
+                outer.set_result(result)
                 return
-            response = pending.result(0.0)
-            assert isinstance(response, dict)
-            if not response.get("ok"):
-                raw = response.get("error")
-                _failed(_decode_error(
-                    raw if isinstance(raw, dict) else {}, shard
-                ))
-                return
-            value = response.get("value")
-            result = (
-                _decode_result(value) if isinstance(value, dict)
-                else Result(None, None, repr(value))
+            # One dual-check retry at the key's new owner when the
+            # failure is a cutover race.
+            retry = None if retried else self.router.retry_shard(
+                inner, shard, error
             )
-            if result.instance_name is not None:
-                self._record_placement(result.instance_name, shard)
-            if isinstance(inner, ast.DropStatement):
-                self._forget_placement(inner.name)
-            self.metrics.counter("router.completed").inc()
-            outer.set_result(result)
+            if retry is not None:
+                self.metrics.counter("router.dual_check_retries").inc()
+                try:
+                    chained = self._submit_to_shard(
+                        retry, text, deadline_s, inner, retried=True
+                    )
+                except PXMLError as exc:
+                    error = exc
+                else:
+                    chained.add_done_callback(lambda p: _forward(p, outer))
+                    return
+            self.metrics.counter("router.failed").inc()
+            outer.set_error(error)
 
         remote.add_done_callback(_resolved)
         return outer
 
-    def _dual_check_shard(
-        self,
-        inner: ast.Statement,
-        shard: int,
-        error: BaseException,
-        retried: bool,
-    ) -> int | None:
-        """Where to retry a failed statement whose key moved mid-flight.
-
-        During a migration a read routed to the source shard can lose
-        the race with the cutover (the source copy is deleted right
-        after ``move-commit``) and come back as an unknown-instance
-        :class:`DatabaseError` — or as :class:`ShardUnavailable` when
-        the source died.  If the statement's key is now owned by a
-        different shard, the read is retried exactly once there; any
-        other failure stays a failure.
-        """
-        if retried or not isinstance(
-            error, (DatabaseError, ShardUnavailable)
-        ):
-            return None
-        source = getattr(inner, "source", None)
-        name = (
-            source if isinstance(source, str)
-            else getattr(inner, "name", None)
-        )
-        if not isinstance(name, str):
-            return None
-        current = self.owner(name)
-        if current == shard or not 0 <= current < len(self._handles):
-            return None
-        return current
-
     def _submit_broadcast_list(self) -> PendingResult:
         """``LIST`` fans to every live shard; the union comes back."""
         outer = PendingResult()
-        futures: list[tuple[int, PendingResult]] = []
-        for handle in self._handles:
-            if not handle.alive:
-                continue
-            try:
-                futures.append(
-                    (handle.index, handle.request({"op": "names"}))
-                )
-            except ShardUnavailable:
-                continue
+        futures = self._broadcast("names")
 
         def _gather() -> None:
             names: set[str] = set()
             try:
-                for shard, future in futures:
-                    response = future.result(self.scatter_timeout_s)
-                    assert isinstance(response, dict)
-                    if not response.get("ok"):
-                        raw = response.get("error")
-                        raise _decode_error(
-                            raw if isinstance(raw, dict) else {}, shard
-                        )
-                    value = response.get("value")
-                    if isinstance(value, list):
-                        names.update(n for n in value if isinstance(n, str))
-            except Exception as exc:  # noqa: BLE001 - typed via decode
+                for _, future in futures:
+                    names.update(
+                        cast("list[str]", future.result(self.scatter_timeout_s))
+                    )
+            except Exception as exc:  # noqa: BLE001 - typed on arrival
                 self.metrics.counter("router.failed").inc()
                 outer.set_error(exc)
                 return
@@ -1454,40 +788,27 @@ class ShardedServer:
                     left=stmt.left, right=stmt.right,
                     left_shard=left_owner, right_shard=right_owner,
                 ):
-                    left_handle = self._handles[left_owner]
-                    right_handle = self._handles[right_owner]
                     # Scatter: both fetches in flight concurrently.
-                    left_future = left_handle.request(
-                        {"op": "fetch", "name": stmt.left}
+                    fetches = [
+                        self._handles[shard].request("fetch", name=name)
+                        for shard, name in (
+                            (left_owner, stmt.left), (right_owner, stmt.right)
+                        )
+                    ]
+                    left, right = (
+                        loads(cast(str, f.result(timeout))) for f in fetches
                     )
-                    right_future = right_handle.request(
-                        {"op": "fetch", "name": stmt.right}
-                    )
-                    left_payload = self._gather_fetch(
-                        left_future, left_owner, timeout
-                    )
-                    right_payload = self._gather_fetch(
-                        right_future, right_owner, timeout
-                    )
-                    product = cartesian_product(
-                        loads(left_payload),
-                        loads(right_payload),
-                        stmt.new_root,
-                    )
+                    product = cartesian_product(left, right, stmt.new_root)
                     target = (
                         stmt.target if stmt.target is not None
-                        else self._fresh_name()
+                        else f"_router_result{next(self._results)}"
                     )
                     target_owner = self.owner(target)
-                    self._handles[target_owner].call(
-                        {
-                            "op": "store",
-                            "name": target,
-                            "payload": dumps(product),
-                        },
-                        timeout_s=timeout,
+                    self._call(
+                        target_owner, "store", timeout,
+                        name=target, payload=dumps(product),
                     )
-                    self._record_placement(target, target_owner)
+                    self.router.place(target, target_owner)
             except Exception as exc:  # noqa: BLE001 - typed transport
                 self.metrics.counter("router.failed").inc()
                 outer.set_error(
@@ -1496,35 +817,26 @@ class ShardedServer:
                 )
                 return
             self.metrics.counter("router.completed").inc()
-            outer.set_result(
-                Result(
-                    product, target,
-                    f"product of {stmt.left} and {stmt.right} -> {target} "
-                    f"({len(product)} objects)",
-                )
+            text = (
+                f"product of {stmt.left} and {stmt.right} -> {target} "
+                f"({len(product)} objects)"
             )
+            outer.set_result(Result(text, target, text))
 
         self._pool.submit(_run)
         return outer
 
-    def _gather_fetch(
-        self, future: PendingResult, shard: int, timeout_s: float
-    ) -> str:
-        response = future.result(timeout_s)
-        assert isinstance(response, dict)
-        if not response.get("ok"):
-            raw = response.get("error")
-            raise _decode_error(raw if isinstance(raw, dict) else {}, shard)
-        value = response.get("value")
-        if not isinstance(value, str):
-            raise ServerError(
-                f"shard {shard} answered a fetch with {type(value).__name__}"
-            )
-        return value
-
     # ------------------------------------------------------------------
     # Catalog access
     # ------------------------------------------------------------------
+    def _call(
+        self, shard: int, op: str, wait_s: float | None = None,
+        **args: object,
+    ) -> object:
+        """One synchronous RPC (default wait: :attr:`scatter_timeout_s`)."""
+        wait = self.scatter_timeout_s if wait_s is None else wait_s
+        return self._handles[shard].call(op, wait, **args)
+
     def register_instance(
         self, name: str, payload: str, save: bool = True
     ) -> int:
@@ -1535,23 +847,13 @@ class ShardedServer:
         instances for routine placement, only their wire form.
         """
         shard = self.owner(name)
-        self._handles[shard].call(
-            {"op": "store", "name": name, "payload": payload, "save": save},
-            timeout_s=self.scatter_timeout_s,
-        )
-        self._record_placement(name, shard)
+        self._call(shard, "store", name=name, payload=payload, save=save)
+        self.router.place(name, shard)
         return shard
 
     def fetch_instance(self, name: str) -> str:
         """The serialized JSON of ``name`` from its owning shard."""
-        value = self._handles[self.owner(name)].call(
-            {"op": "fetch", "name": name}, timeout_s=self.scatter_timeout_s
-        )
-        if not isinstance(value, str):
-            raise ServerError(
-                f"fetch of {name!r} answered {type(value).__name__}"
-            )
-        return value
+        return cast(str, self._call(self.owner(name), "fetch", name=name))
 
     # ------------------------------------------------------------------
     # Probes
@@ -1575,28 +877,23 @@ class ShardedServer:
                 )
                 continue
             try:
-                health = handle.call({"op": "health"}, timeout_s=5.0)
+                health = handle.call("health", 5.0)
             except PXMLError as exc:
                 shard_health.append(
                     {"shard": handle.index, "state": "unreachable",
                      "alive": False, "error": str(exc)}
                 )
                 continue
-            shard_health.append(
-                health if isinstance(health, dict)
-                else {"shard": handle.index, "state": "unknown"}
-            )
-        with self._migration_lock:
-            migrating = len(self._migration)
+            shard_health.append(cast("dict[str, object]", health))
         return {
             "alive": self.alive(),
             "ready": self.ready(),
             "shards": self.shards,
             "shards_alive": sum(1 for h in self._handles if h.alive),
-            "overlay_size": len(self._overlay),
+            "overlay_size": self.router.overlay_size,
             "layout_epoch": self._layout_epoch,
-            "migrating_keys": migrating,
-            "rebalance_state": self._rebalance_status.state,
+            "migrating_keys": self.router.migrating,
+            "rebalance_state": self.rebalance_status()["state"],
             "submitted": self.metrics.value("router.submitted"),
             "completed": self.metrics.value("router.completed"),
             "failed": self.metrics.value("router.failed"),
@@ -1607,22 +904,14 @@ class ShardedServer:
     def metrics_snapshot(self) -> dict[str, dict[str, object]]:
         """Router metrics with each shard's counters mirrored in
         (``shard0.server.completed``, ...)."""
-        for handle in self._handles:
-            if not handle.alive:
-                continue
+        for index, future in self._broadcast("metrics"):
             try:
-                snapshot = handle.call({"op": "metrics"}, timeout_s=5.0)
+                snapshot = future.result(5.0)
             except PXMLError:
                 continue
-            if isinstance(snapshot, dict):
-                self.metrics.import_snapshot(
-                    f"shard{handle.index}",
-                    {
-                        str(key): value
-                        for key, value in snapshot.items()
-                        if isinstance(value, dict)
-                    },
-                )
+            self.metrics.import_snapshot(
+                f"shard{index}", cast("dict[str, dict[str, object]]", snapshot)
+            )
         return self.metrics.as_dict()
 
     def shard_directories(self) -> list[Path]:
@@ -1648,27 +937,13 @@ class _LiveShardAccess:
         self.server = server
 
     def fetch(self, shard: int, name: str) -> str:
-        value = self.server._handles[shard].call(
-            {"op": "fetch", "name": name},
-            timeout_s=self.server.scatter_timeout_s,
-        )
-        if not isinstance(value, str):
-            raise ServerError(
-                f"shard {shard} answered a fetch with {type(value).__name__}"
-            )
-        return value
+        return cast(str, self.server._call(shard, "fetch", name=name))
 
     def store(self, shard: int, name: str, payload: str) -> None:
-        self.server._handles[shard].call(
-            {"op": "store", "name": name, "payload": payload, "save": True},
-            timeout_s=self.server.scatter_timeout_s,
-        )
+        self.server._call(shard, "store", name=name, payload=payload, save=True)
 
     def delete(self, shard: int, name: str) -> None:
         try:
-            self.server._handles[shard].call(
-                {"op": "discard", "name": name},
-                timeout_s=self.server.scatter_timeout_s,
-            )
+            self.server._call(shard, "discard", name=name)
         except DatabaseError:
             pass  # already gone: resume re-runs deletes idempotently

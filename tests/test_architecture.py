@@ -283,3 +283,57 @@ def test_two_tiers():
     if sorted(built) != sorted(tiers):
         problems.append(f"LRUCache( constructed in {built}, not once in each of {sorted(tiers)}")
     assert not problems, "\n".join(problems)
+
+
+def test_one_wire_format():
+    """The pipe's message format is known in ``repro/server/wire.py`` only.
+
+    Outside it no dict literal has an ``"op"`` key and nothing in
+    ``repro.server`` reads ``"ok"`` or ``"error"`` from a reply: the
+    shard handle rebuilds each reply once, on arrival, into a value or a
+    typed error.  The second reply codec (``_encode_error``,
+    ``_encode_result``, ``_result_payload``, ``_gather_fetch``) stays
+    deleted, and ``http.py`` describes errors and results with the
+    describers of ``wire.py`` — one description for both wires.
+    """
+    wire = "src/repro/server/wire.py"
+    deleted = {"_encode_error", "_encode_result", "_result_payload", "_gather_fetch"}
+    problems = []
+    for file in sorted(pathlib.Path("src/repro").rglob("*.py")):
+        path = file.as_posix()
+        tree = ast.parse(file.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            for name in (
+                getattr(node, "id", None), getattr(node, "attr", None),
+                getattr(node, "name", None),
+            ):
+                if name in deleted:
+                    problems.append(f"{path}:{node.lineno}: {name}")
+            if path == wire:
+                continue
+            if isinstance(node, ast.Dict) and any(
+                isinstance(key, ast.Constant) and key.value == "op"
+                for key in node.keys
+            ):
+                problems.append(f'{path}:{node.lineno}: a {{"op": ...}} message')
+            if not path.startswith("src/repro/server/"):
+                continue
+            # response.get("ok") / response["error"]: parsing a reply.
+            read = None
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", "") == "get" and node.args):
+                read = node.args[0]
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+                read = node.slice
+            if isinstance(read, ast.Constant) and read.value in ("ok", "error"):
+                problems.append(f"{path}:{node.lineno}: reads {read.value!r}")
+    http = ast.parse(pathlib.Path("src/repro/server/http.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(http)
+        if isinstance(node, ast.ImportFrom) and node.module == "repro.server.wire"
+        for alias in node.names
+    }
+    if not {"describe_error", "describe_result"} <= imported:
+        problems.append("src/repro/server/http.py: describers not taken from repro.server.wire")
+    assert not problems, "\n".join(problems)

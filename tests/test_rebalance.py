@@ -313,19 +313,106 @@ class TestLiveResize:
 
             server.register_instance("fenced", dumps(build_bib()), save=True)
             # Freeze the migration state a mid-copy move would install.
-            with server._migration_lock:
-                server._migration["fenced"] = (
-                    Move(name="fenced", source=0, dest=1), "copying",
-                )
+            server.router.migrate([Move(name="fenced", source=0, dest=1)])
+            server.router.on_phase("fenced", "copying")
             pending = server.submit("SAVE fenced")
             error = pending.error(10.0)
             assert isinstance(error, RebalanceInProgress)
             assert error.name == "fenced"
-            with server._migration_lock:
-                server._migration.clear()
+            server.router.abandon()
             # Fence lifted: the same write goes through.
             assert server.submit("SAVE fenced").result(30.0) is not None
             assert server.metrics.counter("router.writes_fenced").value >= 1
+        finally:
+            server.stop(drain=False, timeout_s=15.0)
+
+    def test_a_read_that_lost_the_cutover_is_retried_at_the_new_owner(
+        self, tmp_path
+    ):
+        """Regression: the source shard's checker reports the deleted
+        name as PX201 before execution can raise ``DatabaseError``, and
+        the dual-check retry never fired for it."""
+        from repro.pxql.parser import parse
+        from tests.test_server_sharded import build_bib
+
+        server = ShardedServer(
+            tmp_path, shards=2, workers_per_shard=1,
+            queue_size=16, poll_s=0.005,
+        ).start()
+        try:
+            bib = dumps(build_bib())
+            server.register_instance("moved", bib, save=True)
+            source = server.owner("moved")
+            # The cutover committed: the copy is on the destination ...
+            server.router.migrate(
+                [Move(name="moved", source=source, dest=1 - source)]
+            )
+            server.router.on_phase("moved", "committed")
+            assert server.register_instance("moved", bib) == 1 - source
+            # ... and the source copy is gone.
+            server._call(source, "discard", name="moved")
+            # A read routed to the source before the flip arrives now.
+            text = "EXISTS R.book.author IN moved"
+            result = server._submit_to_shard(
+                source, text, None, parse(text)
+            ).result(30.0)
+            assert result.value == pytest.approx(bib_reference())
+            assert server.metrics.value("router.dual_check_retries") == 1
+        finally:
+            server.stop(drain=False, timeout_s=15.0)
+
+    def test_owner_is_the_new_home_at_every_point_after_the_flip(
+        self, tmp_path
+    ):
+        """Regression: the ring flipped before the overlay was rebuilt,
+        and on a shrink the retired shards drained in between, so a
+        moved derived name was routed to the shard it had left (past
+        the live handles: an untyped ``IndexError``)."""
+        import threading
+        import time
+
+        from tests.test_server_sharded import build_bib
+
+        server = ShardedServer(
+            tmp_path, shards=3, workers_per_shard=1,
+            queue_size=16, poll_s=0.005,
+        ).start()
+        try:
+            source = next(
+                f"src{i}" for i in range(500) if ring_home(f"src{i}", 3) == 2
+            )
+            derived = next(
+                f"w{i}" for i in range(500) if ring_home(f"w{i}", 3) != 2
+            )
+            server.register_instance(source, dumps(build_bib()), save=True)
+            server.execute(
+                f"PROJECT R.book FROM {source} AS {derived}", timeout_s=60.0
+            )
+            assert server.owner(derived) == 2  # off its home, in the overlay
+            new_home = ring_home(derived, 2)
+            seen: list[int] = []
+            done = threading.Event()
+
+            def watch():
+                while not done.is_set():
+                    shards, owner = server.shards, server.owner(derived)
+                    if shards == 2:
+                        seen.append(owner)
+                    time.sleep(0.0005)
+
+            watcher = threading.Thread(target=watch, daemon=True)
+            watcher.start()
+            try:
+                server.resize(2)
+            finally:
+                done.set()
+                watcher.join(10.0)
+            assert set(seen) <= {new_home}, set(seen)
+            assert server.owner(derived) == new_home
+            value = server.execute(
+                f"EXISTS R.book IN {derived}", timeout_s=60.0
+            ).value
+            assert 0.0 < value <= 1.0
         finally:
             server.stop(drain=False, timeout_s=15.0)
 

@@ -145,6 +145,37 @@ class TestExecuteRoute:
         assert body["error"]["type"] == "Overloaded"
         assert body["error"]["reason"] in ("draining", "stopped")
 
+    @pytest.mark.parametrize("sharded", [False, True], ids=["threads", "shards"])
+    @pytest.mark.parametrize("statement", [
+        "CHECK EXISTS R.nolabel IN bib",
+        "EXPLAIN LINT EXISTS R.nolabel IN bib",
+    ])
+    def test_a_non_json_value_is_sent_as_its_text(
+        self, tmp_path, sharded, statement
+    ):
+        """Regression: a ``CHECK`` with a finding has a list of
+        ``Diagnostic`` objects as its value; the reply used to die in
+        ``json.dumps`` and the client got 0 bytes and a closed socket."""
+        backend = None
+        if sharded:
+            backend = ShardedServer(tmp_path, shards=2, workers_per_shard=1)
+            backend.start()
+            backend.register_instance("bib", dumps(build_bib()))
+        harness = _Door(backend=backend)
+        client = _Wire(harness.port)
+        try:
+            status, headers, body = client.exchange(
+                "POST", "/execute", {"statement": statement}
+            )
+            assert status == 200
+            assert headers["connection"] == "keep-alive"
+            result = body["result"]
+            assert "PX240" in result["text"]
+            assert result["value"] == result["text"]
+        finally:
+            client.close()
+            harness.close()
+
 
 class TestSubmitResultRoutes:
     def test_submit_poll_pickup_lifecycle(self, door):
