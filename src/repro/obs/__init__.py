@@ -15,18 +15,15 @@ trustworthy numbers instead of ad-hoc timers:
   process-global default and per-engine instances;
 * :mod:`repro.obs.slowlog` — a bounded log of statements whose wall
   time crossed a configurable threshold, span tree attached;
-* :mod:`repro.obs.export` — text, JSON-lines, and
-  ``results/bench_records.json`` exporters;
-* ``python -m repro.obs`` — a CLI that traces PXQL scripts and
-  summarizes accumulated bench records.
+* :mod:`repro.obs.export` — text and JSON exporters;
+* ``python -m repro.obs trace`` — a CLI that runs a PXQL script with
+  every span and metric on and prints them.
 
 PXQL surfaces the tracer directly: ``PROFILE <statement>`` executes the
 statement and returns its span tree (see ``docs/OBSERVABILITY.md``).
 """
 
 from repro.obs.export import (
-    append_bench_records,
-    metrics_record,
     metrics_to_json,
     render_metrics,
     render_span_tree,
@@ -65,12 +62,10 @@ __all__ = [
     "SlowQueryRecord",
     "Span",
     "Tracer",
-    "append_bench_records",
     "current_registry",
     "current_tracer",
     "global_registry",
     "global_tracer",
-    "metrics_record",
     "metrics_to_json",
     "render_metrics",
     "render_span_tree",

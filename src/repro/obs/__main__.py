@@ -5,20 +5,15 @@ Usage::
     python -m repro.obs trace SCRIPT.pxql [-d DIR] [--format text|jsonl]
                               [--slow-ms N] [--metrics OUT.json]
                               [--spans OUT.jsonl]
-    python -m repro.obs records [--path results/bench_records.json]
-                              [--operation engine]
 
 ``trace`` runs a PXQL script (one statement per line, ``#`` comments and
 blank lines skipped) through a fully instrumented interpreter and prints
 per-statement span trees, the metrics summary, and the slow-query log.
-``records`` summarizes the accumulated benchmark/metrics record file
-that ``python -m repro.bench ... --append-records`` maintains.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -96,47 +91,10 @@ def _run_trace(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _run_records(args: argparse.Namespace) -> int:
-    path = Path(args.path)
-    if not path.exists():
-        print(f"error: no record file at {path}", file=sys.stderr)
-        return 2
-    loaded = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(loaded, list):
-        print(f"error: {path} is not a JSON array", file=sys.stderr)
-        return 2
-    records = [entry for entry in loaded if isinstance(entry, dict)]
-    if args.operation:
-        records = [
-            entry for entry in records
-            if entry.get("operation") == args.operation
-        ]
-    by_operation: dict[str, int] = {}
-    for entry in records:
-        operation = str(entry.get("operation", "?"))
-        by_operation[operation] = by_operation.get(operation, 0) + 1
-    print(f"{len(records)} records in {path}")
-    for operation in sorted(by_operation):
-        print(f"  {operation}: {by_operation[operation]}")
-    for entry in records:
-        if entry.get("operation") != "metrics":
-            continue
-        context = {
-            key: value for key, value in entry.items()
-            if key not in ("operation", "metrics")
-        }
-        metrics = entry.get("metrics")
-        counters = 0
-        if isinstance(metrics, dict):
-            counters = len(metrics)
-        print(f"  metrics snapshot {context}: {counters} instruments")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Trace PXQL scripts and inspect accumulated bench records.",
+        description="Trace PXQL scripts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -154,14 +112,7 @@ def main(argv: list[str] | None = None) -> int:
     trace.add_argument("--verbose", action="store_true",
                        help="print each statement's result text too")
 
-    records = sub.add_parser("records", help="summarize bench records")
-    records.add_argument("--path", default="results/bench_records.json")
-    records.add_argument("--operation", help="only this operation kind")
-
-    args = parser.parse_args(argv)
-    if args.command == "trace":
-        return _run_trace(args)
-    return _run_records(args)
+    return _run_trace(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -1,15 +1,13 @@
-"""Exporters for spans and metrics: text trees, JSON lines, bench records.
+"""Exporters for spans and metrics: text trees and JSON.
 
-Three audiences, three formats:
+Two audiences, two formats:
 
 * :func:`render_span_tree` / :func:`render_metrics` — human-readable
-  text, the format ``PROFILE`` and the ``python -m repro.obs`` CLI print;
-* :func:`spans_to_jsonl` / :func:`write_spans_jsonl` — one JSON object
-  per span (flattened, children by id), for machine consumption;
-* :func:`append_bench_records` — append records (benchmark rows or a
-  metrics snapshot wrapped by :func:`metrics_record`) to the repo's
-  ``results/bench_records.json`` array, so ``python -m repro.bench``
-  runs accumulate and stay comparable across PRs.
+  text, the format ``PROFILE`` and ``python -m repro.obs trace`` print;
+* :func:`spans_to_jsonl` / :func:`write_spans_jsonl` and
+  :func:`metrics_to_json` / :func:`write_metrics_json` — JSON (one
+  object per span, flattened, children by id; one object per
+  registry), for machine consumption.
 """
 
 from __future__ import annotations
@@ -20,9 +18,6 @@ from typing import Callable, Sequence
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracing import Span
-
-#: Default location of the shared benchmark record file.
-BENCH_RECORDS_PATH = Path("results") / "bench_records.json"
 
 
 # ----------------------------------------------------------------------
@@ -116,59 +111,4 @@ def write_metrics_json(registry: MetricsRegistry, path: str | Path) -> Path:
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(metrics_to_json(registry) + "\n", encoding="utf-8")
-    return target
-
-
-# ----------------------------------------------------------------------
-# Bench-record appending
-# ----------------------------------------------------------------------
-def metrics_record(
-    registry: MetricsRegistry, **context: object
-) -> dict[str, object]:
-    """Wrap a metrics snapshot as one bench record (``operation="metrics"``).
-
-    ``context`` keys (e.g. ``label="engine-smoke"``, ``quick=True``) are
-    stored alongside, so snapshots from different runs stay tellable
-    apart inside the shared record file.
-    """
-    record: dict[str, object] = {"operation": "metrics"}
-    record.update(context)
-    record["metrics"] = registry.as_dict()
-    return record
-
-
-def append_bench_records(
-    records: Sequence[dict[str, object]],
-    path: str | Path = BENCH_RECORDS_PATH,
-) -> Path:
-    """Append ``records`` to the JSON array at ``path`` (created if absent).
-
-    The file holds one flat JSON array of heterogeneous records
-    (distinguished by their ``operation`` field); corrupt or non-array
-    content is refused rather than silently overwritten.
-
-    The read-modify-write runs under a sibling ``<name>.lock`` file lock
-    (cross-process, see :class:`repro.storage.locking.FileLock`) and the
-    result is published atomically (tmp + fsync + ``os.replace``), so
-    two concurrent bench runs appending to the shared record file can
-    neither lose each other's rows nor leave a torn file behind.
-    """
-    # Imported here, not at module top: repro.storage.locking reports
-    # into repro.obs metrics, and a top-level import would be a cycle.
-    from repro.io.json_codec import replace_atomically
-    from repro.storage.locking import FileLock
-
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with FileLock(target.with_name(target.name + ".lock")):
-        existing: list[object] = []
-        if target.exists():
-            loaded = json.loads(target.read_text(encoding="utf-8"))
-            if not isinstance(loaded, list):
-                raise ValueError(
-                    f"{target} does not hold a JSON array of bench records"
-                )
-            existing = loaded
-        existing.extend(records)
-        replace_atomically(json.dumps(existing, indent=2) + "\n", target)
     return target

@@ -7,7 +7,9 @@ root, which every test runs from.
 
 from __future__ import annotations
 
+import argparse
 import ast
+import json
 import pathlib
 
 import pytest
@@ -180,7 +182,6 @@ def test_one_access_method_decision():
         "match_path_indexed": {
             ("src/repro/check/locate.py", "match"),
             ("src/repro/engine/executor.py", "match"),
-            ("src/repro/bench/index.py", "_measure_cell"),
         },
         "optimize": {
             ("src/repro/engine/executor.py", "_prepare"),
@@ -336,4 +337,52 @@ def test_one_wire_format():
     }
     if not {"describe_error", "describe_result"} <= imported:
         problems.append("src/repro/server/http.py: describers not taken from repro.server.wire")
+    assert not problems, "\n".join(problems)
+
+
+def test_one_instrument(monkeypatch):
+    """``repro.bench`` regenerates the paper's figures and nothing else.
+
+    Every other speed claim is a number from a request that came in
+    through a socket (``benchmarks/e2e``).  A bench subcommand beyond
+    the Figure 7 series, a metrics registry built by the bench harness,
+    the bench-record appender, or a row in the committed record file
+    that ``report`` cannot draw is the in-process instrument growing
+    back.
+    """
+    parsers = []
+
+    def capture(self, args=None, namespace=None):
+        parsers.append(self)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
+    from repro.bench.__main__ import main
+
+    with pytest.raises(SystemExit):
+        main([])
+    (choices,) = [
+        action.choices for action in parsers[0]._actions if action.dest == "figure"
+    ]
+    problems = []
+    if sorted(choices) != sorted(("fig7a", "fig7b", "fig7c", "all", "report")):
+        problems.append(f"python -m repro.bench choices: {sorted(choices)}")
+    for file in sorted(pathlib.Path("src/repro/bench").rglob("*.py")):
+        for node in ast.walk(ast.parse(file.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "MetricsRegistry" in (
+                getattr(node.func, "attr", ""), getattr(node.func, "id", "")
+            ):
+                problems.append(f"{file.as_posix()}:{node.lineno}: MetricsRegistry(")
+    for file in sorted(pathlib.Path("src").rglob("*.py")):
+        text = file.read_text(encoding="utf-8")
+        for name in ("append_bench_records", "metrics_record", "BENCH_RECORDS_PATH"):
+            if name in text:
+                problems.append(f"{file.as_posix()}: {name}")
+    records = json.loads(pathlib.Path("results/bench_records.json").read_text(encoding="utf-8"))
+    stray = sorted({
+        str(row.get("operation")) for row in records
+        if row.get("operation") not in ("projection", "selection")
+    })
+    if stray:
+        problems.append(f"results/bench_records.json: {stray} rows")
     assert not problems, "\n".join(problems)

@@ -1,9 +1,12 @@
-"""Tests for the benchmark harness (timing decomposition and sweep runner)."""
+"""Tests for the benchmark harness (timing decomposition, sweep runner, CLI)."""
 
+import json
+import pathlib
 import random
 
 import pytest
 
+from repro.bench.__main__ import main
 from repro.bench.runner import (
     SweepConfig,
     format_series,
@@ -20,6 +23,9 @@ from repro.workloads.generator import (
     random_projection_path,
     random_selection_target,
 )
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -121,32 +127,30 @@ class TestRunner:
                 "total_s"} <= set(dicts[0])
 
 
-class TestAbsintBench:
-    @pytest.fixture(scope="class")
-    def records(self):
-        from repro.bench.absint import run_absint_bench
+class TestCLI:
+    """``python -m repro.bench``: a run and its report print one set of tables."""
 
-        return run_absint_bench(quick=True, repeats=1)
+    RECORDS = ROOT / "results" / "bench_records.json"
 
-    def test_every_cell_measures_every_mode(self, records):
-        from repro.bench.absint import MODES, QUICK_GRID
+    def test_report_renders_the_committed_records(self, capsys):
+        assert main(["report", "--json", str(self.RECORDS)]) == 0
+        out = capsys.readouterr().out
+        assert "Figure 7(a)" in out and "Figure 7(c)" in out
 
-        assert len(records) == len(QUICK_GRID) * len(MODES)
+    def test_report_refuses_a_row_it_cannot_render(self, tmp_path, capsys):
+        path = tmp_path / "records.json"
+        path.write_text(json.dumps([{"operation": "engine", "mode": "warm"}]))
+        assert main(["report", "--json", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "'engine'" in captured.err
+        assert "Traceback" not in captured.err
 
-    def test_dead_on_actually_skipped(self, records):
-        dead_on = [r for r in records if r.mode == "dead_on"]
-        assert dead_on and all(r.skips > 0 for r in dead_on)
-        assert all(r.speedup is not None for r in dead_on)
+    def test_a_run_and_its_report_print_the_same_tables(self, tmp_path, capsys):
+        path = tmp_path / "records.json"
+        assert main(["fig7c", "--quick", "--json", str(path)]) == 0
+        run = capsys.readouterr().out
+        assert main(["report", "--json", str(path)]) == 0
+        report = capsys.readouterr().out
+        assert "Figure 7(c) detail" in report
+        assert run == report + f"raw records written to {path}\n"
 
-    def test_records_are_mergeable(self, records):
-        from repro.bench.absint import records_to_dicts as to_dicts
-
-        entry = to_dicts(records)[0]
-        assert entry["operation"] == "absint"
-        assert {"mode", "repeats", "total_s", "speedup", "skips"} <= set(entry)
-
-    def test_format_table(self, records):
-        from repro.bench.absint import format_absint_records
-
-        table = format_absint_records(records)
-        assert "dead_on" in table and "certify" in table

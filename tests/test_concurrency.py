@@ -19,7 +19,6 @@ from repro.engine.cache import LRUCache
 from repro.engine.executor import Engine
 from repro.errors import LockTimeout
 from repro.io.json_codec import read_instance
-from repro.obs.export import append_bench_records
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.paper import figure2_instance
@@ -477,34 +476,6 @@ class TestDatabaseConcurrency:
         assert after_save == start + 1
         database.drop("bib")
         assert database.generation() == after_save + 1
-
-
-# ----------------------------------------------------------------------
-# Bench-record appending (the read-modify-write satellite)
-# ----------------------------------------------------------------------
-class TestBenchRecordAppend:
-    def test_concurrent_appends_lose_nothing(self, tmp_path):
-        target = tmp_path / "bench_records.json"
-
-        def append(index: int) -> None:
-            for op in range(10):
-                append_bench_records(
-                    [{"operation": "probe", "thread": index, "op": op}],
-                    path=target,
-                )
-
-        errors = run_threads(8, append)
-        assert errors == []
-        records = json.loads(target.read_text(encoding="utf-8"))
-        assert len(records) == 8 * 10
-        seen = {(r["thread"], r["op"]) for r in records}
-        assert len(seen) == 8 * 10
-
-    def test_non_array_content_is_refused(self, tmp_path):
-        target = tmp_path / "bench_records.json"
-        target.write_text('{"not": "a list"}', encoding="utf-8")
-        with pytest.raises(ValueError):
-            append_bench_records([{"operation": "probe"}], path=target)
 
 
 # ----------------------------------------------------------------------

@@ -12,12 +12,10 @@ from repro.obs import (
     MetricsRegistry,
     SlowQueryLog,
     Tracer,
-    append_bench_records,
     current_registry,
     current_tracer,
     global_registry,
     global_tracer,
-    metrics_record,
     metrics_to_json,
     render_metrics,
     render_span_tree,
@@ -255,27 +253,6 @@ class TestExporters:
     def test_render_empty_registry(self):
         assert render_metrics(MetricsRegistry()) == "(no metrics)"
 
-    def test_append_bench_records_creates_and_extends(self, tmp_path):
-        path = tmp_path / "results" / "bench_records.json"
-        append_bench_records([{"operation": "engine", "n": 1}], path)
-        append_bench_records([{"operation": "metrics", "n": 2}], path)
-        loaded = json.loads(path.read_text())
-        assert [entry["n"] for entry in loaded] == [1, 2]
-
-    def test_append_bench_records_refuses_non_array(self, tmp_path):
-        path = tmp_path / "bench_records.json"
-        path.write_text('{"not": "an array"}')
-        with pytest.raises(ValueError):
-            append_bench_records([{"operation": "engine"}], path)
-
-    def test_metrics_record_wraps_registry(self):
-        registry = MetricsRegistry()
-        registry.counter("hits").inc(2)
-        record = metrics_record(registry, label="smoke", quick=True)
-        assert record["operation"] == "metrics"
-        assert record["label"] == "smoke"
-        assert record["metrics"]["hits"]["value"] == 2
-
 
 # ----------------------------------------------------------------------
 # Slow-query log
@@ -459,26 +436,3 @@ class TestObsCLI:
         from repro.obs.__main__ import main
 
         assert main(["trace", str(script_dir / "bad.pxql")]) == 1
-
-    def test_records_summary(self, tmp_path, capsys):
-        from repro.obs.__main__ import main
-
-        registry = MetricsRegistry()
-        registry.counter("hits").inc()
-        path = tmp_path / "records.json"
-        append_bench_records(
-            [{"operation": "engine", "mode": "warm"},
-             metrics_record(registry, label="smoke")],
-            path,
-        )
-        code = main(["records", "--path", str(path)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "2 records" in out
-        assert "engine: 1" in out
-        assert "metrics snapshot" in out
-
-    def test_records_missing_file(self, tmp_path, capsys):
-        from repro.obs.__main__ import main
-
-        assert main(["records", "--path", str(tmp_path / "nope.json")]) == 2
