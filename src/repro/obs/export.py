@@ -73,8 +73,8 @@ def render_metrics(registry: MetricsRegistry) -> str:
             lines.append(
                 f"{name}: count={instrument.count} "
                 f"mean={instrument.mean:.6g} "
-                f"p50<={instrument.quantile(0.5):g} "
-                f"p99<={instrument.quantile(0.99):g}  (histogram)"
+                f"p50~{instrument.quantile(0.5):g} "
+                f"p99~{instrument.quantile(0.99):g}  (histogram)"
             )
     return "\n".join(lines) if lines else "(no metrics)"
 

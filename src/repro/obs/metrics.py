@@ -2,8 +2,8 @@
 
 Three instrument kinds, all process-local and thread-safe (every
 instrument guards its mutable state with a small lock, and the registry
-serializes get-or-create, so concurrent workers never lose an increment
-or observe a torn histogram):
+serializes creation, so concurrent workers never lose an increment or
+observe a torn histogram; finding an existing instrument takes no lock):
 
 * :class:`Counter` — a monotonically increasing total (cache hits,
   statements executed, worlds sampled);
@@ -29,7 +29,7 @@ import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any, Iterator
 
 from repro.errors import PXMLError
 
@@ -139,10 +139,11 @@ class Histogram:
             return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """A bucket-resolution upper bound on the ``q``-quantile.
+        """An estimate of the ``q``-quantile, interpolated linearly
+        inside the bucket it falls in.
 
-        Returns the upper bound of the bucket the quantile falls in
-        (``inf`` for the overflow bucket, 0 when empty).
+        A bucket spans from the previous bound (0 for the first) to its
+        own; the overflow bucket answers ``inf``, an empty histogram 0.
         """
         if not 0.0 <= q <= 1.0:
             raise MetricError(f"quantile {q} outside [0, 1]")
@@ -151,10 +152,13 @@ class Histogram:
                 return 0.0
             rank = q * self.count
             seen = 0
+            lower = 0.0
             for index, bound in enumerate(self.buckets):
-                seen += self.counts[index]
-                if seen >= rank:
-                    return bound
+                inside = self.counts[index]
+                if inside and seen + inside >= rank:
+                    return lower + (bound - lower) * (rank - seen) / inside
+                seen += inside
+                lower = bound
             return float("inf")
 
     def as_dict(self) -> dict[str, object]:
@@ -184,29 +188,33 @@ class MetricsRegistry:
         self._lock = threading.RLock()
 
     def _get_or_create(
-        self, name: str, factory: Counter | Gauge | Histogram
+        self, name: str, kind: type[Instrument], *args: Any
     ) -> Instrument:
+        # Looked up on every request: a hit is one dictionary read, no
+        # lock; only a miss (or a clash, which raises) builds under it.
+        existing = self._instruments.get(name)
+        if isinstance(existing, kind):
+            return existing
         with self._lock:
             existing = self._instruments.get(name)
             if existing is None:
-                self._instruments[name] = factory
-                return factory
-            if type(existing) is not type(factory):
+                existing = self._instruments[name] = kind(name, *args)
+            elif not isinstance(existing, kind):
                 raise MetricError(
                     f"metric {name!r} is a {type(existing).__name__}, "
-                    f"not a {type(factory).__name__}"
+                    f"not a {kind.__name__}"
                 )
             return existing
 
     def counter(self, name: str, description: str = "") -> Counter:
         """The counter registered under ``name`` (created on first use)."""
-        instrument = self._get_or_create(name, Counter(name, description))
+        instrument = self._get_or_create(name, Counter, description)
         assert isinstance(instrument, Counter)
         return instrument
 
     def gauge(self, name: str, description: str = "") -> Gauge:
         """The gauge registered under ``name`` (created on first use)."""
-        instrument = self._get_or_create(name, Gauge(name, description))
+        instrument = self._get_or_create(name, Gauge, description)
         assert isinstance(instrument, Gauge)
         return instrument
 
@@ -217,9 +225,7 @@ class MetricsRegistry:
         buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
     ) -> Histogram:
         """The histogram registered under ``name`` (created on first use)."""
-        instrument = self._get_or_create(
-            name, Histogram(name, description, buckets)
-        )
+        instrument = self._get_or_create(name, Histogram, description, buckets)
         assert isinstance(instrument, Histogram)
         return instrument
 

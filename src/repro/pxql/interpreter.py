@@ -104,8 +104,11 @@ class Result:
 
 def _unshared(result: Result) -> Result:
     """A copy whose (``DIST``: mutable) value a caller cannot reach the
-    statement tier through."""
-    return Result(copy.deepcopy(result.value), result.instance_name, result.text)
+    statement tier through; a number or a string is shared as it is."""
+    value = result.value
+    if not isinstance(value, (float, int, str)):
+        value = copy.deepcopy(value)
+    return Result(value, result.instance_name, result.text)
 
 
 class Interpreter:

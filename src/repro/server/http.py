@@ -53,19 +53,22 @@ Gone`` instead of a 404.  The map is also hard-bounded at
 drain-then-stop on ``SIGTERM``/``SIGINT``: admissions stop (503s),
 shards drain, the listener closes, :meth:`serve_forever` returns.
 
-**Connections.**  A connection serves requests in order: HTTP/1.1 is
-persistent unless the request says ``Connection: close``, HTTP/1.0 only
-when it says ``keep-alive``, and every reply states which it was.  The
-server closes after a request it cannot frame (a 400 first), after a
-last-resort 500, once it is draining, and after :data:`IDLE_TIMEOUT_S`
-without a complete request; :meth:`HttpFrontDoor.shutdown` closes the
-connections that are waiting for one.
+**Connections.**  A connection is one :class:`asyncio.Protocol` that
+buffers the bytes it receives and answers its requests one at a time,
+in order: HTTP/1.1 is persistent unless the request says
+``Connection: close``, HTTP/1.0 only when it says ``keep-alive``, and
+every reply states which it was.  The server closes after a request it
+cannot frame (a 400 first), after a last-resort 500, once it is
+draining, and after :data:`IDLE_TIMEOUT_S` without a complete request;
+:meth:`HttpFrontDoor.shutdown` closes the connections that are waiting
+for one.  While the transport has paused writing no request is framed,
+and past :data:`_READ_LIMIT` buffered bytes the connection stops reading.
 
-``/execute`` and ``/submit`` admit on the loop (admission never blocks)
-and ``/execute`` awaits a loop future the backend's resolving thread
-settles — no thread is parked per request.  What does block (``/health``,
-a sharded ``/metrics``, drain and stop) runs in the loop's default
-executor, so the loop itself never stalls.
+``/execute`` is answered straight from the backend's completion callback
+or by a ``timeout_s`` timer, whichever fires first — no task, future or
+thread per request.  The other routes run as one task per request; what
+blocks (``/health``, a sharded ``/metrics``, drain and stop) runs in the
+loop's default executor, so the loop itself never stalls.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ import signal
 import threading
 import time
 from collections import OrderedDict
-from typing import Protocol
+from typing import NamedTuple, Protocol, cast
 
 from repro.errors import (
     BudgetExceeded,
@@ -94,6 +97,12 @@ from repro.server.wire import describe_error, describe_result
 
 #: Largest accepted request body (bytes); statements are small.
 MAX_BODY_BYTES = 1 << 20
+
+#: Largest accepted request head: request line plus headers (bytes).
+MAX_HEAD_BYTES = 1 << 16
+
+#: Buffered request bytes past which a connection stops reading.
+_READ_LIMIT = MAX_BODY_BYTES + MAX_HEAD_BYTES
 
 #: Default wait bound for ``POST /execute`` (seconds).
 DEFAULT_EXECUTE_TIMEOUT_S = 60.0
@@ -168,16 +177,13 @@ def _resolved_payload(future: PendingResult) -> tuple[int, dict[str, object]]:
     return 200, {"result": describe_result(value)}
 
 
-class _Request:
-    """One parsed HTTP request."""
+class _Request(NamedTuple):
+    """One framed HTTP request."""
 
-    def __init__(
-        self, method: str, path: str, body: bytes, keep_alive: bool
-    ) -> None:
-        self.method = method
-        self.path = path
-        self.body = body
-        self.keep_alive = keep_alive  # the client allows another request
+    method: str
+    path: str
+    body: bytes
+    keep_alive: bool  # the client allows another request
 
     def json(self) -> dict[str, object]:
         if not self.body:
@@ -186,6 +192,153 @@ class _Request:
         if not isinstance(data, dict):
             raise ValueError("request body must be a JSON object")
         return data
+
+
+def _frame(buffer: bytearray) -> tuple[_Request, int] | None:
+    """The first request in ``buffer`` and how many bytes it spans, or
+    ``None`` while it is incomplete; ``ValueError`` when the bytes
+    cannot be framed as one.  A line may end in ``\\r\\n`` or ``\\n``."""
+    newline = buffer.find(b"\n")  # a bad request line fails at once
+    if newline >= 0 and len(buffer[:newline].split()) < 2:
+        raise ValueError("malformed request line")
+    end = buffer.find(b"\n\r\n")
+    bare = buffer.find(b"\n\n", 0, end + 2 if end >= 0 else len(buffer))
+    end, start = (bare, bare + 2) if bare >= 0 else (end, end + 3)
+    if (end if end >= 0 else len(buffer)) > MAX_HEAD_BYTES:
+        raise ValueError(f"request head exceeds {MAX_HEAD_BYTES} bytes")
+    if end < 0:
+        return None
+    request_line, *lines = buffer[:end].decode("latin-1").split("\n")
+    parts = request_line.split()
+    content_length = 0
+    connection = ""
+    for line in lines:
+        name, _, value = line.partition(":")
+        name = name.strip().lower()
+        if name == "content-length":
+            if not value.strip().isdigit():
+                raise ValueError("bad Content-Length header")
+            content_length = int(value)
+        elif name == "connection":
+            connection = value.strip().lower()
+    if content_length > MAX_BODY_BYTES:
+        raise ValueError(f"body exceeds {MAX_BODY_BYTES} bytes")
+    size = start + content_length
+    if len(buffer) < size:
+        return None
+    version = parts[2].upper() if len(parts) > 2 else ""
+    keep_alive = (
+        "close" not in connection if version == "HTTP/1.1"
+        else version == "HTTP/1.0" and "keep-alive" in connection
+    )
+    return _Request(parts[0].upper(), parts[1], bytes(buffer[start:size]), keep_alive), size
+
+
+def _failed(exc: Exception, keep_alive: bool) -> tuple[int, dict[str, object], bool]:
+    """``(status, body, keep_alive)`` for a request that raised ``exc``:
+    a 400 for one the client worded wrongly, else a last-resort 500,
+    which closes the connection."""
+    if isinstance(exc, ValueError):  # UnicodeDecodeError and JSON too
+        return 400, {"error": {"type": "BadRequest", "message": str(exc)}}, keep_alive
+    return 500, {"error": describe_error(exc)}, False
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: frames its requests from the bytes
+    received and answers them one at a time, in order (see
+    **Connections** in the module docstring)."""
+
+    transport: asyncio.Transport  # set by connection_made
+
+    def __init__(self, door: HttpFrontDoor) -> None:
+        self.door = door
+        self.loop = asyncio.get_running_loop()
+        self.buffer = bytearray()
+        self.busy = False  # a framed request is not answered yet
+        self.paused = False  # the transport asked us to stop writing
+        self.eof = False  # the client sends nothing more
+        self.idle: asyncio.TimerHandle | None = None
+        self.task: asyncio.Task[None] | None = None  # a route coroutine
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = cast(asyncio.Transport, transport)
+        self.door._connections.add(self)
+        self.door.backend.metrics.counter("http.connections").inc()
+        self._next()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.door._connections.discard(self)
+        if self.idle is not None:
+            self.idle.cancel()
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        if len(self.buffer) > _READ_LIMIT:
+            self.transport.pause_reading()
+        self._next()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        self._next()
+        return True  # the transport stays open for the replies owed
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self._next()
+
+    def _next(self) -> None:
+        """Answer buffered requests while free, then wait for one (at most
+        :data:`IDLE_TIMEOUT_S`); a reply sent outside this loop re-enters it."""
+        transport = self.transport
+        while not (self.busy or self.paused or transport.is_closing()):
+            try:
+                framed = _frame(self.buffer)
+            except ValueError as exc:
+                self.busy = True
+                self.reply(*_failed(exc, False))
+                return
+            if framed is None:
+                if self.eof:
+                    transport.close()
+                elif self.idle is None:  # connection_lost cancels it
+                    self.idle = self.loop.call_later(
+                        IDLE_TIMEOUT_S, transport.close
+                    )
+                return
+            request, size = framed
+            del self.buffer[:size]
+            if not transport.is_reading() and len(self.buffer) <= _READ_LIMIT:
+                transport.resume_reading()
+            if self.idle is not None:
+                self.idle.cancel()
+                self.idle = None
+            self.busy = True
+            self.door._serve(self, request)
+
+    def reply(
+        self, status: int, body: dict[str, object], keep_alive: bool
+    ) -> None:
+        """Write the reply, then free the connection for its next request or close it."""
+        self.door.backend.metrics.counter("http.requests").inc()
+        keep_alive = keep_alive and not self.door._draining
+        payload = json.dumps(body).encode("utf-8")
+        head = (
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(payload)}\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+            "\r\n"
+        )
+        transport = self.transport
+        if transport.is_closing():
+            return  # the client went away while it was being answered
+        transport.write(head.encode("latin-1") + payload)
+        self.busy = False
+        if not keep_alive:
+            transport.close()
 
 
 class HttpFrontDoor:
@@ -227,8 +380,8 @@ class HttpFrontDoor:
         self._next_id = 0
         self._draining = False
         self._sweeper: asyncio.Task[None] | None = None
-        #: Connections waiting for a request: :meth:`shutdown` closes them.
-        self._idle: set[asyncio.StreamWriter] = set()
+        #: Open connections: :meth:`shutdown` closes those not busy.
+        self._connections: set[_Connection] = set()
 
     @property
     def bound_port(self) -> int:
@@ -247,8 +400,8 @@ class HttpFrontDoor:
         if self._server is not None:
             raise ServerError("front door already started")
         self._shutdown = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self._sweeper = asyncio.ensure_future(self._sweep_loop())
         return self
@@ -278,10 +431,11 @@ class HttpFrontDoor:
             server.close()
             # Every admitted request has its reply; close what waits for
             # a request (3.12's wait_closed waits for every connection),
-            # once a connection accepted just now has reached its wait.
+            # once a connection accepted just now has been made.
             await asyncio.sleep(0)
-            for writer in list(self._idle):
-                writer.close()
+            for connection in list(self._connections):
+                if not connection.busy:
+                    connection.transport.close()
             await server.wait_closed()
         if self._shutdown is not None:
             self._shutdown.set()
@@ -332,116 +486,66 @@ class HttpFrontDoor:
             pass
 
     # ------------------------------------------------------------------
-    # HTTP plumbing
+    # Answering a framed request
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Answer the connection's requests in order until one side is
-        done with it (see **Connections** in the module docstring)."""
-        self.backend.metrics.counter("http.connections").inc()
-        loop = asyncio.get_running_loop()
+    def _serve(self, connection: _Connection, request: _Request) -> None:
+        """Answer ``/execute`` by completion callback, other routes as a task."""
         try:
-            while True:
-                # Closing the transport is how a wait for a request ends
-                # early (the idle bound here, shutdown() through _idle):
-                # the read then sees EOF.
-                idle = loop.call_later(IDLE_TIMEOUT_S, writer.close)
-                self._idle.add(writer)
-                keep_alive = False  # until a whole request says otherwise
-                try:
-                    try:
-                        request = await self._read_request(reader)
-                    except (EOFError, OSError, ConnectionError):
-                        return  # disconnected mid-request
-                    finally:
-                        self._idle.discard(writer)
-                        idle.cancel()
-                    if request is None:
-                        return
-                    keep_alive = request.keep_alive
-                    status, body = await self._dispatch(request)
-                except (ValueError, UnicodeDecodeError) as exc:
-                    status, body = 400, {
-                        "error": {"type": "BadRequest", "message": str(exc)}
-                    }
-                except Exception as exc:  # noqa: BLE001 - last-resort JSON 500
-                    status, body = 500, {"error": describe_error(exc)}
-                    keep_alive = False
-                keep_alive = keep_alive and not self._draining
-                await self._write_response(writer, status, body, keep_alive)
-                if not keep_alive:
-                    return
-        except (OSError, ConnectionError):
-            pass  # the client went away mid-reply
-        finally:
-            writer.close()
+            if request.path == "/execute" and request.method == "POST":
+                self._execute(connection, request)
+            else:
+                connection.task = connection.loop.create_task(
+                    self._answer(connection, request)
+                )
+        except Exception as exc:  # noqa: BLE001 - last-resort JSON 500
+            connection.reply(*_failed(exc, request.keep_alive))
+
+    async def _answer(self, connection: _Connection, request: _Request) -> None:
+        try:
+            status, body = await self._dispatch(request)
+            keep_alive = request.keep_alive
+        except Exception as exc:  # noqa: BLE001 - last-resort JSON 500
+            status, body, keep_alive = _failed(exc, request.keep_alive)
+        connection.reply(status, body, keep_alive)
+        connection._next()
+
+    def _execute(self, connection: _Connection, request: _Request) -> None:
+        """Admit the statement; reply on its completion or its timeout."""
+        statement, timeout_s = self._statement_of(request)
+        keep_alive = request.keep_alive
+        try:
+            if self._draining:
+                raise Overloaded("front door is draining", reason="draining")
+            pending = self.backend.submit(statement)
+        except Exception as exc:  # noqa: BLE001 - typed JSON transport
+            connection.reply(*error_payload(exc), keep_alive)
+            return
+
+        def settle(resolved: bool) -> None:
+            # Cancelling the timer (fired or not) marks the reply written.
+            if timer.cancelled():
+                return  # the other of reply and timer came first
+            timer.cancel()
+            keep = keep_alive
             try:
-                await writer.wait_closed()
-            except (OSError, ConnectionError):
-                pass
+                status, body = _resolved_payload(pending) if resolved else (
+                    # worded as PendingResult.error words it
+                    error_payload(ServerError(
+                        f"request did not complete within {timeout_s:g}s"
+                    ))
+                )
+            except Exception as exc:  # noqa: BLE001 - last-resort JSON 500
+                status, body, keep = _failed(exc, keep_alive)
+            connection.reply(status, body, keep)
+            connection._next()
 
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> _Request | None:
-        """The next request (``None`` at EOF); ``ValueError`` when the
-        bytes read cannot be framed as one."""
-        request_line = await reader.readline()
-        if not request_line:
-            return None
-        parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
-            raise ValueError("malformed request line")
-        method, path = parts[0].upper(), parts[1]
-        version = parts[2].upper() if len(parts) > 2 else ""
-        content_length = 0
-        connection = ""
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            name = name.strip().lower()
-            if name == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError as exc:
-                    raise ValueError("bad Content-Length header") from exc
-            elif name == "connection":
-                connection = value.strip().lower()
-        if content_length > MAX_BODY_BYTES:
-            raise ValueError(
-                f"body exceeds {MAX_BODY_BYTES} bytes"
-            )
-        body = (
-            await reader.readexactly(content_length)
-            if content_length
-            else b""
+        loop = connection.loop
+        timer = loop.call_later(timeout_s, settle, False)
+        # The callback runs on the resolving thread: it only hands
+        # completion to the loop.
+        pending.add_done_callback(
+            lambda _resolved: loop.call_soon_threadsafe(settle, True)
         )
-        keep_alive = (
-            "close" not in connection if version == "HTTP/1.1"
-            else version == "HTTP/1.0" and "keep-alive" in connection
-        )
-        return _Request(method, path, body, keep_alive)
-
-    async def _write_response(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        body: dict[str, object],
-        keep_alive: bool,
-    ) -> None:
-        self.backend.metrics.counter("http.requests").inc()
-        payload = json.dumps(body).encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            "\r\n"
-        )
-        writer.write(head.encode("latin-1") + payload)
-        await writer.drain()
 
     # ------------------------------------------------------------------
     # Routes
@@ -449,8 +553,6 @@ class HttpFrontDoor:
     async def _dispatch(
         self, request: _Request
     ) -> tuple[int, dict[str, object]]:
-        if request.path == "/execute" and request.method == "POST":
-            return await self._route_execute(request)
         if request.path == "/submit" and request.method == "POST":
             return await self._route_submit(request)
         if request.path.startswith("/result/") and request.method == "GET":
@@ -480,47 +582,13 @@ class HttpFrontDoor:
         )
         return statement, timeout_s
 
-    async def _route_execute(
-        self, request: _Request
-    ) -> tuple[int, dict[str, object]]:
-        statement, timeout_s = self._statement_of(request)
-        if self._draining:
-            return error_payload(
-                Overloaded("front door is draining", reason="draining")
-            )
-        try:
-            pending = self.backend.submit(statement)
-        except Exception as exc:  # noqa: BLE001 - typed JSON transport
-            return error_payload(exc)
-        loop = asyncio.get_running_loop()
-        done: asyncio.Future[None] = loop.create_future()
-
-        def _settle() -> None:
-            if not done.done():  # cancelled when the wait timed out
-                done.set_result(None)
-
-        # The callback runs on the resolving thread: it only hands
-        # completion to the loop.
-        pending.add_done_callback(
-            lambda _resolved: loop.call_soon_threadsafe(_settle)
-        )
-        try:
-            await asyncio.wait_for(done, timeout_s)
-        except asyncio.TimeoutError:  # worded as PendingResult.error words it
-            return error_payload(ServerError(
-                f"request did not complete within {timeout_s:g}s"
-            ))
-        return _resolved_payload(pending)
-
     async def _route_submit(
         self, request: _Request
     ) -> tuple[int, dict[str, object]]:
         statement, _ = self._statement_of(request)
-        if self._draining:
-            return error_payload(
-                Overloaded("front door is draining", reason="draining")
-            )
         try:
+            if self._draining:
+                raise Overloaded("front door is draining", reason="draining")
             future = self.backend.submit(statement)
         except Exception as exc:  # noqa: BLE001 - typed JSON transport
             return error_payload(exc)

@@ -292,13 +292,15 @@ def shared_lock(path: str | Path, timeout_s: float = 10.0) -> FileLock:
 # ----------------------------------------------------------------------
 def read_generation(path: str | Path) -> int:
     """The catalog generation recorded at ``path`` (0 when absent)."""
+    # Read on every statement-tier hit: one small read, no Path, no text.
     try:
-        text = Path(path).read_text(encoding="utf-8").strip()
-    except OSError:
-        return 0
-    try:
-        return int(text)
-    except ValueError:
+        descriptor = os.open(path, os.O_RDONLY)
+        try:
+            data = os.read(descriptor, 64)
+        finally:
+            os.close(descriptor)
+        return int(data)
+    except (OSError, ValueError):
         return 0
 
 

@@ -386,3 +386,24 @@ def test_one_instrument(monkeypatch):
     if stray:
         problems.append(f"results/bench_records.json: {stray} rows")
     assert not problems, "\n".join(problems)
+
+
+def test_one_front_door():
+    """``repro/server/http.py`` serves connections as one ``asyncio.Protocol``.
+
+    Each connection frames its requests from the bytes it receives and
+    ``/execute`` is answered from the backend's completion callback; a
+    stream reader, a stream writer, a per-line read or a ``wait_for`` in
+    the front door is a second connection path growing back beside it.
+    """
+    banned = {"start_server", "open_connection", "StreamReader", "StreamWriter",
+              "readline", "readexactly", "wait_for"}
+    path = "src/repro/server/http.py"
+    tree = ast.parse(pathlib.Path(path).read_text(encoding="utf-8"))
+    uses = sorted(
+        f"{path}:{node.lineno}: {name}"
+        for node in ast.walk(tree)
+        for name in (getattr(node, "id", None), getattr(node, "attr", None))
+        if name in banned
+    )
+    assert not uses, "\n".join(uses)

@@ -344,6 +344,16 @@ class TestFileLock:
         assert bump_generation(path) == 2
         assert read_generation(path) == 2
 
+    @pytest.mark.parametrize("text, expected", [
+        ("7\n", 7), ("  12  ", 12), ("", 0), ("x", 0),
+    ])
+    def test_generation_file_text(self, tmp_path, text, expected):
+        path = tmp_path / "catalog.generation"
+        path.write_text(text, encoding="utf-8")
+        assert read_generation(path) == expected
+        assert read_generation(tmp_path / "missing") == 0
+        assert read_generation(tmp_path) == 0  # a directory reads as absent
+
 
 # ----------------------------------------------------------------------
 # Database

@@ -1,6 +1,7 @@
 """Tests for repro.obs: tracing, metrics, exporters, slow log, PROFILE, CLI."""
 
 import json
+import threading
 
 import pytest
 
@@ -182,14 +183,54 @@ class TestMetrics:
             histogram.observe(value)
         assert histogram.count == 4
         assert histogram.mean == pytest.approx((0.5 + 1.5 + 3.0 + 100.0) / 4)
-        assert histogram.quantile(0.5) <= 4.0
+        # rank 2 is the whole of bucket (1, 2], which holds one value
+        assert histogram.quantile(0.5) == pytest.approx(2.0)
         assert histogram.quantile(1.0) == float("inf")  # overflow bucket
+
+    def test_quantile_interpolates_inside_the_bucket(self):
+        """Regression: the quantile was the bucket's upper bound, so
+        1.1 .. 2.4 ms (all in (1, 2.5] ms) reported p50 = 2.5 ms."""
+        histogram = MetricsRegistry().histogram("lat")
+        for tenths in range(11, 25):
+            histogram.observe(tenths / 10_000)
+        assert histogram.quantile(0.5) == pytest.approx(0.00175, rel=0.01)
+        assert histogram.quantile(0.0) == pytest.approx(0.001)
+        assert histogram.quantile(1.0) == pytest.approx(0.0025)
 
     def test_kind_clash_raises(self):
         registry = MetricsRegistry()
         registry.counter("m")
         with pytest.raises(MetricError):
             registry.gauge("m")
+        registry.counter("m")  # the lock-free hit path
+        with pytest.raises(MetricError):
+            registry.gauge("m")
+        with pytest.raises(MetricError):
+            registry.histogram("m")
+
+    def test_lookup_returns_the_registered_instrument(self):
+        registry = MetricsRegistry()
+        assert registry.counter("x") is registry.counter("x")
+        assert registry.gauge("g") is registry.gauge("g")
+        assert registry.histogram("h") is registry.histogram("h")
+        assert len(registry) == 3
+
+    def test_first_use_from_many_threads_makes_one_instrument(self):
+        registry = MetricsRegistry()
+        start = threading.Barrier(8)
+
+        def hammer():
+            start.wait()
+            for _ in range(10_000):
+                registry.counter("n").inc()
+
+        threads = [threading.Thread(target=hammer) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert registry.names() == ["n"]
+        assert registry.value("n") == 80_000
 
     def test_as_dict_and_names(self):
         registry = MetricsRegistry()

@@ -447,15 +447,19 @@ def wire(door):
     client.close()
 
 
-def _connection_tasks(harness):
-    """Connection handlers still alive on the front door's loop."""
+def _open_connections(harness):
+    """Connections the front door still holds open."""
     async def count():
-        await asyncio.sleep(0.05)  # let finished handlers unwind
-        return sum(
-            "_handle_connection" in repr(task.get_coro())
-            for task in asyncio.all_tasks()
-        )
+        await asyncio.sleep(0.05)  # let closed connections unwind
+        return len(harness.front._connections)
     return harness._run(count())
+
+
+def _on_loop(harness, call):
+    """``call()``'s value, run on the front door's loop thread."""
+    async def run():
+        return call()
+    return harness._run(run())
 
 
 class TestPersistentConnections:
@@ -524,6 +528,7 @@ class TestPersistentConnections:
         b"POST /execute HTTP/1.1\r\nContent-Length: nine\r\n\r\n{}",
         b"POST /execute HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n",
         b"GARBAGE\r\n",
+        b"POST /execute HTTP/1.1\r\nContent-Length: -5\r\n\r\n{}",
     ])
     def test_unframeable_request_is_a_400_then_close(self, wire, request_bytes):
         wire.sock.sendall(request_bytes)
@@ -532,26 +537,101 @@ class TestPersistentConnections:
         assert headers["connection"] == "close"
         assert wire.at_eof()
 
+    def test_a_head_over_the_bound_is_a_400(self, wire):
+        # The server closes with these bytes partly unread, so the
+        # client may see a reset rather than EOF after the reply.
+        wire.sock.sendall(b"GET /health HTTP/1.1\r\nX-Long: " + b"a" * 70_000)
+        status, headers, body = wire.reply()
+        assert (status, headers["connection"]) == (400, "close")
+        assert "head exceeds" in body["error"]["message"]
+
+    def test_a_head_sent_one_byte_per_send(self, wire):
+        wire.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for byte in _message("POST", "/execute", {"statement": STABLE_QUERY}):
+            wire.sock.send(bytes([byte]))
+        status, headers, body = wire.reply()
+        assert (status, headers["connection"]) == (200, "keep-alive")
+        assert body["result"]["value"] == pytest.approx(0.59)
+        assert wire.exchange("GET", "/health")[0] == 200
+
+    def test_bare_lf_line_endings(self, wire):
+        body = json.dumps({"statement": STABLE_QUERY}).encode("utf-8")
+        wire.sock.sendall(
+            b"POST /execute HTTP/1.1\nHost: test\n"
+            b"Content-Length: %d\n\n" % len(body) + body
+            + b"GET /health HTTP/1.1\n\n"
+        )
+        status, headers, body = wire.reply()
+        assert (status, headers["connection"]) == (200, "keep-alive")
+        assert body["result"]["value"] == pytest.approx(0.59)
+        assert wire.reply()[0] == 200 and wire.buffer == b""
+
+    def test_a_half_closed_client_still_gets_its_replies(self, wire):
+        wire.sock.sendall(
+            _message("POST", "/execute", {"statement": STABLE_QUERY})
+            + _message("GET", "/health")
+        )
+        wire.sock.shutdown(socket.SHUT_WR)
+        assert [wire.reply()[0] for _ in range(2)] == [200, 200]
+        assert wire.at_eof()
+
+    def test_a_client_that_does_not_read_is_answered_in_order(self, door, wire):
+        """200 pipelined requests while the transport has paused writing
+        (as it does for a client that is not reading): nothing is
+        answered and reading stops past the bound; once writing resumes,
+        every reply arrives, in order."""
+        assert _open_connections(door) == 1
+        (connection,) = door.front._connections
+        statements = ("EXISTS R.book.author IN bib", "PROB B1 IN bib")
+        flood = b"".join(
+            _message("POST", "/execute", {
+                "statement": statements[i % 2], "pad": "x" * 12_000,
+            })
+            for i in range(200)
+        )
+        assert len(flood) > 2 * http_module._READ_LIMIT  # what is not read
+        _on_loop(door, connection.pause_writing)
+        sender = threading.Thread(target=wire.sock.sendall, args=(flood,))
+        sender.start()
+        try:
+            deadline = time.monotonic() + 30.0
+            while _on_loop(door, connection.transport.is_reading):
+                assert time.monotonic() < deadline, "reading never stopped"
+                time.sleep(0.01)
+            time.sleep(0.1)
+            buffered = _on_loop(door, lambda: len(connection.buffer))
+            assert http_module._READ_LIMIT < buffered
+            assert buffered <= http_module._READ_LIMIT + 256 * 1024  # one read
+            assert door.backend.metrics.value("http.requests") == 0
+            _on_loop(door, connection.resume_writing)
+            values = [wire.reply()[2]["result"]["value"] for _ in range(200)]
+        finally:
+            sender.join(30.0)
+        assert not sender.is_alive()
+        assert values == [pytest.approx(0.59), pytest.approx(0.7)] * 100
+        assert door.backend.metrics.value("http.requests") == 200
+
     def test_disconnects_leave_no_task_behind(self, door):
         silent = _Wire(door.port)          # connects, never sends
         partial = _Wire(door.port)         # dies inside the body
         partial.sock.sendall(
             b"POST /execute HTTP/1.1\r\nContent-Length: 50\r\n\r\n{"
         )
-        assert _connection_tasks(door) == 2
+        assert _open_connections(door) == 2
         silent.close()
         partial.close()
-        assert _connection_tasks(door) == 0
+        assert _open_connections(door) == 0
 
     def test_idle_connection_is_closed_after_the_bound(self, monkeypatch):
-        monkeypatch.setattr(http_module, "IDLE_TIMEOUT_S", 0.05)
+        monkeypatch.setattr(http_module, "IDLE_TIMEOUT_S", 0.5)
         harness = _Door()
         client = _Wire(harness.port)
         try:
             status, _, _ = client.exchange("GET", "/health")
             assert status == 200
+            assert _open_connections(harness) == 1  # inside the bound
             assert client.at_eof()         # silently, after the bound
-            assert _connection_tasks(harness) == 0
+            assert _open_connections(harness) == 0
         finally:
             client.close()
             harness.close()
