@@ -175,14 +175,15 @@ class Overloaded(ServerError):
 
 
 class ShardConfigError(ServerError):
-    """A sharded server was pointed at a directory created with a
-    different shard count.
+    """A sharded root cannot be served (or resharded) as asked.
 
     Instance names are placed by consistent hashing over the shard
     ring, so silently reopening an N-shard directory with M shards
     would rehash names to the wrong homes.  The directory's
-    ``shards.json`` manifest records the creating count; a mismatch is
-    refused with this error (live rebalancing is an open roadmap item).
+    ``shards.json`` manifest records the count; a mismatch, an
+    interrupted reshard, or a torn live migration left by an older version
+    is refused with this error, which names the offline ``reshard``
+    command that resolves it.  An untrusted manifest raises it too.
 
     Attributes:
         configured: the shard count the server was constructed with.
@@ -212,33 +213,6 @@ class ShardUnavailable(ServerError):
     def __init__(self, message: str, shard: int = -1) -> None:
         super().__init__(message)
         self.shard = shard
-
-
-class RebalanceError(ServerError):
-    """A shard-layout migration could not be planned or executed.
-
-    Raised by :mod:`repro.server.rebalance` for invalid resize targets,
-    a second resize started while one is running, or a rebalance
-    journal that does not match the on-disk plan.
-    """
-
-
-class RebalanceInProgress(RebalanceError):
-    """A write targeted an instance that is mid-migration.
-
-    The router fences mutating statements on keys whose copy-then-
-    cutover step is in flight: accepting the write on the source shard
-    could land it *behind* the copy and silently vanish at cutover.
-    This error is retryable — the key is writable again as soon as its
-    migration step commits (typically milliseconds).
-
-    Attributes:
-        name: the fenced instance name.
-    """
-
-    def __init__(self, message: str, name: str = "") -> None:
-        super().__init__(message)
-        self.name = name
 
 
 class RemoteExecutionError(ServerError):

@@ -22,17 +22,18 @@ Run it directly::
 
     python -m repro.resilience.crashsweep --seed 11
 
-``--mode rebalance`` sweeps the *shard migration* protocol instead
-(:data:`repro.resilience.faults.REBALANCE_FAULT_POINTS`): the cycle
-builds a 2-shard root, parks one name off its hash home, and executes a
-2 → 3 resize; the child is killed at every visit of every
-``rebalance.*`` fault point, and verification asserts the migration
-contract — ``fsck --shards --repair`` resumes it to completion, the
-manifest converges to the new layout epoch, and every expected name is
-held by *exactly one* shard (its new-ring home), checksum-clean, with
-no duplicated or lost instances or sidecars.
+``--mode reshard`` sweeps the *offline reshard* instead
+(:func:`repro.server.layout.reshard`): setup builds a 2-shard root and
+parks one name off its hash home, then a 2 → 3 reshard runs; the child
+is killed at every visit of every
+:data:`repro.resilience.faults.RESHARD_FAULT_POINTS` point and of every
+storage fault point the reshard itself visits (setup excluded).
+Verification reruns the reshard — the whole crash contract — and
+asserts the manifest says 3 shards with no marker, every name sits only
+on its 3-ring home with unchanged content, and ``fsck --shards`` is
+clean.
 
-The CI ``crash-sweep`` / ``rebalance-sweep`` jobs run this across a
+The CI ``crash-sweep`` / ``reshard-sweep`` jobs run this across a
 seed matrix; a tier-1 test sweeps a subset of sites so regressions
 surface locally too.
 """
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.resilience.faults import (
-    REBALANCE_FAULT_POINTS,
+    RESHARD_FAULT_POINTS,
     STORAGE_FAULT_POINTS,
     FaultInjector,
     FaultSpec,
@@ -136,19 +137,23 @@ def profile_visits(seed: int) -> dict[str, int]:
 
 
 # ----------------------------------------------------------------------
-# The shard-migration cycle under test (--mode rebalance)
+# The reshard under test (--mode reshard)
 # ----------------------------------------------------------------------
-def rebalance_placements(seed: int) -> dict[str, int]:
-    """Deterministic ``name -> old shard`` placements for the cycle.
+#: Every site the reshard sweep kills at.
+RESHARD_SWEEP_POINTS = RESHARD_FAULT_POINTS + STORAGE_FAULT_POINTS
+
+
+def reshard_placements(seed: int) -> dict[str, int]:
+    """Deterministic ``name -> old shard`` placements for the reshard.
 
     Eight seed-derived names over a 2-shard layout: four whose 3-ring
     home matches their 2-ring home (must *not* travel), three whose
     home changes (must travel), and one parked *off* its 2-ring home
     whose 3-ring home differs from where it sits (an overlay stray the
-    plan must bring home).  Both the child and the verifier recompute
-    this from the seed alone.
+    reshard must bring home).  Both the child and the verifier
+    recompute this from the seed alone.
     """
-    from repro.server.rebalance import DEFAULT_VNODES, build_ring, ring_owner
+    from repro.server.layout import DEFAULT_VNODES, build_ring, ring_owner
 
     pos2, own2 = build_ring(2, DEFAULT_VNODES)
     pos3, own3 = build_ring(3, DEFAULT_VNODES)
@@ -173,46 +178,45 @@ def rebalance_placements(seed: int) -> dict[str, int]:
     return placements
 
 
-def run_rebalance_cycle(directory: Path, seed: int) -> None:
-    """Build a 2-shard root and execute a 2 → 3 resize over it.
-
-    Setup (manifest + per-shard saves) visits no ``rebalance.*`` fault
-    point, so an armed kill always lands inside the migration protocol
-    proper — exactly the window the journal must make survivable.
-    """
+def reshard_originals(seed: int) -> dict[str, str]:
+    """``name -> serialized instance`` the setup saves for each name."""
     from repro.io.json_codec import dumps
     from repro.paper import example52_instance, figure2_instance
-    from repro.server.rebalance import (
-        DirectoryShardAccess,
-        Rebalancer,
-        ShardManifest,
-        plan_rebalance,
-        write_manifest,
-    )
+
+    return {
+        name: dumps(figure2_instance() if position % 2 else example52_instance())
+        for position, name in enumerate(sorted(reshard_placements(seed)))
+    }
+
+
+def build_reshard_root(directory: Path, seed: int) -> None:
+    """A 2-shard root holding :func:`reshard_placements`' names."""
+    from repro.io.json_codec import loads
+    from repro.server.layout import ShardManifest, write_manifest
+    from repro.storage.database import Database
 
     directory.mkdir(parents=True, exist_ok=True)
     write_manifest(directory, ShardManifest(shards=2))
-    access = DirectoryShardAccess(directory)
-    placements = rebalance_placements(seed)
-    for position, name in enumerate(sorted(placements)):
-        instance = (
-            figure2_instance() if position % 2 else example52_instance()
-        )
-        access.store(placements[name], name, dumps(instance))
-    plan = plan_rebalance(placements, old_shards=2, new_shards=3)
-    Rebalancer(directory, access).execute(plan)
+    placements = reshard_placements(seed)
+    for name, payload in reshard_originals(seed).items():
+        db = Database(directory / f"shard-{placements[name]}")
+        db.register(name, loads(payload))
+        db.save(name)
 
 
-def profile_rebalance_visits(seed: int) -> dict[str, int]:
-    """How many times a clean resize visits each rebalance fault point."""
+def profile_reshard_visits(seed: int) -> dict[str, int]:
+    """How many times a clean 2 → 3 reshard visits each swept point."""
+    from repro.server.layout import reshard
+
     specs = [
         FaultSpec(site=site, kind="slow", times=0)
-        for site in REBALANCE_FAULT_POINTS
+        for site in RESHARD_SWEEP_POINTS
     ]
     with tempfile.TemporaryDirectory(prefix="crashsweep-profile-") as tmp:
+        build_reshard_root(Path(tmp), seed)
         injector = FaultInjector(*specs, seed=seed)
         with injector:
-            run_rebalance_cycle(Path(tmp), seed)
+            reshard(tmp, 3)
         return injector.visit_counts()
 
 
@@ -230,11 +234,15 @@ def child_main(
     sweep failure, because profiling said it would be.
     """
     spec = FaultSpec(site=site, kind="crash", nth=visit, times=1)
+    if mode == "reshard":
+        from repro.server.layout import reshard
+
+        build_reshard_root(directory, seed)
+        with FaultInjector(spec, seed=seed):
+            reshard(directory, 3)
+        return 0
     with FaultInjector(spec, seed=seed):
-        if mode == "rebalance":
-            run_rebalance_cycle(directory, seed)
-        else:
-            run_cycle(directory)
+        run_cycle(directory)
     return 0
 
 
@@ -310,21 +318,20 @@ def verify_recovery(directory: Path) -> tuple[bool, str]:
     return (not problems, "; ".join(problems))
 
 
-def verify_rebalance_recovery(
-    directory: Path, seed: int
-) -> tuple[bool, str]:
-    """Check the migration contract after a kill inside a resize.
+def verify_reshard_recovery(directory: Path, seed: int) -> tuple[bool, str]:
+    """Check the reshard contract after a kill inside a 2 → 3 reshard.
 
-    ``fsck --shards --repair`` (which resumes the torn migration) must
-    leave nothing unrepaired; the manifest must carry the new layout
-    (3 shards, epoch 1); every expected name must sit on *exactly one*
-    shard — its new-ring home — and load checksum-clean; and a
-    check-only ``fsck --shards`` pass must be clean.
+    Rerunning ``reshard`` is the whole recovery.  After it the manifest
+    must say 3 shards with no ``resharding_to`` marker; every expected
+    name must sit on *exactly one* shard — its 3-ring home — and decode
+    to the instance setup saved; and ``fsck --shards`` must be clean.
     """
-    from repro.server.rebalance import (
+    from repro.io.json_codec import dumps
+    from repro.server.layout import (
         DEFAULT_VNODES,
         build_ring,
         read_manifest,
+        reshard,
         ring_owner,
     )
     from repro.storage.database import Database, DatabaseError
@@ -332,54 +339,34 @@ def verify_rebalance_recovery(
     from repro.storage.journal import INSTANCE_SUFFIX
 
     problems: list[str] = []
-    repair = fsck_sharded_root(directory, repair=True)
-    if repair.unrepaired:
-        problems.append(
-            "unrepaired fsck findings: " + "; ".join(
-                f"{f.code} {f.path}" for f in repair.unrepaired
-            )
-        )
+    reshard(directory, 3)
     manifest = read_manifest(directory)
-    if manifest is None or manifest.shards != 3 or manifest.layout_epoch != 1:
+    if manifest is None or manifest.shards != 3 or manifest.resharding_to is not None:
         problems.append(
-            "manifest did not converge to 3 shards at epoch 1: "
+            "manifest did not converge to 3 shards without a marker: "
             f"{manifest.as_dict() if manifest else None}"
         )
-    vnodes = manifest.vnodes if manifest is not None else DEFAULT_VNODES
-    positions, owners = build_ring(3, vnodes)
-    for name in sorted(rebalance_placements(seed)):
+    positions, owners = build_ring(3, DEFAULT_VNODES)
+    for name, original in reshard_originals(seed).items():
+        home = ring_owner(positions, owners, name)
         holders = [
             shard for shard in range(3)
-            if (
-                directory / f"shard-{shard}" / f"{name}{INSTANCE_SUFFIX}"
-            ).is_file()
+            if (directory / f"shard-{shard}" / f"{name}{INSTANCE_SUFFIX}").is_file()
         ]
-        if len(holders) != 1:
-            problems.append(
-                f"{name} held by {len(holders)} shard(s) "
-                f"({holders}), expected exactly one"
-            )
-        elif holders[0] != ring_owner(positions, owners, name):
-            problems.append(
-                f"{name} on shard {holders[0]}, expected its ring home "
-                f"{ring_owner(positions, owners, name)}"
-            )
-    for shard in range(3):
-        shard_dir = directory / f"shard-{shard}"
-        if not shard_dir.is_dir():
+        if holders != [home]:
+            problems.append(f"{name} held by shard(s) {holders}, expected only {home}")
             continue
-        db = Database(shard_dir)
-        for name in db.names():
-            try:
-                db.get(name)
-            except DatabaseError as exc:
-                problems.append(
-                    f"shard-{shard}/{name} not checksum-clean: {exc}"
-                )
+        try:
+            content = dumps(Database(directory / f"shard-{home}").get(name))
+        except DatabaseError as exc:
+            problems.append(f"shard-{home}/{name} not checksum-clean: {exc}")
+            continue
+        if content != original:
+            problems.append(f"shard-{home}/{name} changed content")
     check = fsck_sharded_root(directory)
     if not check.clean:
         problems.append(
-            "fsck --shards still reports findings after repair: "
+            "fsck --shards reports findings after the rerun: "
             + "; ".join(f"{f.code} {f.path}" for f in check.findings)
         )
     return (not problems, "; ".join(problems))
@@ -453,21 +440,25 @@ def sweep(
     )
 
 
-def rebalance_sweep(
+def reshard_sweep(
     seed: int = 0,
     sites: tuple[str, ...] | None = None,
     progress: bool = False,
 ) -> list[CrashOutcome]:
-    """Kill a 2 → 3 shard migration at every ``rebalance.*`` visit.
+    """Kill a 2 → 3 reshard at every visit of every point it visits.
 
-    The sweep passes when, after every kill, resume converges the root
-    to the new layout with every name served by exactly one shard.
+    Storage fault points the reshard never visits are skipped (a drop
+    never quarantines); every ``reshard.*`` point must be visited.  The
+    sweep passes when, after every kill, a rerun converges.
     """
-    chosen = sites if sites is not None else REBALANCE_FAULT_POINTS
-    counts = profile_rebalance_visits(seed)
+    counts = profile_reshard_visits(seed)
+    chosen = sites if sites is not None else tuple(
+        site for site in RESHARD_SWEEP_POINTS
+        if site in RESHARD_FAULT_POINTS or counts.get(site, 0)
+    )
     return _run_sweep(
-        chosen, counts, seed, "rebalance",
-        lambda directory: verify_rebalance_recovery(directory, seed),
+        chosen, counts, seed, "reshard",
+        lambda directory: verify_reshard_recovery(directory, seed),
         progress,
     )
 
@@ -495,9 +486,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--mode", choices=("storage", "rebalance"), default="storage",
-        help="which protocol to sweep: catalog ops (storage) or a live "
-        "2 -> 3 shard migration (rebalance)",
+        "--mode", choices=("storage", "reshard"), default="storage",
+        help="which protocol to sweep: catalog ops (storage) or an "
+        "offline 2 -> 3 reshard (reshard)",
     )
     parser.add_argument(
         "--sites", nargs="*", default=None,
@@ -523,7 +514,7 @@ def main(argv: list[str] | None = None) -> int:
             mode=args.mode,
         )
     sites = tuple(args.sites) if args.sites else None
-    run = rebalance_sweep if args.mode == "rebalance" else sweep
+    run = reshard_sweep if args.mode == "reshard" else sweep
     outcomes = run(seed=args.seed, sites=sites, progress=not args.quiet)
     if args.json:
         print(json.dumps([o.as_dict() for o in outcomes], indent=2))
@@ -541,13 +532,15 @@ __all__ = [
     "CrashOutcome",
     "child_main",
     "format_outcomes",
-    "profile_rebalance_visits",
+    "RESHARD_SWEEP_POINTS",
+    "build_reshard_root",
+    "profile_reshard_visits",
     "profile_visits",
-    "rebalance_placements",
-    "rebalance_sweep",
+    "reshard_originals",
+    "reshard_placements",
+    "reshard_sweep",
     "run_cycle",
-    "run_rebalance_cycle",
     "sweep",
-    "verify_rebalance_recovery",
     "verify_recovery",
+    "verify_reshard_recovery",
 ]

@@ -118,23 +118,19 @@ STORAGE_FAULT_POINTS: tuple[str, ...] = (
     "db.quarantine.sidecar",
 )
 
-#: The fault points of a shard-layout migration
-#: (:mod:`repro.server.rebalance`), in the order the ``Rebalancer``
-#: visits them: after the plan record is durable, after each move's
-#: begin record, after the copy landed on the destination, after the
-#: cutover commit record, after the source delete, before the new
-#: manifest is published, and after the terminal ``done`` record.  The
-#: rebalance crash sweep (``python -m repro.resilience.crashsweep
-#: --mode rebalance``) SIGKILLs a migration at every visit of every one
-#: of these and asserts resume leaves each key on exactly one shard.
-REBALANCE_FAULT_POINTS: tuple[str, ...] = (
-    "rebalance.plan",
-    "rebalance.move.begin",
-    "rebalance.copy",
-    "rebalance.move.commit",
-    "rebalance.delete",
-    "rebalance.manifest",
-    "rebalance.done",
+#: The fault points of an offline reshard
+#: (:func:`repro.server.layout.reshard`), in the order it visits them:
+#: after the ``resharding_to`` marker is durable, after each moved name's save on its new home,
+#: after the matching drop on its old shard, and after the committed
+#: manifest.  The reshard crash sweep (``python -m
+#: repro.resilience.crashsweep --mode reshard``) SIGKILLs a reshard at
+#: every visit of every one of these, and of every storage fault point
+#: the reshard itself visits, and asserts a rerun converges.
+RESHARD_FAULT_POINTS: tuple[str, ...] = (
+    "reshard.marked",
+    "reshard.saved",
+    "reshard.dropped",
+    "reshard.committed",
 )
 
 

@@ -10,10 +10,13 @@ This package turns the interpreter into a long-running service:
   backed by :mod:`repro.obs` metrics;
 * :class:`~repro.server.shard.ShardedServer` — N worker *processes*
   (each a ``PXQLServer`` over a shard-local catalog directory) behind a
-  consistent-hash router with scatter-gather cross-shard ``PRODUCT``,
-  live ``resize`` and chaos hooks (``kill_shard`` / ``restart_shard``);
-  where a name is served — ring, placement overlay, migration state —
-  is the plain :class:`~repro.server.routing.Router`;
+  consistent-hash router with scatter-gather cross-shard ``PRODUCT``
+  and chaos hooks (``kill_shard`` / ``restart_shard``); where a name is
+  served — ring, placement overlay — is the plain
+  :class:`~repro.server.routing.Router`;
+* :mod:`repro.server.layout` — the ring, the ``shards.json`` manifest
+  and the offline :func:`~repro.server.layout.reshard` that changes
+  the shard count (``python -m repro.server reshard``);
 * :mod:`repro.server.wire` — everything that crosses a process or
   socket boundary: :class:`~repro.server.wire.ShardConfig`, the shard
   process, the router's pipe handle, and the one description of a reply
@@ -34,22 +37,13 @@ counter, generation-keyed engine caches) lives in
 
 from repro.errors import (
     Overloaded,
-    RebalanceError,
-    RebalanceInProgress,
     RemoteExecutionError,
     ServerError,
     ShardUnavailable,
 )
 from repro.server.admission import AdmissionQueue, PendingResult, Request
 from repro.server.http import HttpFrontDoor
-from repro.server.rebalance import (
-    RebalancePlan,
-    Rebalancer,
-    RebalanceStatus,
-    ShardManifest,
-    plan_rebalance,
-    resume_rebalance,
-)
+from repro.server.layout import ShardManifest, reshard
 from repro.server.server import PXQLServer
 from repro.server.shard import ShardConfig, ShardedServer
 
@@ -59,11 +53,6 @@ __all__ = [
     "Overloaded",
     "PXQLServer",
     "PendingResult",
-    "RebalanceError",
-    "RebalanceInProgress",
-    "RebalancePlan",
-    "RebalanceStatus",
-    "Rebalancer",
     "RemoteExecutionError",
     "Request",
     "ServerError",
@@ -71,6 +60,5 @@ __all__ = [
     "ShardManifest",
     "ShardUnavailable",
     "ShardedServer",
-    "plan_rebalance",
-    "resume_rebalance",
+    "reshard",
 ]

@@ -14,6 +14,16 @@ it from a single-process thread pool instead
 catalogs or debugging).  Either way the asyncio front door
 (:mod:`repro.server.http`) listens for HTTP/JSON requests and drains
 gracefully on SIGTERM/SIGINT.
+
+To change the shard count of a catalog, stop the server and run::
+
+    python -m repro.server reshard --directory CATALOG_DIR --shards N
+
+It moves every instance to its home on the N-shard ring through the
+shard catalogs' own journaled save/drop and rewrites ``shards.json``
+(:func:`~repro.server.layout.reshard`).  After a crash, rerun it.  Exit
+status: 0 done, 2 refused (bad count, no or untrusted manifest), 1 any
+other failure.
 """
 
 from __future__ import annotations
@@ -22,8 +32,9 @@ import argparse
 import asyncio
 import sys
 
-from repro.errors import ShardConfigError
+from repro.errors import PXMLError, ShardConfigError
 from repro.server.http import Backend, HttpFrontDoor
+from repro.server.layout import reshard
 from repro.server.server import PXQLServer
 from repro.server.shard import ShardedServer
 from repro.storage.database import Database
@@ -38,7 +49,34 @@ async def _serve(backend: Backend, host: str, port: int) -> None:
     await door.serve_forever()
 
 
+def _reshard(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.server reshard",
+        description="Change the shard count of a stopped sharded catalog.",
+    )
+    parser.add_argument("--directory", required=True,
+                        help="sharded catalog root directory")
+    parser.add_argument("--shards", type=int, required=True,
+                        help="the new shard count")
+    args = parser.parse_args(argv)
+    try:
+        moved = reshard(args.directory, args.shards)
+    except ShardConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except PXMLError as exc:
+        print(f"error: {exc}; rerun the same command to finish",
+              file=sys.stderr)
+        return 1
+    print(f"resharded {args.directory} to {args.shards} shard(s): "
+          f"{moved} instance(s) moved")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["reshard"]:
+        return _reshard(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.server",
         description="Serve a PXML catalog over HTTP/JSON.",

@@ -19,12 +19,6 @@ route                 behavior
 ``GET /health``       the backend's health snapshot; 200 when ready,
                       503 otherwise (a load-balancer-friendly probe)
 ``GET /metrics``      the metrics registry as JSON
-``POST /rebalance``   ``{"shards": N}`` — start a live shard-layout
-                      migration on a sharded backend; 202 with the
-                      status snapshot (the migration runs in the
-                      background), 409 if one is already in progress,
-                      400 for backends that cannot resize
-``GET /rebalance/status``  current migration status snapshot
 ====================  ==================================================
 
 **Typed error translation.**  Bodies are the descriptions of
@@ -32,12 +26,10 @@ route                 behavior
 ``{"result": describe_result(...)}`` (a value that is not JSON all the
 way down is sent as the statement's text) or
 ``{"error": describe_error(...)}``, with meaningful status codes:
-``Overloaded(queue_full)`` → 429, ``Overloaded(draining/
-stopped)``, ``ShardUnavailable`` and ``RebalanceInProgress`` (a write
-fenced off mid-migration; retryable) → 503, ``RebalanceError`` → 409,
-``BudgetExceeded`` → 408, any other :class:`~repro.errors.PXMLError`
-(parse errors, check failures, unknown instances) → 400, anything
-unrecognized → 500.  Clients always see JSON, never a traceback.
+``Overloaded(queue_full)`` → 429, ``Overloaded(draining/stopped)``
+and ``ShardUnavailable`` → 503, ``BudgetExceeded`` → 408, any other
+:class:`~repro.errors.PXMLError` (parse errors, check failures, unknown
+instances) → 400, anything unrecognized → 500.  Clients always see JSON, never a traceback.
 
 **Pending-result retention.**  Submitted-but-never-claimed results used
 to accumulate in the pending map forever — a slow leak under any client
@@ -85,8 +77,6 @@ from repro.errors import (
     BudgetExceeded,
     Overloaded,
     PXMLError,
-    RebalanceError,
-    RebalanceInProgress,
     ServerError,
     ShardUnavailable,
 )
@@ -121,7 +111,7 @@ EXPIRED_ID_MEMORY = 4096
 
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed",
-            408: "Request Timeout", 409: "Conflict", 410: "Gone",
+            408: "Request Timeout", 410: "Gone",
             429: "Too Many Requests",
             500: "Internal Server Error", 503: "Service Unavailable"}
 
@@ -148,10 +138,8 @@ def error_payload(exc: BaseException) -> tuple[int, dict[str, object]]:
     """``(http_status, json_body)`` for an execution/admission error."""
     if isinstance(exc, Overloaded):
         status = 429 if exc.reason == "queue_full" else 503
-    elif isinstance(exc, (ShardUnavailable, RebalanceInProgress)):
+    elif isinstance(exc, ShardUnavailable):
         status = 503
-    elif isinstance(exc, RebalanceError):
-        status = 409
     elif isinstance(exc, BudgetExceeded):
         status = 408
     elif isinstance(exc, PXMLError):
@@ -559,10 +547,6 @@ class HttpFrontDoor:
             return await self._route_result(request)
         if request.path == "/health" and request.method == "GET":
             return await self._route_health()
-        if request.path == "/rebalance" and request.method == "POST":
-            return await self._route_rebalance(request)
-        if request.path == "/rebalance/status" and request.method == "GET":
-            return self._route_rebalance_status()
         if request.path == "/metrics" and request.method == "GET":
             return await self._route_metrics()
         return 404, {
@@ -652,55 +636,3 @@ class HttpFrontDoor:
         else:
             metrics = self.backend.metrics.as_dict()
         return 200, {"metrics": metrics}
-
-    def _route_rebalance_status(self) -> tuple[int, dict[str, object]]:
-        status_of = getattr(self.backend, "rebalance_status", None)
-        if not callable(status_of):
-            return 400, {
-                "error": {
-                    "type": "BadRequest",
-                    "message": "backend does not support rebalancing",
-                }
-            }
-        return 200, {"rebalance": status_of()}
-
-    async def _route_rebalance(
-        self, request: _Request
-    ) -> tuple[int, dict[str, object]]:
-        resize = getattr(self.backend, "resize", None)
-        if not callable(resize):
-            return 400, {
-                "error": {
-                    "type": "BadRequest",
-                    "message": "backend does not support rebalancing",
-                }
-            }
-        data = request.json()
-        shards = data.get("shards")
-        if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
-            raise ValueError('missing positive integer "shards"')
-        if self._draining:
-            return error_payload(
-                Overloaded("front door is draining", reason="draining")
-            )
-        status_of = getattr(self.backend, "rebalance_status", None)
-        snapshot: dict[str, object] = (
-            dict(status_of()) if callable(status_of) else {}
-        )
-        if snapshot.get("state") in ("planning", "migrating", "finalizing"):
-            return error_payload(
-                RebalanceError("a rebalance is already in progress")
-            )
-
-        def _run() -> None:
-            try:
-                resize(shards)
-            except Exception:  # noqa: BLE001 - surfaced via /rebalance/status
-                pass  # the backend records failure in its status snapshot
-
-        thread = threading.Thread(
-            target=_run, name="http-rebalance", daemon=True
-        )
-        thread.start()
-        snapshot["requested_shards"] = shards
-        return 202, {"rebalance": snapshot}

@@ -11,11 +11,10 @@ at its three decisions:
   :class:`ShardConfig`, the shard process, the router's handle on each
   pipe, and the one description of a reply (shared with HTTP);
 * :mod:`repro.server.routing` — where a name is served: the
-  :class:`~repro.server.routing.Router` (ring, placement overlay,
-  per-key migration state, write fence, dual-check predicate), a plain
-  object with no process behind it;
-* this module — lifecycle (start, stop, kill / restart, the watchdog,
-  live :meth:`~ShardedServer.resize`), submit dispatch, the broadcast
+  :class:`~repro.server.routing.Router` (ring and placement overlay), a
+  plain object with no process behind it;
+* this module — lifecycle (start, stop, kill / restart, the watchdog),
+  submit dispatch, the broadcast
   ``LIST``, the cross-shard ``PRODUCT`` scatter-gather (fetch both
   serialized operands in parallel, combine with
   :func:`~repro.algebra.product.cartesian_product` in the router, store
@@ -23,7 +22,9 @@ at its three decisions:
 
 A dead shard answers every in-flight and future request with
 :class:`~repro.errors.ShardUnavailable` until
-:meth:`ShardedServer.restart_shard` brings it back.
+:meth:`ShardedServer.restart_shard` brings it back.  The shard count is
+fixed while serving; :func:`~repro.server.layout.reshard` changes it
+offline.
 
 **Cache coherence.**  Each shard's engine caches are in memory and key
 on a per-name ``(version, epoch)`` token (see ``Engine.cache_key``): a
@@ -48,8 +49,6 @@ from typing import cast
 
 from repro.errors import (
     PXMLError,
-    RebalanceError,
-    RebalanceInProgress,
     ServerError,
     ShardConfigError,
     ShardUnavailable,
@@ -62,19 +61,18 @@ from repro.pxql.parser import parse_memo
 from repro.resilience.faults import FaultSpec
 from repro.resilience.retry import RetryPolicy
 from repro.server.admission import PendingResult
-from repro.server.rebalance import (
+from repro.server.layout import (
+    LEGACY_JOURNAL_NAME,
     MANIFEST_NAME,
-    Rebalancer,
-    RebalanceStatus,
     ShardManifest,
-    plan_rebalance,
+    legacy_migration_target,
     read_manifest,
-    resume_rebalance,
+    reshard_command,
     write_manifest,
 )
 from repro.server.routing import Router, unwrap
 from repro.server.wire import ShardConfig, _ShardHandle
-from repro.storage.database import Database, DatabaseError
+from repro.storage.database import Database
 
 __all__ = ["MANIFEST_NAME", "ShardConfig", "ShardedServer"]
 
@@ -83,15 +81,6 @@ __all__ = ["MANIFEST_NAME", "ShardConfig", "ShardedServer"]
 DEFAULT_WATCHDOG_BACKOFF = RetryPolicy(
     attempts=5, base_delay_s=0.1, max_delay_s=5.0, jitter=0.0
 )
-
-
-def _forward(source: PendingResult, target: PendingResult) -> None:
-    """Resolve ``target`` as ``source`` was resolved."""
-    error = source.error(0.0)
-    if error is not None:
-        target.set_error(error)
-    else:
-        target.set_result(source.result(0.0))
 
 
 class ShardedServer:
@@ -167,11 +156,13 @@ class ShardedServer:
         )
         self.router = Router(shards, vnodes)
         self._handles: list[_ShardHandle] = [
-            _ShardHandle(self._shard_config(index)) for index in range(shards)
+            _ShardHandle(dataclasses.replace(
+                self._template, index=index,
+                directory=str(self.directory / f"shard-{index}"),
+            ))
+            for index in range(shards)
         ]
         self._layout_epoch = 0
-        self._rebalance_lock = threading.Lock()
-        self._rebalance_status = RebalanceStatus()
         self._results = itertools.count(1)  # fresh product names
         #: Routing needs only the AST, and the same texts keep coming.
         self._parse = parse_memo()
@@ -196,34 +187,21 @@ class ShardedServer:
         """The shard count of the layout being served."""
         return self.router.shards
 
-    def _shard_config(self, index: int) -> ShardConfig:
-        directory = str(self.directory / f"shard-{index}")
-        return dataclasses.replace(self._template, index=index, directory=directory)
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "ShardedServer":
         """Spawn every shard process and rebuild the placement overlay.
 
-        Before anything is spawned, an unfinished shard migration (a
-        pending ``rebalance.journal`` left by a crash mid-``resize``)
-        is *resumed* offline — committed cutovers keep their
-        destination, uncommitted copies re-run from the
-        still-authoritative source — so the manifest the count check
-        reads is always a consistent layout.
-
-        Raises :class:`~repro.errors.ShardConfigError` when the
-        directory's ``shards.json`` manifest records a different shard
-        count than this server was constructed with — names were placed
-        by hashing over *that* ring, so reopening with another count
-        would route them to the wrong shards (use :meth:`resize` to
-        migrate to a new count).
+        Raises :class:`~repro.errors.ShardConfigError`, naming the
+        ``reshard`` command that resolves it, when the directory's
+        ``shards.json`` records a different shard count, carries the
+        marker of an interrupted reshard, or a torn live migration of an
+        older version left a ``rebalance.journal``.
         """
         if self._started:
             raise ServerError("sharded server already started")
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._resume_pending_rebalance()
         self._check_manifest()
         for handle in self._handles:
             handle.start()
@@ -239,30 +217,53 @@ class ShardedServer:
                 daemon=True,
             )
             self._watchdog.start()
-        self._layout_gauges()
-        return self
-
-    def _layout_gauges(self) -> None:
         self.metrics.gauge("router.shards").set(float(self.shards))
         self.metrics.gauge("router.layout_epoch").set(float(self._layout_epoch))
+        return self
 
-    def _resume_pending_rebalance(self) -> None:
-        """Finish a torn migration before serving (offline, in-process)."""
-        try:
-            status = resume_rebalance(self.directory)
-        except RebalanceError as exc:
+    def _check_manifest(self) -> None:
+        """Write ``shards.json`` on first init; refuse a layout this
+        server cannot serve as configured.
+
+        Never a silent rehash: names were placed over the recorded
+        ring.  The recorded vnode count and layout epoch are adopted.
+        """
+        legacy = legacy_migration_target(self.directory, self.shards)
+        if legacy is not None:
             raise ShardConfigError(
-                f"directory {self.directory} has an unresolvable pending "
-                f"rebalance: {exc}",
+                f"directory {self.directory} holds the {LEGACY_JOURNAL_NAME} "
+                "of a live migration an older version left unfinished; finish "
+                f"it offline with `{reshard_command(self.directory, legacy)}`",
                 configured=self.shards,
-            ) from exc
-        if status is not None:
-            self.metrics.counter("router.rebalances_resumed").inc()
-            self.tracer.event(
-                "router.rebalance_resumed",
-                to_epoch=status.to_epoch,
-                moves=status.total_moves,
             )
+        manifest = read_manifest(self.directory)  # raises if untrusted
+        if manifest is None:
+            write_manifest(
+                self.directory,
+                ShardManifest(shards=self.shards, vnodes=self.router.vnodes),
+            )
+            return
+        if manifest.resharding_to is not None:
+            raise ShardConfigError(
+                f"directory {self.directory} was left mid-reshard to "
+                f"{manifest.resharding_to} shard(s); finish it with `"
+                f"{reshard_command(self.directory, manifest.resharding_to)}`",
+                configured=self.shards,
+                recorded=manifest.shards,
+            )
+        if manifest.shards != self.shards:
+            raise ShardConfigError(
+                f"directory {self.directory} was sharded with "
+                f"{manifest.shards} shard(s) but this server is "
+                f"configured for {self.shards}; serve it with the recorded "
+                "count, or change the count first with "
+                f"`{reshard_command(self.directory, self.shards)}`",
+                configured=self.shards,
+                recorded=manifest.shards,
+            )
+        if manifest.vnodes != self.router.vnodes:
+            self.router = Router(self.shards, manifest.vnodes)
+        self._layout_epoch = manifest.layout_epoch
 
     def __enter__(self) -> "ShardedServer":
         return self.start()
@@ -382,11 +383,7 @@ class ShardedServer:
         while not self._watchdog_stop.wait(interval):
             if not self._started or self._stopping:
                 continue
-            for index in range(min(self.shards, len(self._handles))):
-                try:
-                    handle = self._handles[index]
-                except IndexError:  # racing a shrink
-                    break
+            for index, handle in enumerate(self._handles):
                 state = self._watchdog_state.setdefault(
                     index, {"attempts": 0.0, "next": 0.0, "gave_up": 0.0}
                 )
@@ -420,161 +417,6 @@ class ShardedServer:
                     "router.watchdog_restarted", shard=index,
                     attempt=attempt + 1,
                 )
-
-    # ------------------------------------------------------------------
-    # Live rebalancing
-    # ------------------------------------------------------------------
-    def resize(self, shards: int, timeout_s: float = 120.0) -> RebalanceStatus:
-        """Migrate the catalog to ``shards`` shard processes, live.
-
-        Serving continues throughout: each key is copied then cut over
-        individually (reads follow the per-key migration state, writes
-        to a key whose copy is in flight get a retryable
-        :class:`~repro.errors.RebalanceInProgress`), and the whole
-        migration is journaled so a crash at any instant is resumed —
-        never restarted — by the next :meth:`start`.  On success the
-        router adopts the new layout in one step and ``layout_epoch``
-        advances.
-
-        Raises :class:`~repro.errors.RebalanceError` for an invalid
-        target count or when a resize is already running.
-        """
-        if not self._started:
-            raise ServerError("sharded server not started (call start())")
-        if shards < 1:
-            raise RebalanceError(
-                f"cannot resize to {shards} shard(s): need at least one"
-            )
-        if not self._rebalance_lock.acquire(blocking=False):
-            raise RebalanceError("a rebalance is already in progress")
-        try:
-            return self._resize_locked(shards, timeout_s)
-        finally:
-            self._rebalance_lock.release()
-
-    def _resize_locked(
-        self, shards: int, timeout_s: float
-    ) -> RebalanceStatus:
-        old = self.shards
-        status = RebalanceStatus(
-            state="planning",
-            from_epoch=self._layout_epoch,
-            to_epoch=self._layout_epoch,
-            old_shards=old,
-            new_shards=shards,
-        )
-        self._rebalance_status = status
-        if shards == old:
-            status.state = "done"
-            return status
-        # Grow first: destination processes must serve before any copy.
-        for index in range(old, shards):
-            handle = _ShardHandle(self._shard_config(index))
-            handle.start()
-            self._handles.append(handle)
-        try:
-            # Every old shard must answer: a name left out of the plan
-            # would be stranded on a shard the new ring does not use.
-            placements = {
-                name: handle.index
-                for handle in self._handles[:old]
-                for name in cast("list[str]", handle.call("names", 10.0))
-            }
-            plan = plan_rebalance(
-                placements, old, shards,
-                vnodes=self.router.vnodes, from_epoch=self._layout_epoch,
-            )
-            self.router.migrate(plan.moves)
-            status.total_moves = len(plan.moves)
-            rebalancer = Rebalancer(
-                self.directory,
-                _LiveShardAccess(self),
-                on_phase=self.router.on_phase,
-                status=status,
-            )
-            with self.tracer.span(
-                "router.rebalance", old_shards=old, new_shards=shards,
-                moves=len(plan.moves), to_epoch=plan.to_epoch,
-            ):
-                rebalancer.execute(plan)
-        except BaseException as exc:
-            status.state = "failed"
-            status.error = str(exc)
-            # The journal still holds the pending plan, so the next
-            # start() finishes the migration offline.
-            self.router.abandon()
-            self.metrics.counter("router.rebalances_failed").inc()
-            raise
-        # Ring, overlay and the retired migration map flip together, the
-        # overlay learnt from where every name lives now: no read sees
-        # the new ring with the old overlay.
-        self.router.install(shards, self._served())
-        self._layout_epoch = plan.to_epoch
-        retired = self._handles[shards:]
-        del self._handles[shards:]
-        self._broadcast("stop", retired, drain=True, timeout_s=timeout_s)
-        for handle in retired:
-            self._watchdog_state.pop(handle.index, None)
-            handle.join(timeout_s)
-            handle.close()
-        self._layout_gauges()
-        self.metrics.counter("router.rebalances").inc()
-        self.tracer.event(
-            "router.rebalanced",
-            old_shards=old, new_shards=shards,
-            moves=status.total_moves, layout_epoch=self._layout_epoch,
-        )
-        return status
-
-    def rebalance_status(self) -> dict[str, object]:
-        """The last/current migration's progress, plus the live layout."""
-        snapshot = self._rebalance_status.as_dict()
-        if snapshot["state"] == "done" and self._rebalance_lock.locked():
-            # Migrated, but the router has not adopted the layout yet.
-            snapshot["state"] = "finalizing"
-        snapshot["layout_epoch"] = self._layout_epoch
-        snapshot["shards"] = self.shards
-        return snapshot
-
-    def _check_manifest(self) -> None:
-        """Write ``shards.json`` on first init; refuse a count mismatch.
-
-        Reopening with a different shard count is an error, never a
-        silent rehash — names were placed over the recorded ring.  Use
-        :meth:`resize` (which migrates and bumps the layout epoch) to
-        change the count.  The recorded vnode count and layout epoch
-        are adopted, so a server constructed before a rebalance bumped
-        the epoch still reports the durable one.
-        """
-        try:
-            manifest = read_manifest(self.directory)
-        except RebalanceError as exc:
-            raise ShardConfigError(
-                str(exc), configured=self.shards
-            ) from exc
-        if manifest is None:
-            write_manifest(
-                self.directory,
-                ShardManifest(
-                    shards=self.shards,
-                    vnodes=self.router.vnodes,
-                    layout_epoch=0,
-                ),
-            )
-            self._layout_epoch = 0
-            return
-        if manifest.shards != self.shards:
-            raise ShardConfigError(
-                f"directory {self.directory} was sharded with "
-                f"{manifest.shards} shard(s) but this server is "
-                f"configured for {self.shards}; reopen with the recorded "
-                "count, then resize(n) to migrate live",
-                configured=self.shards,
-                recorded=manifest.shards,
-            )
-        if manifest.vnodes != self.router.vnodes:
-            self.router = Router(self.shards, manifest.vnodes)
-        self._layout_epoch = manifest.layout_epoch
 
     # ------------------------------------------------------------------
     # Routing
@@ -648,14 +490,6 @@ class ShardedServer:
             # surface them through the future like the thread server does.
             return self._failed(exc)
         inner = unwrap(statement)
-        fenced = self.router.fenced(inner)
-        if fenced is not None:
-            self.metrics.counter("router.writes_fenced").inc()
-            return self._failed(RebalanceInProgress(
-                f"instance {fenced!r} is mid-migration (copy in flight); "
-                "retry shortly",
-                name=fenced,
-            ))
         if isinstance(inner, ast.ProductStatement):
             left_owner = self.owner(inner.left)
             right_owner = self.owner(inner.right)
@@ -697,7 +531,6 @@ class ShardedServer:
         text: str,
         deadline_s: float | None,
         inner: ast.Statement,
-        retried: bool = False,
     ) -> PendingResult:
         outer = PendingResult()
         remote = self._handles[shard].request(
@@ -715,22 +548,6 @@ class ShardedServer:
                 self.metrics.counter("router.completed").inc()
                 outer.set_result(result)
                 return
-            # One dual-check retry at the key's new owner when the
-            # failure is a cutover race.
-            retry = None if retried else self.router.retry_shard(
-                inner, shard, error
-            )
-            if retry is not None:
-                self.metrics.counter("router.dual_check_retries").inc()
-                try:
-                    chained = self._submit_to_shard(
-                        retry, text, deadline_s, inner, retried=True
-                    )
-                except PXMLError as exc:
-                    error = exc
-                else:
-                    chained.add_done_callback(lambda p: _forward(p, outer))
-                    return
             self.metrics.counter("router.failed").inc()
             outer.set_error(error)
 
@@ -892,8 +709,6 @@ class ShardedServer:
             "shards_alive": sum(1 for h in self._handles if h.alive),
             "overlay_size": self.router.overlay_size,
             "layout_epoch": self._layout_epoch,
-            "migrating_keys": self.router.migrating,
-            "rebalance_state": self.rebalance_status()["state"],
             "submitted": self.metrics.value("router.submitted"),
             "completed": self.metrics.value("router.completed"),
             "failed": self.metrics.value("router.failed"),
@@ -924,26 +739,3 @@ class ShardedServer:
             f"ShardedServer({self.name!r}, shards={live}/{self.shards}, "
             f"dir={str(self.directory)!r})"
         )
-
-
-class _LiveShardAccess:
-    """:class:`~repro.server.rebalance.ShardAccess` over live shard
-    processes: the copy leg is a journaled ``store`` (with save) on the
-    destination's own catalog, the delete leg a ``discard`` on the
-    source — each individually crash-consistent in the shard that runs
-    it."""
-
-    def __init__(self, server: ShardedServer) -> None:
-        self.server = server
-
-    def fetch(self, shard: int, name: str) -> str:
-        return cast(str, self.server._call(shard, "fetch", name=name))
-
-    def store(self, shard: int, name: str, payload: str) -> None:
-        self.server._call(shard, "store", name=name, payload=payload, save=True)
-
-    def delete(self, shard: int, name: str) -> None:
-        try:
-            self.server._call(shard, "discard", name=name)
-        except DatabaseError:
-            pass  # already gone: resume re-runs deletes idempotently

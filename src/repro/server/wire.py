@@ -4,8 +4,8 @@
   built from; ``_shard_main`` / :class:`_ShardRuntime` — the shard
   process: a ``PXQLServer`` thread pool over a shard-local
   :class:`Database` directory, driven by a duplex-pipe RPC loop
-  (execute / fetch / store / discard / names / health / metrics /
-  drain / stop);
+  (execute / fetch / store / names / health / metrics / drain /
+  stop);
 * :class:`_ShardHandle` — the router's end of one pipe.  It sends
   ``{"id", "op", ...}`` and rebuilds each reply once, on arrival: its
   future resolves with the value (a ``Result`` for ``execute``) or the
@@ -42,8 +42,6 @@ from repro.errors import (
     LockTimeout,
     Overloaded,
     PXMLError,
-    RebalanceError,
-    RebalanceInProgress,
     RemoteExecutionError,
     ServerError,
     ShardUnavailable,
@@ -59,13 +57,12 @@ _REBUILT: dict[str, type[PXMLError]] = {
     cls.__name__: cls
     for cls in (
         BudgetExceeded, DatabaseError, FaultError, LockTimeout, Overloaded,
-        RebalanceError, RebalanceInProgress, RemoteExecutionError,
-        ServerError, ShardUnavailable,
+        RemoteExecutionError, ServerError, ShardUnavailable,
     )
 }
 
 #: The structured attributes a description carries beside type and message.
-_ATTRIBUTES = ("reason", "limit", "where", "shard", "name", "remote_type")
+_ATTRIBUTES = ("reason", "limit", "where", "shard", "remote_type")
 
 
 def describe_error(exc: BaseException) -> dict[str, object]:
@@ -238,9 +235,6 @@ class _ShardRuntime:
             if message.get("save", False):
                 self.database.save(name)
             return name
-        if op == "discard":
-            self.database.drop(str(message["name"]))
-            return None
         if op == "names":
             return self.database.names()
         if op == "health":

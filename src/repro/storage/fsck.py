@@ -24,16 +24,16 @@ FS122    generation counter behind the journal's committed max → advance
 =======  ==============================================================
 
 With ``--shards`` the target is a *sharded* catalog root: the manifest
-(``shards.json``), the rebalance journal, and every ``shard-i/``
-sub-catalog are audited in one invocation (per-shard findings carry a
-``shard-i/`` path prefix).  Sharded-mode finding codes:
+(``shards.json``) and every ``shard-i/`` sub-catalog are audited in one
+invocation (per-shard findings carry a ``shard-i/`` path prefix).
+Sharded-mode finding codes:
 
 =======  ==============================================================
 FS130    shard manifest missing/unreadable/invalid → manual (unrepaired)
-FS131    torn rebalance-journal tail → truncate
-FS132    unfinished shard migration → resume it to completion
-FS133    name present in more than one shard directory → resolved by
-         resuming the pending migration; otherwise manual
+FS132    interrupted reshard (a ``resharding_to`` marker, or an older
+         version's ``rebalance.journal``) → finish it by rerunning
+FS133    name present in more than one shard directory → rerun
+         ``reshard`` (unrepaired)
 FS134    shard directory named by the manifest is missing → create it
 =======  ==============================================================
 """
@@ -312,19 +312,19 @@ def _check_generation(directory: Path, report: FsckReport) -> None:
 def fsck_sharded_root(root: str | Path, repair: bool = False) -> FsckReport:
     """Audit a sharded catalog root in one pass.
 
-    Checks the shard manifest, the rebalance journal (torn tail,
-    unfinished migration), every ``shard-i/`` sub-catalog (the full
-    :func:`fsck_directory` battery, findings prefixed with the shard
-    path), and cross-shard invariants (no name held by two shards).
-    With ``repair=True`` an unfinished migration is resumed to
-    completion — the same recovery ``ShardedServer.start()`` performs.
+    Checks the shard manifest (and an interrupted change of the count),
+    every ``shard-i/`` sub-catalog (the full :func:`fsck_directory`
+    battery, findings prefixed with the shard path), and cross-shard
+    invariants (no name held by two shards).  With ``repair=True`` an
+    interrupted reshard is finished by rerunning it.
     """
-    # Imported lazily: repro.server.rebalance builds on repro.storage.
-    from repro.errors import RebalanceError
-    from repro.server.rebalance import (
-        RebalanceJournal,
+    # Imported lazily: repro.server.layout builds on repro.storage.
+    from repro.errors import PXMLError, ShardConfigError
+    from repro.server.layout import (
+        legacy_migration_target,
         read_manifest,
-        resume_rebalance,
+        reshard,
+        reshard_command,
     )
 
     root = Path(root)
@@ -335,7 +335,7 @@ def fsck_sharded_root(root: str | Path, repair: bool = False) -> FsckReport:
     with shared_lock(root / CATALOG_LOCK_NAME):
         try:
             manifest = read_manifest(root)
-        except RebalanceError as exc:
+        except ShardConfigError as exc:
             report.findings.append(Finding(
                 "FS130", "shards.json", str(exc),
                 repaired=False, action="restore the manifest by hand",
@@ -350,41 +350,23 @@ def fsck_sharded_root(root: str | Path, repair: bool = False) -> FsckReport:
             ))
             return report
 
-        journal = RebalanceJournal(root)
-        records, torn = journal.read()
-        if torn:
-            finding = Finding(
-                "FS131", journal.path.name,
-                "rebalance journal has a torn/corrupt tail",
-                repaired=report.repair,
-                action="truncate to the last intact record",
-            )
-            if report.repair:
-                journal.truncate_to(records)
-            report.findings.append(finding)
-        pending = RebalanceJournal.pending_plan(records)
-        if pending is not None:
+        target = manifest.resharding_to
+        if target is None:
+            target = legacy_migration_target(root, manifest.shards)
+        if target is not None:
+            message = f"unfinished change of the shard count to {target}"
             repaired = False
-            action = "resume the migration to completion"
-            message = (
-                f"unfinished shard migration to epoch "
-                f"{pending.get('to_epoch')}"
-            )
             if report.repair:
                 try:
-                    resume_rebalance(root)
+                    reshard(root, target)
                     repaired = True
-                except RebalanceError as exc:
-                    message = f"{message}; resume failed: {exc}"
-                    action = "restore rebalance.plan.json by hand"
+                except PXMLError as exc:
+                    message = f"{message}; the rerun failed: {exc}"
+                manifest = read_manifest(root) or manifest
             report.findings.append(Finding(
-                "FS132", journal.path.name, message,
-                repaired=repaired, action=action,
+                "FS132", "shards.json", message, repaired=repaired,
+                action=f"finish it: {reshard_command(root, target)}",
             ))
-            if repaired:
-                refreshed = read_manifest(root)
-                if refreshed is not None:
-                    manifest = refreshed
 
         placements: dict[str, list[int]] = {}
         for index in range(manifest.shards):
@@ -422,7 +404,7 @@ def fsck_sharded_root(root: str | Path, repair: bool = False) -> FsckReport:
                     "FS133", f"{name}{INSTANCE_SUFFIX}",
                     f"instance held by {len(shards)} shards ({where})",
                     repaired=False,
-                    action="resume the pending migration (--repair)",
+                    action=f"rerun {reshard_command(root, manifest.shards)}",
                 ))
     return report
 
@@ -469,8 +451,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     fsck.add_argument(
         "--shards", action="store_true",
-        help="treat the directory as a sharded root: audit the manifest, "
-             "the rebalance journal, and every shard-i/ sub-catalog",
+        help="treat the directory as a sharded root: audit the manifest "
+             "and every shard-i/ sub-catalog",
     )
     fsck.add_argument(
         "--json", action="store_true", help="emit the report as JSON"

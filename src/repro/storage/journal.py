@@ -116,12 +116,10 @@ def _checked_line(fields: dict[str, Any]) -> str:
     return json.dumps(fields, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def append_checked(path: Path, fields: dict[str, Any]) -> None:
+def _append_checked(path: Path, fields: dict[str, Any]) -> None:
     """Append one crc-stamped JSONL record and fsync it durable.
 
-    The generic building block behind every journal in the tree (the
-    catalog journal here, the rebalance journal in
-    :mod:`repro.server.rebalance`): one ``write`` call of
+    The append behind :class:`Journal`: one ``write`` call of
     ``line + "\\n"``, flushed and fsynced, so a torn append is always
     detectable as a file not ending in a newline.
     """
@@ -134,7 +132,7 @@ def append_checked(path: Path, fields: dict[str, Any]) -> None:
         raise JournalError(f"cannot append to journal {path}: {exc}") from exc
 
 
-def read_checked(path: Path) -> tuple[list[dict[str, Any]], bool]:
+def _read_checked(path: Path) -> tuple[list[dict[str, Any]], bool]:
     """``(records, torn_tail)`` — the trusted prefix of a checked JSONL.
 
     Reads raw record dicts (crc verified and stripped of nothing —
@@ -175,7 +173,7 @@ def read_checked(path: Path) -> tuple[list[dict[str, Any]], bool]:
     return records, torn
 
 
-def rewrite_checked(path: Path, records: list[dict[str, Any]]) -> None:
+def _rewrite_checked(path: Path, records: list[dict[str, Any]]) -> None:
     """Atomically rewrite a checked JSONL as exactly ``records``
     (crc-stamped) — how a torn tail is truncated away."""
     replace_atomically(
@@ -272,7 +270,7 @@ class Journal:
         before it is returned, and ``torn_tail`` reports whether
         anything was discarded.
         """
-        raw_records, torn = read_checked(self.path)
+        raw_records, torn = _read_checked(self.path)
         records: list[JournalRecord] = []
         for fields in raw_records:
             record = _parse_record(fields)
@@ -358,7 +356,7 @@ class Journal:
     def _append(self, record: JournalRecord) -> None:
         tail = self._remembered_tail()
         self._tail = None   # stays dropped if the append fails part-way
-        append_checked(self.path, record.as_fields())
+        _append_checked(self.path, record.as_fields())
         current_registry().counter("db.journal_records").inc()
         if tail is not None:
             # An own fsynced append extends the verified prefix.
@@ -434,14 +432,14 @@ class Journal:
             generation=self.committed_generation(records),
         )
         self._tail = None
-        rewrite_checked(self.path, [checkpoint.as_fields()])
+        _rewrite_checked(self.path, [checkpoint.as_fields()])
         current_registry().counter("db.journal_compactions").inc()
 
     def truncate_to(self, records: list[JournalRecord]) -> None:
         """Atomically rewrite the journal as exactly ``records``
         (recovery uses this to drop a torn tail)."""
         self._tail = None
-        rewrite_checked(self.path, [r.as_fields() for r in records])
+        _rewrite_checked(self.path, [r.as_fields() for r in records])
 
 
 # ----------------------------------------------------------------------
@@ -704,12 +702,9 @@ __all__ = [
     "JournalRecord",
     "QUARANTINE_DIR",
     "RecoveryReport",
-    "append_checked",
     "quarantine_destination",
     "quarantine_move",
     "quarantined_names",
-    "read_checked",
     "record_crc",
     "recover_directory",
-    "rewrite_checked",
 ]

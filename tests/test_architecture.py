@@ -407,3 +407,47 @@ def test_one_front_door():
         if name in banned
     )
     assert not uses, "\n".join(uses)
+
+
+def test_one_journal():
+    """One write-ahead journal: the catalog's, in ``repro/storage/journal.py``.
+
+    The shard count changes offline through the shard catalogs' own
+    journaled save and drop (``repro.server.layout.reshard``).  Outside
+    ``journal.py`` nothing calls the crc-checked append/read/rewrite
+    helpers or names a ``*.journal`` file but the legacy
+    ``rebalance.journal`` that ``layout.py`` refuses, and ``Router``
+    keeps no per-key migration state: its ``__init__`` assigns the ring
+    and the placement overlay only.
+    """
+    import re
+
+    journal = "src/repro/storage/journal.py"
+    helpers = {"append_checked", "read_checked", "rewrite_checked", "_checked_line"}
+    problems = []
+    for file in sorted(pathlib.Path("src/repro").rglob("*.py")):
+        path = file.as_posix()
+        if path == journal:
+            continue
+        for node in ast.walk(ast.parse(file.read_text(encoding="utf-8"))):
+            for name in (getattr(node, "id", None), getattr(node, "attr", None)):
+                if isinstance(name, str) and name.lstrip("_") in helpers:
+                    problems.append(f"{path}:{node.lineno}: {name}")
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and re.fullmatch(r"[\w.-]+\.journal", node.value)
+                    and (path, node.value) != ("src/repro/server/layout.py",
+                                               "rebalance.journal")):
+                problems.append(f"{path}:{node.lineno}: names {node.value!r}")
+    routing = ast.parse(pathlib.Path("src/repro/server/routing.py").read_text(encoding="utf-8"))
+    (router,) = [n for n in routing.body if isinstance(n, ast.ClassDef) and n.name == "Router"]
+    (init,) = [n for n in router.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
+    assigned = {
+        target.attr
+        for node in ast.walk(init)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Attribute)
+    }
+    if not assigned <= {"shards", "vnodes", "_ring", "_overlay", "_lock"}:
+        problems.append(f"src/repro/server/routing.py: Router.__init__ assigns {sorted(assigned)}")
+    assert not problems, "\n".join(problems)

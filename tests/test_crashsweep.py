@@ -9,13 +9,15 @@ without the full matrix cost.
 from pathlib import Path
 
 from repro.resilience.crashsweep import (
+    profile_reshard_visits,
     profile_visits,
     run_cycle,
     spawn_child,
     sweep,
     verify_recovery,
+    verify_reshard_recovery,
 )
-from repro.resilience.faults import STORAGE_FAULT_POINTS
+from repro.resilience.faults import RESHARD_FAULT_POINTS, STORAGE_FAULT_POINTS
 
 #: One early, one middle, one late fault point — the save publication
 #: step, the generation bump, and the commit record.
@@ -60,3 +62,16 @@ def test_sweep_outcomes_are_structured():
     payload = outcomes[0].as_dict()
     assert payload["site"] == "db.drop.unlink"
     assert payload["killed"] and payload["recovered"]
+
+
+def test_reshard_sweep_first_visits(tmp_path):
+    """One kill at the first visit of every ``reshard.*`` point; a
+    rerun of the reshard must converge after each."""
+    counts = profile_reshard_visits(seed=3)
+    for site in RESHARD_FAULT_POINTS:
+        assert counts[site] >= 1, f"{site} never visited by the reshard"
+        directory = Path(tmp_path) / site.replace(".", "_")
+        proc = spawn_child(directory, site, visit=1, seed=3, mode="reshard")
+        assert proc.returncode == -9, (site, proc.stderr)
+        ok, detail = verify_reshard_recovery(directory, seed=3)
+        assert ok, (site, detail)

@@ -97,13 +97,13 @@ class TestRememberedTail:
         import repro.storage.journal as journal_module
 
         calls = []
-        real = journal_module.read_checked
+        real = journal_module._read_checked
 
         def counting(path):
             calls.append(path)
             return real(path)
 
-        monkeypatch.setattr(journal_module, "read_checked", counting)
+        monkeypatch.setattr(journal_module, "_read_checked", counting)
         return calls
 
     def test_steady_state_writes_never_reread(self, tmp_path, reads):
@@ -203,11 +203,11 @@ class TestRememberedTail:
         def failing(path, fields):
             raise JournalError("disk full")
 
-        real = journal_module.append_checked
-        monkeypatch.setattr(journal_module, "append_checked", failing)
+        real = journal_module._append_checked
+        monkeypatch.setattr(journal_module, "_append_checked", failing)
         with pytest.raises(JournalError):
             journal.begin("save", "b")
-        monkeypatch.setattr(journal_module, "append_checked", real)
+        monkeypatch.setattr(journal_module, "_append_checked", real)
         del reads[:]
         assert journal.begin("save", "b") == 2
         assert len(reads) == 1

@@ -136,6 +136,13 @@ class TestExecuteRoute:
         assert status == 404
         assert body["error"]["type"] == "NotFound"
 
+    def test_the_rebalance_routes_are_gone(self, door):
+        # The shard count changes offline, so there is no live-resize route.
+        for method, path in (("POST", "/rebalance"), ("GET", "/rebalance/status")):
+            status, body = _request(door.port, method, path)
+            assert status == 404, path
+            assert body["error"]["type"] == "NotFound"
+
     def test_stopped_backend_is_a_503(self, door):
         door.backend.stop(drain=True, timeout_s=10.0)
         status, body = _request(

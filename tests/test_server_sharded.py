@@ -302,3 +302,64 @@ class TestShardManifest:
         server = ShardedServer(tmp_path, shards=2, workers_per_shard=1)
         with pytest.raises(ShardConfigError):
             server.start()
+
+
+def bib_reference() -> float:
+    """Single-process answer to the stable probe over ``build_bib()``."""
+    database = Database()
+    database.register("bib", build_bib())
+    return Interpreter(database=database).execute(
+        "EXISTS R.book.author IN bib"
+    ).value
+
+
+class TestWatchdog:
+    def test_killed_shard_heals_without_manual_restart(self, tmp_path):
+        import time
+
+        server = ShardedServer(
+            tmp_path, shards=2, workers_per_shard=1,
+            queue_size=16, poll_s=0.005,
+            watchdog_interval_s=0.05,
+        ).start()
+        try:
+            server.register_instance("wd", dumps(build_bib()), save=True)
+            victim = server.owner("wd")
+            server.kill_shard(victim)
+            deadline = time.monotonic() + 30.0
+            healed = False
+            while time.monotonic() < deadline:
+                if server.metrics.counter(
+                    "router.watchdog_restarts"
+                ).value >= 1 and server.ready():
+                    healed = True
+                    break
+                time.sleep(0.05)
+            assert healed, "watchdog never restarted the killed shard"
+            value = server.execute(
+                "EXISTS R.book.author IN wd", timeout_s=60.0
+            ).value
+            assert value == pytest.approx(bib_reference())
+            assert server.metrics.counter(
+                "router.shard_restarts"
+            ).value >= 1
+            assert server.metrics.counter(
+                "router.watchdog_gave_up"
+            ).value == 0
+        finally:
+            server.stop(drain=False, timeout_s=15.0)
+
+
+class TestManifestCompatibility:
+    def test_legacy_v1_manifest_parses_as_epoch_zero(self, tmp_path):
+        import json
+
+        from repro.server.layout import read_manifest
+
+        (tmp_path / "shards.json").write_text(
+            json.dumps({"shards": 2, "vnodes": 64}), encoding="utf-8"
+        )
+        manifest = read_manifest(tmp_path)
+        assert manifest is not None
+        assert manifest.layout_epoch == 0
+        assert manifest.shards == 2

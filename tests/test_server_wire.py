@@ -20,7 +20,6 @@ from repro.errors import (
     BudgetExceeded,
     Overloaded,
     PXMLError,
-    RebalanceInProgress,
     RemoteExecutionError,
     ShardUnavailable,
     UnknownLabelError,
@@ -59,7 +58,6 @@ ATTRIBUTED = [
     Overloaded("full", reason="draining"),
     BudgetExceeded("slow", limit="deadline", where="Project"),
     ShardUnavailable("down", shard=3),
-    RebalanceInProgress("wait", name="fenced"),
     RemoteExecutionError("shard 1 raised X: y", remote_type="X"),
 ]
 
@@ -83,7 +81,7 @@ class TestErrors:
     @pytest.mark.parametrize("error", ATTRIBUTED, ids=lambda e: type(e).__name__)
     def test_attributes_survive(self, error):
         rebuilt = rebuild_error(over_json(describe_error(error)), shard=0)
-        for attr in ("reason", "limit", "where", "shard", "name", "remote_type"):
+        for attr in ("reason", "limit", "where", "shard", "remote_type"):
             assert getattr(rebuilt, attr, None) == getattr(error, attr, None), attr
 
     def test_a_failed_check_carries_its_error_codes(self):
