@@ -1,7 +1,7 @@
-"""Abstract interpretation of plans over probability/cardinality intervals.
+"""The plan pass: abstract interpretation of plans over intervals.
 
-:func:`certify_plan` runs an abstract interpreter over the engine's
-logical plan IR with two lattice domains:
+:func:`certify_plan` runs one bottom-up walk over the engine's logical
+plan IR with two lattice domains:
 
 * :class:`ProbInterval` — a closed subinterval of ``[0, 1]`` bounding a
   probability;
@@ -10,16 +10,19 @@ logical plan IR with two lattice domains:
 
 Each plan operator has a transfer function: scans seed the domains from
 the catalog (exact object counts) and the strong dataguide's per-path /
-per-object existence intervals (:mod:`repro.check.dataguide`); ancestor
-projection narrows cardinalities from the structural match; selection
-multiplies chain-occurrence bounds with exact VALUE / CARD clause
-factors and compares probability guards against the resulting interval;
-product composes; query nodes map exists / count / point / dist onto
-certified output bounds.  The result is a :class:`PlanCertificate`
-carrying one :class:`NodeFacts` per plan node (pre-order, mirroring
-:func:`repro.engine.plan.walk`) plus whole-plan conclusions: a numeric
-result interval, a bound on the ``DIST`` support, and an *emptiness
-proof* when the result is a statically known constant.
+per-object existence intervals (:mod:`repro.check.dataguide`); a
+projection keeps the matched chains (the bare root when no matched
+object is alive); selection multiplies chain-occurrence bounds with
+exact VALUE / CARD clause factors and compares probability guards
+against the resulting interval; product composes; query nodes map
+exists / count / point / dist onto certified output bounds.  Where a
+transfer function computes its node's state it also emits the findings
+that state decides (``PX201``–``PX244``, and the advisory ``PX26x``
+interval verdicts).  The result is a :class:`PlanCertificate` carrying
+one :class:`NodeFacts` per plan node (pre-order, mirroring
+:func:`repro.engine.plan.walk`), whole-plan conclusions — a numeric
+result interval, a bound on the ``DIST`` support, an *emptiness proof*
+when the result is a statically known constant — and the findings.
 
 Soundness discipline:
 
@@ -32,21 +35,28 @@ Soundness discipline:
   can fail, no PRODUCT whose operands can collide) *and* the certified
   result is one of the engine's constant skip values.
 
-:func:`absint_diagnostics` turns a certificate into ``PX26x``
-diagnostics and :func:`verify_execution` checks an actual execution
-against it — the runtime half of the contract: every observed
-cardinality and probability must lie inside its predicted interval.
+Severity policy: *error* means executing the plan will certainly raise;
+*warning* means it executes but its result is a statically known
+constant (bare root, probability zero, trivial distribution).
+
+:func:`check_plan` is the checker's view of one walk (the findings, plus
+rewrite justifications on request) and :func:`verify_execution` checks
+an actual execution against the certificate — the runtime half of the
+contract: every observed cardinality and probability must lie inside
+its predicted interval.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Iterable
+from collections.abc import Callable
+from dataclasses import dataclass, replace
+from typing import Any
 
 from repro.check.dataguide import DataGuideCache
-from repro.check.diagnostics import WARNING, Diagnostic
+from repro.check.diagnostics import ERROR, WARNING, Diagnostic
 from repro.check.locate import UNKNOWN, Site, scan_site
+from repro.check.rewrites import rewrite_diagnostics
 from repro.core.instance import ProbabilisticInstance
 from repro.engine.plan import (
     PlanNode,
@@ -57,6 +67,7 @@ from repro.engine.plan import (
     SelectNode,
     walk,
 )
+from repro.semistructured.graph import EdgeLabeledGraph
 from repro.semistructured.paths import PathExpression
 from repro.storage.derived import catalog_generation
 
@@ -177,19 +188,6 @@ class NodeFacts:
 
 
 @dataclass(frozen=True)
-class GuardFinding:
-    """A statically decided probability guard on one selection node."""
-
-    label: str
-    path: PathExpression
-    oid: str
-    op: str
-    bound: float
-    condition: ProbInterval
-    verdict: str                     # "always" | "never" | "unsatisfiable"
-
-
-@dataclass(frozen=True)
 class PlanCertificate:
     """What the abstract interpreter proved about one prepared plan.
 
@@ -199,7 +197,9 @@ class PlanCertificate:
     bounds the match counts carrying mass).  ``empty`` asserts the
     result is the kind's constant skip value; ``skippable`` additionally
     asserts executing the plan cannot raise, so the engine may answer
-    from the certificate alone.
+    from the certificate alone.  ``findings`` are the ``PX2xx``
+    diagnostics the same walk emitted (no subject; :func:`check_plan`
+    adds it).
     """
 
     facts: tuple[NodeFacts, ...]
@@ -208,8 +208,7 @@ class PlanCertificate:
     support: CardInterval | None = None
     empty: bool = False
     skippable: bool = False
-    guards: tuple[GuardFinding, ...] = ()
-    zero_conditions: tuple[tuple[str, str, str], ...] = ()
+    findings: tuple[Diagnostic, ...] = ()
 
     @property
     def root(self) -> NodeFacts:
@@ -225,9 +224,10 @@ class _State:
 
     ``site`` is where paths are located on the sub-plan's output
     (:mod:`repro.check.locate`): its ``pi`` / ``guide`` are only present
-    directly above a scan (the same precision cliff the plan checker
-    has); its ``graph`` survives ancestor projection as the exact result
-    structure.
+    directly above a scan; its ``graph`` over-approximates the output's
+    weak structure.  ``live`` says every object of that graph has
+    nonzero existence probability (an exact ancestor projection's
+    result), which a guide otherwise has to tell.
     """
 
     card: CardInterval
@@ -237,14 +237,59 @@ class _State:
     result: tuple[float, float] | None = None
     site: Site = UNKNOWN
     tree: bool = False
+    live: bool = False
 
 
 def _opaque_instance() -> _State:
     return _State(card=CardInterval.top(), prob=ProbInterval.top(), exact=False)
 
 
+def _never_match_hint(site: Site, path: PathExpression) -> str | None:
+    guide = site.guide_for(path)
+    if guide is None:
+        return None
+    length, continuations = guide.probe(path.labels)
+    if length == len(path.labels):
+        return None
+    prefix = ".".join((path.root, *path.labels[:length]))
+    if continuations:
+        return (
+            f"path dies after {prefix!r}; labels that do continue: "
+            f"{', '.join(continuations)}"
+        )
+    return f"path dies after {prefix!r}, which has no outgoing labels"
+
+
+def _guard_verdict(
+    op: str, bound: float, interval: ProbInterval, margin: float
+) -> str | None:
+    """``"always"`` / ``"never"`` when ``PROB op bound`` is decided for
+    every probability in ``interval``, else ``None``.
+
+    Satisfied region: "> b" = (b, 1], ">= b" = [b, 1], "< b" = [0, b),
+    "<= b" = [0, b].  "always" requires the whole interval inside the
+    region, "never" an empty intersection — both with ``margin``, so
+    float noise can only make the verdict more conservative.
+    """
+    lo, hi = interval.lo, interval.hi
+    if op == ">":
+        always, never = lo > bound + margin, hi <= bound - margin
+    elif op == ">=":
+        always, never = lo >= bound + margin, hi < bound - margin
+    elif op == "<":
+        always, never = hi < bound - margin, lo >= bound + margin
+    else:  # "<="
+        always, never = hi <= bound - margin, lo > bound + margin
+    return "always" if always else "never" if never else None
+
+
 class _AbstractInterpreter:
-    """Bottom-up interval propagation over one plan tree."""
+    """Bottom-up interval propagation over one plan tree.
+
+    Each transfer function computes its node's state and emits the
+    findings that state decides: ``findings`` in walk order, the
+    advisory interval verdicts (``PX26x``) apart.
+    """
 
     def __init__(
         self, database: Any, guides: DataGuideCache, generation: int
@@ -253,9 +298,24 @@ class _AbstractInterpreter:
         self.guides = guides
         self.generation = generation
         self.states: dict[int, _State] = {}
-        self.guards: list[GuardFinding] = []
-        self.zero_conditions: list[tuple[str, str, str]] = []
+        self.findings: list[Diagnostic] = []
+        self.advisories: list[Diagnostic] = []
         self.can_raise = False
+
+    def _emit(
+        self,
+        code: str,
+        severity: str,
+        message: str,
+        oid: str | None = None,
+        path: PathExpression | None = None,
+        hint: str | None = None,
+        into: list[Diagnostic] | None = None,
+    ) -> None:
+        (self.findings if into is None else into).append(Diagnostic(
+            code=code, severity=severity, message=message, oid=oid,
+            path=str(path) if path is not None else None, hint=hint,
+        ))
 
     # ------------------------------------------------------------------
     def state_of(self, node: PlanNode) -> _State:
@@ -270,15 +330,15 @@ class _AbstractInterpreter:
         if isinstance(node, ScanNode):
             return self._scan(node)
         if isinstance(node, ProjectNode):
-            return self._project(node.kind, node.path, self.state_of(node.child))
+            return self._project(node, self.state_of(node.child))
         if isinstance(node, SelectNode):
             return self._select(node, self.state_of(node.child))
         if isinstance(node, ProductNode):
-            self.can_raise = True      # operand collision raises AlgebraError
-            return self._product(self.state_of(node.left), self.state_of(node.right))
+            return self._product(
+                node, self.state_of(node.left), self.state_of(node.right)
+            )
         if isinstance(node, QueryNode):
-            return self._query(node.kind, node.path, node.oid, node.chain,
-                               self.state_of(node.child))
+            return self._query(node, self.state_of(node.child))
         for unknown_child in node.children():
             self.state_of(unknown_child)
         self.can_raise = True
@@ -289,6 +349,11 @@ class _AbstractInterpreter:
         try:
             pi = self.database.get(node.name)
         except Exception:
+            self._emit(
+                "PX201", ERROR,
+                f"unknown instance {node.name!r} in catalog",
+                hint="LIST shows the registered names",
+            )
             self.can_raise = True
             return _opaque_instance()
         site = scan_site(
@@ -308,85 +373,254 @@ class _AbstractInterpreter:
         )
 
     # ------------------------------------------------------------------
-    def _project(self, kind: str, path: PathExpression, child: _State) -> _State:
-        if kind != "ancestor":
-            # Descendant / single projections re-root and re-label; only
-            # the size bound survives (the result always has a root).
+    def _project(self, node: ProjectNode, child: _State) -> _State:
+        site, path = child.site, node.path
+        alive = site.alive(path)
+        if alive is None or (alive and node.kind != "ancestor"):
+            # An unknown shape, or a descendant / single projection that
+            # re-roots and re-labels: only the size bound survives (the
+            # result always has a root).
             return _State(
                 card=CardInterval(1, child.card.hi),
                 prob=ProbInterval.top(),
                 exact=False,
             )
-        site = child.site
-        match = site.match(path)
-        if match is None:
-            return _State(
-                card=CardInterval(1, child.card.hi),
-                prob=ProbInterval.top(),
-                exact=False,
+        if not alive:
+            # No matched object is alive: the result is the bare root,
+            # deterministically.  The match is only asked for the wording.
+            match = site.match(path)
+            assert match is not None
+            reason = (
+                "matches no object of the weak structure" if match.is_empty
+                else "matches only objects with zero existence probability"
             )
-        if match.is_empty:
-            # The result is the bare root, deterministically.
+            self._emit(
+                "PX210", WARNING,
+                f"projection path {path} {reason}; the result is always "
+                f"the bare root",
+                path=path, hint=_never_match_hint(site, path),
+            )
             return _State(
                 card=CardInterval.exactly(1), prob=ONE, exact=True,
-                site=site.projected(), tree=True,
+                site=site.projected(), tree=True, live=True,
             )
+        match = site.match(path)
+        assert match is not None
         result = site.projected(match)
         assert result.graph is not None
         kept = len(result.graph)
-        # The projection's weak structure is exactly the matched chains
-        # on trees; on DAGs (or when the guide prunes zero-probability
-        # targets the structural match still contains) only the upper
-        # bound is safe.
-        exact_structure = child.tree
+        # The result is exactly the matched chains only on a tree, for
+        # a path from the instance root (one rooted below it keeps the
+        # bare root) whose every matched object is alive (execution
+        # prunes the zero-probability ones).  Otherwise the chains bound
+        # it from above.
+        guide = site.guide_for(path)
+        every_alive = alive == match.matched if guide is not None else child.live
+        exact_structure = child.tree and path.root == site.root and every_alive
         card = (
             CardInterval.exactly(kept) if exact_structure
             else CardInterval(1, kept)
         )
         prob = ProbInterval.top()
-        guide = site.guide_for(path)
         if guide is not None:
             lo, hi = guide.interval(path.labels)
             prob = ProbInterval(lo, min(1.0, hi))
         return _State(
             card=card, prob=prob, exact=exact_structure and child.exact,
-            site=result, tree=child.tree,
+            site=result, tree=child.tree, live=exact_structure,
         )
 
     # ------------------------------------------------------------------
     def _select(self, node: SelectNode, child: _State) -> _State:
         self.can_raise = True          # zero condition / failed guard raises
-        condition = self._condition_interval(node, child)
-        if node.prob_op is not None and node.prob_bound is not None:
-            self._judge_guard(node, condition)
-        if condition.hi <= EPSILON:
-            self.zero_conditions.append(
-                (node.label(), str(node.path), node.oid)
-            )
+        before = len(self.findings)
+        op, bound = node.prob_op, node.prob_bound
+        if op is not None and bound is not None:
+            # A guard the range [0, 1] alone decides is certain.
+            constant = _guard_verdict(op, bound, ProbInterval.top(), 0.0)
+            if constant == "never":
+                self._emit(
+                    "PX225", ERROR,
+                    f"probability guard PROB {op} {bound:g} is unsatisfiable: "
+                    f"condition probabilities lie in [0, 1]",
+                    oid=node.oid, path=node.path,
+                    hint="no world satisfies this; executing it raises "
+                         "EmptyResultError",
+                )
+            elif constant == "always":
+                self._emit(
+                    "PX226", WARNING,
+                    f"probability guard PROB {op} {bound:g} is always true",
+                    oid=node.oid, path=node.path,
+                    hint="drop the redundant guard",
+                )
+        condition = self._condition_interval(node, child.site)
+        if len(self.findings) == before:
+            # Nothing certain about this selection: the interval verdicts.
+            self._judge_interval(node, condition)
         # Selection conditions the distributions in place: the weak
         # structure (hence the object count) is exactly the child's.
+        # One that certainly raises (PX220, whose branch returns ZERO
+        # itself) leaves its input's site to the nodes above, which
+        # never run.
+        failed = condition is ZERO
         return _State(
             card=child.card,
             prob=condition,
             exact=child.exact and condition.is_point,
             condition=condition,
-            site=Site(child.site.root, child.site.graph),
+            site=child.site if failed else Site(child.site.root, child.site.graph),
             tree=child.tree,
         )
 
-    def _condition_interval(self, node: SelectNode, child: _State) -> ProbInterval:
-        alive = child.site.alive(node.path)
+    def _judge_interval(self, node: SelectNode, condition: ProbInterval) -> None:
+        op, bound = node.prob_op, node.prob_bound
+        if op is not None and bound is not None:
+            verdict = _guard_verdict(op, bound, condition, EPSILON)
+            certified = f"the condition probability is certified to lie in {condition}"
+            if verdict == "always":
+                self._emit(
+                    "PX261", WARNING,
+                    f"probability guard PROB {op} {bound:g} is always true: "
+                    f"{certified}",
+                    oid=node.oid, path=node.path,
+                    hint="drop the redundant guard", into=self.advisories,
+                )
+            elif verdict == "never":
+                self._emit(
+                    "PX263", WARNING,
+                    f"probability guard PROB {op} {bound:g} is unsatisfiable: "
+                    f"{certified}",
+                    oid=node.oid, path=node.path,
+                    hint="executing this raises EmptyResultError",
+                    into=self.advisories,
+                )
+        if condition.hi <= EPSILON:
+            self._emit(
+                "PX262", WARNING,
+                f"selection condition of {node.label()} has probability zero "
+                f"by interval analysis",
+                oid=node.oid, path=node.path,
+                hint="executing this raises EmptyResultError",
+                into=self.advisories,
+            )
+
+    def _condition_interval(self, node: SelectNode, site: Site) -> ProbInterval:
+        alive = site.alive(node.path)
         if alive is not None and node.oid not in alive:
+            # A failing condition: the match is only asked for the wording.
+            match = site.match(node.path)
+            assert match is not None
+            if node.oid not in match.matched:
+                self._emit(
+                    "PX220", ERROR,
+                    f"selection condition {node.path} = {node.oid} has "
+                    f"probability zero: {node.oid!r} can never satisfy the path",
+                    oid=node.oid, path=node.path,
+                    hint=_never_match_hint(site, node.path)
+                    or "executing this raises EmptyResultError",
+                )
+            else:
+                self._emit(
+                    "PX220", ERROR,
+                    f"selection condition {node.path} = {node.oid} has "
+                    f"probability zero: some chain link has zero inclusion "
+                    f"probability",
+                    oid=node.oid, path=node.path,
+                    hint="executing this raises EmptyResultError",
+                )
             return ZERO
+        if site.pi is not None:
+            if node.value is not None:
+                self._check_value_clause(node, site.pi)
+            if node.card_label is not None:
+                self._check_card_clause(node, site.pi)
         base = ProbInterval.top()
-        guide = child.site.guide_for(node.path)
+        guide = site.guide_for(node.path)
         if guide is not None:
             entry = guide.entry(node.path.labels)
             if entry is not None:
                 bounds = entry.object_bounds.get(node.oid)
                 if bounds is not None:
                     base = ProbInterval(bounds[0], min(1.0, bounds[1]))
-        return base.times(self._clause_factor(node, child.site.pi))
+        return base.times(self._clause_factor(node, site.pi))
+
+    def _check_value_clause(self, node: SelectNode, pi: ProbabilisticInstance) -> None:
+        oid = node.oid
+        if not pi.weak.is_leaf(oid):
+            self._emit(
+                "PX222", ERROR,
+                f"VALUE clause on non-leaf object {oid!r}: it carries no "
+                f"value distribution",
+                oid=oid, path=node.path,
+                hint="select on a leaf object or drop the VALUE clause",
+            )
+            return
+        vpf = pi.effective_vpf(oid)
+        if vpf is None:
+            self._emit(
+                "PX222", ERROR,
+                f"VALUE clause on {oid!r}, which has no value distribution",
+                oid=oid, path=node.path,
+                hint="assign a VPF or a default value first",
+            )
+            return
+        leaf_type = pi.weak.tau(oid)
+        if leaf_type is not None and node.value not in leaf_type:
+            self._emit(
+                "PX222", ERROR,
+                f"VALUE = {node.value!r} lies outside dom({leaf_type.name}) "
+                f"of {oid!r}",
+                oid=oid, path=node.path,
+                hint=f"the domain is {sorted(map(repr, leaf_type.domain))}",
+            )
+            return
+        if vpf.prob(node.value) == 0.0:
+            self._emit(
+                "PX222", ERROR,
+                f"VALUE = {node.value!r} has zero probability in the VPF of "
+                f"{oid!r}",
+                oid=oid, path=node.path,
+                hint="executing this raises EmptyResultError",
+            )
+
+    def _check_card_clause(self, node: SelectNode, pi: ProbabilisticInstance) -> None:
+        assert node.card_label is not None and node.card_bounds is not None
+        low, high = node.card_bounds
+        label = node.card_label
+        if low > high:
+            self._emit(
+                "PX223", ERROR,
+                f"CARD({label}) IN [{low}, {high}] is an empty interval",
+                oid=node.oid, path=node.path,
+                hint="swap the bounds",
+            )
+            return
+        pool = pi.weak.lch(node.oid, label)
+        card = pi.weak.card(node.oid, label)
+        feasible_low = card.min
+        feasible_high = min(card.max, len(pool))
+        if feasible_low > feasible_high:
+            return    # the model itself is broken; the model pass reports it
+        if high < feasible_low or low > feasible_high:
+            self._emit(
+                "PX223", ERROR,
+                f"CARD({label}) IN [{low}, {high}] contradicts the feasible "
+                f"child counts [{feasible_low}, {feasible_high}] of "
+                f"{node.oid!r}",
+                oid=node.oid, path=node.path,
+                hint="executing this raises EmptyResultError",
+            )
+            return
+        if low <= feasible_low and high >= feasible_high:
+            self._emit(
+                "PX224", WARNING,
+                f"CARD({label}) IN [{low}, {high}] covers every feasible child "
+                f"count [{feasible_low}, {feasible_high}] of {node.oid!r}: the "
+                f"clause is always true",
+                oid=node.oid, path=node.path,
+                hint="drop the redundant clause",
+            )
 
     def _clause_factor(
         self, node: SelectNode, pi: ProbabilisticInstance | None
@@ -414,57 +648,60 @@ class _AbstractInterpreter:
             return ProbInterval.point(mass)
         return ONE
 
-    def _judge_guard(self, node: SelectNode, condition: ProbInterval) -> None:
-        op, bound = node.prob_op, node.prob_bound
-        assert op is not None and bound is not None
-        if not (0.0 <= bound <= 1.0):
-            return      # constant-only verdict; PX225/PX226 already cover it
-        # Satisfied region: "> b" = (b, 1], ">= b" = [b, 1],
-        # "< b" = [0, b), "<= b" = [0, b].  "always" requires the whole
-        # interval inside the region, "never" an empty intersection —
-        # both with an EPSILON margin so float noise can only make the
-        # verdict more conservative, never wrong.
-        if op == ">":
-            always = condition.lo > bound + EPSILON
-            never = condition.hi <= bound - EPSILON
-        elif op == ">=":
-            always = condition.lo >= bound + EPSILON
-            never = condition.hi < bound - EPSILON
-        elif op == "<":
-            always = condition.hi < bound - EPSILON
-            never = condition.lo >= bound + EPSILON
-        else:  # "<="
-            always = condition.hi <= bound - EPSILON
-            never = condition.lo > bound + EPSILON
-        if always or never:
-            self.guards.append(GuardFinding(
-                node.label(), node.path, node.oid, op, bound, condition,
-                "always" if always else "never",
-            ))
-
     # ------------------------------------------------------------------
-    def _product(self, left: _State, right: _State) -> _State:
-        return _State(
+    def _product(self, node: ProductNode, left: _State, right: _State) -> _State:
+        self.can_raise = True          # operand collision raises AlgebraError
+        state = _State(
             card=left.card.plus(right.card, shift=-1),
             prob=left.prob.times(right.prob),
             exact=False,
         )
+        if left.site.graph is None or right.site.graph is None:
+            return state
+        left_keep = left.site.graph.vertices - {left.site.root}
+        right_keep = right.site.graph.vertices - {right.site.root}
+        overlap = left_keep & right_keep
+        if overlap:
+            self._emit(
+                "PX230", ERROR,
+                f"product operands share non-root object ids: "
+                f"{sorted(overlap)[:5]}{'...' if len(overlap) > 5 else ''}",
+                hint="rename one operand's objects first "
+                     "(executing this raises AlgebraError)",
+            )
+            return state
+        new_root = node.new_root
+        if new_root is None:
+            new_root = f"{left.site.root}x{right.site.root}"
+        if new_root in left_keep or new_root in right_keep:
+            self._emit(
+                "PX231", ERROR,
+                f"product root id {new_root!r} collides with an existing "
+                f"object",
+                oid=new_root,
+                hint="pick a fresh ROOT id",
+            )
+            return state
+        graph = EdgeLabeledGraph()
+        graph.add_vertex(new_root)
+        for side in (left.site, right.site):
+            assert side.graph is not None
+            for src, dst, label in side.graph.edges():
+                source = new_root if src == side.root else src
+                graph.add_edge(source, dst, label)
+        state.site = Site(root=new_root, graph=graph)
+        return state
 
     # ------------------------------------------------------------------
-    def _query(
-        self,
-        kind: str,
-        path: PathExpression | None,
-        oid: str | None,
-        chain: tuple[str, ...] | None,
-        child: _State,
-    ) -> _State:
+    def _query(self, node: QueryNode, child: _State) -> _State:
+        kind, oid, site = node.kind, node.oid, child.site
         if kind == "chain":
-            return self._chain_query(chain, child)
+            return self._chain_query(node.chain, site)
         if kind == "prob":
-            return self._object_query(oid, child)
+            return self._object_query(oid, site)
+        path = node.path
         assert path is not None
-        alive = child.site.alive(path)
+        alive = site.alive(path)
         if alive is None:
             hi = child.card.hi
             return _State(
@@ -473,7 +710,22 @@ class _AbstractInterpreter:
                 exact=False,
                 result=(0.0, math.inf) if kind == "count" else (0.0, 1.0),
             )
-        guide = child.site.guide_for(path)
+        if not alive:
+            constant = "the empty distribution {0: 1}" if kind == "dist" else "0"
+            self._emit(
+                "PX240", WARNING,
+                f"{kind.upper()} path {path} can match no object; "
+                f"the result is always {constant}",
+                path=path, hint=_never_match_hint(site, path),
+            )
+        elif kind == "point" and oid is not None and oid not in alive:
+            self._emit(
+                "PX241", WARNING,
+                f"POINT target {oid!r} can never satisfy {path}; "
+                f"the probability is always 0",
+                oid=oid, path=path,
+            )
+        guide = site.guide_for(path)
         entry = guide.entry(path.labels) if guide is not None else None
 
         if kind == "point":
@@ -492,23 +744,11 @@ class _AbstractInterpreter:
             )
 
         if not alive:
-            constant = (0.0, 0.0)
             return _State(
                 card=CardInterval.exactly(0), prob=ZERO, exact=True,
-                result=constant,
+                result=(0.0, 0.0),
             )
 
-        if kind == "exists":
-            if entry is not None:
-                result = (entry.lower, entry.upper)
-            else:
-                result = (0.0, 1.0)
-            return _State(
-                card=CardInterval.at_most(len(alive)),
-                prob=ProbInterval(result[0], min(1.0, result[1])),
-                exact=False,
-                result=result,
-            )
         if kind == "count":
             if entry is not None:
                 lows: list[float] = []
@@ -530,12 +770,9 @@ class _AbstractInterpreter:
                 exact=False,
                 result=result,
             )
-        # "dist": bound P(count >= 1) by the exists interval; the match
-        # count itself can never exceed the alive set.
-        if entry is not None:
-            result = (entry.lower, entry.upper)
-        else:
-            result = (0.0, 1.0)
+        # "exists", and "dist" whose P(count >= 1) is the exists
+        # interval; the match count itself can never exceed the alive set.
+        result = (entry.lower, entry.upper) if entry is not None else (0.0, 1.0)
         return _State(
             card=CardInterval.at_most(len(alive)),
             prob=ProbInterval(result[0], min(1.0, result[1])),
@@ -544,10 +781,30 @@ class _AbstractInterpreter:
         )
 
     def _chain_query(
-        self, chain: tuple[str, ...] | None, child: _State
+        self, chain: tuple[str, ...] | None, site: Site
     ) -> _State:
-        pi = child.site.pi
-        if not chain or pi is None or child.site.root != chain[0]:
+        if chain and site.graph is not None:
+            if site.root is not None and chain[0] != site.root:
+                self._emit(
+                    "PX242", ERROR,
+                    f"CHAIN must start at the root {site.root!r}, got "
+                    f"{chain[0]!r}",
+                    oid=chain[0],
+                    hint="executing this raises QueryError",
+                )
+            else:
+                for parent, child in zip(chain, chain[1:]):
+                    if parent not in site.graph or \
+                            child not in site.graph.children(parent):
+                        self._emit(
+                            "PX243", WARNING,
+                            f"chain link {parent!r} -> {child!r} is not "
+                            f"potential; the probability is always 0",
+                            oid=child,
+                        )
+                        break
+        pi = site.pi
+        if not chain or pi is None or site.root != chain[0]:
             return _State(
                 card=CardInterval.top(), prob=ProbInterval.top(),
                 exact=False, result=(0.0, 1.0),
@@ -567,8 +824,15 @@ class _AbstractInterpreter:
             result=(interval.lo, interval.hi),
         )
 
-    def _object_query(self, oid: str | None, child: _State) -> _State:
-        guide = child.site.guide
+    def _object_query(self, oid: str | None, site: Site) -> _State:
+        if oid is not None and site.graph is not None and oid not in site.graph:
+            self._emit(
+                "PX244", ERROR,
+                f"PROB of unknown object {oid!r}",
+                oid=oid,
+                hint="SHOW the instance to list its objects",
+            )
+        guide = site.guide
         if oid is None or guide is None:
             return _State(
                 card=CardInterval.top(), prob=ProbInterval.top(),
@@ -647,6 +911,20 @@ def certify_plan(
         and result[0] == result[1] == 0.0
     )
     skippable = empty and not interpreter.can_raise
+    # The advisory verdicts: the constant result first, then the guard
+    # verdicts, then the zero conditions, each in walk order.
+    advisories = sorted(interpreter.advisories, key=lambda d: d.code == "PX262")
+    if empty and kind is not None:
+        constant = "the empty distribution {0: 1}" if kind == "dist" else "0"
+        advisories.insert(0, Diagnostic(
+            code="PX260", severity=WARNING,
+            message=(
+                f"{kind.upper()} result is provably constant: interval "
+                f"analysis certifies the answer is always {constant}"
+            ),
+            hint="the engine short-circuits this plan (check.absint_skips)"
+            if skippable else None,
+        ))
     return PlanCertificate(
         facts=facts,
         kind=kind,
@@ -654,80 +932,46 @@ def certify_plan(
         support=support,
         empty=empty,
         skippable=skippable,
-        guards=tuple(interpreter.guards),
-        zero_conditions=tuple(interpreter.zero_conditions),
+        findings=(*interpreter.findings, *advisories),
     )
 
 
-def absint_diagnostics(
+def check_plan(
     plan: PlanNode,
-    certificate: PlanCertificate,
+    database: Any,
+    guides: DataGuideCache | None = None,
     subject: str | None = None,
-    flagged: Iterable[tuple[str, str]] = (),
+    rewrites: bool = False,
+    certified: Callable[[PlanNode, int, PlanCertificate], None] | None = None,
 ) -> list[Diagnostic]:
-    """``PX26x`` findings derived from a certificate.
+    """The plan pass: the findings of one :func:`certify_plan` walk.
 
-    ``flagged`` is a set of ``(path, oid)`` pairs the base plan checker
-    already reported a ``PX22x`` finding for; guard / zero-condition
-    findings on those selections are suppressed rather than duplicated.
-    All ``PX26x`` findings are warnings: they are advisory certificates
-    (the engine consumes them as optimizations), never execution
-    blockers.
+    The advisory ``PX26x`` verdicts are dropped when an error finding
+    is present: an unknown scan or a certain runtime error makes every
+    interval vacuous.  Otherwise ``certified`` is handed the plan, the
+    generation it was read under and its certificate
+    (:meth:`repro.engine.Engine.adopt_certificate`).  With
+    ``rewrites=True`` the optimizer is additionally run with a trace,
+    and every applied rewrite is re-verified and annotated
+    (``PX250``/``PX251``).
     """
-    already = {(str(path), oid) for path, oid in flagged}
-    diagnostics: list[Diagnostic] = []
-    if certificate.empty and certificate.kind is not None:
-        constant = (
-            "the empty distribution {0: 1}" if certificate.kind == "dist"
-            else "0"
-        )
-        diagnostics.append(Diagnostic(
-            code="PX260", severity=WARNING,
-            message=(
-                f"{certificate.kind.upper()} result is provably constant: "
-                f"interval analysis certifies the answer is always {constant}"
-            ),
-            subject=subject,
-            hint="the engine short-circuits this plan (check.absint_skips)"
-            if certificate.skippable else None,
-        ))
-    for finding in certificate.guards:
-        if (str(finding.path), finding.oid) in already:
-            continue
-        if finding.verdict == "always":
-            diagnostics.append(Diagnostic(
-                code="PX261", severity=WARNING,
-                message=(
-                    f"probability guard PROB {finding.op} {finding.bound:g} is "
-                    f"always true: the condition probability is certified to "
-                    f"lie in {finding.condition}"
-                ),
-                subject=subject, oid=finding.oid, path=str(finding.path),
-                hint="drop the redundant guard",
-            ))
-        else:
-            diagnostics.append(Diagnostic(
-                code="PX263", severity=WARNING,
-                message=(
-                    f"probability guard PROB {finding.op} {finding.bound:g} is "
-                    f"unsatisfiable: the condition probability is certified to "
-                    f"lie in {finding.condition}"
-                ),
-                subject=subject, oid=finding.oid, path=str(finding.path),
-                hint="executing this raises EmptyResultError",
-            ))
-    for label, path, oid in certificate.zero_conditions:
-        if (path, oid) in already:
-            continue
-        diagnostics.append(Diagnostic(
-            code="PX262", severity=WARNING,
-            message=(
-                f"selection condition of {label} has probability zero by "
-                f"interval analysis"
-            ),
-            subject=subject, oid=oid, path=path,
-            hint="executing this raises EmptyResultError",
-        ))
+    generation = catalog_generation(database)
+    certificate = certify_plan(plan, database, guides, generation)
+    diagnostics = [replace(d, subject=subject) for d in certificate.findings]
+    if any(d.severity == ERROR for d in diagnostics):
+        diagnostics = [d for d in diagnostics if not d.code.startswith("PX26")]
+    elif certified is not None:
+        certified(plan, generation, certificate)
+    if rewrites:
+        from repro.engine.cost import CostModel
+        from repro.engine.rewrite import optimize
+
+        trace: list[tuple[str, PlanNode, PlanNode]] = []
+        try:
+            optimize(plan, CostModel(database).at(generation), trace=trace)
+        except Exception:
+            trace = []    # unknown scans etc.; the scan check already fired
+        diagnostics.extend(rewrite_diagnostics(trace, subject))
     return diagnostics
 
 
@@ -809,12 +1053,11 @@ def verify_execution(
 __all__ = [
     "CardInterval",
     "EPSILON",
-    "GuardFinding",
     "NodeFacts",
     "PlanCertificate",
     "ProbInterval",
     "SKIPPABLE_KINDS",
-    "absint_diagnostics",
     "certify_plan",
+    "check_plan",
     "verify_execution",
 ]

@@ -1,11 +1,10 @@
 """The one locate step of the check passes.
 
 "Which objects can satisfy path ``p`` on this sub-plan's output?" is
-asked by the plan checker, by the abstract interpreter (for the raw
-plan, and again for the prepared one when a rewrite made it another)
-and, a moment later, by the executor.  :class:`Site` answers it for
-the first two from views that already hold the answer, so a cold
-statement locates its path once:
+asked by the plan pass (for the raw plan, and again for the prepared
+one when a rewrite made it another) and, a moment later, by the
+executor.  :class:`Site` answers it for the plan pass from views that
+already hold the answer, so a cold statement locates its path once:
 
 * a **sound guide** — present, not truncated, rooted where the path is
   — *is* the alive set: a guide target is reached by the same ``lch``

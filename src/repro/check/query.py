@@ -2,7 +2,7 @@
 
 :func:`check_statement` is the check-before-execute entry point the
 interpreter calls: it routes plannable statements (algebra and
-probabilistic queries) through the plan pass (:mod:`repro.check.plans`)
+probabilistic queries) through the plan pass (:mod:`repro.check.absint`)
 and statically checks the catalog/file preconditions of the remaining
 statement kinds.  Diagnostics are anchored to the statement's source
 text via the span map :func:`repro.pxql.parser.parse_spanned` records.
@@ -18,9 +18,9 @@ import os
 from collections.abc import Callable
 from dataclasses import replace
 
+from repro.check.absint import check_plan
 from repro.check.dataguide import DataGuideCache
 from repro.check.diagnostics import ERROR, Diagnostic, Span
-from repro.check.plans import check_plan
 from repro.engine.plan import plan_statement
 from repro.pxql import ast
 from repro.pxql.lexer import PXQLSyntaxError
@@ -109,7 +109,7 @@ def check_statement(
     Returns the combined plan-pass and query-pass findings; never
     executes the statement.  ``CHECK``, ``EXPLAIN``, ``PROFILE`` and
     ``... WITH TIMEOUT`` wrappers are unwrapped to their inner statement
-    first.  ``certified`` is :func:`~repro.check.plans.check_plan`'s.
+    first.  ``certified`` is :func:`~repro.check.absint.check_plan`'s.
     """
     while isinstance(
         statement,

@@ -1,7 +1,7 @@
 """The script pass: whole-script PXQL dataflow diagnostics (``PX31x``).
 
 The statement-level passes (:mod:`repro.check.query`,
-:mod:`repro.check.plans`) see one statement at a time; a script has
+:mod:`repro.check.absint`) see one statement at a time; a script has
 dataflow *between* statements: results registered under ``AS`` names,
 read by later statements, shadowed by re-registration, or never read at
 all.  This pass runs over a whole script (one statement per line, the

@@ -361,7 +361,9 @@ class Interpreter:
         subject: str | None,
         rewrites: bool = False,
     ) -> list[Diagnostic]:
-        """Run the static checker, never letting a checker bug block execution."""
+        """Run the static checker, never letting a checker bug block
+        execution: a failure is counted and traced, and the statement
+        runs unchecked."""
         try:
             from repro.check.query import check_statement
 
@@ -374,7 +376,11 @@ class Interpreter:
                     subject=subject, rewrites=rewrites,
                     certified=self.engine.adopt_certificate,
                 )
-        except Exception:
+        except Exception as exc:
+            self.metrics.counter("check.errors").inc()
+            self.tracer.event(
+                "check.error", error=f"{type(exc).__name__}: {exc}"
+            )
             return []
 
     @property

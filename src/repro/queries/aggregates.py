@@ -77,6 +77,8 @@ def expected_match_count(
     """
     if isinstance(path, str):
         path = PathExpression.parse(path)
+    if path.root != pi.root:
+        return 0.0    # no chain from the instance root satisfies the path
     if match is None:
         match = match_path(pi.weak.graph(), path)
     if snapshot is not None:

@@ -185,7 +185,7 @@ def test_one_access_method_decision():
         },
         "optimize": {
             ("src/repro/engine/executor.py", "_prepare"),
-            ("src/repro/check/plans.py", "check_plan"),
+            ("src/repro/check/absint.py", "check_plan"),
         },
         "try_get": {
             ("src/repro/check/locate.py", "snapshot"),
@@ -450,4 +450,59 @@ def test_one_journal():
     }
     if not assigned <= {"shards", "vnodes", "_ring", "_overlay", "_lock"}:
         problems.append(f"src/repro/server/routing.py: Router.__init__ assigns {sorted(assigned)}")
+    assert not problems, "\n".join(problems)
+
+
+def test_one_plan_pass():
+    """One walk over a plan: ``certify_plan``'s, whose findings the
+    checker reports.
+
+    The plan checker used to walk every plan a second time, with its own
+    rule for what a projection keeps.  Outside ``check/absint.py`` (the
+    walk) and ``check/rewrites.py`` (the rewrite justifications) no
+    module under ``repro.check`` branches on a plan-node class; the
+    second walk's module and names stay deleted; and ``check_plan`` is
+    one ``certify_plan`` call.
+    """
+    import repro.engine.plan as plan_module
+
+    node_classes = {
+        name for name, value in vars(plan_module).items()
+        if isinstance(value, type) and issubclass(value, plan_module.PlanNode)
+    }
+    walkers = {"src/repro/check/absint.py", "src/repro/check/rewrites.py"}
+    deleted = {"PlanChecker", "absint_diagnostics", "GuardFinding"}
+    problems = []
+    if pathlib.Path("src/repro/check/plans.py").exists():
+        problems.append("src/repro/check/plans.py exists")
+    for file in sorted(pathlib.Path("src/repro").rglob("*.py")):
+        path = file.as_posix()
+        tree = ast.parse(file.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            for name in (
+                getattr(node, "id", None), getattr(node, "attr", None),
+                getattr(node, "name", None),
+            ):
+                if name in deleted:
+                    problems.append(f"{path}:{node.lineno}: {name}")
+            if (path.startswith("src/repro/check/") and path not in walkers
+                    and isinstance(node, ast.Call)
+                    and getattr(node.func, "id", "") == "isinstance"
+                    and len(node.args) == 2):
+                named = {
+                    getattr(n, "id", getattr(n, "attr", None))
+                    for n in ast.walk(node.args[1])
+                }
+                for name in sorted(named & node_classes):
+                    problems.append(f"{path}:{node.lineno}: isinstance(..., {name})")
+    absint = ast.parse(pathlib.Path("src/repro/check/absint.py").read_text(encoding="utf-8"))
+    certifies = [
+        call
+        for function in absint.body
+        if isinstance(function, ast.FunctionDef) and function.name == "check_plan"
+        for call in ast.walk(function)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", "") == "certify_plan"
+    ]
+    if len(certifies) != 1:
+        problems.append(f"check_plan calls certify_plan {len(certifies)} times, not once")
     assert not problems, "\n".join(problems)

@@ -25,11 +25,10 @@ from hypothesis import strategies as st
 from repro.check.absint import (
     CardInterval,
     ProbInterval,
-    absint_diagnostics,
     certify_plan,
     verify_execution,
 )
-from repro.check.plans import check_plan
+from repro.check import check_plan
 from repro.core.builder import InstanceBuilder
 from repro.engine.executor import Engine
 from repro.engine.plan import PlanBuilder, QueryNode, ScanNode
@@ -229,12 +228,21 @@ class TestCertificates:
         assert codes(check_plan(plan, database)) == ["PX263"]
 
     def test_px262_zero_condition_direct(self):
+        # CARD(author) IN [2, 2] lies inside B1's feasible child counts
+        # [1, 2], but its OPF gives two authors no mass: only the
+        # interval analysis finds the condition zero.
+        b = InstanceBuilder("R")
+        b.children("R", "book", ["B1"], card=(1, 1))
+        b.opf("R", {("B1",): 1.0})
+        b.children("B1", "author", ["A1", "A2"], card=(1, 2))
+        b.opf("B1", {("A1",): 0.5, ("A2",): 0.5})
+        b.leaf("A1", "name", ["x"], {"x": 1.0})
+        b.leaf("A2", "name", ["x"], {"x": 1.0})
         db = Database()
-        db.register("zero", build_zero())
-        plan = PlanBuilder.scan("zero").select("R.x", "b").build()
-        certificate = certify_plan(plan, db)
-        assert certificate.zero_conditions
-        assert codes(absint_diagnostics(plan, certificate)) == ["PX262"]
+        db.register("zero", b.build())
+        plan = PlanBuilder.scan("zero").select(
+            "R.book", "B1", card_label="author", card_bounds=(2, 2)).build()
+        assert codes(check_plan(plan, db)) == ["PX262"]
 
     def test_px262_suppressed_behind_base_finding(self):
         # The base pass already reports the zero-probability selection
@@ -341,6 +349,17 @@ class TestEngineIntegration:
                          path=PathExpression("R", ("book", DEAD_LABEL)))
         engine = _engine(database, caching=False)
         assert "provably empty" in engine.explain(plan)
+
+    def test_explain_analyze_of_a_zero_edge_projection(self):
+        # R.book.isbn matches only through B2, which has zero inclusion
+        # probability: the projection is the bare root, as certified.
+        from tests.test_check_properties import _zero_edge_instance
+
+        interp = Interpreter(Database())
+        interp.database.register("base", _zero_edge_instance())
+        result = interp.execute("EXPLAIN ANALYZE PROJECT R.book.isbn FROM base")
+        assert "absint violations: none" in result.text
+        assert interp.metrics.counter("check.absint_violations").value == 0
 
     def test_explain_analyze_reports_verification(self):
         interp = Interpreter(Database())

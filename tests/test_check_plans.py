@@ -1,4 +1,4 @@
-"""Unit tests for the plan pass (repro.check.plans) and the dataguide."""
+"""Unit tests for the plan pass's findings (repro.check.absint) and the dataguide."""
 
 import pytest
 
@@ -12,7 +12,7 @@ from repro.check.diagnostics import (
     Span,
     sort_diagnostics,
 )
-from repro.check.plans import check_plan
+from repro.check import check_plan
 from repro.check.rewrites import justify_rewrites
 from repro.core.builder import InstanceBuilder
 from repro.engine.cost import CostModel

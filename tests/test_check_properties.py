@@ -15,6 +15,8 @@ Three contracts from the subsystem's design:
    structural match of its path, so answering "which objects can
    satisfy ``p``" from a sound guide or from the shared snapshot gives
    the findings and certificates the ``match_path`` walk gives.
+5. *Certificates hold at run time*: every probe plan executes inside
+   its certificate, and a plan that raises carries an error finding.
 """
 
 import random
@@ -25,14 +27,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import existence_probability
+from repro.check import check_plan
 from repro.check.absint import certify_plan
 from repro.check.dataguide import DataGuideCache, build_dataguide
 from repro.check.locate import Site
 from repro.check.model import has_errors, lint_instance
-from repro.check.plans import check_plan
 from repro.core.builder import InstanceBuilder
+from repro.engine.executor import Engine
 from repro.engine.plan import PlanBuilder, QueryNode, ScanNode
-from repro.errors import EmptyResultError
+from repro.errors import EmptyResultError, NonTreeInstanceError, PXMLError
+from repro.obs.metrics import MetricsRegistry
 from repro.semistructured.paths import PathExpression, match_path
 from repro.storage.database import Database
 from repro.workloads.generator import (
@@ -269,3 +273,36 @@ def test_guide_and_snapshot_locate_like_the_walk(instance, truncated):
             )
         assert located[0] == walked[0], plan.label()
         assert located[1] == walked[1], plan.label()
+
+
+# ----------------------------------------------------------------------
+# Certificates hold at run time
+# ----------------------------------------------------------------------
+@settings(max_examples=30, deadline=None)
+@given(instance=INSTANCE_STRATEGY)
+def test_certificates_hold_at_run_time(instance):
+    """Every probe plan's observations lie inside its certificate —
+    zero-probability objects and paths rooted below the root included —
+    and a plan that raises was predicted to."""
+    database = Database()
+    database.register("base", instance)
+    engine = Engine(database, caching=False, metrics=MetricsRegistry())
+    engine.absint_verify = True
+    structural = _structural_paths(instance.weak.graph(), instance.root)
+    for plan in _probe_plans(instance, structural):
+        try:
+            result = engine.execute_plan(plan)
+        except NonTreeInstanceError:
+            continue    # the tree-only local algorithms decline a DAG
+        except PXMLError as exc:
+            errors = [d for d in check_plan(plan, database) if d.severity == "error"]
+            # Short of an error finding, a zero condition must at least
+            # be one the certificate allows (a selection above a
+            # projection that pruned its object).
+            allowed = isinstance(exc, EmptyResultError) and any(
+                facts.condition is not None and facts.condition.lo == 0.0
+                for facts in certify_plan(plan, database).facts
+            )
+            assert errors or allowed, (plan.label(), exc)
+        else:
+            assert result.violations == (), plan.label()

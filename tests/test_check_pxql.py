@@ -135,6 +135,21 @@ class TestCheckBeforeExecute:
         result = interpreter.execute("PROJECT R.movie FROM bib AS bare")
         assert result.instance_name == "bare"
 
+    def test_a_failing_check_is_counted_not_fatal(self, interpreter, monkeypatch):
+        import repro.check.query as query
+
+        def explode(*_args, **_kwargs):
+            raise RuntimeError("checker bug")
+
+        monkeypatch.setattr(query, "check_plan", explode)
+        assert interpreter.execute("EXISTS R.book IN bib").value == pytest.approx(1.0)
+        assert interpreter.last_diagnostics == []
+        assert interpreter.metrics.counter("check.errors").value == 1
+        [event] = [
+            root for root in interpreter.tracer.roots() if root.name == "check.error"
+        ]
+        assert "checker bug" in event.attributes["error"]
+
     def test_unknown_source_is_check_error(self, interpreter):
         with pytest.raises(PXMLError):
             interpreter.execute("SHOW ghost")

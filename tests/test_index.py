@@ -478,8 +478,21 @@ def test_engine_index_parity(spec):
     graph = workload.instance.weak.graph()
     oid = rng.choice(sorted(match_path(graph, path).matched))
 
+    # The same labels re-rooted one level down, at oid's ancestor: no
+    # object satisfies a path that does not start at the instance root,
+    # whatever the access method.
+    chain = [oid]
+    while chain[-1] != path.root:
+        (parent,) = graph.parents(chain[-1])
+        chain.append(parent)
+    rerooted = PathExpression(chain[-2], path.labels[1:])
+
     engine = _engine_over(workload.instance)
-    for kind, text in _path_statements(path, oid).items():
+    statements = [
+        *_path_statements(path, oid).items(),
+        *_path_statements(rerooted, oid).items(),
+    ]
+    for kind, text in statements:
         plan = plan_statement(parse(text))
         indexed = engine.execute_plan(plan)
         assert indexed.stats.strategy == "indexed", kind
