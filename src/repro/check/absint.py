@@ -987,8 +987,7 @@ def verify_execution(
     execution.  Returns a list of violation messages — empty when every
     observed cardinality, condition probability and result lies inside
     its predicted interval.  When the executed shape diverged from the
-    certified plan (a cached subtree flattened the stats) the check is
-    skipped rather than guessed at.
+    certified plan the check is skipped rather than guessed at.
     """
     flat = list(stats.walk())
     if len(flat) != len(certificate.facts):

@@ -1,8 +1,8 @@
 """Machine-checkable soundness justifications for plan rewrites.
 
 The optimizer's rules (:mod:`repro.engine.rewrite`) are equivalences
-*only under guard conditions* (ancestor kind, equal paths, no
-cardinality clause, ...).  This module re-verifies those guards on the
+*only under guard conditions* (operands swapped once, result root id
+pinned).  This module re-verifies those guards on the
 actual ``(before, after)`` pairs a rewrite trace records, so every
 applied rewrite carries a justification that was *checked against the
 plans*, not merely asserted in a docstring.  A justification that fails
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.check.diagnostics import ERROR, INFO, Diagnostic
-from repro.engine.plan import PlanNode, ProductNode, ProjectNode, SelectNode
+from repro.engine.plan import PlanNode, ProductNode
 
 #: Diagnostic codes for the rewrite checks.
 UNSOUND_REWRITE = "PX250"
@@ -34,58 +34,6 @@ class RewriteJustification:
     def __str__(self) -> str:
         status = "sound" if self.holds else "UNSOUND"
         return f"{self.rule}: {status} — {self.premise}; {self.argument}"
-
-
-def _justify_collapse(before: PlanNode, after: PlanNode) -> RewriteJustification:
-    argument = (
-        "projection re-matches the path through chains it itself preserves, "
-        "so the second application finds exactly the same objects"
-    )
-    holds = (
-        isinstance(before, ProjectNode)
-        and isinstance(before.child, ProjectNode)
-        and before.kind == before.child.kind
-        and before.path == before.child.path
-        and (before.kind != "single" or len(before.path.labels) == 1)
-        and after == before.child
-    )
-    return RewriteJustification(
-        "collapse_adjacent_projections", holds,
-        "inner and outer projections share kind and path "
-        "(single projection additionally requires a one-label path)",
-        argument,
-    )
-
-
-def _justify_push(before: PlanNode, after: PlanNode) -> RewriteJustification:
-    argument = (
-        "the chain to a match survives ancestor projection and the condition "
-        "inspects nothing the projection removes, so filtering commutes with "
-        "projecting"
-    )
-    holds = (
-        isinstance(before, SelectNode)
-        and isinstance(before.child, ProjectNode)
-        and before.child.kind == "ancestor"
-        and before.child.path == before.path
-        and before.card_label is None
-        and before.prob_op is None
-        and isinstance(after, ProjectNode)
-        and after.kind == "ancestor"
-        and after.path == before.path
-        and isinstance(after.child, SelectNode)
-        and after.child.path == before.path
-        and after.child.oid == before.oid
-        and after.child.value == before.value
-        and after.child.card_label is None
-        and after.child.child == before.child.child
-    )
-    return RewriteJustification(
-        "push_selection_below_projection", holds,
-        "ancestor projection, selection path equals projection path, and no "
-        "cardinality clause or probability guard",
-        argument,
-    )
 
 
 def _justify_reorder(before: PlanNode, after: PlanNode) -> RewriteJustification:
@@ -113,8 +61,6 @@ def _justify_reorder(before: PlanNode, after: PlanNode) -> RewriteJustification:
 
 
 _JUSTIFIERS = {
-    "collapse_adjacent_projections": _justify_collapse,
-    "push_selection_below_projection": _justify_push,
     "reorder_product_by_size": _justify_reorder,
 }
 

@@ -1,4 +1,4 @@
-"""The query engine: a planner, rewrite optimizer, and versioned cache.
+"""The query engine: a planner, a rewrite optimizer and an executor.
 
 The PXQL interpreter used to map each statement straight onto one
 algebra call.  This package inserts a classical database engine between
@@ -8,15 +8,15 @@ the language and the algebra:
   product / query nodes) built from PXQL ASTs or programmatically;
 * :mod:`repro.engine.cost` — size/entry/tree-ness estimates driving
   rewrite decisions and execution-strategy choice;
-* :mod:`repro.engine.rewrite` — a rule-based optimizer (projection
-  collapse, selection pushdown, product reordering);
+* :mod:`repro.engine.rewrite` — a rule-based optimizer (product
+  reordering);
 * :mod:`repro.engine.executor` — an instrumented executor producing
-  per-node timings, cardinalities and cache status (``EXPLAIN ANALYZE``);
+  per-node timings and cardinalities (``EXPLAIN ANALYZE``);
   its path operators locate their path on the :mod:`repro.index`
   columnar snapshot when their input is a scanned tree, by the walk
   otherwise — an access method chosen at run time, not a plan shape;
-* :mod:`repro.engine.cache` — an LRU result cache keyed by canonical
-  plan fingerprint plus the versions of every scanned instance.
+* :mod:`repro.engine.cache` — the LRU cache the interpreter's statement
+  tier is built on.
 """
 
 from repro.engine.cache import CacheStats, LRUCache
@@ -38,9 +38,7 @@ from repro.engine.plan import (
 from repro.engine.rewrite import (
     DEFAULT_RULES,
     RewriteRule,
-    collapse_adjacent_projections,
     optimize,
-    push_selection_below_projection,
     reorder_product_by_size,
 )
 
@@ -62,11 +60,9 @@ __all__ = [
     "RewriteRule",
     "ScanNode",
     "SelectNode",
-    "collapse_adjacent_projections",
     "fingerprint",
     "optimize",
     "plan_statement",
-    "push_selection_below_projection",
     "reorder_product_by_size",
     "scan_names",
 ]

@@ -1,13 +1,12 @@
 """A small, thread-safe LRU cache with hit/miss/eviction counters.
 
-The engine keeps two of these: one for prepared plans (optimized plan
-plus certificate) and one for execution results.  Keys are ``(canonical
-plan fingerprint, catalog token of every scanned instance)`` tuples —
-the token (:func:`repro.storage.derived.cache_token`) moves whenever
-that instance is (re-)registered, reloaded or touched, or another
-process mutates it in the shared catalog, so stale entries can never be
-returned: a mutated input changes the key, and the orphaned entry simply
-ages out of the LRU order.
+The interpreter's statement tier is one of these.  Its keys carry the
+catalog token of the instance a statement reads — the token
+(:func:`repro.storage.derived.cache_token`) moves whenever that instance
+is (re-)registered, reloaded or touched, or another process mutates it
+in the shared catalog, so stale entries can never be returned: a mutated
+input changes the key, and the orphaned entry simply ages out of the LRU
+order.
 
 When constructed with a ``name`` and a
 :class:`~repro.obs.metrics.MetricsRegistry`, every hit/miss/eviction is

@@ -1,35 +1,31 @@
 """The instrumented plan executor.
 
 :class:`Engine` ties the pieces together: it translates PXQL statements
-into plans, inlines the lineage of previously computed results, runs the
-rewrite optimizer, executes plans bottom-up with per-node wall-clock
-timings / output cardinalities / cache status, and memoizes node
-results in a versioned LRU cache.  Preparing a plan is a pure function
-of the plan, its lineage and the catalog tokens; nothing about it is
-remembered between statements.
+into plans, runs the rewrite optimizer and executes plans bottom-up with
+per-node wall-clock timings and output cardinalities.  Preparing a plan
+is a pure function of the plan and the catalog tokens, and nothing about
+an execution is remembered between statements: the catalog is the only
+memory.  A scan of a registered name reads that instance — a saved
+``PROJECT ... AS m`` is an ordinary instance (the algebra is closed), so
+a statement over ``m`` is answered from it, never re-derived from ``m``'s
+base.  The one result cache is the interpreter's statement tier.
 
-Result caching is per *sub-plan*: a node's key is its canonical
-fingerprint plus the catalog token of every instance it scans, so two
-different statements that share a sub-expression share its result, and
-re-registering or touching any input invalidates every dependent entry
-implicitly (the key changes).  The catalog generation half of those
-tokens is read once per statement and threaded to every key built for
-it, so one statement sees one catalog snapshot.
+The catalog generation is read once per statement and threaded to every
+token taken for it, so one statement sees one catalog snapshot.
 
 Since the observability PR the executor is span-backed: every plan node
 execution opens a :class:`repro.obs.tracing.Span` on the engine's
 tracer, and :class:`NodeStats` is a thin per-node view over those spans
 (same wall times, same tree shape) kept for ``EXPLAIN ANALYZE``
 compatibility.  The engine also owns a
-:class:`repro.obs.metrics.MetricsRegistry` covering cache hit ratios,
-operator latencies, and objects scanned; both are made *ambient* during
-execution so the rewrite optimizer, the Section 6 query algorithms and
-the world sampler report into the same trace and registry.
+:class:`repro.obs.metrics.MetricsRegistry` covering operator latencies
+and objects scanned; both are made *ambient* during execution so the
+rewrite optimizer, the Section 6 query algorithms and the world sampler
+report into the same trace and registry.
 """
 
 from __future__ import annotations
 
-import copy
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator
@@ -66,7 +62,6 @@ from repro.algebra.selection import (
 )
 from repro.core.cardinality import CardinalityInterval
 from repro.core.instance import ProbabilisticInstance
-from repro.engine.cache import LRUCache
 from repro.engine.cost import CostModel, Estimate, measure_instance
 from repro.engine.plan import (
     PlanError,
@@ -95,7 +90,6 @@ from repro.queries.engine import QueryEngine
 from repro.queries.point import point_query
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.budget import current_budget
-from repro.resilience.faults import fault_point
 from repro.semistructured.paths import PathMatch
 from repro.storage.derived import cache_token, catalog_generation
 
@@ -115,15 +109,6 @@ _SKIP_RESULTS = {
     "dist": lambda: {0: 1.0},
 }
 
-#: Maximum depth of lineage inlining (cycle / runaway guard).
-_MAX_INLINE_DEPTH = 16
-
-#: LRU capacity of the result cache.
-_CACHE_SIZE = 256
-
-#: Lineage entries recorded before the first sweep of dead ones.
-_LINEAGE_SWEEP_MIN = 32
-
 
 @dataclass
 class NodeStats:
@@ -132,16 +117,10 @@ class NodeStats:
     Since the observability PR this is a thin view over the span the
     executor opened for the node: ``wall_s`` is the span's wall time and
     :attr:`span` links back to the full record (CPU time, attributes,
-    sub-operation spans).  On a cache hit the executor re-reports the
-    cached subtree *as documentation of shape only*: every descendant
-    is a deep copy marked ``cache="hit"`` with zero wall time, so
-    ``EXPLAIN ANALYZE`` totals never double-count work that was not
-    re-executed and callers can never mutate cached stats through a
-    result.
+    sub-operation spans).
     """
 
     label: str
-    cache: str              # "hit" | "miss" | "off" | "scan" | "skip"
     wall_s: float = 0.0
     objects: int | None = None
     strategy: str | None = None
@@ -154,50 +133,6 @@ class NodeStats:
         yield self
         for child in self.children:
             yield from child.walk()
-
-
-#: ``extra`` keys that carry timings (zeroed when a cached subtree is
-#: re-reported, so nothing is double-counted).
-_TIMING_EXTRA_KEYS = ("operator_s", "wall_s")
-
-
-def _zero_timing(extra: dict) -> dict:
-    return {
-        key: (0.0 if key in _TIMING_EXTRA_KEYS else value)
-        for key, value in extra.items()
-    }
-
-
-def _hit_view(stats: "NodeStats") -> "NodeStats":
-    """A frozen re-report of a cached subtree: zero time, ``cache="hit"``.
-
-    Deep-copies the whole subtree so repeated hits never alias the
-    cached (or each other's) stats objects.
-    """
-    return NodeStats(
-        stats.label,
-        cache="hit",
-        wall_s=0.0,
-        objects=stats.objects,
-        strategy=stats.strategy,
-        extra=_zero_timing(stats.extra),
-        children=[_hit_view(child) for child in stats.children],
-    )
-
-
-def _copy_stats(stats: "NodeStats") -> "NodeStats":
-    """A deep copy of a stats tree (cached entries must not alias the
-    tree handed to the caller, who is free to mutate it)."""
-    return NodeStats(
-        stats.label,
-        cache=stats.cache,
-        wall_s=stats.wall_s,
-        objects=stats.objects,
-        strategy=stats.strategy,
-        extra=copy.deepcopy(stats.extra),
-        children=[_copy_stats(child) for child in stats.children],
-        span=stats.span,
-    )
 
 
 @dataclass
@@ -231,13 +166,6 @@ class ExecutionResult:
         return None
 
 
-@dataclass
-class _CacheEntry:
-    value: object
-    extra: dict
-    stats: NodeStats
-
-
 @dataclass(frozen=True)
 class _Prepared:
     """Everything decided about a plan before it runs: the plan to
@@ -250,23 +178,16 @@ class _Prepared:
     certificate: PlanCertificate | None
 
 
-@dataclass
-class _Lineage:
-    plan: PlanNode
-    registered_version: int
-    input_versions: tuple[tuple[str, int], ...]
-
-
 class Engine:
-    """Planner + optimizer + instrumented, caching executor.
+    """Planner + optimizer + instrumented executor.
 
     A plan is prepared by one rewrite fixpoint and executed bottom-up;
     how a path operator locates its path — on the catalog's columnar
     snapshot or by the walk — is not part of the plan but decided when
     the operator runs, from what it can observe (:meth:`_strategy`).
 
-    The result tier (and, in the interpreter, the statement tier in
-    front of it) is this engine's own.  The state *derived from an
+    The engine keeps no result between executions (the interpreter's
+    statement tier is the one result cache).  The state *derived from an
     instance* — columnar snapshots with their match memos
     (:attr:`index_cache`), dataguides (:attr:`guides`), cost
     measurements — is the catalog's: immutable,
@@ -277,9 +198,8 @@ class Engine:
     Args:
         database: the catalog plans scan (must expose ``get`` and
             ``version``; :class:`repro.storage.database.Database` does).
-        optimizer: apply the rewrite rules (off = execute the
-            lineage-expanded plan unrewritten, a benchmark reference).
-        caching: keep a versioned result cache across executions.
+        optimizer: apply the rewrite rules (off = execute the plan as
+            planned, unrewritten: the parity suites' reference).
         absint: run the abstract interpreter (:mod:`repro.check.absint`)
             over every prepared plan.  ``EXPLAIN`` renders the
             certificate's intervals as ``est_rows=[lo,hi] prob=[l,u]``,
@@ -289,27 +209,27 @@ class Engine:
             The pass is advisory: any failure inside it falls back to
             normal execution (counted in ``check.absint_errors``).
         disk_cache: accepted and ignored (``benchmarks/e2e`` passes it).
-        breaker: circuit breaker over the optimizer/cache layer (own
-            instance if omitted).  Rewrite-optimizer failures degrade
-            that statement to the unoptimized plan and count against the
-            breaker; cache get/put failures are isolated (treated as a
-            miss / skipped) and count too.  Once tripped, plans run as
-            written (:meth:`execute_as_written`) — correct, just slower
-            — until the cool-down elapses and a probe succeeds.
+        breaker: circuit breaker over the optimizer and the statement
+            tier (own instance if omitted).  Rewrite-optimizer failures
+            degrade that statement to the unoptimized plan and count
+            against the breaker; the interpreter's statement-tier get/put
+            failures are isolated (a miss / skipped) and count too.  Once
+            tripped, plans run as written (:meth:`execute_as_written`) —
+            correct, just slower — until the cool-down elapses and a
+            probe succeeds.
         tracer: span collector for executions (own instance if omitted;
             pass a shared one to join a larger trace, e.g. the PXQL
             interpreter's statement spans).
-        metrics: metrics registry (own instance if omitted).  Cache
-            counters, operator latency histograms, and objects-scanned
-            totals land here; during execution it is also the ambient
-            registry for the query algorithms and the sampler.
+        metrics: metrics registry (own instance if omitted).  Operator
+            latency histograms and objects-scanned totals land here;
+            during execution it is also the ambient registry for the
+            query algorithms and the sampler.
     """
 
     def __init__(
         self,
         database,
         optimizer: bool = True,
-        caching: bool = True,
         absint: bool = True,
         disk_cache: bool | None = None,
         tracer: Tracer | None = None,
@@ -318,7 +238,6 @@ class Engine:
     ) -> None:
         self.database = database
         self.optimizer = optimizer
-        self.caching = caching
         self.absint = absint
         #: When set (``EXPLAIN ANALYZE`` / ``PROFILE``), observed
         #: cardinalities and probabilities are checked against the
@@ -327,9 +246,6 @@ class Engine:
         self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cost = CostModel(database)
-        self.result_cache = LRUCache(
-            _CACHE_SIZE, name="engine.cache.results", metrics=self.metrics
-        )
         self.rules = DEFAULT_RULES
         from repro.check.dataguide import DataGuideCache
 
@@ -346,8 +262,6 @@ class Engine:
             breaker if breaker is not None
             else CircuitBreaker(name="engine.optimizer")
         )
-        self._lineage: dict[str, _Lineage] = {}
-        self._lineage_sweep_at = _LINEAGE_SWEEP_MIN
 
     @contextmanager
     def _ambient(self):
@@ -356,23 +270,24 @@ class Engine:
             yield
 
     # ------------------------------------------------------------------
-    # Keys, versions, lineage
+    # Keys and versions
     # ------------------------------------------------------------------
     def versions_of(self, plan: PlanNode) -> tuple[tuple[str, int], ...]:
-        """``(name, version)`` for every instance the plan scans."""
+        """``(name, version)`` for every instance the plan scans
+        (``benchmarks/e2e`` passes it to :meth:`record_lineage`)."""
         return tuple(
             (name, self.database.version(name)) for name in scan_names(plan)
         )
 
     def cache_key(self, plan: PlanNode, generation: int | None = None) -> tuple:
-        """The versioned cache key of a (sub-)plan.
+        """The versioned key of a plan.
 
         The plan's fingerprint plus the catalog token of every scanned
         instance: a name's version moves when this process re-registers
         it, its epoch when another process mutates it in the shared
-        catalog directory — which is what lets engines in sibling
-        processes over one directory keep or invalidate their cached
-        results correctly, name by name.  ``generation`` is the
+        catalog directory — which is what lets interpreters in sibling
+        processes over one directory keep or invalidate what they
+        remember correctly, name by name.  ``generation`` is the
         value the running statement already read; omitted, the catalog
         is asked once.
         """
@@ -388,74 +303,18 @@ class Engine:
 
     def record_lineage(self, name: str, plan: PlanNode,
                        input_versions: tuple[tuple[str, int], ...]) -> None:
-        """Remember that ``name`` currently holds the result of ``plan``.
-
-        ``input_versions`` must be the scan versions *at execution time*
-        (before any re-registration of ``name`` itself).
-        """
-        self._lineage[name] = _Lineage(
-            plan, self.database.version(name), input_versions
-        )
-        if len(self._lineage) >= self._lineage_sweep_at:
-            # A dropped name is never looked up again, so nothing else
-            # would remove its entry; sweeping when the table has
-            # doubled keeps it within a constant of the live names at
-            # amortised O(1) per record.
-            for recorded in list(self._lineage):
-                self._lineage_plan(recorded)
-            self._lineage_sweep_at = max(
-                _LINEAGE_SWEEP_MIN, 2 * len(self._lineage)
-            )
-
-    def _lineage_plan(self, name: str) -> PlanNode | None:
-        entry = self._lineage.get(name)
-        if entry is None:
-            return None
-        try:
-            valid = self.database.version(name) == entry.registered_version \
-                and all(
-                    self.database.version(input_name) == version
-                    for input_name, version in entry.input_versions
-                )
-        except Exception:
-            valid = False    # the name or an input was dropped
-        if valid:
-            return entry.plan
-        # Versions only grow, so a stale entry can never match again.
-        if self._lineage.get(name) is entry:
-            del self._lineage[name]
-        return None
-
-    def expand(self, plan: PlanNode, _depth: int = 0) -> PlanNode:
-        """Inline valid lineage plans under every scan, recursively:
-        statement sequences become multi-operator plans the rewrite
-        rules can work across."""
-        if _depth >= _MAX_INLINE_DEPTH:
-            return plan
-        if isinstance(plan, ScanNode):
-            recorded = self._lineage_plan(plan.name)
-            if recorded is not None:
-                return self.expand(recorded, _depth + 1)
-            return plan
-        children = plan.children()
-        if not children:
-            return plan
-        new_children = tuple(
-            self.expand(child, _depth + 1) for child in children
-        )
-        if new_children != children:
-            plan = plan.with_children(new_children)
-        return plan
+        """Accepted and ignored (``benchmarks/e2e`` calls it): a derived
+        name is read as registered, never re-derived from its lineage."""
 
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
     def plan_statement(self, statement: "ast.Statement") -> PlanNode | None:
-        """The raw (un-expanded, un-optimized) plan of a statement."""
+        """The raw (un-optimized) plan of a statement."""
         return plan_statement(statement)
 
     def prepare(self, plan: PlanNode) -> tuple[PlanNode, tuple[str, ...]]:
-        """Expand lineage and optimize.
+        """Optimize a plan.
 
         The optimizer layer degrades rather than fails: a rewrite
         failure falls back to the unoptimized (still correct) plan and
@@ -471,9 +330,7 @@ class Engine:
         self, plan: PlanNode, generation: int, accelerated: bool
     ) -> _Prepared:
         """The plan to run and its certificate — or, un-accelerated, the
-        plan as written: no lineage expansion (a registered result is
-        scanned more cheaply than its lineage is recomputed), no
-        rewrite, no certificate."""
+        plan as written: no rewrite, no certificate."""
         if not accelerated:
             return _Prepared(plan, (), None)
         prepared, applied = self._prepare(plan, generation)
@@ -482,11 +339,10 @@ class Engine:
     def _prepare(
         self, plan: PlanNode, generation: int
     ) -> tuple[PlanNode, tuple[str, ...]]:
-        expanded = self.expand(plan)
         if not self.optimizer:
-            return expanded, ()
+            return plan, ()
         try:
-            optimized = optimize(expanded, self.cost.at(generation), self.rules)
+            optimized = optimize(plan, self.cost.at(generation), self.rules)
         except Exception as exc:
             self.breaker.record_failure()
             self.metrics.counter("resilience.optimizer_errors").inc()
@@ -494,7 +350,7 @@ class Engine:
                 "resilience.optimizer_error",
                 error=f"{type(exc).__name__}: {exc}",
             )
-            return expanded, ()
+            return plan, ()
         self.breaker.record_success()
         return optimized
 
@@ -513,8 +369,8 @@ class Engine:
         self, plan: PlanNode, generation: int, certificate: PlanCertificate
     ) -> None:
         """Take the static checker's certificate of ``plan`` as written:
-        when no lineage is inlined and no rewrite fires, the prepared
-        plan has the same key and :meth:`_certify` does not redo it."""
+        when no rewrite fires, the prepared plan has the same key and
+        :meth:`_certify` does not redo it."""
         self._adopted = (self.cache_key(plan, generation), certificate)
 
     def _certify(
@@ -553,13 +409,11 @@ class Engine:
         assert certificate.kind in _SKIP_RESULTS
         self.metrics.counter("check.absint_skips").inc()
         with self.tracer.span(
-            f"engine.node.{prepared.label()}", cache="skip",
-            strategy="absint",
+            f"engine.node.{prepared.label()}", strategy="absint",
         ) as span:
             value = _SKIP_RESULTS[certificate.kind]()
         stats = NodeStats(
-            prepared.label(), cache="skip",
-            wall_s=span.wall_s, strategy="absint",
+            prepared.label(), wall_s=span.wall_s, strategy="absint",
             extra={"absint": "empty"}, span=span,
         )
         return value, stats
@@ -586,34 +440,6 @@ class Engine:
         return violations
 
     # ------------------------------------------------------------------
-    # Isolated cache access
-    # ------------------------------------------------------------------
-    def _cache_error(self, op: str, cache: LRUCache, exc: Exception) -> None:
-        self.metrics.counter("resilience.cache_errors").inc()
-        self.tracer.event(
-            "resilience.cache_error", cache=cache.name, op=op,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-        self.breaker.record_failure()
-
-    def _cache_get(self, cache: LRUCache, key: tuple):
-        """A cache lookup that can never fail a query (errors = miss)."""
-        try:
-            fault_point(f"{cache.name}.get")
-            return cache.get(key)
-        except Exception as exc:
-            self._cache_error("get", cache, exc)
-            return None
-
-    def _cache_put(self, cache: LRUCache, key: tuple, value) -> None:
-        """A cache insert that can never fail a query (errors = skip)."""
-        try:
-            fault_point(f"{cache.name}.put")
-            cache.put(key, value)
-        except Exception as exc:
-            self._cache_error("put", cache, exc)
-
-    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def execute_plan(self, plan: PlanNode) -> ExecutionResult:
@@ -625,10 +451,9 @@ class Engine:
 
         Internal: the one un-accelerated path, taken by
         :meth:`execute_plan` while the breaker is open and by the PXQL
-        interpreter when it retries a failed statement.  Lineage
-        expansion, rewrite rules, certificate/skip, the result cache
-        and the snapshot access method are all skipped (the
-        walked operators are the reference); everything below them —
+        interpreter when it retries a failed statement.  Rewrite rules,
+        certificate/skip and the snapshot access method are all skipped
+        (the walked operators are the reference); everything below them —
         budget ticks, node spans, ``engine.objects_scanned``, the
         probability guard — is the same :meth:`_run` / :meth:`_apply`.
         """
@@ -643,10 +468,7 @@ class Engine:
                 if certificate is not None and certificate.skippable:
                     value, stats = self._skip_execution(prepared, certificate)
                 else:
-                    value, _extra, stats = self._run(
-                        prepared, generation, accelerated and self.caching,
-                        accelerated,
-                    )
+                    value, stats = self._run(prepared, generation, accelerated)
                 root.attributes["rewrites"] = len(decided.applied)
             violations = self._verify_certificate(certificate, value, stats)
             self.metrics.counter("engine.executions").inc()
@@ -666,9 +488,8 @@ class Engine:
         return self.execute_plan(plan)
 
     def _run(
-        self, node: PlanNode, generation: int, use_cache: bool,
-        accelerated: bool = False,
-    ) -> tuple[object, dict, NodeStats]:
+        self, node: PlanNode, generation: int, accelerated: bool
+    ) -> tuple[object, NodeStats]:
         budget = current_budget()
         if budget is not None:
             # Cooperative guardrail: deadline / node-evaluation limits
@@ -676,38 +497,25 @@ class Engine:
             budget.tick_node(node.label())
 
         if isinstance(node, ScanNode):
-            with self.tracer.span(
-                f"engine.node.{node.label()}", cache="scan"
-            ) as span:
+            with self.tracer.span(f"engine.node.{node.label()}") as span:
+                # The name's token under this statement's generation
+                # first: a foreign save of the name is observed (one
+                # epoch comparison when not behind) before it is read.
+                cache_token(self.database, node.name, generation)
                 pi = self.database.get(node.name)
                 span.attributes["objects"] = len(pi)
             self.metrics.counter("engine.objects_scanned").inc(len(pi))
             stats = NodeStats(
-                node.label(), cache="scan",
-                wall_s=span.wall_s, objects=len(pi), span=span,
+                node.label(), wall_s=span.wall_s, objects=len(pi), span=span,
             )
-            return pi, {}, stats
+            return pi, stats
 
-        if use_cache:
-            key = self.cache_key(node, generation)
-            entry = self._cache_get(self.result_cache, key)
-            if entry is not None:
-                value, extra, stats = self._serve_hit(node, entry)
-                if budget is not None and isinstance(
-                    value, ProbabilisticInstance
-                ):
-                    budget.charge_objects(len(value), node.label())
-                return value, extra, stats
-
-        with self.tracer.span(
-            f"engine.node.{node.label()}",
-            cache="miss" if use_cache else "off",
-        ) as span:
+        with self.tracer.span(f"engine.node.{node.label()}") as span:
             child_results = [
-                self._run(child, generation, use_cache, accelerated)
+                self._run(child, generation, accelerated)
                 for child in node.children()
             ]
-            inputs = [value for value, _extra, _stats in child_results]
+            inputs = [value for value, _stats in child_results]
             with self.tracer.span(
                 "engine.apply", operator=type(node).__name__
             ) as apply_span:
@@ -724,56 +532,15 @@ class Engine:
             budget.charge_objects(len(value), node.label())
         stats = NodeStats(
             node.label(),
-            cache="miss" if use_cache else "off",
             wall_s=span.wall_s,
             objects=len(value) if isinstance(value, ProbabilisticInstance) else None,
             strategy=strategy,
             extra=dict(extra),
-            children=[child_stats for _v, _e, child_stats in child_results],
+            children=[child_stats for _v, child_stats in child_results],
             span=span,
         )
         stats.extra.setdefault("operator_s", apply_span.wall_s)
-        if use_cache:
-            # Cache a deep copy of the stats tree: the caller owns the
-            # returned one and may mutate it freely.
-            self._cache_put(
-                self.result_cache,
-                key, _CacheEntry(value, dict(extra), _copy_stats(stats)),
-            )
-        return value, extra, stats
-
-    def _serve_hit(
-        self, node: PlanNode, entry: "_CacheEntry"
-    ) -> tuple[object, dict, NodeStats]:
-        """Hand out a cached sub-plan result.
-
-        The re-reported stats subtree is a deep copy with ``cache="hit"``
-        and zero wall time on every descendant (nothing below this node
-        re-executed, so re-reporting the original miss timings would
-        double-count them — and sharing the live list would let every
-        hit alias the same mutable stats objects).  Values are guarded
-        the same way: instances are copied and dict results are
-        deep-copied symmetrically, so callers mutating a
-        returned result can never corrupt subsequent hits.
-        """
-        with self.tracer.span(
-            f"engine.node.{node.label()}", cache="hit"
-        ) as span:
-            value = entry.value
-            if isinstance(value, ProbabilisticInstance):
-                value = value.copy()
-            elif isinstance(value, dict):
-                value = copy.deepcopy(value)
-        stats = NodeStats(
-            entry.stats.label, cache="hit",
-            wall_s=span.wall_s,
-            objects=entry.stats.objects,
-            strategy=entry.stats.strategy,
-            extra=_zero_timing(entry.extra),
-            children=[_hit_view(child) for child in entry.stats.children],
-            span=span,
-        )
-        return value, dict(entry.extra), stats
+        return value, stats
 
     def _apply(
         self, node: PlanNode, inputs: list, generation: int,
@@ -939,11 +706,6 @@ class Engine:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    @property
-    def cache_stats(self) -> dict[str, dict[str, int]]:
-        """Hit/miss/eviction counters of the result cache."""
-        return {"results": self.result_cache.stats.as_dict()}
-
     def explain(self, plan: PlanNode) -> str:
         """Render the optimized plan with estimates (no execution)."""
         generation = catalog_generation(self.database)
@@ -961,7 +723,6 @@ class Engine:
         """Render an executed plan with per-node measurements."""
         lines = _render_stats(result.stats)
         lines.append(_rules_line(result.applied_rules))
-        lines.append(f"cache: results [{self.result_cache.stats}]")
         if result.certificate is not None:
             lines.append(_certificate_line(result.certificate))
             if self.absint_verify:
@@ -1079,18 +840,11 @@ def _render_plan(
             details.append(f"prob={_prob_text(facts.prob)}")
         if node is plan and certificate is not None and certificate.skippable:
             # What executing it reports: served from the proof.
-            details += ["strategy=absint", "cache=skip"]
+            details.append("strategy=absint")
         elif not isinstance(node, ScanNode):
             # The same question the operator asks when it runs.
             strategy = engine._strategy(node, cost.estimate, accelerated)
             details.append(f"strategy={strategy}")
-            if engine.caching:
-                if not accelerated:
-                    details.append("cache=off")
-                elif engine.result_cache.peek(engine.cache_key(node, generation)):
-                    details.append("cache=warm")
-                else:
-                    details.append("cache=cold")
         return f"{node.label()}  ({', '.join(details)})"
 
     return _tree_lines(render, lambda node: node.children(), plan)
@@ -1103,7 +857,6 @@ def _render_stats(stats: NodeStats) -> list[str]:
             details.append(f"{node.objects} objects")
         if node.strategy is not None:
             details.append(f"strategy={node.strategy}")
-        details.append(f"cache={node.cache}")
         if "condition_probability" in node.extra:
             details.append(
                 f"P(condition)={node.extra['condition_probability']:.6g}"

@@ -7,28 +7,12 @@ optimizer applies the rules bottom-up to a fixpoint.  Every rule is an
 (``tests/test_engine_parity.py``) checks each one against direct calls
 to the operators on generated instances.
 
-The rules and their soundness arguments:
-
-* :func:`collapse_adjacent_projections` — ancestor (and descendant)
-  projection is idempotent: a path's matches are reached through chains
-  the projection itself preserves, so re-matching the same path in the
-  projected world finds exactly the same objects.  Single projection is
-  only idempotent for one-label paths (longer paths cannot re-match the
-  flattened result).
-
-* :func:`push_selection_below_projection` — for a chain selection whose
-  path equals the ancestor projection's path, the condition ``o in p``
-  (and ``val(o) = v``) has the same truth value in a world and in its
-  projection: the chain to a match survives projection, and nothing the
-  condition inspects is removed.  Filtering then projecting therefore
-  equals projecting then filtering.  Cardinality clauses are *not*
-  pushable (a match's children do not survive an ancestor projection),
-  and neither are selections on other paths.
+The rule and its soundness argument:
 
 * :func:`reorder_product_by_size` — the cartesian product merges the two
   roots symmetrically (children union, OPF product), so the operands
   commute; the rule canonicalizes the smaller estimated input to the
-  left, which also normalizes ``A x B`` and ``B x A`` onto one cache
+  left, which also normalizes ``A x B`` and ``B x A`` onto one
   fingerprint when an explicit root id is given.  The default root id is
   pinned from the original order first so the result is unchanged.
 """
@@ -39,51 +23,11 @@ import time
 from typing import Callable, Optional
 
 from repro.engine.cost import CostModel
-from repro.engine.plan import PlanNode, ProductNode, ProjectNode, SelectNode
+from repro.engine.plan import PlanNode, ProductNode
 from repro.obs.metrics import current_registry
 from repro.obs.tracing import current_tracer
 
 RewriteRule = Callable[[PlanNode, Optional[CostModel]], Optional[PlanNode]]
-
-
-def collapse_adjacent_projections(
-    node: PlanNode, cost: CostModel | None = None
-) -> PlanNode | None:
-    """``Π_p(Π_p(I)) -> Π_p(I)`` for idempotent projection kinds."""
-    if not (isinstance(node, ProjectNode) and isinstance(node.child, ProjectNode)):
-        return None
-    inner = node.child
-    if node.kind != inner.kind or node.path != inner.path:
-        return None
-    if node.kind == "single" and len(node.path.labels) != 1:
-        return None
-    return inner
-
-
-def push_selection_below_projection(
-    node: PlanNode, cost: CostModel | None = None
-) -> PlanNode | None:
-    """``σ_{p=o}(Π^anc_p(I)) -> Π^anc_p(σ_{p=o}(I))``.
-
-    Applies the paper's Section 6 thesis — do the conditioning as
-    per-object local computation on the base instance — and exposes the
-    bare selection as a shareable, cacheable sub-plan.  Guarded to the
-    provably equivalent case: ancestor projection, selection path equal
-    to the projection path, no cardinality clause.
-    """
-    if not (isinstance(node, SelectNode) and isinstance(node.child, ProjectNode)):
-        return None
-    projection = node.child
-    if projection.kind != "ancestor" or projection.path != node.path:
-        return None
-    if node.card_label is not None:
-        return None
-    if node.prob_op is not None:
-        # A probability guard asserts on the condition probability in the
-        # selection's *input*; conservatively keep it above the projection.
-        return None
-    pushed = SelectNode(node.path, node.oid, projection.child, node.value)
-    return ProjectNode(projection.kind, projection.path, pushed)
 
 
 def reorder_product_by_size(
@@ -103,11 +47,7 @@ def reorder_product_by_size(
     return ProductNode(node.right, node.left, new_root)
 
 
-DEFAULT_RULES: tuple[RewriteRule, ...] = (
-    collapse_adjacent_projections,
-    push_selection_below_projection,
-    reorder_product_by_size,
-)
+DEFAULT_RULES: tuple[RewriteRule, ...] = (reorder_product_by_size,)
 
 
 def optimize(

@@ -7,25 +7,23 @@ statements exactly the way Section 2's situations chain operations.
 Query statements (POINT / EXISTS / CHAIN / PROB) return probabilities.
 
 Algebra and query statements reach an operator only through
-:class:`repro.engine.Engine`: statements become logical plans, the
-lineage of registered results is inlined so rewrite rules can work
-across statement boundaries, sub-plan results are cached under
-``(fingerprint, instance versions)`` keys, and ``EXPLAIN`` /
-``EXPLAIN ANALYZE`` expose the chosen plan, per-node strategy, timings
-and cache status.  There is no second evaluator here: a statement the
+:class:`repro.engine.Engine`: statements become logical plans over
+scans of registered names — a derived name is read as registered, never
+re-derived from the statement that made it — and ``EXPLAIN`` /
+``EXPLAIN ANALYZE`` expose the chosen plan, per-node strategy and
+timings.  There is no second evaluator here: a statement the
 engine fails on is retried once on its plan *as written*
 (:meth:`Engine.execute_as_written` — same executor, accelerators
 bypassed), and the reference the parity suites compare against is the
 operators themselves (``repro.algebra`` / ``repro.queries`` /
 ``repro.semantics``, see ``tests/helpers.py::evaluate_directly``).
 
-Ahead of it sits the *statement tier*: a bare read's outcome is kept
-under ``(text, check mode, catalog token of its source)`` — the key
-discipline of :meth:`Engine.cache_key` — and a repeat whose input has
-not moved is answered before parse, check, plan and certify.  A front
-tier, not a fork: the engine's result tier keeps serving its misses (on
-the benchmark's derive stream, 452 hits in 2,544 lookups, all through
-lineage).
+Ahead of it sits the *statement tier*, the one result cache: a bare
+read's outcome is kept under ``(text, check mode, catalog token of its
+source)`` — the key discipline of :meth:`Engine.cache_key` — and a
+repeat whose input has not moved is answered before parse, check, plan
+and certify.  Between statements the engine remembers nothing; the
+catalog is the only memory.
 
 Efficient algorithms are used on tree-structured instances; DAGs fall
 back to the exact Bayesian-network / global engines automatically.
@@ -41,7 +39,7 @@ from dataclasses import dataclass
 from repro.check.diagnostics import ERROR, CheckError, Diagnostic, DiagnosticReport
 from repro.core.instance import ProbabilisticInstance
 from repro.engine.cache import LRUCache
-from repro.engine.executor import _CACHE_SIZE, Engine, ExecutionResult, condition_of
+from repro.engine.executor import Engine, ExecutionResult, condition_of
 from repro.engine.plan import plan_statement
 from repro.errors import BudgetExceeded, EmptyResultError, PXMLError
 from repro.obs.export import render_span_tree
@@ -53,11 +51,15 @@ from repro.pxql.parser import SpanMap, parse_memo
 from repro.render import render_distribution, render_instance
 from repro.resilience.breaker import CLOSED
 from repro.resilience.budget import Budget, current_budget, use_budget
+from repro.resilience.faults import fault_point
 from repro.semantics.global_interpretation import GlobalInterpretation
 from repro.storage.database import Database, DatabaseError
 from repro.storage.derived import cache_token, catalog_generation, reading_at
 
 _CHECK_MODES = ("error", "warn", "off")
+
+#: LRU capacity of the statement tier.
+_CACHE_SIZE = 256
 
 #: Instance-producing statement kinds (registered under their ``AS`` name).
 _ALGEBRA = (ast.ProjectStatement, ast.SelectStatement, ast.ProductStatement)
@@ -187,10 +189,7 @@ class Interpreter:
         statement, spans = self._parse(text)
         subject = text.strip()
         generation, key = self._statement_key(text, statement)
-        entry = (
-            self.engine._cache_get(self._statements, key)
-            if key is not None else None
-        )
+        entry = self._tier_get(key) if key is not None else None
         if entry is not None:
             diagnostics, result = entry
             if self.check != "off":
@@ -207,29 +206,56 @@ class Interpreter:
         with reading_at(self.database, generation):
             result = self.run(statement, spans, subject)
         # Kept only when nothing degraded on the way: no retry as
-        # written, no optimizer or cache failure absorbed by the engine.
+        # written, no optimizer or statement-tier failure absorbed (both
+        # count against the engine's breaker).
         if key is not None and (self._fallback_count, breaker.failures) <= before:
-            self.engine._cache_put(
-                self._statements, key,
-                (tuple(self.last_diagnostics), _unshared(result)),
+            self._tier_put(
+                key, (tuple(self.last_diagnostics), _unshared(result))
             )
         return result
+
+    def _tier_error(self, op: str, exc: Exception) -> None:
+        engine = self.engine
+        engine.metrics.counter("resilience.cache_errors").inc()
+        engine.tracer.event(
+            "resilience.cache_error", cache=self._statements.name, op=op,
+            error=f"{type(exc).__name__}: {exc}",
+        )
+        engine.breaker.record_failure()
+
+    def _tier_get(self, key: tuple):
+        """A statement-tier lookup that can never fail a query (errors =
+        miss, counted against the engine's breaker)."""
+        try:
+            fault_point(f"{self._statements.name}.get")
+            return self._statements.get(key)
+        except Exception as exc:
+            self._tier_error("get", exc)
+            return None
+
+    def _tier_put(self, key: tuple, value) -> None:
+        """A statement-tier insert that can never fail a query (errors =
+        skip, counted against the engine's breaker)."""
+        try:
+            fault_point(f"{self._statements.name}.put")
+            self._statements.put(key, value)
+        except Exception as exc:
+            self._tier_error("put", exc)
 
     def _statement_key(
         self, text: str, statement: ast.Statement
     ) -> tuple[int | None, tuple | None]:
         """``(generation, key)``: this request's one catalog read — the
         checker and the engine are handed it — and, unless the tier must
-        stay out (not a bare read, accelerators off, breaker not closed,
-        a session deadline, an unknown name), the entry's key."""
+        stay out (not a bare read, breaker not closed, a session
+        deadline, an unknown name), the entry's key."""
         if not isinstance(statement, _ENGINE_ROUTED):
             return None, None
         generation = catalog_generation(self.database)
-        engine = self.engine
         if not (
-            isinstance(statement, _READS) and engine.caching
+            isinstance(statement, _READS)
             and self._session_timeout_s is None
-            and engine.breaker.state == CLOSED
+            and self.engine.breaker.state == CLOSED
         ):
             return generation, None
         try:
@@ -326,9 +352,9 @@ class Interpreter:
 
         An unexpected failure on an engine-routed statement is retried
         once through :meth:`Engine.execute_as_written` — the same
-        executor with lineage expansion, rewrite, certificate/skip and
-        every cache bypassed, so it covers faults in those accelerator
-        layers and nothing below them.  A retry that *answers* is
+        executor with rewrite, certificate/skip and the snapshot access
+        method bypassed, so it covers faults in those accelerator layers
+        and nothing below them.  A retry that *answers* is
         recorded in :attr:`fallbacks`, the ``resilience.fallbacks``
         counter and a ``resilience.fallback`` trace event; one that
         fails too was the user's error, and raises as such.  Budget,
@@ -385,9 +411,8 @@ class Interpreter:
 
     @property
     def cache_stats(self) -> dict[str, dict[str, int]]:
-        """The engine's cache counters plus the statement tier's."""
-        statements = self._statements.stats.as_dict()
-        return {**self.engine.cache_stats, "statements": statements}
+        """The statement tier's counters."""
+        return {"statements": self._statements.stats.as_dict()}
 
     # ------------------------------------------------------------------
     def _fresh_name(self) -> str:
@@ -417,13 +442,9 @@ class Interpreter:
                     engine.plan_statement(statement)
                 ), None
             return engine.execute_statement(statement), None
-        plan = engine.plan_statement(statement)
-        input_versions = engine.versions_of(plan)
         execute = engine.execute_as_written if as_written else engine.execute_plan
-        execution = execute(plan)
-        name = self._register(statement.target, execution.value)
-        engine.record_lineage(name, plan, input_versions)
-        return execution, name
+        execution = execute(engine.plan_statement(statement))
+        return execution, self._register(statement.target, execution.value)
 
     def _run_planned(
         self, statement: ast.Statement, as_written: bool = False

@@ -53,9 +53,9 @@ site                    where
                         sidecar is
 ``db.quarantine.move``  before a corrupt data file is moved to quarantine
 ``db.quarantine.sidecar`` after the data file moved, before its sidecar
-``engine.cache.*.get``  before an engine cache lookup (results)
-``engine.cache.*.put``  before an engine cache insert
-``lock.engine.cache.*`` the engine cache's internal lock boundary
+``pxql.cache.statements.get`` before a statement-tier lookup
+``pxql.cache.statements.put`` before a statement-tier insert
+``lock.pxql.cache.statements`` the statement tier's internal lock boundary
 ``lock.db.mutate``      before the catalog takes its in-memory lock for a
                         mutation (register / drop / save / touch)
 ``lock.db.file``        before the catalog's cross-process file lock is
@@ -140,7 +140,7 @@ class FaultSpec:
 
     Args:
         site: a hook-point name or ``fnmatch`` pattern
-            (``"engine.cache.*"``).
+            (``"pxql.cache.statements.*"``).
         kind: ``"error"``, ``"corrupt"``, ``"slow"``, ``"barrier"``, or
             ``"crash"`` (SIGKILL the process — sacrificial subprocesses
             only).

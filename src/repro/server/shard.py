@@ -26,7 +26,7 @@ A dead shard answers every in-flight and future request with
 fixed while serving; :func:`~repro.server.layout.reshard` changes it
 offline.
 
-**Cache coherence.**  Each shard's engine caches are in memory and key
+**Cache coherence.**  Each shard's statement tier is in memory and keys
 on a per-name ``(version, epoch)`` token (see ``Engine.cache_key``): a
 write by another process moves the epoch of the names it touched, so
 only entries scanning those names stop matching, and a restarted shard
@@ -331,8 +331,8 @@ class ShardedServer:
     def restart_shard(self, index: int) -> None:
         """Start a fresh process for one shard over its directory.
 
-        The replacement re-opens the same catalog directory with empty
-        engine caches: the first touch of each statement recomputes.
+        The replacement re-opens the same catalog directory with an empty
+        statement tier: the first touch of each statement recomputes.
         """
         self._check_index(index)
         handle = self._handles[index]

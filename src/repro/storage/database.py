@@ -327,8 +327,8 @@ class Database:
         """Move the epoch of every name in ``commits`` (generation ->
         name) — of every name, raising the blanket floor to ``top``,
         when ``None`` — drop its clean in-memory copy and bump its
-        version, so the next :meth:`get` reloads and lineage entries
-        die.  A dirty copy stays authoritative."""
+        version, so the next :meth:`get` reloads.  A dirty copy stays
+        authoritative."""
         with self._lock:
             if commits is None:
                 stale = set(self._versions)

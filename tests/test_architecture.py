@@ -247,22 +247,24 @@ def test_one_access_method_decision():
     assert not problems, "\n".join(problems)
 
 
-def test_two_tiers():
-    """No plan tier, no cost-hint table; two ``LRUCache(`` constructions.
+def test_one_result_tier():
+    """One result cache: ``LRUCache(`` is constructed only in the
+    interpreter (its statement tier); no plan tier, no cost-hint table,
+    no sub-plan result tier, no lineage, no rule that only lineage fed.
 
-    What is kept between statements is a materialised result: the
-    statement tier in the interpreter and the result tier in the
-    executor, under the one catalog token.  Preparing a plan is a pure
-    function of the plan, its lineage and the catalog tokens, so a
-    remembered plan, a remembered "last prepared" record or a table the
-    certificate writes into the cost model is the third tier growing
-    back — as is a third cache constructed anywhere.
+    Between statements the catalog is the only memory: a scan of a
+    registered name reads that instance, so a derived name is read as
+    saved.  A remembered plan, a table the certificate writes into the
+    cost model, a per-node result cache or a recorded lineage to inline
+    is a second tier growing back.
     """
-    banned = {"plan_cache", "_last_prepared", "note_hint", "hint_hits",
-              "_install_hints"}
-    tiers = {
-        "src/repro/engine/executor.py",   # the result tier
-        "src/repro/pxql/interpreter.py",  # the statement tier
+    from repro.engine import Engine
+
+    banned = {
+        "plan_cache", "_last_prepared", "note_hint", "hint_hits",
+        "_install_hints", "result_cache", "_lineage", "_lineage_plan",
+        "_serve_hit", "_hit_view", "collapse_adjacent_projections",
+        "push_selection_below_projection",
     }
     problems = []
     built = []
@@ -281,8 +283,10 @@ def test_two_tiers():
                 and path != "src/repro/engine/cache.py"
             ):
                 built.append(path)
-    if sorted(built) != sorted(tiers):
-        problems.append(f"LRUCache( constructed in {built}, not once in each of {sorted(tiers)}")
+    if built != ["src/repro/pxql/interpreter.py"]:
+        problems.append(f"LRUCache( constructed in {built}, not once in src/repro/pxql/interpreter.py")
+    if hasattr(Engine, "expand"):
+        problems.append("Engine.expand is back")
     assert not problems, "\n".join(problems)
 
 

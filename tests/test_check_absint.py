@@ -257,7 +257,7 @@ class TestVerifyExecution:
     def test_clean_execution_has_no_violations(self, database):
         plan = QueryNode("count", ScanNode("bib"),
                          path=PathExpression("R", ("book",)))
-        engine = _engine(database, caching=False)
+        engine = _engine(database)
         result = engine.execute_plan(plan)
         assert verify_execution(result.certificate, result.value,
                                 result.stats) == []
@@ -265,7 +265,7 @@ class TestVerifyExecution:
     def test_tampered_result_interval_is_flagged(self, database):
         plan = QueryNode("exists", ScanNode("bib"),
                          path=PathExpression("R", ("book",)))
-        engine = _engine(database, caching=False)
+        engine = _engine(database)
         result = engine.execute_plan(plan)
         bogus = dataclasses.replace(result.certificate, result=(0.0, 0.1))
         violations = verify_execution(bogus, result.value, result.stats)
@@ -274,14 +274,14 @@ class TestVerifyExecution:
     def test_shape_mismatch_skips_the_check(self, database):
         plan = QueryNode("exists", ScanNode("bib"),
                          path=PathExpression("R", ("book",)))
-        engine = _engine(database, caching=False)
+        engine = _engine(database)
         result = engine.execute_plan(plan)
         truncated = dataclasses.replace(
             result.certificate, facts=result.certificate.facts[:1])
         assert verify_execution(truncated, result.value, result.stats) == []
 
     def test_engine_verify_counter_stays_zero(self, database):
-        engine = _engine(database, caching=False)
+        engine = _engine(database)
         engine.absint_verify = True
         for kind in KINDS:
             plan = _query_plan(kind, "bib", PathExpression("R", ("book",)),
@@ -298,16 +298,16 @@ class TestEngineIntegration:
     def test_dead_plan_short_circuits(self, database):
         plan = QueryNode("count", ScanNode("bib"),
                          path=PathExpression("R", ("book", DEAD_LABEL)))
-        engine = _engine(database, caching=False)
+        engine = _engine(database)
         result = engine.execute_plan(plan)
         assert result.value == 0.0
         assert engine.metrics.counter("check.absint_skips").value == 1
-        assert result.stats.cache == "skip"
+        assert result.stats.strategy == "absint"
 
     def test_absint_off_engine_never_skips(self, database):
         plan = QueryNode("count", ScanNode("bib"),
                          path=PathExpression("R", ("book", DEAD_LABEL)))
-        engine = _engine(database, caching=False, absint=False)
+        engine = _engine(database, absint=False)
         result = engine.execute_plan(plan)
         assert result.value == 0.0
         assert result.certificate is None
@@ -319,14 +319,13 @@ class TestEngineIntegration:
         # (which has no skip of its own) gives the same constant when
         # matched, as does the walk.
         dead = PathExpression("R", ("book", DEAD_LABEL))
-        engine = _engine(database, caching=False)
-        matched = _engine(database, caching=False, absint=False)
+        engine = _engine(database)
+        matched = _engine(database, absint=False)
         for kind in KINDS:
             plan = _query_plan(kind, "bib", dead, oid="B1")
             result = engine.execute_plan(plan)
             assert result.certificate.skippable
-            assert (result.stats.cache, result.stats.strategy) == \
-                ("skip", "absint")
+            assert result.stats.strategy == "absint"
             indexed = matched.execute_plan(plan)
             assert indexed.stats.strategy == "indexed"
             assert indexed.value == result.value
@@ -338,7 +337,7 @@ class TestEngineIntegration:
     def test_explain_renders_intervals(self, database):
         plan = QueryNode("exists", ScanNode("bib"),
                          path=PathExpression("R", ("book",)))
-        engine = _engine(database, caching=False)
+        engine = _engine(database)
         text = engine.explain(plan)
         assert "est_rows=[" in text
         assert "prob=[" in text
@@ -347,7 +346,7 @@ class TestEngineIntegration:
     def test_explain_marks_provably_empty(self, database):
         plan = QueryNode("exists", ScanNode("bib"),
                          path=PathExpression("R", ("book", DEAD_LABEL)))
-        engine = _engine(database, caching=False)
+        engine = _engine(database)
         assert "provably empty" in engine.explain(plan)
 
     def test_explain_analyze_of_a_zero_edge_projection(self):
@@ -377,7 +376,7 @@ def test_corpus_answers_inside_certified_intervals(spec):
     workload, path, oid = _workload_targets(spec)
     database = Database()
     database.register("base", workload.instance)
-    engine = _engine(database, caching=False)
+    engine = _engine(database)
     engine.absint_verify = True
     for kind in KINDS:
         plan = _query_plan(kind, "base", path, oid=oid)
@@ -408,8 +407,8 @@ def test_dead_plan_parity_and_skip(spec):
 
     database = Database()
     database.register("base", workload.instance)
-    on = _engine(database, caching=False)
-    off = _engine(database, caching=False, absint=False)
+    on = _engine(database)
+    off = _engine(database, absint=False)
     for kind in ("exists", "count", "dist"):
         plan = _query_plan(kind, "base", dead)
         assert on.execute_plan(plan).value == off.execute_plan(plan).value
@@ -437,7 +436,7 @@ def test_property_interval_soundness(labeling, opf_kind, seed, kind,
     workload, path, oid = _workload_targets(spec)
     database = Database()
     database.register("base", workload.instance)
-    engine = _engine(database, caching=False)
+    engine = _engine(database)
     engine.absint_verify = True
     plan = _query_plan(kind, "base", path, oid=oid)
     result = engine.execute_plan(plan)

@@ -311,10 +311,19 @@ class TestTruncatedGuide:
 
 
 class TestRewriteJustifications:
+    @staticmethod
+    def _swapped_product(database):
+        """A product whose bigger operand is on the left: the reorder
+        rule fires on it."""
+        tiny = InstanceBuilder("T")
+        tiny.children("T", "x", ["t1"])
+        tiny.opf("T", {("t1",): 1.0})
+        tiny.leaf("t1", "v", ["u"], {"u": 1.0})
+        database.register("tiny", tiny.build())
+        return ProductNode(ScanNode("bib"), ScanNode("tiny"), "P")
+
     def test_all_default_rules_justified(self, database):
-        path = PathExpression.parse("R.book.author")
-        plan = (PlanBuilder.scan("bib").project(path).project(path)
-                .select(path, "A1").build())
+        plan = self._swapped_product(database)
         trace = []
         optimize(plan, CostModel(database), trace=trace)
         justifications = justify_rewrites(trace)
@@ -322,9 +331,7 @@ class TestRewriteJustifications:
         assert all(j.holds for j in justifications)
 
     def test_check_plan_reports_justifications(self, database):
-        path = PathExpression.parse("R.book.author")
-        plan = (PlanBuilder.scan("bib").project(path)
-                .select(path, "A1").build())
+        plan = self._swapped_product(database)
         diagnostics = check_plan(plan, database, rewrites=True)
         assert "PX251" in codes(diagnostics)
         assert "PX250" not in codes(diagnostics)
@@ -332,6 +339,6 @@ class TestRewriteJustifications:
     def test_unsound_pair_is_flagged(self):
         fake = PlanBuilder.scan("x").project("R.a").build()
         [justification] = justify_rewrites([
-            ("collapse_adjacent_projections", fake, fake),
+            ("reorder_product_by_size", fake, fake),
         ])
         assert not justification.holds

@@ -35,7 +35,12 @@ from repro.check.model import has_errors, lint_instance
 from repro.core.builder import InstanceBuilder
 from repro.engine.executor import Engine
 from repro.engine.plan import PlanBuilder, QueryNode, ScanNode
-from repro.errors import EmptyResultError, NonTreeInstanceError, PXMLError
+from repro.errors import (
+    AlgebraError,
+    EmptyResultError,
+    NonTreeInstanceError,
+    PXMLError,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.semistructured.paths import PathExpression, match_path
 from repro.storage.database import Database
@@ -286,7 +291,7 @@ def test_certificates_hold_at_run_time(instance):
     and a plan that raises was predicted to."""
     database = Database()
     database.register("base", instance)
-    engine = Engine(database, caching=False, metrics=MetricsRegistry())
+    engine = Engine(database, metrics=MetricsRegistry())
     engine.absint_verify = True
     structural = _structural_paths(instance.weak.graph(), instance.root)
     for plan in _probe_plans(instance, structural):
@@ -297,9 +302,11 @@ def test_certificates_hold_at_run_time(instance):
         except PXMLError as exc:
             errors = [d for d in check_plan(plan, database) if d.severity == "error"]
             # Short of an error finding, a zero condition must at least
-            # be one the certificate allows (a selection above a
-            # projection that pruned its object).
-            allowed = isinstance(exc, EmptyResultError) and any(
+            # be one the certificate allows: a selection above a
+            # projection that pruned its object (EmptyResultError when
+            # the projection kept it at probability zero, AlgebraError
+            # when it dropped it).
+            allowed = isinstance(exc, (EmptyResultError, AlgebraError)) and any(
                 facts.condition is not None and facts.condition.lo == 0.0
                 for facts in certify_plan(plan, database).facts
             )

@@ -16,12 +16,12 @@ import threading
 import pytest
 
 from repro.engine.cache import LRUCache
-from repro.engine.executor import Engine
 from repro.errors import LockTimeout
 from repro.io.json_codec import read_instance
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.paper import figure2_instance
+from repro.pxql import Interpreter
 from repro.pxql.parser import parse
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import FaultInjector, FaultSpec
@@ -92,20 +92,23 @@ class TestLRUCacheContention:
         assert stats.size <= cache.capacity
 
     def test_engine_caches_under_concurrent_queries(self):
-        database = Database()
-        database.register("bib", figure2_instance())
-        engine = Engine(database)
+        """One engine answering from many threads, and the statement
+        tier in front of it: the same answer, untorn counters."""
+        interpreter = Interpreter()
+        interpreter.database.register("bib", figure2_instance())
         statement = parse("EXISTS R.book.author IN bib")
-        reference = engine.execute_statement(statement).value
+        reference = interpreter.engine.execute_statement(statement).value
 
         def query(index: int) -> None:
             for _ in range(10):
-                result = engine.execute_statement(statement)
+                result = interpreter.engine.execute_statement(statement)
                 assert result.value == pytest.approx(reference)
+                repeat = interpreter.execute("EXISTS R.book.author IN bib")
+                assert repeat.value == pytest.approx(reference)
 
         errors = run_threads(self.THREADS, query)
         assert errors == []
-        for name, stats in engine.cache_stats.items():
+        for name, stats in interpreter.cache_stats.items():
             assert stats["gets"] == stats["hits"] + stats["misses"], name
 
 

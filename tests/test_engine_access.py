@@ -51,7 +51,11 @@ from repro.semistructured.paths import (
     match_path,
 )
 from repro.storage.database import Database
-from repro.workloads.generator import WorkloadSpec, generate_workload
+from repro.workloads.generator import (
+    WorkloadSpec,
+    generate_workload,
+    random_projection_path,
+)
 from tests.helpers import (
     OBJECT_KINDS,
     PATH_KINDS,
@@ -112,7 +116,7 @@ def test_access_methods_agree_on_every_generated_instance(instance, seed):
 
     database = Database()
     database.register("base", instance)
-    engine = Engine(database, caching=False)
+    engine = Engine(database)
     oracle = (
         QueryEngine(instance, strategy="enumerate")
         if len(instance) <= ENUMERABLE_OBJECTS else None
@@ -145,13 +149,13 @@ def test_access_methods_agree_on_every_generated_instance(instance, seed):
                     # Only a proof may answer where the algorithm
                     # does not apply: nothing matches, so {0: 1}.
                     assert skipped or (
-                        run.stats.cache == "skip" and run.value == {0: 1.0}
+                        run.stats.strategy == "absint" and run.value == {0: 1.0}
                     ), text
                     continue
                 assert written.stats.strategy != "indexed", text
                 accelerated = engine.execute_plan(plan)
                 assert accelerated.plan == plan, text
-                if accelerated.stats.cache != "skip":
+                if accelerated.stats.strategy != "absint":
                     assert (accelerated.stats.strategy == "indexed") == is_tree
                 assert_same_answer(accelerated.value, written.value, text)
                 assert_same_answer(
@@ -287,7 +291,6 @@ def test_a_cold_indexed_exists_builds_no_opf(cold_tree, monkeypatch):
     monkeypatch.setattr(TabularOPF, "__init__", counting)
     result = interpreter.execute(f"EXPLAIN ANALYZE EXISTS {first} IN t")
     assert "strategy=indexed" in result.text.splitlines()[0]
-    assert "cache=miss" in result.text.splitlines()[0]
     assert built == []
 
 
@@ -392,7 +395,7 @@ def test_empty_count_is_a_float_on_both_access_methods():
 
     database = Database()
     database.register("base", pi)
-    engine = Engine(database, caching=False, absint=False)   # no proof skip
+    engine = Engine(database, absint=False)   # no proof skip
     plan = plan_statement(parse(path_statement("count", nothing)))
     indexed = engine.execute_plan(plan)
     walked = engine.execute_as_written(plan)
@@ -459,12 +462,36 @@ def test_explain_names_the_strategy_that_runs(sources, source, kind):
     expected = {
         "tree scan": "indexed",
         "DAG scan": "bayes",
-        # Re-projecting a projection on its own path collapses onto
-        # the base scan (collapse_adjacent_projections via lineage).
-        "derived name": "indexed" if kind == "project" else "local",
+        # A derived name is a registered tree like any other.
+        "derived name": "indexed",
         # PROB / CHAIN name no path: the proof has nothing to skip.
         "guide-dead path": (
             "indexed" if kind in ("project", *OBJECT_KINDS) else "absint"
         ),
     }[source]
     assert planned == expected, statement
+
+
+def test_a_derived_name_is_read_as_saved():
+    """A selection over a registered projection scans that instance: the
+    plan is ``Scan(slot)``, not the projection's lineage over ``big``,
+    and the statement counts the projection's objects only."""
+    workload = generate_workload(
+        WorkloadSpec(depth=3, branching=3, labeling="FR", seed=2)
+    )
+    big = workload.instance
+    path = random_projection_path(workload, random.Random(5))
+    oid = sorted(match_path(big.weak.graph(), path).matched)[0]
+    interpreter = Interpreter(Database())
+    interpreter.database.register("big", big)
+    interpreter.execute(f"PROJECT {path} FROM big AS slot")
+    slot = interpreter.database.get("slot")
+    assert len(slot) < len(big)
+
+    selection = f"SELECT {path} = {oid} FROM slot"
+    plan = interpreter.execute(f"EXPLAIN {selection}").text
+    assert "Scan(slot)" in plan and "Scan(big)" not in plan
+    before = interpreter.metrics.value("engine.objects_scanned")
+    interpreter.execute(f"{selection} AS chosen")
+    scanned = interpreter.metrics.value("engine.objects_scanned") - before
+    assert scanned == len(slot)

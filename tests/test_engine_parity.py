@@ -1,11 +1,14 @@
 """Randomized parity: the engine path must equal the operators it plans.
 
-Every rewrite rule and the full optimizer are checked against direct
+The rewrite rule and the full optimizer are checked against direct
 calls to the Section 5/6 operators (``tests.helpers.evaluate_directly``)
 on generated instances (Section 7.1 workloads); probabilities must
-agree within 1e-9.  The degraded retry (every accelerator bypassed) and,
-on these depth-2 specs, the enumerated semantics are held to the same
-answers.  The
+agree within 1e-9.  A derived name is read as registered, so the
+algebraic identities that make that safe — a saved projection answers
+what its lineage over the base would — are checked on the same
+instances.  The degraded retry (every accelerator bypassed) and, on
+these depth-2 specs, the enumerated semantics — of each instance, and
+for a derived one of its base — are held to the same answers.  The
 suite runs on 52 generated instances (13 seeds x 2 labelings x 2 OPF
 representations) plus hand-built disjoint-OID instances for the product
 cases (generated instances share the ``o0, o1, ...`` namespace, so they
@@ -18,13 +21,14 @@ from dataclasses import replace
 import pytest
 
 from repro.core.builder import InstanceBuilder
+from repro.algebra.projection_prob import ancestor_projection_global
+from repro.algebra.selection import ObjectCondition
 from repro.engine import (
     Engine,
     PlanBuilder,
     ProductNode,
     ScanNode,
-    collapse_adjacent_projections,
-    push_selection_below_projection,
+    plan_statement,
 )
 from repro.pxql import Interpreter, ast, parse
 from repro.queries.engine import QueryEngine
@@ -80,8 +84,8 @@ def _parity_script(spec):
     statements = [
         f"PROJECT {path} FROM base AS p",
         f"SELECT {sel_path} = {sel_oid} FROM base AS s",
-        # The pipeline: selecting on the projection's own path is
-        # exactly the pattern the pushdown rule rewrites (via lineage).
+        # A selection over a derived name, on the projection's own path:
+        # read from ``p`` as registered, never re-derived from ``base``.
         f"SELECT {path} = {path_oid} FROM p AS ps",
     ]
     probes = [
@@ -163,12 +167,10 @@ def test_degraded_parity(spec, monkeypatch):
     assert engine.metrics.counter("resilience.fallbacks").value == count
     assert engine.metrics.counter("pxql.errors").value == 0
     # The retry is the engine's own executor, so what it keeps is kept
-    # by construction: one execution per statement, lineage recorded.
+    # by construction: one execution per statement, each result
+    # registered.
     assert engine.metrics.counter("engine.executions").value == count
     assert registered == ["p", "s", "ps"]
-    assert all(engine.engine._lineage_plan(name) is not None
-               for name in registered)
-    assert len(engine.engine.result_cache) == 0
     # The retry as written never asks for a snapshot.  (The catalog's
     # shared index cache may hold one all the same: the check pass ahead
     # of each statement locates PROJECT / SELECT paths on it.)
@@ -179,7 +181,8 @@ def test_degraded_parity(spec, monkeypatch):
 def test_enumeration_oracle(spec):
     """``POINT`` / ``EXISTS`` also equal the enumerated semantics (every
     compatible world, Theorem 1) — on the base instance and on derived
-    ones.  Each probe runs twice and the *repeat* — the statement tier's
+    ones, and for a derived one also the global projection / selection
+    of its base.  Each probe runs twice and the *repeat* — the statement tier's
     answer — is the one compared, before and after its source is
     re-registered with a different instance."""
     workload, statements, probes = _parity_script(spec)
@@ -187,6 +190,23 @@ def test_enumeration_oracle(spec):
     engine.database.register("base", workload.instance.copy())
     for text in statements:
         engine.execute(text)
+    # ``p`` and ``ps`` against the base's global semantics: project every
+    # enumerated world of ``base`` and group (Definition 5.3), then keep
+    # the worlds the condition holds in and renormalise (Definition 5.6,
+    # ``select_global`` over an interpretation).
+    selection = plan_statement(parse(statements[2]))
+    path, oid = selection.path, selection.oid
+    projected = ancestor_projection_global(workload.instance, path)
+    selected = projected.condition(ObjectCondition(path, oid).satisfied_by)
+    for name, worlds in (("p", projected), ("ps", selected)):
+        point = f"POINT {path} : {oid} IN {name}"
+        assert engine.execute(point).value == pytest.approx(
+            worlds.prob_object_at_path(path, oid), abs=TOL
+        ), point
+        exists = f"EXISTS {path} IN {name}"
+        assert engine.execute(exists).value == pytest.approx(
+            worlds.prob_path_nonempty(path), abs=TOL
+        ), exists
     other = generate_workload(replace(spec, seed=spec.seed + 50)).instance
     for text in probes:
         stmt = parse(text)
@@ -220,8 +240,8 @@ def test_optimizer_on_off_parity(spec):
 
     database = Database()
     database.register("base", workload.instance)
-    raw = Engine(database, optimizer=False, caching=False)
-    optimized = Engine(database, optimizer=True, caching=False)
+    raw = Engine(database, optimizer=False)
+    optimized = Engine(database, optimizer=True)
 
     pipeline = (
         PlanBuilder.scan("base").project(path).project(path)
@@ -229,7 +249,6 @@ def test_optimizer_on_off_parity(spec):
     )
     a = raw.execute_plan(pipeline)
     b = optimized.execute_plan(pipeline)
-    assert b.applied_rules  # the rewrite actually fired
     assert a.value.objects == b.value.objects
     assert b.condition_probability == pytest.approx(
         a.condition_probability, abs=TOL
@@ -245,44 +264,50 @@ def test_optimizer_on_off_parity(spec):
 
 
 # ----------------------------------------------------------------------
-# Rule-level parity: each rewrite in isolation
+# Derived names: a saved projection answers what its lineage would
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("spec", SMALL_SPECS, ids=_spec_id)
-def test_collapse_rule_parity(spec):
+def _projected(spec, salt):
+    """``(database, path, oid)``: ``base`` and ``p`` = its ancestor
+    projection on a random accepted path, registered as computed."""
     workload = generate_workload(spec)
-    rng = random.Random(spec.seed + 3000)
+    rng = random.Random(spec.seed + salt)
     path = random_projection_path(workload, rng)
     oid = _path_oid(workload, path, rng)
-
     database = Database()
     database.register("base", workload.instance)
-    engine = Engine(database, optimizer=False, caching=False)
+    engine = Engine(database, optimizer=False)
+    project = PlanBuilder.scan("base").project(path).build()
+    database.register("p", engine.execute_plan(project).value)
+    return database, path, oid
 
-    raw = PlanBuilder.scan("base").project(path).project(path).build()
-    rewritten = collapse_adjacent_projections(raw, None)
-    assert rewritten is not None
-    a = engine.execute_plan(raw).value
-    b = engine.execute_plan(rewritten).value
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=_spec_id)
+def test_collapse_rule_parity(spec):
+    """``Λ_p`` is idempotent: projecting the saved projection ``p`` on
+    its own path equals projecting the base."""
+    database, path, oid = _projected(spec, 3000)
+    engine = Engine(database, optimizer=False)
+    again = PlanBuilder.scan("p").project(path).build()
+    once = PlanBuilder.scan("base").project(path).build()
+    a = engine.execute_plan(again).value
+    b = engine.execute_plan(once).value
     assert a.objects == b.objects
     assert _point(a, path, oid) == pytest.approx(_point(b, path, oid), abs=TOL)
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=_spec_id)
 def test_pushdown_rule_parity(spec):
-    workload = generate_workload(spec)
-    rng = random.Random(spec.seed + 4000)
-    path = random_projection_path(workload, rng)
-    oid = _path_oid(workload, path, rng)
-
-    database = Database()
-    database.register("base", workload.instance)
-    engine = Engine(database, optimizer=False, caching=False)
-
-    raw = PlanBuilder.scan("base").project(path).select(path, oid).build()
-    rewritten = push_selection_below_projection(raw, None)
-    assert rewritten is not None
-    a = engine.execute_plan(raw)
-    b = engine.execute_plan(rewritten)
+    """``σ_{p=o}(Λ_p(I)) = Λ_p(σ_{p=o}(I))``: selecting on the saved
+    projection ``p`` equals projecting the base's selection, with the
+    same condition probability."""
+    database, path, oid = _projected(spec, 4000)
+    engine = Engine(database, optimizer=False)
+    over_view = PlanBuilder.scan("p").select(path, oid).build()
+    over_base = (
+        PlanBuilder.scan("base").select(path, oid).project(path).build()
+    )
+    a = engine.execute_plan(over_view)
+    b = engine.execute_plan(over_base)
     assert a.value.objects == b.value.objects
     assert b.condition_probability == pytest.approx(
         a.condition_probability, abs=TOL
@@ -312,7 +337,7 @@ class TestProductParity:
         left, right = _disjoint_pair()
         database.register("l", left)    # 3 objects
         database.register("r", right)   # 2 objects
-        engine = Engine(database, optimizer=False, caching=False)
+        engine = Engine(database, optimizer=False)
 
         raw = ProductNode(ScanNode("l"), ScanNode("r"), "root")
         from repro.engine import reorder_product_by_size
@@ -348,8 +373,8 @@ class TestProductParity:
         database = Database()
         database.register("l", left)
         database.register("r", right)
-        raw = Engine(database, optimizer=False, caching=False)
-        optimized = Engine(database, optimizer=True, caching=False)
+        raw = Engine(database, optimizer=False)
+        optimized = Engine(database, optimizer=True)
 
         plan = ProductNode(ScanNode("l"), ScanNode("r"))  # bigger first
         a = raw.execute_plan(plan)

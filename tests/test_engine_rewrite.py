@@ -1,4 +1,4 @@
-"""Tests for the rewrite rules and the optimizer driver."""
+"""Tests for the rewrite rule and the optimizer driver."""
 
 import pytest
 
@@ -7,12 +7,9 @@ from repro.engine import (
     CostModel,
     PlanBuilder,
     ProductNode,
-    ProjectNode,
+    QueryNode,
     ScanNode,
-    SelectNode,
-    collapse_adjacent_projections,
     optimize,
-    push_selection_below_projection,
     reorder_product_by_size,
 )
 from repro.semistructured.paths import PathExpression
@@ -20,95 +17,6 @@ from repro.storage.database import Database
 
 
 PATH = PathExpression.parse("R.book.author")
-OTHER = PathExpression.parse("R.book")
-
-
-class TestCollapseAdjacentProjections:
-    def test_identical_ancestor_projections_collapse(self):
-        plan = PlanBuilder.scan("bib").project(PATH).project(PATH).build()
-        collapsed = collapse_adjacent_projections(plan, None)
-        assert collapsed == ProjectNode("ancestor", PATH, ScanNode("bib"))
-
-    def test_descendant_collapse(self):
-        plan = (
-            PlanBuilder.scan("bib")
-            .project(PATH, "descendant")
-            .project(PATH, "descendant")
-            .build()
-        )
-        assert collapse_adjacent_projections(plan, None) is not None
-
-    def test_different_paths_do_not_collapse(self):
-        plan = PlanBuilder.scan("bib").project(OTHER).project(PATH).build()
-        assert collapse_adjacent_projections(plan, None) is None
-
-    def test_different_kinds_do_not_collapse(self):
-        plan = (
-            PlanBuilder.scan("bib")
-            .project(PATH, "descendant")
-            .project(PATH, "ancestor")
-            .build()
-        )
-        assert collapse_adjacent_projections(plan, None) is None
-
-    def test_single_collapses_only_one_label_paths(self):
-        short = PathExpression.parse("R.book")
-        good = (
-            PlanBuilder.scan("bib")
-            .project(short, "single")
-            .project(short, "single")
-            .build()
-        )
-        assert collapse_adjacent_projections(good, None) is not None
-        long = (
-            PlanBuilder.scan("bib")
-            .project(PATH, "single")
-            .project(PATH, "single")
-            .build()
-        )
-        assert collapse_adjacent_projections(long, None) is None
-
-
-class TestPushSelectionBelowProjection:
-    def test_same_path_selection_pushes(self):
-        plan = PlanBuilder.scan("bib").project(PATH).select(PATH, "A1").build()
-        pushed = push_selection_below_projection(plan, None)
-        assert isinstance(pushed, ProjectNode)
-        assert isinstance(pushed.child, SelectNode)
-        assert pushed.child.child == ScanNode("bib")
-
-    def test_value_selection_pushes(self):
-        plan = (
-            PlanBuilder.scan("bib")
-            .project(PATH)
-            .select(PATH, "A1", value="y")
-            .build()
-        )
-        pushed = push_selection_below_projection(plan, None)
-        assert pushed is not None
-        assert pushed.child.value == "y"
-
-    def test_other_path_does_not_push(self):
-        plan = PlanBuilder.scan("bib").project(PATH).select(OTHER, "B1").build()
-        assert push_selection_below_projection(plan, None) is None
-
-    def test_cardinality_selection_does_not_push(self):
-        plan = (
-            PlanBuilder.scan("bib")
-            .project(PATH)
-            .select(PATH, "A1", card_label="x", card_bounds=(1, 2))
-            .build()
-        )
-        assert push_selection_below_projection(plan, None) is None
-
-    def test_non_ancestor_projection_does_not_push(self):
-        plan = (
-            PlanBuilder.scan("bib")
-            .project(PATH, "descendant")
-            .select(PATH, "A1")
-            .build()
-        )
-        assert push_selection_below_projection(plan, None) is None
 
 
 def _sized_database():
@@ -153,19 +61,18 @@ class TestReorderProduct:
 
 class TestOptimizer:
     def test_fixpoint_applies_rules_transitively(self):
-        # select over double projection: collapse then push.
-        plan = (
-            PlanBuilder.scan("bib")
-            .project(PATH)
-            .project(PATH)
-            .select(PATH, "A1")
-            .build()
+        # The inner product is reordered first; the outer one then
+        # compares the reordered operand's estimate and swaps too.
+        cost = CostModel(_sized_database())
+        inner = ProductNode(ScanNode("big"), ScanNode("small"), "r")
+        plan = ProductNode(inner, ScanNode("small"), "q")
+        optimized, applied = optimize(plan, cost)
+        assert applied == ("reorder_product_by_size",) * 2
+        assert optimized == ProductNode(
+            ScanNode("small"),
+            ProductNode(ScanNode("small"), ScanNode("big"), "r"),
+            "q",
         )
-        optimized, applied = optimize(plan)
-        assert "collapse_adjacent_projections" in applied
-        assert "push_selection_below_projection" in applied
-        assert isinstance(optimized, ProjectNode)
-        assert isinstance(optimized.child, SelectNode)
 
     def test_no_rules_fire_returns_same_plan(self):
         plan = PlanBuilder.scan("bib").select(PATH, "A1").build()
@@ -174,14 +81,16 @@ class TestOptimizer:
         assert applied == ()
 
     def test_query_node_children_are_optimized(self):
+        cost = CostModel(_sized_database())
         plan = (
-            PlanBuilder.scan("bib")
-            .project(PATH)
-            .project(PATH)
-            .point(PATH, "A1")
+            PlanBuilder.scan("big")
+            .product(PlanBuilder.scan("small"), new_root="r")
+            .point("r.y", "b1")
             .build()
         )
-        optimized, applied = optimize(plan)
-        assert "collapse_adjacent_projections" in applied
-        assert isinstance(optimized.child, ProjectNode)
-        assert isinstance(optimized.child.child, ScanNode)
+        optimized, applied = optimize(plan, cost)
+        assert applied == ("reorder_product_by_size",)
+        assert isinstance(optimized, QueryNode)
+        assert optimized.child == ProductNode(
+            ScanNode("small"), ScanNode("big"), "r"
+        )

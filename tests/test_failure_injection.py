@@ -338,8 +338,10 @@ def _chaos_specs():
                   probability=0.15, times=None),
         FaultSpec("codec.read", kind="corrupt",
                   probability=0.1, times=None),
-        FaultSpec("engine.cache.*", exception=RuntimeError,
-                  probability=0.2, times=None),
+        # About ten visits per corpus run (a bare read's lookup and
+        # insert), so a coin that fires on every second one.
+        FaultSpec("pxql.cache.statements.*", exception=RuntimeError,
+                  probability=0.5, times=None),
         FaultSpec("db.drop.unlink", exception=OSError,
                   probability=0.3, times=None),
         FaultSpec("codec.write.tmp", exception=OSError,
@@ -399,7 +401,9 @@ class TestChaosSuite:
         chaotic = _corpus_interpreter(
             _copy_fixtures(tmp_path / f"chaos{seed}")
         )
-        with FaultInjector(*_chaos_specs(), seed=seed, sleep=_no_sleep):
+        with FaultInjector(
+            *_chaos_specs(), seed=seed, sleep=_no_sleep
+        ) as injector:
             outcomes = _run_corpus(chaotic)
         for (base_status, base_value), (status, value) in zip(
             baseline, outcomes
@@ -412,6 +416,7 @@ class TestChaosSuite:
                     f"untyped {type(value).__name__} escaped: {value}"
                 )
         assert _absint_violations(chaotic) == 0
+        assert injector.fired("pxql.cache.statements.*") > 0
 
     @pytest.mark.parametrize("seed", _chaos_seeds())
     def test_catalog_operations_under_chaos(self, tmp_path, seed):

@@ -467,7 +467,7 @@ def _path_statements(path, oid):
 def _engine_over(instance, **options):
     database = Database()
     database.register("base", instance.copy())
-    return Engine(database, caching=False, **options)
+    return Engine(database, **options)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
@@ -576,7 +576,7 @@ def test_engine_skips_provably_unmatchable_paths():
     registry = MetricsRegistry()
     database = Database()
     database.register("bib", build_bib())
-    engine = Engine(database, caching=False, metrics=registry)
+    engine = Engine(database, metrics=registry)
 
     absent = PathExpression.parse("R.movie")
     exists = engine.execute_plan(
@@ -594,11 +594,11 @@ def test_engine_skips_provably_unmatchable_paths():
     assert registry.counter("check.absint_skips").value == 4
     assert registry.counter("index.builds").value == 0
     assert exists.certificate.skippable
-    assert (exists.stats.cache, exists.stats.strategy) == ("skip", "absint")
+    assert exists.stats.strategy == "absint"
 
     # Parity: with the proof off the indexed operator matches the path
     # and the run as written walks it; both agree on every constant.
-    plain = Engine(database, caching=False, absint=False)
+    plain = Engine(database, absint=False)
     for run in (plain.execute_plan, plain.execute_as_written):
         assert run(PlanBuilder.scan("bib").exists(absent).build()).value == 0.0
         assert run(

@@ -258,13 +258,14 @@ class TestFaultInjector:
                 fault_point("io")
 
     def test_pattern_matching(self):
-        with FaultInjector(FaultSpec("engine.cache.*", times=None)) as injector:
+        spec = FaultSpec("pxql.cache.statements.*", times=None)
+        with FaultInjector(spec) as injector:
             with pytest.raises(FaultError):
-                fault_point("engine.cache.results.get")
+                fault_point("pxql.cache.statements.get")
             with pytest.raises(FaultError):
-                fault_point("engine.cache.results.put")
-            fault_point("engine.other")  # no match
-        assert injector.fired("engine.cache.*") == 2
+                fault_point("pxql.cache.statements.put")
+            fault_point("pxql.other")  # no match
+        assert injector.fired("pxql.cache.statements.*") == 2
 
     def test_corrupt_breaks_json(self):
         import json
@@ -352,11 +353,11 @@ class TestEngineDegradation:
     def test_cache_get_faults_never_fail_a_query(self):
         interpreter = _fig2_interpreter()
         with FaultInjector(
-            FaultSpec("engine.cache.*", kind="error", times=None)
+            FaultSpec("pxql.cache.statements.*", kind="error", times=None)
         ) as injector:
             value = interpreter.execute("PROB B1 IN fig2").value
         assert value == pytest.approx(0.8)
-        assert injector.fired() >= 1
+        assert injector.fired("pxql.cache.statements.get") == 1
         assert interpreter.metrics.counter(
             "resilience.cache_errors"
         ).value >= 1.0
@@ -429,7 +430,7 @@ class TestEngineDegradation:
             for text in statements:
                 interpreter.execute(text)
             return [
-                [(node.label, node.cache, node.strategy)
+                [(node.label, node.strategy)
                  for node in execution.stats.walk()]
                 for execution in executed
             ]
@@ -451,31 +452,28 @@ class TestEngineDegradation:
         assert len(retried.fallbacks) == len(statements)
         assert tripped.fallbacks == []
         assert opened == degraded
-        for label, cache, strategy in (n for tree in opened for n in tree):
+        for _label, strategy in (n for tree in opened for n in tree):
             assert strategy != "indexed"
-            assert cache == ("scan" if label.startswith("Scan") else "off")
         # For contrast, the accelerated run of the same statement locates
-        # its path on the snapshot and fills the caches.
+        # its path on the snapshot.
         accelerated = shapes(fresh(), "execute_plan")[0]
-        assert accelerated[0][2] == "indexed"
-        assert accelerated[0][1] == "miss"
+        assert accelerated[0][1] == "indexed"
 
     def test_explain_under_an_open_breaker_reports_no_cache(self):
-        """``EXPLAIN`` words the path the statement would take: peeked
-        cache state while accelerated, ``cache=off`` as written."""
+        """``EXPLAIN`` words the path the statement would take: certified
+        while accelerated, as written with the breaker open — and no
+        cache state either way (the engine keeps none)."""
         interpreter = _fig2_interpreter()
         explain = "EXPLAIN EXISTS R.book IN fig2"
-        assert "cache=cold" in interpreter.execute(explain).text
         interpreter.execute("EXISTS R.book IN fig2")
         closed = interpreter.execute(explain).text
-        assert "cache=warm" in closed and "cache=off" not in closed
+        assert "absint: kind=exists" in closed and "cache=" not in closed
 
         breaker = interpreter.engine.breaker
         for _ in range(breaker.failure_threshold):
             breaker.record_failure()
         opened = interpreter.execute(explain).text
-        assert "cache=off" in opened
-        assert "cache=cold" not in opened and "cache=warm" not in opened
+        assert "absint:" not in opened and "cache=" not in opened
 
     def test_a_fresh_rewrite_closes_the_half_open_breaker(self):
         """A clean rewrite is a success of the guarded layer — every
@@ -489,14 +487,14 @@ class TestEngineDegradation:
         )
         statement = "EXISTS R.book IN fig2"
         plan = engine.plan_statement(parse(statement))
-        engine.execute_plan(plan)  # the result is cached from here
+        engine.execute_plan(plan)
         engine.breaker.record_failure()
-        assert engine.execute_plan(plan).stats.cache == "off"
+        assert engine.execute_plan(plan).certificate is None  # as written
 
         clock.advance(31.0)
-        assert engine.execute_plan(plan).stats.cache == "hit"  # the probe
+        assert engine.execute_plan(plan).certificate is not None  # the probe
         assert engine.breaker.state == "closed"
-        assert engine.execute_plan(plan).stats.cache == "hit"
+        assert engine.execute_plan(plan).certificate is not None
         interpreter.execute(statement)
         interpreter.execute(statement)
         assert interpreter.cache_stats["statements"]["hits"] == 1

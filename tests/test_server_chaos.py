@@ -86,8 +86,8 @@ def chaos_injector(seed: int) -> FaultInjector:
         # and release them simultaneously — the race amplifier.
         FaultSpec(site="lock.db.*", kind="barrier", parties=3,
                   probability=0.3, delay_s=0.02),
-        # Stampede the engine caches' internal lock.
-        FaultSpec(site="lock.engine.cache.*", kind="barrier", parties=2,
+        # Stampede the statement tier's internal lock.
+        FaultSpec(site="lock.pxql.cache.statements", kind="barrier", parties=2,
                   probability=0.2, delay_s=0.01),
         # Stall the breaker's state lock now and then.
         FaultSpec(site="lock.breaker", kind="slow", probability=0.1,
@@ -217,9 +217,9 @@ def test_chaos_suite(tmp_path, seed):
         THREADS * OPS_PER_THREAD
     )
 
-    # No torn cache stats in any worker's engine.
+    # No torn cache stats in any worker's statement tier.
     for interpreter in interpreters:
-        for name, stats in interpreter.engine.cache_stats.items():
+        for name, stats in interpreter.cache_stats.items():
             assert stats["gets"] == stats["hits"] + stats["misses"], name
 
     # The catalog came out consistent: every surviving file reloads
@@ -235,6 +235,7 @@ def test_chaos_suite(tmp_path, seed):
 
     # The injector actually perturbed the run (the suite is not a no-op).
     assert injector.fired("lock.*") > 0
+    assert injector.fired("lock.pxql.cache.statements") > 0
 
 
 # ----------------------------------------------------------------------
@@ -268,7 +269,7 @@ def shard_fault_specs() -> tuple[FaultSpec, ...]:
     return (
         FaultSpec(site="lock.db.*", kind="barrier", parties=2,
                   probability=0.2, delay_s=0.01),
-        FaultSpec(site="lock.engine.cache.*", kind="slow",
+        FaultSpec(site="lock.pxql.cache.statements", kind="slow",
                   probability=0.15, delay_s=0.002),
         FaultSpec(site="db.drop.unlink", kind="error", exception=OSError,
                   nth=3, times=1),
