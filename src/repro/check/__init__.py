@@ -18,10 +18,9 @@ severity, an optional source span, and a fix hint.
   :class:`~repro.check.absint.PlanCertificate` records the engine
   consumes for short-circuiting and ``EXPLAIN``, and, from the same
   walk, the findings: never-matching paths, contradictory or
-  tautological selection conditions, incompatible products, provably
-  constant results (``PX26x``) and, on request, machine-checkable
-  soundness justifications for rewrite rules
-  (:mod:`repro.check.rewrites`).
+  tautological selection conditions, incompatible products and provably
+  constant results (``PX26x``).  The plan it certifies is the plan the
+  engine runs.
 * **Script pass** (:mod:`repro.check.script`) — whole-script PXQL
   dataflow (``PX31x``): use-before-register, dead results, shadowed
   re-registrations, shadowed session timeouts.
@@ -52,7 +51,6 @@ from repro.check.diagnostics import (
 )
 from repro.check.model import Issue, check_instance, format_issues, has_errors, lint_instance
 from repro.check.query import check_statement, check_text
-from repro.check.rewrites import RewriteJustification, justify_rewrites
 from repro.check.script import ScriptTracker, parse_script, script_diagnostics
 
 __all__ = [
@@ -67,7 +65,6 @@ __all__ = [
     "Issue",
     "PlanCertificate",
     "ProbInterval",
-    "RewriteJustification",
     "ScriptTracker",
     "Span",
     "WARNING",
@@ -79,7 +76,6 @@ __all__ = [
     "check_text",
     "format_issues",
     "has_errors",
-    "justify_rewrites",
     "lint_instance",
     "parse_script",
     "script_diagnostics",

@@ -39,11 +39,10 @@ Severity policy: *error* means executing the plan will certainly raise;
 *warning* means it executes but its result is a statically known
 constant (bare root, probability zero, trivial distribution).
 
-:func:`check_plan` is the checker's view of one walk (the findings, plus
-rewrite justifications on request) and :func:`verify_execution` checks
-an actual execution against the certificate — the runtime half of the
-contract: every observed cardinality and probability must lie inside
-its predicted interval.
+:func:`check_plan` is the checker's view of one walk (its findings) and
+:func:`verify_execution` checks an actual execution against the
+certificate — the runtime half of the contract: every observed
+cardinality and probability must lie inside its predicted interval.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from typing import Any
 from repro.check.dataguide import DataGuideCache
 from repro.check.diagnostics import ERROR, WARNING, Diagnostic
 from repro.check.locate import UNKNOWN, Site, scan_site
-from repro.check.rewrites import rewrite_diagnostics
 from repro.core.instance import ProbabilisticInstance
 from repro.engine.plan import (
     PlanNode,
@@ -941,7 +939,6 @@ def check_plan(
     database: Any,
     guides: DataGuideCache | None = None,
     subject: str | None = None,
-    rewrites: bool = False,
     certified: Callable[[PlanNode, int, PlanCertificate], None] | None = None,
 ) -> list[Diagnostic]:
     """The plan pass: the findings of one :func:`certify_plan` walk.
@@ -950,10 +947,8 @@ def check_plan(
     is present: an unknown scan or a certain runtime error makes every
     interval vacuous.  Otherwise ``certified`` is handed the plan, the
     generation it was read under and its certificate
-    (:meth:`repro.engine.Engine.adopt_certificate`).  With
-    ``rewrites=True`` the optimizer is additionally run with a trace,
-    and every applied rewrite is re-verified and annotated
-    (``PX250``/``PX251``).
+    (:meth:`repro.engine.Engine.adopt_certificate`): the plan checked
+    is the plan the engine runs.
     """
     generation = catalog_generation(database)
     certificate = certify_plan(plan, database, guides, generation)
@@ -962,16 +957,6 @@ def check_plan(
         diagnostics = [d for d in diagnostics if not d.code.startswith("PX26")]
     elif certified is not None:
         certified(plan, generation, certificate)
-    if rewrites:
-        from repro.engine.cost import CostModel
-        from repro.engine.rewrite import optimize
-
-        trace: list[tuple[str, PlanNode, PlanNode]] = []
-        try:
-            optimize(plan, CostModel(database).at(generation), trace=trace)
-        except Exception:
-            trace = []    # unknown scans etc.; the scan check already fired
-        diagnostics.extend(rewrite_diagnostics(trace, subject))
     return diagnostics
 
 

@@ -20,7 +20,7 @@ Severities:
 * ``warning`` — legal but statically degenerate: the construct can
   never produce a useful result (never-matching paths, tautological
   conditions, dead objects).
-* ``info`` — advisory annotations (summaries, rewrite justifications).
+* ``info`` — advisory annotations (model summaries, a truncated dataguide).
 """
 
 from __future__ import annotations

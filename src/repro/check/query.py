@@ -101,7 +101,6 @@ def check_statement(
     spans: SpanMap | None = None,
     guides: DataGuideCache | None = None,
     subject: str | None = None,
-    rewrites: bool = False,
     certified: Callable[..., None] | None = None,
 ) -> list[Diagnostic]:
     """Statically check one parsed PXQL statement against a catalog.
@@ -121,8 +120,7 @@ def check_statement(
     plan = plan_statement(statement)
     if plan is not None:
         diagnostics = check_plan(plan, database, guides=guides,
-                                 subject=subject, rewrites=rewrites,
-                                 certified=certified)
+                                 subject=subject, certified=certified)
         return _attach_spans(diagnostics, spans)
 
     diagnostics = []
@@ -157,7 +155,6 @@ def check_text(
     text: str,
     database,
     guides: DataGuideCache | None = None,
-    rewrites: bool = False,
 ) -> list[Diagnostic]:
     """Statically check one PXQL statement given as source text.
 
@@ -177,4 +174,4 @@ def check_text(
             hint="see the grammar in `docs/PXQL.md`",
         )]
     return check_statement(statement, database, spans=spans, guides=guides,
-                           subject=subject, rewrites=rewrites)
+                           subject=subject)

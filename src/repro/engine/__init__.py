@@ -1,4 +1,4 @@
-"""The query engine: a planner, a rewrite optimizer and an executor.
+"""The query engine: a planner and an executor.
 
 The PXQL interpreter used to map each statement straight onto one
 algebra call.  This package inserts a classical database engine between
@@ -7,11 +7,10 @@ the language and the algebra:
 * :mod:`repro.engine.plan` — a logical plan IR (scan / project / select /
   product / query nodes) built from PXQL ASTs or programmatically;
 * :mod:`repro.engine.cost` — size/entry/tree-ness estimates driving
-  rewrite decisions and execution-strategy choice;
-* :mod:`repro.engine.rewrite` — a rule-based optimizer (product
-  reordering);
-* :mod:`repro.engine.executor` — an instrumented executor producing
-  per-node timings and cardinalities (``EXPLAIN ANALYZE``);
+  ``EXPLAIN`` and execution-strategy choice;
+* :mod:`repro.engine.executor` — an instrumented executor running each
+  plan as written, producing per-node timings and cardinalities
+  (``EXPLAIN ANALYZE``);
   its path operators locate their path on the :mod:`repro.index`
   columnar snapshot when their input is a scanned tree, by the walk
   otherwise — an access method chosen at run time, not a plan shape;
@@ -35,17 +34,10 @@ from repro.engine.plan import (
     plan_statement,
     scan_names,
 )
-from repro.engine.rewrite import (
-    DEFAULT_RULES,
-    RewriteRule,
-    optimize,
-    reorder_product_by_size,
-)
 
 __all__ = [
     "CacheStats",
     "CostModel",
-    "DEFAULT_RULES",
     "Engine",
     "Estimate",
     "ExecutionResult",
@@ -57,12 +49,9 @@ __all__ = [
     "ProductNode",
     "ProjectNode",
     "QueryNode",
-    "RewriteRule",
     "ScanNode",
     "SelectNode",
     "fingerprint",
-    "optimize",
     "plan_statement",
-    "reorder_product_by_size",
     "scan_names",
 ]

@@ -11,10 +11,10 @@ sub-plan will produce.  Scans are measured exactly from the catalog
   roots' OPF entry counts;
 * tree-ness is preserved by every operator (product of trees is a tree).
 
-The estimates drive two decisions: product input ordering in the rewrite
-optimizer, and the ``local`` vs ``bayes`` vs ``sample`` execution
-strategy per query node (Section 6's thesis: prefer per-object local
-computation whenever the instance is a tree).  A scan's measured
+The estimates drive one decision — the ``local`` vs ``bayes`` vs
+``sample`` execution strategy per query node (Section 6's thesis: prefer
+per-object local computation whenever the instance is a tree) — and the
+``est.`` columns of ``EXPLAIN``; no plan is reordered by them.  A scan's measured
 tree-ness is also what the executor's access-method decision reads
 (``Engine._strategy``); there is no price for it here.
 """

@@ -1,14 +1,14 @@
 """The instrumented plan executor.
 
 :class:`Engine` ties the pieces together: it translates PXQL statements
-into plans, runs the rewrite optimizer and executes plans bottom-up with
-per-node wall-clock timings and output cardinalities.  Preparing a plan
-is a pure function of the plan and the catalog tokens, and nothing about
-an execution is remembered between statements: the catalog is the only
-memory.  A scan of a registered name reads that instance — a saved
-``PROJECT ... AS m`` is an ordinary instance (the algebra is closed), so
-a statement over ``m`` is answered from it, never re-derived from ``m``'s
-base.  The one result cache is the interpreter's statement tier.
+into plans and executes them bottom-up, as written, with per-node
+wall-clock timings and output cardinalities.  The plan the static
+checker certifies is the plan that runs, and nothing about an execution
+is remembered between statements: the catalog is the only memory.  A
+scan of a registered name reads that instance — a saved ``PROJECT ...
+AS m`` is an ordinary instance (the algebra is closed), so a statement
+over ``m`` is answered from it, never re-derived from ``m``'s base.  The
+one result cache is the interpreter's statement tier.
 
 The catalog generation is read once per statement and threaded to every
 token taken for it, so one statement sees one catalog snapshot.
@@ -20,8 +20,8 @@ tracer, and :class:`NodeStats` is a thin per-node view over those spans
 compatibility.  The engine also owns a
 :class:`repro.obs.metrics.MetricsRegistry` covering operator latencies
 and objects scanned; both are made *ambient* during execution so the
-rewrite optimizer, the Section 6 query algorithms and the world sampler
-report into the same trace and registry.
+Section 6 query algorithms and the world sampler report into the same
+trace and registry.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ from repro.engine.plan import (
     scan_names,
     walk,
 )
-from repro.engine.rewrite import DEFAULT_RULES, optimize
 from repro.index import IndexCache, match_path_indexed
 from repro.index.columnar import ColumnarInstance
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -88,7 +87,7 @@ from repro.queries.aggregates import (
 from repro.queries.chain import chain_probability
 from repro.queries.engine import QueryEngine
 from repro.queries.point import point_query
-from repro.resilience.breaker import CircuitBreaker
+from repro.resilience.breaker import CLOSED, CircuitBreaker
 from repro.resilience.budget import current_budget
 from repro.semistructured.paths import PathMatch
 from repro.storage.derived import cache_token, catalog_generation
@@ -142,8 +141,7 @@ class ExecutionResult:
     value: object
     plan: PlanNode
     stats: NodeStats
-    applied_rules: tuple[str, ...]
-    #: The abstract-interpretation certificate of the prepared plan
+    #: The abstract-interpretation certificate of the plan
     #: (None when the pass is off or failed; see ``Engine(absint=...)``).
     certificate: PlanCertificate | None = None
     #: Interval violations found by the runtime soundness check (only
@@ -166,25 +164,13 @@ class ExecutionResult:
         return None
 
 
-@dataclass(frozen=True)
-class _Prepared:
-    """Everything decided about a plan before it runs: the plan to
-    execute, the rules that produced it and its abstract-interpretation
-    certificate (None un-accelerated, or when the pass is off or
-    failed)."""
-
-    plan: PlanNode
-    applied: tuple[str, ...]
-    certificate: PlanCertificate | None
-
-
 class Engine:
-    """Planner + optimizer + instrumented executor.
+    """Planner + instrumented executor.
 
-    A plan is prepared by one rewrite fixpoint and executed bottom-up;
-    how a path operator locates its path — on the catalog's columnar
-    snapshot or by the walk — is not part of the plan but decided when
-    the operator runs, from what it can observe (:meth:`_strategy`).
+    A plan is executed bottom-up as written; how a path operator
+    locates its path — on the catalog's columnar snapshot or by the
+    walk — is not part of the plan but decided when the operator runs,
+    from what it can observe (:meth:`_strategy`).
 
     The engine keeps no result between executions (the interpreter's
     statement tier is the one result cache).  The state *derived from an
@@ -198,10 +184,8 @@ class Engine:
     Args:
         database: the catalog plans scan (must expose ``get`` and
             ``version``; :class:`repro.storage.database.Database` does).
-        optimizer: apply the rewrite rules (off = execute the plan as
-            planned, unrewritten: the parity suites' reference).
         absint: run the abstract interpreter (:mod:`repro.check.absint`)
-            over every prepared plan.  ``EXPLAIN`` renders the
+            over every accelerated plan.  ``EXPLAIN`` renders the
             certificate's intervals as ``est_rows=[lo,hi] prob=[l,u]``,
             and plans whose result the certificate proves constant-empty
             short-circuit without touching an instance (counted in
@@ -209,14 +193,15 @@ class Engine:
             The pass is advisory: any failure inside it falls back to
             normal execution (counted in ``check.absint_errors``).
         disk_cache: accepted and ignored (``benchmarks/e2e`` passes it).
-        breaker: circuit breaker over the optimizer and the statement
-            tier (own instance if omitted).  Rewrite-optimizer failures
-            degrade that statement to the unoptimized plan and count
-            against the breaker; the interpreter's statement-tier get/put
-            failures are isolated (a miss / skipped) and count too.  Once
-            tripped, plans run as written (:meth:`execute_as_written`) —
-            correct, just slower — until the cool-down elapses and a
-            probe succeeds.
+        breaker: circuit breaker over the accelerated layers — the
+            certificate skip, the snapshot access method and the
+            statement tier (own instance if omitted).  A completed
+            accelerated execution is its success; a statement the
+            interpreter's as-written retry answers, and a statement-tier
+            get/put failure (isolated: a miss / skipped), are its
+            failures.  Once tripped, plans run as written
+            (:meth:`execute_as_written`) — correct, just slower — until
+            the cool-down elapses and a probe succeeds.
         tracer: span collector for executions (own instance if omitted;
             pass a shared one to join a larger trace, e.g. the PXQL
             interpreter's statement spans).
@@ -229,7 +214,6 @@ class Engine:
     def __init__(
         self,
         database,
-        optimizer: bool = True,
         absint: bool = True,
         disk_cache: bool | None = None,
         tracer: Tracer | None = None,
@@ -237,7 +221,6 @@ class Engine:
         breaker: CircuitBreaker | None = None,
     ) -> None:
         self.database = database
-        self.optimizer = optimizer
         self.absint = absint
         #: When set (``EXPLAIN ANALYZE`` / ``PROFILE``), observed
         #: cardinalities and probabilities are checked against the
@@ -246,7 +229,6 @@ class Engine:
         self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cost = CostModel(database)
-        self.rules = DEFAULT_RULES
         from repro.check.dataguide import DataGuideCache
 
         #: The catalog's snapshots and dataguides, not this engine's:
@@ -260,7 +242,7 @@ class Engine:
         self._adopted: tuple[tuple, PlanCertificate] | None = None
         self.breaker = (
             breaker if breaker is not None
-            else CircuitBreaker(name="engine.optimizer")
+            else CircuitBreaker(name="engine.accelerators")
         )
 
     @contextmanager
@@ -310,78 +292,48 @@ class Engine:
     # Planning
     # ------------------------------------------------------------------
     def plan_statement(self, statement: "ast.Statement") -> PlanNode | None:
-        """The raw (un-optimized) plan of a statement."""
+        """The plan of a statement: the one that runs."""
         return plan_statement(statement)
 
     def prepare(self, plan: PlanNode) -> tuple[PlanNode, tuple[str, ...]]:
-        """Optimize a plan.
-
-        The optimizer layer degrades rather than fails: a rewrite
-        failure falls back to the unoptimized (still correct) plan and
-        counts against :attr:`breaker`; with the breaker open the layer
-        is skipped entirely (the plan comes back as written) until its
-        cool-down elapses.
-        """
-        if not self.breaker.allow():
-            return plan, ()
-        return self._prepare(plan, catalog_generation(self.database))
+        """``(plan, ())``: kept only because ``benchmarks/e2e`` calls it
+        — the plan as written is the plan run, nothing is rewritten."""
+        return plan, ()
 
     def _decide(
         self, plan: PlanNode, generation: int, accelerated: bool
-    ) -> _Prepared:
-        """The plan to run and its certificate — or, un-accelerated, the
-        plan as written: no rewrite, no certificate."""
-        if not accelerated:
-            return _Prepared(plan, (), None)
-        prepared, applied = self._prepare(plan, generation)
-        return _Prepared(prepared, applied, self._certify(prepared, generation))
-
-    def _prepare(
-        self, plan: PlanNode, generation: int
-    ) -> tuple[PlanNode, tuple[str, ...]]:
-        if not self.optimizer:
-            return plan, ()
-        try:
-            optimized = optimize(plan, self.cost.at(generation), self.rules)
-        except Exception as exc:
-            self.breaker.record_failure()
-            self.metrics.counter("resilience.optimizer_errors").inc()
-            self.tracer.event(
-                "resilience.optimizer_error",
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            return plan, ()
-        self.breaker.record_success()
-        return optimized
+    ) -> PlanCertificate | None:
+        """The certificate of the plan — None un-accelerated."""
+        return self._certify(plan, generation) if accelerated else None
 
     # ------------------------------------------------------------------
     # Abstract interpretation (interval certificates)
     # ------------------------------------------------------------------
-    def certify(self, prepared: PlanNode) -> PlanCertificate | None:
-        """Abstract-interpret a prepared plan into an interval certificate.
+    def certify(self, plan: PlanNode) -> PlanCertificate | None:
+        """Abstract-interpret a plan into an interval certificate.
 
         Advisory by construction — a failure inside the interpreter is
         counted and swallowed, never surfaced to the query.
         """
-        return self._certify(prepared, catalog_generation(self.database))
+        return self._certify(plan, catalog_generation(self.database))
 
     def adopt_certificate(
         self, plan: PlanNode, generation: int, certificate: PlanCertificate
     ) -> None:
-        """Take the static checker's certificate of ``plan`` as written:
-        when no rewrite fires, the prepared plan has the same key and
-        :meth:`_certify` does not redo it."""
+        """Take the static checker's certificate of ``plan``: the plan
+        that runs is the plan it checked, so :meth:`_certify` does not
+        redo it."""
         self._adopted = (self.cache_key(plan, generation), certificate)
 
     def _certify(
-        self, prepared: PlanNode, generation: int
+        self, plan: PlanNode, generation: int
     ) -> PlanCertificate | None:
         if not self.absint:
             return None
         adopted = self._adopted
         if (
             adopted is not None
-            and adopted[0] == self.cache_key(prepared, generation)
+            and adopted[0] == self.cache_key(plan, generation)
         ):
             return adopted[1]
         from repro.check.absint import certify_plan
@@ -389,7 +341,7 @@ class Engine:
         try:
             with self.tracer.span("check.absint.certify"):
                 return certify_plan(
-                    prepared, self.database, self.guides, generation
+                    plan, self.database, self.guides, generation
                 )
         except Exception as exc:
             self._absint_error(exc)
@@ -403,17 +355,17 @@ class Engine:
         )
 
     def _skip_execution(
-        self, prepared: PlanNode, certificate: PlanCertificate
+        self, plan: PlanNode, certificate: PlanCertificate
     ) -> tuple[object, NodeStats]:
         """Serve a certified constant-empty result without executing."""
         assert certificate.kind in _SKIP_RESULTS
         self.metrics.counter("check.absint_skips").inc()
         with self.tracer.span(
-            f"engine.node.{prepared.label()}", strategy="absint",
+            f"engine.node.{plan.label()}", strategy="absint",
         ) as span:
             value = _SKIP_RESULTS[certificate.kind]()
         stats = NodeStats(
-            prepared.label(), wall_s=span.wall_s, strategy="absint",
+            plan.label(), wall_s=span.wall_s, strategy="absint",
             extra={"absint": "empty"}, span=span,
         )
         return value, stats
@@ -443,7 +395,7 @@ class Engine:
     # Execution
     # ------------------------------------------------------------------
     def execute_plan(self, plan: PlanNode) -> ExecutionResult:
-        """Prepare and run a plan (as written while the breaker is open)."""
+        """Run a plan, accelerated unless the breaker is open."""
         return self._execute(plan, accelerated=self.breaker.allow())
 
     def execute_as_written(self, plan: PlanNode) -> ExecutionResult:
@@ -451,8 +403,8 @@ class Engine:
 
         Internal: the one un-accelerated path, taken by
         :meth:`execute_plan` while the breaker is open and by the PXQL
-        interpreter when it retries a failed statement.  Rewrite rules,
-        certificate/skip and the snapshot access method are all skipped
+        interpreter when it retries a failed statement.  The
+        certificate/skip and the snapshot access method are both skipped
         (the walked operators are the reference); everything below them —
         budget ticks, node spans, ``engine.objects_scanned``, the
         probability guard — is the same :meth:`_run` / :meth:`_apply`.
@@ -463,19 +415,19 @@ class Engine:
         with self._ambient():
             with self.tracer.span("engine.execute_plan") as root:
                 generation = catalog_generation(self.database)
-                decided = self._decide(plan, generation, accelerated)
-                prepared, certificate = decided.plan, decided.certificate
+                certificate = self._decide(plan, generation, accelerated)
                 if certificate is not None and certificate.skippable:
-                    value, stats = self._skip_execution(prepared, certificate)
+                    value, stats = self._skip_execution(plan, certificate)
                 else:
-                    value, stats = self._run(prepared, generation, accelerated)
-                root.attributes["rewrites"] = len(decided.applied)
+                    value, stats = self._run(plan, generation, accelerated)
+            if accelerated:
+                # The guarded layers completed: the breaker's success.
+                self.breaker.record_success()
             violations = self._verify_certificate(certificate, value, stats)
             self.metrics.counter("engine.executions").inc()
             self.metrics.histogram("engine.execute_s").observe(root.wall_s)
         return ExecutionResult(
-            value, prepared, stats, decided.applied,
-            certificate=certificate, violations=violations,
+            value, plan, stats, certificate=certificate, violations=violations,
         )
 
     def execute_statement(self, statement: "ast.Statement") -> ExecutionResult:
@@ -707,22 +659,21 @@ class Engine:
     # Reporting
     # ------------------------------------------------------------------
     def explain(self, plan: PlanNode) -> str:
-        """Render the optimized plan with estimates (no execution)."""
+        """Render the plan with estimates (no execution).
+
+        Reads the breaker's state and never calls ``allow()``, so an
+        ``EXPLAIN`` cannot take a half-open breaker's probe."""
         generation = catalog_generation(self.database)
-        accelerated = self.breaker.allow()
-        decided = self._decide(plan, generation, accelerated)
-        lines = _render_plan(
-            decided.plan, self, decided.certificate, generation, accelerated
-        )
-        lines.append(_rules_line(decided.applied))
-        if decided.certificate is not None:
-            lines.append(_certificate_line(decided.certificate))
+        accelerated = self.breaker.state == CLOSED
+        certificate = self._decide(plan, generation, accelerated)
+        lines = _render_plan(plan, self, certificate, generation, accelerated)
+        if certificate is not None:
+            lines.append(_certificate_line(certificate))
         return "\n".join(lines)
 
     def explain_analyze(self, result: ExecutionResult) -> str:
         """Render an executed plan with per-node measurements."""
         lines = _render_stats(result.stats)
-        lines.append(_rules_line(result.applied_rules))
         if result.certificate is not None:
             lines.append(_certificate_line(result.certificate))
             if self.absint_verify:
@@ -771,10 +722,6 @@ def condition_of(node: SelectNode):
     if node.value is not None:
         return ObjectValueCondition(node.path, node.oid, node.value)
     return ObjectCondition(node.path, node.oid)
-
-
-def _rules_line(applied: tuple[str, ...]) -> str:
-    return f"rewrites: {', '.join(applied) if applied else 'none'}"
 
 
 def _tree_lines(render_node, children_of, root) -> list[str]:

@@ -6,8 +6,8 @@ instances.  This package is how the repo substantiates that claim with
 trustworthy numbers instead of ad-hoc timers:
 
 * :mod:`repro.obs.tracing` — spans (ids, parent links, wall/CPU time,
-  attributes) emitted per plan node by the engine executor, per rule by
-  the rewrite optimizer, per statement by the PXQL interpreter, per
+  attributes) emitted per plan node by the engine executor, per
+  statement by the PXQL interpreter, per
   query by the Section 6 algorithms, and for catalog load/register
   events;
 * :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket

@@ -1,15 +1,15 @@
 """The tracing core of :mod:`repro.obs`: spans, tracers, ambient context.
 
 A :class:`Span` is one timed region of work — a plan node execution, a
-rewrite-rule firing, a PXQL statement, a catalog load — with a unique
+query algorithm, a PXQL statement, a catalog load — with a unique
 id, a link to its parent, wall-clock and CPU time, and a free-form
 attribute dict.  A :class:`Tracer` maintains the *active span stack*:
 entering :meth:`Tracer.span` starts a child of the currently active
 span, exiting stops the clock and attaches it; completed root spans are
 kept in a bounded ring buffer for later export.
 
-Instrumented modules that do not hold a tracer of their own (the rewrite
-optimizer, the query algorithms, the world sampler, the catalog) use the
+Instrumented modules that do not hold a tracer of their own (the query
+algorithms, the world sampler, the catalog, the circuit breaker) use the
 *ambient* tracer: :func:`current_tracer` reads a context variable that
 defaults to the process-global tracer, and :func:`use_tracer` rebinds it
 for a ``with`` region.  The engine executor and the PXQL interpreter
@@ -166,8 +166,8 @@ class Tracer:
               **attributes: Attribute) -> Span:
         """Attach an already-measured span (no enter/exit bracketing).
 
-        Used where the instrumented region was timed out-of-band — e.g.
-        a rewrite rule that is only worth recording when it fired.
+        Used where the instrumented region was timed out-of-band, or is
+        an instant — e.g. a breaker transition or a fallback.
         """
         span = Span(name=name, wall_s=wall_s, attributes=dict(attributes))
         if not self.enabled:

@@ -15,12 +15,11 @@ One dataclass per statement kind.  The grammar (EBNF-ish):
                    (static diagnostics only; the statement never runs)
     explain     := "EXPLAIN" ["ANALYZE" | "LINT"] plain
                    (plain must be an algebra or query statement;
-                    LINT adds the static checker's findings and the
-                    per-rewrite soundness justifications to the plan)
+                    LINT adds the static checker's findings to the plan)
     profile     := "PROFILE" plain
                    (executes the statement — side effects included —
                     and returns its span tree: per-node wall/CPU times,
-                    cache status, rewrite firings; see repro.obs)
+                    strategies, query spans; see repro.obs)
 
     project     := "PROJECT" [kind] path "FROM" name ["AS" name]
     kind        := "ANCESTOR" | "DESCENDANT" | "SINGLE"
@@ -174,12 +173,11 @@ class SaveStatement:
 class ExplainStatement:
     """``EXPLAIN [ANALYZE | LINT] <statement>``.
 
-    ``analyze=False`` plans and optimizes without executing;
+    ``analyze=False`` plans and certifies without executing;
     ``analyze=True`` also executes (with the statement's normal side
     effects, e.g. registering an ``AS`` target) and reports per-node
-    timings, cardinalities and cache status.  ``lint=True`` plans
-    without executing and appends the static checker's diagnostics plus
-    a machine-checked soundness justification per applied rewrite.
+    timings, cardinalities and strategies.  ``lint=True`` plans
+    without executing and appends the static checker's diagnostics.
     """
 
     analyze: bool

@@ -128,7 +128,7 @@ class Interpreter:
             recorded in :attr:`slow_log` with their span tree.
         tracer: span collector shared with the engine (own instance if
             omitted).  Every statement becomes a root span; plan-node,
-            rewrite, query, sampler and catalog spans nest beneath it.
+            query, sampler and catalog spans nest beneath it.
         metrics: metrics registry shared with the engine (own instance
             if omitted).
     """
@@ -206,8 +206,8 @@ class Interpreter:
         with reading_at(self.database, generation):
             result = self.run(statement, spans, subject)
         # Kept only when nothing degraded on the way: no retry as
-        # written, no optimizer or statement-tier failure absorbed (both
-        # count against the engine's breaker).
+        # written, no statement-tier failure absorbed (both count
+        # against the engine's breaker).
         if key is not None and (self._fallback_count, breaker.failures) <= before:
             self._tier_put(
                 key, (tuple(self.last_diagnostics), _unshared(result))
@@ -352,11 +352,12 @@ class Interpreter:
 
         An unexpected failure on an engine-routed statement is retried
         once through :meth:`Engine.execute_as_written` — the same
-        executor with rewrite, certificate/skip and the snapshot access
+        executor with the certificate/skip and the snapshot access
         method bypassed, so it covers faults in those accelerator layers
-        and nothing below them.  A retry that *answers* is
+        and nothing below them.  A retry that *answers* convicts the
+        accelerators: it counts against the engine's breaker and is
         recorded in :attr:`fallbacks`, the ``resilience.fallbacks``
-        counter and a ``resilience.fallback`` trace event; one that
+        counter and a ``resilience.fallback`` trace event.  One that
         fails too was the user's error, and raises as such.  Budget,
         check, catalog and empty-result errors propagate untouched (see
         ``_FALLBACK_EXEMPT``).
@@ -369,6 +370,7 @@ class Interpreter:
             if not isinstance(statement, _ENGINE_ROUTED):
                 raise
             result = self._run_planned(statement, as_written=True)
+            self.engine.breaker.record_failure()
             self.metrics.counter("resilience.fallbacks").inc()
             self.tracer.event(
                 "resilience.fallback",
@@ -385,7 +387,6 @@ class Interpreter:
         statement: ast.Statement,
         spans: SpanMap | None,
         subject: str | None,
-        rewrites: bool = False,
     ) -> list[Diagnostic]:
         """Run the static checker, never letting a checker bug block
         execution: a failure is counted and traced, and the statement
@@ -399,8 +400,7 @@ class Interpreter:
                 return check_statement(
                     statement, self.database, spans=spans,
                     guides=self.engine.guides,
-                    subject=subject, rewrites=rewrites,
-                    certified=self.engine.adopt_certificate,
+                    subject=subject, certified=self.engine.adopt_certificate,
                 )
         except Exception as exc:
             self.metrics.counter("check.errors").inc()
@@ -467,7 +467,7 @@ class Interpreter:
             )
         if getattr(stmt, "lint", False):
             diagnostics = self._static_diagnostics(
-                inner, self._spans, self._subject, rewrites=True
+                inner, self._spans, self._subject
             )
             diagnostics.extend(self._script_preview(inner))
             self.last_diagnostics = diagnostics
@@ -493,7 +493,7 @@ class Interpreter:
     # ------------------------------------------------------------------
     def _run_CheckStatement(self, stmt: ast.CheckStatement) -> Result:
         diagnostics = self._static_diagnostics(
-            stmt.statement, self._spans, self._subject, rewrites=True
+            stmt.statement, self._spans, self._subject
         )
         diagnostics.extend(self._script_preview(stmt.statement))
         self.last_diagnostics = diagnostics

@@ -9,8 +9,9 @@ production catalog actually sees, and makes those failures *testable*:
 * :mod:`repro.resilience.retry` — retry-with-backoff (seeded jitter,
   injectable sleep) around catalog I/O;
 * :mod:`repro.resilience.breaker` — a circuit breaker that trips the
-  engine's optimizer/cache layer after repeated failures, degrading to
-  the unoptimized, uncached (still correct) path;
+  engine's accelerated layers (certificate skip, snapshot access,
+  statement tier) after repeated failures, degrading to the plan as
+  written, uncached (still correct);
 * :mod:`repro.resilience.faults` — a deterministic seeded fault
   injector (raise-on-Nth-IO, corrupt-bytes, slow-call) behind named
   hook points in the codec, catalog, and engine caches.

@@ -1,9 +1,9 @@
 """A circuit breaker for degradable engine layers.
 
-The engine's rewrite-optimizer/cache layer is an *accelerator*: every
-query has a correct slow path without it (execute the unoptimized plan,
-skip the caches).  A :class:`CircuitBreaker` guards such a layer the
-classical way:
+The engine's accelerated layers — the certificate skip, the columnar
+snapshot access method and the interpreter's statement tier — have a
+correct slow path beside them (run the plan as written, skip the tier).
+A :class:`CircuitBreaker` guards such layers the classical way:
 
 * **closed** — calls flow; failures are counted, successes reset the
   count;

@@ -163,15 +163,16 @@ def test_one_locate():
 
 
 def test_one_access_method_decision():
-    """No lowered plan nodes; one optimize; one indexed-match site; one
-    fail-open fetch; ``epsilon_pass`` for PROJECT only.
+    """No lowered plan nodes; one indexed-match site; one fail-open
+    fetch; ``epsilon_pass`` for PROJECT only.
 
     The columnar snapshot is an access method, not a plan shape: how a
     path step is located is decided once, at run time, in
     ``Engine._strategy``.  A lowered plan node, a lowering rule set, a
     navigation price or an Engine switch is the fork growing back; so
-    is a second indexed-match site, a second optimize stage or a second
-    hand-written fail-open snapshot fetch.  And a query computes its
+    is a second indexed-match site or a second hand-written fail-open
+    snapshot fetch.  (:func:`test_one_plan` bans plan rewriting
+    outright.)  And a query computes its
     answer alone: the full epsilon pass builds the projection's OPFs,
     so only the projections may run it.
     """
@@ -182,10 +183,6 @@ def test_one_access_method_decision():
         "match_path_indexed": {
             ("src/repro/check/locate.py", "match"),
             ("src/repro/engine/executor.py", "match"),
-        },
-        "optimize": {
-            ("src/repro/engine/executor.py", "_prepare"),
-            ("src/repro/check/absint.py", "check_plan"),
         },
         "try_get": {
             ("src/repro/check/locate.py", "snapshot"),
@@ -241,9 +238,6 @@ def test_one_access_method_decision():
         for path, function, line in sites:
             if (path, function) not in allowed[called]:
                 problems.append(f"{path}:{line}: {called}( in {function}")
-    prepares = [s for s in seen["optimize"] if s[0] == "src/repro/engine/executor.py"]
-    if len(prepares) != 1:
-        problems.append(f"engine/executor.py calls optimize( {len(prepares)} times, not once")
     assert not problems, "\n".join(problems)
 
 
@@ -463,8 +457,7 @@ def test_one_plan_pass():
 
     The plan checker used to walk every plan a second time, with its own
     rule for what a projection keeps.  Outside ``check/absint.py`` (the
-    walk) and ``check/rewrites.py`` (the rewrite justifications) no
-    module under ``repro.check`` branches on a plan-node class; the
+    walk) no module under ``repro.check`` branches on a plan-node class; the
     second walk's module and names stay deleted; and ``check_plan`` is
     one ``certify_plan`` call.
     """
@@ -474,7 +467,7 @@ def test_one_plan_pass():
         name for name, value in vars(plan_module).items()
         if isinstance(value, type) and issubclass(value, plan_module.PlanNode)
     }
-    walkers = {"src/repro/check/absint.py", "src/repro/check/rewrites.py"}
+    walkers = {"src/repro/check/absint.py"}
     deleted = {"PlanChecker", "absint_diagnostics", "GuardFinding"}
     problems = []
     if pathlib.Path("src/repro/check/plans.py").exists():
@@ -510,3 +503,46 @@ def test_one_plan_pass():
     if len(certifies) != 1:
         problems.append(f"check_plan calls certify_plan {len(certifies)} times, not once")
     assert not problems, "\n".join(problems)
+
+
+def test_one_plan():
+    """The plan as written is the plan run: no rewrite optimizer.
+
+    The product's operands commute (Definition 5.7 merges the two roots
+    symmetrically), so the last rewrite rule only canonicalised a
+    fingerprint for tiers that are gone.  No ``optimize(`` call, rule
+    type, rule set or rewrite justifier exists under ``src/repro``;
+    their two modules stay deleted; and neither the engine nor the
+    checker accepts the switch that turned them on — the plan the
+    checker certifies is the one the engine runs.
+    """
+    from repro.check import check_plan
+    from repro.engine import Engine, PlanBuilder
+    from repro.storage.database import Database
+
+    banned = {"RewriteRule", "DEFAULT_RULES", "reorder_product_by_size",
+              "justify_rewrites", "rewrite_diagnostics", "applied_rules"}
+    problems = [
+        f"{module} exists"
+        for module in ("src/repro/engine/rewrite.py", "src/repro/check/rewrites.py")
+        if pathlib.Path(module).exists()
+    ]
+    for file in sorted(pathlib.Path("src/repro").rglob("*.py")):
+        path = file.as_posix()
+        for node in ast.walk(ast.parse(file.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "optimize" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None)
+            ):
+                problems.append(f"{path}:{node.lineno}: optimize(")
+            for name in (
+                getattr(node, "id", None), getattr(node, "attr", None),
+                getattr(node, "name", None), getattr(node, "arg", None),
+            ):
+                if name in banned:
+                    problems.append(f"{path}:{node.lineno}: {name}")
+    assert not problems, "\n".join(problems)
+    database = Database()
+    with pytest.raises(TypeError):
+        Engine(database, optimizer=True)
+    with pytest.raises(TypeError):
+        check_plan(PlanBuilder.scan("t").build(), database, rewrites=True)

@@ -13,11 +13,8 @@ from repro.check.diagnostics import (
     sort_diagnostics,
 )
 from repro.check import check_plan
-from repro.check.rewrites import justify_rewrites
 from repro.core.builder import InstanceBuilder
-from repro.engine.cost import CostModel
 from repro.engine.plan import PlanBuilder, ProductNode, ScanNode
-from repro.engine.rewrite import optimize
 from repro.semistructured.paths import PathExpression
 from repro.storage.database import Database
 
@@ -90,9 +87,9 @@ class TestDiagnosticsFramework:
     def test_sort_severity_first(self):
         warning = Diagnostic(code="PX210", severity=WARNING, message="w")
         error = Diagnostic(code="PX220", severity=ERROR, message="e")
-        info = Diagnostic(code="PX251", severity=INFO, message="i")
+        info = Diagnostic(code="PX190", severity=INFO, message="i")
         assert codes(sort_diagnostics([info, warning, error])) == \
-            ["PX220", "PX210", "PX251"]
+            ["PX220", "PX210", "PX190"]
 
     def test_report_gates(self):
         report = DiagnosticReport([
@@ -308,37 +305,3 @@ class TestTruncatedGuide:
             PlanBuilder.scan("t").select(path, "o18").build(),
         ):
             assert codes(check_plan(plan, database, guides=guides)) == []
-
-
-class TestRewriteJustifications:
-    @staticmethod
-    def _swapped_product(database):
-        """A product whose bigger operand is on the left: the reorder
-        rule fires on it."""
-        tiny = InstanceBuilder("T")
-        tiny.children("T", "x", ["t1"])
-        tiny.opf("T", {("t1",): 1.0})
-        tiny.leaf("t1", "v", ["u"], {"u": 1.0})
-        database.register("tiny", tiny.build())
-        return ProductNode(ScanNode("bib"), ScanNode("tiny"), "P")
-
-    def test_all_default_rules_justified(self, database):
-        plan = self._swapped_product(database)
-        trace = []
-        optimize(plan, CostModel(database), trace=trace)
-        justifications = justify_rewrites(trace)
-        assert justifications
-        assert all(j.holds for j in justifications)
-
-    def test_check_plan_reports_justifications(self, database):
-        plan = self._swapped_product(database)
-        diagnostics = check_plan(plan, database, rewrites=True)
-        assert "PX251" in codes(diagnostics)
-        assert "PX250" not in codes(diagnostics)
-
-    def test_unsound_pair_is_flagged(self):
-        fake = PlanBuilder.scan("x").project("R.a").build()
-        [justification] = justify_rewrites([
-            ("reorder_product_by_size", fake, fake),
-        ])
-        assert not justification.holds

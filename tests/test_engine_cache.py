@@ -762,27 +762,25 @@ class TestOneTokenPerStatement:
         interpreter.execute("EXISTS o0.l0_0 IN t")
         assert len(interpreter.engine.guides) == 1
 
-    def test_one_rewrite_fixpoint_per_cold_statement(self, counted, monkeypatch):
-        """Preparing a plan is one ``optimize`` fixpoint (the access
-        method is not a second rule set), on a repeat too: no plan and
-        no result is remembered, the repeat executes again."""
+    def test_the_checked_plan_runs_certified_once(self, counted, monkeypatch):
+        """The plan that runs is the statement's plan as written — the
+        one the checker certified, so each cold statement is certified
+        once (the checker's certificate, adopted) — and on a repeat too:
+        no plan and no result is remembered, the repeat executes again."""
         import repro.check.absint as absint
-        import repro.engine.executor as executor
+        from repro.engine import plan_statement
+        from repro.pxql import parse
 
         interpreter, calls = counted
-        real = executor.optimize
+        engine = interpreter.engine
+        ran = []
+        execute_plan = engine.execute_plan
 
-        def counting(*args, **kwargs):
-            calls["optimize"] += 1
-            return real(*args, **kwargs)
+        def recording(plan):
+            ran.append(plan)
+            return execute_plan(plan)
 
-        monkeypatch.setattr(executor, "optimize", counting)
-        derive = "PROJECT o0.l0_0.l1_0.l2_0 FROM t AS w"
-        for statement in ("EXISTS o0.l0_0.l1_0 IN t", "COUNT o0.l0_0 IN t",
-                          derive):
-            calls["optimize"] = 0
-            interpreter.execute(statement)
-            assert calls["optimize"] == 1, statement
+        monkeypatch.setattr(engine, "execute_plan", recording)
         real_certify = absint.certify_plan
 
         def certify(*args, **kwargs):
@@ -790,12 +788,16 @@ class TestOneTokenPerStatement:
             return real_certify(*args, **kwargs)
 
         monkeypatch.setattr(absint, "certify_plan", certify)
-        calls.update(optimize=0, certify_plan=0)
-        executions = interpreter.metrics.value("engine.executions")
-        interpreter.execute(derive)
-        assert calls["optimize"] == 1
-        assert calls["certify_plan"] == 1       # the checker's, adopted
-        assert interpreter.metrics.value("engine.executions") == executions + 1
+        derive = "PROJECT o0.l0_0.l1_0.l2_0 FROM t AS w"
+        for statement in ("EXISTS o0.l0_0.l1_0 IN t", "COUNT o0.l0_0 IN t",
+                          derive, derive):
+            calls["certify_plan"] = 0
+            ran.clear()
+            executions = interpreter.metrics.value("engine.executions")
+            interpreter.execute(statement)
+            assert ran == [plan_statement(parse(statement))], statement
+            assert calls["certify_plan"] == 1, statement
+            assert interpreter.metrics.value("engine.executions") == executions + 1
 
     @pytest.fixture
     def located(self, counted, monkeypatch):
@@ -860,11 +862,11 @@ class TestOneTokenPerStatement:
     def test_cold_statements_certify_once_and_shape_once(
         self, counted, monkeypatch
     ):
-        """No rewrite fires on a one-operator statement, so the plan
-        the checker certified is the plan the engine runs: it adopts
-        that certificate instead of interpreting the plan again, and a
-        cold ``PROJECT ... AS`` builds its result shape once (for the
-        certificate's object count), not once per pass."""
+        """The plan the checker certified is the plan the engine runs
+        (nothing is rewritten): it adopts that certificate instead of
+        interpreting the plan again, and a cold ``PROJECT ... AS`` builds
+        its result shape once (for the certificate's object count), not
+        once per pass."""
         import repro.check.absint as absint
         from repro.check.locate import Site
 

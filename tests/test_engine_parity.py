@@ -1,12 +1,12 @@
 """Randomized parity: the engine path must equal the operators it plans.
 
-The rewrite rule and the full optimizer are checked against direct
-calls to the Section 5/6 operators (``tests.helpers.evaluate_directly``)
-on generated instances (Section 7.1 workloads); probabilities must
-agree within 1e-9.  A derived name is read as registered, so the
-algebraic identities that make that safe — a saved projection answers
-what its lineage over the base would — are checked on the same
-instances.  The degraded retry (every accelerator bypassed) and, on
+The engine runs every plan as written; its answers are checked against
+direct calls to the Section 5/6 operators
+(``tests.helpers.evaluate_directly``) on generated instances (Section
+7.1 workloads); probabilities must agree within 1e-9.  A derived name
+is read as registered, so the algebraic identities that make that safe
+— a saved projection answers what its lineage over the base would —
+are checked on the same instances.  The degraded retry (every accelerator bypassed) and, on
 these depth-2 specs, the enumerated semantics — of each instance, and
 for a derived one of its base — are held to the same answers.  The
 suite runs on 52 generated instances (13 seeds x 2 labelings x 2 OPF
@@ -21,6 +21,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.builder import InstanceBuilder
+from repro.algebra.product import cartesian_product
 from repro.algebra.projection_prob import ancestor_projection_global
 from repro.algebra.selection import ObjectCondition
 from repro.engine import (
@@ -32,6 +33,7 @@ from repro.engine import (
 )
 from repro.pxql import Interpreter, ast, parse
 from repro.queries.engine import QueryEngine
+from repro.resilience.breaker import CircuitBreaker
 from repro.semistructured.paths import match_path
 from repro.storage.database import Database
 from repro.workloads.generator import (
@@ -131,8 +133,9 @@ def test_statement_parity(spec):
 
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=_spec_id)
 def test_degraded_parity(spec, monkeypatch):
-    """With the prepare step broken, every statement is answered by the
-    retry on its plan as written — same answers, no accelerator touched."""
+    """With the certificate step broken, every statement is answered by
+    the retry on its plan as written — same answers, no accelerator
+    touched."""
     workload, statements, probes = _parity_script(spec)
     oracle = Database()
     engine = Interpreter(Database())
@@ -148,9 +151,13 @@ def test_degraded_parity(spec, monkeypatch):
     monkeypatch.setattr(engine.database, "register", recording_register)
 
     def explode(plan, generation):
-        raise RuntimeError("prepare exploded")
+        raise RuntimeError("certify exploded")
 
-    monkeypatch.setattr(engine.engine, "_prepare", explode)
+    monkeypatch.setattr(engine.engine, "_certify", explode)
+    # Each answered retry counts against the breaker; keep it closed so
+    # every statement takes the retry (tripping it is
+    # test_resilience.py's).
+    engine.engine.breaker = CircuitBreaker(failure_threshold=100)
     indexed = []
     apply_indexed = engine.engine._apply_indexed
 
@@ -232,7 +239,10 @@ def test_enumeration_oracle(spec):
 
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=_spec_id)
 def test_optimizer_on_off_parity(spec):
-    """The optimized plan equals the plan as written, node for node."""
+    """A multi-operator pipeline answers the same with the accelerators
+    on (``execute_plan``: certificate, snapshot access for the scanned
+    projection) and off (``execute_as_written``), and both run the plan
+    as written."""
     workload = generate_workload(spec)
     rng = random.Random(spec.seed + 2000)
     path = random_projection_path(workload, rng)
@@ -240,15 +250,15 @@ def test_optimizer_on_off_parity(spec):
 
     database = Database()
     database.register("base", workload.instance)
-    raw = Engine(database, optimizer=False)
-    optimized = Engine(database, optimizer=True)
+    engine = Engine(database)
 
     pipeline = (
         PlanBuilder.scan("base").project(path).project(path)
         .select(path, oid).build()
     )
-    a = raw.execute_plan(pipeline)
-    b = optimized.execute_plan(pipeline)
+    a = engine.execute_as_written(pipeline)
+    b = engine.execute_plan(pipeline)
+    assert a.plan == b.plan == pipeline
     assert a.value.objects == b.value.objects
     assert b.condition_probability == pytest.approx(
         a.condition_probability, abs=TOL
@@ -258,8 +268,8 @@ def test_optimizer_on_off_parity(spec):
     )
 
     query = PlanBuilder.scan("base").project(path).point(path, oid).build()
-    assert optimized.execute_plan(query).value == pytest.approx(
-        raw.execute_plan(query).value, abs=TOL
+    assert engine.execute_plan(query).value == pytest.approx(
+        engine.execute_as_written(query).value, abs=TOL
     )
 
 
@@ -275,7 +285,7 @@ def _projected(spec, salt):
     oid = _path_oid(workload, path, rng)
     database = Database()
     database.register("base", workload.instance)
-    engine = Engine(database, optimizer=False)
+    engine = Engine(database)
     project = PlanBuilder.scan("base").project(path).build()
     database.register("p", engine.execute_plan(project).value)
     return database, path, oid
@@ -286,7 +296,7 @@ def test_collapse_rule_parity(spec):
     """``Λ_p`` is idempotent: projecting the saved projection ``p`` on
     its own path equals projecting the base."""
     database, path, oid = _projected(spec, 3000)
-    engine = Engine(database, optimizer=False)
+    engine = Engine(database)
     again = PlanBuilder.scan("p").project(path).build()
     once = PlanBuilder.scan("base").project(path).build()
     a = engine.execute_plan(again).value
@@ -301,7 +311,7 @@ def test_pushdown_rule_parity(spec):
     projection ``p`` equals projecting the base's selection, with the
     same condition probability."""
     database, path, oid = _projected(spec, 4000)
-    engine = Engine(database, optimizer=False)
+    engine = Engine(database)
     over_view = PlanBuilder.scan("p").select(path, oid).build()
     over_base = (
         PlanBuilder.scan("base").select(path, oid).project(path).build()
@@ -333,19 +343,21 @@ def _disjoint_pair():
 
 class TestProductParity:
     def test_reorder_rule_parity(self):
+        """The product commutes (Definition 5.7 merges the two roots
+        symmetrically): ``l x r`` and ``r x l`` under one root id are
+        the same instance, so the engine has no reason to reorder."""
         database = Database()
         left, right = _disjoint_pair()
         database.register("l", left)    # 3 objects
         database.register("r", right)   # 2 objects
-        engine = Engine(database, optimizer=False)
+        engine = Engine(database)
 
-        raw = ProductNode(ScanNode("l"), ScanNode("r"), "root")
-        from repro.engine import reorder_product_by_size
-
-        rewritten = reorder_product_by_size(raw, engine.cost)
-        assert rewritten is not None
-        a = engine.execute_plan(raw).value
-        b = engine.execute_plan(rewritten).value
+        a = engine.execute_plan(
+            ProductNode(ScanNode("l"), ScanNode("r"), "root")
+        ).value
+        b = engine.execute_plan(
+            ProductNode(ScanNode("r"), ScanNode("l"), "root")
+        ).value
         assert a.objects == b.objects
         assert a.root == b.root == "root"
         for oid in ("a1", "a2", "b1"):
@@ -368,20 +380,30 @@ class TestProductParity:
              "EXISTS lr.x IN prod", "COUNT lr.y IN prod"],
         )
 
-    def test_optimizer_reorders_product_statement_soundly(self):
+    def test_product_runs_as_written(self):
+        """``EXPLAIN`` renders the operands in written order — the larger
+        on the left stays on the left — and the statement's result is
+        ``cartesian_product`` of the two as written: same objects, same
+        OPFs, same default root id."""
         left, right = _disjoint_pair()
-        database = Database()
-        database.register("l", left)
-        database.register("r", right)
-        raw = Engine(database, optimizer=False)
-        optimized = Engine(database, optimizer=True)
+        interpreter = Interpreter(Database())
+        interpreter.database.register("l", left)     # 3 objects
+        interpreter.database.register("r", right)    # 2 objects
 
-        plan = ProductNode(ScanNode("l"), ScanNode("r"))  # bigger first
-        a = raw.execute_plan(plan)
-        b = optimized.execute_plan(plan)
-        assert "reorder_product_by_size" in b.applied_rules
-        assert a.value.root == b.value.root  # default root id is pinned
-        assert a.value.objects == b.value.objects
-        pa = QueryEngine(a.value, strategy="bayes").object_exists("a1")
-        pb = QueryEngine(b.value, strategy="bayes").object_exists("a1")
-        assert pa == pytest.approx(pb, abs=TOL)
+        lines = interpreter.execute("EXPLAIN PRODUCT l, r").text.splitlines()
+        assert lines[0].startswith("Product[auto-root]")
+        assert lines[1].startswith("├─ Scan(l)")
+        assert lines[2].startswith("└─ Scan(r)")
+
+        served = interpreter.execute("PRODUCT l, r AS p").value
+        direct = cartesian_product(
+            interpreter.database.get("l"), interpreter.database.get("r")
+        )
+        assert served.root == direct.root == "LxM"
+        assert served.objects == direct.objects
+        for oid in sorted(direct.objects):
+            opf = direct.opf(oid)
+            if opf is None:
+                assert served.opf(oid) is None, oid
+            else:
+                assert dict(served.opf(oid).support()) == dict(opf.support()), oid

@@ -317,38 +317,44 @@ def _fig2_interpreter(**kwargs):
     return interpreter
 
 
-def _break_optimizer(monkeypatch):
-    def explode(plan, cost, rules):
-        raise RuntimeError("optimizer bug")
+def _ex52_interpreter():
+    interpreter = Interpreter(check="off")
+    interpreter.database.register("ex52", example52_instance())
+    return interpreter
 
-    import repro.engine.executor as executor_module
 
-    monkeypatch.setattr(executor_module, "optimize", explode)
+def _break_snapshot_access(monkeypatch, engine):
+    """Make the snapshot access method (an accelerated layer) raise;
+    returns the list its calls are recorded in."""
+    calls = []
+
+    def explode(node, pi, col):
+        calls.append(node)
+        raise RuntimeError("snapshot access exploded")
+
+    monkeypatch.setattr(engine, "_apply_indexed", explode)
+    return calls
 
 
 class TestEngineDegradation:
-    def test_optimizer_error_degrades_to_unoptimized_plan(self, monkeypatch):
-        interpreter = _fig2_interpreter()
-        _break_optimizer(monkeypatch)
-        result = interpreter.execute("PROB B1 IN fig2")
-        assert result.value == pytest.approx(0.8)
-        assert interpreter.metrics.counter(
-            "resilience.optimizer_errors"
-        ).value >= 1.0
-
     def test_breaker_trips_after_repeated_optimizer_failures(self, monkeypatch):
-        interpreter = _fig2_interpreter()
+        """An accelerated layer that keeps failing is convicted by the
+        retries that answer without it: after ``failure_threshold`` of
+        them the breaker opens, and statements run as written without
+        consulting the layer at all."""
+        expected = _ex52_interpreter().execute("PROB B1 IN ex52").value
+        interpreter = _ex52_interpreter()
         engine = interpreter.engine
-        _break_optimizer(monkeypatch)
+        calls = _break_snapshot_access(monkeypatch, engine)
         threshold = engine.breaker.failure_threshold
-        for _ in range(threshold + 2):
-            value = interpreter.execute("PROB B1 IN fig2").value
-            assert value == pytest.approx(0.8)
+        for _ in range(threshold):
+            value = interpreter.execute("PROB B1 IN ex52").value
+            assert value == pytest.approx(expected)
         assert engine.breaker.state == "open"
-        # Once open the optimizer is not consulted at all; queries keep
-        # answering on the degraded path.
-        value = interpreter.execute("EXISTS R.book IN fig2").value
+        assert len(interpreter.fallbacks) == len(calls) == threshold
+        value = interpreter.execute("EXISTS R.book IN ex52").value
         assert 0.0 <= value <= 1.0
+        assert len(interpreter.fallbacks) == len(calls) == threshold
 
     def test_cache_get_faults_never_fail_a_query(self):
         interpreter = _fig2_interpreter()
@@ -398,6 +404,10 @@ class TestEngineDegradation:
             with pytest.raises(PXMLError):
                 interpreter.execute(text)
         assert interpreter.fallbacks == []
+        # Nor does it count against the breaker: the accelerators were
+        # not at fault.
+        assert interpreter.engine.breaker.failures == 0
+        assert interpreter.engine.breaker.state == "closed"
         assert interpreter.metrics.counter("resilience.fallbacks").value == 0
         assert interpreter.metrics.counter("pxql.errors").value == 3
         assert not any(
@@ -411,11 +421,6 @@ class TestEngineDegradation:
         the interpreter's retry report the same ``NodeStats`` shapes."""
         statements = ["EXISTS R.book IN ex52", "PROJECT R.book FROM ex52 AS p",
                       "POINT R.book : B1 IN p"]
-
-        def fresh():
-            interpreter = Interpreter(check="off")
-            interpreter.database.register("ex52", example52_instance())
-            return interpreter
 
         def shapes(interpreter, entry):
             """Per statement, the NodeStats tree ``Engine.<entry>`` returned."""
@@ -435,17 +440,13 @@ class TestEngineDegradation:
                 for execution in executed
             ]
 
-        tripped = fresh()
+        tripped = _ex52_interpreter()
         for _ in range(tripped.engine.breaker.failure_threshold):
             tripped.engine.breaker.record_failure()
         assert tripped.engine.breaker.state == "open"
 
-        retried = fresh()
-
-        def explode(plan, generation):
-            raise RuntimeError("prepare exploded")
-
-        monkeypatch.setattr(retried.engine, "_prepare", explode)
+        retried = _ex52_interpreter()
+        _break_snapshot_access(monkeypatch, retried.engine)
 
         opened = shapes(tripped, "execute_plan")
         degraded = shapes(retried, "execute_as_written")
@@ -456,7 +457,7 @@ class TestEngineDegradation:
             assert strategy != "indexed"
         # For contrast, the accelerated run of the same statement locates
         # its path on the snapshot.
-        accelerated = shapes(fresh(), "execute_plan")[0]
+        accelerated = shapes(_ex52_interpreter(), "execute_plan")[0]
         assert accelerated[0][1] == "indexed"
 
     def test_explain_under_an_open_breaker_reports_no_cache(self):
@@ -476,9 +477,9 @@ class TestEngineDegradation:
         assert "absint:" not in opened and "cache=" not in opened
 
     def test_a_fresh_rewrite_closes_the_half_open_breaker(self):
-        """A clean rewrite is a success of the guarded layer — every
-        preparation runs one — so a repeating workload gets its
-        accelerators back with the probe."""
+        """A completed accelerated execution is the success of the
+        guarded layers, so a repeating workload gets its accelerators
+        back with the probe."""
         clock = FakeClock()
         interpreter = _fig2_interpreter()
         engine = interpreter.engine
@@ -498,6 +499,33 @@ class TestEngineDegradation:
         interpreter.execute(statement)
         interpreter.execute(statement)
         assert interpreter.cache_stats["statements"]["hits"] == 1
+
+    def test_explain_does_not_take_the_half_open_probe(self):
+        """``EXPLAIN`` reads the breaker's state and executes nothing, so
+        it neither takes the half-open probe nor closes the breaker; the
+        next accelerated execution does."""
+        clock = FakeClock()
+        interpreter = _fig2_interpreter()
+        engine = interpreter.engine
+        engine.breaker = CircuitBreaker(
+            failure_threshold=1, reset_after_s=30.0, clock=clock
+        )
+        engine.breaker.record_failure()
+        clock.advance(31.0)
+        # A probe whose outcome is never recorded (its statement raised
+        # the user's error) expires after another cool-down: half-open,
+        # with the probe slot free.
+        assert engine.breaker.allow()
+        clock.advance(31.0)
+        assert engine.breaker.state == "half_open"
+
+        explained = interpreter.execute("EXPLAIN EXISTS R.book IN fig2").text
+        assert "absint:" not in explained            # the plan as written
+        assert engine.breaker.state == "half_open"
+
+        plan = engine.plan_statement(parse("EXISTS R.book IN fig2"))
+        assert engine.execute_plan(plan).certificate is not None  # the probe
+        assert engine.breaker.state == "closed"
 
     def test_budget_errors_are_not_degraded(self):
         interpreter = _fig2_interpreter()
