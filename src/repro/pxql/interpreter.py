@@ -415,9 +415,18 @@ class Interpreter:
         return {"statements": self._statements.stats.as_dict()}
 
     # ------------------------------------------------------------------
+    #: What a fresh result name is ``{prefix}{n}`` of (a pool worker's
+    #: carries its index).
+    _fresh_prefix = "_result"
+
     def _fresh_name(self) -> str:
-        self._counter += 1
-        return f"_result{self._counter}"
+        """The next ``{prefix}{n}`` the catalog does not hold: an unnamed
+        result never replaces one saved by an earlier run."""
+        while True:
+            self._counter += 1
+            name = f"{self._fresh_prefix}{self._counter}"
+            if name not in self.database:
+                return name
 
     def _register(self, target: str | None, instance: ProbabilisticInstance) -> str:
         name = target if target is not None else self._fresh_name()

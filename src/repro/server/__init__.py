@@ -1,10 +1,13 @@
-"""Concurrent PXQL serving: worker pool, shards, admission, front door.
+"""Concurrent PXQL serving: worker pool, shards, front door.
 
 This package turns the interpreter into a long-running service:
 
 * :class:`~repro.server.server.PXQLServer` — a supervised pool of
   worker threads executing PXQL against one shared thread-safe
-  :class:`~repro.storage.database.Database`, with per-request
+  :class:`~repro.storage.database.Database`, behind one
+  :class:`queue.Queue` that admission bounds (a full queue is a typed
+  :class:`~repro.errors.Overloaded`, never unbounded growth; every
+  submission is a :class:`concurrent.futures.Future`), with per-request
   :class:`~repro.resilience.budget.Budget` s, graceful drain-then-stop
   (including on ``SIGTERM``/``SIGINT``), and liveness/readiness probes
   backed by :mod:`repro.obs` metrics;
@@ -22,12 +25,9 @@ This package turns the interpreter into a long-running service:
   process, the router's pipe handle, and the one description of a reply
   (errors and results) that both the pipe and HTTP send;
 * :class:`~repro.server.http.HttpFrontDoor` — an asyncio HTTP/JSON
-  endpoint (stdlib only) over either backend, translating typed errors
-  to status codes and draining on SIGTERM;
-* :class:`~repro.server.admission.AdmissionQueue` /
-  :class:`~repro.server.admission.PendingResult` — the bounded handoff
-  and the write-once future behind every submission; a full queue is a
-  typed :class:`~repro.errors.Overloaded`, never unbounded growth.
+  endpoint (stdlib only) over either backend, running one statement
+  per ``POST /execute``, translating typed errors to status codes and
+  draining on SIGTERM.
 
 The cross-process half of the story (catalog lock file + generation
 counter, generation-keyed statement tier) lives in
@@ -41,20 +41,16 @@ from repro.errors import (
     ServerError,
     ShardUnavailable,
 )
-from repro.server.admission import AdmissionQueue, PendingResult, Request
 from repro.server.http import HttpFrontDoor
 from repro.server.layout import ShardManifest, reshard
 from repro.server.server import PXQLServer
 from repro.server.shard import ShardConfig, ShardedServer
 
 __all__ = [
-    "AdmissionQueue",
     "HttpFrontDoor",
     "Overloaded",
     "PXQLServer",
-    "PendingResult",
     "RemoteExecutionError",
-    "Request",
     "ServerError",
     "ShardConfig",
     "ShardManifest",

@@ -9,13 +9,8 @@ in front of any backend satisfying :class:`Backend` — the thread-pool
 route                 behavior
 ====================  ==================================================
 ``POST /execute``     ``{"statement": ..., "timeout_s"?: ...}`` —
-                      blocking execute; 200 with the result, or a typed
+                      run one statement; 200 with the result, or a typed
                       JSON error (see the status map below)
-``POST /submit``      non-blocking admission; 202 with ``{"id": ...}``
-``GET /result/<id>``  200 with the result once done, 202 while pending,
-                      404 for unknown ids, 410 for ids whose slot
-                      expired unclaimed; results are delivered once
-                      (the slot is freed on pickup)
 ``GET /health``       the backend's health snapshot; 200 when ready,
                       503 otherwise (a load-balancer-friendly probe)
 ``GET /metrics``      the metrics registry as JSON
@@ -30,16 +25,6 @@ way down is sent as the statement's text) or
 and ``ShardUnavailable`` → 503, ``BudgetExceeded`` → 408, any other
 :class:`~repro.errors.PXMLError` (parse errors, check failures, unknown
 instances) → 400, anything unrecognized → 500.  Clients always see JSON, never a traceback.
-
-**Pending-result retention.**  Submitted-but-never-claimed results used
-to accumulate in the pending map forever — a slow leak under any client
-that submits and walks away.  Slots now expire ``result_ttl_s`` seconds
-after submission: a periodic sweep (and an opportunistic one on every
-submit) frees them, counts each eviction in ``http.results_expired``,
-and remembers the evicted ids so late pollers get an honest ``410
-Gone`` instead of a 404.  The map is also hard-bounded at
-``max_pending`` slots — when full, the oldest slots are evicted first
-(counted the same way) so memory stays bounded even under a flood.
 
 **Shutdown.**  :meth:`HttpFrontDoor.install_signal_handlers` arranges
 drain-then-stop on ``SIGTERM``/``SIGINT``: admissions stop (503s),
@@ -56,11 +41,12 @@ draining, and after :data:`IDLE_TIMEOUT_S` without a complete request;
 for one.  While the transport has paused writing no request is framed,
 and past :data:`_READ_LIMIT` buffered bytes the connection stops reading.
 
-``/execute`` is answered straight from the backend's completion callback
-or by a ``timeout_s`` timer, whichever fires first — no task, future or
-thread per request.  The other routes run as one task per request; what
-blocks (``/health``, a sharded ``/metrics``, drain and stop) runs in the
-loop's default executor, so the loop itself never stalls.
+``/execute`` is answered straight from the backend future's done
+callback or by a ``timeout_s`` timer, whichever fires first — no task,
+loop future or thread per request.  The other routes run as one task
+per request; what blocks (``/health``, a sharded ``/metrics``, drain
+and stop) runs in the loop's default executor, so the loop itself
+never stalls.
 """
 
 from __future__ import annotations
@@ -68,9 +54,7 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
-import threading
-import time
-from collections import OrderedDict
+from concurrent.futures import Future
 from typing import NamedTuple, Protocol, cast
 
 from repro.errors import (
@@ -82,7 +66,7 @@ from repro.errors import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.pxql.interpreter import Result
-from repro.server.admission import PendingResult
+from repro.server.server import timed_out
 from repro.server.wire import describe_error, describe_result
 
 #: Largest accepted request body (bytes); statements are small.
@@ -97,21 +81,12 @@ _READ_LIMIT = MAX_BODY_BYTES + MAX_HEAD_BYTES
 #: Default wait bound for ``POST /execute`` (seconds).
 DEFAULT_EXECUTE_TIMEOUT_S = 60.0
 
-#: How long an unclaimed ``/submit`` result is retained (seconds).
-DEFAULT_RESULT_TTL_S = 300.0
-
 #: How long a connection may sit without a complete request (seconds).
 IDLE_TIMEOUT_S = 30.0
 
-#: Hard cap on simultaneously retained pending results.
-DEFAULT_MAX_PENDING = 1024
-
-#: How many evicted ids are remembered for 410 (vs 404) answers.
-EXPIRED_ID_MEMORY = 4096
-
-_REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
+_REASONS = {200: "OK", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed",
-            408: "Request Timeout", 410: "Gone",
+            408: "Request Timeout",
             429: "Too Many Requests",
             500: "Internal Server Error", 503: "Service Unavailable"}
 
@@ -121,7 +96,7 @@ class Backend(Protocol):
 
     metrics: MetricsRegistry
 
-    def submit(self, text: str) -> PendingResult: ...
+    def submit(self, text: str) -> Future[Result]: ...
 
     def health(self) -> dict[str, object]: ...
 
@@ -149,12 +124,12 @@ def error_payload(exc: BaseException) -> tuple[int, dict[str, object]]:
     return status, {"error": describe_error(exc)}
 
 
-def _resolved_payload(future: PendingResult) -> tuple[int, dict[str, object]]:
+def _resolved_payload(future: Future[Result]) -> tuple[int, dict[str, object]]:
     """The reply for a request its backend has resolved."""
-    error = future.error(0.0)
+    error = future.exception()
     if error is not None:
         return error_payload(error)
-    value = future.result(0.0)
+    value: object = future.result()
     if not isinstance(value, Result):
         return error_payload(
             ServerError(
@@ -337,10 +312,6 @@ class HttpFrontDoor:
         host: bind address.
         port: bind port (0 = ephemeral; see :attr:`bound_port`).
         execute_timeout_s: default wait bound for ``POST /execute``.
-        result_ttl_s: how long an unclaimed submit result is retained
-            before it is expired (and its id answers 410).
-        max_pending: hard bound on retained pending results; oldest
-            slots are evicted first when full.
     """
 
     def __init__(
@@ -349,25 +320,14 @@ class HttpFrontDoor:
         host: str = "127.0.0.1",
         port: int = 8080,
         execute_timeout_s: float = DEFAULT_EXECUTE_TIMEOUT_S,
-        result_ttl_s: float = DEFAULT_RESULT_TTL_S,
-        max_pending: int = DEFAULT_MAX_PENDING,
     ) -> None:
         self.backend = backend
         self.host = host
         self.port = port
         self.execute_timeout_s = execute_timeout_s
-        self.result_ttl_s = result_ttl_s
-        self.max_pending = max_pending
         self._server: asyncio.AbstractServer | None = None
         self._shutdown: asyncio.Event | None = None
-        self._pending_lock = threading.Lock()
-        self._pending: OrderedDict[int, tuple[PendingResult, float]] = (
-            OrderedDict()
-        )
-        self._expired_ids: OrderedDict[int, None] = OrderedDict()
-        self._next_id = 0
         self._draining = False
-        self._sweeper: asyncio.Task[None] | None = None
         #: Open connections: :meth:`shutdown` closes those not busy.
         self._connections: set[_Connection] = set()
 
@@ -391,7 +351,6 @@ class HttpFrontDoor:
         self._server = await asyncio.get_running_loop().create_server(
             lambda: _Connection(self), self.host, self.port
         )
-        self._sweeper = asyncio.ensure_future(self._sweep_loop())
         return self
 
     async def serve_forever(self) -> None:
@@ -403,10 +362,6 @@ class HttpFrontDoor:
     async def shutdown(self, drain_timeout_s: float = 30.0) -> None:
         """Drain the backend, stop it, close the listener."""
         self._draining = True
-        sweeper = self._sweeper
-        if sweeper is not None:
-            sweeper.cancel()
-            self._sweeper = None
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(
             None, lambda: self.backend.drain(drain_timeout_s)
@@ -436,42 +391,6 @@ class HttpFrontDoor:
                 signum,
                 lambda: asyncio.ensure_future(self.shutdown()),
             )
-
-    # ------------------------------------------------------------------
-    # Pending-result retention
-    # ------------------------------------------------------------------
-    def _remember_expired(self, ident: int) -> None:
-        """Record an evicted id (bounded) so late polls get 410 not 404."""
-        self._expired_ids[ident] = None
-        while len(self._expired_ids) > EXPIRED_ID_MEMORY:
-            self._expired_ids.popitem(last=False)
-
-    def _expire_locked(self, ident: int) -> None:
-        self._pending.pop(ident, None)
-        self._remember_expired(ident)
-        self.backend.metrics.counter("http.results_expired").inc()
-
-    def sweep_pending(self) -> int:
-        """Expire unclaimed results past their TTL; returns how many."""
-        deadline = time.monotonic() - self.result_ttl_s
-        with self._pending_lock:
-            stale = [
-                ident
-                for ident, (_, created) in self._pending.items()
-                if created <= deadline
-            ]
-            for ident in stale:
-                self._expire_locked(ident)
-        return len(stale)
-
-    async def _sweep_loop(self) -> None:
-        interval = min(max(self.result_ttl_s / 4.0, 0.05), 30.0)
-        try:
-            while True:
-                await asyncio.sleep(interval)
-                self.sweep_pending()
-        except asyncio.CancelledError:
-            pass
 
     # ------------------------------------------------------------------
     # Answering a framed request
@@ -516,11 +435,9 @@ class HttpFrontDoor:
             timer.cancel()
             keep = keep_alive
             try:
-                status, body = _resolved_payload(pending) if resolved else (
-                    # worded as PendingResult.error words it
-                    error_payload(ServerError(
-                        f"request did not complete within {timeout_s:g}s"
-                    ))
+                status, body = (
+                    _resolved_payload(pending) if resolved
+                    else error_payload(timed_out(timeout_s))
                 )
             except Exception as exc:  # noqa: BLE001 - last-resort JSON 500
                 status, body, keep = _failed(exc, keep_alive)
@@ -541,10 +458,6 @@ class HttpFrontDoor:
     async def _dispatch(
         self, request: _Request
     ) -> tuple[int, dict[str, object]]:
-        if request.path == "/submit" and request.method == "POST":
-            return await self._route_submit(request)
-        if request.path.startswith("/result/") and request.method == "GET":
-            return await self._route_result(request)
         if request.path == "/health" and request.method == "GET":
             return await self._route_health()
         if request.path == "/metrics" and request.method == "GET":
@@ -561,63 +474,12 @@ class HttpFrontDoor:
         timeout = data.get("timeout_s")
         timeout_s = (
             float(timeout)
-            if isinstance(timeout, (int, float)) and timeout > 0
+            if isinstance(timeout, (int, float))
+            and not isinstance(timeout, bool)  # JSON true is not a number
+            and timeout > 0
             else self.execute_timeout_s
         )
         return statement, timeout_s
-
-    async def _route_submit(
-        self, request: _Request
-    ) -> tuple[int, dict[str, object]]:
-        statement, _ = self._statement_of(request)
-        try:
-            if self._draining:
-                raise Overloaded("front door is draining", reason="draining")
-            future = self.backend.submit(statement)
-        except Exception as exc:  # noqa: BLE001 - typed JSON transport
-            return error_payload(exc)
-        self.sweep_pending()
-        with self._pending_lock:
-            while len(self._pending) >= self.max_pending:
-                oldest = next(iter(self._pending))
-                self._expire_locked(oldest)
-            self._next_id += 1
-            ident = self._next_id
-            self._pending[ident] = (future, time.monotonic())
-        return 202, {"id": ident}
-
-    async def _route_result(
-        self, request: _Request
-    ) -> tuple[int, dict[str, object]]:
-        try:
-            ident = int(request.path[len("/result/"):])
-        except ValueError:
-            return 404, {
-                "error": {"type": "NotFound", "message": request.path}
-            }
-        with self._pending_lock:
-            slot = self._pending.get(ident)
-            expired = slot is None and ident in self._expired_ids
-        if expired:
-            return 410, {
-                "error": {
-                    "type": "Expired",
-                    "message": (
-                        f"result {ident} expired unclaimed after "
-                        f"{self.result_ttl_s:g}s"
-                    ),
-                }
-            }
-        if slot is None:
-            return 404, {
-                "error": {"type": "NotFound", "message": f"no request {ident}"}
-            }
-        future = slot[0]
-        if not future.done:
-            return 202, {"id": ident, "done": False}
-        with self._pending_lock:
-            self._pending.pop(ident, None)
-        return _resolved_payload(future)
 
     async def _route_health(self) -> tuple[int, dict[str, object]]:
         loop = asyncio.get_running_loop()

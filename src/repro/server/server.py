@@ -22,40 +22,53 @@ The concurrency contract, piece by piece:
   query ends in a typed :class:`~repro.errors.BudgetExceeded` instead
   of occupying a worker forever;
 * **isolation** — each worker owns a private
-  :class:`~repro.pxql.interpreter.Interpreter` with its own plan,
-  result and statement tiers (fresh result names are worker-prefixed,
-  so two ``PROJECT ... `` statements without ``AS`` can never clash),
-  while the database, tracer and metrics registry are shared and
+  :class:`~repro.pxql.interpreter.Interpreter` with its own statement
+  tier (fresh result names carry the worker's index and skip every name
+  the catalog already holds, so two ``PROJECT ...`` statements without
+  ``AS`` can never clash, nor replace a result saved by an earlier
+  run), while the database, tracer and metrics registry are shared and
   thread-safe — and with the database the immutable, token-stamped
   state derived from its instances (snapshots, dataguides, cost
   measurements: one per name per catalog object, see
   :meth:`repro.storage.derived.DerivedCache.of`);
 * **shutdown** — :meth:`drain` stops admissions and waits for the
   queue and in-flight work to finish; :meth:`stop` then (or
-  immediately, with ``drain=False``) halts the pool and resolves every
-  still-queued request with ``Overloaded(reason="stopped")`` — a
-  request is always answered, never abandoned.  Two details make the
-  contract race-free: admission (the state check *and* the enqueue)
-  happens atomically under the state lock, so a submission can never
-  slip into the queue after the shutdown sweep; and idleness is judged
-  by the queue's *task accounting* (admitted-but-unfinished count),
-  not its depth, so a request sitting in the dequeue→execute handoff
-  window can never make :meth:`drain` report a clean drain early;
+  immediately, with ``drain=False``) resolves every still-queued
+  request with ``Overloaded(reason="stopped")`` and releases the
+  workers, which block on the queue and never poll — a request is
+  always answered, never abandoned.  Two details make the contract
+  race-free: admission (the state check *and* the enqueue) happens
+  atomically under the state lock, so a submission can never slip into
+  the queue after the shutdown sweep; and idleness is judged by the
+  :class:`queue.Queue`'s own task accounting (``task_done`` after the
+  request is answered), not its depth, so a request sitting in the
+  dequeue→execute handoff window can never make :meth:`drain` report a
+  clean drain early;
 * **probes** — :meth:`alive` (liveness: the pool is running) and
   :meth:`ready` (readiness: admissions are open and capacity remains)
   are cheap and lock-light, backed by the same :mod:`repro.obs`
   counters :meth:`health` exposes.
+
+Every submission is a :class:`concurrent.futures.Future`: the worker
+resolves it with the statement's :class:`Result` or its error, and
+:func:`wait` is the bounded wait both backends' ``execute`` use.
 
 See ``docs/SERVER.md`` for the full model.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextvars
+import queue
 import signal
 import threading
 import time
 from collections.abc import Callable
+from concurrent.futures import Future
+from dataclasses import dataclass, field
 from types import FrameType, TracebackType
+from typing import Any, TypeVar
 
 from repro.errors import Overloaded, ServerError
 from repro.obs.metrics import MetricsRegistry
@@ -63,7 +76,6 @@ from repro.obs.tracing import Tracer
 from repro.pxql.interpreter import Interpreter, Result
 from repro.resilience.budget import Budget, use_budget
 from repro.resilience.faults import fault_point
-from repro.server.admission import AdmissionQueue, PendingResult, Request
 from repro.storage.database import Database
 
 _NEW = "new"
@@ -71,19 +83,60 @@ _RUNNING = "running"
 _DRAINING = "draining"
 _STOPPED = "stopped"
 
+_T = TypeVar("_T")
+
+
+def new_future() -> Future[Any]:
+    """The future of one admitted request, already marked running so no
+    caller can cancel it: an admitted request is always answered."""
+    future: Future[Any] = Future()
+    future.set_running_or_notify_cancel()
+    return future
+
+
+def timed_out(timeout_s: float) -> ServerError:
+    """The error of a wait that outlived ``timeout_s``."""
+    return ServerError(f"request did not complete within {timeout_s:g}s")
+
+
+def wait(future: Future[_T], timeout_s: float | None = None) -> _T:
+    """The request's outcome: returns its value or raises its error.
+
+    Raises :func:`timed_out`'s :class:`~repro.errors.ServerError` when
+    the request is still unresolved after ``timeout_s`` (the request
+    itself keeps running; a :class:`~repro.resilience.budget.Budget`
+    bounds the execution, not just the wait).
+    """
+    try:
+        error = future.exception(timeout_s)
+    except concurrent.futures.TimeoutError:
+        raise timed_out(timeout_s or 0.0) from None
+    if error is not None:
+        raise error
+    return future.result()
+
+
+@dataclass
+class _Request:
+    """One admitted statement: its future, and the submitter's
+    :mod:`contextvars` snapshot the worker runs it in (threads do not
+    inherit ambient installations: fault injector, budget, tracer)."""
+
+    text: str
+    budget: Budget | None
+    future: Future[Result] = field(default_factory=new_future)
+    context: contextvars.Context = field(default_factory=contextvars.copy_context)
+    submitted_at: float = field(default_factory=time.monotonic)
+
 
 class _WorkerInterpreter(Interpreter):
-    """An interpreter whose auto-generated result names carry the worker
-    index (``_w3_result1``), so unnamed results from concurrent workers
-    never collide in the shared catalog."""
+    """An interpreter whose fresh result names carry ``prefix``
+    (``_w3_result1``; ``_s1_w3_result1`` on shard 1), so unnamed results
+    from concurrent workers or shards never collide in the catalog."""
 
-    def __init__(self, worker: int, **kwargs: object) -> None:
+    def __init__(self, prefix: str, **kwargs: object) -> None:
         super().__init__(**kwargs)  # type: ignore[arg-type]
-        self._worker = worker
-
-    def _fresh_name(self) -> str:
-        self._counter += 1
-        return f"_w{self._worker}_result{self._counter}"
+        self._fresh_prefix = f"{prefix}_result"
 
 
 class PXQLServer:
@@ -105,7 +158,6 @@ class PXQLServer:
             interpreter); the default builds :class:`Interpreter` s
             sharing ``database``/``tracer``/``metrics`` with
             worker-prefixed fresh names.
-        poll_s: worker idle-poll interval (also the drain poll).
         name: thread-name prefix, for debuggability.
     """
 
@@ -118,15 +170,17 @@ class PXQLServer:
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         interpreter_factory: Callable[[int], Interpreter] | None = None,
-        poll_s: float = 0.02,
         name: str = "pxql",
     ) -> None:
         if workers < 1:
             raise ServerError("a server needs at least one worker")
+        if queue_size < 1:
+            raise ServerError("admission queue needs maxsize >= 1")
         self.database = database if database is not None else Database()
         self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.workers = workers
+        self._queue_size = queue_size
         self.name = name
         self._budget_factory = budget_factory
         self._interpreter_factory = (
@@ -134,17 +188,18 @@ class PXQLServer:
             if interpreter_factory is not None
             else self._default_interpreter
         )
-        self._queue = AdmissionQueue(queue_size)
-        self._poll_s = poll_s
+        # Unbounded as a queue.Queue: submit() enforces ``queue_size``
+        # under the state lock, so stop() can always add one ``None``
+        # per worker to release it.
+        self._queue: queue.Queue[_Request | None] = queue.Queue()
         self._threads: list[threading.Thread] = []
         self._state = _NEW
         self._state_lock = threading.Lock()
-        self._inflight = 0
-        self._stop_event = threading.Event()
+        self._halted = False  # stop() has swept the queue and released the pool
 
     def _default_interpreter(self, worker: int) -> Interpreter:
         return _WorkerInterpreter(
-            worker,
+            f"_w{worker}",
             database=self.database,
             tracer=self.tracer,
             metrics=self.metrics,
@@ -185,25 +240,21 @@ class PXQLServer:
         Returns whether everything finished within ``timeout_s``; the
         pool keeps running either way (call :meth:`stop` to halt it).
 
-        Idleness is judged by the admission queue's task accounting
-        (:attr:`AdmissionQueue.unfinished`), which counts a request
-        from admission until its worker finishes it.  Checking queue
-        depth plus the in-flight counter instead would race: a worker
-        dequeues (depth drops to 0) *before* it registers as in-flight,
-        and a drain polling inside that handoff window would observe
-        "idle" and report a clean drain with a request still about to
-        run.
+        Idleness is the queue's own task accounting: a request counts
+        from admission until its worker calls ``task_done`` after
+        answering it.  Queue depth would race — a worker dequeues
+        (depth drops to 0) *before* it runs the request, and a drain
+        looking inside that handoff window would see "idle" and report
+        a clean drain with a request still about to run.
         """
         with self._state_lock:
             if self._state == _RUNNING:
                 self._state = _DRAINING
-        deadline = time.monotonic() + timeout_s
-        while True:
-            if self._queue.unfinished == 0:
-                return True
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(self._poll_s)
+        tasks = self._queue.all_tasks_done
+        with tasks:
+            return tasks.wait_for(
+                lambda: not self._queue.unfinished_tasks, timeout_s
+            )
 
     def stop(self, drain: bool = True, timeout_s: float = 30.0) -> bool:
         """Halt the pool; returns whether shutdown completed cleanly.
@@ -212,7 +263,8 @@ class PXQLServer:
         finish first (up to ``timeout_s``).  Either way, any request
         still queued when the pool halts is resolved with
         ``Overloaded(reason="stopped")`` — submitters always get an
-        answer.  Idempotent.
+        answer — and each worker exits once its current request is
+        answered.  Idempotent.
         """
         drained = True
         if drain:
@@ -221,18 +273,27 @@ class PXQLServer:
             if self._state == _STOPPED:
                 return drained
             self._state = _DRAINING  # admissions stay closed while halting
-        self._stop_event.set()
+            halt, self._halted = not self._halted, True
+        if halt:
+            while True:
+                try:
+                    request = self._queue.get_nowait()
+                except queue.Empty:
+                    break
+                if request is not None:
+                    self.metrics.counter("server.aborted").inc()
+                    request.future.set_exception(Overloaded(
+                        "server stopped before execution", reason="stopped"
+                    ))
+                self._queue.task_done()
+            for _ in self._threads:
+                self._queue.put(None)  # one release per worker
         deadline = time.monotonic() + timeout_s
         joined = True
         for thread in self._threads:
             remaining = max(0.0, deadline - time.monotonic())
             thread.join(timeout=remaining)
             joined = joined and not thread.is_alive()
-        for request in self._queue.drain_pending():
-            request.result.set_error(
-                Overloaded("server stopped before execution", reason="stopped")
-            )
-            self.metrics.counter("server.aborted").inc()
         with self._state_lock:
             self._state = _STOPPED
         self.metrics.gauge("server.workers").set(0.0)
@@ -281,23 +342,22 @@ class PXQLServer:
     # ------------------------------------------------------------------
     def submit(
         self, text: str, budget: Budget | None = None
-    ) -> PendingResult:
+    ) -> Future[Result]:
         """Admit one statement; returns the future its worker resolves.
 
         Raises :class:`Overloaded` — and only :class:`Overloaded` — when
         the request cannot be admitted: ``reason="queue_full"`` under
         backpressure, ``"draining"``/``"stopped"`` during shutdown.
-        Execution errors travel through the returned
-        :class:`PendingResult` instead.
+        Execution errors travel through the returned future instead.
         """
         if budget is None and self._budget_factory is not None:
             budget = self._budget_factory()
-        request = Request(text=text, budget=budget)
+        request = _Request(text, budget)
         # The state check and the enqueue are one atomic step: checking
         # under the lock, releasing it, and then putting would leave a
         # window where stop() sweeps the queue between the two — the
         # late put would land a request behind the sweep with every
-        # worker halted, never to be answered.  Holding the state lock
+        # worker released, never to be answered.  Holding the state lock
         # across the (non-blocking) put closes that window: any request
         # that observed "running" is in the queue before stop() can
         # transition the state, and therefore before its sweep.
@@ -312,14 +372,18 @@ class PXQLServer:
                     reason="draining" if state == _DRAINING else "stopped",
                 )
             fault_point("server.submit.enqueue")
-            try:
-                self._queue.put(request)
-            except Overloaded:
+            depth = self._queue.qsize()
+            if depth >= self._queue_size:
                 self.metrics.counter("server.rejected").inc()
-                raise
+                raise Overloaded(
+                    f"admission queue full ({self._queue_size} waiting); "
+                    "retry later",
+                    reason="queue_full",
+                )
+            self._queue.put(request)
         self.metrics.counter("server.submitted").inc()
-        self.metrics.gauge("server.queue_depth").set(float(self._queue.depth))
-        return request.result
+        self.metrics.gauge("server.queue_depth").set(float(depth + 1))
+        return request.future
 
     def execute(
         self,
@@ -328,7 +392,7 @@ class PXQLServer:
         timeout_s: float | None = None,
     ) -> Result:
         """Submit and wait: the blocking convenience form of :meth:`submit`."""
-        value = self.submit(text, budget=budget).result(timeout_s)
+        value: object = wait(self.submit(text, budget=budget), timeout_s)
         if not isinstance(value, Result):
             # Not an assert: asserts vanish under ``python -O``, and a
             # type confusion here must fail loudly in every mode rather
@@ -356,23 +420,23 @@ class PXQLServer:
         with self._state_lock:
             if self._state != _RUNNING:
                 return False
-        return self.alive() and self._queue.depth < self._queue.maxsize
+        return self.alive() and self._queue.qsize() < self._queue_size
 
     def health(self) -> dict[str, object]:
         """A probe snapshot: state, pool, queue, and request counters."""
-        with self._state_lock:
-            state = self._state
-            inflight = self._inflight
+        state = self.state
+        depth = self._queue.qsize()
+        unfinished = self._queue.unfinished_tasks
         return {
             "state": state,
             "alive": self.alive(),
             "ready": self.ready(),
             "workers": self.workers,
             "workers_alive": sum(1 for t in self._threads if t.is_alive()),
-            "queue_depth": self._queue.depth,
-            "queue_capacity": self._queue.maxsize,
-            "inflight": inflight,
-            "unfinished": self._queue.unfinished,
+            "queue_depth": depth,
+            "queue_capacity": self._queue_size,
+            "inflight": max(0, unfinished - depth),
+            "unfinished": unfinished,
             "submitted": self.metrics.value("server.submitted"),
             "completed": self.metrics.value("server.completed"),
             "failed": self.metrics.value("server.failed"),
@@ -385,48 +449,30 @@ class PXQLServer:
     # ------------------------------------------------------------------
     def _worker_loop(self, index: int) -> None:
         interpreter = self._interpreter_factory(index)
-        while not self._stop_event.is_set():
-            request = self._queue.get(self._poll_s)
-            if request is None:
-                continue
-            # From here until task_done() the request is counted by the
-            # queue's unfinished accounting, so drain() can never see a
-            # false idle inside this dequeue→execute handoff window.
-            # The fault point parks a worker exactly here in the
-            # regression test for the old depth/inflight TOCTOU; it runs
-            # in the submitter's ContextVar snapshot so an ambient
-            # injector reaches it, and an error-kind fault resolves the
-            # request instead of abandoning it.
+        # Blocks until a request or stop()'s ``None`` arrives: no poll.
+        while (request := self._queue.get()) is not None:
             try:
-                try:
-                    request.context.run(
-                        fault_point, "server.worker.handoff"
-                    )
-                except Exception as exc:
-                    self.metrics.counter("server.failed").inc()
-                    request.result.set_error(exc)
-                    continue
-                with self._state_lock:
-                    self._inflight += 1
-                self.metrics.gauge("server.queue_depth").set(
-                    float(self._queue.depth)
-                )
-                try:
-                    self._run_request(interpreter, request)
-                finally:
-                    with self._state_lock:
-                        self._inflight -= 1
+                self._run_request(interpreter, request)
             finally:
+                # Only now is the request finished for drain(): the
+                # dequeue→execute handoff stays counted.
                 self._queue.task_done()
+        self._queue.task_done()
 
     def _run_request(
-        self, interpreter: Interpreter, request: Request
+        self, interpreter: Interpreter, request: _Request
     ) -> None:
-        self.metrics.histogram("server.queue_wait_s").observe(
-            time.monotonic() - request.submitted_at
-        )
-
         def call() -> Result:
+            # The handoff window: dequeued, not yet run.  The fault
+            # point parks a worker exactly here in the drain-race
+            # regression test; an error-kind fault resolves the request.
+            fault_point("server.worker.handoff")
+            self.metrics.gauge("server.queue_depth").set(
+                float(self._queue.qsize())
+            )
+            self.metrics.histogram("server.queue_wait_s").observe(
+                time.monotonic() - request.submitted_at
+            )
             if request.budget is not None:
                 with use_budget(request.budget):
                     return interpreter.execute(request.text)
@@ -442,14 +488,14 @@ class PXQLServer:
             # Count first, then resolve: a client that has its reply
             # must find it in /metrics.
             self.metrics.counter("server.failed").inc()
-            request.result.set_error(exc)
+            request.future.set_exception(exc)
         else:
             self.metrics.counter("server.completed").inc()
-            request.result.set_result(result)
+            request.future.set_result(result)
 
     def __repr__(self) -> str:
         return (
             f"PXQLServer({self.name!r}, state={self.state}, "
-            f"workers={self.workers}, queue={self._queue.depth}"
-            f"/{self._queue.maxsize})"
+            f"workers={self.workers}, queue={self._queue.qsize()}"
+            f"/{self._queue_size})"
         )

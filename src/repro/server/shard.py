@@ -43,7 +43,7 @@ import random
 import threading
 import time
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 from typing import cast
 
@@ -60,7 +60,6 @@ from repro.pxql.interpreter import Result
 from repro.pxql.parser import parse_memo
 from repro.resilience.faults import FaultSpec
 from repro.resilience.retry import RetryPolicy
-from repro.server.admission import PendingResult
 from repro.server.layout import (
     LEGACY_JOURNAL_NAME,
     MANIFEST_NAME,
@@ -71,6 +70,7 @@ from repro.server.layout import (
     write_manifest,
 )
 from repro.server.routing import Router, unwrap
+from repro.server.server import new_future, wait
 from repro.server.wire import ShardConfig, _ShardHandle
 from repro.storage.database import Database
 
@@ -93,7 +93,6 @@ class ShardedServer:
         shards: shard-process count.
         workers_per_shard: worker-thread count inside each shard.
         queue_size: each shard's admission bound.
-        poll_s: each shard pool's idle-poll interval.
         default_deadline_s: default per-request deadline applied by the
             shards (``None`` = unbudgeted).
         fault_specs: fault specs each shard installs in its own process
@@ -130,7 +129,6 @@ class ShardedServer:
         shards: int = 2,
         workers_per_shard: int = 2,
         queue_size: int = 16,
-        poll_s: float = 0.005,
         default_deadline_s: float | None = None,
         fault_specs: Sequence[FaultSpec] = (),
         fault_seed: int = 0,
@@ -150,7 +148,7 @@ class ShardedServer:
         #: Every shard's recipe but its index and directory.
         self._template = ShardConfig(
             index=0, directory="", workers=workers_per_shard,
-            queue_size=queue_size, poll_s=poll_s,
+            queue_size=queue_size,
             default_deadline_s=default_deadline_s,
             fault_specs=tuple(fault_specs), fault_seed=fault_seed,
         )
@@ -274,7 +272,7 @@ class ShardedServer:
     def _broadcast(
         self, op: str, handles: Sequence[_ShardHandle] | None = None,
         **args: object,
-    ) -> list[tuple[int, PendingResult]]:
+    ) -> list[tuple[int, Future[object]]]:
         """Send ``op`` to every live shard of ``handles`` (default: all)
         at once; ``(shard, future)`` for each that took it."""
         sent = []
@@ -292,7 +290,7 @@ class ShardedServer:
         drained = True
         for _, future in self._broadcast("drain", timeout_s=timeout_s):
             try:
-                drained = bool(future.result(timeout_s + 5.0)) and drained
+                drained = bool(wait(future, timeout_s + 5.0)) and drained
             except PXMLError:
                 drained = False
         return drained
@@ -358,7 +356,7 @@ class ShardedServer:
         for index, future in self._broadcast("names", handles):
             try:
                 served.update(dict.fromkeys(
-                    cast("list[str]", future.result(10.0)), index
+                    cast("list[str]", wait(future, 10.0)), index
                 ))
             except PXMLError:
                 continue
@@ -463,16 +461,16 @@ class ShardedServer:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    def _failed(self, error: PXMLError) -> PendingResult:
+    def _failed(self, error: PXMLError) -> Future[Result]:
         """A future already resolved with ``error`` (counted as failed)."""
-        future = PendingResult()
-        future.set_error(error)
+        future: Future[Result] = new_future()
+        future.set_exception(error)
         self.metrics.counter("router.failed").inc()
         return future
 
     def submit(
         self, text: str, deadline_s: float | None = None
-    ) -> PendingResult:
+    ) -> Future[Result]:
         """Route one statement; returns the future the router resolves.
 
         Mirrors :meth:`PXQLServer.submit`: admission problems raise
@@ -517,7 +515,7 @@ class ShardedServer:
         timeout_s: float | None = None,
     ) -> Result:
         """Submit and wait: the blocking convenience form of :meth:`submit`."""
-        value = self.submit(text, deadline_s=deadline_s).result(timeout_s)
+        value: object = wait(self.submit(text, deadline_s=deadline_s), timeout_s)
         if not isinstance(value, Result):
             raise ServerError(
                 "internal type confusion: router resolved the request "
@@ -531,16 +529,16 @@ class ShardedServer:
         text: str,
         deadline_s: float | None,
         inner: ast.Statement,
-    ) -> PendingResult:
-        outer = PendingResult()
+    ) -> Future[Result]:
+        outer: Future[Result] = new_future()
         remote = self._handles[shard].request(
             "execute", text=text, deadline_s=deadline_s
         )  # raises ShardUnavailable when dead
 
-        def _resolved(pending: PendingResult) -> None:
-            error = pending.error(0.0)
+        def _resolved(done: Future[object]) -> None:
+            error = done.exception()
             if error is None:
-                result = cast(Result, pending.result(0.0))
+                result = cast(Result, done.result())
                 if result.instance_name is not None:
                     self.router.place(result.instance_name, shard)
                 if isinstance(inner, ast.DropStatement):
@@ -549,14 +547,14 @@ class ShardedServer:
                 outer.set_result(result)
                 return
             self.metrics.counter("router.failed").inc()
-            outer.set_error(error)
+            outer.set_exception(error)
 
         remote.add_done_callback(_resolved)
         return outer
 
-    def _submit_broadcast_list(self) -> PendingResult:
+    def _submit_broadcast_list(self) -> Future[Result]:
         """``LIST`` fans to every live shard; the union comes back."""
-        outer = PendingResult()
+        outer: Future[Result] = new_future()
         futures = self._broadcast("names")
 
         def _gather() -> None:
@@ -564,11 +562,11 @@ class ShardedServer:
             try:
                 for _, future in futures:
                     names.update(
-                        cast("list[str]", future.result(self.scatter_timeout_s))
+                        cast("list[str]", wait(future, self.scatter_timeout_s))
                     )
             except Exception as exc:  # noqa: BLE001 - typed on arrival
                 self.metrics.counter("router.failed").inc()
-                outer.set_error(exc)
+                outer.set_exception(exc)
                 return
             merged = sorted(names)
             self.metrics.counter("router.completed").inc()
@@ -588,10 +586,10 @@ class ShardedServer:
         left_owner: int,
         right_owner: int,
         deadline_s: float | None,
-    ) -> PendingResult:
+    ) -> Future[Result]:
         """Cross-shard ``PRODUCT``: fetch both operands in parallel,
         combine in the router, store on the target name's home shard."""
-        outer = PendingResult()
+        outer: Future[Result] = new_future()
         self.metrics.counter("router.scatter_products").inc()
         timeout = deadline_s if deadline_s is not None else self.scatter_timeout_s
 
@@ -613,12 +611,12 @@ class ShardedServer:
                         )
                     ]
                     left, right = (
-                        loads(cast(str, f.result(timeout))) for f in fetches
+                        loads(cast(str, wait(f, timeout))) for f in fetches
                     )
                     product = cartesian_product(left, right, stmt.new_root)
                     target = (
                         stmt.target if stmt.target is not None
-                        else f"_router_result{next(self._results)}"
+                        else self._fresh_product_name(timeout)
                     )
                     target_owner = self.owner(target)
                     self._call(
@@ -628,7 +626,7 @@ class ShardedServer:
                     self.router.place(target, target_owner)
             except Exception as exc:  # noqa: BLE001 - typed transport
                 self.metrics.counter("router.failed").inc()
-                outer.set_error(
+                outer.set_exception(
                     exc if isinstance(exc, PXMLError)
                     else ServerError(f"scatter-gather product failed: {exc}")
                 )
@@ -642,6 +640,15 @@ class ShardedServer:
 
         self._pool.submit(_run)
         return outer
+
+    def _fresh_product_name(self, wait_s: float) -> str:
+        """The next ``_router_result{n}`` its shard does not serve: a
+        product without ``AS`` never replaces one saved before a restart."""
+        while True:
+            name = f"_router_result{next(self._results)}"
+            served = self._call(self.owner(name), "names", wait_s)
+            if name not in cast("list[str]", served):
+                return name
 
     # ------------------------------------------------------------------
     # Catalog access
@@ -721,7 +728,7 @@ class ShardedServer:
         (``shard0.server.completed``, ...)."""
         for index, future in self._broadcast("metrics"):
             try:
-                snapshot = future.result(5.0)
+                snapshot = wait(future, 5.0)
             except PXMLError:
                 continue
             self.metrics.import_snapshot(

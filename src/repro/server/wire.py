@@ -30,6 +30,7 @@ from __future__ import annotations
 import multiprocessing
 import threading
 from collections.abc import Callable
+from concurrent.futures import Future
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
@@ -49,7 +50,7 @@ from repro.errors import (
 from repro.pxql.interpreter import Result
 from repro.resilience.budget import Budget
 from repro.resilience.faults import FaultInjector, FaultSpec
-from repro.server.admission import PendingResult
+from repro.server.server import PXQLServer, _WorkerInterpreter, new_future, wait
 from repro.storage.database import Database, DatabaseError
 
 #: Errors rebuilt as themselves from their description.
@@ -135,7 +136,6 @@ class ShardConfig:
         directory: the shard-local catalog directory.
         workers: worker-thread count of the shard's ``PXQLServer``.
         queue_size: the shard's admission-queue bound.
-        poll_s: the shard pool's idle-poll interval.
         default_deadline_s: default per-request deadline budget
             (``None`` = unbudgeted unless the request carries one).
         fault_specs: fault specs the shard installs in its own process
@@ -148,7 +148,6 @@ class ShardConfig:
     directory: str
     workers: int = 2
     queue_size: int = 16
-    poll_s: float = 0.005
     default_deadline_s: float | None = None
     fault_specs: tuple[FaultSpec, ...] = ()
     fault_seed: int = 0
@@ -161,8 +160,6 @@ class _ShardRuntime:
     """The serving loop living inside one shard process."""
 
     def __init__(self, config: ShardConfig, conn: Connection) -> None:
-        from repro.server.server import PXQLServer
-
         self.config = config
         self.conn = conn
         self.database = Database(config.directory)
@@ -175,10 +172,19 @@ class _ShardRuntime:
             workers=config.workers,
             queue_size=config.queue_size,
             budget_factory=budget_factory,
-            poll_s=config.poll_s,
+            interpreter_factory=self._interpreter,
             name=f"shard{config.index}",
         )
         self._send_lock = threading.Lock()
+
+    def _interpreter(self, worker: int) -> _WorkerInterpreter:
+        """A pool worker's interpreter: its fresh names carry the shard
+        index too, so two shards' unnamed results never share a name."""
+        server = self.server
+        return _WorkerInterpreter(
+            f"_s{self.config.index}_w{worker}", database=self.database,
+            tracer=server.tracer, metrics=server.metrics,
+        )
 
     def _send(self, reply: dict[str, object]) -> None:
         try:
@@ -199,13 +205,12 @@ class _ShardRuntime:
             self._fail(ident, exc)
             return
 
-        def _resolved(pending: PendingResult) -> None:
-            error = pending.error(0.0)
+        def _resolved(done: Future[Result]) -> None:
+            error = done.exception()
             if error is not None:
                 self._fail(ident, error)
                 return
-            result = cast(Result, pending.result(0.0))
-            self._send({"id": ident, "result": describe_result(result)})
+            self._send({"id": ident, "result": describe_result(done.result())})
 
         future.add_done_callback(_resolved)
 
@@ -299,7 +304,7 @@ class _ShardHandle:
         self._reader: threading.Thread | None = None
         self._send_lock = threading.Lock()
         self._pending_lock = threading.Lock()
-        self._pending: dict[int, PendingResult] = {}
+        self._pending: dict[int, Future[object]] = {}
         self._next_id = 0
         self._dead = True
 
@@ -343,7 +348,7 @@ class _ShardHandle:
             if pending is None:
                 continue
             if "error" in reply:
-                pending.set_error(rebuild_error(reply["error"], self.index))
+                pending.set_exception(rebuild_error(reply["error"], self.index))
             elif "result" in reply:
                 pending.set_result(rebuild_result(reply["result"]))
             else:
@@ -354,14 +359,14 @@ class _ShardHandle:
             orphaned = list(self._pending.values())
             self._pending.clear()
         for pending in orphaned:
-            pending.set_error(
+            pending.set_exception(
                 ShardUnavailable(
                     f"shard {self.index} died with the request in flight",
                     shard=self.index,
                 )
             )
 
-    def request(self, op: str, **args: object) -> PendingResult:
+    def request(self, op: str, **args: object) -> Future[object]:
         """Send one RPC; the future resolves with the rebuilt reply — the
         value (a ``Result`` for ``execute``) or the typed error.
 
@@ -376,7 +381,7 @@ class _ShardHandle:
                 )
             self._next_id += 1
             ident = self._next_id
-            future = PendingResult()
+            future: Future[object] = new_future()
             self._pending[ident] = future
         conn = self._conn
         assert conn is not None
@@ -393,7 +398,7 @@ class _ShardHandle:
 
     def call(self, op: str, wait_s: float = 30.0, **args: object) -> object:
         """Synchronous :meth:`request`: the value, or raises the typed error."""
-        return self.request(op, **args).result(wait_s)
+        return wait(self.request(op, **args), wait_s)
 
     def kill(self) -> None:
         process = self._process

@@ -546,3 +546,44 @@ def test_one_plan():
         Engine(database, optimizer=True)
     with pytest.raises(TypeError):
         check_plan(PlanBuilder.scan("t").build(), database, rewrites=True)
+
+
+def test_one_future():
+    """The server waits the standard library's way: one future, one queue,
+    one route that runs a statement, no idle poll.
+
+    Every submission is a ``concurrent.futures.Future`` and the pool's
+    task accounting is its ``queue.Queue``'s own.  ``server/admission.py``
+    (a hand-rolled future and a second count of unfinished tasks) stays
+    deleted; no class under ``src/repro`` defines ``add_done_callback``
+    or ``set_result``; ``server/http.py`` holds no ``/submit`` or
+    ``/result/`` route beside ``/execute``; and no ``poll_s`` parameter,
+    field or argument under ``src/repro/server`` wakes a worker to look
+    for work.
+    """
+    problems = []
+    if pathlib.Path("src/repro/server/admission.py").exists():
+        problems.append("src/repro/server/admission.py exists")
+    for file in sorted(pathlib.Path("src/repro").rglob("*.py")):
+        path = file.as_posix()
+        for node in ast.walk(ast.parse(file.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                problems.extend(
+                    f"{path}:{item.lineno}: {node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and item.name in ("add_done_callback", "set_result")
+                )
+            if path.startswith("src/repro/server/") and "poll_s" in (
+                getattr(node, "arg", None),  # a parameter or a keyword
+                getattr(getattr(node, "target", None), "id", None),  # a field
+            ):
+                problems.append(f"{path}:{node.lineno}: poll_s")
+            if (
+                path == "src/repro/server/http.py"
+                and isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and ("/submit" in node.value or "/result/" in node.value)
+            ):
+                problems.append(f"{path}:{node.lineno}: {node.value!r}")
+    assert not problems, "\n".join(problems)

@@ -9,6 +9,7 @@ transitions, and ContextVar propagation from submitter to worker.
 
 from __future__ import annotations
 
+import concurrent.futures
 import signal
 import threading
 import time
@@ -74,7 +75,6 @@ def gated_server(database, gate, workers=1, queue_size=2, **kwargs):
         interpreter_factory=lambda index: _GatedInterpreter(
             gate, database=database
         ),
-        poll_s=0.005,
         **kwargs,
     )
 
@@ -98,6 +98,27 @@ class TestExecution:
             ]
             names = {f.result(10.0).instance_name for f in futures}
         assert len(names) == 12  # every auto-name is worker-prefixed unique
+
+    def test_an_unnamed_result_never_replaces_a_saved_one(self, tmp_path):
+        """Regression: the fresh-name counter starts at 1 in every
+        process and registration replaces, so after a restart the first
+        unnamed ``PROJECT`` overwrote the saved ``_w0_result1``."""
+        database = Database(tmp_path)
+        database.register("bib", build_bib())
+        database.save("bib")
+        with PXQLServer(database=database, workers=1) as server:
+            first = server.execute(
+                "PROJECT R.book.author FROM bib", timeout_s=10.0
+            )
+            server.execute(f"SAVE {first.instance_name}", timeout_s=10.0)
+        saved = Database(tmp_path).get(first.instance_name)
+        assert len(saved) == 5
+        restarted = Database(tmp_path)
+        with PXQLServer(database=restarted, workers=1) as server:
+            second = server.execute("PROJECT R.book FROM bib", timeout_s=10.0)
+        assert second.instance_name != first.instance_name
+        assert len(restarted.get(second.instance_name)) == 3
+        assert len(restarted.get(first.instance_name)) == 5
 
     def test_execution_errors_travel_through_the_future(self, database):
         with PXQLServer(database=database, workers=2, queue_size=8) as server:
@@ -195,6 +216,45 @@ class TestShutdown:
                 resolved += 1
         assert resolved == len(futures)  # every request got an answer
 
+    def test_stop_with_a_full_queue_and_every_worker_busy(
+        self, database, reference
+    ):
+        """Every worker parked at the handoff and the queue full:
+        ``stop()`` returns within its bound, answers each queued request
+        with ``Overloaded("stopped")``, and each worker exits once its
+        parked request is answered — released by ``stop()``, not by a
+        poll of a stop flag."""
+        parked = FaultInjector(
+            FaultSpec(site="server.worker.handoff", kind="slow",
+                      delay_s=1.5, times=2)
+        )
+        server = PXQLServer(database=database, workers=2, queue_size=2)
+        server.start()
+        with parked:
+            running = [server.submit(QUERY) for _ in range(2)]
+            deadline = time.monotonic() + 5.0
+            while parked.fired("server.worker.handoff") < 2:
+                assert time.monotonic() < deadline, "workers never dequeued"
+                time.sleep(0.002)
+            queued = [server.submit(QUERY) for _ in range(2)]
+            with pytest.raises(Overloaded) as full:
+                server.submit(QUERY)
+        assert full.value.reason == "queue_full"
+        started = time.monotonic()
+        assert not server.stop(drain=False, timeout_s=0.3)
+        assert time.monotonic() - started < 1.2
+        for future in queued:
+            error = future.exception(0.0)
+            assert isinstance(error, Overloaded)
+            assert error.reason == "stopped"
+        for future in running:
+            assert future.result(10.0).value == pytest.approx(reference)
+        deadline = time.monotonic() + 10.0
+        while server.health()["workers_alive"]:
+            assert time.monotonic() < deadline, "a worker outlived stop()"
+            time.sleep(0.01)
+        assert server.health()["unfinished"] == 0
+
     def test_stop_is_idempotent(self, database):
         server = PXQLServer(database=database, workers=1).start()
         assert server.stop()
@@ -241,9 +301,7 @@ class TestLifecycleRaces:
             FaultSpec(site="server.worker.handoff", kind="barrier",
                       parties=2, delay_s=0.6, times=1)
         )
-        server = PXQLServer(
-            database=database, workers=1, queue_size=4, poll_s=0.002
-        )
+        server = PXQLServer(database=database, workers=1, queue_size=4)
         with server:
             with injector:
                 future = server.submit(QUERY)
@@ -258,7 +316,7 @@ class TestLifecycleRaces:
                 "drain() reported idle while a request sat in the "
                 "dequeue→execute handoff window"
             )
-            assert not future.done
+            assert not future.done()
             assert future.result(10.0).value == pytest.approx(reference)
             assert server.drain(timeout_s=10.0)
 
@@ -271,9 +329,7 @@ class TestLifecycleRaces:
             FaultSpec(site="server.submit.enqueue", kind="slow",
                       delay_s=0.4, times=1)
         )
-        server = PXQLServer(
-            database=database, workers=1, queue_size=4, poll_s=0.002
-        ).start()
+        server = PXQLServer(database=database, workers=1, queue_size=4).start()
         outcome: dict[str, object] = {}
 
         def late_submit() -> None:
@@ -299,7 +355,8 @@ class TestLifecycleRaces:
         else:
             # Admitted — then it MUST be answered (result or typed
             # error), never abandoned in a halted queue.
-            assert future.wait(5.0), (
+            done, _ = concurrent.futures.wait([future], timeout=5.0)
+            assert done, (
                 "late submit lost its request forever: admitted after "
                 "the shutdown sweep with every worker halted"
             )
@@ -376,8 +433,7 @@ class TestProbes:
             good.add_done_callback(at_resolve("server.completed"))
             bad.add_done_callback(at_resolve("server.failed"))
             gate.set()
-            good.wait(10.0)
-            bad.wait(10.0)
+            concurrent.futures.wait([good, bad], timeout=10.0)
         assert seen == {"server.completed": 1, "server.failed": 1}
 
         # The handoff-fault branch resolves without executing; the one
@@ -391,8 +447,7 @@ class TestProbes:
                 future = server.submit(QUERY)
             future.add_done_callback(at_resolve("server.failed"))
             gate.set()
-            parked.wait(10.0)
-            future.wait(10.0)
+            concurrent.futures.wait([parked, future], timeout=10.0)
         assert handoff.fired("server.worker.handoff") == 1
         assert seen == {"server.failed": 2}
 

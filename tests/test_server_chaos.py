@@ -121,7 +121,6 @@ def test_chaos_suite(tmp_path, seed):
         workers=THREADS,
         queue_size=64,
         interpreter_factory=factory,
-        poll_s=0.005,
     )
     injector = chaos_injector(seed)
 
@@ -298,7 +297,6 @@ def test_sharded_chaos_suite(tmp_path, seed):
         shards=2,
         workers_per_shard=2,
         queue_size=32,
-        poll_s=0.005,
         fault_specs=shard_fault_specs(),
         fault_seed=seed,
     )

@@ -3,8 +3,8 @@
 A :class:`HttpFrontDoor` over a thread-pool :class:`PXQLServer` backend,
 its event loop running on a helper thread, exercised with plain
 :mod:`urllib` clients: execute round-trips, typed-error status codes,
-the submit/poll/pickup lifecycle (one-shot delivery), health and
-metrics probes, and the status map itself (unit-level, no sockets).
+health and metrics probes, and the status map itself (unit-level, no
+sockets).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import Future
 
 import pytest
 
@@ -32,8 +33,8 @@ from repro.pxql.interpreter import Result
 from repro.pxql.lexer import PXQLSyntaxError
 from repro.server import HttpFrontDoor, PXQLServer, ShardedServer
 from repro.server import http as http_module
-from repro.server.admission import PendingResult
 from repro.server.http import error_payload
+from repro.server.server import wait
 from repro.storage.database import Database
 
 STABLE_QUERY = "EXISTS R.book.author IN bib"
@@ -76,9 +77,7 @@ class _Door:
         if backend is None:
             database = Database()
             database.register("bib", build_bib())
-            backend = PXQLServer(
-                database=database, workers=1, queue_size=8, poll_s=0.005
-            ).start()
+            backend = PXQLServer(database=database, workers=1, queue_size=8).start()
         self.backend = backend
         self.loop = asyncio.new_event_loop()
         self.thread = threading.Thread(
@@ -95,8 +94,8 @@ class _Door:
         )
 
     def close(self):
-        # Also after a test stopped the backend itself: the listener and
-        # the sweeper are the front door's to close.
+        # Also after a test stopped the backend itself: the listener is
+        # the front door's to close.
         self._run(self.front.shutdown(drain_timeout_s=10.0))
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(10.0)
@@ -137,8 +136,12 @@ class TestExecuteRoute:
         assert body["error"]["type"] == "NotFound"
 
     def test_the_rebalance_routes_are_gone(self, door):
-        # The shard count changes offline, so there is no live-resize route.
-        for method, path in (("POST", "/rebalance"), ("GET", "/rebalance/status")):
+        # The shard count changes offline, so there is no live-resize
+        # route; /execute is the one route that runs a statement.
+        for method, path in (
+            ("POST", "/rebalance"), ("GET", "/rebalance/status"),
+            ("POST", "/submit"), ("GET", "/result/1"),
+        ):
             status, body = _request(door.port, method, path)
             assert status == 404, path
             assert body["error"]["type"] == "NotFound"
@@ -182,51 +185,6 @@ class TestExecuteRoute:
         finally:
             client.close()
             harness.close()
-
-
-class TestSubmitResultRoutes:
-    def test_submit_poll_pickup_lifecycle(self, door):
-        status, body = _request(
-            door.port, "POST", "/submit", {"statement": STABLE_QUERY}
-        )
-        assert status == 202
-        ident = body["id"]
-
-        deadline = time.monotonic() + 30.0
-        while True:
-            status, body = _request(door.port, "GET", f"/result/{ident}")
-            if status == 200:
-                break
-            assert status == 202, body
-            assert time.monotonic() < deadline, "result never arrived"
-            time.sleep(0.01)
-        assert body["result"]["value"] == pytest.approx(0.59)
-
-        # Delivery is one-shot: the slot is freed on pickup.
-        status, body = _request(door.port, "GET", f"/result/{ident}")
-        assert status == 404
-
-    def test_unknown_result_id_is_a_404(self, door):
-        status, body = _request(door.port, "GET", "/result/99999")
-        assert status == 404
-        assert body["error"]["type"] == "NotFound"
-
-    def test_submitted_error_is_typed_on_pickup(self, door):
-        status, body = _request(
-            door.port, "POST", "/submit",
-            {"statement": "EXISTS R.x IN no_such_instance"},
-        )
-        assert status == 202
-        ident = body["id"]
-        deadline = time.monotonic() + 30.0
-        while True:
-            status, body = _request(door.port, "GET", f"/result/{ident}")
-            if status != 202:
-                break
-            assert time.monotonic() < deadline, "error never arrived"
-            time.sleep(0.01)
-        assert status == 400
-        assert body["error"]["type"]
 
 
 class TestProbes:
@@ -308,90 +266,6 @@ class TestStatusMap:
         status, body = error_payload(RuntimeError("boom"))
         assert status == 500
         assert body["error"]["type"] == "RuntimeError"
-
-
-class TestResultRetention:
-    """The pending-result TTL sweep, 410 Gone, and the hard bound."""
-
-    def _submit(self, port):
-        status, body = _request(
-            port, "POST", "/submit", {"statement": STABLE_QUERY}
-        )
-        assert status == 202
-        return body["id"]
-
-    def test_expired_result_is_410_and_counted(self):
-        harness = _Door(result_ttl_s=0.05)
-        try:
-            ident = self._submit(harness.port)
-            # Either the manual sweep or the background sweeper may win
-            # the race to expire the slot; wait on the counter, which
-            # both paths increment.
-            deadline = time.monotonic() + 10.0
-            metrics = harness.backend.metrics
-            while metrics.value("http.results_expired") == 0:
-                harness.front.sweep_pending()
-                assert time.monotonic() < deadline, "slot never expired"
-                time.sleep(0.02)
-            status, body = _request(
-                harness.port, "GET", f"/result/{ident}"
-            )
-            assert status == 410
-            assert body["error"]["type"] == "Expired"
-            assert (
-                harness.backend.metrics.value("http.results_expired") == 1
-            )
-        finally:
-            harness.close()
-
-    def test_background_sweeper_expires_without_polling(self):
-        harness = _Door(result_ttl_s=0.05)
-        try:
-            ident = self._submit(harness.port)
-            deadline = time.monotonic() + 10.0
-            while True:
-                status, _ = _request(
-                    harness.port, "GET", f"/result/{ident}"
-                )
-                if status == 410:
-                    break
-                assert status in (200, 202)
-                if status == 200:
-                    # Picked up before the sweep: re-submit and retry.
-                    ident = self._submit(harness.port)
-                assert time.monotonic() < deadline, "sweeper never fired"
-                time.sleep(0.05)
-        finally:
-            harness.close()
-
-    def test_full_map_evicts_oldest_first(self):
-        harness = _Door(result_ttl_s=300.0, max_pending=2)
-        try:
-            first = self._submit(harness.port)
-            second = self._submit(harness.port)
-            third = self._submit(harness.port)  # evicts `first`
-            status, _ = _request(harness.port, "GET", f"/result/{first}")
-            assert status == 410
-            for ident in (second, third):
-                status, _ = _request(
-                    harness.port, "GET", f"/result/{ident}"
-                )
-                assert status in (200, 202)
-            assert (
-                harness.backend.metrics.value("http.results_expired") == 1
-            )
-        finally:
-            harness.close()
-
-    def test_unexpired_results_survive_the_sweep(self):
-        harness = _Door(result_ttl_s=300.0)
-        try:
-            ident = self._submit(harness.port)
-            assert harness.front.sweep_pending() == 0
-            status, _ = _request(harness.port, "GET", f"/result/{ident}")
-            assert status in (200, 202)
-        finally:
-            harness.close()
 
 
 # ----------------------------------------------------------------------
@@ -669,30 +543,34 @@ class TestPersistentConnections:
 
     def test_execute_timeout_is_the_same_typed_error(self):
         backend = _StuckBackend()
-        harness = _Door(backend=backend)
+        harness = _Door(backend=backend, execute_timeout_s=0.05)
         client = _Wire(harness.port)
         try:
             with pytest.raises(ServerError) as waited:
-                PendingResult().result(0.05)
-            status, headers, body = client.exchange(
-                "POST", "/execute",
-                {"statement": STABLE_QUERY, "timeout_s": 0.05},
-            )
-            assert status == 400
-            assert body["error"] == {
-                "type": "ServerError", "message": str(waited.value),
-            }
-            assert headers["connection"] == "keep-alive"
+                wait(Future(), 0.05)
+            # ``true`` is no number of seconds: it gets the default
+            # (0.05 s here), not a 1 s deadline.
+            for timeout_s in (0.05, True):
+                status, headers, body = client.exchange(
+                    "POST", "/execute",
+                    {"statement": STABLE_QUERY, "timeout_s": timeout_s},
+                )
+                assert status == 400
+                assert body["error"] == {
+                    "type": "ServerError", "message": str(waited.value),
+                }
+                assert headers["connection"] == "keep-alive"
             # The late completion is dropped; the connection serves on,
             # and a resolved request is answered without a parked thread.
             backend.admitted[0].set_result(Result(1.0, None, "late"))
             threading.Timer(
-                0.05, lambda: backend.admitted[1].set_result(
+                0.05, lambda: backend.admitted[2].set_result(
                     Result(0.25, None, "in time")
                 )
             ).start()
             status, _, body = client.exchange(
-                "POST", "/execute", {"statement": STABLE_QUERY}
+                "POST", "/execute", {"statement": STABLE_QUERY,
+                                     "timeout_s": 30.0}
             )
             assert (status, body["result"]["text"]) == (200, "in time")
         finally:
@@ -708,7 +586,7 @@ class _StuckBackend:
         self.admitted = []
 
     def submit(self, text):
-        self.admitted.append(PendingResult())
+        self.admitted.append(Future())
         return self.admitted[-1]
 
     def drain(self, timeout_s=30.0):

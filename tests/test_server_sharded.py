@@ -74,7 +74,6 @@ def sharded(tmp_path_factory):
         shards=2,
         workers_per_shard=1,
         queue_size=16,
-        poll_s=0.005,
     )
     server.start()
     bib = build_bib()
@@ -117,6 +116,21 @@ class TestRouting:
         assert shown.text
         dropped = sharded.execute(f"DROP {off_home}", timeout_s=60.0)
         assert dropped.text == f"dropped {off_home}"
+
+    def test_unnamed_results_of_two_shards_never_share_a_name(self, sharded):
+        """Regression: each shard's first unnamed result was
+        ``_w0_result1``, so ``LIST`` showed one name and the first
+        shard's result could not be reached."""
+        mirror = sharded.mirror_name
+        here = sharded.execute("PROJECT R.book FROM bib", timeout_s=60.0)
+        there = sharded.execute(
+            f"PROJECT m_R.book.author FROM {mirror}", timeout_s=60.0
+        )
+        assert here.instance_name != there.instance_name
+        listed = sharded.execute("LIST", timeout_s=60.0).value
+        assert {here.instance_name, there.instance_name} <= set(listed)
+        assert len(loads(sharded.fetch_instance(here.instance_name))) == 3
+        assert len(loads(sharded.fetch_instance(there.instance_name))) == 5
 
     def test_parse_errors_travel_through_the_future(self, sharded):
         with pytest.raises(PXMLError):
@@ -186,9 +200,7 @@ class TestErrorTransport:
 
 class TestFailover:
     def test_kill_restart_cycle(self, tmp_path, reference):
-        server = ShardedServer(
-            tmp_path, shards=2, workers_per_shard=1, poll_s=0.005
-        )
+        server = ShardedServer(tmp_path, shards=2, workers_per_shard=1)
         server.start()
         try:
             server.register_instance("bib", dumps(build_bib()), save=True)
@@ -221,9 +233,7 @@ class TestFailover:
         legacy.register("bib", build_bib())
         legacy.save("bib")
 
-        server = ShardedServer(
-            tmp_path, shards=2, workers_per_shard=1, poll_s=0.005
-        )
+        server = ShardedServer(tmp_path, shards=2, workers_per_shard=1)
         server.start()
         try:
             listed = server.execute("LIST", timeout_s=60.0)
@@ -237,9 +247,7 @@ class TestFailover:
 
         # A second start over the same directory adopts nothing new:
         # the shard-local copy now owns the name.
-        again = ShardedServer(
-            tmp_path, shards=2, workers_per_shard=1, poll_s=0.005
-        )
+        again = ShardedServer(tmp_path, shards=2, workers_per_shard=1)
         again.start()
         try:
             assert again.metrics.value("router.adopted_instances") == 0
@@ -247,9 +255,7 @@ class TestFailover:
             again.stop(drain=False, timeout_s=15.0)
 
     def test_drain_then_stop_is_clean(self, tmp_path):
-        server = ShardedServer(
-            tmp_path, shards=2, workers_per_shard=1, poll_s=0.005
-        )
+        server = ShardedServer(tmp_path, shards=2, workers_per_shard=1)
         server.start()
         server.register_instance("bib", dumps(build_bib()))
         assert server.drain(timeout_s=30.0)
@@ -319,7 +325,7 @@ class TestWatchdog:
 
         server = ShardedServer(
             tmp_path, shards=2, workers_per_shard=1,
-            queue_size=16, poll_s=0.005,
+            queue_size=16,
             watchdog_interval_s=0.05,
         ).start()
         try:
