@@ -76,6 +76,7 @@ from repro.engine.plan import (
     scan_names,
     walk,
 )
+from repro.errors import BudgetExceeded
 from repro.index import IndexCache, match_path_indexed
 from repro.index.columnar import ColumnarInstance
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -87,7 +88,6 @@ from repro.queries.aggregates import (
 from repro.queries.chain import chain_probability
 from repro.queries.engine import QueryEngine
 from repro.queries.point import point_query
-from repro.resilience.breaker import CLOSED, CircuitBreaker
 from repro.resilience.budget import current_budget
 from repro.semistructured.paths import PathMatch
 from repro.storage.derived import cache_token, catalog_generation
@@ -172,6 +172,13 @@ class Engine:
     walk — is not part of the plan but decided when the operator runs,
     from what it can observe (:meth:`_strategy`).
 
+    Each accelerator fails open where it runs, so the answer is always
+    the Section 6 algorithms' own: a failed certificate pass leaves the
+    plan uncertified (:meth:`_certify`), and a snapshot that cannot be
+    fetched or evaluated on hands the operator to the walk
+    (:meth:`_apply`, counted in ``index.fallbacks``; a failed evaluation
+    also in ``resilience.fallbacks``).
+
     The engine keeps no result between executions (the interpreter's
     statement tier is the one result cache).  The state *derived from an
     instance* — columnar snapshots with their match memos
@@ -193,15 +200,6 @@ class Engine:
             The pass is advisory: any failure inside it falls back to
             normal execution (counted in ``check.absint_errors``).
         disk_cache: accepted and ignored (``benchmarks/e2e`` passes it).
-        breaker: circuit breaker over the accelerated layers — the
-            certificate skip, the snapshot access method and the
-            statement tier (own instance if omitted).  A completed
-            accelerated execution is its success; a statement the
-            interpreter's as-written retry answers, and a statement-tier
-            get/put failure (isolated: a miss / skipped), are its
-            failures.  Once tripped, plans run as written
-            (:meth:`execute_as_written`) — correct, just slower — until
-            the cool-down elapses and a probe succeeds.
         tracer: span collector for executions (own instance if omitted;
             pass a shared one to join a larger trace, e.g. the PXQL
             interpreter's statement spans).
@@ -218,7 +216,6 @@ class Engine:
         disk_cache: bool | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        breaker: CircuitBreaker | None = None,
     ) -> None:
         self.database = database
         self.absint = absint
@@ -240,10 +237,6 @@ class Engine:
         #: The static checker's certificate of the statement about to
         #: run, under its cache key (:meth:`adopt_certificate`).
         self._adopted: tuple[tuple, PlanCertificate] | None = None
-        self.breaker = (
-            breaker if breaker is not None
-            else CircuitBreaker(name="engine.accelerators")
-        )
 
     @contextmanager
     def _ambient(self):
@@ -299,12 +292,6 @@ class Engine:
         """``(plan, ())``: kept only because ``benchmarks/e2e`` calls it
         — the plan as written is the plan run, nothing is rewritten."""
         return plan, ()
-
-    def _decide(
-        self, plan: PlanNode, generation: int, accelerated: bool
-    ) -> PlanCertificate | None:
-        """The certificate of the plan — None un-accelerated."""
-        return self._certify(plan, generation) if accelerated else None
 
     # ------------------------------------------------------------------
     # Abstract interpretation (interval certificates)
@@ -395,17 +382,14 @@ class Engine:
     # Execution
     # ------------------------------------------------------------------
     def execute_plan(self, plan: PlanNode) -> ExecutionResult:
-        """Run a plan, accelerated unless the breaker is open."""
-        return self._execute(plan, accelerated=self.breaker.allow())
+        """Run a plan, accelerated."""
+        return self._execute(plan, accelerated=True)
 
     def execute_as_written(self, plan: PlanNode) -> ExecutionResult:
-        """Run a plan with every accelerator bypassed.
-
-        Internal: the one un-accelerated path, taken by
-        :meth:`execute_plan` while the breaker is open and by the PXQL
-        interpreter when it retries a failed statement.  The
-        certificate/skip and the snapshot access method are both skipped
-        (the walked operators are the reference); everything below them —
+        """Run a plan with every accelerator bypassed: the walked
+        reference the index and absint parity suites compare an
+        accelerated answer against.  The certificate/skip and the
+        snapshot access method are both skipped; everything below them —
         budget ticks, node spans, ``engine.objects_scanned``, the
         probability guard — is the same :meth:`_run` / :meth:`_apply`.
         """
@@ -415,14 +399,13 @@ class Engine:
         with self._ambient():
             with self.tracer.span("engine.execute_plan") as root:
                 generation = catalog_generation(self.database)
-                certificate = self._decide(plan, generation, accelerated)
+                certificate = (
+                    self._certify(plan, generation) if accelerated else None
+                )
                 if certificate is not None and certificate.skippable:
                     value, stats = self._skip_execution(plan, certificate)
                 else:
                     value, stats = self._run(plan, generation, accelerated)
-            if accelerated:
-                # The guarded layers completed: the breaker's success.
-                self.breaker.record_success()
             violations = self._verify_certificate(certificate, value, stats)
             self.metrics.counter("engine.executions").inc()
             self.metrics.histogram("engine.execute_s").observe(root.wall_s)
@@ -505,18 +488,34 @@ class Engine:
                 return self._measure(source, pi, generation)
 
             strategy = self._strategy(node, measured, accelerated)
-            if strategy == "indexed":
-                col = self.index_cache.try_get(
-                    self.database, node.child.name, generation, pi
-                )
-                if col is not None and col.is_tree:
+            if strategy != "indexed":
+                return self._apply_walked(node, pi, strategy)
+            # The snapshot fails open: no usable snapshot, or any failure
+            # evaluating on it but the user's budget, is answered by the
+            # walked operator.  A walk that raises too surfaces its own
+            # error, and nothing is counted.
+            col = self.index_cache.try_get(
+                self.database, node.child.name, generation, pi
+            )
+            failure = None
+            if col is not None and col.is_tree:
+                try:
                     return self._apply_indexed(node, pi, col)
-                self.metrics.counter("index.fallbacks").inc()
-                strategy = self._strategy(node, measured, accelerated=False)
-            if isinstance(node, ProjectNode):
-                projected = _PROJECTION_OPERATORS[node.kind](pi, node.path)
-                return projected, strategy, {}
-            return self._apply_query(node, pi, strategy)
+                except BudgetExceeded:
+                    raise
+                except Exception as exc:
+                    failure = exc
+            walked = self._apply_walked(
+                node, pi, self._strategy(node, measured, accelerated=False)
+            )
+            self.metrics.counter("index.fallbacks").inc()
+            if failure is not None:
+                self.metrics.counter("resilience.fallbacks").inc()
+                self.tracer.event(
+                    "resilience.fallback", node=node.label(),
+                    error=f"{type(failure).__name__}: {failure}",
+                )
+            return walked
         if isinstance(node, SelectNode):
             (pi,) = inputs
             selection = select_local(pi, condition_of(node))
@@ -636,10 +635,14 @@ class Engine:
                 pass
         return measure_instance(pi)
 
-    def _apply_query(
-        self, node: QueryNode, pi: ProbabilisticInstance, strategy: str
+    def _apply_walked(
+        self, node: ProjectNode | QueryNode, pi: ProbabilisticInstance,
+        strategy: str,
     ) -> tuple[object, str, dict]:
-        """The walked query operators, under the strategy decided."""
+        """The walked path operators, under the strategy decided."""
+        if isinstance(node, ProjectNode):
+            projected = _PROJECTION_OPERATORS[node.kind](pi, node.path)
+            return projected, strategy, {}
         if node.kind == "dist":
             return match_count_distribution(pi, node.path), strategy, {}
         engine = QueryEngine(pi, strategy=strategy)
@@ -659,14 +662,11 @@ class Engine:
     # Reporting
     # ------------------------------------------------------------------
     def explain(self, plan: PlanNode) -> str:
-        """Render the plan with estimates (no execution).
-
-        Reads the breaker's state and never calls ``allow()``, so an
-        ``EXPLAIN`` cannot take a half-open breaker's probe."""
+        """Render the plan with estimates (no execution): the path
+        :meth:`execute_plan` takes."""
         generation = catalog_generation(self.database)
-        accelerated = self.breaker.state == CLOSED
-        certificate = self._decide(plan, generation, accelerated)
-        lines = _render_plan(plan, self, certificate, generation, accelerated)
+        certificate = self._certify(plan, generation)
+        lines = _render_plan(plan, self, certificate, generation)
         if certificate is not None:
             lines.append(_certificate_line(certificate))
         return "\n".join(lines)
@@ -766,7 +766,6 @@ def _render_plan(
     engine: Engine,
     certificate: "PlanCertificate | None",
     generation: int,
-    accelerated: bool,
 ) -> list[str]:
     cost = engine.cost.at(generation)
     facts_of: dict[int, NodeFacts] = {}
@@ -790,7 +789,7 @@ def _render_plan(
             details.append("strategy=absint")
         elif not isinstance(node, ScanNode):
             # The same question the operator asks when it runs.
-            strategy = engine._strategy(node, cost.estimate, accelerated)
+            strategy = engine._strategy(node, cost.estimate, accelerated=True)
             details.append(f"strategy={strategy}")
         return f"{node.label()}  ({', '.join(details)})"
 

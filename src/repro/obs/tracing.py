@@ -9,7 +9,7 @@ span, exiting stops the clock and attaches it; completed root spans are
 kept in a bounded ring buffer for later export.
 
 Instrumented modules that do not hold a tracer of their own (the query
-algorithms, the world sampler, the catalog, the circuit breaker) use the
+algorithms, the world sampler, the catalog) use the
 *ambient* tracer: :func:`current_tracer` reads a context variable that
 defaults to the process-global tracer, and :func:`use_tracer` rebinds it
 for a ``with`` region.  The engine executor and the PXQL interpreter
@@ -167,7 +167,7 @@ class Tracer:
         """Attach an already-measured span (no enter/exit bracketing).
 
         Used where the instrumented region was timed out-of-band, or is
-        an instant — e.g. a breaker transition or a fallback.
+        an instant — e.g. a fallback.
         """
         span = Span(name=name, wall_s=wall_s, attributes=dict(attributes))
         if not self.enabled:

@@ -11,12 +11,12 @@ Algebra and query statements reach an operator only through
 scans of registered names — a derived name is read as registered, never
 re-derived from the statement that made it — and ``EXPLAIN`` /
 ``EXPLAIN ANALYZE`` expose the chosen plan, per-node strategy and
-timings.  There is no second evaluator here: a statement the
-engine fails on is retried once on its plan *as written*
-(:meth:`Engine.execute_as_written` — same executor, accelerators
-bypassed), and the reference the parity suites compare against is the
-operators themselves (``repro.algebra`` / ``repro.queries`` /
-``repro.semantics``, see ``tests/helpers.py::evaluate_directly``).
+timings.  There is no second evaluator and no retry here: each
+accelerator fails open inside the engine, where it runs, and an error
+that reaches the interpreter is the statement's own.  The reference the
+parity suites compare against is the operators themselves
+(``repro.algebra`` / ``repro.queries`` / ``repro.semantics``, see
+``tests/helpers.py::evaluate_directly``).
 
 Ahead of it sits the *statement tier*, the one result cache: a bare
 read's outcome is kept under ``(text, check mode, catalog token of its
@@ -41,7 +41,7 @@ from repro.core.instance import ProbabilisticInstance
 from repro.engine.cache import LRUCache
 from repro.engine.executor import Engine, ExecutionResult, condition_of
 from repro.engine.plan import plan_statement
-from repro.errors import BudgetExceeded, EmptyResultError, PXMLError
+from repro.errors import BudgetExceeded, PXMLError
 from repro.obs.export import render_span_tree
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.slowlog import SlowQueryLog
@@ -49,7 +49,6 @@ from repro.obs.tracing import Tracer, use_tracer
 from repro.pxql import ast
 from repro.pxql.parser import SpanMap, parse_memo
 from repro.render import render_distribution, render_instance
-from repro.resilience.breaker import CLOSED
 from repro.resilience.budget import Budget, current_budget, use_budget
 from repro.resilience.faults import fault_point
 from repro.semantics.global_interpretation import GlobalInterpretation
@@ -71,20 +70,8 @@ _READS = (
     ast.ProbStatement, ast.CountStatement, ast.DistStatement,
 )
 
-#: Entries of :attr:`Interpreter.fallbacks` kept (the slow-query log's
-#: capacity): each pins its exception's traceback frames.
-_FALLBACKS_KEPT = 128
-
-#: Statement kinds routed through the engine — the ones the graceful
-#: degradation path can re-run on the plan as written.
+#: Statement kinds routed through the engine.
 _ENGINE_ROUTED = _ALGEBRA + _READS
-
-#: Failures that must *not* trigger the retry: budgets are user-imposed
-#: limits, check/catalog/empty-result errors are semantic — the plan as
-#: written would fail identically (or worse, mask the limit).
-_FALLBACK_EXEMPT = (
-    BudgetExceeded, CheckError, DatabaseError, EmptyResultError,
-)
 
 
 @dataclass
@@ -176,11 +163,6 @@ class Interpreter:
         self.last_diagnostics: list[Diagnostic] = []
         #: Session-wide statement deadline set by ``SET TIMEOUT`` (None: off).
         self._session_timeout_s: float | None = None
-        #: Record of graceful degradations: ``(statement label, engine error)``
-        #: for the last ``_FALLBACKS_KEPT`` statements answered by the retry
-        #: on their plan as written; ``_fallback_count`` counts them all.
-        self.fallbacks: list[tuple[str, Exception]] = []
-        self._fallback_count = 0
 
     # ------------------------------------------------------------------
     def execute(self, text: str) -> Result:
@@ -200,15 +182,12 @@ class Interpreter:
                 if budget is not None:
                     budget.tick_node(subject)
             return _unshared(result)
-        breaker = self.engine.breaker
-        before = self._fallback_count, breaker.failures
         # The checker and the engine see the catalog this read saw.
         with reading_at(self.database, generation):
             result = self.run(statement, spans, subject)
-        # Kept only when nothing degraded on the way: no retry as
-        # written, no statement-tier failure absorbed (both count
-        # against the engine's breaker).
-        if key is not None and (self._fallback_count, breaker.failures) <= before:
+        # Every answer is kept: one the walked operator gave in place of
+        # a failed accelerator is the reference answer.
+        if key is not None:
             self._tier_put(
                 key, (tuple(self.last_diagnostics), _unshared(result))
             )
@@ -221,11 +200,10 @@ class Interpreter:
             "resilience.cache_error", cache=self._statements.name, op=op,
             error=f"{type(exc).__name__}: {exc}",
         )
-        engine.breaker.record_failure()
 
     def _tier_get(self, key: tuple):
         """A statement-tier lookup that can never fail a query (errors =
-        miss, counted against the engine's breaker)."""
+        miss)."""
         try:
             fault_point(f"{self._statements.name}.get")
             return self._statements.get(key)
@@ -235,7 +213,7 @@ class Interpreter:
 
     def _tier_put(self, key: tuple, value) -> None:
         """A statement-tier insert that can never fail a query (errors =
-        skip, counted against the engine's breaker)."""
+        skip)."""
         try:
             fault_point(f"{self._statements.name}.put")
             self._statements.put(key, value)
@@ -247,15 +225,13 @@ class Interpreter:
     ) -> tuple[int | None, tuple | None]:
         """``(generation, key)``: this request's one catalog read — the
         checker and the engine are handed it — and, unless the tier must
-        stay out (not a bare read, breaker not closed, a session
-        deadline, an unknown name), the entry's key."""
+        stay out (not a bare read, a session deadline, an unknown name),
+        the entry's key."""
         if not isinstance(statement, _ENGINE_ROUTED):
             return None, None
         generation = catalog_generation(self.database)
         if not (
-            isinstance(statement, _READS)
-            and self._session_timeout_s is None
-            and self.engine.breaker.state == CLOSED
+            isinstance(statement, _READS) and self._session_timeout_s is None
         ):
             return generation, None
         try:
@@ -296,9 +272,9 @@ class Interpreter:
                           if d.severity == ERROR]
                 if errors:
                     raise CheckError(errors)
-        with self._reported(original, statement, subject) as label:
+        with self._reported(original, statement, subject):
             with self._budget_scope(timeout_s):
-                return self._dispatch(handler, statement, label)
+                return handler(statement)
 
     @contextmanager
     def _reported(
@@ -307,9 +283,9 @@ class Interpreter:
         statement: ast.Statement,
         subject: str | None,
         **attributes: object,
-    ) -> Iterator[str]:
-        """The root span of one statement (yielding its label), and
-        what is reported once it succeeded — however it was answered."""
+    ) -> Iterator[None]:
+        """The root span of one statement, and what is reported once it
+        succeeded — however it was answered."""
         label = subject if subject is not None else type(statement).__name__
         with use_tracer(self.tracer), use_registry(self.metrics):
             with self.tracer.span(
@@ -319,7 +295,7 @@ class Interpreter:
                 **attributes,
             ) as span:
                 try:
-                    yield label
+                    yield
                 except BaseException:
                     self.metrics.counter("pxql.errors").inc()
                     raise
@@ -346,41 +322,6 @@ class Interpreter:
         if isinstance(statement, _ENGINE_ROUTED):
             return self._run_planned
         return getattr(self, f"_run_{type(statement).__name__}", None)
-
-    def _dispatch(self, handler, statement: ast.Statement, label: str):
-        """Run a handler, degrading engine failures to the plan as written.
-
-        An unexpected failure on an engine-routed statement is retried
-        once through :meth:`Engine.execute_as_written` — the same
-        executor with the certificate/skip and the snapshot access
-        method bypassed, so it covers faults in those accelerator layers
-        and nothing below them.  A retry that *answers* convicts the
-        accelerators: it counts against the engine's breaker and is
-        recorded in :attr:`fallbacks`, the ``resilience.fallbacks``
-        counter and a ``resilience.fallback`` trace event.  One that
-        fails too was the user's error, and raises as such.  Budget,
-        check, catalog and empty-result errors propagate untouched (see
-        ``_FALLBACK_EXEMPT``).
-        """
-        try:
-            return handler(statement)
-        except _FALLBACK_EXEMPT:
-            raise
-        except Exception as exc:
-            if not isinstance(statement, _ENGINE_ROUTED):
-                raise
-            result = self._run_planned(statement, as_written=True)
-            self.engine.breaker.record_failure()
-            self.metrics.counter("resilience.fallbacks").inc()
-            self.tracer.event(
-                "resilience.fallback",
-                statement=label,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            self._fallback_count += 1
-            self.fallbacks.append((label, exc))
-            del self.fallbacks[:-_FALLBACKS_KEPT]
-            return result
 
     def _static_diagnostics(
         self,
@@ -437,28 +378,16 @@ class Interpreter:
     # Planned statements: algebra and queries, through the engine only
     # ------------------------------------------------------------------
     def _evaluate(
-        self, statement: ast.Statement, as_written: bool = False
+        self, statement: ast.Statement
     ) -> tuple[ExecutionResult, str | None]:
-        """Execute an engine-routed statement; register an algebra result.
-
-        ``as_written`` is the degraded retry: the statement's own plan
-        on :meth:`Engine.execute_as_written`.
-        """
-        engine = self.engine
+        """Execute an engine-routed statement; register an algebra result."""
+        execution = self.engine.execute_statement(statement)
         if not isinstance(statement, _ALGEBRA):
-            if as_written:
-                return engine.execute_as_written(
-                    engine.plan_statement(statement)
-                ), None
-            return engine.execute_statement(statement), None
-        execute = engine.execute_as_written if as_written else engine.execute_plan
-        execution = execute(engine.plan_statement(statement))
+            return execution, None
         return execution, self._register(statement.target, execution.value)
 
-    def _run_planned(
-        self, statement: ast.Statement, as_written: bool = False
-    ) -> Result:
-        execution, name = self._evaluate(statement, as_written)
+    def _run_planned(self, statement: ast.Statement) -> Result:
+        execution, name = self._evaluate(statement)
         return Result(
             execution.value, name, _describe(statement, execution, name)
         )

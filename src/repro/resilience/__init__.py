@@ -1,4 +1,4 @@
-"""Resilience: budgets, retries, circuit breaking, fault injection.
+"""Resilience: budgets, retries, fault injection.
 
 This package makes the read/execute path survive the failures a
 production catalog actually sees, and makes those failures *testable*:
@@ -8,10 +8,6 @@ production catalog actually sees, and makes those failures *testable*:
   context and checked at executor node boundaries and in the sampler;
 * :mod:`repro.resilience.retry` — retry-with-backoff (seeded jitter,
   injectable sleep) around catalog I/O;
-* :mod:`repro.resilience.breaker` — a circuit breaker that trips the
-  engine's accelerated layers (certificate skip, snapshot access,
-  statement tier) after repeated failures, degrading to the plan as
-  written, uncached (still correct);
 * :mod:`repro.resilience.faults` — a deterministic seeded fault
   injector (raise-on-Nth-IO, corrupt-bytes, slow-call) behind named
   hook points in the codec, catalog, and engine caches.
@@ -28,7 +24,6 @@ from repro.errors import (
     FaultError,
     ResilienceError,
 )
-from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.budget import Budget, current_budget, use_budget
 from repro.resilience.faults import (
     FaultEvent,
@@ -42,7 +37,6 @@ from repro.resilience.retry import RetryPolicy, retry_call
 __all__ = [
     "Budget",
     "BudgetExceeded",
-    "CircuitBreaker",
     "CorruptInstanceError",
     "FaultError",
     "FaultEvent",

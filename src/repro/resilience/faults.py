@@ -60,7 +60,6 @@ site                    where
                         mutation (register / drop / save / touch)
 ``lock.db.file``        before the catalog's cross-process file lock is
                         acquired
-``lock.breaker``        before the circuit breaker's state lock
 ======================  ====================================================
 
 The ``lock.*`` family are *scheduling* sites: ``barrier`` and ``slow``

@@ -587,3 +587,59 @@ def test_one_future():
             ):
                 problems.append(f"{path}:{node.lineno}: {node.value!r}")
     assert not problems, "\n".join(problems)
+
+
+def test_one_fail_open():
+    """An accelerator fails open where it runs, and nothing catches its
+    failure a second time.
+
+    The certificate pass fails open in ``Engine._certify``, the snapshot
+    fetch in ``IndexCache.try_get`` and an evaluation on the snapshot in
+    ``Engine._apply``, the one caller of ``_apply_indexed``: each hands
+    the Section 6 algorithms' own answer back.  So there is no circuit
+    breaker (``resilience/breaker.py``, a ``CircuitBreaker`` or
+    ``breaker`` name under ``src/repro``) deciding whether to try an
+    accelerator, and no retry above the engine: ``repro.pxql`` never
+    calls ``execute_as_written`` and ``Interpreter`` keeps no
+    ``fallbacks`` record.
+    """
+    from repro.pxql.interpreter import Interpreter
+
+    problems = []
+    if pathlib.Path("src/repro/resilience/breaker.py").exists():
+        problems.append("src/repro/resilience/breaker.py exists")
+    for file in sorted(pathlib.Path("src/repro").rglob("*.py")):
+        path = file.as_posix()
+        tree = ast.parse(file.read_text(encoding="utf-8"))
+
+        def visit(node, scope):
+            if isinstance(node, ast.ClassDef):
+                scope = (node.name, None)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = (scope[0], node.name)
+            names = [
+                getattr(node, "id", None), getattr(node, "attr", None),
+                getattr(node, "arg", None), getattr(node, "name", None),
+            ]
+            if isinstance(node, ast.alias):
+                names += node.name.split(".")
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names += node.module.split(".")
+            for name in names:
+                if name in ("CircuitBreaker", "breaker"):
+                    problems.append(f"{path}:{getattr(node, 'lineno', '?')}: {name}")
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "attr", getattr(node.func, "id", ""))
+                if called == "execute_as_written" and path.startswith("src/repro/pxql/"):
+                    problems.append(f"{path}:{node.lineno}: execute_as_written(")
+                if called == "_apply_indexed" and (
+                    path != "src/repro/engine/executor.py" or scope != ("Engine", "_apply")
+                ):
+                    problems.append(f"{path}:{node.lineno}: _apply_indexed( in {scope[1]}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(tree, (None, None))
+    if hasattr(Interpreter, "fallbacks") or hasattr(Interpreter(), "fallbacks"):
+        problems.append("Interpreter.fallbacks exists")
+    assert not problems, "\n".join(problems)

@@ -1,4 +1,4 @@
-"""Thread-safety of the shared core: caches, metrics, tracer, breaker,
+"""Thread-safety of the shared core: caches, metrics, tracer,
 catalog, and the cross-process file lock.
 
 Each test hammers one component from many threads and then checks an
@@ -23,7 +23,6 @@ from repro.obs.tracing import Tracer
 from repro.paper import figure2_instance
 from repro.pxql import Interpreter
 from repro.pxql.parser import parse
-from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import FaultInjector, FaultSpec
 from repro.storage.database import Database, DatabaseError
 from repro.storage.locking import (
@@ -242,51 +241,6 @@ class TestObsThreadSafety:
             # thread tags within one tree.
             tags = {span.attributes["thread"] for span in root.walk()}
             assert len(tags) == 1
-
-
-# ----------------------------------------------------------------------
-# Circuit breaker
-# ----------------------------------------------------------------------
-class TestBreakerHalfOpenRace:
-    def test_exactly_one_probe_in_half_open(self):
-        """Regression: two threads hitting a cooled-down open breaker
-        simultaneously must not both be admitted as probes."""
-        clock = [0.0]
-        breaker = CircuitBreaker(
-            failure_threshold=1, reset_after_s=1.0, clock=lambda: clock[0]
-        )
-        breaker.record_failure()
-        assert breaker.state == "open"
-        clock[0] = 2.0  # past the cool-down: next allow() opens the probe
-
-        barrier = threading.Barrier(8)
-        admitted: list[int] = []
-        lock = threading.Lock()
-
-        def race(index: int) -> None:
-            barrier.wait()
-            if breaker.allow():
-                with lock:
-                    admitted.append(index)
-
-        errors = run_threads(8, race)
-        assert errors == []
-        assert len(admitted) == 1
-        assert breaker.state == "half_open"
-        breaker.record_success()
-        assert breaker.state == "closed"
-
-    def test_probe_expiry_prevents_wedging(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(
-            failure_threshold=1, reset_after_s=1.0, clock=lambda: clock[0]
-        )
-        breaker.record_failure()
-        clock[0] = 2.0
-        assert breaker.allow()  # probe granted, outcome never recorded
-        assert not breaker.allow()
-        clock[0] = 4.0  # the prober died; the slot must expire
-        assert breaker.allow()
 
 
 # ----------------------------------------------------------------------

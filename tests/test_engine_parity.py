@@ -20,6 +20,7 @@ from dataclasses import replace
 
 import pytest
 
+import repro.check.absint as absint
 from repro.core.builder import InstanceBuilder
 from repro.algebra.product import cartesian_product
 from repro.algebra.projection_prob import ancestor_projection_global
@@ -33,7 +34,6 @@ from repro.engine import (
 )
 from repro.pxql import Interpreter, ast, parse
 from repro.queries.engine import QueryEngine
-from repro.resilience.breaker import CircuitBreaker
 from repro.semistructured.paths import match_path
 from repro.storage.database import Database
 from repro.workloads.generator import (
@@ -128,14 +128,14 @@ def test_statement_parity(spec):
     _assert_parity(engine, oracle, statements, probes)
 
     assert engine.metrics.counter("check.absint_violations").value == 0
-    assert engine.fallbacks == []
+    assert engine.metrics.value("resilience.fallbacks") == 0
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=_spec_id)
 def test_degraded_parity(spec, monkeypatch):
-    """With the certificate step broken, every statement is answered by
-    the retry on its plan as written — same answers, no accelerator
-    touched."""
+    """With the interval pass broken, every statement runs uncertified
+    — ``_certify`` fails open where it runs — and gives the same answers
+    on the snapshot, with nothing degraded to the walk."""
     workload, statements, probes = _parity_script(spec)
     oracle = Database()
     engine = Interpreter(Database())
@@ -150,14 +150,10 @@ def test_degraded_parity(spec, monkeypatch):
 
     monkeypatch.setattr(engine.database, "register", recording_register)
 
-    def explode(plan, generation):
+    def explode(*args, **kwargs):
         raise RuntimeError("certify exploded")
 
-    monkeypatch.setattr(engine.engine, "_certify", explode)
-    # Each answered retry counts against the breaker; keep it closed so
-    # every statement takes the retry (tripping it is
-    # test_resilience.py's).
-    engine.engine.breaker = CircuitBreaker(failure_threshold=100)
+    monkeypatch.setattr(absint, "certify_plan", explode)
     indexed = []
     apply_indexed = engine.engine._apply_indexed
 
@@ -170,18 +166,14 @@ def test_degraded_parity(spec, monkeypatch):
     _assert_parity(engine, oracle, statements, probes)
 
     count = len(statements) + len(probes)
-    assert len(engine.fallbacks) == count
-    assert engine.metrics.counter("resilience.fallbacks").value == count
+    # Every execution asked the pass once and went on uncertified.
+    assert engine.metrics.counter("check.absint_errors").value == count
+    assert engine.metrics.counter("resilience.fallbacks").value == 0
     assert engine.metrics.counter("pxql.errors").value == 0
-    # The retry is the engine's own executor, so what it keeps is kept
-    # by construction: one execution per statement, each result
-    # registered.
     assert engine.metrics.counter("engine.executions").value == count
     assert registered == ["p", "s", "ps"]
-    # The retry as written never asks for a snapshot.  (The catalog's
-    # shared index cache may hold one all the same: the check pass ahead
-    # of each statement locates PROJECT / SELECT paths on it.)
-    assert indexed == []
+    # The snapshot still answered: a certificate is no precondition.
+    assert indexed
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=_spec_id)

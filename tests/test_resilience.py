@@ -1,13 +1,14 @@
-"""Unit tests for repro.resilience: budgets, retry, breaker, faults,
-graceful engine degradation, and the PXQL timeout surface."""
+"""Unit tests for repro.resilience: budgets, retry, faults, graceful
+engine degradation, and the PXQL timeout surface."""
 
 import random
 
 import pytest
 
+from repro.core.builder import InstanceBuilder
+from repro.engine import Engine
 from repro.errors import BudgetExceeded, FaultError, PXMLError
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.obs.tracing import Tracer, use_tracer
 from repro.paper import example52_instance, figure2_instance
 from repro.pxql.interpreter import Interpreter
 from repro.pxql.lexer import PXQLSyntaxError
@@ -15,7 +16,6 @@ from repro.pxql.parser import parse
 from repro.pxql import ast
 from repro.resilience import (
     Budget,
-    CircuitBreaker,
     FaultInjector,
     FaultSpec,
     RetryPolicy,
@@ -24,6 +24,8 @@ from repro.resilience import (
     retry_call,
     use_budget,
 )
+from repro.storage.database import Database
+from tests.helpers import evaluate_directly
 
 
 class FakeClock:
@@ -175,64 +177,6 @@ class TestRetry:
 
 
 # ----------------------------------------------------------------------
-# Circuit breaker
-# ----------------------------------------------------------------------
-class TestCircuitBreaker:
-    def test_trips_after_threshold(self):
-        breaker = CircuitBreaker(failure_threshold=3, clock=FakeClock())
-        for _ in range(2):
-            breaker.record_failure()
-            assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-
-    def test_success_resets_count(self):
-        breaker = CircuitBreaker(failure_threshold=2, clock=FakeClock())
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-        assert breaker.allow()
-
-    def test_half_open_probe_then_close(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=1, reset_after_s=10.0, clock=clock
-        )
-        breaker.record_failure()
-        assert not breaker.allow()
-        clock.advance(11.0)
-        assert breaker.allow()  # probe
-        assert breaker.state == "half_open"
-        breaker.record_success()
-        assert breaker.state == "closed"
-
-    def test_half_open_failure_retrips(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=5, reset_after_s=1.0, clock=clock
-        )
-        for _ in range(5):
-            breaker.record_failure()
-        clock.advance(2.0)
-        assert breaker.allow()
-        breaker.record_failure()  # a single half-open failure re-trips
-        assert breaker.state == "open"
-        assert breaker.trips == 2
-
-    def test_trip_metrics(self):
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            breaker = CircuitBreaker(
-                name="unit", failure_threshold=1, clock=FakeClock()
-            )
-            breaker.record_failure()
-        assert registry.counter("resilience.breaker_trips").value == 1.0
-        assert registry.gauge("resilience.breaker_open.unit").value == 1.0
-
-
-# ----------------------------------------------------------------------
 # Fault injection
 # ----------------------------------------------------------------------
 class TestFaultInjector:
@@ -336,25 +280,90 @@ def _break_snapshot_access(monkeypatch, engine):
     return calls
 
 
+def _bib_tree():
+    """A three-level tree every path statement of the snapshot reaches."""
+    b = InstanceBuilder("R")
+    b.children("R", "book", ["B1", "B2"])
+    b.opf("R", {("B1",): 0.3, ("B2",): 0.2, ("B1", "B2"): 0.4, (): 0.1})
+    b.children("B1", "author", ["A1"])
+    b.opf("B1", {("A1",): 0.5, (): 0.5})
+    b.children("B2", "author", ["A3"])
+    b.opf("B2", {("A3",): 0.6, (): 0.4})
+    b.leaf("A1", "name", ["x", "y"], {"x": 0.7, "y": 0.3})
+    b.leaf("A3", "name", vpf={"y": 1.0})
+    return b.build()
+
+
+#: One statement per operator the snapshot evaluates: the ancestor
+#: projection and every query kind.
+_SNAPSHOT_STATEMENTS = {
+    "project": "PROJECT R.book.author FROM bib AS p",
+    "point": "POINT R.book.author : A1 IN bib",
+    "prob": "PROB A1 IN bib",
+    "chain": "CHAIN R.B1.A1 IN bib",
+    "exists": "EXISTS R.book.author IN bib",
+    "count": "COUNT R.book.author IN bib",
+    "dist": "DIST R.book.author IN bib",
+}
+
+
 class TestEngineDegradation:
-    def test_breaker_trips_after_repeated_optimizer_failures(self, monkeypatch):
-        """An accelerated layer that keeps failing is convicted by the
-        retries that answer without it: after ``failure_threshold`` of
-        them the breaker opens, and statements run as written without
-        consulting the layer at all."""
-        expected = _ex52_interpreter().execute("PROB B1 IN ex52").value
-        interpreter = _ex52_interpreter()
-        engine = interpreter.engine
+    @pytest.mark.parametrize("kind", sorted(_SNAPSHOT_STATEMENTS))
+    def test_failed_snapshot_evaluation_is_answered_by_the_walk(
+        self, kind, monkeypatch
+    ):
+        """The snapshot fails open where it runs: called directly, with
+        no interpreter in front, ``Engine.execute_plan`` answers a failed
+        ``_apply_indexed`` with the walked operator — the reference
+        answer, on the path ``execute_as_written`` takes — and counts one
+        fallback per statement."""
+        text = _SNAPSHOT_STATEMENTS[kind]
+        oracle = Database()
+        oracle.register("bib", _bib_tree())
+        expected = evaluate_directly(oracle, text)
+        database = Database()
+        database.register("bib", _bib_tree())
+        engine = Engine(database)
+        plan = engine.plan_statement(parse(text))
+        assert engine.execute_plan(plan).stats.strategy == "indexed"
         calls = _break_snapshot_access(monkeypatch, engine)
-        threshold = engine.breaker.failure_threshold
-        for _ in range(threshold):
-            value = interpreter.execute("PROB B1 IN ex52").value
-            assert value == pytest.approx(expected)
-        assert engine.breaker.state == "open"
-        assert len(interpreter.fallbacks) == len(calls) == threshold
-        value = interpreter.execute("EXISTS R.book IN ex52").value
-        assert 0.0 <= value <= 1.0
-        assert len(interpreter.fallbacks) == len(calls) == threshold
+
+        execution = engine.execute_plan(plan)
+        if kind == "project":
+            assert execution.value.objects == expected.objects
+        else:
+            assert execution.value == pytest.approx(expected)
+        assert len(calls) == 1
+        assert engine.metrics.value("resilience.fallbacks") == 1
+        assert engine.metrics.value("index.fallbacks") == 1
+        assert execution.stats.strategy != "indexed"
+        event = engine.tracer.last.find("resilience.fallback")
+        assert "snapshot access exploded" in event.attributes["error"]
+        walked = engine.execute_as_written(plan)
+        assert [(n.label, n.strategy) for n in execution.stats.walk()] == [
+            (n.label, n.strategy) for n in walked.stats.walk()
+        ]
+
+        engine.execute_plan(plan)
+        assert len(calls) == 2                 # nothing remembers a failure
+        assert engine.metrics.value("resilience.fallbacks") == 2
+
+    def test_budget_raised_on_the_snapshot_propagates(self, monkeypatch):
+        """A budget is the user's limit, not an accelerator fault: raised
+        inside ``_apply_indexed`` it surfaces and nothing is counted."""
+        database = Database()
+        database.register("bib", _bib_tree())
+        engine = Engine(database)
+
+        def over_budget(node, pi, col):
+            raise BudgetExceeded("over budget")
+
+        monkeypatch.setattr(engine, "_apply_indexed", over_budget)
+        for text in _SNAPSHOT_STATEMENTS.values():
+            with pytest.raises(BudgetExceeded):
+                engine.execute_plan(engine.plan_statement(parse(text)))
+        assert engine.metrics.value("resilience.fallbacks") == 0
+        assert engine.metrics.value("index.fallbacks") == 0
 
     def test_cache_get_faults_never_fail_a_query(self):
         interpreter = _fig2_interpreter()
@@ -368,30 +377,28 @@ class TestEngineDegradation:
             "resilience.cache_errors"
         ).value >= 1.0
 
-    def test_statement_falls_back_to_naive_path(self):
-        """The fallback is a retry on the statement's plan as written,
-        through the same engine (the test id is kept stable)."""
-        interpreter = _fig2_interpreter()
-
-        def explode(statement):
-            raise RuntimeError("engine exploded")
-
-        interpreter.engine.execute_statement = explode
-        result = interpreter.execute("PROB B1 IN fig2")
-        assert result.value == pytest.approx(0.8)
-        assert len(interpreter.fallbacks) == 1
-        label, error = interpreter.fallbacks[0]
-        assert "PROB" in label and "exploded" in str(error)
+    def test_statement_falls_back_to_naive_path(self, monkeypatch):
+        """A statement whose snapshot evaluation fails is answered by the
+        walked operator inside the same execution (the test id is kept
+        stable)."""
+        expected = _ex52_interpreter().execute("PROB B1 IN ex52").value
+        interpreter = _ex52_interpreter()
+        _break_snapshot_access(monkeypatch, interpreter.engine)
+        result = interpreter.execute("PROB B1 IN ex52")
+        assert result.value == pytest.approx(expected)
         assert interpreter.metrics.counter(
             "resilience.fallbacks"
         ).value == 1.0
         assert interpreter.metrics.counter("engine.executions").value == 1.0
-        assert interpreter.tracer.last.find("engine.node.Query[prob B1]") is not None
+        root = interpreter.tracer.last
+        assert root.find("engine.node.Query[prob B1]") is not None
+        assert "PROB" in root.attributes["statement"]
+        assert "exploded" in root.find("resilience.fallback").attributes["error"]
 
     def test_user_errors_are_not_fallbacks(self):
-        """A statement that fails on its plan as written too is the
-        user's error: raised, counted in ``pxql.errors``, never recorded
-        as a degradation."""
+        """A statement that fails on the walked operators is the user's
+        error: raised, counted in ``pxql.errors``, never recorded as a
+        degradation."""
         from repro.errors import PXMLError
 
         interpreter = _fig2_interpreter()
@@ -403,11 +410,6 @@ class TestEngineDegradation:
         for text in statements:
             with pytest.raises(PXMLError):
                 interpreter.execute(text)
-        assert interpreter.fallbacks == []
-        # Nor does it count against the breaker: the accelerators were
-        # not at fault.
-        assert interpreter.engine.breaker.failures == 0
-        assert interpreter.engine.breaker.state == "closed"
         assert interpreter.metrics.counter("resilience.fallbacks").value == 0
         assert interpreter.metrics.counter("pxql.errors").value == 3
         assert not any(
@@ -416,127 +418,16 @@ class TestEngineDegradation:
         )
         assert {"p", "s"}.isdisjoint(interpreter.database.names())
 
-    def test_breaker_open_and_retry_take_the_same_path(self, monkeypatch):
-        """Two triggers, one un-accelerated path: an open breaker and
-        the interpreter's retry report the same ``NodeStats`` shapes."""
-        statements = ["EXISTS R.book IN ex52", "PROJECT R.book FROM ex52 AS p",
-                      "POINT R.book : B1 IN p"]
+    def test_budget_errors_are_not_degraded(self, monkeypatch):
+        interpreter = _ex52_interpreter()
 
-        def shapes(interpreter, entry):
-            """Per statement, the NodeStats tree ``Engine.<entry>`` returned."""
-            executed = []
-            original = getattr(interpreter.engine, entry)
-
-            def recording(plan):
-                executed.append(original(plan))
-                return executed[-1]
-
-            monkeypatch.setattr(interpreter.engine, entry, recording)
-            for text in statements:
-                interpreter.execute(text)
-            return [
-                [(node.label, node.strategy)
-                 for node in execution.stats.walk()]
-                for execution in executed
-            ]
-
-        tripped = _ex52_interpreter()
-        for _ in range(tripped.engine.breaker.failure_threshold):
-            tripped.engine.breaker.record_failure()
-        assert tripped.engine.breaker.state == "open"
-
-        retried = _ex52_interpreter()
-        _break_snapshot_access(monkeypatch, retried.engine)
-
-        opened = shapes(tripped, "execute_plan")
-        degraded = shapes(retried, "execute_as_written")
-        assert len(retried.fallbacks) == len(statements)
-        assert tripped.fallbacks == []
-        assert opened == degraded
-        for _label, strategy in (n for tree in opened for n in tree):
-            assert strategy != "indexed"
-        # For contrast, the accelerated run of the same statement locates
-        # its path on the snapshot.
-        accelerated = shapes(_ex52_interpreter(), "execute_plan")[0]
-        assert accelerated[0][1] == "indexed"
-
-    def test_explain_under_an_open_breaker_reports_no_cache(self):
-        """``EXPLAIN`` words the path the statement would take: certified
-        while accelerated, as written with the breaker open — and no
-        cache state either way (the engine keeps none)."""
-        interpreter = _fig2_interpreter()
-        explain = "EXPLAIN EXISTS R.book IN fig2"
-        interpreter.execute("EXISTS R.book IN fig2")
-        closed = interpreter.execute(explain).text
-        assert "absint: kind=exists" in closed and "cache=" not in closed
-
-        breaker = interpreter.engine.breaker
-        for _ in range(breaker.failure_threshold):
-            breaker.record_failure()
-        opened = interpreter.execute(explain).text
-        assert "absint:" not in opened and "cache=" not in opened
-
-    def test_a_fresh_rewrite_closes_the_half_open_breaker(self):
-        """A completed accelerated execution is the success of the
-        guarded layers, so a repeating workload gets its accelerators
-        back with the probe."""
-        clock = FakeClock()
-        interpreter = _fig2_interpreter()
-        engine = interpreter.engine
-        engine.breaker = CircuitBreaker(
-            failure_threshold=1, reset_after_s=30.0, clock=clock
-        )
-        statement = "EXISTS R.book IN fig2"
-        plan = engine.plan_statement(parse(statement))
-        engine.execute_plan(plan)
-        engine.breaker.record_failure()
-        assert engine.execute_plan(plan).certificate is None  # as written
-
-        clock.advance(31.0)
-        assert engine.execute_plan(plan).certificate is not None  # the probe
-        assert engine.breaker.state == "closed"
-        assert engine.execute_plan(plan).certificate is not None
-        interpreter.execute(statement)
-        interpreter.execute(statement)
-        assert interpreter.cache_stats["statements"]["hits"] == 1
-
-    def test_explain_does_not_take_the_half_open_probe(self):
-        """``EXPLAIN`` reads the breaker's state and executes nothing, so
-        it neither takes the half-open probe nor closes the breaker; the
-        next accelerated execution does."""
-        clock = FakeClock()
-        interpreter = _fig2_interpreter()
-        engine = interpreter.engine
-        engine.breaker = CircuitBreaker(
-            failure_threshold=1, reset_after_s=30.0, clock=clock
-        )
-        engine.breaker.record_failure()
-        clock.advance(31.0)
-        # A probe whose outcome is never recorded (its statement raised
-        # the user's error) expires after another cool-down: half-open,
-        # with the probe slot free.
-        assert engine.breaker.allow()
-        clock.advance(31.0)
-        assert engine.breaker.state == "half_open"
-
-        explained = interpreter.execute("EXPLAIN EXISTS R.book IN fig2").text
-        assert "absint:" not in explained            # the plan as written
-        assert engine.breaker.state == "half_open"
-
-        plan = engine.plan_statement(parse("EXISTS R.book IN fig2"))
-        assert engine.execute_plan(plan).certificate is not None  # the probe
-        assert engine.breaker.state == "closed"
-
-    def test_budget_errors_are_not_degraded(self):
-        interpreter = _fig2_interpreter()
-
-        def explode(statement):
+        def explode(node, pi, col):
             raise BudgetExceeded("over budget")
 
-        interpreter.engine.execute_statement = explode
+        monkeypatch.setattr(interpreter.engine, "_apply_indexed", explode)
         with pytest.raises(BudgetExceeded):
-            interpreter.execute("PROB B1 IN fig2")
-        assert interpreter.fallbacks == []
+            interpreter.execute("PROB B1 IN ex52")
+        assert interpreter.metrics.counter("resilience.fallbacks").value == 0
 
     def test_catalog_errors_are_not_degraded(self):
         interpreter = _fig2_interpreter()
@@ -544,7 +435,7 @@ class TestEngineDegradation:
 
         with pytest.raises(DatabaseError):
             interpreter.execute("PROB B1 IN nonexistent")
-        assert interpreter.fallbacks == []
+        assert interpreter.metrics.counter("resilience.fallbacks").value == 0
 
 
 # ----------------------------------------------------------------------

@@ -89,9 +89,6 @@ def chaos_injector(seed: int) -> FaultInjector:
         # Stampede the statement tier's internal lock.
         FaultSpec(site="lock.pxql.cache.statements", kind="barrier", parties=2,
                   probability=0.2, delay_s=0.01),
-        # Stall the breaker's state lock now and then.
-        FaultSpec(site="lock.breaker", kind="slow", probability=0.1,
-                  delay_s=0.001),
         # And make some drops genuinely fail at the unlink.
         FaultSpec(site="db.drop.unlink", kind="error", exception=OSError,
                   nth=4, times=2),
