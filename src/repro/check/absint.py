@@ -65,6 +65,8 @@ from repro.engine.plan import (
     SelectNode,
     walk,
 )
+from repro.obs.export import NODE_SPAN, node_spans
+from repro.obs.tracing import Span
 from repro.semistructured.graph import EdgeLabeledGraph
 from repro.semistructured.paths import PathExpression
 from repro.storage.derived import catalog_generation
@@ -963,44 +965,50 @@ def check_plan(
 def verify_execution(
     certificate: PlanCertificate,
     value: object,
-    stats: Any,
+    span: Span,
     tolerance: float = 1e-6,
 ) -> list[str]:
     """Check an executed plan's observations against its certificate.
 
-    ``stats`` is the :class:`repro.engine.executor.NodeStats` tree of the
-    execution.  Returns a list of violation messages — empty when every
-    observed cardinality, condition probability and result lies inside
-    its predicted interval.  When the executed shape diverged from the
-    certified plan the check is skipped rather than guessed at.
+    ``span`` is the execution's root plan-node span
+    (:attr:`repro.engine.executor.ExecutionResult.span`); its node spans
+    (:func:`repro.obs.export.node_spans`) carry what each node observed.
+    The engine runs this after every certified execution.  Returns a
+    list of violation messages — empty when every observed cardinality,
+    condition probability and result lies inside its predicted
+    interval.  When the executed shape diverged from the certified plan
+    the check is skipped rather than guessed at.
     """
-    flat = list(stats.walk())
+    flat = node_spans(span)
     if len(flat) != len(certificate.facts):
         return []
     violations: list[str] = []
     for facts, observed in zip(certificate.facts, flat):
-        if facts.label != observed.label:
+        if observed.name != NODE_SPAN + facts.label:
             return []      # shapes diverged: nothing comparable
+        objects = observed.attributes.get("objects")
         if (
             facts.kind == "instance"
-            and observed.objects is not None
-            and not facts.card.contains(observed.objects)
+            and isinstance(objects, int)
+            and not facts.card.contains(objects)
         ):
             violations.append(
-                f"{facts.label}: observed {observed.objects} objects outside "
+                f"{facts.label}: observed {objects} objects outside "
                 f"certified {facts.card}"
             )
         if facts.condition is not None:
-            probability = observed.extra.get("condition_probability")
-            if probability is not None and not facts.condition.contains(
+            probability = observed.attributes.get("condition_probability")
+            if isinstance(probability, (int, float)) and not facts.condition.contains(
                 probability, tolerance
             ):
                 violations.append(
                     f"{facts.label}: observed condition probability "
                     f"{probability:.6g} outside certified {facts.condition}"
                 )
-    root = flat[0]
-    if certificate.result is not None and root.strategy != "sample":
+    if (
+        certificate.result is not None
+        and span.attributes.get("strategy") != "sample"
+    ):
         lo, hi = certificate.result
         if certificate.kind == "dist" and isinstance(value, dict):
             total = sum(value.values())

@@ -20,7 +20,7 @@ the language and the algebra:
 
 from repro.engine.cache import CacheStats, LRUCache
 from repro.engine.cost import CostModel, Estimate
-from repro.engine.executor import Engine, ExecutionResult, NodeStats
+from repro.engine.executor import Engine, ExecutionResult
 from repro.engine.plan import (
     PlanBuilder,
     PlanError,
@@ -42,7 +42,6 @@ __all__ = [
     "Estimate",
     "ExecutionResult",
     "LRUCache",
-    "NodeStats",
     "PlanBuilder",
     "PlanError",
     "PlanNode",

@@ -13,11 +13,15 @@ one result cache is the interpreter's statement tier.
 The catalog generation is read once per statement and threaded to every
 token taken for it, so one statement sees one catalog snapshot.
 
-Since the observability PR the executor is span-backed: every plan node
-execution opens a :class:`repro.obs.tracing.Span` on the engine's
-tracer, and :class:`NodeStats` is a thin per-node view over those spans
-(same wall times, same tree shape) kept for ``EXPLAIN ANALYZE``
-compatibility.  The engine also owns a
+Every plan node execution opens one ``engine.node.<label>`` span on the
+engine's tracer, and that span is the node's only record: its wall and
+CPU time, the ``strategy`` that answered it, the ``objects`` it produced
+and a selection's ``condition_probability``, with the operator itself
+timed by an ``engine.apply`` child span and the child nodes' spans
+nested beneath.  ``EXPLAIN ANALYZE`` and ``PROFILE`` render these spans
+with the one renderer (:func:`repro.obs.export.render_span_tree`), and
+the certificate check after every certified execution reads them
+(:func:`repro.check.absint.verify_execution`).  The engine also owns a
 :class:`repro.obs.metrics.MetricsRegistry` covering operator latencies
 and objects scanned; both are made *ambient* during execution so the
 Section 6 query algorithms and the world sampler report into the same
@@ -26,9 +30,10 @@ trace and registry.
 
 from __future__ import annotations
 
+import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     # pxql -> engine, and check -> engine.plan -> engine (this module):
@@ -79,6 +84,7 @@ from repro.engine.plan import (
 from repro.errors import BudgetExceeded
 from repro.index import IndexCache, match_path_indexed
 from repro.index.columnar import ColumnarInstance
+from repro.obs.export import NODE_SPAN, _tree_lines, render_span_tree
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.tracing import Span, Tracer, use_tracer
 from repro.queries.aggregates import (
@@ -110,58 +116,20 @@ _SKIP_RESULTS = {
 
 
 @dataclass
-class NodeStats:
-    """Measurements for one executed plan node.
-
-    Since the observability PR this is a thin view over the span the
-    executor opened for the node: ``wall_s`` is the span's wall time and
-    :attr:`span` links back to the full record (CPU time, attributes,
-    sub-operation spans).
-    """
-
-    label: str
-    wall_s: float = 0.0
-    objects: int | None = None
-    strategy: str | None = None
-    extra: dict = field(default_factory=dict)
-    children: list["NodeStats"] = field(default_factory=list)
-    span: Span | None = None
-
-    def walk(self) -> Iterator["NodeStats"]:
-        """Pre-order traversal."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
-
-@dataclass
 class ExecutionResult:
     """The outcome of one plan execution."""
 
     value: object
     plan: PlanNode
-    stats: NodeStats
+    #: The root plan node's ``engine.node.<label>`` span: the per-node
+    #: record of the whole execution (child nodes' spans nest beneath).
+    span: Span
     #: The abstract-interpretation certificate of the plan
     #: (None when the pass is off or failed; see ``Engine(absint=...)``).
     certificate: PlanCertificate | None = None
-    #: Interval violations found by the runtime soundness check (only
-    #: populated under ``EXPLAIN ANALYZE`` / ``PROFILE``; must stay empty).
+    #: Interval violations the node spans show against the certificate
+    #: (checked on every certified execution; must stay empty).
     violations: tuple[str, ...] = ()
-
-    def find(self, label: str) -> NodeStats | None:
-        """The first (outermost) node stats with the given label."""
-        for stats in self.stats.walk():
-            if stats.label == label:
-                return stats
-        return None
-
-    @property
-    def condition_probability(self) -> float | None:
-        """The outermost selection's condition probability, if any."""
-        for stats in self.stats.walk():
-            if "condition_probability" in stats.extra:
-                return stats.extra["condition_probability"]
-        return None
 
 
 class Engine:
@@ -202,7 +170,8 @@ class Engine:
         disk_cache: accepted and ignored (``benchmarks/e2e`` passes it).
         tracer: span collector for executions (own instance if omitted;
             pass a shared one to join a larger trace, e.g. the PXQL
-            interpreter's statement spans).
+            interpreter's statement spans).  It must be enabled: the
+            node spans it links are the execution's record.
         metrics: metrics registry (own instance if omitted).  Operator
             latency histograms and objects-scanned totals land here;
             during execution it is also the ambient registry for the
@@ -217,12 +186,13 @@ class Engine:
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
+        if tracer is not None and not tracer.enabled:
+            raise ValueError(
+                "Engine needs an enabled Tracer: a disabled one links no "
+                "node spans, and they are the execution's record"
+            )
         self.database = database
         self.absint = absint
-        #: When set (``EXPLAIN ANALYZE`` / ``PROFILE``), observed
-        #: cardinalities and probabilities are checked against the
-        #: certificate's intervals after every execution.
-        self.absint_verify = False
         self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cost = CostModel(database)
@@ -343,33 +313,30 @@ class Engine:
 
     def _skip_execution(
         self, plan: PlanNode, certificate: PlanCertificate
-    ) -> tuple[object, NodeStats]:
+    ) -> tuple[object, Span]:
         """Serve a certified constant-empty result without executing."""
         assert certificate.kind in _SKIP_RESULTS
         self.metrics.counter("check.absint_skips").inc()
         with self.tracer.span(
-            f"engine.node.{plan.label()}", strategy="absint",
+            f"{NODE_SPAN}{plan.label()}", strategy="absint",
         ) as span:
             value = _SKIP_RESULTS[certificate.kind]()
-        stats = NodeStats(
-            plan.label(), wall_s=span.wall_s, strategy="absint",
-            extra={"absint": "empty"}, span=span,
-        )
-        return value, stats
+        return value, span
 
     def _verify_certificate(
         self,
         certificate: PlanCertificate | None,
         value: object,
-        stats: NodeStats,
+        span: Span,
     ) -> tuple[str, ...]:
-        """Runtime soundness check: observations must lie in intervals."""
-        if certificate is None or not self.absint_verify:
+        """Runtime soundness check: the node spans' observations must lie
+        in the certificate's intervals."""
+        if certificate is None:
             return ()
         from repro.check.absint import verify_execution
 
         try:
-            violations = tuple(verify_execution(certificate, value, stats))
+            violations = tuple(verify_execution(certificate, value, span))
         except Exception as exc:
             self._absint_error(exc)
             return ()
@@ -403,14 +370,14 @@ class Engine:
                     self._certify(plan, generation) if accelerated else None
                 )
                 if certificate is not None and certificate.skippable:
-                    value, stats = self._skip_execution(plan, certificate)
+                    value, span = self._skip_execution(plan, certificate)
                 else:
-                    value, stats = self._run(plan, generation, accelerated)
-            violations = self._verify_certificate(certificate, value, stats)
+                    value, span = self._run(plan, generation, accelerated)
+            violations = self._verify_certificate(certificate, value, span)
             self.metrics.counter("engine.executions").inc()
             self.metrics.histogram("engine.execute_s").observe(root.wall_s)
         return ExecutionResult(
-            value, plan, stats, certificate=certificate, violations=violations,
+            value, plan, span, certificate=certificate, violations=violations,
         )
 
     def execute_statement(self, statement: "ast.Statement") -> ExecutionResult:
@@ -424,7 +391,7 @@ class Engine:
 
     def _run(
         self, node: PlanNode, generation: int, accelerated: bool
-    ) -> tuple[object, NodeStats]:
+    ) -> tuple[object, Span]:
         budget = current_budget()
         if budget is not None:
             # Cooperative guardrail: deadline / node-evaluation limits
@@ -432,7 +399,7 @@ class Engine:
             budget.tick_node(node.label())
 
         if isinstance(node, ScanNode):
-            with self.tracer.span(f"engine.node.{node.label()}") as span:
+            with self.tracer.span(f"{NODE_SPAN}{node.label()}") as span:
                 # The name's token under this statement's generation
                 # first: a foreign save of the name is observed (one
                 # epoch comparison when not behind) before it is read.
@@ -440,22 +407,18 @@ class Engine:
                 pi = self.database.get(node.name)
                 span.attributes["objects"] = len(pi)
             self.metrics.counter("engine.objects_scanned").inc(len(pi))
-            stats = NodeStats(
-                node.label(), wall_s=span.wall_s, objects=len(pi), span=span,
-            )
-            return pi, stats
+            return pi, span
 
-        with self.tracer.span(f"engine.node.{node.label()}") as span:
-            child_results = [
-                self._run(child, generation, accelerated)
+        with self.tracer.span(f"{NODE_SPAN}{node.label()}") as span:
+            inputs = [
+                self._run(child, generation, accelerated)[0]
                 for child in node.children()
             ]
-            inputs = [value for value, _stats in child_results]
             with self.tracer.span(
                 "engine.apply", operator=type(node).__name__
             ) as apply_span:
-                value, strategy, extra = self._apply(
-                    node, inputs, generation, accelerated
+                value, strategy = self._apply(
+                    node, inputs, generation, accelerated, span
                 )
             span.attributes["strategy"] = strategy
             if isinstance(value, ProbabilisticInstance):
@@ -465,22 +428,15 @@ class Engine:
         ).observe(apply_span.wall_s)
         if budget is not None and isinstance(value, ProbabilisticInstance):
             budget.charge_objects(len(value), node.label())
-        stats = NodeStats(
-            node.label(),
-            wall_s=span.wall_s,
-            objects=len(value) if isinstance(value, ProbabilisticInstance) else None,
-            strategy=strategy,
-            extra=dict(extra),
-            children=[child_stats for _v, child_stats in child_results],
-            span=span,
-        )
-        stats.extra.setdefault("operator_s", apply_span.wall_s)
-        return value, stats
+        return value, span
 
     def _apply(
         self, node: PlanNode, inputs: list, generation: int,
-        accelerated: bool,
-    ) -> tuple[object, str, dict]:
+        accelerated: bool, span: Span,
+    ) -> tuple[object, str]:
+        """``(value, strategy)`` of one operator over its inputs; a
+        selection writes its condition probability onto ``span``, the
+        node's."""
         if isinstance(node, (ProjectNode, QueryNode)):
             (pi,) = inputs
 
@@ -522,13 +478,11 @@ class Engine:
             check_probability_guard(
                 selection.probability, node.prob_op, node.prob_bound
             )
-            return selection.instance, "local", {
-                "condition_probability": selection.probability,
-            }
+            span.attributes["condition_probability"] = selection.probability
+            return selection.instance, "local"
         if isinstance(node, ProductNode):
             left, right = inputs
-            product = cartesian_product(left, right, node.new_root)
-            return product, "local", {}
+            return cartesian_product(left, right, node.new_root), "local"
         raise PlanError(f"cannot execute {type(node).__name__}")
 
     def _strategy(
@@ -570,7 +524,7 @@ class Engine:
         node: ProjectNode | QueryNode,
         pi: ProbabilisticInstance,
         col: ColumnarInstance,
-    ) -> tuple[object, str, dict]:
+    ) -> tuple[object, str]:
         """Evaluate a path operator over a scanned tree: the match, the
         parent pointers and the memoised root-chain products
         (:meth:`ColumnarInstance.reach`) come from the snapshot and feed
@@ -591,7 +545,7 @@ class Engine:
         if isinstance(node, ProjectNode):
             sweep = epsilon_pass(pi, node.path, match=match(), assume_tree=True)
             projected = instance_from_epsilon_pass(pi, node.path, sweep)
-            return projected, "indexed", {"index": "columnar"}
+            return projected, "indexed"
 
         # The ``query.<kind>`` span and counters are the contract the
         # walked QueryEngine established, so traces and PROFILE stay
@@ -619,7 +573,7 @@ class Engine:
                 )
         self.metrics.counter(f"query.{node.kind}").inc()
         self.metrics.histogram("query.wall_s").observe(qspan.wall_s)
-        return value, "indexed", {"index": "columnar"}
+        return value, "indexed"
 
     def _measure(
         self, source: PlanNode, pi: ProbabilisticInstance, generation: int
@@ -638,14 +592,18 @@ class Engine:
     def _apply_walked(
         self, node: ProjectNode | QueryNode, pi: ProbabilisticInstance,
         strategy: str,
-    ) -> tuple[object, str, dict]:
-        """The walked path operators, under the strategy decided."""
+    ) -> tuple[object, str]:
+        """The walked path operators, under the strategy decided.  A
+        sampled answer is seeded by the plan's fingerprint, so every
+        process gives the same one."""
         if isinstance(node, ProjectNode):
-            projected = _PROJECTION_OPERATORS[node.kind](pi, node.path)
-            return projected, strategy, {}
+            return _PROJECTION_OPERATORS[node.kind](pi, node.path), strategy
         if node.kind == "dist":
-            return match_count_distribution(pi, node.path), strategy, {}
-        engine = QueryEngine(pi, strategy=strategy)
+            return match_count_distribution(pi, node.path), strategy
+        engine = QueryEngine(
+            pi, strategy=strategy,
+            seed=zlib.crc32(fingerprint(node).encode()),
+        )
         if node.kind == "point":
             value = engine.point(node.path, node.oid)
         elif node.kind == "exists":
@@ -656,7 +614,7 @@ class Engine:
             value = engine.chain(list(node.chain))
         else:  # "prob"
             value = engine.object_exists(node.oid)
-        return value, engine.strategy, dict(engine.stats)
+        return value, engine.strategy
 
     # ------------------------------------------------------------------
     # Reporting
@@ -672,16 +630,16 @@ class Engine:
         return "\n".join(lines)
 
     def explain_analyze(self, result: ExecutionResult) -> str:
-        """Render an executed plan with per-node measurements."""
-        lines = _render_stats(result.stats)
+        """Render an executed plan: its node spans, as ``PROFILE`` does,
+        then the certificate and what the spans showed against it."""
+        lines = [render_span_tree(result.span)]
         if result.certificate is not None:
             lines.append(_certificate_line(result.certificate))
-            if self.absint_verify:
-                lines.append(
-                    "absint violations: "
-                    + (", ".join(result.violations)
-                       if result.violations else "none")
-                )
+            lines.append(
+                "absint violations: "
+                + (", ".join(result.violations)
+                   if result.violations else "none")
+            )
         return "\n".join(lines)
 
 
@@ -722,21 +680,6 @@ def condition_of(node: SelectNode):
     if node.value is not None:
         return ObjectValueCondition(node.path, node.oid, node.value)
     return ObjectCondition(node.path, node.oid)
-
-
-def _tree_lines(render_node, children_of, root) -> list[str]:
-    lines = [render_node(root)]
-
-    def recurse(node, prefix: str) -> None:
-        children = children_of(node)
-        for index, child in enumerate(children):
-            last = index == len(children) - 1
-            branch = "└─ " if last else "├─ "
-            lines.append(prefix + branch + render_node(child))
-            recurse(child, prefix + ("   " if last else "│  "))
-
-    recurse(root, "")
-    return lines
 
 
 def _card_text(card: CardInterval) -> str:
@@ -793,22 +736,5 @@ def _render_plan(
             details.append(f"strategy={strategy}")
         return f"{node.label()}  ({', '.join(details)})"
 
-    return _tree_lines(render, lambda node: node.children(), plan)
+    return _tree_lines(plan, render, lambda node: node.children())
 
-
-def _render_stats(stats: NodeStats) -> list[str]:
-    def render(node: NodeStats) -> str:
-        details = [f"{node.wall_s * 1e3:.3f} ms"]
-        if node.objects is not None:
-            details.append(f"{node.objects} objects")
-        if node.strategy is not None:
-            details.append(f"strategy={node.strategy}")
-        if "condition_probability" in node.extra:
-            details.append(
-                f"P(condition)={node.extra['condition_probability']:.6g}"
-            )
-        if "stderr" in node.extra:
-            details.append(f"stderr={node.extra['stderr']:.3g}")
-        return f"{node.label}  ({', '.join(details)})"
-
-    return _tree_lines(render, lambda node: node.children, stats)

@@ -3,7 +3,8 @@
 Two audiences, two formats:
 
 * :func:`render_span_tree` / :func:`render_metrics` — human-readable
-  text, the format ``PROFILE`` and ``python -m repro.obs trace`` print;
+  text, the format ``PROFILE``, ``EXPLAIN ANALYZE`` and
+  ``python -m repro.obs trace`` print;
 * :func:`spans_to_jsonl` / :func:`write_spans_jsonl` and
   :func:`metrics_to_json` / :func:`write_metrics_json` — JSON (one
   object per span, flattened, children by id; one object per
@@ -14,29 +15,45 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracing import Span
+
+T = TypeVar("T")
 
 
 # ----------------------------------------------------------------------
 # Text
 # ----------------------------------------------------------------------
 def _tree_lines(
-    root: Span, render: Callable[[Span], str]
+    root: T, render: Callable[[T], str], children_of: Callable[[T], Sequence[T]]
 ) -> list[str]:
+    """``root`` and its descendants, one rendered line each, indented
+    as a tree (span trees here, ``EXPLAIN``'s plan in the executor)."""
     lines = [render(root)]
 
-    def recurse(span: Span, prefix: str) -> None:
-        for index, child in enumerate(span.children):
-            last = index == len(span.children) - 1
+    def recurse(node: T, prefix: str) -> None:
+        children = children_of(node)
+        for index, child in enumerate(children):
+            last = index == len(children) - 1
             branch = "└─ " if last else "├─ "
             lines.append(prefix + branch + render(child))
             recurse(child, prefix + ("   " if last else "│  "))
 
     recurse(root, "")
     return lines
+
+
+#: The name prefix of the span the executor opens for each plan node.
+NODE_SPAN = "engine.node."
+
+
+def node_spans(root: Span) -> list[Span]:
+    """The plan-node spans of a tree, pre-order: an execution's per-node
+    record (``strategy``, ``objects``, a selection's
+    ``condition_probability``), in the order of the plan's nodes."""
+    return [span for span in root.walk() if span.name.startswith(NODE_SPAN)]
 
 
 def render_span(span: Span) -> str:
@@ -57,7 +74,9 @@ def render_span(span: Span) -> str:
 
 def render_span_tree(root: Span) -> str:
     """The whole span tree as an indented text block."""
-    return "\n".join(_tree_lines(root, render_span))
+    return "\n".join(
+        _tree_lines(root, render_span, lambda span: span.children)
+    )
 
 
 def render_metrics(registry: MetricsRegistry) -> str:

@@ -101,8 +101,9 @@ class Tracer:
     """Collects span trees; at most ``capacity`` finished roots are kept.
 
     Args:
-        enabled: when off, :meth:`span` still yields a usable span (so
-            instrumented code never branches) but records nothing.
+        enabled: when off, :meth:`span` still yields a usable, timed
+            span (so instrumented code never branches) but links and
+            keeps nothing.
         capacity: ring-buffer size for finished root spans.
     """
 
@@ -137,10 +138,10 @@ class Tracer:
         the exception propagates.
         """
         span = Span(name=name, attributes=dict(attributes))
-        if not self.enabled:
-            yield span
-            return
-        stack = self._stack
+        # A disabled tracer still times the span it yields (its caller
+        # reads ``wall_s``) but neither links nor keeps it.
+        enabled = self.enabled
+        stack = self._stack if enabled else []
         parent = stack[-1] if stack else None
         if parent is not None:
             span.parent_id = parent.span_id
@@ -158,7 +159,7 @@ class Tracer:
             stack.pop()
             if parent is not None:
                 parent.children.append(span)
-            else:
+            elif enabled:
                 with self._lock:
                     self._finished.append(span)
 

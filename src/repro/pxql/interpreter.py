@@ -415,11 +415,8 @@ class Interpreter:
         if not stmt.analyze:
             text = self.engine.explain(plan)
             return Result(text, None, text)
-        with self._verified_execution():
-            execution, name = self._evaluate(inner)
-            # Rendered inside the scope: explain_analyze only prints the
-            # violations line while verification is on.
-            text = self.engine.explain_analyze(execution)
+        execution, name = self._evaluate(inner)
+        text = self.engine.explain_analyze(execution)
         if not isinstance(execution.value, ProbabilisticInstance):
             text += f"\nresult: {execution.value}"
         elif name is not None:
@@ -454,22 +451,6 @@ class Interpreter:
         except Exception:
             return []
 
-    @contextmanager
-    def _verified_execution(self) -> Iterator[None]:
-        """Turn on runtime certificate verification for one execution.
-
-        Under ``EXPLAIN ANALYZE`` / ``PROFILE`` the engine checks every
-        observed cardinality and probability against the absint
-        certificate's intervals; violations land in the
-        ``check.absint_violations`` counter and the execution result.
-        """
-        previous = self.engine.absint_verify
-        self.engine.absint_verify = True
-        try:
-            yield
-        finally:
-            self.engine.absint_verify = previous
-
     # ------------------------------------------------------------------
     # PROFILE: execute and return the span tree
     # ------------------------------------------------------------------
@@ -488,7 +469,7 @@ class Interpreter:
             "pxql.profile",
             kind=type(inner).__name__,
             statement=self._subject or type(inner).__name__,
-        ) as root, self._verified_execution():
+        ) as root:
             try:
                 inner_result = handler(inner)
             except BudgetExceeded as exc:
@@ -596,7 +577,7 @@ def _describe(
     if isinstance(stmt, ast.SelectStatement):
         return (f"selection [{condition_of(plan_statement(stmt))}] -> {name} "
                 f"(condition probability "
-                f"{execution.condition_probability:.6g})")
+                f"{execution.span.attributes['condition_probability']:.6g})")
     if isinstance(stmt, ast.ProductStatement):
         return (f"product of {stmt.left} and {stmt.right} -> {name} "
                 f"({len(value)} objects)")

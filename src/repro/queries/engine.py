@@ -41,13 +41,12 @@ class QueryEngine:
     Every query runs inside a ``query.<kind>`` span on the ambient
     tracer (:func:`repro.obs.tracing.current_tracer`), so standalone use
     reports into the global tracer and engine-driven use nests under the
-    executor's plan-node spans.  The span-backed measurement also feeds
-    :attr:`stats`: the strategy actually used, the query kind, the wall
-    time, and — under the ``sample`` strategy — the sample count and the
-    estimate's standard error.  The plan executor and PXQL's
-    ``EXPLAIN ANALYZE`` / ``PROFILE`` surface this per query node, and
-    the ambient metrics registry counts queries per kind
-    (``query.<kind>``) with a ``query.wall_s`` latency histogram.
+    executor's plan-node spans.  The span is the query's record: the
+    strategy actually used, its wall time, and — under the ``sample``
+    strategy — the sample count and the estimate's standard error
+    (``samples`` / ``stderr``), which PXQL's ``EXPLAIN ANALYZE`` /
+    ``PROFILE`` print.  The ambient metrics registry counts queries per
+    kind (``query.<kind>``) with a ``query.wall_s`` latency histogram.
     """
 
     def __init__(
@@ -67,19 +66,11 @@ class QueryEngine:
         self.strategy = strategy
         self.samples = samples
         self.seed = seed
-        self.stats: dict[str, object] = {}
         self._bn: PXMLBayesianNetwork | None = None
         self._global: GlobalInterpretation | None = None
 
     def _record(self, query: str, span: Span, extra: dict | None = None) -> None:
-        self.stats = {
-            "query": query,
-            "strategy": self.strategy,
-            "wall_s": span.wall_s,
-        }
-        if extra:
-            self.stats.update(extra)
-            span.attributes.update(extra)
+        span.attributes.update(extra or {})
         registry = current_registry()
         registry.counter(f"query.{query}").inc()
         registry.histogram("query.wall_s").observe(span.wall_s)

@@ -643,3 +643,62 @@ def test_one_fail_open():
     if hasattr(Interpreter, "fallbacks") or hasattr(Interpreter(), "fallbacks"):
         problems.append("Interpreter.fallbacks exists")
     assert not problems, "\n".join(problems)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def test_one_execution_record():
+    """The ``engine.node.<label>`` span is the per-node statistic.
+
+    An execution is recorded once, as spans: no ``NodeStats`` tree
+    beside them (the name appears nowhere under ``src/repro``), no
+    ``QueryEngine.stats`` dict copied out of the ``query.<kind>`` span,
+    no dataclass under ``repro.engine`` or ``repro.queries`` with a
+    ``wall_s`` field of its own, and one tree drawing — ``_tree_lines``
+    in ``obs/export.py`` — for ``EXPLAIN``, ``EXPLAIN ANALYZE`` and
+    ``PROFILE``.
+    """
+    problems = []
+    for file in sorted(pathlib.Path("src/repro").rglob("*.py")):
+        path = file.as_posix()
+        for node in ast.walk(ast.parse(file.read_text(encoding="utf-8"))):
+            names = [
+                getattr(node, "id", None), getattr(node, "attr", None),
+                getattr(node, "name", None),
+            ]
+            if isinstance(node, ast.Constant):
+                names.append(node.value)
+            if "NodeStats" in names:
+                problems.append(f"{path}:{getattr(node, 'lineno', '?')}: NodeStats")
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name == "_tree_lines"
+                and path != "src/repro/obs/export.py"
+            ):
+                problems.append(f"{path}:{node.lineno}: def _tree_lines")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if node.name == "QueryEngine":
+                problems.extend(
+                    f"{path}:{target.lineno}: self.stats ="
+                    for assign in ast.walk(node)
+                    if isinstance(assign, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+                    for target in getattr(assign, "targets", [getattr(assign, "target", None)])
+                    if isinstance(target, ast.Attribute)
+                    and target.attr == "stats"
+                    and getattr(target.value, "id", None) == "self"
+                )
+            if path.startswith(("src/repro/engine/", "src/repro/queries/")) and _is_dataclass(node):
+                problems.extend(
+                    f"{path}:{item.lineno}: {node.name}.wall_s"
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign)
+                    and getattr(item.target, "id", None) == "wall_s"
+                )
+    assert not problems, "\n".join(problems)

@@ -260,7 +260,7 @@ class TestVerifyExecution:
         engine = _engine(database)
         result = engine.execute_plan(plan)
         assert verify_execution(result.certificate, result.value,
-                                result.stats) == []
+                                result.span) == []
 
     def test_tampered_result_interval_is_flagged(self, database):
         plan = QueryNode("exists", ScanNode("bib"),
@@ -268,7 +268,7 @@ class TestVerifyExecution:
         engine = _engine(database)
         result = engine.execute_plan(plan)
         bogus = dataclasses.replace(result.certificate, result=(0.0, 0.1))
-        violations = verify_execution(bogus, result.value, result.stats)
+        violations = verify_execution(bogus, result.value, result.span)
         assert violations and "outside certified" in violations[0]
 
     def test_shape_mismatch_skips_the_check(self, database):
@@ -278,11 +278,10 @@ class TestVerifyExecution:
         result = engine.execute_plan(plan)
         truncated = dataclasses.replace(
             result.certificate, facts=result.certificate.facts[:1])
-        assert verify_execution(truncated, result.value, result.stats) == []
+        assert verify_execution(truncated, result.value, result.span) == []
 
     def test_engine_verify_counter_stays_zero(self, database):
         engine = _engine(database)
-        engine.absint_verify = True
         for kind in KINDS:
             plan = _query_plan(kind, "bib", PathExpression("R", ("book",)),
                                oid="B1")
@@ -302,7 +301,7 @@ class TestEngineIntegration:
         result = engine.execute_plan(plan)
         assert result.value == 0.0
         assert engine.metrics.counter("check.absint_skips").value == 1
-        assert result.stats.strategy == "absint"
+        assert result.span.attributes["strategy"] == "absint"
 
     def test_absint_off_engine_never_skips(self, database):
         plan = QueryNode("count", ScanNode("bib"),
@@ -325,9 +324,9 @@ class TestEngineIntegration:
             plan = _query_plan(kind, "bib", dead, oid="B1")
             result = engine.execute_plan(plan)
             assert result.certificate.skippable
-            assert result.stats.strategy == "absint"
+            assert result.span.attributes["strategy"] == "absint"
             indexed = matched.execute_plan(plan)
-            assert indexed.stats.strategy == "indexed"
+            assert indexed.span.attributes["strategy"] == "indexed"
             assert indexed.value == result.value
             assert matched.execute_as_written(plan).value == result.value
         assert engine.metrics.counter("check.absint_skips").value == len(KINDS)
@@ -377,7 +376,6 @@ def test_corpus_answers_inside_certified_intervals(spec):
     database = Database()
     database.register("base", workload.instance)
     engine = _engine(database)
-    engine.absint_verify = True
     for kind in KINDS:
         plan = _query_plan(kind, "base", path, oid=oid)
         result = engine.execute_plan(plan)
@@ -389,7 +387,7 @@ def test_corpus_answers_inside_certified_intervals(spec):
         # the indexed answer and the walked one both lie inside it.
         for run in (result, engine.execute_as_written(plan)):
             answer = _scalar_answer(kind, run.value)
-            assert lo - TOL <= answer <= hi + TOL, (kind, run.stats.strategy)
+            assert lo - TOL <= answer <= hi + TOL, (kind, run.span.attributes["strategy"])
     assert engine.metrics.counter("check.absint_violations").value == 0
     assert engine.metrics.counter("check.absint_errors").value == 0
 
@@ -437,7 +435,6 @@ def test_property_interval_soundness(labeling, opf_kind, seed, kind,
     database = Database()
     database.register("base", workload.instance)
     engine = _engine(database)
-    engine.absint_verify = True
     plan = _query_plan(kind, "base", path, oid=oid)
     result = engine.execute_plan(plan)
     assert result.violations == ()

@@ -292,7 +292,6 @@ def test_certificates_hold_at_run_time(instance):
     database = Database()
     database.register("base", instance)
     engine = Engine(database, metrics=MetricsRegistry())
-    engine.absint_verify = True
     structural = _structural_paths(instance.weak.graph(), instance.root)
     for plan in _probe_plans(instance, structural):
         try:

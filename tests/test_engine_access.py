@@ -149,14 +149,14 @@ def test_access_methods_agree_on_every_generated_instance(instance, seed):
                     # Only a proof may answer where the algorithm
                     # does not apply: nothing matches, so {0: 1}.
                     assert skipped or (
-                        run.stats.strategy == "absint" and run.value == {0: 1.0}
+                        run.span.attributes["strategy"] == "absint" and run.value == {0: 1.0}
                     ), text
                     continue
-                assert written.stats.strategy != "indexed", text
+                assert written.span.attributes["strategy"] != "indexed", text
                 accelerated = engine.execute_plan(plan)
                 assert accelerated.plan == plan, text
-                if accelerated.stats.strategy != "absint":
-                    assert (accelerated.stats.strategy == "indexed") == is_tree
+                if accelerated.span.attributes["strategy"] != "absint":
+                    assert (accelerated.span.attributes["strategy"] == "indexed") == is_tree
                 assert_same_answer(accelerated.value, written.value, text)
                 assert_same_answer(
                     accelerated.value, evaluate_directly(database, text), text
@@ -344,7 +344,7 @@ def test_count_on_a_dag_equals_enumeration(seed):
     plan = plan_statement(parse("COUNT r.a.b IN d"))
     written = interpreter.engine.execute_as_written(plan)
     assert written.value == pytest.approx(expected, abs=TOL)
-    assert written.stats.strategy == "bayes"
+    assert written.span.attributes["strategy"] == "bayes"
     assert interpreter.metrics.value("resilience.fallbacks") == 0
 
     with pytest.raises(NonTreeInstanceError):
@@ -399,7 +399,7 @@ def test_empty_count_is_a_float_on_both_access_methods():
     plan = plan_statement(parse(path_statement("count", nothing)))
     indexed = engine.execute_plan(plan)
     walked = engine.execute_as_written(plan)
-    assert (indexed.stats.strategy, walked.stats.strategy) == \
+    assert (indexed.span.attributes["strategy"], walked.span.attributes["strategy"]) == \
         ("indexed", "local")
     for run in (indexed, walked):
         assert (type(run.value), run.value) == (float, 0.0)

@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.builder import InstanceBuilder
 from repro.engine import Engine, LRUCache, PlanBuilder
+from repro.obs.export import node_spans
+from repro.obs.tracing import Tracer, use_tracer
 from repro.pxql import Interpreter
 from repro.queries.engine import QueryEngine
 from repro.storage.database import Database, DatabaseError
@@ -175,13 +177,17 @@ class TestEngineResultCache:
         plan = PlanBuilder.scan("bib").select("R.x", "A").build()
         cold = engine.execute_plan(plan)
         warm = engine.execute_plan(plan)
-        shape = [(n.label, n.objects, n.strategy) for n in cold.stats.walk()]
-        assert [
-            (n.label, n.objects, n.strategy) for n in warm.stats.walk()
-        ] == shape
+        def shape(execution):
+            return [
+                (n.name, n.attributes.get("objects"),
+                 n.attributes.get("strategy"))
+                for n in node_spans(execution.span)
+            ]
+
+        assert shape(warm) == shape(cold)
         assert warm.value.objects == cold.value.objects
-        assert warm.condition_probability == pytest.approx(
-            cold.condition_probability
+        assert warm.span.attributes["condition_probability"] == pytest.approx(
+            cold.span.attributes["condition_probability"]
         )
         assert engine.metrics.value("engine.objects_scanned") == 2 * len(
             database.get("bib")
@@ -292,28 +298,34 @@ class TestInterpreterCaching:
 
 
 class TestQueryEngineStats:
+    """A query's record is its ``query.<kind>`` span."""
+
     def test_point_records_strategy_and_time(self):
         engine = QueryEngine(small_instance(), strategy="local")
-        engine.point("R.x", "A")
-        assert engine.stats["query"] == "point"
-        assert engine.stats["strategy"] == "local"
-        assert engine.stats["wall_s"] >= 0.0
+        with use_tracer(Tracer()) as tracer:
+            engine.point("R.x", "A")
+        span = tracer.last
+        assert span.name == "query.point"
+        assert span.attributes["strategy"] == "local"
+        assert span.wall_s >= 0.0
 
     def test_sample_records_count_and_stderr(self):
         engine = QueryEngine(small_instance(), strategy="sample",
                              samples=500, seed=7)
-        engine.exists("R.x")
-        assert engine.stats["samples"] == 500
-        assert engine.stats["stderr"] >= 0.0
+        with use_tracer(Tracer()) as tracer:
+            engine.exists("R.x")
+        assert tracer.last.attributes["samples"] == 500
+        assert tracer.last.attributes["stderr"] >= 0.0
 
     def test_each_query_kind_updates(self):
         engine = QueryEngine(small_instance(), strategy="local")
-        engine.exists("R.x")
-        assert engine.stats["query"] == "exists"
-        engine.chain(["R", "A"])
-        assert engine.stats["query"] == "chain"
-        engine.object_exists("A")
-        assert engine.stats["query"] == "object_exists"
+        with use_tracer(Tracer()) as tracer:
+            engine.exists("R.x")
+            assert tracer.last.name == "query.exists"
+            engine.chain(["R", "A"])
+            assert tracer.last.name == "query.chain"
+            engine.object_exists("A")
+            assert tracer.last.name == "query.object_exists"
 
 
 class TestCacheHitStatsRegression:

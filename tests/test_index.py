@@ -495,11 +495,10 @@ def test_engine_index_parity(spec):
     for kind, text in statements:
         plan = plan_statement(parse(text))
         indexed = engine.execute_plan(plan)
-        assert indexed.stats.strategy == "indexed", kind
-        assert indexed.stats.extra["index"] == "columnar", kind
+        assert indexed.span.attributes["strategy"] == "indexed", kind
         assert indexed.plan == plan, kind
         walked = engine.execute_as_written(plan)
-        assert walked.stats.strategy == "local", kind
+        assert walked.span.attributes["strategy"] == "local", kind
         assert_same_answer(indexed.value, walked.value, kind)
         assert_same_answer(
             indexed.value, evaluate_directly(engine.database, text), kind
@@ -516,10 +515,10 @@ def test_engine_indexed_projection_parity(spec):
     text = path_statement("project", path)
     plan = plan_statement(parse(text))
     indexed = engine.execute_plan(plan)
-    assert indexed.stats.strategy == "indexed"
+    assert indexed.span.attributes["strategy"] == "indexed"
     assert indexed.plan == plan
     walked = engine.execute_as_written(plan)
-    assert walked.stats.strategy == "local"
+    assert walked.span.attributes["strategy"] == "local"
     for reference in (walked.value, evaluate_directly(engine.database, text)):
         assert_same_answer(indexed.value, reference, text)
 
@@ -536,7 +535,7 @@ def test_engine_dag_stays_walked():
         text = _path_statements(path, None)[kind]
         plan = plan_statement(parse(text))
         execution = engine.execute_plan(plan)
-        assert execution.stats.strategy == "bayes", kind
+        assert execution.span.attributes["strategy"] == "bayes", kind
         assert_same_answer(
             execution.value, engine.execute_as_written(plan).value, kind
         )
@@ -561,7 +560,7 @@ def test_engine_unbuildable_snapshot_falls_back_to_the_walk(monkeypatch):
     monkeypatch.setattr(ColumnarInstance, "from_instance", classmethod(explode))
     execution = engine.execute_plan(plan)
     assert execution.value == pytest.approx(expected, abs=TOL)
-    assert execution.stats.strategy == "local"
+    assert execution.span.attributes["strategy"] == "local"
     assert registry.counter("index.fallbacks").value == 1
     assert registry.counter("index.builds").value == 0
     assert any(
@@ -594,7 +593,7 @@ def test_engine_skips_provably_unmatchable_paths():
     assert registry.counter("check.absint_skips").value == 4
     assert registry.counter("index.builds").value == 0
     assert exists.certificate.skippable
-    assert exists.stats.strategy == "absint"
+    assert exists.span.attributes["strategy"] == "absint"
 
     # Parity: with the proof off the indexed operator matches the path
     # and the run as written walks it; both agree on every constant.
@@ -620,7 +619,7 @@ def test_explain_shows_index_lowering():
         "EXPLAIN ANALYZE EXISTS R.book.author IN bib"
     )
     root = analyzed.text.splitlines()[0]
-    assert root.startswith("Query[exists R.book.author]")
+    assert root.startswith("engine.node.Query[exists R.book.author]")
     assert "strategy=indexed" in root
 
 

@@ -8,6 +8,7 @@ import pytest
 from repro.core.builder import InstanceBuilder
 from repro.engine import Engine
 from repro.errors import BudgetExceeded, FaultError, PXMLError
+from repro.obs.export import node_spans
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.paper import example52_instance, figure2_instance
 from repro.pxql.interpreter import Interpreter
@@ -325,7 +326,7 @@ class TestEngineDegradation:
         database.register("bib", _bib_tree())
         engine = Engine(database)
         plan = engine.plan_statement(parse(text))
-        assert engine.execute_plan(plan).stats.strategy == "indexed"
+        assert engine.execute_plan(plan).span.attributes["strategy"] == "indexed"
         calls = _break_snapshot_access(monkeypatch, engine)
 
         execution = engine.execute_plan(plan)
@@ -336,12 +337,16 @@ class TestEngineDegradation:
         assert len(calls) == 1
         assert engine.metrics.value("resilience.fallbacks") == 1
         assert engine.metrics.value("index.fallbacks") == 1
-        assert execution.stats.strategy != "indexed"
+        assert execution.span.attributes["strategy"] != "indexed"
         event = engine.tracer.last.find("resilience.fallback")
         assert "snapshot access exploded" in event.attributes["error"]
         walked = engine.execute_as_written(plan)
-        assert [(n.label, n.strategy) for n in execution.stats.walk()] == [
-            (n.label, n.strategy) for n in walked.stats.walk()
+        assert [
+            (n.name, n.attributes.get("strategy"))
+            for n in node_spans(execution.span)
+        ] == [
+            (n.name, n.attributes.get("strategy"))
+            for n in node_spans(walked.span)
         ]
 
         engine.execute_plan(plan)
