@@ -245,6 +245,8 @@ def _opaque_instance() -> _State:
 
 
 def _never_match_hint(site: Site, path: PathExpression) -> str | None:
+    if site.root is not None and path.root != site.root:
+        return f"a path starts at the root {site.root!r}, not at {path.root!r}"
     guide = site.guide_for(path)
     if guide is None:
         return None
@@ -701,7 +703,10 @@ class _AbstractInterpreter:
             return self._object_query(oid, site)
         path = node.path
         assert path is not None
-        alive = site.alive(path)
+        # A path starts at the instance root: one that names another
+        # object first matches nothing, whatever lies below that object.
+        below_root = site.root is not None and path.root != site.root
+        alive = frozenset() if below_root else site.alive(path)
         if alive is None:
             hi = child.card.hi
             return _State(

@@ -19,11 +19,13 @@ parity suites compare against is the operators themselves
 ``tests/helpers.py::evaluate_directly``).
 
 Ahead of it sits the *statement tier*, the one result cache: a bare
-read's outcome is kept under ``(text, check mode, catalog token of its
-source)`` — the key discipline of :meth:`Engine.cache_key` — and a
-repeat whose input has not moved is answered before parse, check, plan
-and certify.  Between statements the engine remembers nothing; the
-catalog is the only memory.
+read's outcome is kept under ``(text, check mode)``, stamped with the
+catalog token of the name it read (:class:`StatementTier`, one per
+catalog object), and a repeat whose input has not moved is answered
+before parse, check, plan and certify — by any interpreter over that
+catalog, or by a server admitting the request
+(:func:`answer_from_tier`).  Between statements the engine remembers
+nothing; the catalog is the only memory.
 
 Efficient algorithms are used on tree-structured instances; DAGs fall
 back to the exact Bayesian-network / global engines automatically.
@@ -32,20 +34,23 @@ back to the exact Bayesian-network / global engines automatically.
 from __future__ import annotations
 
 import copy
+import threading
+import weakref
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.check.diagnostics import ERROR, CheckError, Diagnostic, DiagnosticReport
 from repro.core.instance import ProbabilisticInstance
-from repro.engine.cache import LRUCache
+from repro.engine.cache import CacheStats, LRUCache
 from repro.engine.executor import Engine, ExecutionResult, condition_of
 from repro.engine.plan import plan_statement
 from repro.errors import BudgetExceeded, PXMLError
 from repro.obs.export import render_span_tree
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.slowlog import SlowQueryLog
-from repro.obs.tracing import Tracer, use_tracer
+from repro.obs.tracing import Span, Tracer, use_tracer
 from repro.pxql import ast
 from repro.pxql.parser import SpanMap, parse_memo
 from repro.render import render_distribution, render_instance
@@ -53,7 +58,12 @@ from repro.resilience.budget import Budget, current_budget, use_budget
 from repro.resilience.faults import fault_point
 from repro.semantics.global_interpretation import GlobalInterpretation
 from repro.storage.database import Database, DatabaseError
-from repro.storage.derived import cache_token, catalog_generation, reading_at
+from repro.storage.derived import (
+    Token,
+    cache_token,
+    catalog_generation,
+    reading_at,
+)
 
 _CHECK_MODES = ("error", "warn", "off")
 
@@ -98,6 +108,169 @@ def _unshared(result: Result) -> Result:
     if not isinstance(value, (float, int, str)):
         value = copy.deepcopy(value)
     return Result(value, result.instance_name, result.text)
+
+
+class _Answer(NamedTuple):
+    """One statement-tier entry: the statement as parsed (its
+    ``source`` is the one name it read), that name's catalog token when
+    it was answered, the checker's findings and the result."""
+
+    statement: ast.Statement
+    token: Token
+    diagnostics: tuple[Diagnostic, ...]
+    result: Result
+
+
+#: catalog object -> its statement tier (weak-keyed, as
+#: :meth:`repro.storage.derived.DerivedCache.of` keeps derived state).
+_tiers: weakref.WeakKeyDictionary[Database, StatementTier] = (
+    weakref.WeakKeyDictionary()
+)
+_tiers_lock = threading.Lock()
+
+
+class StatementTier:
+    """The one result cache: ``(text, check mode) -> _Answer`` of bare
+    reads, shared by everything that executes over one catalog object.
+
+    A probe is one lookup of the text as written — nothing is parsed.
+    Only an entry found costs a catalog read: it answers while the token
+    of the name it read is the one it was computed under (a kept answer
+    is reused only while the data it read is unchanged), and a moved
+    token is a miss.  A probe counts its hits; a miss is counted once,
+    by the interpreter that computes the read (:meth:`miss`), so a text
+    the tier never keeps counts nothing.  Each call counts into the
+    ``metrics`` and reports an isolated failure on the ``tracer`` of
+    whoever asked.
+    """
+
+    name = "pxql.cache.statements"
+
+    def __init__(self) -> None:
+        self._entries = LRUCache(_CACHE_SIZE, name=self.name)
+
+    @classmethod
+    def of(cls, database: Database) -> StatementTier:
+        """The tier every reader of ``database`` in this process shares
+        (a private one for a catalog that cannot be weakly referenced)."""
+        try:
+            with _tiers_lock:
+                tier = _tiers.get(database)
+                if tier is None:
+                    tier = _tiers[database] = cls()
+        except TypeError:
+            return cls()
+        return tier
+
+    def get(
+        self, database: Database, text: str, check: str,
+        tracer: Tracer, metrics: MetricsRegistry,
+    ) -> _Answer | None:
+        """The kept answer to ``text`` under ``check`` if the name it
+        read has not moved (hand out :func:`_unshared` of its result);
+        never fails a query — an error is a miss."""
+        try:
+            fault_point(f"{self.name}.get")
+            answer = self._entries.find((text, check))
+            if answer is None:
+                return None
+            source = answer.statement.source
+            token = cache_token(database, source, catalog_generation(database))
+        except DatabaseError:  # the name is gone: the slow path words it
+            return None
+        except Exception as exc:
+            self._error("get", exc, tracer, metrics)
+            return None
+        if token != answer.token:
+            return None
+        self._entries.record(hit=True)
+        metrics.counter(f"{self.name}.hits").inc()
+        return answer
+
+    def miss(self, metrics: MetricsRegistry) -> None:
+        """Count a read the tier could answer being computed."""
+        self._entries.record(hit=False)
+        metrics.counter(f"{self.name}.misses").inc()
+
+    def put(
+        self, text: str, check: str, answer: _Answer,
+        tracer: Tracer, metrics: MetricsRegistry,
+    ) -> None:
+        """Keep ``answer``, whose result no caller holds (never fails a
+        query: an error skips it)."""
+        try:
+            fault_point(f"{self.name}.put")
+            evicted = self._entries.put((text, check), answer)
+        except Exception as exc:
+            self._error("put", exc, tracer, metrics)
+            return
+        if evicted:
+            metrics.counter(f"{self.name}.evictions").inc(evicted)
+        metrics.gauge(f"{self.name}.size").set(len(self._entries))
+
+    def _error(
+        self, op: str, exc: Exception, tracer: Tracer, metrics: MetricsRegistry
+    ) -> None:
+        metrics.counter("resilience.cache_errors").inc()
+        tracer.event(
+            "resilience.cache_error", cache=self.name, op=op,
+            error=f"{type(exc).__name__}: {exc}",
+        )
+
+    @property
+    def stats(self) -> CacheStats:
+        return self._entries.stats
+
+
+@contextmanager
+def statement_span(
+    tracer: Tracer,
+    metrics: MetricsRegistry,
+    statement: ast.Statement,
+    label: str,
+    **attributes: object,
+) -> Iterator[Span]:
+    """The root ``pxql.statement`` span of one statement, with ``tracer``
+    and ``metrics`` ambient beneath it, and its counts once it
+    succeeded."""
+    with use_tracer(tracer), use_registry(metrics):
+        with tracer.span(
+            "pxql.statement",
+            kind=type(statement).__name__,
+            statement=label,
+            **attributes,
+        ) as span:
+            try:
+                yield span
+            except BaseException:
+                metrics.counter("pxql.errors").inc()
+                raise
+    metrics.counter("pxql.statements").inc()
+    metrics.histogram("pxql.statement_s").observe(span.wall_s)
+
+
+def _charge_hit(label: str) -> None:
+    """A hit is one node of the ambient budget (which may have expired)."""
+    budget = current_budget()
+    if budget is not None:
+        budget.tick_node(label)
+
+
+def answer_from_tier(
+    database: Database, text: str, check: str,
+    tracer: Tracer, metrics: MetricsRegistry,
+) -> Result | None:
+    """The statement tier's answer to ``text``, on the calling thread
+    under the ambient budget — or ``None``, with nothing parsed and
+    nothing computed.  How a server answers a repeated read where it
+    admits the request."""
+    answer = StatementTier.of(database).get(database, text, check, tracer, metrics)
+    if answer is None:
+        return None
+    label = text.strip()
+    with statement_span(tracer, metrics, answer.statement, label, cache="statement"):
+        _charge_hit(label)
+    return _unshared(answer.result)
 
 
 class Interpreter:
@@ -149,11 +322,8 @@ class Interpreter:
 
         self.script = ScriptTracker()
         self._parse = parse_memo()
-        #: The statement tier: ``key -> (diagnostics, Result)`` of bare
-        #: read statements (see :meth:`_statement_key` for the key).
-        self._statements = LRUCache(
-            _CACHE_SIZE, name="pxql.cache.statements", metrics=self.metrics
-        )
+        #: The statement tier of this catalog object (shared).
+        self._statements = StatementTier.of(self.database)
         self._spans: SpanMap | None = None
         self._subject: str | None = None
         #: WITH TIMEOUT seconds of the statement currently running
@@ -167,66 +337,46 @@ class Interpreter:
     # ------------------------------------------------------------------
     def execute(self, text: str) -> Result:
         """Parse and run one statement — or, for a repeated bare read
-        whose inputs have not moved, answer it from the statement tier."""
-        statement, spans = self._parse(text)
+        whose input has not moved, answer it from the statement tier
+        without parsing it."""
         subject = text.strip()
-        generation, key = self._statement_key(text, statement)
-        entry = self._tier_get(key) if key is not None else None
-        if entry is not None:
-            diagnostics, result = entry
-            if self.check != "off":
-                self.last_diagnostics = list(diagnostics)
-            with self._reported(statement, statement, subject,
-                                cache="statement"):
-                budget = current_budget()
-                if budget is not None:
-                    budget.tick_node(subject)
-            return _unshared(result)
+        tracer, metrics = self.tracer, self.metrics
+        # A deadline bypasses the tier.
+        if self._session_timeout_s is None:
+            answer = self._statements.get(
+                self.database, text, self.check, tracer, metrics
+            )
+            if answer is not None:
+                statement = answer.statement
+                if self.check != "off":
+                    self.last_diagnostics = list(answer.diagnostics)
+                with statement_span(tracer, metrics, statement, subject,
+                                    cache="statement") as span:
+                    _charge_hit(subject)
+                self._reported(statement, subject, subject, span)
+                return _unshared(answer.result)
+        statement, spans = self._parse(text)
+        generation, token = self._read(statement)
+        if token is not None:
+            self._statements.miss(metrics)
         # The checker and the engine see the catalog this read saw.
         with reading_at(self.database, generation):
             result = self.run(statement, spans, subject)
         # Every answer is kept: one the walked operator gave in place of
         # a failed accelerator is the reference answer.
-        if key is not None:
-            self._tier_put(
-                key, (tuple(self.last_diagnostics), _unshared(result))
-            )
+        if token is not None:
+            self._statements.put(text, self.check, _Answer(
+                statement, token, tuple(self.last_diagnostics), _unshared(result)
+            ), tracer, metrics)
         return result
 
-    def _tier_error(self, op: str, exc: Exception) -> None:
-        engine = self.engine
-        engine.metrics.counter("resilience.cache_errors").inc()
-        engine.tracer.event(
-            "resilience.cache_error", cache=self._statements.name, op=op,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-
-    def _tier_get(self, key: tuple):
-        """A statement-tier lookup that can never fail a query (errors =
-        miss)."""
-        try:
-            fault_point(f"{self._statements.name}.get")
-            return self._statements.get(key)
-        except Exception as exc:
-            self._tier_error("get", exc)
-            return None
-
-    def _tier_put(self, key: tuple, value) -> None:
-        """A statement-tier insert that can never fail a query (errors =
-        skip)."""
-        try:
-            fault_point(f"{self._statements.name}.put")
-            self._statements.put(key, value)
-        except Exception as exc:
-            self._tier_error("put", exc)
-
-    def _statement_key(
-        self, text: str, statement: ast.Statement
-    ) -> tuple[int | None, tuple | None]:
-        """``(generation, key)``: this request's one catalog read — the
+    def _read(
+        self, statement: ast.Statement
+    ) -> tuple[int | None, Token | None]:
+        """``(generation, token)``: this request's one catalog read — the
         checker and the engine are handed it — and, unless the tier must
         stay out (not a bare read, a session deadline, an unknown name),
-        the entry's key."""
+        the token of the name it reads."""
         if not isinstance(statement, _ENGINE_ROUTED):
             return None, None
         generation = catalog_generation(self.database)
@@ -238,7 +388,7 @@ class Interpreter:
             token = cache_token(self.database, statement.source, generation)
         except DatabaseError:  # the slow path words the error
             return generation, None
-        return generation, (text, self.check, ((statement.source, token),))
+        return generation, token
 
     def run(
         self,
@@ -272,35 +422,22 @@ class Interpreter:
                           if d.severity == ERROR]
                 if errors:
                     raise CheckError(errors)
-        with self._reported(original, statement, subject):
+        label = subject if subject is not None else type(statement).__name__
+        with statement_span(self.tracer, self.metrics, statement, label) as span:
             with self._budget_scope(timeout_s):
-                return handler(statement)
+                result = handler(statement)
+        self._reported(original, subject, label, span)
+        return result
 
-    @contextmanager
     def _reported(
         self,
         original: ast.Statement,
-        statement: ast.Statement,
         subject: str | None,
-        **attributes: object,
-    ) -> Iterator[None]:
-        """The root span of one statement, and what is reported once it
-        succeeded — however it was answered."""
-        label = subject if subject is not None else type(statement).__name__
-        with use_tracer(self.tracer), use_registry(self.metrics):
-            with self.tracer.span(
-                "pxql.statement",
-                kind=type(statement).__name__,
-                statement=label,
-                **attributes,
-            ) as span:
-                try:
-                    yield
-                except BaseException:
-                    self.metrics.counter("pxql.errors").inc()
-                    raise
-        self.metrics.counter("pxql.statements").inc()
-        self.metrics.histogram("pxql.statement_s").observe(span.wall_s)
+        label: str,
+        span: Span,
+    ) -> None:
+        """What is reported once a statement succeeded — however it was
+        answered."""
         self.slow_log.observe(label, span.wall_s, span)
         try:
             # Record the statement *as written* (wrappers included) so

@@ -30,7 +30,7 @@ This package turns the interpreter into a long-running service:
   draining on SIGTERM.
 
 The cross-process half of the story (catalog lock file + generation
-counter, generation-keyed statement tier) lives in
+counter, the token-stamped statement tier) lives in
 :mod:`repro.storage.locking` and ``Engine.cache_key``.
 ``docs/SERVER.md`` ties it together.
 """

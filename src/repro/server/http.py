@@ -41,9 +41,13 @@ draining, and after :data:`IDLE_TIMEOUT_S` without a complete request;
 for one.  While the transport has paused writing no request is framed,
 and past :data:`_READ_LIMIT` buffered bytes the connection stops reading.
 
-``/execute`` is answered straight from the backend future's done
-callback or by a ``timeout_s`` timer, whichever fires first — no task,
-loop future or thread per request.  The other routes run as one task
+``/execute`` is answered where it is framed when the backend's future
+comes back already resolved (a statement-tier hit, answered at
+admission): the reply is written inside the framing loop, with no timer
+and no thread hand-off, so a pipelined run of hits is answered in one
+pass.  Otherwise it is answered from the future's done callback or by a
+``timeout_s`` timer, whichever fires first — no task, loop future or
+thread per request.  The other routes run as one task
 per request; what blocks (``/health``, a sharded ``/metrics``, drain
 and stop) runs in the loop's default executor, so the loop itself
 never stalls.
@@ -396,7 +400,8 @@ class HttpFrontDoor:
     # Answering a framed request
     # ------------------------------------------------------------------
     def _serve(self, connection: _Connection, request: _Request) -> None:
-        """Answer ``/execute`` by completion callback, other routes as a task."""
+        """Answer ``/execute`` at once or by completion callback, other
+        routes as a task."""
         try:
             if request.path == "/execute" and request.method == "POST":
                 self._execute(connection, request)
@@ -426,6 +431,9 @@ class HttpFrontDoor:
             pending = self.backend.submit(statement)
         except Exception as exc:  # noqa: BLE001 - typed JSON transport
             connection.reply(*error_payload(exc), keep_alive)
+            return
+        if pending.done():  # answered at admission: _next's loop goes on
+            connection.reply(*_resolved_payload(pending), keep_alive)
             return
 
         def settle(resolved: bool) -> None:

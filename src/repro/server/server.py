@@ -22,15 +22,20 @@ The concurrency contract, piece by piece:
   query ends in a typed :class:`~repro.errors.BudgetExceeded` instead
   of occupying a worker forever;
 * **isolation** — each worker owns a private
-  :class:`~repro.pxql.interpreter.Interpreter` with its own statement
-  tier (fresh result names carry the worker's index and skip every name
-  the catalog already holds, so two ``PROJECT ...`` statements without
-  ``AS`` can never clash, nor replace a result saved by an earlier
-  run), while the database, tracer and metrics registry are shared and
-  thread-safe — and with the database the immutable, token-stamped
-  state derived from its instances (snapshots, dataguides, cost
-  measurements: one per name per catalog object, see
+  :class:`~repro.pxql.interpreter.Interpreter` (fresh result names
+  carry the worker's index and skip every name the catalog already
+  holds, so two ``PROJECT ...`` statements without ``AS`` can never
+  clash, nor replace a result saved by an earlier run), while the
+  database, tracer and metrics registry are shared and thread-safe —
+  and with the database its one statement tier
+  (:class:`~repro.pxql.interpreter.StatementTier`) and the immutable,
+  token-stamped state derived from its instances (snapshots,
+  dataguides, cost measurements: one per name per catalog object, see
   :meth:`repro.storage.derived.DerivedCache.of`);
+* **answers at admission** — :meth:`PXQLServer.submit` probes that
+  tier on the submitting thread, without parsing: a repeated read whose
+  input has not moved comes back as an already-resolved future and is
+  never queued; a miss is queued with nothing computed;
 * **shutdown** — :meth:`drain` stops admissions and waits for the
   queue and in-flight work to finish; :meth:`stop` then (or
   immediately, with ``drain=False``) resolves every still-queued
@@ -50,7 +55,8 @@ The concurrency contract, piece by piece:
   counters :meth:`health` exposes.
 
 Every submission is a :class:`concurrent.futures.Future`: the worker
-resolves it with the statement's :class:`Result` or its error, and
+(or, for a statement-tier hit, the admission) resolves it with the
+statement's :class:`Result` or its error, and
 :func:`wait` is the bounded wait both backends' ``execute`` use.
 
 See ``docs/SERVER.md`` for the full model.
@@ -73,7 +79,7 @@ from typing import Any, TypeVar
 from repro.errors import Overloaded, ServerError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
-from repro.pxql.interpreter import Interpreter, Result
+from repro.pxql.interpreter import Interpreter, Result, answer_from_tier
 from repro.resilience.budget import Budget, use_budget
 from repro.resilience.faults import fault_point
 from repro.storage.database import Database
@@ -155,9 +161,12 @@ class PXQLServer:
             stacks keep the trees untangled); own instance if omitted.
         metrics: registry shared by all workers; own instance if omitted.
         interpreter_factory: builds one interpreter per worker (index →
-            interpreter); the default builds :class:`Interpreter` s
-            sharing ``database``/``tracer``/``metrics`` with
-            worker-prefixed fresh names.
+            interpreter) when the server starts; the default builds
+            :class:`Interpreter` s sharing ``database``/``tracer``/
+            ``metrics`` with worker-prefixed fresh names.  Whatever it
+            builds shares the statement tier of its catalog object;
+            admission probes it under the first worker's catalog and
+            check mode.
         name: thread-name prefix, for debuggability.
     """
 
@@ -192,6 +201,7 @@ class PXQLServer:
         # under the state lock, so stop() can always add one ``None``
         # per worker to release it.
         self._queue: queue.Queue[_Request | None] = queue.Queue()
+        self._interpreters: list[Interpreter] = []
         self._threads: list[threading.Thread] = []
         self._state = _NEW
         self._state_lock = threading.Lock()
@@ -216,16 +226,22 @@ class PXQLServer:
 
     def start(self) -> "PXQLServer":
         """Spawn the worker pool; admissions open immediately."""
+        # Built before the state lock is taken: a factory may probe the
+        # server.
+        interpreters = [
+            self._interpreter_factory(index) for index in range(self.workers)
+        ]
         with self._state_lock:
             if self._state != _NEW:
                 raise ServerError(
                     f"server cannot start from state {self._state!r}"
                 )
+            self._interpreters = interpreters
             self._state = _RUNNING
-        for index in range(self.workers):
+        for index, interpreter in enumerate(self._interpreters):
             thread = threading.Thread(
                 target=self._worker_loop,
-                args=(index,),
+                args=(interpreter,),
                 name=f"{self.name}-worker-{index}",
                 daemon=True,
             )
@@ -343,7 +359,11 @@ class PXQLServer:
     def submit(
         self, text: str, budget: Budget | None = None
     ) -> Future[Result]:
-        """Admit one statement; returns the future its worker resolves.
+        """Admit one statement; returns the future that answers it.
+
+        A repeated read the statement tier can answer is answered here,
+        on the calling thread, and comes back resolved; anything else is
+        queued for a worker, with nothing computed.
 
         Raises :class:`Overloaded` — and only :class:`Overloaded` — when
         the request cannot be admitted: ``reason="queue_full"`` under
@@ -352,6 +372,11 @@ class PXQLServer:
         """
         if budget is None and self._budget_factory is not None:
             budget = self._budget_factory()
+        with self._state_lock:
+            self._admitting()
+        answered = self._answered(text, budget)
+        if answered is not None:
+            return answered
         request = _Request(text, budget)
         # The state check and the enqueue are one atomic step: checking
         # under the lock, releasing it, and then putting would leave a
@@ -362,15 +387,7 @@ class PXQLServer:
         # that observed "running" is in the queue before stop() can
         # transition the state, and therefore before its sweep.
         with self._state_lock:
-            state = self._state
-            if state == _NEW:
-                raise ServerError("server not started (call start())")
-            if state != _RUNNING:
-                self.metrics.counter("server.rejected").inc()
-                raise Overloaded(
-                    f"server is {state}; not accepting requests",
-                    reason="draining" if state == _DRAINING else "stopped",
-                )
+            self._admitting()
             fault_point("server.submit.enqueue")
             depth = self._queue.qsize()
             if depth >= self._queue_size:
@@ -384,6 +401,48 @@ class PXQLServer:
         self.metrics.counter("server.submitted").inc()
         self.metrics.gauge("server.queue_depth").set(float(depth + 1))
         return request.future
+
+    def _admitting(self) -> None:
+        """Raise unless admissions are open (caller holds the state lock)."""
+        state = self._state
+        if state == _NEW:
+            raise ServerError("server not started (call start())")
+        if state != _RUNNING:
+            self.metrics.counter("server.rejected").inc()
+            raise Overloaded(
+                f"server is {state}; not accepting requests",
+                reason="draining" if state == _DRAINING else "stopped",
+            )
+
+    def _answered(
+        self, text: str, budget: Budget | None
+    ) -> Future[Result] | None:
+        """The statement tier's answer as a resolved future, or ``None``
+        for a miss.  Counted as submitted and as completed (or failed:
+        the request's budget may have expired) before it is returned."""
+        probe = self._interpreters[0]
+        asked = (probe.database, text, probe.check, self.tracer, self.metrics)
+        result: Result | None = None
+        error: Exception | None = None
+        try:
+            if budget is None:
+                result = answer_from_tier(*asked)
+            else:
+                with use_budget(budget):
+                    result = answer_from_tier(*asked)
+        except Exception as exc:
+            error = exc
+        if result is None and error is None:
+            return None
+        future: Future[Result] = new_future()
+        self.metrics.counter("server.submitted").inc()
+        if result is not None:
+            self.metrics.counter("server.completed").inc()
+            future.set_result(result)
+        else:
+            self.metrics.counter("server.failed").inc()
+            future.set_exception(error)
+        return future
 
     def execute(
         self,
@@ -447,8 +506,7 @@ class PXQLServer:
     # ------------------------------------------------------------------
     # Workers
     # ------------------------------------------------------------------
-    def _worker_loop(self, index: int) -> None:
-        interpreter = self._interpreter_factory(index)
+    def _worker_loop(self, interpreter: Interpreter) -> None:
         # Blocks until a request or stop()'s ``None`` arrives: no poll.
         while (request := self._queue.get()) is not None:
             try:

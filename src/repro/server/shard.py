@@ -26,11 +26,14 @@ A dead shard answers every in-flight and future request with
 fixed while serving; :func:`~repro.server.layout.reshard` changes it
 offline.
 
-**Cache coherence.**  Each shard's statement tier is in memory and keys
-on a per-name ``(version, epoch)`` token (see ``Engine.cache_key``): a
-write by another process moves the epoch of the names it touched, so
-only entries scanning those names stop matching, and a restarted shard
-starts cold — no router-coordinated invalidation protocol is needed.
+**Cache coherence.**  Each shard has one statement tier, in memory and
+shared by its workers; it answers a repeated read where the shard
+admits it — the pipe thread replies with no worker hand-off — and only
+while the per-name ``(version, epoch)`` token of the name the read
+scanned is unchanged (see ``Engine.cache_key``): a write by another
+process moves the epoch of the names it touched, so only entries
+scanning those names stop matching, and a restarted shard starts cold —
+no router-coordinated invalidation protocol is needed.
 
 See ``docs/SERVER.md`` ("Sharding and the async front door").
 """
@@ -330,7 +333,8 @@ class ShardedServer:
         """Start a fresh process for one shard over its directory.
 
         The replacement re-opens the same catalog directory with an empty
-        statement tier: the first touch of each statement recomputes.
+        statement tier, which its workers share: the first touch of each
+        statement recomputes, once per shard.
         """
         self._check_index(index)
         handle = self._handles[index]

@@ -702,3 +702,111 @@ def test_one_execution_record():
                     and getattr(item.target, "id", None) == "wall_s"
                 )
     assert not problems, "\n".join(problems)
+
+
+def _methods(path: str) -> dict[str, ast.FunctionDef]:
+    """``Class.method`` / ``function`` -> its definition, in one module."""
+    found = {}
+    for node in ast.parse(pathlib.Path(path).read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef):
+            found[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    found[f"{node.name}.{item.name}"] = item
+    return found
+
+
+def _calls(function: ast.FunctionDef) -> list[tuple[int, str, str]]:
+    """``(line, called name, receiver)`` of each call in ``function``."""
+    return sorted(
+        (
+            node.lineno,
+            getattr(node.func, "attr", getattr(node.func, "id", "")),
+            ast.unparse(getattr(node.func, "value", node.func)),
+        )
+        for node in ast.walk(function) if isinstance(node, ast.Call)
+    )
+
+
+def test_one_admission():
+    """A repeated read is answered where it is admitted, from the one
+    statement tier of its catalog, without a parse.
+
+    ``PXQLServer.submit`` probes the tier (``_answered``, which asks
+    ``answer_from_tier``) before anything is put on ``_queue``; no
+    interpreter, worker or server has a tier of its own
+    (``StatementTier(`` is never called: ``StatementTier.of`` is the one
+    way to a tier, and ``Interpreter.__init__`` the one place that keeps
+    it); and nothing on the probe's path calls a parser — a miss costs
+    one lookup, and ``Interpreter.execute`` probes before it parses.
+    """
+    from unittest import mock
+
+    from repro.core.builder import InstanceBuilder
+    from repro.pxql.interpreter import Interpreter, StatementTier
+    from repro.pxql.parser import _Parser
+    from repro.server import PXQLServer
+    from repro.storage.database import Database
+
+    problems = []
+    server = _methods("src/repro/server/server.py")
+    interpreter = _methods("src/repro/pxql/interpreter.py")
+    cache = _methods("src/repro/engine/cache.py")
+    submit = _calls(server["PXQLServer.submit"])
+    probes = [line for line, name, _ in submit if name == "_answered"]
+    puts = [line for line, name, on in submit if name == "put" and on == "self._queue"]
+    if not probes or not puts or probes[0] > puts[0]:
+        problems.append("PXQLServer.submit does not probe the tier before _queue.put")
+    if "answer_from_tier" not in {name for _, name, _ in _calls(server["PXQLServer._answered"])}:
+        problems.append("PXQLServer._answered does not ask answer_from_tier")
+    probe_path = [
+        server["PXQLServer.submit"], server["PXQLServer._answered"],
+        interpreter["answer_from_tier"], interpreter["statement_span"],
+        interpreter["_charge_hit"], interpreter["StatementTier.get"],
+        cache["LRUCache.find"], cache["LRUCache.record"],
+    ]
+    for function in probe_path:
+        problems.extend(
+            f"{function.name}:{line}: {name}("
+            for line, name, _ in _calls(function)
+            if "parse" in name.lower() or "lex" in name.lower() or "tokenize" in name
+        )
+    execute = _calls(interpreter["Interpreter.execute"])
+    gets = [line for line, name, on in execute if name == "get" and on == "self._statements"]
+    parses = [line for line, name, _ in execute if name == "_parse"]
+    if not gets or not parses or gets[0] > parses[0]:
+        problems.append("Interpreter.execute parses before it probes the tier")
+    for file in sorted(pathlib.Path("src/repro").rglob("*.py")):
+        path = file.as_posix()
+        for node in ast.walk(ast.parse(file.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "StatementTier" == getattr(
+                node.func, "id", getattr(node.func, "attr", "")
+            ):
+                problems.append(f"{path}:{node.lineno}: StatementTier(")
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                if getattr(target, "attr", None) == "_statements" and not (
+                    path == "src/repro/pxql/interpreter.py"
+                    and ast.unparse(node.value) == "StatementTier.of(self.database)"
+                ):
+                    problems.append(f"{path}:{node.lineno}: {ast.unparse(node)}")
+
+    # The same at run time: every worker — a custom factory's too —
+    # holds its catalog's one tier, and a hit parses nothing.
+    builder = InstanceBuilder("R")
+    builder.children("R", "x", ["A"])
+    builder.opf("R", {("A",): 0.6, (): 0.4})
+    builder.leaf("A", "t", ["v"], {"v": 1.0})
+    database = Database()
+    database.register("bib", builder.build())
+    tier = StatementTier.of(database)
+    for factory in (None, lambda index: Interpreter(database)):
+        with PXQLServer(database=database, workers=2, interpreter_factory=factory) as pool:
+            if any(worker._statements is not tier for worker in pool._interpreters):
+                problems.append("a worker interpreter holds a tier of its own")
+            pool.execute("EXISTS R.x IN bib", timeout_s=10.0)
+            with mock.patch.object(_Parser, "parse", side_effect=AssertionError):
+                answered = pool.submit("EXISTS R.x IN bib")
+            if not answered.done() or answered.exception(0.0) is not None:
+                problems.append("a repeated read was not answered at admission")
+    assert not problems, "\n".join(problems)

@@ -211,6 +211,30 @@ class TestCertificates:
         assert certificate.skippable
         assert certificate.result == (0.0, 0.0)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_path_below_the_root_matches_nothing(self, kind):
+        """A path starts at the instance root: one that names another
+        object first (``B1.author`` over Figure 2) matches nothing, and
+        execution always answers 0 — the checker says so (PX240) and
+        certifies the interval (0, 0)."""
+        from repro.paper import figure2_instance
+
+        db = Database()
+        db.register("fig2", figure2_instance())
+        plan = _query_plan(kind, "fig2", PathExpression("B1", ("author",)),
+                           oid="A1")
+        assert certify_plan(plan, db).result == (0.0, 0.0)
+        assert "PX240" in codes(check_plan(plan, db))
+        text = {
+            "exists": "EXISTS B1.author IN fig2",
+            "count": "COUNT B1.author IN fig2",
+            "point": "POINT B1.author : A1 IN fig2",
+            "dist": "DIST B1.author IN fig2",
+        }[kind]
+        interpreter = Interpreter(db, check="warn")
+        assert _scalar_answer(kind, interpreter.execute(text).value) == 0.0
+        assert "PX240" in codes(interpreter.last_diagnostics)
+
     def test_px260_on_dead_query(self, database):
         plan = QueryNode("exists", ScanNode("bib"),
                          path=PathExpression("R", ("book", "movie")))

@@ -111,6 +111,48 @@ class TestLRUCacheContention:
             assert stats["gets"] == stats["hits"] + stats["misses"], name
 
 
+    def test_one_tier_under_admission_and_workers(self):
+        """One statement tier, probed by submitting threads at admission
+        and by pool workers (more than there are cores): every request
+        is answered with the reference, each bare read counts exactly
+        one hit or one miss, and the server's counters reconcile."""
+        import sys
+
+        from repro.server import PXQLServer
+
+        database = Database()
+        database.register("bib", figure2_instance())
+        reads = ["EXISTS R.book.author IN bib", "PROB B1 IN bib",
+                 "COUNT R.book IN bib", "CHAIN R.B1 IN bib"]
+        reference = Database()
+        reference.register("bib", figure2_instance())
+        expected = {text: Interpreter(reference).execute(text).value for text in reads}
+        rounds = 60
+        with PXQLServer(database=database, workers=4, queue_size=256) as server:
+
+            def submit(index: int) -> None:
+                for op in range(rounds):
+                    read = reads[(index + op) % len(reads)]
+                    # A deadline bypasses the tier.
+                    text = read + " WITH TIMEOUT 30" if op % 5 == 0 else read
+                    value = server.execute(text, timeout_s=30.0).value
+                    assert value == pytest.approx(expected[read])
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                errors = run_threads(6, submit)
+            finally:
+                sys.setswitchinterval(interval)
+            health = server.health()
+            stats = server._interpreters[0].cache_stats["statements"]
+        assert errors == []
+        assert health["submitted"] == health["completed"] == 6 * rounds
+        assert stats["gets"] == stats["hits"] + stats["misses"]
+        assert stats["gets"] == 6 * rounds * 4 // 5
+        assert stats["misses"] >= len(reads)
+
+
 # ----------------------------------------------------------------------
 # The catalog's shared columnar snapshot
 # ----------------------------------------------------------------------

@@ -406,10 +406,12 @@ class TestCacheHitStatsRegression:
 
     def test_seeded_nested_dict_hit_is_deep_copied(self, interp):
         from repro.pxql import parse
-        from repro.pxql.interpreter import Result
+        from repro.pxql.interpreter import Result, _Answer
 
-        _generation, key = interp._statement_key(self.DIST, parse(self.DIST))
-        interp._statements.put(key, ((), Result({"a": {"b": 1}}, None, "")))
+        token = cache_token(interp.database, "bib")
+        interp._statements.put(self.DIST, interp.check, _Answer(
+            parse(self.DIST), token, (), Result({"a": {"b": 1}}, None, "")
+        ), interp.tracer, interp.metrics)
         first = interp.execute(self.DIST).value
         first["a"]["b"] = 999                  # nested mutation
         assert interp.execute(self.DIST).value == {"a": {"b": 1}}
@@ -928,13 +930,15 @@ class TestOneTokenPerStatement:
         ) as server:
             sent = 0
             # Both workers must have run something: one after another,
-            # until each interpreter has answered a read.
+            # until each interpreter has run a statement.  (The two
+            # share one statement tier, which would answer a repeated
+            # bare read at admission: the filler carries a deadline.)
             while sent < len(statements) or not all(
-                i.cache_stats["statements"]["gets"] for i in interpreters
+                i.metrics.value("pxql.statements") for i in interpreters
             ):
                 server.execute(
                     statements[sent] if sent < len(statements)
-                    else f"COUNT o0.l0_{sent % 2} IN t",
+                    else f"COUNT o0.l0_{sent % 2} IN t WITH TIMEOUT 10",
                     timeout_s=10.0,
                 )
                 sent += 1

@@ -50,8 +50,13 @@ def database():
 
 
 @pytest.fixture()
-def reference(database):
-    return Interpreter(database=database).execute(QUERY).value
+def reference():
+    """QUERY's answer, computed over a catalog of its own: computed over
+    ``database``, it would sit in the statement tier the server under
+    test shares, and every QUERY would be answered at admission."""
+    db = Database()
+    db.register("bib", build_bib())
+    return Interpreter(database=db).execute(QUERY).value
 
 
 class _GatedInterpreter(Interpreter):
@@ -438,18 +443,117 @@ class TestProbes:
 
         # The handoff-fault branch resolves without executing; the one
         # worker is parked in a gated request while the callback lands.
+        # (Reads the statement tier does not hold yet: QUERY would now
+        # be answered at admission, never reaching a worker.)
         handoff = FaultInjector(FaultSpec(site="server.worker.handoff"))
         gate.clear()
         seen.clear()
         with gated_server(database, gate, metrics=metrics) as server:
-            parked = server.submit(QUERY)
+            parked = server.submit("PROB B1 IN bib")
             with handoff:
-                future = server.submit(QUERY)
+                future = server.submit("PROB B2 IN bib")
             future.add_done_callback(at_resolve("server.failed"))
             gate.set()
             concurrent.futures.wait([parked, future], timeout=10.0)
         assert handoff.fired("server.worker.handoff") == 1
         assert seen == {"server.failed": 2}
+
+
+class TestAdmission:
+    """A repeated read is answered where it is admitted: the statement
+    tier every worker shares is probed on the submitting thread, and a
+    hit comes back resolved without being queued."""
+
+    @staticmethod
+    def _hits(server):
+        return server.metrics.value("pxql.cache.statements.hits") or 0
+
+    def test_a_hit_is_answered_while_every_worker_is_parked(
+        self, database, reference
+    ):
+        with PXQLServer(database=database, workers=2, queue_size=4) as server:
+            assert server.execute(QUERY, timeout_s=10.0).value == (
+                pytest.approx(reference)
+            )
+            parked = FaultInjector(
+                FaultSpec(site="server.worker.handoff", kind="slow",
+                          delay_s=1.0, times=2)
+            )
+            with parked:
+                running = [server.submit(f"PROB B{n} IN bib") for n in (1, 2)]
+                deadline = time.monotonic() + 5.0
+                while parked.fired("server.worker.handoff") < 2:
+                    assert time.monotonic() < deadline, "workers never dequeued"
+                    time.sleep(0.002)
+                hit = server.submit(QUERY)
+                assert hit.done()
+                assert hit.result(0.0).value == pytest.approx(reference)
+                assert not any(future.done() for future in running)
+            for future in running:
+                future.result(10.0)
+            health = server.health()
+        assert self._hits(server) == 1
+        assert health["submitted"] == 4
+        assert health["completed"] + health["failed"] == 4
+
+    def test_counters_reconcile_with_hits_and_misses(self, database):
+        with PXQLServer(database=database, workers=2, queue_size=16) as server:
+            for _ in range(5):
+                server.execute(QUERY, timeout_s=10.0)
+            with pytest.raises(BudgetExceeded):
+                server.execute(QUERY, budget=Budget(max_node_evals=0),
+                               timeout_s=10.0)
+            with pytest.raises(Exception, match="missing"):
+                server.execute("EXISTS R.book.author IN missing",
+                               timeout_s=10.0)
+            health = server.health()
+        assert self._hits(server) == 5   # the fifth is the spent budget's
+        assert health["submitted"] == 7
+        assert health["completed"] == 5
+        assert health["failed"] == 2
+
+    def test_a_hit_charges_the_budget_it_carries(self, database):
+        with PXQLServer(database=database, workers=1) as server:
+            server.execute(QUERY, timeout_s=10.0)
+            budget = Budget(max_node_evals=5)
+            assert server.submit(QUERY, budget=budget).done()
+            assert budget.node_evals == 1
+
+    def test_a_hit_after_drain_is_refused(self, database):
+        server = PXQLServer(database=database, workers=1).start()
+        server.execute(QUERY, timeout_s=10.0)
+        assert server.submit(QUERY).done()
+        assert server.drain(timeout_s=10.0)
+        with pytest.raises(Overloaded) as draining:
+            server.submit(QUERY)
+        assert draining.value.reason == "draining"
+        assert server.stop(drain=False)
+        with pytest.raises(Overloaded) as stopped:
+            server.submit(QUERY)
+        assert stopped.value.reason == "stopped"
+        assert self._hits(server) == 1
+
+    def test_a_foreign_save_of_the_source_is_a_miss(self, tmp_path):
+        database = Database(tmp_path)
+        database.register("bib", build_bib())
+        database.save("bib")
+        sure = InstanceBuilder("R")
+        sure.children("R", "book", ["B1"])
+        sure.opf("R", {("B1",): 1.0})
+        sure.children("B1", "author", ["A1"])
+        sure.opf("B1", {("A1",): 1.0})
+        sure.leaf("A1", "name", ["x"], {"x": 1.0})
+        with PXQLServer(database=database, workers=1) as server:
+            before = server.execute(QUERY, timeout_s=10.0).value
+            assert server.submit(QUERY).done()
+            sibling = Database(tmp_path)
+            sibling.register("bib", sure.build(), replace=True)
+            sibling.save("bib")
+            after = server.execute(QUERY, timeout_s=10.0).value
+            assert server.submit(QUERY).result(0.0).value == after
+        assert before == pytest.approx(0.59)
+        assert after == pytest.approx(1.0)
+        assert self._hits(server) == 2
 
 
 class TestContextPropagation:

@@ -366,6 +366,41 @@ class TestPersistentConnections:
         statuses = [wire.reply()[0] for _ in range(3)]
         assert statuses == [200, 404, 200]
 
+    def test_pipelined_hits_are_answered_in_order_without_timers(
+        self, door, wire
+    ):
+        """2,000 pipelined requests for two cached reads, sent at once:
+        each comes back resolved from admission and is answered inside
+        the framing loop — in order, with no recursion, and with no
+        ``timeout_s`` timer armed for any of them."""
+        statements = (STABLE_QUERY, "PROB B1 IN bib")
+        for statement in statements:  # computed once, then kept
+            assert wire.exchange(
+                "POST", "/execute", {"statement": statement}
+            )[0] == 200
+        loop = door.loop
+        delays = []
+        armed = loop.call_later
+
+        def call_later(delay, *args, **kwargs):
+            delays.append(delay)
+            return armed(delay, *args, **kwargs)
+
+        _on_loop(door, lambda: setattr(loop, "call_later", call_later))
+        try:
+            wire.sock.sendall(b"".join(
+                _message("POST", "/execute", {"statement": statements[i % 2]})
+                for i in range(2000)
+            ))
+            replies = [wire.reply() for _ in range(2000)]
+        finally:
+            _on_loop(door, lambda: delattr(loop, "call_later"))
+        assert [status for status, _, _ in replies] == [200] * 2000
+        values = [body["result"]["value"] for _, _, body in replies]
+        assert values == [pytest.approx(0.59), pytest.approx(0.7)] * 1000
+        assert set(delays) <= {http_module.IDLE_TIMEOUT_S}
+        assert door.backend.metrics.value("pxql.cache.statements.hits") == 2000
+
     def test_connection_close_is_honoured(self, wire):
         status, headers, _ = wire.exchange(
             "POST", "/execute", {"statement": STABLE_QUERY},
