@@ -60,6 +60,7 @@ from repro.semantics.global_interpretation import GlobalInterpretation
 from repro.storage.database import Database, DatabaseError
 from repro.storage.derived import (
     Token,
+    Versioned,
     cache_token,
     catalog_generation,
     reading_at,
@@ -123,7 +124,7 @@ class _Answer(NamedTuple):
 
 #: catalog object -> its statement tier (weak-keyed, as
 #: :meth:`repro.storage.derived.DerivedCache.of` keeps derived state).
-_tiers: weakref.WeakKeyDictionary[Database, StatementTier] = (
+_tiers: weakref.WeakKeyDictionary[Versioned, StatementTier] = (
     weakref.WeakKeyDictionary()
 )
 _tiers_lock = threading.Lock()
@@ -150,7 +151,7 @@ class StatementTier:
         self._entries = LRUCache(_CACHE_SIZE, name=self.name)
 
     @classmethod
-    def of(cls, database: Database) -> StatementTier:
+    def of(cls, database: Versioned) -> StatementTier:
         """The tier every reader of ``database`` in this process shares
         (a private one for a catalog that cannot be weakly referenced)."""
         try:
@@ -163,7 +164,7 @@ class StatementTier:
         return tier
 
     def get(
-        self, database: Database, text: str, check: str,
+        self, database: Versioned, text: str, check: str,
         tracer: Tracer, metrics: MetricsRegistry,
     ) -> _Answer | None:
         """The kept answer to ``text`` under ``check`` if the name it
@@ -257,7 +258,7 @@ def _charge_hit(label: str) -> None:
 
 
 def answer_from_tier(
-    database: Database, text: str, check: str,
+    database: Versioned, text: str, check: str,
     tracer: Tracer, metrics: MetricsRegistry,
 ) -> Result | None:
     """The statement tier's answer to ``text``, on the calling thread

@@ -43,14 +43,14 @@ and past :data:`_READ_LIMIT` buffered bytes the connection stops reading.
 
 ``/execute`` is answered where it is framed when the backend's future
 comes back already resolved (a statement-tier hit, answered at
-admission): the reply is written inside the framing loop, with no timer
-and no thread hand-off, so a pipelined run of hits is answered in one
-pass.  Otherwise it is answered from the future's done callback or by a
-``timeout_s`` timer, whichever fires first — no task, loop future or
-thread per request.  The other routes run as one task
-per request; what blocks (``/health``, a sharded ``/metrics``, drain
-and stop) runs in the loop's default executor, so the loop itself
-never stalls.
+admission by a ``PXQLServer`` or by the sharded router): the reply is
+written inside the framing loop, with no timer and no thread hand-off,
+so a pipelined run of hits is answered in one pass.  Otherwise it is
+answered from the future's done callback or by a ``timeout_s`` timer,
+whichever fires first — no task, loop future or thread per request.
+The other routes run as one task per request; what blocks
+(``/health``, a sharded ``/metrics``, drain and stop) runs in the
+loop's default executor, so the loop itself never stalls.
 """
 
 from __future__ import annotations

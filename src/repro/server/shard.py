@@ -26,14 +26,24 @@ A dead shard answers every in-flight and future request with
 fixed while serving; :func:`~repro.server.layout.reshard` changes it
 offline.
 
-**Cache coherence.**  Each shard has one statement tier, in memory and
-shared by its workers; it answers a repeated read where the shard
-admits it — the pipe thread replies with no worker hand-off — and only
-while the per-name ``(version, epoch)`` token of the name the read
-scanned is unchanged (see ``Engine.cache_key``): a write by another
-process moves the epoch of the names it touched, so only entries
-scanning those names stop matching, and a restarted shard starts cold —
-no router-coordinated invalidation protocol is needed.
+**Cache coherence.**  A kept answer is reused only while the data it
+read is unchanged, and two statement tiers keep them.  The router's
+(:class:`~repro.pxql.interpreter.StatementTier` over :class:`_ShardsView`,
+its view of the shards) answers a repeated bare read in
+:meth:`ShardedServer.submit`, before a parse, a route or a pipe.  Its
+token for a name is the owning shard's *stamp* — renewed by every
+request that may write as it is sent to that shard and as it is
+answered, and by a kill or restart — and the shard directory's on-disk
+generation, which any save or drop there moves, by any process; a dead
+owner is a miss.  It keeps a shard's answer only when that answer is
+provably current: the read was sent with no write to its shard in
+flight, and the stamp has not moved when the answer arrives.  So any
+write through the router makes every kept answer over its shard a miss.
+Behind it, each shard keeps one tier shared by its workers, answered
+where the shard admits a request and keyed per name (see
+:func:`~repro.storage.derived.cache_token`), and a restarted shard starts
+cold.  No invalidation message crosses the pipe: the router sees every
+write it sends and reads each generation file itself.
 
 See ``docs/SERVER.md`` ("Sharding and the async front door").
 """
@@ -42,6 +52,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import os
 import random
 import threading
 import time
@@ -59,8 +70,16 @@ from repro.errors import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.pxql import ast
-from repro.pxql.interpreter import Result
+from repro.pxql.interpreter import (
+    _READS,
+    Result,
+    StatementTier,
+    _Answer,
+    _unshared,
+    answer_from_tier,
+)
 from repro.pxql.parser import parse_memo
+from repro.resilience.budget import Budget, use_budget
 from repro.resilience.faults import FaultSpec
 from repro.resilience.retry import RetryPolicy
 from repro.server.layout import (
@@ -75,7 +94,9 @@ from repro.server.layout import (
 from repro.server.routing import Router, unwrap
 from repro.server.server import new_future, wait
 from repro.server.wire import ShardConfig, _ShardHandle
-from repro.storage.database import Database
+from repro.storage.database import Database, DatabaseError
+from repro.storage.derived import Token, cache_token
+from repro.storage.locking import GENERATION_NAME, read_generation
 
 __all__ = ["MANIFEST_NAME", "ShardConfig", "ShardedServer"]
 
@@ -84,6 +105,97 @@ __all__ = ["MANIFEST_NAME", "ShardConfig", "ShardedServer"]
 DEFAULT_WATCHDOG_BACKOFF = RetryPolicy(
     attempts=5, base_delay_s=0.1, max_delay_s=5.0, jitter=0.0
 )
+
+#: The check mode of every shard's interpreters: the router's tier keys
+#: its answers under it, as theirs do.
+_CHECK = "error"
+
+
+class _ShardsView:
+    """The router's catalog: what the statement tier asks of a name,
+    answered for the shard that serves it, without crossing a pipe.
+
+    ``version(name)`` is the owning shard's *stamp*, a router-wide
+    sequence number — so a name that changes shard never matches an old
+    entry — renewed when a request that may write is sent to the shard
+    and when it is answered or fails (:meth:`writing` / :meth:`written`),
+    and when the shard is killed or restarted (:meth:`restamp`).
+    ``epoch(name, generation)`` is the owning shard directory's on-disk
+    generation, so a write another process makes there is a miss; it is
+    read once per shard per request admitted (:meth:`admitting`), so a
+    probe's read also serves the token a miss keeps.  A dead owner
+    raises :class:`DatabaseError`, which the tier takes as a miss: the
+    slow path then words the error.
+    """
+
+    def __init__(self, server: ShardedServer) -> None:
+        self._server = server
+        self._lock = threading.Lock()
+        self._sequence = itertools.count(1)
+        shards = server._handles
+        self._stamps = [next(self._sequence) for _ in shards]
+        self._writes = [0] * len(shards)
+        self._generations = [
+            os.path.join(handle.config.directory, GENERATION_NAME)
+            for handle in shards
+        ]
+        self._read = threading.local()  # .shards: shard -> generation
+
+    def admitting(self) -> None:
+        """The calling thread admits a new request: read afresh."""
+        self._read.shards = {}
+
+    def _owner(self, name: str) -> int:
+        shard = self._server.router.owner(name)
+        if not self._server._handles[shard].alive:
+            raise DatabaseError(f"shard {shard} is not running")
+        return shard
+
+    def version(self, name: str) -> int:
+        return self._stamps[self._owner(name)]
+
+    def epoch(self, name: str, generation: int) -> int:
+        shard = self._owner(name)
+        read: dict[int, int] = self._read.shards
+        if shard not in read:
+            read[shard] = read_generation(self._generations[shard])
+        return read[shard]
+
+    def restamp(self, shard: int) -> None:
+        with self._lock:
+            self._stamps[shard] = next(self._sequence)
+
+    def writing(self, shard: int) -> None:
+        """A request that may write is being sent to ``shard``."""
+        with self._lock:
+            self._writes[shard] += 1
+            self._stamps[shard] = next(self._sequence)
+
+    def written(self, shard: int) -> None:
+        """That request was answered or failed."""
+        with self._lock:
+            self._writes[shard] -= 1
+            self._stamps[shard] = next(self._sequence)
+
+    def reading(self, shard: int, name: str) -> Token | None:
+        """The token to keep a read of ``name`` sent to ``shard`` under,
+        taken before it is sent — ``None`` (nothing read) while a write
+        to that shard is in flight, or when the name is not served
+        there or its shard is down."""
+        with self._lock:
+            if self._writes[shard]:
+                return None
+            stamp = self._stamps[shard]
+        try:
+            token = cache_token(self, name)
+        except DatabaseError:
+            return None
+        return token if token[0] == stamp else None
+
+    def current(self, shard: int, token: Token) -> bool:
+        """Whether nothing that may write was sent to ``shard``, and the
+        shard was not restarted, since ``token`` was taken."""
+        return self._stamps[shard] == token[0]
 
 
 class ShardedServer:
@@ -163,6 +275,11 @@ class ShardedServer:
             ))
             for index in range(shards)
         ]
+        #: Repeated reads are answered here, from one statement tier
+        #: over the router's view of its shards (see :meth:`submit`).
+        self._view = _ShardsView(self)
+        self._statements = StatementTier.of(self._view)
+        self._answering = False  # open from start() to drain() / stop()
         self._layout_epoch = 0
         self._results = itertools.count(1)  # fresh product names
         #: Routing needs only the AST, and the same texts keep coming.
@@ -208,6 +325,7 @@ class ShardedServer:
             handle.start()
         self._started = True
         self._stopping = False
+        self._answering = True
         self.router.install(self.shards, self._served())
         self._adopt_root_catalog()
         if self._watchdog_interval_s is not None:
@@ -289,7 +407,11 @@ class ShardedServer:
         return sent
 
     def drain(self, timeout_s: float = 30.0) -> bool:
-        """Drain every live shard; whether all finished in time."""
+        """Drain every live shard; whether all finished in time.
+
+        From here on the router answers nothing itself: the shards
+        reject every statement."""
+        self._answering = False
         drained = True
         for _, future in self._broadcast("drain", timeout_s=timeout_s):
             try:
@@ -301,6 +423,7 @@ class ShardedServer:
     def stop(self, drain: bool = True, timeout_s: float = 30.0) -> bool:
         """Stop every shard (drain first by default) and reap processes."""
         self._stopping = True
+        self._answering = False
         watchdog = self._watchdog
         if watchdog is not None:
             self._watchdog_stop.set()
@@ -326,6 +449,7 @@ class ShardedServer:
         """
         self._check_index(index)
         self._handles[index].kill()
+        self._view.restamp(index)
         self.metrics.counter("router.shard_kills").inc()
         self.tracer.event("router.shard_killed", shard=index)
 
@@ -333,8 +457,9 @@ class ShardedServer:
         """Start a fresh process for one shard over its directory.
 
         The replacement re-opens the same catalog directory with an empty
-        statement tier, which its workers share: the first touch of each
-        statement recomputes, once per shard.
+        statement tier, which its workers share, and the shard gets a new
+        stamp, so no answer the router kept for it matches: the first
+        touch of each statement recomputes, once per shard.
         """
         self._check_index(index)
         handle = self._handles[index]
@@ -344,6 +469,7 @@ class ShardedServer:
         replacement.start()
         self._handles[index] = replacement
         self.router.relearn(index, self._served([replacement]))
+        self._view.restamp(index)
         self.metrics.counter("router.shard_restarts").inc()
         self.tracer.event("router.shard_restarted", shard=index)
 
@@ -477,14 +603,19 @@ class ShardedServer:
     ) -> Future[Result]:
         """Route one statement; returns the future the router resolves.
 
-        Mirrors :meth:`PXQLServer.submit`: admission problems raise
-        :class:`~repro.errors.Overloaded` /
+        Mirrors :meth:`PXQLServer.submit`: a repeated read the router's
+        statement tier can answer is answered here, before a parse, a
+        route or a pipe, and comes back resolved; admission problems
+        raise :class:`~repro.errors.Overloaded` /
         :class:`~repro.errors.ShardUnavailable` synchronously, execution
         errors travel through the returned future as typed exceptions.
         """
         if not self._started:
             raise ServerError("sharded server not started (call start())")
         self.metrics.counter("router.submitted").inc()
+        answered = self._answered(text, deadline_s)
+        if answered is not None:
+            return answered
         try:
             statement, _spans = self._parse(text)
         except PXMLError as exc:
@@ -510,7 +641,34 @@ class ShardedServer:
         if isinstance(inner, ast.ListStatement):
             return self._submit_broadcast_list()
         shard = self.router.route(inner)
-        return self._submit_to_shard(shard, text, deadline_s, inner)
+        return self._submit_to_shard(shard, text, deadline_s, statement)
+
+    def _answered(
+        self, text: str, deadline_s: float | None
+    ) -> Future[Result] | None:
+        """The router's statement tier's answer as a resolved future
+        (under the deadline a shard would arm), or ``None`` for a miss
+        — always, once admissions are closing."""
+        self._view.admitting()
+        if not self._answering:
+            return None
+        if deadline_s is None:
+            deadline_s = self._template.default_deadline_s
+        asked = (self._view, text, _CHECK, self.tracer, self.metrics)
+        try:
+            if deadline_s is None:
+                result = answer_from_tier(*asked)
+            else:
+                with use_budget(Budget(deadline_s=deadline_s)):
+                    result = answer_from_tier(*asked)
+        except PXMLError as exc:
+            return self._failed(exc)
+        if result is None:
+            return None
+        future: Future[Result] = new_future()
+        self.metrics.counter("router.completed").inc()
+        future.set_result(result)
+        return future
 
     def execute(
         self,
@@ -532,12 +690,25 @@ class ShardedServer:
         shard: int,
         text: str,
         deadline_s: float | None,
-        inner: ast.Statement,
+        statement: ast.Statement,
     ) -> Future[Result]:
+        """Send one statement to ``shard``.  A bare read's answer is
+        kept when it is provably current: sent with no write to its shard
+        in flight, and answered before anything else was sent there."""
         outer: Future[Result] = new_future()
-        remote = self._handles[shard].request(
-            "execute", text=text, deadline_s=deadline_s
-        )  # raises ShardUnavailable when dead
+        token: Token | None = None
+        # Both raise ShardUnavailable when the shard is dead.
+        if isinstance(statement, _READS):
+            token = self._view.reading(shard, statement.source)
+            remote = self._handles[shard].request(
+                "execute", text=text, deadline_s=deadline_s
+            )
+            if token is not None:
+                self._statements.miss(self.metrics)
+        else:
+            remote = self._write(
+                shard, "execute", text=text, deadline_s=deadline_s
+            )
 
         def _resolved(done: Future[object]) -> None:
             error = done.exception()
@@ -545,8 +716,12 @@ class ShardedServer:
                 result = cast(Result, done.result())
                 if result.instance_name is not None:
                     self.router.place(result.instance_name, shard)
-                if isinstance(inner, ast.DropStatement):
-                    self.router.forget(inner.name)
+                if isinstance(statement, ast.DropStatement):
+                    self.router.forget(statement.name)
+                if token is not None and self._view.current(shard, token):
+                    self._statements.put(text, _CHECK, _Answer(
+                        statement, token, (), _unshared(result)
+                    ), self.tracer, self.metrics)
                 self.metrics.counter("router.completed").inc()
                 outer.set_result(result)
                 return
@@ -555,6 +730,18 @@ class ShardedServer:
 
         remote.add_done_callback(_resolved)
         return outer
+
+    def _write(self, shard: int, op: str, **args: object) -> Future[object]:
+        """Send a request that may write to ``shard``: its stamp moves
+        as it is sent and again as it is answered or fails."""
+        self._view.writing(shard)
+        try:
+            remote = self._handles[shard].request(op, **args)
+        except BaseException:
+            self._view.written(shard)
+            raise
+        remote.add_done_callback(lambda _done: self._view.written(shard))
+        return remote
 
     def _submit_broadcast_list(self) -> Future[Result]:
         """``LIST`` fans to every live shard; the union comes back."""
@@ -623,10 +810,10 @@ class ShardedServer:
                         else self._fresh_product_name(timeout)
                     )
                     target_owner = self.owner(target)
-                    self._call(
-                        target_owner, "store", timeout,
+                    wait(self._write(
+                        target_owner, "store",
                         name=target, payload=dumps(product),
-                    )
+                    ), timeout)
                     self.router.place(target, target_owner)
             except Exception as exc:  # noqa: BLE001 - typed transport
                 self.metrics.counter("router.failed").inc()
@@ -675,7 +862,9 @@ class ShardedServer:
         instances for routine placement, only their wire form.
         """
         shard = self.owner(name)
-        self._call(shard, "store", name=name, payload=payload, save=save)
+        wait(self._write(
+            shard, "store", name=name, payload=payload, save=save
+        ), self.scatter_timeout_s)
         self.router.place(name, shard)
         return shard
 

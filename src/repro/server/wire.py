@@ -28,6 +28,7 @@ diagnostics): one deep check, before the reply leaves, on both wires.
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import threading
 from collections.abc import Callable
 from concurrent.futures import Future
@@ -156,6 +157,17 @@ class ShardConfig:
 # ----------------------------------------------------------------------
 # Shard process
 # ----------------------------------------------------------------------
+def _pickled(message: dict[str, object]) -> bytes:
+    """One pipe message as the bytes ``Connection.recv`` unpickles.
+
+    ``Connection.send`` would pickle into a buffer and send a view of
+    it; a view caught in a garbage cycle makes the collector report
+    ``BufferError: Existing exports of data``.  Plain bytes export
+    nothing.
+    """
+    return pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+
+
 class _ShardRuntime:
     """The serving loop living inside one shard process."""
 
@@ -187,9 +199,10 @@ class _ShardRuntime:
         )
 
     def _send(self, reply: dict[str, object]) -> None:
+        payload = _pickled(reply)
         try:
             with self._send_lock:
-                self.conn.send(reply)
+                self.conn.send_bytes(payload)
         except (OSError, EOFError):
             pass  # router is gone; the shard loop will see EOF and exit
 
@@ -386,8 +399,9 @@ class _ShardHandle:
         conn = self._conn
         assert conn is not None
         try:
+            payload = _pickled({"id": ident, "op": op, **args})
             with self._send_lock:
-                conn.send({"id": ident, "op": op, **args})
+                conn.send_bytes(payload)
         except (OSError, ValueError, EOFError) as exc:
             with self._pending_lock:
                 self._pending.pop(ident, None)

@@ -47,12 +47,17 @@ V = TypeVar("V")
 C = TypeVar("C", bound="DerivedCache[Any]")
 
 
-class Catalog(Protocol):
-    """What derived state needs of a catalog (``generation()`` and
-    ``epoch()`` optional)."""
+class Versioned(Protocol):
+    """What a token needs of a catalog (``generation()`` and ``epoch()``
+    optional) — a router's view of its shards is one too."""
+
+    def version(self, name: str) -> int: ...
+
+
+class Catalog(Versioned, Protocol):
+    """What derived state needs of a catalog."""
 
     def get(self, name: str) -> "ProbabilisticInstance": ...
-    def version(self, name: str) -> int: ...
 
 
 #: ``(catalog, generation)`` pinned by :func:`reading_at` in this context.
@@ -95,7 +100,7 @@ def catalog_generation(catalog: object) -> int:
 
 
 def cache_token(
-    catalog: Catalog, name: str, generation: int | None = None
+    catalog: Versioned, name: str, generation: int | None = None
 ) -> Token:
     """The invalidation key for ``name``, under the ``generation`` the
     running statement already read (omitted: the catalog is asked now).

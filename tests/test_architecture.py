@@ -729,6 +729,14 @@ def _calls(function: ast.FunctionDef) -> list[tuple[int, str, str]]:
     )
 
 
+#: The one statement tier each keeper holds: an interpreter its
+#: database's, the sharded router its view of the shards'.
+_KEPT_TIERS = {
+    "src/repro/pxql/interpreter.py": "StatementTier.of(self.database)",
+    "src/repro/server/shard.py": "StatementTier.of(self._view)",
+}
+
+
 def test_one_admission():
     """A repeated read is answered where it is admitted, from the one
     statement tier of its catalog, without a parse.
@@ -738,8 +746,10 @@ def test_one_admission():
     interpreter, worker or server has a tier of its own
     (``StatementTier(`` is never called: ``StatementTier.of`` is the one
     way to a tier, and ``Interpreter.__init__`` the one place that keeps
-    it); and nothing on the probe's path calls a parser — a miss costs
-    one lookup, and ``Interpreter.execute`` probes before it parses.
+    one — besides the sharded router, whose catalog is its view of the
+    shards, see :func:`test_one_router_admission`); and nothing on the
+    probe's path calls a parser — a miss costs one lookup, and
+    ``Interpreter.execute`` probes before it parses.
     """
     from unittest import mock
 
@@ -785,9 +795,8 @@ def test_one_admission():
             ):
                 problems.append(f"{path}:{node.lineno}: StatementTier(")
             for target in getattr(node, "targets", [getattr(node, "target", None)]):
-                if getattr(target, "attr", None) == "_statements" and not (
-                    path == "src/repro/pxql/interpreter.py"
-                    and ast.unparse(node.value) == "StatementTier.of(self.database)"
+                if getattr(target, "attr", None) == "_statements" and (
+                    _KEPT_TIERS.get(path) != ast.unparse(node.value)
                 ):
                     problems.append(f"{path}:{node.lineno}: {ast.unparse(node)}")
 
@@ -809,4 +818,68 @@ def test_one_admission():
                 answered = pool.submit("EXISTS R.x IN bib")
             if not answered.done() or answered.exception(0.0) is not None:
                 problems.append("a repeated read was not answered at admission")
+    assert not problems, "\n".join(problems)
+
+
+def test_one_router_admission():
+    """The sharded router answers a repeated read the way a single
+    process does: from one statement tier, before it parses, routes or
+    crosses a pipe.
+
+    ``ShardedServer.submit`` probes (``_answered``, which asks
+    ``answer_from_tier``) before it calls ``_parse``, ``route`` or
+    ``_submit_to_shard``; the router keeps its tier only through
+    ``StatementTier.of`` over its view of the shards, in
+    ``ShardedServer.__init__``; and a started router answers a repeated
+    read with both the parser and every pipe request patched to raise.
+    """
+    import tempfile
+    from unittest import mock
+
+    from repro.core.builder import InstanceBuilder
+    from repro.io.json_codec import dumps
+    from repro.pxql.parser import _Parser
+    from repro.server import ShardedServer
+    from repro.server.wire import _ShardHandle
+
+    problems = []
+    shard = _methods("src/repro/server/shard.py")
+    submit = _calls(shard["ShardedServer.submit"])
+    probes = [line for line, name, _ in submit if name == "_answered"]
+    routed = [
+        line for line, name, _ in submit
+        if name in ("_parse", "route", "_submit_to_shard")
+    ]
+    if not probes or not routed or probes[0] > routed[0]:
+        problems.append(
+            "ShardedServer.submit parses, routes or sends before it probes the tier"
+        )
+    if "answer_from_tier" not in {
+        name for _, name, _ in _calls(shard["ShardedServer._answered"])
+    }:
+        problems.append("ShardedServer._answered does not ask answer_from_tier")
+    kept = [
+        ast.unparse(node)
+        for node in ast.walk(shard["ShardedServer.__init__"])
+        if isinstance(node, ast.Assign)
+        and "_statements" in {getattr(t, "attr", None) for t in node.targets}
+    ]
+    if kept != ["self._statements = StatementTier.of(self._view)"]:
+        problems.append(f"the router keeps its tier as {kept}")
+
+    builder = InstanceBuilder("R")
+    builder.children("R", "x", ["A"])
+    builder.opf("R", {("A",): 0.6, (): 0.4})
+    builder.leaf("A", "t", ["v"], {"v": 1.0})
+    with tempfile.TemporaryDirectory() as directory:
+        with ShardedServer(directory, shards=2, workers_per_shard=1) as router:
+            router.register_instance("bib", dumps(builder.build()))
+            first = router.execute("EXISTS R.x IN bib", timeout_s=60.0)
+            with mock.patch.object(_Parser, "parse", side_effect=AssertionError), \
+                    mock.patch.object(_ShardHandle, "request", side_effect=AssertionError):
+                answered = router.submit("EXISTS R.x IN bib")
+            if not answered.done() or answered.exception(0.0) is not None:
+                problems.append("a repeated read was not answered by the router")
+            elif answered.result().value != first.value:
+                problems.append("the router answered a repeated read differently")
     assert not problems, "\n".join(problems)

@@ -7,16 +7,24 @@ derived results, broadcast ``LIST``, cross-shard ``PRODUCT`` by
 scatter-gather, typed error transport (native reconstruction for known
 types, :class:`RemoteExecutionError` for the rest), and the failover
 story (``kill_shard`` → :class:`ShardUnavailable`, ``restart_shard`` →
-recovery over the surviving on-disk catalog).
+recovery over the surviving on-disk catalog), and the router's own
+statement tier, which answers a repeated read without crossing a pipe
+and keeps only answers it can prove current.
 """
 
 from __future__ import annotations
+
+import os
+import signal
+import time
+from unittest import mock
 
 import pytest
 
 from repro.algebra import rename_objects
 from repro.core.builder import InstanceBuilder
 from repro.errors import (
+    Overloaded,
     PXMLError,
     RemoteExecutionError,
     ServerError,
@@ -24,7 +32,9 @@ from repro.errors import (
 )
 from repro.io.json_codec import dumps, loads
 from repro.pxql.interpreter import Interpreter
+from repro.resilience.faults import FaultSpec
 from repro.server import ShardedServer
+from repro.server.wire import _ShardHandle
 from repro.storage.database import Database
 
 STABLE_QUERY = "EXISTS R.book.author IN bib"
@@ -369,3 +379,164 @@ class TestManifestCompatibility:
         assert manifest is not None
         assert manifest.layout_epoch == 0
         assert manifest.shards == 2
+
+
+def _hits(server: ShardedServer) -> float:
+    return server.metrics.value("pxql.cache.statements.hits")
+
+
+def _kept(server: ShardedServer) -> float:
+    """How many answers the router's tier holds."""
+    return server.metrics.value("pxql.cache.statements.size")
+
+
+@pytest.fixture
+def router(tmp_path):
+    server = ShardedServer(tmp_path, shards=2, workers_per_shard=1).start()
+    server.register_instance("bib", dumps(build_bib()), save=True)
+    yield server
+    server.stop(drain=False, timeout_s=15.0)
+
+
+@pytest.fixture
+def parked(tmp_path):
+    """A router whose shards park the first two requests to reach a
+    worker at ``server.worker.handoff`` until both are there."""
+    server = ShardedServer(
+        tmp_path, shards=2, workers_per_shard=2,
+        fault_specs=[FaultSpec(site="server.worker.handoff", kind="barrier",
+                               parties=2, delay_s=10.0, times=2)],
+    ).start()
+    server.register_instance("bib", dumps(build_bib()))
+    yield server
+    server.stop(drain=False, timeout_s=15.0)
+
+
+class TestRouterTier:
+    """The router's statement tier: a repeated bare read is answered in
+    ``submit`` with no parse, no route and no pipe, and only while the
+    answer it kept is provably current."""
+
+    def test_repeated_read_crosses_no_pipe(self, router, reference):
+        first = router.execute(STABLE_QUERY, timeout_s=60.0)
+        hits = _hits(router)
+        with mock.patch.object(
+            _ShardHandle, "request", side_effect=AssertionError("crossed a pipe")
+        ):
+            again = router.submit(STABLE_QUERY)
+        assert again.done()
+        assert again.result().value == first.value == pytest.approx(reference)
+        assert _hits(router) == hits + 1
+
+    def test_writes_through_the_router_are_seen(self, router):
+        name = pick_name(router, 1 - router.owner("bib"), "derived")
+        read = f"EXISTS R.book.author IN {name}"
+        router.execute(f"PROJECT R.book.author FROM bib AS {name}", timeout_s=60.0)
+        kept = router.execute(read, timeout_s=60.0).value
+        assert kept == pytest.approx(bib_reference())
+        assert router.execute(read, timeout_s=60.0).value == kept
+        assert router.execute(f"SAVE {name}", timeout_s=60.0).text.startswith("saved")
+        hits = _hits(router)
+        assert router.execute(read, timeout_s=60.0).value == kept
+        assert _hits(router) == hits  # the SAVE moved the stamp: a miss
+        router.execute(f"DROP {name}", timeout_s=60.0)
+        with pytest.raises(PXMLError, match="unknown instance"):
+            router.execute(read, timeout_s=60.0)
+        router.execute(f"PROJECT R.book FROM bib AS {name}", timeout_s=60.0)
+        assert router.execute(read, timeout_s=60.0).value == 0.0
+
+    def test_read_overtaken_by_a_write_is_not_kept(self, parked):
+        read = "EXISTS R.book IN bib"
+        pending = parked.submit(read)  # parked until the write arrives
+        write = parked.submit("PROJECT R.book FROM bib AS overtaking")
+        assert write.result(60.0).instance_name == "overtaking"
+        assert pending.result(60.0).value == pytest.approx(0.9)
+        assert _kept(parked) == 0
+        parked.execute(read, timeout_s=60.0)  # nothing in flight now
+        assert _kept(parked) == 1
+
+    def test_read_behind_a_write_in_flight_is_not_kept(self, parked):
+        read = "EXISTS R.book IN bib"
+        write = parked.submit("PROJECT R.book FROM bib AS ahead")
+        pending = parked.submit(read)  # sent while the write is parked
+        assert pending.result(60.0).value == pytest.approx(0.9)
+        assert write.result(60.0).instance_name == "ahead"
+        assert _kept(parked) == 0
+
+    def test_save_by_another_process_is_a_miss(self, router, reference):
+        assert router.execute(STABLE_QUERY, timeout_s=60.0).value == pytest.approx(
+            reference
+        )
+        home = router.shard_directories()[router.owner("bib")]
+        other = Database(home)
+        other.register("bib", build_bib_without_b1_authors(), replace=True)
+        other.save("bib")
+        hits = _hits(router)
+        changed = router.execute(STABLE_QUERY, timeout_s=60.0).value
+        assert _hits(router) == hits
+        assert changed == pytest.approx(0.6 * 0.6)  # only B2's author left
+
+    @pytest.mark.parametrize("how", ["kill_shard", "os.kill"])
+    def test_a_dead_shard_is_a_miss(self, router, reference, how):
+        router.execute(STABLE_QUERY, timeout_s=60.0)
+        home = router.owner("bib")
+        if how == "kill_shard":
+            router.kill_shard(home)
+        else:
+            os.kill(router._handles[home]._process.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 10.0
+            while router.alive():
+                assert time.monotonic() < deadline, "the kill was never seen"
+                time.sleep(0.01)
+        with pytest.raises(ShardUnavailable):
+            router.execute(STABLE_QUERY, timeout_s=10.0)
+        router.restart_shard(home)
+        hits = _hits(router)
+        assert router.execute(STABLE_QUERY, timeout_s=60.0).value == pytest.approx(
+            reference
+        )
+        assert _hits(router) == hits  # recomputed by the new process
+        assert router.execute(STABLE_QUERY, timeout_s=60.0).value == pytest.approx(
+            reference
+        )
+        assert _hits(router) == hits + 1
+
+    def test_drained_router_answers_nothing(self, router):
+        router.execute(STABLE_QUERY, timeout_s=60.0)
+        assert router.drain(timeout_s=30.0)
+        with pytest.raises(Overloaded) as excinfo:
+            router.execute(STABLE_QUERY, timeout_s=10.0)
+        assert excinfo.value.reason == "draining"
+
+    def test_a_returned_distribution_is_the_callers(self, router):
+        read = "DIST R.book.author IN bib"
+        first = router.execute(read, timeout_s=60.0).value
+        expected = dict(first)
+        first.clear()
+        again = router.execute(read, timeout_s=60.0).value
+        assert again == expected
+        again.clear()
+        assert router.execute(read, timeout_s=60.0).value == expected
+
+    def test_health_reconciles_hits_misses_and_failures(self, router):
+        for text in (STABLE_QUERY, STABLE_QUERY, "COUNT R.book IN bib",
+                     "COUNT R.book IN bib", "EXISTS R.x IN nowhere", "FROB"):
+            try:
+                router.execute(text, timeout_s=60.0)
+            except PXMLError:
+                pass
+        health = router.health()
+        assert _hits(router) == 2
+        assert health["failed"] == 2
+        assert health["submitted"] == health["completed"] + health["failed"] == 6
+
+
+def build_bib_without_b1_authors():
+    """``build_bib()`` with ``B1``'s author gone: only ``B2``'s remains."""
+    b = InstanceBuilder("R")
+    b.children("R", "book", ["B1", "B2"])
+    b.opf("R", {("B1",): 0.3, ("B2",): 0.2, ("B1", "B2"): 0.4, (): 0.1})
+    b.children("B2", "author", ["A3"])
+    b.opf("B2", {("A3",): 0.6, (): 0.4})
+    b.leaf("A3", "name", ["y"], {"y": 1.0})
+    return b.build()
