@@ -39,6 +39,7 @@ from repro.core.instance import ProbabilisticInstance
 from repro.core.interpretation import LocalInterpretation
 from repro.core.weak_instance import WeakInstance
 from repro.errors import CodecError
+from repro.io.json_codec import register_type
 from repro.semistructured.types import LeafType, TypeRegistry
 
 HEADER = "PXMLC"
@@ -65,7 +66,7 @@ def dumps(pi: ProbabilisticInstance) -> str:
     for oid in sorted(weak.objects):
         leaf_type = weak.tau(oid)
         if leaf_type is not None:
-            types[leaf_type.name] = leaf_type
+            register_type(types, leaf_type)
     for name in sorted(types):
         append(f"TY\t{_check_id(name)}\t{json.dumps(list(types[name].domain))}")
 

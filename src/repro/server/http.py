@@ -13,7 +13,8 @@ route                 behavior
                       JSON error (see the status map below)
 ``GET /health``       the backend's health snapshot; 200 when ready,
                       503 otherwise (a load-balancer-friendly probe)
-``GET /metrics``      the metrics registry as JSON
+``GET /metrics``      the metrics registry as JSON, plus ``process.gc``:
+                      each process's cyclic-collector totals
 ====================  ==================================================
 
 **Typed error translation.**  Bodies are the descriptions of
@@ -103,6 +104,8 @@ class Backend(Protocol):
     def submit(self, text: str) -> Future[Result]: ...
 
     def health(self) -> dict[str, object]: ...
+
+    def metrics_snapshot(self) -> dict[str, dict[str, object]]: ...
 
     def alive(self) -> bool: ...
 
@@ -496,13 +499,8 @@ class HttpFrontDoor:
         return (200 if ready else 503), {"health": health}
 
     async def _route_metrics(self) -> tuple[int, dict[str, object]]:
-        snapshot = getattr(self.backend, "metrics_snapshot", None)
-        metrics: object
-        if callable(snapshot):
-            # A sharded backend mirrors every shard's counters in with
-            # one blocking pipe call per shard: keep that off the loop.
-            loop = asyncio.get_running_loop()
-            metrics = await loop.run_in_executor(None, snapshot)
-        else:
-            metrics = self.backend.metrics.as_dict()
+        # A sharded backend mirrors every shard's counters in with one
+        # blocking pipe call per shard: keep that off the loop.
+        loop = asyncio.get_running_loop()
+        metrics = await loop.run_in_executor(None, self.backend.metrics_snapshot)
         return 200, {"metrics": metrics}

@@ -76,6 +76,7 @@ from dataclasses import dataclass, field
 from types import FrameType, TracebackType
 from typing import Any, TypeVar
 
+from repro.collector import collector_stats
 from repro.errors import Overloaded, ServerError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
@@ -502,6 +503,11 @@ class PXQLServer:
             "rejected": self.metrics.value("server.rejected"),
             "aborted": self.metrics.value("server.aborted"),
         }
+
+    def metrics_snapshot(self) -> dict[str, dict[str, object]]:
+        """The registry as JSON (``GET /metrics``), with this process's
+        cyclic-collector totals per generation as ``process.gc``."""
+        return {**self.metrics.as_dict(), "process.gc": collector_stats()}
 
     # ------------------------------------------------------------------
     # Workers

@@ -61,6 +61,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 from typing import cast
 
+from repro.collector import collector_stats
 from repro.errors import (
     PXMLError,
     ServerError,
@@ -918,16 +919,19 @@ class ShardedServer:
 
     def metrics_snapshot(self) -> dict[str, dict[str, object]]:
         """Router metrics with each shard's counters mirrored in
-        (``shard0.server.completed``, ...)."""
+        (``shard0.server.completed``, ...), and each process's collector
+        totals: the router's as ``process.gc``, shard ``i``'s as
+        ``shard<i>.process.gc``."""
+        collectors: dict[str, dict[str, object]] = {"process.gc": collector_stats()}
         for index, future in self._broadcast("metrics"):
             try:
-                snapshot = wait(future, 5.0)
+                snapshot = cast("dict[str, dict[str, object]]", wait(future, 5.0))
             except PXMLError:
                 continue
-            self.metrics.import_snapshot(
-                f"shard{index}", cast("dict[str, dict[str, object]]", snapshot)
-            )
-        return self.metrics.as_dict()
+            self.metrics.import_snapshot(f"shard{index}", snapshot)
+            if "process.gc" in snapshot:
+                collectors[f"shard{index}.process.gc"] = snapshot["process.gc"]
+        return {**self.metrics.as_dict(), **collectors}
 
     def shard_directories(self) -> list[Path]:
         """Each shard's catalog directory (for audits and tests)."""

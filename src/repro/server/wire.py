@@ -261,7 +261,7 @@ class _ShardRuntime:
             health["generation"] = self.database.generation()
             return health
         if op == "metrics":
-            return self.server.metrics.as_dict()
+            return self.server.metrics_snapshot()
         if op == "drain":
             return self.server.drain(timeout_s)
         if op == "stop":

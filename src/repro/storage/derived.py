@@ -33,6 +33,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import TYPE_CHECKING, Any, Generic, Protocol, TypeVar, cast
 
+from repro.collector import collector_paused
 from repro.obs.metrics import current_registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -145,9 +146,10 @@ class DerivedCache(Generic[V]):
     entry of a dropped name, so a cache obtained through :meth:`of` is
     bounded by the number of live names (a private one keeps the entry
     of a name dropped behind its back until :meth:`invalidate`).
-    ``build(name, instance)`` runs outside the lock — two threads
-    missing one token at the same instant may both build, and one copy
-    is discarded; with ``counters`` set, lookups count into
+    ``build(name, instance)`` runs outside the lock, with the cyclic
+    collector paused (:func:`repro.collector.collector_paused`) — two
+    threads missing one token at the same instant may both build, and
+    one copy is discarded; with ``counters`` set, lookups count into
     ``<counters>.hits`` / ``<counters>.misses`` on the ambient metrics
     registry.
     """
@@ -203,9 +205,13 @@ class DerivedCache(Generic[V]):
             current_registry().counter(f"{self._counters}.{outcome}").inc()
         if entry is not None:
             return entry[1]
-        value = self._build(
-            name, instance if instance is not None else catalog.get(name)
-        )
+        # A build allocates a whole instance's worth of acyclic objects
+        # (a snapshot's arrays, a guide's per-path bounds): no full
+        # collection should walk the catalog for it.
+        with collector_paused():
+            value = self._build(
+                name, instance if instance is not None else catalog.get(name)
+            )
         with self._lock:
             self._entries[name] = (token, value)
         return value

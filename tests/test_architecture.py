@@ -883,3 +883,64 @@ def test_one_router_admission():
             elif answered.result().value != first.value:
                 problems.append("the router answered a repeated read differently")
     assert not problems, "\n".join(problems)
+
+
+#: The three places a whole instance's acyclic objects are allocated in
+#: one burst, and so the only callers of ``collector_paused``.
+_COLLECTOR_PAUSES = {
+    ("src/repro/io/json_codec.py", "dumps"),
+    ("src/repro/io/json_codec.py", "loads"),
+    ("src/repro/storage/derived.py", "DerivedCache.get"),
+}
+
+
+def test_one_collector_switch():
+    """The cyclic collector has one switch, thrown at three sites.
+
+    No module under ``src/repro`` but ``repro/collector.py`` calls
+    ``gc.disable``, ``gc.enable``, ``gc.set_threshold`` or
+    ``gc.freeze``: a second switch would re-enable a collector that a
+    region elsewhere, or the caller, holds off.  And
+    ``collector_paused`` is called exactly in ``json_codec.dumps``,
+    ``json_codec.loads`` and ``DerivedCache.get`` (around its build), so
+    a statement that builds nothing never pauses the collector.
+    """
+    switches = ("disable", "enable", "set_threshold", "freeze")
+    problems = []
+    paused = set()
+    for file in sorted(pathlib.Path("src/repro").rglob("*.py")):
+        path = file.as_posix()
+        tree = ast.parse(file.read_text(encoding="utf-8"))
+
+        def visit(node, scope):
+            if isinstance(node, ast.ClassDef):
+                scope = node.name
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = f"{scope}.{node.name}" if scope else node.name
+            if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                problems.extend(
+                    f"{path}:{node.lineno}: from gc import {alias.name}"
+                    for alias in node.names if alias.name in switches
+                )
+            if isinstance(node, ast.Call) and path != "src/repro/collector.py":
+                func = node.func
+                if (
+                    isinstance(func, ast.Attribute) and func.attr in switches
+                    and getattr(func.value, "id", None) == "gc"
+                ):
+                    problems.append(f"{path}:{node.lineno}: gc.{func.attr}(")
+                called = getattr(func, "attr", getattr(func, "id", ""))
+                if called == "collector_paused":
+                    if (path, scope) in _COLLECTOR_PAUSES:
+                        paused.add((path, scope))
+                    else:
+                        problems.append(f"{path}:{node.lineno}: collector_paused( in {scope}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(tree, None)
+    problems.extend(
+        f"{path}: {scope} does not pause the collector"
+        for path, scope in sorted(_COLLECTOR_PAUSES - paused)
+    )
+    assert not problems, "\n".join(problems)

@@ -13,7 +13,43 @@ from repro.semantics.global_interpretation import GlobalInterpretation
 from repro.workloads.generator import WorkloadSpec, generate_workload
 
 
+def _two_types_named_t():
+    """Leaf ``x`` typed ``t = {1, 2}``, leaf ``y`` typed ``t = {3, 4}``:
+    a valid instance no name-keyed file can hold."""
+    from repro.core.distributions import TabularOPF, TabularVPF
+    from repro.core.instance import ProbabilisticInstance
+    from repro.core.interpretation import LocalInterpretation
+    from repro.core.weak_instance import WeakInstance
+    from repro.semistructured.types import LeafType
+
+    weak = WeakInstance("r")
+    interp = LocalInterpretation()
+    weak.set_lch("r", "l", ["x", "y"])
+    interp.set_opf("r", TabularOPF({("x", "y"): 1.0}))
+    for oid, domain in (("x", (1, 2)), ("y", (3, 4))):
+        weak.set_type(oid, LeafType("t", domain))
+        interp.set_vpf(oid, TabularVPF({domain[0]: 1.0}))
+    pi = ProbabilisticInstance(weak, interp)
+    pi.validate()
+    return pi
+
+
 class TestJsonProbabilistic:
+    def test_two_leaf_types_sharing_a_name_are_refused(self, tmp_path):
+        """Keyed by name, the file kept the last domain: ``x`` came back
+        with domain (3, 4) and a VPF on 1.  ``SAVE`` fails before any
+        disk step."""
+        from repro.storage.database import Database
+
+        with pytest.raises(CodecError, match="'t'"):
+            json_codec.dumps(_two_types_named_t())
+        database = Database(tmp_path)
+        before = sorted(path.name for path in tmp_path.rglob("*"))
+        database.register("two", _two_types_named_t())
+        with pytest.raises(CodecError, match="'t'"):
+            database.save("two")
+        assert sorted(path.name for path in tmp_path.rglob("*")) == before
+
     def test_round_trip_figure2(self):
         pi = figure2_instance()
         restored = json_codec.loads(json_codec.dumps(pi))
@@ -176,6 +212,12 @@ class TestCorpus:
 
 
 class TestCompactCodec:
+    def test_two_leaf_types_sharing_a_name_are_refused(self):
+        from repro.io import compact_codec
+
+        with pytest.raises(CodecError, match="'t'"):
+            compact_codec.dumps(_two_types_named_t())
+
     def test_round_trip_figure2(self):
         from repro.io import compact_codec
 

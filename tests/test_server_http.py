@@ -228,6 +228,31 @@ class TestProbes:
         assert body["metrics"]["router.submitted"]["value"] == 1
         assert body["metrics"]["shard0.server.completed"]["value"] == 1
 
+    def test_metrics_route_reports_each_process_collector(self, door, tmp_path):
+        """``process.gc`` is ``gc.get_stats()`` per generation: one
+        entry on a single process, and on a sharded backend one for the
+        router and one per shard."""
+
+        def assert_collector(entry):
+            assert entry["kind"] == "collector"
+            assert [sorted(g) for g in entry["generations"]] == [
+                ["collected", "collections", "uncollectable"]
+            ] * 3
+
+        status, body = _request(door.port, "GET", "/metrics")
+        assert status == 200
+        assert_collector(body["metrics"]["process.gc"])
+        backend = ShardedServer(tmp_path, shards=2, workers_per_shard=1)
+        backend.start()
+        harness = _Door(backend=backend)
+        try:
+            status, body = _request(harness.port, "GET", "/metrics")
+        finally:
+            harness.close()
+        assert status == 200
+        for name in ("process.gc", "shard0.process.gc", "shard1.process.gc"):
+            assert_collector(body["metrics"][name])
+
     def test_shutdown_drains_and_stops_the_backend(self, door):
         door._run(door.front.shutdown(drain_timeout_s=10.0))
         assert door.backend.state == "stopped"
