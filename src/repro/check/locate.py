@@ -19,9 +19,10 @@ locates its path once:
   by the parity suite of ``tests/test_index.py`` — and stays in that
   snapshot's memo, where the executor finds it.  The snapshot is
   fetched lazily: a statement the guide decides never builds one;
-* a derived, unnamed shape and a snapshot that cannot be built keep the
+* a derived, unnamed shape, a DAG (which has no snapshot) and a
+  snapshot that cannot be built keep the
   :func:`~repro.semistructured.paths.match_path` walk, the reference
-  implementation.
+  implementation — as the executor does.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ class Site:
     graph: EdgeLabeledGraph | None
     pi: ProbabilisticInstance | None = None
     guide: DataGuide | None = None
-    #: Fetches the scanned name's shared snapshot (``None``: unbuildable).
+    #: Fetches the scanned name's shared snapshot (``None``: a DAG, or
+    #: unbuildable).
     snapshot: Callable[[], ColumnarInstance | None] | None = field(
         default=None, repr=False
     )

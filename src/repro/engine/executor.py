@@ -454,7 +454,7 @@ class Engine:
                 self.database, node.child.name, generation, pi
             )
             failure = None
-            if col is not None and col.is_tree:
+            if col is not None:
                 try:
                     return self._apply_indexed(node, pi, col)
                 except BudgetExceeded:
@@ -499,7 +499,7 @@ class Engine:
         ``"indexed"``: the path is located on the catalog's shared
         columnar snapshot — only when the statement runs accelerated,
         the input is a scanned name (a derived instance has no token to
-        keep a snapshot under) and it measures as a tree (the encoding's
+        keep a snapshot under) and it measures as a tree (the snapshot's
         domain; the Section 6 algorithms fed the match assume it).
         Otherwise the walked operator: ``local``, or for the queries the
         strategy facade answers on DAGs, whatever
@@ -530,9 +530,9 @@ class Engine:
         (:meth:`ColumnarInstance.reach`) come from the snapshot and feed
         the same Section 6 algorithms the walked operators run, each
         computing its answer and nothing else — only ``PROJECT`` builds
-        the projection's OPFs.  ``col.is_tree`` is the tree proof, made
-        once when the snapshot was built under this token, so they skip
-        their own O(V) check."""
+        the projection's OPFs.  Only a tree has a snapshot, so ``col`` is
+        the tree proof, made once when it was built under this token,
+        and they skip their own O(V) check."""
 
         def match() -> PathMatch:
             with self.tracer.span(

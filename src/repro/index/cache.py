@@ -2,7 +2,9 @@
 
 One :class:`ColumnarInstance` per catalog name, held in a
 :class:`~repro.storage.derived.DerivedCache` under the name's
-:func:`~repro.storage.derived.cache_token` — ``IndexCache.of(catalog)``
+:func:`~repro.storage.derived.cache_token` (a DAG has no snapshot: its
+entry is ``None``, built and counted once per token like a tree's
+snapshot) — ``IndexCache.of(catalog)``
 is the one every reader of that catalog in this process shares, so pool
 workers, the static checker and the engine match against one snapshot
 and one path-match memo per name.  Builds, hits and misses land on the
@@ -28,18 +30,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 def _build_snapshot(
     name: str, instance: "ProbabilisticInstance"
-) -> ColumnarInstance:
+) -> ColumnarInstance | None:
     with current_tracer().span("index.build", instance=name) as span:
         snapshot = ColumnarInstance.from_instance(instance)
-        span.attributes["objects"] = len(snapshot)
-        span.attributes["edges"] = snapshot.num_edges
-        span.attributes["tree"] = snapshot.is_tree
+        span.attributes["objects"] = len(instance)
+        span.attributes["tree"] = snapshot is not None
     current_registry().counter("index.builds").inc()
     return snapshot
 
 
-class IndexCache(DerivedCache[ColumnarInstance]):
-    """Thread-safe name -> columnar snapshot cache for one catalog."""
+class IndexCache(DerivedCache[ColumnarInstance | None]):
+    """Thread-safe name -> snapshot (``None``: not a tree) cache for one
+    catalog."""
 
     def __init__(self) -> None:
         super().__init__(_build_snapshot, counters="index")
@@ -51,9 +53,10 @@ class IndexCache(DerivedCache[ColumnarInstance]):
         generation: int | None = None,
         instance: "ProbabilisticInstance | None" = None,
     ) -> ColumnarInstance | None:
-        """:meth:`get`, or ``None`` when the snapshot cannot be built
-        (an ``index.build_error`` event on the ambient tracer): the
-        caller locates its path by the walk instead."""
+        """:meth:`get`, or ``None`` when the instance is not a tree or
+        the snapshot cannot be built (an ``index.build_error`` event on
+        the ambient tracer): the caller locates its path by the walk
+        instead."""
         try:
             return self.get(catalog, name, generation, instance)
         except Exception as exc:

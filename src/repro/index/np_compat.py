@@ -1,8 +1,8 @@
-"""Optional numpy import shared by the index subsystem.
+"""Optional numpy import for the dense OPF marginalizer.
 
-The index works without numpy — every vectorized routine has a
-pure-Python twin — so the import is guarded once here instead of in
-every module.  ``numpy`` is ``None`` when absent; callers must check
+numpy is used in one place, :mod:`repro.index.opf`'s dense path, which
+has a pure-Python twin with identical semantics; the import is guarded
+here.  ``numpy`` is ``None`` when absent; callers must check
 :data:`HAS_NUMPY` before touching it.
 """
 
@@ -13,5 +13,5 @@ try:  # pragma: no cover - exercised indirectly by both code paths
 except ImportError:  # pragma: no cover - depends on the environment
     numpy = None  # type: ignore[assignment]
 
-#: Whether the vectorized fast paths are available in this process.
+#: Whether the dense marginalizer is available in this process.
 HAS_NUMPY = numpy is not None

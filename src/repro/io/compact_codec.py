@@ -39,7 +39,7 @@ from repro.core.instance import ProbabilisticInstance
 from repro.core.interpretation import LocalInterpretation
 from repro.core.weak_instance import WeakInstance
 from repro.errors import CodecError
-from repro.io.json_codec import register_type
+from repro.io.json_codec import child_set_twice, register_type
 from repro.semistructured.types import LeafType, TypeRegistry
 
 HEADER = "PXMLC"
@@ -174,7 +174,10 @@ def loads(text: str) -> ProbabilisticInstance:
                 current_opf_oid = record[1]
             elif kind == "E":
                 members = record[2].split(",") if record[2] else []
-                current_opf[frozenset(members)] = float(record[1])
+                key = frozenset(members)
+                if key in current_opf:
+                    raise child_set_twice(str(current_opf_oid), key)
+                current_opf[key] = float(record[1])
             elif kind == "OPFI":
                 flush_opf()
                 flush_vpf()

@@ -154,19 +154,33 @@ def decode_instance(data: dict) -> ProbabilisticInstance:
         if "val" in entry:
             weak.set_val(oid, entry["val"])
         if "opf" in entry:
-            interp.set_opf(oid, _decode_opf(entry["opf"]))
+            interp.set_opf(oid, _decode_opf(oid, entry["opf"]))
         if "vpf" in entry:
             interp.set_vpf(oid, TabularVPF({v: p for v, p in entry["vpf"]}))
     return ProbabilisticInstance(weak, interp)
 
 
-def _decode_opf(data: dict) -> ObjectProbabilityFunction:
+def _decode_opf(oid: str, data: dict) -> ObjectProbabilityFunction:
     kind = data.get("kind")
     if kind == "independent":
         return IndependentOPF(data["inclusion"])
     if kind == "tabular":
-        return TabularOPF({frozenset(c): p for c, p in data["entries"]})
+        entries = data["entries"]
+        table = {frozenset(c): p for c, p in entries}
+        if len(table) < len(entries):
+            keys = [frozenset(c) for c, _p in entries]
+            raise child_set_twice(oid, next(k for k in keys if keys.count(k) > 1))
+        return TabularOPF(table)
     raise CodecError(f"unknown OPF kind: {kind!r}")
+
+
+def child_set_twice(oid: str, children: frozenset[str]) -> CodecError:
+    """The error of a file listing one child set of ``oid``'s tabular
+    OPF twice: a dict would keep the last entry, and the OPF would load
+    as a different distribution than the file's."""
+    return CodecError(
+        f"OPF of object {oid!r} lists child set {sorted(children)!r} twice"
+    )
 
 
 # ----------------------------------------------------------------------

@@ -95,7 +95,7 @@ class TestMatchCounts:
 
     def test_dag_is_refused_unless_the_caller_holds_a_tree_proof(self, tree):
         """The tree check is only skipped for a caller that passes the
-        proof it holds (the executor: its snapshot's ``is_tree``)."""
+        proof it holds (the executor: a snapshot, which only a tree has)."""
         from repro.errors import NonTreeInstanceError
         from repro.paper import figure2_instance
 

@@ -944,3 +944,70 @@ def test_one_collector_switch():
         for path, scope in sorted(_COLLECTOR_PAUSES - paused)
     )
     assert not problems, "\n".join(problems)
+
+
+#: The dense OPF marginalizer and the guarded import it goes through:
+#: the only modules that may touch numpy.
+_NUMPY_MODULES = {"src/repro/index/opf.py", "src/repro/index/np_compat.py"}
+
+
+def test_one_tree_index():
+    """The columnar snapshot is a tree index in plain Python.
+
+    Section 6's efficient algorithms are defined on trees and the
+    snapshot only feeds them, so it is one preorder build with one
+    matcher: ``repro/index/encoding.py`` and the name
+    ``IntervalEncoding`` stay deleted; no module but ``index/opf.py``
+    and ``index/np_compat.py`` imports numpy or reads ``HAS_NUMPY``
+    (``repro/index/__init__.py`` re-exports it, nothing more); and
+    ``index/columnar.py`` defines one function behind
+    ``match_path_indexed`` — a second one is a matcher fork coming back.
+    """
+    numpy_names = {"numpy", "np_compat", "HAS_NUMPY"}
+    reexport = ("src/repro/index/__init__.py", "repro.index.np_compat", ("HAS_NUMPY",))
+    problems = []
+    if pathlib.Path("src/repro/index/encoding.py").exists():
+        problems.append("src/repro/index/encoding.py exists")
+    for file in sorted(pathlib.Path("src/repro").rglob("*.py")):
+        path = file.as_posix()
+
+        def visit(node):
+            if isinstance(node, ast.ImportFrom) and (
+                path, node.module, tuple(alias.name for alias in node.names)
+            ) == reexport:
+                return
+            names = [
+                getattr(node, "id", None), getattr(node, "attr", None),
+                getattr(node, "arg", None), getattr(node, "name", None),
+            ]
+            if isinstance(node, ast.alias):
+                names += node.name.split(".")
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names += node.module.split(".")
+            line = getattr(node, "lineno", "?")
+            if "IntervalEncoding" in names:
+                problems.append(f"{path}:{line}: IntervalEncoding")
+            if path not in _NUMPY_MODULES:
+                problems.extend(
+                    f"{path}:{line}: {name}" for name in numpy_names.intersection(names)
+                )
+            for child in ast.iter_child_nodes(node):
+                visit(child)
+
+        visit(ast.parse(file.read_text(encoding="utf-8")))
+    columnar = ast.parse(
+        pathlib.Path("src/repro/index/columnar.py").read_text(encoding="utf-8")
+    )
+    methods = {
+        id(item)
+        for node in ast.walk(columnar) if isinstance(node, ast.ClassDef)
+        for item in node.body
+    }
+    functions = [
+        node.name for node in ast.walk(columnar)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and id(node) not in methods and node.name != "match_path_indexed"
+    ]
+    if len(functions) > 1:
+        problems.append(f"src/repro/index/columnar.py: matchers {functions}")
+    assert not problems, "\n".join(problems)

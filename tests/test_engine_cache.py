@@ -835,8 +835,7 @@ class TestOneTokenPerStatement:
             monkeypatch.setattr(owner, name, wrapper)
 
         counting(paths, "level_sets", "walks")
-        counting(columnar, "_match_numpy", "snapshot_matches")
-        counting(columnar, "_match_python", "snapshot_matches")
+        counting(columnar, "_match", "snapshot_matches")
         counting(EdgeLabeledGraph, "is_tree", "is_tree")
         return interpreter, calls
 

@@ -1,9 +1,10 @@
-"""repro.index: encoding, columnar matcher parity, caches, engine access.
+"""repro.index: the tree snapshot, matcher parity, caches, engine access.
 
-The load-bearing contract is *parity*: every vectorized structure must
-produce results identical to the walked evaluators it replaces.  The
-randomized suites below hold that on 52 generated tree instances plus
-DAG-shaped ones, and exercise the cache invalidation token, the
+The load-bearing contract is *parity*: the snapshot's matcher and the
+dense marginalizer must produce results identical to the walked
+evaluators they replace.  The randomized suites below hold that on 52
+generated tree instances and a tree wider than any of them, check that a
+DAG has no snapshot, and exercise the cache invalidation token, the
 certificate-based skip of dead paths and the engine's runtime fallback.
 """
 
@@ -27,14 +28,14 @@ from repro.index import (
     HAS_NUMPY,
     ColumnarInstance,
     IndexCache,
-    IntervalEncoding,
     marginalize_opf,
     marginalize_python,
     match_path_indexed,
 )
-from repro.index.columnar import _MATCH_MEMO_CAP, _match_python
+from repro.index.columnar import _MATCH_MEMO_CAP
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.pxql import Interpreter, parse
+from repro.semistructured.graph import EdgeLabeledGraph
 from repro.semistructured.paths import PathExpression, match_path
 from repro.storage.database import Database
 from repro.storage.derived import cache_token
@@ -89,44 +90,6 @@ def _assert_same_match(actual, expected):
 
 
 # ----------------------------------------------------------------------
-# Interval encoding
-# ----------------------------------------------------------------------
-class TestIntervalEncoding:
-    def test_tree_invariants(self):
-        workload = generate_workload(SPECS[1])
-        graph = workload.instance.weak.graph()
-        root = workload.instance.root
-        encoding = IntervalEncoding.from_graph(graph, root)
-        assert encoding is not None
-        assert len(encoding) == len(workload.instance)
-        # pre is a permutation; the root spans the whole preorder range.
-        assert sorted(encoding.pre) == list(range(len(encoding)))
-        assert encoding.interval(root) == (0, len(encoding))
-        assert encoding.depth(root) == 0
-        for src, dst, _label in graph.edges():
-            assert encoding.depth(dst) == encoding.depth(src) + 1
-            assert encoding.is_ancestor(src, dst)
-            assert not encoding.is_ancestor(dst, src)
-            assert encoding.is_ancestor_or_self(src, dst)
-
-    def test_ancestorship_matches_graph_reachability(self):
-        pi = build_bib()
-        graph = pi.weak.graph()
-        encoding = IntervalEncoding.from_graph(graph, "R")
-        assert encoding is not None
-        # Transitive ancestorship across two edges, plus reflexivity.
-        assert encoding.is_ancestor("R", "A1")
-        assert encoding.is_ancestor("B2", "A2")
-        assert not encoding.is_ancestor("B1", "A2")
-        assert not encoding.is_ancestor("A1", "A1")
-        assert encoding.is_ancestor_or_self("A1", "A1")
-
-    def test_dag_yields_none(self):
-        pi = random_dag_instance(random.Random(0))
-        assert IntervalEncoding.from_graph(pi.weak.graph(), pi.root) is None
-
-
-# ----------------------------------------------------------------------
 # Columnar snapshots
 # ----------------------------------------------------------------------
 class TestColumnarInstance:
@@ -135,15 +98,22 @@ class TestColumnarInstance:
         pi = workload.instance
         graph = pi.weak.graph()
         col = ColumnarInstance.from_instance(pi)
-        assert col.is_tree
+        assert col is not None
         assert col.root == pi.root
         assert len(col) == len(pi)
         assert set(col.oids) == set(graph.vertices)
-        assert col.num_edges == sum(1 for _ in graph.edges())
+        assert col.oids[0] == pi.root and col.parent[0] == -1
         parent_map = col.parent_map()
         assert pi.root not in parent_map
-        for src, dst, _label in graph.edges():
+        for src, dst, label in graph.edges():
             assert parent_map[dst] == src
+            position, up = col.index_of[dst], col.index_of[src]
+            # Preorder: a parent precedes its children.
+            assert col.parent[position] == up < position
+            assert position in col.children[label][up]
+        for by_parent in col.children.values():
+            for kids in by_parent.values():
+                assert kids == sorted(kids)
 
     def test_reach_follows_parent_pointers(self):
         from repro.queries.chain import chain_probability
@@ -156,11 +126,20 @@ class TestColumnarInstance:
         assert col.reach(pi, "nobody") == 0.0
 
     def test_dag_snapshot(self):
+        """Only a tree has a snapshot: a shared child, a cycle and an
+        object the root cannot reach each make it ``None``."""
         pi = random_dag_instance(random.Random(1))
-        col = ColumnarInstance.from_instance(pi)
-        assert not col.is_tree
-        assert col.encoding is None
-        assert len(col) == len(pi)
+        assert ColumnarInstance.from_instance(pi) is None
+        graph = EdgeLabeledGraph()
+        graph.add_edge("r", "a", "l")
+        assert ColumnarInstance.from_graph(graph, "r") is not None
+        assert ColumnarInstance.from_graph(graph, "nowhere") is None
+        cyclic = graph.copy()
+        cyclic.add_edge("a", "r", "l")
+        assert ColumnarInstance.from_graph(cyclic, "r") is None
+        forest = graph.copy()
+        forest.add_vertex("stray")
+        assert ColumnarInstance.from_graph(forest, "r") is None
 
 
 # ----------------------------------------------------------------------
@@ -178,27 +157,74 @@ def test_match_parity(spec):
     paths.append(PathExpression(workload.instance.root))  # zero labels
 
     for path in paths:
-        expected = match_path(graph, path)
-        _assert_same_match(match_path_indexed(col, path, memo=False), expected)
         _assert_same_match(
-            _match_python(col, path, col.index_of[path.root]), expected
+            match_path_indexed(col, path, memo=False), match_path(graph, path)
+        )
+
+
+def _wide_tree(branching=8, depth=4):
+    """A bare tree whose deepest level holds 2,048 objects: ``l<k>``
+    edges to the first three quarters of each node's children and
+    ``m<k>`` to the rest, and at depth 3 only the even-numbered objects
+    have children, so a path's backward prune drops objects."""
+    graph = EdgeLabeledGraph()
+    graph.add_vertex("r")
+    level = ["r"]
+    for k in range(1, depth + 1):
+        below = []
+        for number, oid in enumerate(level):
+            if k > 3 and number % 2:
+                continue
+            for i in range(branching):
+                child = f"{oid}.{i}"
+                label = f"l{k}" if i < branching * 3 // 4 else f"m{k}"
+                graph.add_edge(oid, child, label)
+                below.append(child)
+        level = below
+    return graph
+
+
+def test_match_parity_wide_tree():
+    """Levels far wider than 128 objects, the width the numpy gather
+    used to take, match as the walk does."""
+    graph = _wide_tree()
+    col = ColumnarInstance.from_graph(graph, "r")
+    assert col is not None
+    full = PathExpression.parse("r.l1.l2.l3.l4")
+    assert len(match_path(graph, full).levels[4]) > 128
+    for text in ("r.l1.l2.l3.l4", "r.l1.l2.l3.m4", "r.m1.l2.m3.l4",
+                 "r.l1.l2.l3", "r.l1.m2.nope", "r"):
+        path = PathExpression.parse(text)
+        _assert_same_match(
+            match_path_indexed(col, path, memo=False), match_path(graph, path)
         )
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_match_parity_dag(seed):
-    """DAG snapshots take the generic edge-sweep path; parity must hold."""
+    """A DAG has no snapshot: the cache keeps its ``None`` under the
+    token (built and counted once), and a statement over it is walked
+    and answers as the direct operator does."""
     pi = random_dag_instance(random.Random(seed))
-    graph = pi.weak.graph()
-    col = ColumnarInstance.from_instance(pi)
-    assert not col.is_tree
-    for text in ("r.a", "r.a.b", "r.a.b.nope", "r"):
-        path = PathExpression.parse(text)
-        expected = match_path(graph, path)
-        _assert_same_match(match_path_indexed(col, path, memo=False), expected)
-        _assert_same_match(
-            _match_python(col, path, col.index_of[path.root]), expected
+    database = Database()
+    database.register("base", pi)
+    registry = MetricsRegistry()
+    cache = IndexCache.of(database)
+    with use_registry(registry):
+        assert cache.try_get(database, "base") is None
+        assert cache.try_get(database, "base") is None
+    assert registry.counter("index.builds").value == 1
+    assert registry.counter("index.hits").value == 1
+
+    interpreter = Interpreter(database)
+    for text in ("EXISTS r.a.b IN base", "COUNT r.a.b IN base",
+                 "POINT r.a.b : z1 IN base", "PROB z1 IN base"):
+        assert_same_answer(
+            interpreter.execute(text).value,
+            evaluate_directly(database, text), text,
         )
+        root = interpreter.execute(f"EXPLAIN ANALYZE {text}").text.splitlines()[0]
+        assert "strategy=" in root and "strategy=indexed" not in root, text
 
 
 def test_match_absent_root_is_empty():
@@ -630,6 +656,3 @@ def test_numpy_flag_is_consistent():
     from repro.index import np_compat
 
     assert HAS_NUMPY == (np_compat.numpy is not None)
-    if HAS_NUMPY:
-        col = ColumnarInstance.from_instance(build_bib())
-        assert col._pre_np is not None

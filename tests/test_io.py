@@ -50,6 +50,16 @@ class TestJsonProbabilistic:
             database.save("two")
         assert sorted(path.name for path in tmp_path.rglob("*")) == before
 
+    def test_a_child_set_listed_twice_is_refused(self):
+        """A dict keeps the last entry: ``A1`` loaded as
+        ``{∅: 0.5, {I1}: 0.8}``, an OPF summing to 1.3."""
+        data = json.loads(json_codec.dumps(figure2_instance()))
+        data["objects"]["A1"]["opf"]["entries"] = [
+            [[], 0.2], [[], 0.5], [["I1"], 0.8],
+        ]
+        with pytest.raises(CodecError, match=r"'A1'.*\[\]"):
+            json_codec.loads(json.dumps(data))
+
     def test_round_trip_figure2(self):
         pi = figure2_instance()
         restored = json_codec.loads(json_codec.dumps(pi))
@@ -217,6 +227,16 @@ class TestCompactCodec:
 
         with pytest.raises(CodecError, match="'t'"):
             compact_codec.dumps(_two_types_named_t())
+
+    def test_a_child_set_listed_twice_is_refused(self):
+        """A second ``E`` line for one child set overwrote the first."""
+        from repro.io import compact_codec
+
+        text = compact_codec.dumps(figure2_instance())
+        assert "OPF\tA1\nE\t0.2\t\n" in text
+        text = text.replace("OPF\tA1\nE\t0.2\t\n", "OPF\tA1\nE\t0.2\t\nE\t0.5\t\n")
+        with pytest.raises(CodecError, match=r"'A1'.*\[\]"):
+            compact_codec.loads(text)
 
     def test_round_trip_figure2(self):
         from repro.io import compact_codec
