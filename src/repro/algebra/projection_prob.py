@@ -89,7 +89,7 @@ class EpsilonPass:
 
 
 def _require_tree(pi: ProbabilisticInstance) -> None:
-    if not pi.weak.graph().is_tree(pi.root):
+    if not pi.weak.is_tree():
         raise NonTreeInstanceError(
             "the efficient local algorithms require a tree-structured weak "
             "instance graph; use the global or Bayesian-network engines for DAGs"
@@ -100,14 +100,12 @@ def _locate(
     pi: ProbabilisticInstance,
     path: PathExpression | str,
     match: PathMatch | None,
-    assume_tree: bool,
 ) -> PathMatch:
     """``path``'s match on ``pi`` (the caller's, if it brought one),
-    behind the tree check unless the caller holds the proof."""
+    behind the tree check."""
     if isinstance(path, str):
         path = PathExpression.parse(path)
-    if not assume_tree:
-        _require_tree(pi)
+    _require_tree(pi)
     return match if match is not None else match_path(pi.weak.graph(), path)
 
 
@@ -115,7 +113,6 @@ def epsilon_pass(
     pi: ProbabilisticInstance,
     path: PathExpression | str,
     match: PathMatch | None = None,
-    assume_tree: bool = False,
 ) -> EpsilonPass:
     """Run the bottom-up marginalize/normalize sweep of Section 6.1.
 
@@ -124,10 +121,9 @@ def epsilon_pass(
     objects "will not be considered and ... does not need updating").
     A precomputed ``match`` may be passed so callers (the benchmark
     harness, the indexed executor) can time or batch the locate step
-    separately; callers that already verified tree-shape (e.g. from a
-    columnar snapshot) pass ``assume_tree=True`` to skip the O(V) check.
+    separately.
     """
-    match = _locate(pi, path, match, assume_tree)
+    match = _locate(pi, path, match)
     epsilon: dict[Oid, float] = {}
     opfs: dict[Oid, ObjectProbabilityFunction] = {}
 
@@ -180,7 +176,6 @@ def root_epsilon(
     pi: ProbabilisticInstance,
     path: PathExpression | str,
     match: PathMatch | None = None,
-    assume_tree: bool = False,
 ) -> float:
     """``eps_r`` alone — the probability that some object satisfies ``path``.
 
@@ -190,7 +185,7 @@ def root_epsilon(
     OPFs get ``1 - prod_j (1 - p_j eps_j)`` (over the non-empty mass
     when conditioned on it); any other sums its support once.
     """
-    match = _locate(pi, path, match, assume_tree)
+    match = _locate(pi, path, match)
     if match.is_empty:
         return 0.0
     depth = len(match.levels) - 1

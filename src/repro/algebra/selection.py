@@ -22,7 +22,6 @@ similar way" remark):
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.core.cardinality import CardinalityInterval
@@ -195,54 +194,39 @@ def select_local(
 
 
 def chain_to(
-    pi: ProbabilisticInstance,
-    path: PathExpression,
-    oid: Oid,
-    parent_of: Mapping[Oid, Oid] | None = None,
+    pi: ProbabilisticInstance, path: PathExpression, oid: Oid
 ) -> list[Oid]:
     """The unique chain ``root, o_1, ..., o_n = oid`` matching ``path``.
 
     Requires a tree-structured weak instance graph
-    (:class:`NonTreeInstanceError` otherwise).  Raises
-    :class:`AlgebraError` when ``oid`` does not satisfy the path in the
-    weak instance (in which case the selection probability is zero).
-
-    ``parent_of`` is an optional precomputed child-to-parent map (e.g.
-    ``ColumnarInstance.parent_map()`` from a tree-verified snapshot);
-    passing it skips the O(V) tree check and the per-link parent-set
-    lookups, leaving only the label validation on the graph.
+    (:class:`NonTreeInstanceError` otherwise; the proof is the weak
+    instance's, made once).  Raises :class:`AlgebraError` when ``oid``
+    does not satisfy the path in the weak instance (in which case the
+    selection probability is zero).
     """
     if path.root != pi.root:
         raise AlgebraError(
             f"path root {path.root!r} differs from instance root {pi.root!r}"
         )
-    graph = pi.weak.graph()
-    if parent_of is None and not graph.is_tree(pi.root):
+    if not pi.weak.is_tree():
         raise NonTreeInstanceError(
             "chain extraction requires a tree-structured instance"
         )
+    graph = pi.weak.graph()
     if oid not in graph:
         raise AlgebraError(f"object {oid!r} is not in the instance")
     chain = [oid]
     current = oid
     for label in reversed(path.labels):
-        if parent_of is not None:
-            parent = parent_of.get(current)
-            if parent is None:
-                raise AlgebraError(f"object {oid!r} does not satisfy path {path}")
-        else:
-            parents = graph.parents(current)
-            if not parents:
-                raise AlgebraError(f"object {oid!r} does not satisfy path {path}")
-            (parent,) = parents
+        parents = graph.parents(current)
+        if not parents:
+            raise AlgebraError(f"object {oid!r} does not satisfy path {path}")
+        (parent,) = parents
         if graph.label(parent, current) != label:
             raise AlgebraError(f"object {oid!r} does not satisfy path {path}")
         chain.append(parent)
         current = parent
-    if current != pi.root or (
-        parent_of.get(pi.root) is not None if parent_of is not None
-        else graph.parents(pi.root)
-    ):
+    if current != pi.root:
         raise AlgebraError(f"object {oid!r} does not satisfy path {path}")
     chain.reverse()
     return chain

@@ -38,12 +38,12 @@ from repro.semistructured.graph import Label, Oid
 from repro.semistructured.types import Value
 
 
-def _conditioned_copy(
-    pi: ProbabilisticInstance,
+def _condition(
+    result: ProbabilisticInstance,
     oid: Oid,
     predicate: Callable[[ChildSet], bool],
 ) -> ProbabilisticInstance:
-    result = pi.copy()
+    """Condition ``result``'s OPF of ``oid`` on ``predicate``, in place."""
     opf = result.opf(oid)
     if opf is None:
         raise AlgebraError(f"object {oid!r} has no OPF")
@@ -62,7 +62,7 @@ def assert_child(
     """Condition on ``child in c(parent)`` (given the parent occurs)."""
     if child not in pi.weak.potential_children(parent):
         raise AlgebraError(f"{child!r} is not a potential child of {parent!r}")
-    return _conditioned_copy(pi, parent, lambda c: child in c)
+    return _condition(pi.copy(), parent, lambda c: child in c)
 
 
 def retract_child(
@@ -74,7 +74,10 @@ def retract_child(
     removed from the weak instance as well: after the retraction it can
     never occur.
     """
-    result = _conditioned_copy(pi, parent, lambda c: child not in c)
+    result = _condition(
+        ProbabilisticInstance(pi.weak.copy(), pi.interpretation.copy()),
+        parent, lambda c: child not in c,
+    )
     label = result.weak.label_of_child(parent, child)
     remaining = result.weak.lch(parent, label) - {child}
     result.weak.set_lch(parent, label, remaining)
@@ -156,7 +159,7 @@ def insert_child(
         raise AlgebraError(f"inclusion probability must be in [0, 1], got {probability!r}")
     if child in pi.weak:
         raise AlgebraError(f"object id {child!r} already exists")
-    result = pi.copy()
+    result = ProbabilisticInstance(pi.weak.copy(), pi.interpretation.copy())
     opf = result.opf(parent)
     if opf is None:
         raise AlgebraError(f"object {parent!r} has no OPF")
@@ -185,7 +188,7 @@ def remove_object(pi: ProbabilisticInstance, oid: Oid) -> ProbabilisticInstance:
     """
     if oid == pi.root:
         raise AlgebraError("cannot remove the root object")
-    result = pi.copy()
+    result = ProbabilisticInstance(pi.weak.copy(), pi.interpretation.copy())
     graph = result.weak.graph()
     if oid not in graph:
         raise AlgebraError(f"unknown object: {oid!r}")

@@ -73,9 +73,9 @@ def existence_probability(pi: ProbabilisticInstance, oid: Oid) -> float:
     The product of marginal inclusion probabilities up the (unique)
     parent chain; zero for an object the instance does not have.
     """
-    graph = pi.weak.graph()
-    if not graph.is_tree(pi.root):
+    if not pi.weak.is_tree():
         raise SemanticsError("closed-form existence needs a tree; use the BN engine")
+    graph = pi.weak.graph()
     if oid not in graph:
         return 0.0
     probability = 1.0
@@ -154,7 +154,7 @@ def summarize(pi: ProbabilisticInstance) -> InstanceSummary:
         support = list(opf.support())
         opf_sizes.append(len(support))
         opf_entropies.append(_entropy(p for _, p in support))
-    is_tree = pi.weak.graph().is_tree(pi.root)
+    is_tree = pi.weak.is_tree()
     return InstanceSummary(
         objects=len(pi),
         non_leaves=len(pi.weak.non_leaves()),

@@ -361,17 +361,12 @@ class _AbstractInterpreter:
         site = scan_site(
             self.database, node.name, pi, self.guides, self.generation
         )
-        assert site.graph is not None
-        tree = (
-            site.guide.is_tree if site.guide is not None
-            else site.graph.is_tree(pi.root)
-        )
         return _State(
             card=CardInterval.exactly(len(pi)),
             prob=ONE,
             exact=True,
             site=site,
-            tree=tree,
+            tree=pi.weak.is_tree(),
         )
 
     # ------------------------------------------------------------------

@@ -173,7 +173,7 @@ def build_dataguide(
     """
     weak = pi.weak
     graph = weak.graph()
-    is_tree = graph.is_tree(weak.root)
+    is_tree = weak.is_tree()
 
     entries: dict[tuple[Label, ...], DataGuideEntry] = {}
     truncated = False

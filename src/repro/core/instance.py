@@ -163,8 +163,16 @@ class ProbabilisticInstance:
     # Misc
     # ------------------------------------------------------------------
     def copy(self) -> "ProbabilisticInstance":
-        """Deep copy of the weak instance, shallow copy of distributions."""
-        return ProbabilisticInstance(self._weak.copy(), self._interp.copy())
+        """A new instance over the same weak instance, with its own copy
+        of the interpretation (the distributions themselves are shared).
+
+        The weak instance is frozen first, so neither instance can change
+        the structure under the other: a derivation that changes
+        structure starts from ``ProbabilisticInstance(pi.weak.copy(),
+        pi.interpretation.copy())`` instead.
+        """
+        self._weak.freeze()
+        return ProbabilisticInstance(self._weak, self._interp.copy())
 
     def total_interpretation_entries(self) -> int:
         """Total OPF/VPF entries — the experiments' cost parameter."""

@@ -76,8 +76,13 @@ class LocalInterpretation:
 
     def copy(self) -> "LocalInterpretation":
         """Shallow-copy the maps (the distributions themselves are immutable
-        in practice and shared)."""
-        return LocalInterpretation(dict(self._opf), dict(self._vpf))
+        in practice and shared).  The constructor's overlap check is for
+        outside input: :meth:`set_opf` / :meth:`set_vpf` already keep
+        these maps disjoint."""
+        clone = LocalInterpretation.__new__(LocalInterpretation)
+        clone._opf = dict(self._opf)
+        clone._vpf = dict(self._vpf)
+        return clone
 
     def total_entries(self) -> int:
         """Total stored entries across every OPF and VPF.

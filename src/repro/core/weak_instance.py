@@ -40,7 +40,10 @@ from repro.semistructured.types import LeafType, Value
 class WeakInstance:
     """A weak instance with a designated root object."""
 
-    __slots__ = ("_root", "_objects", "_lch", "_card", "_tau", "_val", "_graph_cache")
+    __slots__ = (
+        "_root", "_objects", "_lch", "_card", "_tau", "_val",
+        "_graph_cache", "_tree", "_frozen",
+    )
 
     def __init__(self, root: Oid) -> None:
         self._root = root
@@ -50,16 +53,37 @@ class WeakInstance:
         self._tau: dict[Oid, LeafType] = {}
         self._val: dict[Oid, Value] = {}
         self._graph_cache: EdgeLabeledGraph | None = None
+        self._tree: bool | None = None
+        self._frozen = False
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    def freeze(self) -> None:
+        """Make the instance a value: every setter raises from now on.
+
+        The catalog freezes what it holds, and
+        :meth:`ProbabilisticInstance.copy` what it shares; :meth:`copy`
+        gives a mutable one.
+        """
+        self._frozen = True
+
+    def _before_change(self, oid: Oid) -> None:
+        """Refuse a change to a frozen instance; else forget the graph
+        and the tree proof, which the change may invalidate."""
+        if self._frozen:
+            raise ModelError(
+                f"cannot change object {oid!r}: the weak instance is frozen"
+            )
+        self._graph_cache = None
+        self._tree = None
+
     def add_object(self, oid: Oid) -> None:
         """Add an object to ``V`` (idempotent)."""
+        self._before_change(oid)
         if oid not in self._objects:
             self._objects.add(oid)
             self._lch[oid] = {}
-            self._graph_cache = None
 
     def set_lch(self, oid: Oid, label: Label, children: Iterable[Oid]) -> None:
         """Declare ``lch(oid, label)``; children are added to ``V`` on demand.
@@ -68,6 +92,7 @@ class WeakInstance:
         label of the same object raise :class:`OverlappingLabelError`.
         """
         self._require(oid)
+        self._before_change(oid)
         pool = frozenset(children)
         for other_label, other_children in self._lch[oid].items():
             if other_label != label and pool & other_children:
@@ -82,13 +107,12 @@ class WeakInstance:
             self._lch[oid][label] = pool
         else:
             self._lch[oid].pop(label, None)
-        self._graph_cache = None
 
     def set_card(self, oid: Oid, label: Label, card: CardinalityInterval) -> None:
         """Set ``card(oid, label)``."""
         self._require(oid)
+        self._before_change(oid)
         self._card[(oid, label)] = card
-        self._graph_cache = None
 
     def remove_object(self, oid: Oid) -> None:
         """Remove an object, its ``lch``/``card`` entries and annotations.
@@ -101,6 +125,7 @@ class WeakInstance:
         self._require(oid)
         if oid == self._root:
             raise ModelError("cannot remove the root object")
+        self._before_change(oid)
         self._objects.discard(oid)
         self._lch.pop(oid, None)
         self._tau.pop(oid, None)
@@ -108,23 +133,24 @@ class WeakInstance:
         self._card = {
             key: value for key, value in self._card.items() if key[0] != oid
         }
-        self._graph_cache = None
 
     def set_type(self, oid: Oid, leaf_type: LeafType) -> None:
         """Associate ``tau(oid)`` with a leaf object."""
         self._require(oid)
+        self._before_change(oid)
         self._tau[oid] = leaf_type
 
     def set_val(self, oid: Oid, value: Value) -> None:
         """Associate a default value with a leaf (checked against the type)."""
         self._require(oid)
+        self._before_change(oid)
         leaf_type = self._tau.get(oid)
         if leaf_type is not None:
             leaf_type.check(value)
         self._val[oid] = value
 
     def copy(self) -> "WeakInstance":
-        """Deep, independent copy."""
+        """Deep, independent and mutable copy."""
         clone = WeakInstance.__new__(WeakInstance)
         clone._root = self._root
         clone._objects = set(self._objects)
@@ -133,6 +159,8 @@ class WeakInstance:
         clone._tau = dict(self._tau)
         clone._val = dict(self._val)
         clone._graph_cache = None
+        clone._tree = None
+        clone._frozen = False
         return clone
 
     # ------------------------------------------------------------------
@@ -267,7 +295,7 @@ class WeakInstance:
         There is an edge ``(o, o')`` iff some potential child set of ``o``
         contains ``o'`` — equivalently iff ``o' in lch(o, l)`` for a label
         with ``card(o, l).max >= 1`` and satisfiable lower bound.  The
-        graph is cached; mutation invalidates the cache.
+        graph is cached; a structural change forgets it.
         """
         if self._graph_cache is None:
             graph = EdgeLabeledGraph()
@@ -287,8 +315,15 @@ class WeakInstance:
         return self.graph().is_acyclic()
 
     def is_tree(self) -> bool:
-        """Whether ``G_W`` is a tree rooted at the root object."""
-        return self.graph().is_tree(self._root)
+        """Whether ``G_W`` is a tree rooted at the root object.
+
+        Proven once per structure, like :meth:`graph`: the one place the
+        O(V) check runs, so a frozen instance and every instance sharing
+        it pay for it once.
+        """
+        if self._tree is None:
+            self._tree = self.graph().is_tree(self._root)
+        return self._tree
 
     # ------------------------------------------------------------------
     # Validation

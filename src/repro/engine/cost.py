@@ -56,7 +56,7 @@ def measure_instance(pi: ProbabilisticInstance) -> Estimate:
     return Estimate(
         objects=len(pi),
         entries=pi.total_interpretation_entries(),
-        is_tree=pi.weak.graph().is_tree(pi.root),
+        is_tree=pi.weak.is_tree(),
         root=pi.root,
     )
 

@@ -525,14 +525,13 @@ class Engine:
         pi: ProbabilisticInstance,
         col: ColumnarInstance,
     ) -> tuple[object, str]:
-        """Evaluate a path operator over a scanned tree: the match, the
-        parent pointers and the memoised root-chain products
-        (:meth:`ColumnarInstance.reach`) come from the snapshot and feed
-        the same Section 6 algorithms the walked operators run, each
-        computing its answer and nothing else — only ``PROJECT`` builds
-        the projection's OPFs.  Only a tree has a snapshot, so ``col`` is
-        the tree proof, made once when it was built under this token,
-        and they skip their own O(V) check."""
+        """Evaluate a path operator over a scanned tree: the match and
+        the memoised root-chain products (:meth:`ColumnarInstance.reach`)
+        come from the snapshot and feed the same Section 6 algorithms the
+        walked operators run, each computing its answer and nothing else
+        — only ``PROJECT`` builds the projection's OPFs.  Their tree
+        check reads the weak instance's proof, made once for the frozen
+        catalog instance (:meth:`WeakInstance.is_tree`)."""
 
         def match() -> PathMatch:
             with self.tracer.span(
@@ -543,7 +542,7 @@ class Engine:
             return found
 
         if isinstance(node, ProjectNode):
-            sweep = epsilon_pass(pi, node.path, match=match(), assume_tree=True)
+            sweep = epsilon_pass(pi, node.path, match=match())
             projected = instance_from_epsilon_pass(pi, node.path, sweep)
             return projected, "indexed"
 
@@ -560,17 +559,13 @@ class Engine:
             elif node.kind == "chain":
                 value = chain_probability(pi, node.chain, snapshot=col)
             elif node.kind == "exists":
-                value = root_epsilon(
-                    pi, node.path, match=match(), assume_tree=True
-                )
+                value = root_epsilon(pi, node.path, match=match())
             elif node.kind == "count":
                 value = expected_match_count(
                     pi, node.path, match=match(), snapshot=col
                 )
             else:  # "dist"
-                value = match_count_distribution(
-                    pi, node.path, match=match(), assume_tree=True
-                )
+                value = match_count_distribution(pi, node.path, match=match())
         self.metrics.counter(f"query.{node.kind}").inc()
         self.metrics.histogram("query.wall_s").observe(qspan.wall_s)
         return value, "indexed"

@@ -55,7 +55,6 @@ class ColumnarInstance:
         "children",
         "_match_memo",
         "_memo_lock",
-        "_parent_map",
         "_reach",
     )
 
@@ -81,7 +80,6 @@ class ColumnarInstance:
         # evict-then-insert runs under a lock.
         self._match_memo: dict[PathExpression, PathMatch] = {}
         self._memo_lock = threading.Lock()
-        self._parent_map: dict[Oid, Oid] | None = None
         # ``P(o occurs)`` per position (:meth:`reach`); the token's, like
         # the match memo.  A slot is one assignment of a value every
         # thread computes identically, so it needs no lock.
@@ -134,16 +132,6 @@ class ColumnarInstance:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.oids)
-
-    def parent_map(self) -> dict[Oid, Oid]:
-        """Child -> parent object ids (cached)."""
-        if self._parent_map is None:
-            self._parent_map = {
-                self.oids[child]: self.oids[parent]
-                for child, parent in enumerate(self.parent)
-                if parent >= 0
-            }
-        return self._parent_map
 
     def reach(self, pi: "ProbabilisticInstance", oid: Oid) -> float:
         """``P(oid occurs)`` in ``pi``, the tree this snapshot was built

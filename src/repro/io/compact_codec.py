@@ -173,6 +173,8 @@ def loads(text: str) -> ProbabilisticInstance:
                 flush_vpf()
                 current_opf_oid = record[1]
             elif kind == "E":
+                if current_opf_oid is None:
+                    raise CodecError(f"record {record!r} comes before any OPF record")
                 members = record[2].split(",") if record[2] else []
                 key = frozenset(members)
                 if key in current_opf:
@@ -187,6 +189,8 @@ def loads(text: str) -> ProbabilisticInstance:
                 flush_vpf()
                 current_vpf_oid = record[1]
             elif kind == "W":
+                if current_vpf_oid is None:
+                    raise CodecError(f"record {record!r} comes before any VPF record")
                 current_vpf[json.loads(record[2])] = float(record[1])
             else:
                 raise CodecError(f"unknown record kind: {kind!r}")

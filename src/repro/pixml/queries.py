@@ -48,9 +48,9 @@ def interval_point_query(
     """The interval of ``P(o in p)`` on a tree-structured instance."""
     if isinstance(path, str):
         path = PathExpression.parse(path)
-    graph = instance.weak.graph()
-    if not graph.is_tree(instance.root):
+    if not instance.weak.is_tree():
         raise QueryError("interval point queries require a tree-structured instance")
+    graph = instance.weak.graph()
     if oid not in graph:
         return ProbInterval.point(0.0)
     chain = [oid]
@@ -85,10 +85,9 @@ def interval_existential_query(
     """
     if isinstance(path, str):
         path = PathExpression.parse(path)
-    graph = instance.weak.graph()
-    if not graph.is_tree(instance.root):
+    if not instance.weak.is_tree():
         raise QueryError("interval existential queries require a tree")
-    match = match_path(graph, path)
+    match = match_path(instance.weak.graph(), path)
     if match.is_empty:
         return ProbInterval.point(0.0)
     depth = len(match.levels) - 1

@@ -85,7 +85,7 @@ def world_has_witness(world: SemistructuredInstance, pattern: PatternNode) -> bo
 # ----------------------------------------------------------------------
 def pattern_probability(pi: ProbabilisticInstance, pattern: PatternNode) -> float:
     """``P(some witness of the pattern exists)`` — exact on trees."""
-    if not pi.weak.graph().is_tree(pi.root):
+    if not pi.weak.is_tree():
         raise NonTreeInstanceError(
             "pattern probabilities require a tree-structured instance; use "
             "enumeration or sampling on DAGs"

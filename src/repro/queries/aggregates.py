@@ -128,7 +128,6 @@ def match_count_distribution(
     pi: ProbabilisticInstance,
     path: PathExpression | str,
     match: PathMatch | None = None,
-    assume_tree: bool = False,
 ) -> dict[int, float]:
     """The exact distribution of ``#objects satisfying p`` (trees).
 
@@ -138,13 +137,9 @@ def match_count_distribution(
     their *mask* over the object's children on the match, all the count
     depends on, and a mask's product extends that of the mask without
     its lowest child; independent OPFs use their closed form.  A
-    precomputed ``match`` skips the structural locate step; a caller
-    that already holds a proof of tree shape (a columnar snapshot's,
-    made when it was built) passes ``assume_tree=True`` to skip the
-    O(V) check, as for
-    :func:`~repro.algebra.projection_prob.epsilon_pass`.
+    precomputed ``match`` skips the structural locate step.
     """
-    match = _locate(pi, path, match, assume_tree)
+    match = _locate(pi, path, match)
     if match.is_empty:
         return {0: 1.0}
     depth = len(match.levels) - 1

@@ -32,9 +32,9 @@ def chain_probability(
     Args:
         pi: the probabilistic instance (tree-structured for exactness).
         chain: the object ids, beginning with the instance root.
-        snapshot: ``pi``'s tree-verified columnar snapshot; a chain that
-            follows its parent pointers is the root chain of its last
-            object, whose product the snapshot memoises.
+        snapshot: ``pi``'s columnar snapshot; a chain that follows its
+            ``parent`` column is the root chain of its last object, whose
+            product the snapshot memoises.
 
     Returns:
         The probability that each ``o_{i+1}`` is a child of ``o_i`` in a
@@ -47,8 +47,11 @@ def chain_probability(
             f"chain must start at the root {pi.root!r}, got {chain[0]!r}"
         )
     if snapshot is not None:
-        parent_of = snapshot.parent_map()
-        if all(parent_of.get(c) == p for p, c in zip(chain, chain[1:])):
+        index_of, up_of = snapshot.index_of, snapshot.parent
+        if all(
+            child in index_of and up_of[index_of[child]] == index_of[up]
+            for up, child in zip(chain, chain[1:])
+        ):
             return snapshot.reach(pi, chain[-1])
     probability = 1.0
     for parent, child in zip(chain, chain[1:]):

@@ -62,7 +62,7 @@ class QueryEngine:
             )
         self.pi = pi
         if strategy == "auto":
-            strategy = "local" if pi.weak.graph().is_tree(pi.root) else "bayes"
+            strategy = "local" if pi.weak.is_tree() else "bayes"
         self.strategy = strategy
         self.samples = samples
         self.seed = seed

@@ -38,17 +38,13 @@ def point_query(
     instance ("it is obvious that the probability must be zero"); a
     non-tree raises :class:`~repro.errors.NonTreeInstanceError` — the
     chain product does not apply, which is not a zero.  ``snapshot`` is
-    ``pi``'s tree-verified columnar snapshot: its parent pointers stand
-    in for the tree check and, the labels validated, its memoised
+    ``pi``'s columnar snapshot: once the chain is validated, its memoised
     :meth:`~repro.index.columnar.ColumnarInstance.reach` is the product.
     """
     if isinstance(path, str):
         path = PathExpression.parse(path)
     try:
-        chain = chain_to(
-            pi, path, oid,
-            snapshot.parent_map() if snapshot is not None else None,
-        )
+        chain = chain_to(pi, path, oid)
     except NonTreeInstanceError:
         raise
     except AlgebraError:

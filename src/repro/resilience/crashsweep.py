@@ -104,7 +104,7 @@ def run_cycle(directory: Path) -> None:
     db.save("alpha")
     db.register("beta", example52_instance())
     db.save("beta")
-    db.touch("alpha")
+    db.register("alpha", db.get("alpha"), replace=True)
     db.save("alpha")
     db.drop("beta")
     db.register("gamma", example52_instance())

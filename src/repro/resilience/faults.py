@@ -57,7 +57,7 @@ site                    where
 ``pxql.cache.statements.put`` before a statement-tier insert
 ``lock.pxql.cache.statements`` the statement tier's internal lock boundary
 ``lock.db.mutate``      before the catalog takes its in-memory lock for a
-                        mutation (register / drop / save / touch)
+                        mutation (register / drop / save)
 ``lock.db.file``        before the catalog's cross-process file lock is
                         acquired
 ======================  ====================================================

@@ -35,7 +35,7 @@ def map_world(
     Exact and linear-time (in interpretation entries) on trees; exact by
     enumeration on DAGs, guarded by ``max_enumeration`` worlds.
     """
-    if pi.weak.graph().is_tree(pi.root):
+    if pi.weak.is_tree():
         return _map_world_tree(pi)
     return _map_world_enumerate(pi, max_enumeration)
 

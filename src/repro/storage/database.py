@@ -111,7 +111,7 @@ class Database:
             tests).
 
     Every name carries a monotonically increasing *version*: registering
-    (or re-registering, lazily loading, touching) an instance assigns the
+    (or re-registering, lazily loading, reloading) an instance assigns the
     next value of a database-wide counter.  Versions describe what *this
     object* did to a name; what *anyone else* did to it on the shared
     directory is its :meth:`epoch` — the on-disk generation of the last
@@ -475,24 +475,6 @@ class Database:
             return None
         return text or None
 
-    def touch(self, name: str) -> int:
-        """Bump ``name``'s version after an in-place mutation.
-
-        Returns the new version.  Use this when an instance obtained via
-        :meth:`get` was modified directly, so engine caches keyed on the
-        old version stop matching.
-        """
-        fault_point("lock.db.mutate")
-        with self._lock:
-            if name in self._instances:
-                self._dirty.add(name)
-                return self._next_version(name)
-        if not self._on_disk(name):
-            raise DatabaseError(f"unknown instance: {name!r}")
-        with self._lock:
-            self._dirty.add(name)
-            return self._next_version(name)
-
     def _on_disk(self, name: str) -> bool:
         if self._directory is None:
             return False
@@ -501,13 +483,19 @@ class Database:
     def register(
         self, name: str, instance: ProbabilisticInstance, replace: bool = False
     ) -> None:
-        """Add an instance under ``name``; refuses clashes unless ``replace``."""
+        """Add an instance under ``name``; refuses clashes unless ``replace``.
+
+        The catalog holds values: the instance's weak structure is
+        frozen, so a change is a new instance registered with
+        ``replace=True``, which moves the name's version.
+        """
         _validate_name(name)
         self._admit(name, instance)
         fault_point("lock.db.mutate")
         with self._lock:
             if not replace and name in self._instances:
                 raise DatabaseError(f"instance {name!r} already exists")
+            instance.weak.freeze()
             self._instances[name] = instance
             self._next_version(name)
             self._dirty.add(name)
@@ -533,6 +521,7 @@ class Database:
                     existing = self._instances.get(name)
                     if existing is not None:
                         return existing
+                    instance.weak.freeze()
                     self._instances[name] = instance
                     self._dirty.discard(name)  # fresh from disk: in sync
                     if name not in self._versions:
@@ -555,6 +544,7 @@ class Database:
             raise DatabaseError(f"unknown instance: {name!r}")
         instance = self._read(path, name)
         self._admit(name, instance)
+        instance.weak.freeze()
         with self._lock:
             self._instances[name] = instance
             self._dirty.discard(name)  # fresh from disk: in sync

@@ -93,17 +93,26 @@ class TestMatchCounts:
         dist = match_count_distribution(tree, "R.book")
         assert sum(dist.values()) == pytest.approx(1.0)
 
-    def test_dag_is_refused_unless_the_caller_holds_a_tree_proof(self, tree):
-        """The tree check is only skipped for a caller that passes the
-        proof it holds (the executor: a snapshot, which only a tree has)."""
+    def test_dag_is_refused_unless_the_caller_holds_a_tree_proof(
+        self, tree, monkeypatch
+    ):
+        """The tree proof is the weak instance's, made once: a DAG is
+        refused, and a tree asked twice is walked once."""
         from repro.errors import NonTreeInstanceError
         from repro.paper import figure2_instance
+        from repro.semistructured.graph import EdgeLabeledGraph
 
         with pytest.raises(NonTreeInstanceError):
             match_count_distribution(figure2_instance(), "R.book.author")
-        assert match_count_distribution(
-            tree, "R.book.author", assume_tree=True
-        ) == match_count_distribution(tree, "R.book.author")
+        proofs = []
+        is_tree = EdgeLabeledGraph.is_tree
+        monkeypatch.setattr(
+            EdgeLabeledGraph, "is_tree",
+            lambda graph, root: proofs.append(root) or is_tree(graph, root),
+        )
+        first = match_count_distribution(tree, "R.book.author")
+        assert match_count_distribution(tree, "R.book.author") == first
+        assert proofs == ["R"]
 
 
 class TestIndependentFanOut:

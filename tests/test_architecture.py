@@ -130,7 +130,8 @@ def test_one_locate():
         "is_tree": {
             ("src/repro/check/dataguide.py", "build_dataguide"),
             ("src/repro/engine/cost.py", "measure_instance"),
-            # the no-guide fallback of the abstract interpreter
+            # the abstract interpreter's scan reads the weak instance's
+            # memoised proof (WeakInstance.is_tree)
             ("src/repro/check/absint.py", "_scan"),
         },
     }
@@ -1010,4 +1011,49 @@ def test_one_tree_index():
     ]
     if len(functions) > 1:
         problems.append(f"src/repro/index/columnar.py: matchers {functions}")
+    assert not problems, "\n".join(problems)
+
+
+def test_one_tree_proof():
+    """A registered instance is a value, proven a tree once.
+
+    ``WeakInstance.is_tree`` memoises the proof beside the graph and a
+    frozen instance never changes, so nothing needs a way around it: no
+    ``assume_tree`` or ``parent_of`` parameter, no ``Database.touch``
+    (a change is a re-register), no ``ColumnarInstance.parent_map``,
+    and no module but ``core/weak_instance.py`` calls a graph's
+    ``is_tree(root)``.
+    """
+    banned_methods = {
+        ("src/repro/storage/database.py", "Database", "touch"),
+        ("src/repro/index/columnar.py", "ColumnarInstance", "parent_map"),
+    }
+    problems = []
+    for file in sorted(pathlib.Path("src/repro").rglob("*.py")):
+        path = file.as_posix()
+        tree = ast.parse(file.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            line = getattr(node, "lineno", "?")
+            if isinstance(node, ast.arg) and node.arg in {"assume_tree", "parent_of"}:
+                problems.append(f"{path}:{line}: parameter {node.arg}")
+            if isinstance(node, ast.ClassDef):
+                problems.extend(
+                    f"{path}:{item.lineno}: {node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and (path, node.name, item.name) in banned_methods
+                )
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "is_tree"
+                and path != "src/repro/core/weak_instance.py"
+            ):
+                receiver = node.func.value
+                named = getattr(receiver, "id", None) or getattr(receiver, "attr", "")
+                if (
+                    node.args
+                    or named.endswith("graph")
+                    or getattr(getattr(receiver, "func", None), "attr", None) == "graph"
+                ):
+                    problems.append(f"{path}:{line}: {ast.unparse(node)}")
     assert not problems, "\n".join(problems)

@@ -247,7 +247,8 @@ class TestLocate:
         dead = PlanBuilder.scan("bib").project("R.movie").build()
         expected = [check_plan(plan, database) for plan in (live, dead)]
         assert codes(expected[1]) == ["PX210"]
-        database.touch("bib")               # the snapshot must be rebuilt
+        # A new version: the snapshot must be rebuilt.
+        database.register("bib", database.get("bib"), replace=True)
 
         def explode(cls, pi):
             raise RuntimeError("no snapshot today")

@@ -126,18 +126,10 @@ class TestDatabaseVersions:
         db.register("a", small_instance(p=0.5), replace=True)
         assert db.version("a") > before
 
-    def test_touch_bumps(self):
-        db = Database()
-        db.register("a", small_instance())
-        before = db.version("a")
-        assert db.touch("a") > before
-
     def test_unknown_names_raise(self):
         db = Database()
         with pytest.raises(DatabaseError):
             db.version("nope")
-        with pytest.raises(DatabaseError):
-            db.touch("nope")
 
     def test_drop_forgets_the_version(self):
         db = Database()
@@ -206,14 +198,6 @@ class TestEngineResultCache:
         database.register("bib", small_instance(p=0.9), replace=True)
         assert interp.execute("POINT R.x : A IN bib").value == pytest.approx(0.9)
         assert interp.cache_stats["statements"]["hits"] == 0
-
-    def test_touch_invalidates(self, database):
-        interp = self._interpreter(database)
-        interp.execute("POINT R.x : A IN bib")
-        database.touch("bib")
-        interp.execute("POINT R.x : A IN bib")
-        assert interp.cache_stats["statements"]["hits"] == 0
-        assert interp.metrics.value("engine.executions") == 2
 
     def test_caching_off(self, database):
         """Off is the only setting: there is no option, and no state."""
@@ -612,7 +596,7 @@ class TestPerNameEpoch:
     ):
         database, _caches, _engine, _plan, _built = served
         interp = Interpreter(database=database)
-        database.touch("bib")  # unsaved in-memory state
+        database.register("bib", database.get("bib"), replace=True)  # unsaved
         mine = database.get("bib")
         Database(tmp_path).save("bib")
         interp.execute("EXISTS R.x IN bib")  # observes the sibling's save
@@ -642,7 +626,7 @@ class TestPerNameEpoch:
 
     def test_own_save_and_drop_move_nothing_else(self, served):
         database, caches, engine, plan, built = served
-        database.touch("lib")
+        database.register("lib", database.get("lib"), replace=True)
         database.save("lib")
         database.register("tmp", small_instance(root="T", leaf="U"))
         database.save("tmp")
@@ -692,7 +676,7 @@ class TestPerNameEpoch:
     def test_epochs_are_bounded_by_live_names(self, served, tmp_path):
         database, _caches, _engine, _plan, _built = served
         sibling = Database(tmp_path)
-        sibling.touch("bib")
+        sibling.register("bib", sibling.get("bib"), replace=True)
         sibling.save("bib")
         sibling.register("unseen", small_instance(root="S", leaf="B"))
         sibling.save("unseen")
@@ -707,7 +691,7 @@ class TestPerNameEpoch:
             Database, "_observe",
             lambda self, generation: pytest.fail("observed while not behind"),
         )
-        database.touch("lib")
+        database.register("lib", database.get("lib"), replace=True)
         database.save("lib")
         assert cache_token(database, "bib")[1] == 0
 
@@ -1004,12 +988,6 @@ class TestStatementTier:
         interp.execute(self.POINT)
         interp.database.register("bib", small_instance(p=0.25), replace=True)
         assert interp.execute(self.POINT).value == pytest.approx(0.25)
-        assert self._hits(interp) == 0
-
-    def test_touch_misses(self, interp):
-        interp.execute(self.POINT)
-        interp.database.touch("bib")
-        interp.execute(self.POINT)
         assert self._hits(interp) == 0
 
     def test_drop_then_query_is_an_error_never_a_stale_value(self, interp):

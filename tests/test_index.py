@@ -103,10 +103,7 @@ class TestColumnarInstance:
         assert len(col) == len(pi)
         assert set(col.oids) == set(graph.vertices)
         assert col.oids[0] == pi.root and col.parent[0] == -1
-        parent_map = col.parent_map()
-        assert pi.root not in parent_map
         for src, dst, label in graph.edges():
-            assert parent_map[dst] == src
             position, up = col.index_of[dst], col.index_of[src]
             # Preorder: a parent precedes its children.
             assert col.parent[position] == up < position

@@ -238,6 +238,23 @@ class TestCompactCodec:
         with pytest.raises(CodecError, match=r"'A1'.*\[\]"):
             compact_codec.loads(text)
 
+    @pytest.mark.parametrize(
+        ("records", "refused"),
+        [
+            ("E\t0.5\ta\nE\t0.5\t\n", "['E', '0.5', 'a'] comes before any OPF"),
+            ('W\t1.0\t"x"\n', "['W', '1.0', '\"x\"'] comes before any VPF"),
+        ],
+        ids=["E", "W"],
+    )
+    def test_an_entry_before_its_function_is_refused(self, records, refused):
+        """An ``E`` / ``W`` line before any ``OPF`` / ``VPF`` line went
+        into a table no object owned, and was dropped without a word."""
+        from repro.io import compact_codec
+
+        with pytest.raises(CodecError) as caught:
+            compact_codec.loads("PXMLC\t1\nROOT\tr\nLCH\tr\tl\ta\n" + records)
+        assert refused in str(caught.value)
+
     def test_round_trip_figure2(self):
         from repro.io import compact_codec
 
@@ -307,7 +324,7 @@ class TestCompactCodec:
         from repro.io import compact_codec
 
         with pytest.raises(CodecError):
-            compact_codec.loads("PXMLC\t1\nROOT\tr\nE\tnot-a-float\tx\n")
+            compact_codec.loads("PXMLC\t1\nROOT\tr\nOPF\tr\nE\tnot-a-float\tx\n")
 
     def test_selection_timing_with_compact_codec(self, tmp_path):
         from repro.bench.timing import timed_selection

@@ -52,7 +52,7 @@ def _apply_op(db: Database, op: str, index: int, flavour: int = 0) -> None:
         db.save(name)
     elif op == "resave":
         if name in db.names():
-            db.touch(name)
+            db.register(name, db.get(name), replace=True)
             db.save(name)
     elif op == "drop":
         if name in db.names():
@@ -181,7 +181,7 @@ def test_reopen_after_interleaving_preserves_saved_content(tmp_path):
     db.register("b", example52_instance())
     db.save("b")
     db.drop("b")
-    db.touch("a")
+    db.register("a", db.get("a"), replace=True)
     db.save("a")
 
     reopened = Database(tmp_path)

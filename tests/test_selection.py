@@ -182,3 +182,30 @@ class TestChainTo:
     def test_unknown_object_rejected(self, tree):
         with pytest.raises(AlgebraError):
             chain_to(tree, path("R.book"), "GHOST")
+
+
+class TestSharedStructure:
+    """A selection changes OPFs on one root chain and nothing else: its
+    result shares its source's frozen weak instance, so the tree proof
+    is made once for the source and every selection derived from it."""
+
+    def test_select_as_shares_the_weak_instance(self, tree, monkeypatch):
+        from repro.pxql.interpreter import Interpreter
+        from repro.semistructured.graph import EdgeLabeledGraph
+        from repro.storage.database import Database
+
+        database = Database()
+        database.register("bib", tree)
+        proofs = []
+        is_tree = EdgeLabeledGraph.is_tree
+        monkeypatch.setattr(
+            EdgeLabeledGraph, "is_tree",
+            lambda graph, root: proofs.append(root) or is_tree(graph, root),
+        )
+        interp = Interpreter(database=database)
+        interp.execute("SELECT R.book = B1 FROM bib AS s1")
+        interp.execute("SELECT R.book.author = A3 FROM bib AS s2")
+        for name in ("s1", "s2"):
+            assert database.get(name).weak is tree.weak
+            assert database.get(name).interpretation is not tree.interpretation
+        assert proofs == ["R"]

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.core.cardinality import CardinalityInterval
+from repro.errors import ModelError
 from repro.paper import example52_instance, figure2_instance
 from repro.semantics.global_interpretation import GlobalInterpretation
+from repro.semistructured.types import LeafType
 from repro.storage.database import Database, DatabaseError
 
 
@@ -107,3 +110,40 @@ class TestPersistence:
         target = tmp_path / "nested" / "db"
         Database(target)
         assert target.is_dir()
+
+
+#: Each of the six weak-instance setters, called on figure 2's ``B1``.
+_SETTERS = {
+    "add_object": lambda weak: weak.add_object("B1"),
+    "set_lch": lambda weak: weak.set_lch("B1", "editor", ["E9"]),
+    "set_card": lambda weak: weak.set_card("B1", "author", CardinalityInterval(0, 1)),
+    "remove_object": lambda weak: weak.remove_object("B1"),
+    "set_type": lambda weak: weak.set_type("B1", LeafType("t", ["x"])),
+    "set_val": lambda weak: weak.set_val("B1", "x"),
+}
+
+
+class TestFrozenCatalog:
+    """The catalog holds values: however an instance entered it, its
+    weak structure refuses every change, naming the object."""
+
+    @pytest.mark.parametrize("entry", ["register", "lazy_load", "reload"])
+    def test_every_setter_refused(self, tmp_path, entry):
+        db = Database(tmp_path)
+        db.register("fig2", figure2_instance())
+        db.save("fig2")
+        if entry == "register":
+            pi = db.get("fig2")
+        elif entry == "lazy_load":
+            pi = Database(tmp_path).get("fig2")
+        else:
+            pi = db.reload("fig2")
+        objects = pi.objects
+        for setter in _SETTERS.values():
+            with pytest.raises(ModelError, match="'B1'"):
+                setter(pi.weak)
+        assert pi.objects == objects
+        mutable = pi.weak.copy()
+        _SETTERS["set_lch"](mutable)
+        assert "E9" in mutable and "E9" not in pi
+

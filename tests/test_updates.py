@@ -62,6 +62,34 @@ class TestAssertChild:
         assert_child(tree, "R", "B1")
         assert tree.opf("R").prob(frozenset({"B2"})) == before
 
+    @pytest.mark.parametrize(
+        "update",
+        [
+            lambda pi: retract_child(pi, "R", "B1"),
+            lambda pi: insert_child(pi, "B1", "author", "A9", 0.5),
+            lambda pi: remove_object(pi, "A1"),
+        ],
+        ids=["retract_child", "insert_child", "remove_object"],
+    )
+    def test_structural_update_leaves_input_unchanged(self, tree, update):
+        """A structural update builds on a copy of the weak instance:
+        its input's objects, ``lch`` and OPFs stay as they were, and a
+        frozen input (a registered one) is updated all the same."""
+
+        def state(pi):
+            return (
+                pi.objects,
+                {oid: pi.weak.lch_map(oid) for oid in pi.objects},
+                dict(pi.interpretation.opf_items()),
+            )
+
+        before = state(tree)
+        updated = update(tree)
+        assert state(tree) == before
+        assert state(updated) != before
+        tree.weak.freeze()
+        assert state(update(tree)) == state(updated)
+
 
 class TestRetractChild:
     def test_child_disappears(self, tree):

@@ -133,6 +133,20 @@ class TestWeakInstanceGraph:
         assert weak.is_acyclic()
         assert not weak.is_tree()
 
+    def test_tree_proof_forgotten_on_mutation(self, weak):
+        assert weak.is_tree()
+        weak.set_lch("B2", "author2", ["A1"])
+        assert not weak.is_tree()
+
+    def test_frozen_refuses_changes_and_copies_thaw(self, weak):
+        weak.freeze()
+        with pytest.raises(ModelError, match="'B2'"):
+            weak.set_lch("B2", "title", ["T1"])
+        assert "T1" not in weak
+        clone = weak.copy()
+        clone.set_lch("B2", "title", ["T1"])
+        assert clone.graph().has_edge("B2", "T1")
+
 
 class TestValidation:
     def test_valid_instance_passes(self, weak):
