@@ -39,7 +39,11 @@ from repro.core.instance import ProbabilisticInstance
 from repro.core.interpretation import LocalInterpretation
 from repro.core.weak_instance import WeakInstance
 from repro.errors import CodecError
-from repro.io.json_codec import child_set_twice, register_type
+from repro.io.json_codec import (
+    child_set_twice,
+    register_type,
+    replace_atomically,
+)
 from repro.semistructured.types import LeafType, TypeRegistry
 
 HEADER = "PXMLC"
@@ -202,10 +206,13 @@ def loads(text: str) -> ProbabilisticInstance:
 
 
 def write_instance(pi: ProbabilisticInstance, path: str | Path) -> int:
-    """Write in the compact format; returns characters written."""
+    """Write in the compact format; returns characters written.
+
+    Published the way the JSON codec publishes (tmp file + fsync +
+    ``os.replace``), so the two writers compare like with like.
+    """
     payload = dumps(pi)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(payload)
+    replace_atomically(payload, path)
     return len(payload)
 
 

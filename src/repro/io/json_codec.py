@@ -4,7 +4,9 @@ Disk writes are a *measured component* of the paper's experiments (for
 selection they dominate the total query time), so the codec is part of the
 system, not an afterthought.  The format is versioned and round-trips
 every model feature: ``lch``, explicit ``card``, types, default values,
-tabular and independent OPFs, and VPFs.
+tabular and independent OPFs, and VPFs.  A file this module writes
+starts with one header line carrying the body's SHA-256
+(:func:`write_payload`), so a save is one atomic file step.
 
 Leaf values must be JSON-representable scalars (str, int, float, bool).
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
 from typing import Any
 
@@ -240,24 +243,64 @@ def loads(text: str) -> ProbabilisticInstance:
         return decode_instance(json.loads(text))
 
 
-def checksum_sidecar(path: str | Path) -> Path:
-    """The checksum-sidecar path of an instance file."""
-    path = Path(path)
-    return path.with_name(path.name + ".sha256")
-
-
 def content_checksum(text: str) -> str:
-    """The hex SHA-256 digest of an instance file's text."""
+    """The hex SHA-256 digest of an instance file's body."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _replace_atomically(payload: str, target: Path) -> None:
+# An instance file is ``PXML <version> sha256=<hex digest of the body>``
+# on one line, then the JSON body.  A JSON document starts with ``{``, so
+# a mangled magic never parses as JSON either.
+HEADER_VERSION = 1
+_MAGIC = "PXML "
+_HEADER = re.compile(r"PXML (\d+) sha256=([0-9a-f]{64})")
+
+
+def _header_line(body: str) -> str:
+    return f"{_MAGIC}{HEADER_VERSION} sha256={content_checksum(body)}\n"
+
+
+def split_header(text: str) -> tuple[str | None, str]:
+    """``(digest, body)`` of an instance file's text.
+
+    ``digest`` is what the header records, ``None`` for a headerless
+    document (then the whole text is the body).  A header that does not
+    parse, or names another version, raises
+    :class:`~repro.errors.CorruptInstanceError`.
+    """
+    if not text.startswith(_MAGIC):
+        return None, text
+    line, _newline, body = text.partition("\n")
+    match = _HEADER.fullmatch(line)
+    if match is None or int(match[1]) != HEADER_VERSION:
+        raise CorruptInstanceError(f"malformed instance header {line[:80]!r}")
+    return match[2], body
+
+
+def header_digest(path: str | Path) -> str | None:
+    """The body digest the header of the file at ``path`` records.
+
+    Reads the first line only; ``None`` when the file is missing,
+    unreadable, headerless or its header does not parse.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            line = handle.readline(len(_header_line("")))
+        return split_header(line)[0]
+    except (OSError, UnicodeDecodeError, CorruptInstanceError):
+        return None
+
+
+def replace_atomically(payload: str, target: str | Path) -> Path:
     """Publish ``payload`` at ``target`` via tmp file + fsync + replace.
 
     Readers see either the old bytes or the new bytes, never a torn
     mixture: the payload is fully written and flushed to a sibling tmp
     file first, and ``os.replace`` swaps it in as one atomic rename.
+    Every catalog file is published this way (instances, the generation
+    counter, the journal's rewrites, bench records).
     """
+    target = Path(target)
     tmp = target.with_name(target.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
@@ -270,45 +313,25 @@ def _replace_atomically(payload: str, target: Path) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def replace_atomically(payload: str, target: str | Path) -> Path:
-    """Atomically publish arbitrary text at ``target`` (public form).
-
-    Same guarantee as instance writes: tmp file + fsync + ``os.replace``,
-    so concurrent readers and crash recovery see either the complete old
-    text or the complete new text.  Used by every catalog-adjacent
-    read-modify-write (bench records, generation counter).
-    """
-    target = Path(target)
-    _replace_atomically(payload, target)
     return target
 
 
 def write_payload(payload: str, path: str | Path) -> int:
     """Atomically publish an already-serialized instance at ``path``.
 
-    The data file is published with tmp-file + fsync + ``os.replace``
-    (crash-safe: never torn), then a ``<name>.sha256`` sidecar records
-    the content checksum :func:`read_instance` verifies.  A crash in the
-    tiny window between the two replaces leaves a fresh data file with a
-    stale sidecar; that surfaces on load as
-    :class:`~repro.errors.CorruptInstanceError` — a clean, typed error
-    the catalog's quarantine policy can absorb, and that the write-ahead
-    journal (:mod:`repro.storage.journal`) repairs on reopen by
-    recomputing the sidecar from the journaled payload checksum — never
-    a wrong answer.  Returns the number of characters written.
+    One file, one ``os.replace`` (:func:`replace_atomically`): the
+    header line recording the body's SHA-256, then the body.  A crash
+    leaves either the old file or the new one, each agreeing with its
+    own header.  Returns the number of characters written.
 
     Split out of :func:`write_instance` so the catalog can checksum the
     payload *before* publication (the journal's begin record must carry
-    the checksum of the bytes about to land on disk).
+    the checksum of the body about to land on disk).
     """
-    path = Path(path)
-    _replace_atomically(payload, path)
+    text = _header_line(payload) + payload
+    replace_atomically(text, path)
     fault_point("codec.write.replace")
-    _replace_atomically(content_checksum(payload) + "\n", checksum_sidecar(path))
-    fault_point("codec.write.sidecar")
-    return len(payload)
+    return len(text)
 
 
 def write_instance(pi: ProbabilisticInstance, path: str | Path) -> int:
@@ -326,8 +349,10 @@ def write_instance(pi: ProbabilisticInstance, path: str | Path) -> int:
 def read_instance(path: str | Path) -> ProbabilisticInstance:
     """Read a probabilistic instance from ``path``, verifying integrity.
 
-    When a checksum sidecar exists its digest must match the file text;
-    any mismatch — and any undecodable payload — raises
+    A file with a header must match it.  A headerless document is read
+    as plain JSON; when a ``<name>.sha256`` sidecar lies beside it (a
+    catalog file saved before the header existed) it must match that.
+    Any mismatch, a malformed header and any undecodable body raise
     :class:`~repro.errors.CorruptInstanceError` (a
     :class:`~repro.errors.CodecError`).  ``OSError`` s propagate for the
     caller's retry/translation layer.
@@ -336,20 +361,22 @@ def read_instance(path: str | Path) -> ProbabilisticInstance:
     fault_point(f"codec.read.open:{path.name}")
     fault_point("codec.read.open")
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    text = fault_point("codec.read", text)
-    sidecar = checksum_sidecar(path)
-    try:
-        recorded = sidecar.read_text(encoding="utf-8").strip()
-    except OSError:
-        recorded = None
-    if recorded is not None and recorded != content_checksum(text):
+        # Only the body outlives the split: the whole text is not kept
+        # alive beside it while the body decodes.
+        recorded, body = split_header(fault_point("codec.read", handle.read()))
+    if recorded is None:
+        legacy = path.with_name(path.name + ".sha256")
+        try:
+            recorded = legacy.read_text(encoding="utf-8").strip()
+        except OSError:
+            recorded = None
+    if recorded is not None and recorded != content_checksum(body):
         raise CorruptInstanceError(
-            f"checksum mismatch for {path}: file does not match its "
-            f"{sidecar.name} sidecar (torn write or bit rot)"
+            f"checksum mismatch for {path}: the body does not match the "
+            "digest recorded for it (torn write or bit rot)"
         )
     try:
-        return loads(text)
+        return loads(body)
     except CorruptInstanceError:
         raise
     except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:

@@ -1,7 +1,7 @@
 """Kill-at-every-fault-point crash sweep for the storage layer.
 
 The write-ahead journal (:mod:`repro.storage.journal`) claims that a
-process dying at *any* point of a multi-file catalog operation leaves a
+process dying at *any* point of a catalog operation leaves a
 directory that replay-on-open brings back to a consistent state.  This
 harness makes that claim empirical instead of rhetorical:
 
@@ -109,8 +109,8 @@ def run_cycle(directory: Path) -> None:
     db.drop("beta")
     db.register("gamma", example52_instance())
     db.save("gamma")
-    # Plant corruption the way bit rot would: mutate the data file
-    # behind the codec's back, leaving the sidecar stale.
+    # Plant corruption the way bit rot would: mutate the data file's
+    # body behind the codec's back, so it no longer matches its header.
     gamma = directory / "gamma.pxml.json"
     gamma.write_text(
         gamma.read_text(encoding="utf-8") + " ", encoding="utf-8"

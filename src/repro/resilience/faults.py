@@ -39,20 +39,16 @@ site                    where
 ``codec.write.tmp``     after the tmp file is written+fsynced, before
                         ``os.replace`` — an ``error`` here is a crash that
                         never published the new bytes
-``codec.write.replace`` after the data file is published, before the
-                        checksum sidecar — the torn-sidecar crash window
-``codec.write.sidecar`` after the checksum sidecar is published, before
-                        the generation bump / journal commit
+``codec.write.replace`` after the data file (header + body) is
+                        published, before the generation bump / journal
+                        commit
 ``journal.begin``       before a journal begin record is appended
 ``journal.begin.synced`` after the begin record is durable, before the
                         operation's first file step
 ``journal.commit``      before a journal commit record is appended
 ``db.generation.bump``  before the generation counter is rewritten
 ``db.drop.unlink``      before the catalog unlinks an instance file
-``db.drop.sidecar``     after the data file is unlinked, before its
-                        sidecar is
 ``db.quarantine.move``  before a corrupt data file is moved to quarantine
-``db.quarantine.sidecar`` after the data file moved, before its sidecar
 ``pxql.cache.statements.get`` before a statement-tier lookup
 ``pxql.cache.statements.put`` before a statement-tier insert
 ``lock.pxql.cache.statements`` the statement tier's internal lock boundary
@@ -97,8 +93,8 @@ PayloadT = TypeVar("PayloadT", str, bytes, None)
 #: Default rendezvous window of a ``barrier`` fault (seconds).
 DEFAULT_BARRIER_TIMEOUT_S = 0.05
 
-#: The canonical fault points of the storage layer's multi-file
-#: operation sequences, in the order a save/drop/quarantine visits
+#: The canonical fault points of the storage layer's operation
+#: sequences, in the order a save/drop/quarantine visits
 #: them.  The crash sweep (:mod:`repro.resilience.crashsweep`) SIGKILLs
 #: a catalog-op cycle at every one of these — at every *visit* of every
 #: one — and asserts that reopen + journal replay recovers.  New
@@ -108,13 +104,10 @@ STORAGE_FAULT_POINTS: tuple[str, ...] = (
     "journal.begin.synced",
     "codec.write.tmp",
     "codec.write.replace",
-    "codec.write.sidecar",
     "db.generation.bump",
     "journal.commit",
     "db.drop.unlink",
-    "db.drop.sidecar",
     "db.quarantine.move",
-    "db.quarantine.sidecar",
 )
 
 #: The fault points of an offline reshard

@@ -18,9 +18,9 @@ from pathlib import Path
 from repro.core.instance import ProbabilisticInstance
 from repro.errors import CodecError, FaultError, JournalError, LockError, PXMLError
 from repro.io.json_codec import (
-    checksum_sidecar,
     content_checksum,
     dumps,
+    header_digest,
     read_instance,
     write_payload,
 )
@@ -100,9 +100,9 @@ class Database:
         on_corrupt: what to do when an instance file fails to decode or
             fails its checksum.  ``"raise"`` (default) raises
             :class:`DatabaseError` and leaves the file in place;
-            ``"quarantine"`` moves the file (and its sidecar) into the
-            ``quarantine/`` subdirectory — so one bad file can never
-            poison the rest of the catalog — then raises
+            ``"quarantine"`` moves the file into the ``quarantine/``
+            subdirectory — so one bad file can never poison the rest
+            of the catalog — then raises
             :class:`DatabaseError` for that name only.  Either way the
             error is typed; raw decode exceptions never escape.
         retry: retry-with-backoff policy around catalog disk I/O
@@ -137,8 +137,8 @@ class Database:
     ``catalog.generation`` counter, so two databases on one directory
     can never interleave a save with a drop, and each can detect that
     the other changed the catalog (:meth:`generation`).  Reads take no
-    file lock — PR 4's atomic writes plus checksums make a concurrent
-    read see either the old or the new instance, never a torn one.
+    file lock — atomic writes plus checksums make a concurrent read
+    see either the old or the new instance, never a torn one.
     Lock ordering is *file lock before memory lock*; the memory lock is
     never held while acquiring the file lock, so the pair cannot
     deadlock.
@@ -209,14 +209,13 @@ class Database:
         Runs automatically when a directory-backed database opens; safe
         (and idempotent) to call again at any time — e.g. after another
         process crashed mid-operation on the shared directory.  Torn
-        saves whose payload fully landed are rolled forward (sidecar
-        recomputed from the journaled checksum), torn drops and
-        quarantines are completed, cleanly-unfinished operations are
-        aborted (the atomic per-file writes guarantee the old state is
-        intact), and the generation counter is advanced to the
-        journal's committed high-water mark so it stays monotone across
-        crashes.  Returns the report of what was done (an all-zero
-        report on a clean catalog).
+        saves whose file matches the journaled checksum are rolled
+        forward, torn drops and quarantines are completed,
+        cleanly-unfinished operations are aborted (the atomic file
+        write guarantees the old state is intact), and the generation
+        counter is advanced to the journal's committed high-water mark
+        so it stays monotone across crashes.  Returns the report of
+        what was done (an all-zero report on a clean catalog).
         """
         if self._directory is None or self._journal is None:
             return RecoveryReport()
@@ -458,22 +457,17 @@ class Database:
     def sidecar_checksum(self, name: str) -> str | None:
         """The on-disk content checksum recorded for ``name``.
 
-        Reads the ``<name>.pxml.json.sha256`` sidecar; ``None`` when the
-        catalog is unbacked or the sidecar is missing/unreadable.  This
-        is the *cross-process stable* identity of an instance's bytes:
-        in-process version counters restart at zero in every process,
-        but the sidecar digest is the same for every process looking at
-        the same file.
+        The digest in the file's header line (only that line is read);
+        ``None`` when the catalog is unbacked or the file is missing,
+        unreadable or headerless.  This is the *cross-process stable*
+        identity of an instance's bytes: in-process version counters
+        restart at zero in every process, but the digest is the same for
+        every process looking at the same file.
         """
         if self._directory is None:
             return None
         _validate_name(name)
-        sidecar = checksum_sidecar(self._directory / f"{name}{_SUFFIX}")
-        try:
-            text = sidecar.read_text(encoding="utf-8").strip()
-        except OSError:
-            return None
-        return text or None
+        return header_digest(self._directory / f"{name}{_SUFFIX}")
 
     def _on_disk(self, name: str) -> bool:
         if self._directory is None:
@@ -588,11 +582,6 @@ class Database:
                             f"cannot drop instance {name!r}: {exc}"
                         ) from exc
                     found = True
-                    try:
-                        fault_point("db.drop.sidecar")
-                        checksum_sidecar(path).unlink(missing_ok=True)
-                    except OSError:
-                        pass  # best-effort: a stale sidecar is harmless
                     generation = self._bump_generation()
                     if seq is not None and self._journal is not None:
                         self._journal.commit(seq, "drop", name, generation)
@@ -690,10 +679,8 @@ class Database:
                         site=f"db.save:{name}",
                     )
                 except OSError as exc:
-                    # Each file step is atomic, so a clean failure left
-                    # either the old state or a mismatched sidecar that
-                    # read-time verification catches; either way the
-                    # operation did not happen — record the abort.
+                    # The one file step is atomic, so a clean failure
+                    # left the old file in place: record the abort.
                     if seq is not None and self._journal is not None:
                         self._journal.abort(seq, "save", name)
                     raise DatabaseError(

@@ -1,8 +1,8 @@
 """The catalog token and the one cache of state derived from an instance.
 
 A named instance's identity is one pair, both halves about *that
-name*: ``version(name)`` moves when this catalog object re-registers,
-reloads, touches or drops it, and ``epoch(name)`` is the on-disk
+name*: ``version(name)`` moves when this catalog object registers,
+loads, reloads or drops it, and ``epoch(name)`` is the on-disk
 generation of the last mutation of it that some *other* process (or
 catalog object) made on the shared directory.  A write to one name
 therefore leaves every other name's derived state standing; only a

@@ -1,22 +1,25 @@
 """Catalog consistency checker (``python -m repro.storage fsck``).
 
 Verifies everything the durability machinery promises: every instance
-file matches its checksum sidecar, no sidecar is orphaned, no stale
-tmp file survived a crash, the write-ahead journal parses to a clean
-prefix with no unresolved operations, and the generation counter is
-not behind the journal's committed high-water mark.  With ``--repair``
-each finding is fixed the same way replay-on-open would fix it —
-roll forward what provably completed, quarantine what cannot be
-explained, delete only derived artifacts (sidecars, tmp files), never
-instance data.
+file matches the checksum in its header line, no stale tmp file
+survived a crash, the write-ahead journal parses to a clean prefix with
+no unresolved operations, and the generation counter is not behind the
+journal's committed high-water mark.  With ``--repair`` each finding is
+fixed the same way replay-on-open would fix it — roll forward what
+provably completed, quarantine what cannot be explained, delete only
+derived artifacts (leftover sidecars, tmp files), never instance data.
+A catalog saved before the header (headerless files, each verified by a
+``.sha256`` sidecar) converges in one ``--repair``: FS102, then FS103.
 
 Finding codes:
 
 =======  ==============================================================
-FS101    data file does not match its sidecar → quarantine (repair)
-FS102    data file has no sidecar → re-sign if decodable, else quarantine
-FS103    sidecar with no data file (orphan) → remove
-FS104    data file undecodable (even with a matching sidecar) → quarantine
+FS101    data file does not match its header → quarantine (repair)
+FS102    data file has no header → save it through the catalog if it
+         reads back verified, else quarantine
+FS103    leftover sidecar (its data file has a header or is gone) →
+         remove
+FS104    data file undecodable (even with a matching header) → quarantine
 FS110    stale ``*.tmp`` from an interrupted atomic write → remove
 FS120    torn journal tail (half-written / corrupt records) → truncate
 FS121    journal operation begun but never committed/aborted → replay
@@ -46,12 +49,16 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.errors import CodecError, CorruptInstanceError
 from repro.io.json_codec import (
-    checksum_sidecar,
     content_checksum,
+    header_digest,
     loads,
+    read_instance,
     replace_atomically,
+    split_header,
 )
+from repro.storage.database import Database
 from repro.storage.journal import (
     INSTANCE_SUFFIX,
     JOURNAL_NAME,
@@ -201,15 +208,19 @@ def _check_instances(directory: Path, report: FsckReport) -> None:
     report.checked_instances = len(data_files)
     for path in data_files:
         _check_one_instance(directory, path, report)
-    # Orphan sidecars: a .sha256 whose data file is gone (torn drop,
-    # or a save that never published).
+    _check_leftover_sidecars(directory, report)
+
+
+def _check_leftover_sidecars(directory: Path, report: FsckReport) -> None:
+    """A legacy ``.sha256`` sidecar whose data file has a header (it was
+    saved since) or is gone (dropped or quarantined) verifies nothing."""
     for sidecar in sorted(directory.glob(f"*{INSTANCE_SUFFIX}.sha256")):
         data = sidecar.with_name(sidecar.name[: -len(".sha256")])
-        if data.exists():
-            continue
+        if data.exists() and header_digest(data) is None:
+            continue    # still what a headerless file is read against
         finding = Finding(
             "FS103", _relative(directory, sidecar),
-            "checksum sidecar with no data file (orphan)",
+            "leftover checksum sidecar",
             repaired=report.repair,
             action="remove",
         )
@@ -221,69 +232,62 @@ def _check_instances(directory: Path, report: FsckReport) -> None:
 def _check_one_instance(
     directory: Path, path: Path, report: FsckReport
 ) -> None:
-    rel = _relative(directory, path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         report.findings.append(Finding(
-            "FS104", rel, f"unreadable data file: {exc}",
+            "FS104", _relative(directory, path), f"unreadable data file: {exc}",
             repaired=False, action="quarantine",
         ))
         return
-    actual = content_checksum(text)
-    sidecar = checksum_sidecar(path)
     try:
-        recorded: str | None = sidecar.read_text(encoding="utf-8").strip()
-    except OSError:
-        recorded = None
-    decodable = True
-    try:
-        loads(text)
-    except Exception:
-        decodable = False
+        recorded, body = split_header(text)
+    except CorruptInstanceError:
+        recorded, body = "", text   # a malformed header matches no digest
     if recorded is None:
-        if decodable:
-            finding = Finding(
-                "FS102", rel, "data file has no checksum sidecar",
-                repaired=report.repair,
-                action="recompute sidecar from the (decodable) data file",
-            )
-            if report.repair:
-                replace_atomically(actual + "\n", sidecar)
-        else:
-            finding = Finding(
-                "FS102", rel,
-                "data file has no sidecar and does not decode",
-                repaired=report.repair, action="quarantine",
-            )
-            if report.repair:
-                _quarantine(directory, path)
-        report.findings.append(finding)
+        _check_headerless(directory, path, report)
         return
-    if recorded != actual:
-        finding = Finding(
-            "FS101", rel,
-            "data file does not match its checksum sidecar",
-            repaired=report.repair, action="quarantine",
-        )
-        if report.repair:
-            _quarantine(directory, path)
-        report.findings.append(finding)
+    if recorded != content_checksum(body):
+        _quarantine(directory, path, report, "FS101",
+                    "data file does not match its header")
         return
-    if not decodable:
-        finding = Finding(
-            "FS104", rel,
-            "data file matches its sidecar but does not decode",
-            repaired=report.repair, action="quarantine",
-        )
-        if report.repair:
-            _quarantine(directory, path)
-        report.findings.append(finding)
+    try:
+        loads(body)
+    except Exception:
+        _quarantine(directory, path, report, "FS104",
+                    "data file matches its header but does not decode")
 
 
-def _quarantine(directory: Path, path: Path) -> None:
-    generation = read_generation(directory / GENERATION_NAME)
-    quarantine_move(directory, path, generation)
+def _check_headerless(directory: Path, path: Path, report: FsckReport) -> None:
+    """FS102: a file without a header — a legacy catalog's, or one put
+    there by hand.  One journaled save through the catalog writes it."""
+    try:
+        read_instance(path)
+    except (CodecError, OSError):
+        _quarantine(directory, path, report, "FS102",
+                    "data file has no header and does not read back verified")
+        return
+    report.findings.append(Finding(
+        "FS102", _relative(directory, path), "data file has no header",
+        repaired=report.repair,
+        action="save it through the catalog (writes the header)",
+    ))
+    if report.repair:
+        Database(directory).save(path.name[: -len(INSTANCE_SUFFIX)])
+
+
+def _quarantine(
+    directory: Path, path: Path, report: FsckReport, code: str, message: str
+) -> None:
+    """Report a file that cannot be vouched for; ``--repair`` moves it
+    into quarantine."""
+    report.findings.append(Finding(
+        code, _relative(directory, path), message,
+        repaired=report.repair, action="quarantine",
+    ))
+    if report.repair:
+        generation = read_generation(directory / GENERATION_NAME)
+        quarantine_move(directory, path, generation)
 
 
 def _check_generation(directory: Path, report: FsckReport) -> None:

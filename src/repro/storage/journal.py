@@ -1,34 +1,30 @@
-"""Write-ahead journal for multi-file catalog operations.
+"""Write-ahead journal for catalog operations.
 
-PR 4 made each *individual* file write atomic (tmp + fsync +
-``os.replace``) and checksummed, but a catalog mutation is a *sequence*
-of files: a save publishes the data file, then the checksum sidecar,
-then bumps the generation counter; a drop unlinks two files and bumps;
-a quarantine moves two files and bumps.  A crash between any two steps
-used to leave the directory in an undocumented intermediate state that
-only ad-hoc code paths (the read-time checksum verification) tolerated.
-
-This module gives the catalog real crash semantics.  Every mutating
-operation is journaled under the catalog's cross-process lock:
+Each catalog mutation is one atomic filesystem step plus a generation
+bump: a save publishes one file (its header line carries the body's
+SHA-256, see :func:`repro.io.json_codec.write_payload`) with one
+``os.replace``, a drop unlinks it, a quarantine moves it.  The journal
+ties the step to the bump, and its commit records name the instance
+each generation changed (:meth:`repro.storage.database.Database.epoch`).
+Every mutating operation is journaled under the catalog's
+cross-process lock:
 
 1. a **begin** record (op kind, instance name, and — for saves — the
-   SHA-256 of the payload about to be published) is appended and fsynced
-   *before* the first destructive step;
-2. the multi-file operation runs;
+   SHA-256 of the body about to be published) is appended and fsynced
+   *before* the file step;
+2. the file step runs;
 3. a **commit** record (carrying the post-operation generation) marks it
    complete.  Failures that surface as clean exceptions append an
    **abort** record instead.
 
 On open, :func:`recover_directory` replays the journal: any begin
-without a commit/abort is a torn operation, resolved by *rolling
-forward* when the on-disk evidence shows the operation published its
-payload (data file matches the journaled checksum → the sidecar is
-recomputed; a drop's or quarantine's remaining files are removed/moved)
-and by *aborting* when it did not (the atomic per-file writes guarantee
-the pre-operation state is still intact).  Files in a state the journal
-cannot explain are quarantined, never deleted.  The generation counter
-is rolled forward to the journal's high-water mark, so it stays
-monotone across crashes.
+without a commit/abort is a torn operation.  A save is *rolled forward*
+when the file's body and header both match the journaled digest, and
+*aborted* when the file is missing, headerless, or agrees with its own
+header (the pre-operation file, intact); a file in any other state is
+quarantined, never deleted.  A torn drop or quarantine is completed.
+The generation counter is rolled forward to the journal's high-water
+mark, so it stays monotone across crashes.
 
 **Record format.**  One JSON object per line, each carrying a ``crc``
 field — the SHA-256 of the record's canonical JSON without ``crc``.  A
@@ -67,11 +63,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.errors import JournalError
+from repro.errors import CorruptInstanceError, JournalError
 from repro.io.json_codec import (
-    checksum_sidecar,
     content_checksum,
     replace_atomically,
+    split_header,
 )
 from repro.obs.metrics import current_registry
 from repro.obs.tracing import current_tracer
@@ -453,12 +449,10 @@ def quarantine_destination(
     Suffixes the full file name with ``.g<generation>`` and a dedup
     counter, so repeated quarantines of the same instance name keep
     every piece of evidence (``a.pxml.json.g7``, ``a.pxml.json.g7-2``).
-    The matching sidecar should be moved to
-    ``checksum_sidecar(destination)``.
     """
     candidate = quarantine_dir / f"{filename}.g{generation}"
     counter = 1
-    while candidate.exists() or checksum_sidecar(candidate).exists():
+    while candidate.exists():
         counter += 1
         candidate = quarantine_dir / f"{filename}.g{generation}-{counter}"
     return candidate
@@ -473,7 +467,7 @@ def quarantined_names(directory: Path) -> list[str]:
     quarantine = Path(directory) / QUARANTINE_DIR
     names = set()
     for path in quarantine.glob(f"*{INSTANCE_SUFFIX}*"):
-        if path.name.endswith(".sha256") or path.name.endswith(".tmp"):
+        if path.name.endswith(".tmp"):
             continue
         names.add(path.name.split(INSTANCE_SUFFIX)[0])
     return sorted(names)
@@ -482,17 +476,13 @@ def quarantined_names(directory: Path) -> list[str]:
 def quarantine_move(
     directory: Path, path: Path, generation: int
 ) -> Path:
-    """Move ``path`` (and its sidecar) into quarantine; returns the
-    destination.  Callers hold the catalog lock."""
+    """Move ``path`` into quarantine; returns the destination.  Callers
+    hold the catalog lock."""
     quarantine = Path(directory) / QUARANTINE_DIR
     quarantine.mkdir(parents=True, exist_ok=True)
     destination = quarantine_destination(quarantine, path.name, generation)
     fault_point("db.quarantine.move")
     os.replace(path, destination)
-    sidecar = checksum_sidecar(path)
-    fault_point("db.quarantine.sidecar")
-    if sidecar.exists():
-        os.replace(sidecar, checksum_sidecar(destination))
     return destination
 
 
@@ -592,37 +582,31 @@ def _recover_save(
     directory: Path, journal: Journal, record: JournalRecord,
     report: RecoveryReport,
 ) -> None:
-    """Resolve a torn save: roll the sidecar forward when the journaled
-    payload was published, abort when the pre-state is intact,
-    quarantine anything the journal cannot explain."""
+    """Resolve a torn save: roll forward when the journaled body was
+    published, abort when the pre-state is intact, quarantine anything
+    the journal cannot explain."""
     path = _instance_path(directory, record.name)
-    sidecar = checksum_sidecar(path)
-    if not path.exists():
-        # The new payload never landed; a leftover sidecar (the save
-        # was creating a fresh instance) is an orphan.
-        sidecar.unlink(missing_ok=True)
-        journal.abort(record.seq, "save", record.name, recovered=True)
-        report.aborted += 1
-        report.actions.append(f"aborted torn save of {record.name!r}")
-        return
-    try:
-        actual = content_checksum(path.read_text(encoding="utf-8"))
-    except OSError:
-        # Unreadable data file: leave the record pending for a later
-        # recovery attempt rather than guessing.
-        report.actions.append(
-            f"left save of {record.name!r} pending (unreadable file)"
-        )
-        return
-    recorded: str | None = None
-    try:
-        recorded = sidecar.read_text(encoding="utf-8").strip()
-    except OSError:
-        recorded = None
-    if record.checksum is not None and actual == record.checksum:
-        # The new payload was published; finish the sequence.
-        if recorded != actual:
-            replace_atomically(actual + "\n", sidecar)
+    published = False
+    intact = True   # a missing file: the new one never landed
+    if path.exists():
+        try:
+            text = path.read_text(encoding="utf-8", errors="replace")
+        except OSError:
+            # Unreadable data file: leave the record pending for a later
+            # recovery attempt rather than guessing.
+            report.actions.append(
+                f"left save of {record.name!r} pending (unreadable file)"
+            )
+            return
+        try:
+            recorded, body = split_header(text)
+            actual = content_checksum(body)
+            intact = recorded in (None, actual)
+            published = recorded == actual == record.checksum
+        except CorruptInstanceError:
+            intact = False
+    if published:
+        # The new file was published; finish the operation.
         generation = bump_generation(directory / GENERATION_NAME)
         journal.commit(
             record.seq, "save", record.name, generation, recovered=True
@@ -630,15 +614,15 @@ def _recover_save(
         report.rolled_forward += 1
         report.actions.append(f"rolled forward torn save of {record.name!r}")
         return
-    if recorded == actual:
-        # Pre-operation state, still internally consistent: the save
-        # never published.  Nothing to undo (atomic file writes).
+    if intact:
+        # Missing, headerless, or the pre-operation file agreeing with
+        # its own header: the save never published.  Nothing to undo.
         journal.abort(record.seq, "save", record.name, recovered=True)
         report.aborted += 1
         report.actions.append(f"aborted torn save of {record.name!r}")
         return
-    # The file matches neither the journaled payload nor its own
-    # sidecar — a state the journal cannot explain.  Preserve it.
+    # The file does not agree with its own header — a state the journal
+    # cannot explain.  Preserve it.
     generation = read_generation(directory / GENERATION_NAME)
     quarantine_move(directory, path, generation)
     generation = bump_generation(directory / GENERATION_NAME)
@@ -654,10 +638,7 @@ def _recover_drop(
     report: RecoveryReport,
 ) -> None:
     """Resolve a torn drop by completing it (roll forward)."""
-    path = _instance_path(directory, record.name)
-    sidecar = checksum_sidecar(path)
-    path.unlink(missing_ok=True)
-    sidecar.unlink(missing_ok=True)
+    _instance_path(directory, record.name).unlink(missing_ok=True)
     generation = bump_generation(directory / GENERATION_NAME)
     journal.commit(record.seq, "drop", record.name, generation, recovered=True)
     report.rolled_forward += 1
@@ -670,19 +651,9 @@ def _recover_quarantine(
 ) -> None:
     """Resolve a torn quarantine by completing the move."""
     path = _instance_path(directory, record.name)
-    sidecar = checksum_sidecar(path)
     generation = read_generation(directory / GENERATION_NAME)
     if path.exists():
         quarantine_move(directory, path, generation)
-    elif sidecar.exists():
-        # Data already moved, sidecar left behind: move it next to the
-        # most recent quarantined copy if one exists, else drop it.
-        quarantine = directory / QUARANTINE_DIR
-        quarantine.mkdir(parents=True, exist_ok=True)
-        destination = quarantine_destination(
-            quarantine, path.name, generation
-        )
-        os.replace(sidecar, checksum_sidecar(destination))
     generation = bump_generation(directory / GENERATION_NAME)
     journal.commit(
         record.seq, "quarantine", record.name, generation, recovered=True

@@ -1,11 +1,13 @@
 """Cross-process advisory file locking for the catalog directory.
 
-PR 4 made individual instance writes atomic (tmp + fsync +
-``os.replace``), which protects against crashes — but not against two
-*processes* interleaving multi-file catalog operations (``save`` then
-sidecar, ``drop`` then version bump, quarantine moves) on the same
-directory.  :class:`FileLock` closes that hole with a classic
-``fcntl.flock`` advisory lock:
+Each catalog mutation is one atomic file step (tmp + fsync +
+``os.replace`` for a save, one unlink for a drop, one move for a
+quarantine) followed by a journal commit and a generation bump.  That
+protects against crashes — but not against two *processes* interleaving
+those sequences on the same directory (a ``drop`` between another
+process's replace and its commit).
+:class:`FileLock` closes that hole with a classic ``fcntl.flock``
+advisory lock:
 
 * **exclusive, cross-process** — the kernel guarantees one holder per
   open file description; a second process (or a second ``Database`` in

@@ -1057,3 +1057,75 @@ def test_one_tree_proof():
                 ):
                     problems.append(f"{path}:{line}: {ast.unparse(node)}")
     assert not problems, "\n".join(problems)
+
+
+#: Where a legacy ``.sha256`` sidecar may still be named: the reader's
+#: check of a headerless file, and fsck's leftover-sidecar finding.
+_SIDECAR_SCOPES = {
+    ("src/repro/io/json_codec.py", "read_instance"),
+    ("src/repro/storage/fsck.py", "_check_leftover_sidecars"),
+}
+
+#: Functions that make a catalog mutation's one file step.
+_ONE_STEP = {
+    ("src/repro/storage/database.py", "Database.drop"),
+    ("src/repro/storage/journal.py", "quarantine_move"),
+}
+
+
+def test_one_checksum_home():
+    """An instance file carries its own checksum, in one header line.
+
+    Only ``io/json_codec.py`` builds or parses that header (no other
+    module spells its ``PXML `` magic or a ``sha256=`` field);
+    ``.sha256`` and ``checksum_sidecar`` are named nowhere but
+    ``json_codec.read_instance`` (a headerless legacy file is checked
+    against its sidecar) and ``fsck._check_leftover_sidecars``; no
+    ``*.sidecar`` fault point is back in ``STORAGE_FAULT_POINTS``; and
+    ``Database.drop`` and ``journal.quarantine_move`` each make one
+    ``unlink`` / ``replace`` / ``rename`` call.  Docstrings are prose
+    and are not searched.
+    """
+    from repro.resilience.faults import STORAGE_FAULT_POINTS
+
+    problems = [
+        f"STORAGE_FAULT_POINTS: {site}"
+        for site in STORAGE_FAULT_POINTS if site.endswith(".sidecar")
+    ]
+    steps: dict[tuple[str, str], int] = {}
+    for file in sorted(pathlib.Path("src/repro").rglob("*.py")):
+        path = file.as_posix()
+
+        def visit(node, scope):
+            if isinstance(node, ast.ClassDef):
+                scope = node.name
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = f"{scope}.{node.name}" if scope else node.name
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+                return  # a docstring
+            line = getattr(node, "lineno", "?")
+            names = {getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None)}
+            text = node.value if isinstance(node, ast.Constant) else None
+            if isinstance(text, str):
+                if path != "src/repro/io/json_codec.py" and (
+                    text.startswith("PXML ") or "sha256=" in text
+                ):
+                    problems.append(f"{path}:{line}: header text {text!r}")
+                if ".sha256" in text and (path, scope) not in _SIDECAR_SCOPES:
+                    problems.append(f"{path}:{line}: {text!r} in {scope}")
+            if "checksum_sidecar" in names and (path, scope) not in _SIDECAR_SCOPES:
+                problems.append(f"{path}:{line}: checksum_sidecar in {scope}")
+            if (path, scope) in _ONE_STEP and isinstance(node, ast.Call) and getattr(
+                node.func, "attr", None
+            ) in {"unlink", "replace", "rename"}:
+                steps[path, scope] = steps.get((path, scope), 0) + 1
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(ast.parse(file.read_text(encoding="utf-8")), None)
+    problems.extend(
+        f"{path}: {scope} makes {steps.get((path, scope), 0)} file steps"
+        for path, scope in sorted(_ONE_STEP) if steps.get((path, scope), 0) != 1
+    )
+    assert not problems, "\n".join(problems)

@@ -32,7 +32,6 @@ from repro.errors import (
     SemanticsError,
 )
 from repro.io.json_codec import (
-    checksum_sidecar,
     dumps,
     loads,
     read_instance,
@@ -165,18 +164,16 @@ class TestCrashConsistency:
         assert not list(tmp_path.glob("*.tmp"))  # tmp file cleaned up
         read_instance(target).validate()
 
-    def test_crash_between_data_and_sidecar_is_detected(self, tmp_path):
-        """The torn-sidecar window surfaces as a typed error on load."""
+    def test_error_after_publish_reads_back_the_new_instance(self, tmp_path):
+        """A save is one file: once it is replaced, the new instance is
+        what reads back — there is no second file to tear."""
         target = tmp_path / "fig2.pxml.json"
         write_instance(figure2_instance(), target)
-        # Make the second write produce different bytes than the first so
-        # the stale sidecar genuinely mismatches.
         changed = InstanceBuilder("R").build(validate=False)
         with FaultInjector(FaultSpec("codec.write.replace", kind="error")):
             with pytest.raises(PXMLError):
                 write_instance(changed, target)
-        with pytest.raises(CorruptInstanceError):
-            read_instance(target)
+        assert dumps(read_instance(target)) == dumps(changed)
 
     def test_payload_corruption_never_reads_back_silently(self, tmp_path):
         """A corrupted write can never produce a silently-wrong instance."""
@@ -194,11 +191,24 @@ class TestCrashConsistency:
                 read_instance(target)
         read_instance(target).validate()  # the file itself is intact
 
-    def test_sidecar_written_and_verifies(self, tmp_path):
+    def test_header_written_and_verifies(self, tmp_path):
         target = tmp_path / "fig2.pxml.json"
         write_instance(figure2_instance(), target)
-        assert checksum_sidecar(target).exists()
+        text = target.read_text(encoding="utf-8")
+        header, body = text.split("\n", 1)
+        assert header.startswith("PXML 1 sha256=")
+        assert body == dumps(figure2_instance())
+        assert list(tmp_path.iterdir()) == [target]
         read_instance(target).validate()
+        # One changed byte, in the body or in the header, is refused.
+        for position in (len(header) + 10, len(header) - 1, 2):
+            flipped = "0" if text[position] != "0" else "1"
+            target.write_text(
+                text[:position] + flipped + text[position + 1:],
+                encoding="utf-8",
+            )
+            with pytest.raises(CorruptInstanceError):
+                read_instance(target)
 
 
 # ----------------------------------------------------------------------

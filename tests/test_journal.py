@@ -5,9 +5,9 @@ import json
 import pytest
 
 from repro.io.json_codec import (
-    checksum_sidecar,
     content_checksum,
     dumps,
+    write_payload,
 )
 from repro.paper import example52_instance, figure2_instance
 from repro.storage.database import Database, DatabaseError
@@ -247,14 +247,12 @@ class TestReplay:
         db = Database(tmp_path)
         db.register("a", figure2_instance())
         db.save("a")
-        # Simulate a crash after publishing the new payload but before
-        # the sidecar/commit: journal a begin, write the data file,
-        # leave the stale sidecar.
+        # Simulate a crash after publishing the new file but before the
+        # generation bump and commit.
         payload = dumps(example52_instance())
         journal = Journal(tmp_path)
         journal.begin("save", "a", checksum=content_checksum(payload))
-        path = tmp_path / "a.pxml.json"
-        path.write_text(payload, encoding="utf-8")
+        write_payload(payload, tmp_path / "a.pxml.json")
 
         report = recover_directory(tmp_path)
         assert report.rolled_forward == 1
@@ -281,8 +279,7 @@ class TestReplay:
 
         report = recover_directory(tmp_path)
         assert report.rolled_forward == 1
-        assert not (tmp_path / "a.pxml.json").exists()
-        assert not checksum_sidecar(tmp_path / "a.pxml.json").exists()
+        assert list(tmp_path.glob("a.pxml.json*")) == []
 
     def test_unexplainable_state_is_quarantined(self, tmp_path):
         db = Database(tmp_path)
@@ -291,11 +288,28 @@ class TestReplay:
         journal = Journal(tmp_path)
         journal.begin("save", "a", checksum="what-was-journaled")
         path = tmp_path / "a.pxml.json"
-        path.write_text("neither old nor new", encoding="utf-8")
+        # A header that agrees with neither the journal nor its body.
+        path.write_text(
+            f"PXML 1 sha256={content_checksum('old')}\nneither old nor new",
+            encoding="utf-8",
+        )
 
         report = recover_directory(tmp_path)
         assert report.quarantined == 1
         assert "a" in quarantined_names(tmp_path)
+
+    def test_torn_save_over_a_headerless_file_aborts(self, tmp_path):
+        """Every file the catalog writes has a header, so a headerless
+        one is the pre-state (a legacy file), never a torn new one."""
+        (tmp_path / "a.pxml.json").write_text(
+            dumps(figure2_instance()), encoding="utf-8"
+        )
+        Journal(tmp_path).begin(
+            "save", "a", checksum=content_checksum(dumps(figure2_instance()))
+        )
+        report = recover_directory(tmp_path)
+        assert (report.aborted, report.rolled_forward) == (1, 0)
+        assert len(Database(tmp_path).get("a")) == len(figure2_instance())
 
     def test_generation_monotone_across_replay(self, tmp_path):
         db = Database(tmp_path)
@@ -343,11 +357,7 @@ class TestQuarantineNaming:
             )
             with pytest.raises(DatabaseError):
                 db.reload("a")
-        evidence = [
-            p for p in (tmp_path / "quarantine").iterdir()
-            if not p.name.endswith(".sha256")
-        ]
-        assert len(evidence) == 3
+        assert len(list((tmp_path / "quarantine").iterdir())) == 3
         assert quarantined_names(tmp_path) == ["a"]
 
     def test_destination_dedup_counter(self, tmp_path):
@@ -388,20 +398,33 @@ class TestFsck:
         assert fsck_directory(tmp_path).clean
         assert "a" in quarantined_names(tmp_path)
 
-    def test_missing_sidecar_is_resigned(self, tmp_path):
+    def test_headerless_file_is_resaved(self, tmp_path):
         self._populate(tmp_path)
-        checksum_sidecar(tmp_path / "a.pxml.json").unlink()
+        path = tmp_path / "a.pxml.json"
+        path.write_text(dumps(figure2_instance()), encoding="utf-8")
         report = fsck_directory(tmp_path, repair=True)
         assert any(
             f.code == "FS102" and f.repaired for f in report.findings
         )
         assert fsck_directory(tmp_path).clean
-        # Repair re-signed (the payload was decodable), never quarantined.
+        # Repair saved it through the catalog (the body decoded), never
+        # quarantined it.
+        assert path.read_text(encoding="utf-8").startswith("PXML 1 ")
         assert len(Database(tmp_path).get("a")) == len(figure2_instance())
+
+    def test_headerless_undecodable_file_is_quarantined(self, tmp_path):
+        self._populate(tmp_path)
+        (tmp_path / "a.pxml.json").write_text("{", encoding="utf-8")
+        report = fsck_directory(tmp_path, repair=True)
+        assert [(f.code, f.repaired) for f in report.findings] == [
+            ("FS102", True)
+        ]
+        assert fsck_directory(tmp_path).clean
+        assert "a" in quarantined_names(tmp_path)
 
     def test_orphan_sidecar_is_removed(self, tmp_path):
         self._populate(tmp_path)
-        orphan = checksum_sidecar(tmp_path / "ghost.pxml.json")
+        orphan = tmp_path / "ghost.pxml.json.sha256"
         orphan.write_text("feed\n", encoding="utf-8")
         report = fsck_directory(tmp_path, repair=True)
         assert any(
