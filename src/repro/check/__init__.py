@@ -39,7 +39,7 @@ from repro.check.absint import (
     check_plan,
     verify_execution,
 )
-from repro.check.dataguide import DataGuide, DataGuideCache, build_dataguide
+from repro.check.dataguide import DataGuide, build_dataguide
 from repro.check.diagnostics import (
     ERROR,
     INFO,
@@ -57,7 +57,6 @@ __all__ = [
     "CardInterval",
     "CheckError",
     "DataGuide",
-    "DataGuideCache",
     "Diagnostic",
     "DiagnosticReport",
     "ERROR",

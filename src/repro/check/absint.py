@@ -52,7 +52,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import Any
 
-from repro.check.dataguide import DataGuideCache
 from repro.check.diagnostics import ERROR, WARNING, Diagnostic
 from repro.check.locate import UNKNOWN, Site, scan_site
 from repro.core.instance import ProbabilisticInstance
@@ -69,7 +68,7 @@ from repro.obs.export import NODE_SPAN, node_spans
 from repro.obs.tracing import Span
 from repro.semistructured.graph import EdgeLabeledGraph
 from repro.semistructured.paths import PathExpression
-from repro.storage.derived import catalog_generation
+from repro.storage.derived import catalog_generation, fetch, reading_at
 
 #: Slack applied when comparing guard bounds against interval endpoints,
 #: mirroring the engine's probability tolerance.
@@ -293,12 +292,8 @@ class _AbstractInterpreter:
     advisory interval verdicts (``PX26x``) apart.
     """
 
-    def __init__(
-        self, database: Any, guides: DataGuideCache, generation: int
-    ) -> None:
+    def __init__(self, database: Any) -> None:
         self.database = database
-        self.guides = guides
-        self.generation = generation
         self.states: dict[int, _State] = {}
         self.findings: list[Diagnostic] = []
         self.advisories: list[Diagnostic] = []
@@ -349,7 +344,7 @@ class _AbstractInterpreter:
     # ------------------------------------------------------------------
     def _scan(self, node: ScanNode) -> _State:
         try:
-            pi = self.database.get(node.name)
+            pi = fetch(self.database, node.name)
         except Exception:
             self._emit(
                 "PX201", ERROR,
@@ -358,14 +353,11 @@ class _AbstractInterpreter:
             )
             self.can_raise = True
             return _opaque_instance()
-        site = scan_site(
-            self.database, node.name, pi, self.guides, self.generation
-        )
         return _State(
             card=CardInterval.exactly(len(pi)),
             prob=ONE,
             exact=True,
-            site=site,
+            site=scan_site(node.name, pi),
             tree=pi.weak.is_tree(),
         )
 
@@ -882,21 +874,19 @@ def _facts_of(node: PlanNode, state: _State) -> NodeFacts:
 def certify_plan(
     plan: PlanNode,
     database: Any,
-    guides: DataGuideCache | None = None,
     generation: int | None = None,
 ) -> PlanCertificate:
     """Abstractly interpret a (prepared) plan into a certificate.
 
     ``generation`` is the catalog generation the calling statement
-    already read (every guide lookup is keyed under it); omitted, it is
+    already read (every scan's token is taken under it); omitted, it is
     read here, once.
     """
-    interpreter = _AbstractInterpreter(
-        database,
-        guides if guides is not None else DataGuideCache.of(database),
-        generation if generation is not None else catalog_generation(database),
-    )
-    root_state = interpreter.state_of(plan)
+    if generation is None:
+        generation = catalog_generation(database)
+    interpreter = _AbstractInterpreter(database)
+    with reading_at(database, generation):
+        root_state = interpreter.state_of(plan)
     facts = tuple(
         _facts_of(node, interpreter.states[id(node)]) for node in walk(plan)
     )
@@ -939,7 +929,6 @@ def certify_plan(
 def check_plan(
     plan: PlanNode,
     database: Any,
-    guides: DataGuideCache | None = None,
     subject: str | None = None,
     certified: Callable[[PlanNode, int, PlanCertificate], None] | None = None,
 ) -> list[Diagnostic]:
@@ -953,7 +942,7 @@ def check_plan(
     is the plan the engine runs.
     """
     generation = catalog_generation(database)
-    certificate = certify_plan(plan, database, guides, generation)
+    certificate = certify_plan(plan, database, generation)
     diagnostics = [replace(d, subject=subject) for d in certificate.findings]
     if any(d.severity == ERROR for d in diagnostics):
         diagnostics = [d for d in diagnostics if not d.code.startswith("PX26")]

@@ -30,7 +30,7 @@ import re
 import sys
 from pathlib import Path
 
-from repro.check.dataguide import DataGuideCache, build_dataguide
+from repro.check.dataguide import build_dataguide
 from repro.check.diagnostics import ERROR, INFO, Diagnostic, DiagnosticReport
 from repro.check.model import check_instance
 from repro.check.query import check_text
@@ -96,7 +96,6 @@ def _check_script_file(path: Path) -> list[Diagnostic]:
     from repro.storage.database import Database
 
     database = Database(path.parent)
-    guides = DataGuideCache()
     defined: set[str] = set()
     diagnostics: list[Diagnostic] = []
     try:
@@ -110,7 +109,7 @@ def _check_script_file(path: Path) -> list[Diagnostic]:
         text = line.strip()
         if not text or text.startswith("#"):
             continue
-        found = check_text(text, database, guides=guides)
+        found = check_text(text, database)
         for diagnostic in found:
             if diagnostic.code in ("PX201", "PX301"):
                 matched = _UNKNOWN_INSTANCE.search(diagnostic.message)

@@ -21,11 +21,10 @@ probability, which is exactly the oracle the plan checker needs to flag
 statically doomed path expressions — and the oracle the abstract
 interpreter (:mod:`repro.check.absint`) folds into the certificates
 that let the engine skip plans that provably cannot match.
-:class:`DataGuideCache` memoizes guides per name under the catalog token
-(:func:`repro.storage.derived.cache_token`), so repeated checks of an
-unchanged catalog are free but cross-process catalog mutations (which
-bump the generation without touching in-process version counters) still
-invalidate.
+:func:`guide_of` keeps a frozen instance's guide on the instance, so
+repeated checks of an unchanged catalog are free, and a changed name —
+re-registered here or saved by another process — maps to a new
+instance with a guide of its own.
 """
 
 from __future__ import annotations
@@ -36,9 +35,10 @@ from typing import Iterator, Mapping
 from repro.core.instance import ProbabilisticInstance
 from repro.semistructured.graph import Label, Oid
 from repro.semistructured.paths import PathExpression
-from repro.storage.derived import DerivedCache
+from repro.storage.derived import derived
 
-#: Safety valve: stop expanding a guide past this many label paths.
+#: Safety valve: stop expanding a guide past this many label paths
+#: (read when a guide is built).
 DEFAULT_MAX_PATHS = 10_000
 
 
@@ -159,10 +159,9 @@ def _marginal_bounds(
     return (marginal, marginal)
 
 
-def build_dataguide(
-    pi: ProbabilisticInstance, max_paths: int = DEFAULT_MAX_PATHS
-) -> DataGuide:
-    """Compute the strong dataguide of a probabilistic instance.
+def build_dataguide(pi: ProbabilisticInstance) -> DataGuide:
+    """Compute the strong dataguide of a probabilistic instance, up to
+    :data:`DEFAULT_MAX_PATHS` label paths.
 
     Breadth-first over label paths: the frontier maps each live label
     path to per-object reachability bounds; every step extends each path
@@ -198,7 +197,7 @@ def build_dataguide(
         next_frontier: dict[tuple[Label, ...], dict[Oid, tuple[float, float]]] = {}
         for labels, bounds in frontier.items():
             record(labels, bounds)
-            if len(entries) + len(next_frontier) >= max_paths:
+            if len(entries) + len(next_frontier) >= DEFAULT_MAX_PATHS:
                 truncated = True
                 continue
             for oid, (olow, ohigh) in bounds.items():
@@ -233,15 +232,15 @@ def build_dataguide(
     return DataGuide(weak.root, entries, is_tree, truncated)
 
 
-class DataGuideCache(DerivedCache[DataGuide]):
-    """Memoizes dataguides per catalog name and token.
+def guide_of(pi: ProbabilisticInstance) -> DataGuide:
+    """The dataguide of ``pi``, built once per frozen instance and kept
+    on it (:func:`repro.storage.derived.derived`): an interpreter, its
+    engine and every checker pass over the instance read the same one."""
+    return derived(pi, "guide", build_dataguide)
 
-    The catalog only needs ``get(name)`` and ``version(name)``
-    (``generation()`` and ``epoch()`` are used when present);
-    :class:`repro.storage.database.Database` provides all four.  An
-    interpreter, its engine and the checker passes they run share one
-    of these, so a guide is built once per instance version.
-    """
 
-    def __init__(self, max_paths: int = DEFAULT_MAX_PATHS) -> None:
-        super().__init__(lambda _name, pi: build_dataguide(pi, max_paths))
+class DataGuideCache:
+    """Holds nothing: kept only because ``benchmarks/e2e/ladder.py``
+    builds one and passes it as ``check_statement(guides=)``, which is
+    accepted and ignored — a guide lives on its instance
+    (:func:`guide_of`)."""

@@ -14,7 +14,7 @@ locates its path once:
   the targets back.  No structural match is made at all;
 * where the **match itself** is needed (a projection's result shape,
   the wording of a finding on a failing path, no sound guide) it comes
-  from the catalog's shared columnar snapshot through
+  from the scanned instance's columnar snapshot through
   :func:`~repro.index.columnar.match_path_indexed` — equal to the walk
   by the parity suite of ``tests/test_index.py`` — and stays in that
   snapshot's memo, where the executor finds it.  The snapshot is
@@ -30,11 +30,10 @@ from __future__ import annotations
 import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Any
 
-from repro.check.dataguide import DataGuide, DataGuideCache
+from repro.check.dataguide import DataGuide, guide_of
 from repro.core.instance import ProbabilisticInstance
-from repro.index import ColumnarInstance, IndexCache, match_path_indexed
+from repro.index import ColumnarInstance, match_path_indexed, snapshot_of
 from repro.semistructured.graph import EdgeLabeledGraph, Oid
 from repro.semistructured.paths import PathExpression, PathMatch, match_path
 
@@ -53,7 +52,7 @@ class Site:
     graph: EdgeLabeledGraph | None
     pi: ProbabilisticInstance | None = None
     guide: DataGuide | None = None
-    #: Fetches the scanned name's shared snapshot (``None``: a DAG, or
+    #: Fetches the scanned instance's snapshot (``None``: a DAG, or
     #: unbuildable).
     snapshot: Callable[[], ColumnarInstance | None] | None = field(
         default=None, repr=False
@@ -108,16 +107,10 @@ class Site:
 UNKNOWN = Site(root=None, graph=None)
 
 
-def scan_site(
-    database: Any,
-    name: str,
-    pi: ProbabilisticInstance,
-    guides: DataGuideCache,
-    generation: int,
-) -> Site:
+def scan_site(name: str, pi: ProbabilisticInstance) -> Site:
     """The exact site of catalog name ``name`` — whose instance ``pi``
-    the caller just fetched — under the generation the running statement
-    already read.  The guide and the snapshot are fail-open.
+    the caller just fetched.  The guide and the snapshot, both kept on
+    ``pi``, are fail-open.
 
     A truncated guide is dropped here, once for every pass: beyond the
     truncation it has no entry for paths that do match, and its
@@ -125,7 +118,7 @@ def scan_site(
     """
     guide: DataGuide | None
     try:
-        guide = guides.get(database, name, generation, instance=pi)
+        guide = guide_of(pi)
     except Exception:
         guide = None
     if guide is not None and guide.truncated:
@@ -133,7 +126,7 @@ def scan_site(
 
     @functools.cache
     def snapshot() -> ColumnarInstance | None:
-        return IndexCache.of(database).try_get(database, name, generation, pi)
+        return snapshot_of(name, pi)
 
     return Site(
         root=pi.root, graph=pi.weak.graph(), pi=pi, guide=guide,

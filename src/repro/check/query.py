@@ -109,6 +109,9 @@ def check_statement(
     executes the statement.  ``CHECK``, ``EXPLAIN``, ``PROFILE`` and
     ``... WITH TIMEOUT`` wrappers are unwrapped to their inner statement
     first.  ``certified`` is :func:`~repro.check.absint.check_plan`'s.
+    ``guides`` is accepted and ignored, kept only because
+    ``benchmarks/e2e/ladder.py`` passes it: a guide lives on its
+    instance.
     """
     while isinstance(
         statement,
@@ -119,8 +122,8 @@ def check_statement(
 
     plan = plan_statement(statement)
     if plan is not None:
-        diagnostics = check_plan(plan, database, guides=guides,
-                                 subject=subject, certified=certified)
+        diagnostics = check_plan(plan, database, subject=subject,
+                                 certified=certified)
         return _attach_spans(diagnostics, spans)
 
     diagnostics = []
@@ -151,11 +154,7 @@ def check_statement(
     return diagnostics
 
 
-def check_text(
-    text: str,
-    database,
-    guides: DataGuideCache | None = None,
-) -> list[Diagnostic]:
+def check_text(text: str, database) -> list[Diagnostic]:
     """Statically check one PXQL statement given as source text.
 
     Syntax errors become ``PX310`` diagnostics (with the source offset
@@ -173,5 +172,4 @@ def check_text(
             subject=subject, span=span,
             hint="see the grammar in `docs/PXQL.md`",
         )]
-    return check_statement(statement, database, spans=spans, guides=guides,
-                           subject=subject)
+    return check_statement(statement, database, spans=spans, subject=subject)

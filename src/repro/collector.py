@@ -13,7 +13,7 @@ what the region left behind.
 It is called at exactly three sites (architecture walk 18,
 ``test_one_collector_switch``): :func:`repro.io.json_codec.dumps`,
 :func:`repro.io.json_codec.loads` and the build in
-:meth:`repro.storage.derived.DerivedCache.get`.  :func:`collector_stats`
+:func:`repro.storage.derived.derived`.  :func:`collector_stats`
 is what ``GET /metrics`` reports as ``process.gc``.
 """
 

@@ -26,13 +26,29 @@ from repro.semistructured.types import LeafType, Value
 class ProbabilisticInstance:
     """A weak instance together with a local interpretation."""
 
-    __slots__ = ("_weak", "_interp")
+    __slots__ = ("_weak", "_interp", "memo", "__weakref__")
 
     def __init__(
         self, weak: WeakInstance, interpretation: LocalInterpretation | None = None
     ) -> None:
         self._weak = weak
         self._interp = interpretation if interpretation is not None else LocalInterpretation()
+        #: What is derived from a frozen instance (its snapshot, guide
+        #: and measurement: :func:`repro.storage.derived.derived`), by
+        #: kind; ``None`` until :meth:`freeze` — a mutable instance has
+        #: nothing a derived value could stay true to.
+        self.memo: dict[str, object] | None = None
+
+    def freeze(self) -> None:
+        """Make the instance a value: the weak instance's and the
+        interpretation's setters raise from now on, and what is derived
+        from it is kept in :attr:`memo`.  The catalog freezes what it
+        holds; :meth:`copy` gives an instance with a mutable
+        interpretation and an empty memo."""
+        self._weak.freeze()
+        self._interp.freeze()
+        if self.memo is None:
+            self.memo = {}
 
     # ------------------------------------------------------------------
     # Delegation to the weak instance

@@ -22,7 +22,7 @@ from repro.semistructured.types import Value
 class LocalInterpretation:
     """Per-object local probability functions (OPFs and VPFs)."""
 
-    __slots__ = ("_opf", "_vpf")
+    __slots__ = ("_opf", "_vpf", "_frozen")
 
     def __init__(
         self,
@@ -36,15 +36,31 @@ class LocalInterpretation:
             raise ModelError(
                 f"objects cannot have both an OPF and a VPF: {sorted(overlap)}"
             )
+        self._frozen = False
+
+    def freeze(self) -> None:
+        """Make the interpretation a value: every setter raises from now
+        on.  The catalog freezes what it holds (with its weak instance,
+        :meth:`ProbabilisticInstance.freeze`); :meth:`copy` gives a
+        mutable one."""
+        self._frozen = True
+
+    def _before_change(self, oid: Oid) -> None:
+        if self._frozen:
+            raise ModelError(
+                f"cannot change object {oid!r}: the interpretation is frozen"
+            )
 
     def set_opf(self, oid: Oid, opf: ObjectProbabilityFunction) -> None:
         """Assign the OPF of a non-leaf object."""
+        self._before_change(oid)
         if oid in self._vpf:
             raise ModelError(f"object {oid!r} already has a VPF")
         self._opf[oid] = opf
 
     def set_vpf(self, oid: Oid, vpf: ValueProbabilityFunction) -> None:
         """Assign the VPF of a leaf object."""
+        self._before_change(oid)
         if oid in self._opf:
             raise ModelError(f"object {oid!r} already has an OPF")
         self._vpf[oid] = vpf
@@ -63,6 +79,7 @@ class LocalInterpretation:
 
     def drop(self, oid: Oid) -> None:
         """Remove any local probability function attached to ``oid``."""
+        self._before_change(oid)
         self._opf.pop(oid, None)
         self._vpf.pop(oid, None)
 
@@ -75,13 +92,14 @@ class LocalInterpretation:
         return iter(self._vpf.items())
 
     def copy(self) -> "LocalInterpretation":
-        """Shallow-copy the maps (the distributions themselves are immutable
-        in practice and shared).  The constructor's overlap check is for
+        """Shallow, mutable copy of the maps (the distributions themselves
+        are immutable in practice and shared).  The constructor's overlap check is for
         outside input: :meth:`set_opf` / :meth:`set_vpf` already keep
         these maps disjoint."""
         clone = LocalInterpretation.__new__(LocalInterpretation)
         clone._opf = dict(self._opf)
         clone._vpf = dict(self._vpf)
+        clone._frozen = False
         return clone
 
     def total_entries(self) -> int:

@@ -4,7 +4,7 @@ The model tracks three quantities per sub-plan — estimated object count,
 estimated total OPF/VPF entries (the paper's Section 7 cost parameter),
 and whether the result is tree-structured — plus the root object id the
 sub-plan will produce.  Scans are measured exactly from the catalog
-(memoized per instance under the catalog token); operators propagate:
+(kept on the frozen instance, :func:`measure`); operators propagate:
 
 * projection and selection keep the structure (upper bound: same size);
 * product sums sizes (minus the two merged roots) and multiplies the
@@ -21,7 +21,6 @@ tree-ness is also what the executor's access-method decision reads
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 from repro.core.instance import ProbabilisticInstance
@@ -34,7 +33,7 @@ from repro.engine.plan import (
     ScanNode,
     SelectNode,
 )
-from repro.storage.derived import DerivedCache
+from repro.storage.derived import derived, fetch
 
 #: Above this many interpretation entries a non-tree instance is judged
 #: too large for exact Bayesian-network elimination and sampled instead.
@@ -61,13 +60,11 @@ def measure_instance(pi: ProbabilisticInstance) -> Estimate:
     )
 
 
-class MeasurementCache(DerivedCache[Estimate]):
-    """Memoizes :func:`measure_instance` per catalog name and token;
-    ``MeasurementCache.of(catalog)`` is shared by every cost model over
-    that catalog in this process."""
-
-    def __init__(self) -> None:
-        super().__init__(lambda _name, pi: measure_instance(pi))
+def measure(pi: ProbabilisticInstance) -> Estimate:
+    """:func:`measure_instance`, kept on a frozen instance
+    (:func:`repro.storage.derived.derived`): a scanned name is measured
+    once, whoever asks."""
+    return derived(pi, "measure", measure_instance)
 
 
 class CostModel:
@@ -75,37 +72,18 @@ class CostModel:
 
     Args:
         catalog: any object with ``get(name) -> ProbabilisticInstance``
-            and ``version(name) -> int`` (``generation()`` is used when
-            present): per-instance measurements are memoized under the
-            catalog token.
+            and ``version(name) -> int``; a scan is read through
+            :func:`repro.storage.derived.fetch`.
     """
 
     def __init__(self, catalog) -> None:
         self._catalog = catalog
-        #: The generation scans are keyed under (None: ask the catalog).
-        self._generation: int | None = None
-        self._measured = MeasurementCache.of(catalog)
-
-    def at(self, generation: int) -> "CostModel":
-        """This model keyed under a generation the caller already read.
-
-        A view for one statement: it shares the measurement memo with
-        the model it came from.
-        """
-        view = copy.copy(self)
-        view._generation = generation
-        return view
 
     # ------------------------------------------------------------------
-    def scan(
-        self, name: str, instance: ProbabilisticInstance | None = None
-    ) -> Estimate:
-        """The measurements of catalog name ``name`` (of ``instance``,
-        when the caller already holds what it scanned), memoized under
-        the name's token."""
-        return self._measured.get(
-            self._catalog, name, self._generation, instance
-        )
+    def scan(self, name: str) -> Estimate:
+        """The measurements of the instance catalog name ``name`` maps
+        to."""
+        return measure(fetch(self._catalog, name))
 
     # ------------------------------------------------------------------
     def estimate(self, plan: PlanNode) -> Estimate:

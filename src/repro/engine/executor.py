@@ -67,7 +67,7 @@ from repro.algebra.selection import (
 )
 from repro.core.cardinality import CardinalityInterval
 from repro.core.instance import ProbabilisticInstance
-from repro.engine.cost import CostModel, Estimate, measure_instance
+from repro.engine.cost import CostModel, Estimate, measure
 from repro.engine.plan import (
     PlanError,
     PlanNode,
@@ -82,7 +82,7 @@ from repro.engine.plan import (
     walk,
 )
 from repro.errors import BudgetExceeded
-from repro.index import IndexCache, match_path_indexed
+from repro.index import match_path_indexed, snapshot_of
 from repro.index.columnar import ColumnarInstance
 from repro.obs.export import NODE_SPAN, _tree_lines, render_span_tree
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -96,7 +96,12 @@ from repro.queries.engine import QueryEngine
 from repro.queries.point import point_query
 from repro.resilience.budget import current_budget
 from repro.semistructured.paths import PathMatch
-from repro.storage.derived import cache_token, catalog_generation
+from repro.storage.derived import (
+    cache_token,
+    catalog_generation,
+    fetch,
+    reading_at,
+)
 
 _PROJECTION_OPERATORS = {
     "ancestor": ancestor_projection_local,
@@ -149,12 +154,10 @@ class Engine:
 
     The engine keeps no result between executions (the interpreter's
     statement tier is the one result cache).  The state *derived from an
-    instance* — columnar snapshots with their match memos
-    (:attr:`index_cache`), dataguides (:attr:`guides`), cost
-    measurements — is the catalog's: immutable,
-    stamped with the token it was built under, and shared by every
-    engine over the same catalog object in this process
-    (:meth:`repro.storage.derived.DerivedCache.of`).
+    instance* — its columnar snapshot with its match memo, its
+    dataguide, its cost measurement — lives on the frozen instance
+    (:func:`repro.storage.derived.derived`), so every engine, pool
+    worker and checker pass that reads the instance reads the same one.
 
     Args:
         database: the catalog plans scan (must expose ``get`` and
@@ -196,14 +199,6 @@ class Engine:
         self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cost = CostModel(database)
-        from repro.check.dataguide import DataGuideCache
-
-        #: The catalog's snapshots and dataguides, not this engine's:
-        #: every engine, pool worker and checker pass over ``database``
-        #: in this process reads the same ones, so each is built once
-        #: per name and token.
-        self.index_cache = IndexCache.of(database)
-        self.guides = DataGuideCache.of(database)
         #: The static checker's certificate of the statement about to
         #: run, under its cache key (:meth:`adopt_certificate`).
         self._adopted: tuple[tuple, PlanCertificate] | None = None
@@ -297,9 +292,7 @@ class Engine:
 
         try:
             with self.tracer.span("check.absint.certify"):
-                return certify_plan(
-                    plan, self.database, self.guides, generation
-                )
+                return certify_plan(plan, self.database, generation)
         except Exception as exc:
             self._absint_error(exc)
             return None
@@ -400,11 +393,7 @@ class Engine:
 
         if isinstance(node, ScanNode):
             with self.tracer.span(f"{NODE_SPAN}{node.label()}") as span:
-                # The name's token under this statement's generation
-                # first: a foreign save of the name is observed (one
-                # epoch comparison when not behind) before it is read.
-                cache_token(self.database, node.name, generation)
-                pi = self.database.get(node.name)
+                pi = fetch(self.database, node.name, generation)
                 span.attributes["objects"] = len(pi)
             self.metrics.counter("engine.objects_scanned").inc(len(pi))
             return pi, span
@@ -417,9 +406,7 @@ class Engine:
             with self.tracer.span(
                 "engine.apply", operator=type(node).__name__
             ) as apply_span:
-                value, strategy = self._apply(
-                    node, inputs, generation, accelerated, span
-                )
+                value, strategy = self._apply(node, inputs, accelerated, span)
             span.attributes["strategy"] = strategy
             if isinstance(value, ProbabilisticInstance):
                 span.attributes["objects"] = len(value)
@@ -431,8 +418,7 @@ class Engine:
         return value, span
 
     def _apply(
-        self, node: PlanNode, inputs: list, generation: int,
-        accelerated: bool, span: Span,
+        self, node: PlanNode, inputs: list, accelerated: bool, span: Span,
     ) -> tuple[object, str]:
         """``(value, strategy)`` of one operator over its inputs; a
         selection writes its condition probability onto ``span``, the
@@ -441,7 +427,7 @@ class Engine:
             (pi,) = inputs
 
             def measured(source: PlanNode) -> Estimate:
-                return self._measure(source, pi, generation)
+                return measure(pi)
 
             strategy = self._strategy(node, measured, accelerated)
             if strategy != "indexed":
@@ -450,9 +436,7 @@ class Engine:
             # evaluating on it but the user's budget, is answered by the
             # walked operator.  A walk that raises too surfaces its own
             # error, and nothing is counted.
-            col = self.index_cache.try_get(
-                self.database, node.child.name, generation, pi
-            )
+            col = snapshot_of(node.child.name, pi)
             failure = None
             if col is not None:
                 try:
@@ -496,11 +480,12 @@ class Engine:
         (``measured`` = the input's memoised measurement) and by
         ``EXPLAIN`` (``measured`` = the cost model's estimate).
 
-        ``"indexed"``: the path is located on the catalog's shared
+        ``"indexed"``: the path is located on the scanned instance's
         columnar snapshot — only when the statement runs accelerated,
-        the input is a scanned name (a derived instance has no token to
-        keep a snapshot under) and it measures as a tree (the snapshot's
-        domain; the Section 6 algorithms fed the match assume it).
+        the input is a scanned name (an operator's output is not frozen,
+        so nothing would keep its snapshot) and it measures as a tree
+        (the snapshot's domain; the Section 6 algorithms fed the match
+        assume it).
         Otherwise the walked operator: ``local``, or for the queries the
         strategy facade answers on DAGs, whatever
         :meth:`CostModel.choose_strategy` picks.
@@ -570,20 +555,6 @@ class Engine:
         self.metrics.histogram("query.wall_s").observe(qspan.wall_s)
         return value, "indexed"
 
-    def _measure(
-        self, source: PlanNode, pi: ProbabilisticInstance, generation: int
-    ) -> Estimate:
-        """The measurements of ``pi``, the output of ``source``: a
-        scanned name's are memoised under its token (a lookup that can
-        never fail a query); a derived input has no token and is
-        measured directly."""
-        if isinstance(source, ScanNode):
-            try:
-                return self.cost.at(generation).scan(source.name, pi)
-            except Exception:
-                pass
-        return measure_instance(pi)
-
     def _apply_walked(
         self, node: ProjectNode | QueryNode, pi: ProbabilisticInstance,
         strategy: str,
@@ -619,7 +590,8 @@ class Engine:
         :meth:`execute_plan` takes."""
         generation = catalog_generation(self.database)
         certificate = self._certify(plan, generation)
-        lines = _render_plan(plan, self, certificate, generation)
+        with reading_at(self.database, generation):
+            lines = _render_plan(plan, self, certificate)
         if certificate is not None:
             lines.append(_certificate_line(certificate))
         return "\n".join(lines)
@@ -703,9 +675,8 @@ def _render_plan(
     plan: PlanNode,
     engine: Engine,
     certificate: "PlanCertificate | None",
-    generation: int,
 ) -> list[str]:
-    cost = engine.cost.at(generation)
+    cost = engine.cost
     facts_of: dict[int, NodeFacts] = {}
     if certificate is not None:
         for plan_node, facts in zip(walk(plan), certificate.facts):

@@ -3,8 +3,8 @@
 :class:`ColumnarInstance` numbers the objects of a tree in preorder
 (children visited in sorted order) and keeps three columns over those
 positions — object ids, parent pointers and, per edge label, each
-position's children reached by that label.  Built once per instance
-version (see :class:`repro.index.cache.IndexCache`), it lets a path
+position's children reached by that label.  Built once per frozen
+instance (see :func:`repro.index.cache.snapshot_of`), it lets a path
 match run as list expansions instead of per-node ``lch`` calls:
 
 * the forward sweep expands each level through the label's children
@@ -42,9 +42,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class ColumnarInstance:
     """Preorder columns over one tree.
 
-    The snapshot is immutable by convention: it is keyed by instance
-    version in the :class:`~repro.index.cache.IndexCache` and rebuilt,
-    never patched, when the catalog changes.
+    The snapshot is immutable by convention: it is kept on the frozen
+    instance it was built from (:func:`~repro.index.cache.snapshot_of`)
+    and never patched — a changed instance is a new instance.
     """
 
     __slots__ = (
@@ -56,6 +56,7 @@ class ColumnarInstance:
         "_match_memo",
         "_memo_lock",
         "_reach",
+        "__weakref__",
     )
 
     def __init__(
@@ -73,15 +74,14 @@ class ColumnarInstance:
         #: label -> position -> its children by that label, ascending.
         self.children = children
         # Bounded memo of materialized path matches.  Sound because the
-        # snapshot is immutable: the IndexCache drops the whole snapshot
-        # (memo included) when the instance's (version, epoch) token
-        # moves, so a memoized PathMatch can never go stale.  A snapshot
-        # is shared by every reader of its catalog, so the memo's
+        # snapshot is immutable and so is the instance it lives on, so a
+        # memoized PathMatch can never go stale.  A snapshot is shared
+        # by every reader of its instance, so the memo's
         # evict-then-insert runs under a lock.
         self._match_memo: dict[PathExpression, PathMatch] = {}
         self._memo_lock = threading.Lock()
-        # ``P(o occurs)`` per position (:meth:`reach`); the token's, like
-        # the match memo.  A slot is one assignment of a value every
+        # ``P(o occurs)`` per position (:meth:`reach`); the instance's,
+        # like the match memo.  A slot is one assignment of a value every
         # thread computes identically, so it needs no lock.
         self._reach: list[float | None] = [None] * len(oids)
 

@@ -122,8 +122,8 @@ class _Answer(NamedTuple):
     result: Result
 
 
-#: catalog object -> its statement tier (weak-keyed, as
-#: :meth:`repro.storage.derived.DerivedCache.of` keeps derived state).
+#: catalog object -> its statement tier (weak-keyed: the tier dies with
+#: the catalog).
 _tiers: weakref.WeakKeyDictionary[Versioned, StatementTier] = (
     weakref.WeakKeyDictionary()
 )
@@ -477,9 +477,8 @@ class Interpreter:
             # builds are (``index.builds``).
             with use_registry(self.metrics):
                 return check_statement(
-                    statement, self.database, spans=spans,
-                    guides=self.engine.guides,
-                    subject=subject, certified=self.engine.adopt_certificate,
+                    statement, self.database, spans=spans, subject=subject,
+                    certified=self.engine.adopt_certificate,
                 )
         except Exception as exc:
             self.metrics.counter("check.errors").inc()

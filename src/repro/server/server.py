@@ -28,10 +28,10 @@ The concurrency contract, piece by piece:
   clash, nor replace a result saved by an earlier run), while the
   database, tracer and metrics registry are shared and thread-safe —
   and with the database its one statement tier
-  (:class:`~repro.pxql.interpreter.StatementTier`) and the immutable,
-  token-stamped state derived from its instances (snapshots,
-  dataguides, cost measurements: one per name per catalog object, see
-  :meth:`repro.storage.derived.DerivedCache.of`);
+  (:class:`~repro.pxql.interpreter.StatementTier`) and its frozen
+  instances, each carrying what is derived from it (snapshot,
+  dataguide, cost measurement: see
+  :func:`repro.storage.derived.derived`);
 * **answers at admission** — :meth:`PXQLServer.submit` probes that
   tier on the submitting thread, without parsing: a repeated read whose
   input has not moved comes back as an already-resolved future and is

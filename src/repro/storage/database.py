@@ -28,7 +28,6 @@ from repro.obs.metrics import current_registry
 from repro.obs.tracing import current_tracer
 from repro.resilience.faults import fault_point
 from repro.resilience.retry import RetryPolicy, retry_call
-from repro.storage.derived import forget
 from repro.storage.journal import (
     Journal,
     RecoveryReport,
@@ -118,14 +117,15 @@ class Database:
     mutation of that name this object did not make, attributed from the
     journal's commit records the first time a statement sees the
     generation ahead of what this object has accounted for.  The
-    engine's caches key on the pair
+    statement tier keys on the pair
     (:func:`repro.storage.derived.cache_token`), so a mutation of one
-    name invalidates the cached state derived from that name and leaves
-    every other name's standing; only a change the journal cannot
-    attribute (compacted, torn, a gap, a lock timeout) invalidates them
-    all.  Observing a foreign mutation also drops this object's *clean*
+    name invalidates what was answered from that name and leaves every
+    other name's standing; only a change the journal cannot attribute
+    (compacted, torn, a gap, a lock timeout) invalidates them all.
+    Observing a foreign mutation also drops this object's *clean*
     in-memory copy of the name, so the next :meth:`get` reloads the new
-    bytes; a copy with unsaved changes stays authoritative.
+    bytes (and what is derived from them: it lives on the instance); a
+    copy with unsaved changes stays authoritative.
 
     **Concurrency.**  A :class:`Database` is thread-safe: the in-memory
     catalog (instances, versions, counter) lives under one internal
@@ -344,11 +344,6 @@ class Database:
                 if name in self._versions:
                     self._next_version(name)
             self._seen = max(self._seen, top)
-        for name in stale:
-            # Its token moved: what was derived from the old bytes can
-            # never be looked up again (and after a foreign DROP there
-            # is no next lookup to replace it).
-            forget(self, name)
 
     def _read(self, path: Path, name: str) -> ProbabilisticInstance:
         """Load one instance file inside a ``db.load`` span.
@@ -416,7 +411,6 @@ class Database:
             self._versions.pop(name, None)
             self._epochs.pop(name, None)
             self._dirty.discard(name)
-        forget(self, name)
         current_registry().counter("db.corrupt_quarantined").inc()
         return DatabaseError(
             f"instance {name!r} was corrupt and has been quarantined "
@@ -479,9 +473,10 @@ class Database:
     ) -> None:
         """Add an instance under ``name``; refuses clashes unless ``replace``.
 
-        The catalog holds values: the instance's weak structure is
-        frozen, so a change is a new instance registered with
-        ``replace=True``, which moves the name's version.
+        The catalog holds values: the instance is frozen (its weak
+        structure and its interpretation), so a change is a new instance
+        registered with ``replace=True``, which moves the name's
+        version, and what was derived from the old one goes with it.
         """
         _validate_name(name)
         self._admit(name, instance)
@@ -489,7 +484,7 @@ class Database:
         with self._lock:
             if not replace and name in self._instances:
                 raise DatabaseError(f"instance {name!r} already exists")
-            instance.weak.freeze()
+            instance.freeze()
             self._instances[name] = instance
             self._next_version(name)
             self._dirty.add(name)
@@ -515,7 +510,7 @@ class Database:
                     existing = self._instances.get(name)
                     if existing is not None:
                         return existing
-                    instance.weak.freeze()
+                    instance.freeze()
                     self._instances[name] = instance
                     self._dirty.discard(name)  # fresh from disk: in sync
                     if name not in self._versions:
@@ -538,7 +533,7 @@ class Database:
             raise DatabaseError(f"unknown instance: {name!r}")
         instance = self._read(path, name)
         self._admit(name, instance)
-        instance.weak.freeze()
+        instance.freeze()
         with self._lock:
             self._instances[name] = instance
             self._dirty.discard(name)  # fresh from disk: in sync
@@ -592,7 +587,6 @@ class Database:
             self._versions.pop(name, None)
             self._epochs.pop(name, None)
             self._dirty.discard(name)
-        forget(self, name)
         current_registry().counter("db.drops").inc()
 
     def names(self) -> list[str]:

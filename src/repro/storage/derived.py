@@ -1,37 +1,34 @@
-"""The catalog token and the one cache of state derived from an instance.
+"""The catalog token, the one scan read, and the one memo of state
+derived from an instance.
 
 A named instance's identity is one pair, both halves about *that
 name*: ``version(name)`` moves when this catalog object registers,
 loads, reloads or drops it, and ``epoch(name)`` is the on-disk
 generation of the last mutation of it that some *other* process (or
 catalog object) made on the shared directory.  A write to one name
-therefore leaves every other name's derived state standing; only a
-foreign change the catalog cannot attribute to a name moves them all
+therefore leaves every other name's token standing; only a foreign
+change the catalog cannot attribute to a name moves them all
 (:meth:`repro.storage.database.Database.epoch`).  :func:`cache_token` is
 the only place that pair is built — and the only caller of ``epoch`` —
-and :class:`DerivedCache` the only implementation of "name -> (token,
-value); rebuild when the token moves" — dataguides, columnar snapshots
-and cost measurements are instances of it.  A statement reads
+and it decides which object a name maps to: :func:`fetch` asks it
+before it reads the instance.  A statement reads
 :func:`catalog_generation` once and passes it to every key it builds —
 or, across layers that do not hand it on, pins it for its extent
 (:func:`reading_at`) — so all of them see one catalog snapshot.
 
-Derived values are immutable and stamped with the token they were built
-under, so they belong to the *catalog*, not to whoever asked first:
-:meth:`DerivedCache.of` hands every reader of one catalog object in this
-process — pool workers, the static checker, the engine — the same cache
-of each kind, and :func:`forget` is the one place a dropped name leaves
-all of them.
+A registered instance is a frozen value, so what is derived from it —
+its columnar snapshot, its dataguide, its cost measurement — lives on
+the instance (:func:`derived`) and goes when the instance goes: every
+reader that holds the object reads the same one, and nothing is keyed
+by name or token.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import TYPE_CHECKING, Any, Generic, Protocol, TypeVar, cast
+from typing import TYPE_CHECKING, Protocol, TypeVar, cast
 
 from repro.collector import collector_paused
 from repro.obs.metrics import current_registry
@@ -45,7 +42,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 Token = tuple[int, int]
 
 V = TypeVar("V")
-C = TypeVar("C", bound="DerivedCache[Any]")
+
+#: A memo slot no value fills.
+_MISSING = object()
 
 
 class Versioned(Protocol):
@@ -56,7 +55,7 @@ class Versioned(Protocol):
 
 
 class Catalog(Versioned, Protocol):
-    """What derived state needs of a catalog."""
+    """What a scan needs of a catalog."""
 
     def get(self, name: str) -> "ProbabilisticInstance": ...
 
@@ -116,111 +115,47 @@ def cache_token(
     return (catalog.version(name), epoch)
 
 
-#: catalog object -> {cache class: its one instance for that catalog}.
-#: Weak-keyed: the derived state of a catalog dies with the catalog.
-_per_catalog: "weakref.WeakKeyDictionary[Any, dict[type, DerivedCache[Any]]]" = (
-    weakref.WeakKeyDictionary()
-)
-_per_catalog_lock = threading.Lock()
+def fetch(
+    catalog: Catalog, name: str, generation: int | None = None
+) -> "ProbabilisticInstance":
+    """The instance ``name`` maps to under the running statement's
+    ``generation``: its token first, then the instance.  Asking the
+    token observes a foreign save of the name (one epoch comparison
+    when not behind), which drops the stale in-memory copy, so what is
+    read — and everything derived from it — is the new file's.  Every
+    scan reads through here."""
+    cache_token(catalog, name, generation)
+    return catalog.get(name)
 
 
-def forget(catalog: object, name: str) -> None:
-    """Drop ``name``'s entry from every shared derived cache of
-    ``catalog``.  For a name that is gone, or whose token has moved for
-    good: nothing can look the entry up again, so without this it would
-    be kept for as long as the catalog lives."""
-    try:
-        with _per_catalog_lock:
-            caches = list(_per_catalog.get(catalog, {}).values())
-    except TypeError:  # not weak-referenceable: it never had shared caches
-        return
-    for cache in caches:
-        cache.invalidate(name)
+def derived(
+    instance: "ProbabilisticInstance",
+    kind: str,
+    build: Callable[["ProbabilisticInstance"], V],
+    counters: str | None = None,
+) -> V:
+    """The ``kind`` value derived from ``instance`` by ``build``: kept
+    in a frozen instance's :attr:`~ProbabilisticInstance.memo`, built
+    anew for a mutable one.
 
-
-class DerivedCache(Generic[V]):
-    """Thread-safe ``name -> value built from that instance``.
-
-    One entry per name, stamped with the token it was built under; a
-    moved token rebuilds and replaces it and :func:`forget` removes the
-    entry of a dropped name, so a cache obtained through :meth:`of` is
-    bounded by the number of live names (a private one keeps the entry
-    of a name dropped behind its back until :meth:`invalidate`).
-    ``build(name, instance)`` runs outside the lock, with the cyclic
-    collector paused (:func:`repro.collector.collector_paused`) — two
-    threads missing one token at the same instant may both build, and
-    one copy is discarded; with ``counters`` set, lookups count into
-    ``<counters>.hits`` / ``<counters>.misses`` on the ambient metrics
-    registry.
+    The build runs with the cyclic collector paused
+    (:func:`repro.collector.collector_paused`): it allocates a whole
+    instance's worth of acyclic objects, and no full collection should
+    walk the catalog for it.  A build that raises keeps nothing; two
+    threads missing at one instant may both build, and the first value
+    kept is the one both return.  With ``counters`` set, lookups count
+    into ``<counters>.hits`` / ``<counters>.misses`` on the ambient
+    metrics registry.
     """
-
-    def __init__(
-        self,
-        build: Callable[[str, "ProbabilisticInstance"], V],
-        counters: str | None = None,
-    ) -> None:
-        self._build = build
-        self._counters = counters
-        self._entries: dict[str, tuple[Token, V]] = {}
-        self._lock = threading.Lock()
-
-    @classmethod
-    def of(cls: type[C], catalog: object) -> C:
-        """The cache of this kind that all readers of ``catalog`` in
-        this process share (subclasses constructible without arguments).
-
-        A catalog that cannot be weakly referenced (the dict-backed
-        fakes of tests) gets a private instance per call.
-        """
-        try:
-            with _per_catalog_lock:
-                caches = _per_catalog.setdefault(catalog, {})
-                cache = caches.get(cls)
-                if cache is None:
-                    cache = caches[cls] = cls()
-        except TypeError:
-            return cls()
-        return cast(C, cache)
-
-    def get(
-        self,
-        catalog: Catalog,
-        name: str,
-        generation: int | None = None,
-        instance: "ProbabilisticInstance | None" = None,
-    ) -> V:
-        """The value for ``name``'s current token, building it on miss.
-
-        A caller that already holds the scanned instance passes it as
-        ``instance`` so the value is built from exactly what is being
-        evaluated (not a possibly-racing re-read).
-        """
-        token = cache_token(catalog, name, generation)
-        with self._lock:
-            entry = self._entries.get(name)
-        if entry is not None and entry[0] != token:
-            entry = None
-        if self._counters is not None:
-            outcome = "misses" if entry is None else "hits"
-            current_registry().counter(f"{self._counters}.{outcome}").inc()
-        if entry is not None:
-            return entry[1]
-        # A build allocates a whole instance's worth of acyclic objects
-        # (a snapshot's arrays, a guide's per-path bounds): no full
-        # collection should walk the catalog for it.
-        with collector_paused():
-            value = self._build(
-                name, instance if instance is not None else catalog.get(name)
-            )
-        with self._lock:
-            self._entries[name] = (token, value)
+    memo = instance.memo
+    value = memo.get(kind, _MISSING) if memo is not None else _MISSING
+    if counters is not None:
+        outcome = "misses" if value is _MISSING else "hits"
+        current_registry().counter(f"{counters}.{outcome}").inc()
+    if value is not _MISSING:
+        return cast(V, value)
+    with collector_paused():
+        value = build(instance)
+    if memo is None:
         return value
-
-    def invalidate(self, name: str) -> None:
-        """Drop ``name``'s entry."""
-        with self._lock:
-            self._entries.pop(name, None)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+    return cast(V, memo.setdefault(kind, value))

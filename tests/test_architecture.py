@@ -115,14 +115,14 @@ def test_a_read_writes_nothing():
 
 def test_one_locate():
     """``match_path`` only in ``repro.check.locate``; ``.is_tree()`` only
-    where a token-stamped value is built.
+    where a value kept on an instance is built.
 
     A cold statement locates its path once: the check passes ask
-    ``repro.check.locate`` (guide first, then the catalog's shared
-    snapshot), so a ``match_path`` walk anywhere else above the
-    operators is a pass re-deriving what a view already holds; and
-    tree-ness is proven where a token-stamped value is built, not per
-    statement (``col.is_tree`` / ``guide.is_tree`` are attribute reads).
+    ``repro.check.locate`` (guide first, then the instance's snapshot),
+    so a ``match_path`` walk anywhere else above the operators is a pass
+    re-deriving what a view already holds; and tree-ness is proven where
+    a value kept on the instance is built, not per statement
+    (``col.is_tree`` / ``guide.is_tree`` are attribute reads).
     """
     layers = ("check", "engine", "pxql")
     allowed = {
@@ -185,7 +185,7 @@ def test_one_access_method_decision():
             ("src/repro/check/locate.py", "match"),
             ("src/repro/engine/executor.py", "match"),
         },
-        "try_get": {
+        "snapshot_of": {
             ("src/repro/check/locate.py", "snapshot"),
             ("src/repro/engine/executor.py", "_apply"),
         },
@@ -224,12 +224,11 @@ def test_one_access_method_decision():
             if (called == "epsilon_pass" and "engine/" in path
                     and branch != "isinstance(node, ProjectNode)"):
                 problems.append(f"{path}:{node.lineno}: epsilon_pass( outside the ProjectNode branch")
-            # A snapshot is fetched through IndexCache.try_get: a
-            # bare .get( on the index cache above repro.index is a
-            # fetch that fails the query or swallows by hand.
-            target = ast.unparse(node.func)
-            if called == "get" and ("index_cache" in target or "IndexCache" in target):
-                problems.append(f"{path}:{node.lineno}: {target}(")
+            # A snapshot is fetched through snapshot_of: a build above
+            # repro.index is a fetch that fails the query or swallows
+            # by hand.
+            if called == "from_instance":
+                problems.append(f"{path}:{node.lineno}: {ast.unparse(node.func)}(")
         for child in ast.iter_child_nodes(node):
             visit(path, child, function, branch)
 
@@ -595,7 +594,7 @@ def test_one_fail_open():
     failure a second time.
 
     The certificate pass fails open in ``Engine._certify``, the snapshot
-    fetch in ``IndexCache.try_get`` and an evaluation on the snapshot in
+    fetch in ``snapshot_of`` and an evaluation on the snapshot in
     ``Engine._apply``, the one caller of ``_apply_indexed``: each hands
     the Section 6 algorithms' own answer back.  So there is no circuit
     breaker (``resilience/breaker.py``, a ``CircuitBreaker`` or
@@ -891,7 +890,7 @@ def test_one_router_admission():
 _COLLECTOR_PAUSES = {
     ("src/repro/io/json_codec.py", "dumps"),
     ("src/repro/io/json_codec.py", "loads"),
-    ("src/repro/storage/derived.py", "DerivedCache.get"),
+    ("src/repro/storage/derived.py", "derived"),
 }
 
 
@@ -903,7 +902,7 @@ def test_one_collector_switch():
     ``gc.freeze``: a second switch would re-enable a collector that a
     region elsewhere, or the caller, holds off.  And
     ``collector_paused`` is called exactly in ``json_codec.dumps``,
-    ``json_codec.loads`` and ``DerivedCache.get`` (around its build), so
+    ``json_codec.loads`` and ``derived`` (around its build), so
     a statement that builds nothing never pauses the collector.
     """
     switches = ("disable", "enable", "set_threshold", "freeze")
@@ -1127,5 +1126,109 @@ def test_one_checksum_home():
     problems.extend(
         f"{path}: {scope} makes {steps.get((path, scope), 0)} file steps"
         for path, scope in sorted(_ONE_STEP) if steps.get((path, scope), 0) != 1
+    )
+    assert not problems, "\n".join(problems)
+
+
+#: Where a value derived from an instance is kept on it: the one call of
+#: ``derived`` per kind.
+_DERIVED_KINDS = {
+    ("src/repro/index/cache.py", "snapshot_of"),
+    ("src/repro/check/dataguide.py", "guide_of"),
+    ("src/repro/engine/cost.py", "measure"),
+}
+
+#: Names of the deleted token-keyed caches.
+_DELETED_CACHES = {"DerivedCache", "_per_catalog", "MeasurementCache", "IndexCache"}
+
+#: Words in the name of a dict that would hold derived values.
+_DERIVED_WORDS = ("snapshot", "guide", "measur", "derived")
+
+#: Constructors of a keyed container.
+_DICTS = {"dict", "defaultdict", "OrderedDict", "WeakKeyDictionary",
+          "WeakValueDictionary", "LRUCache"}
+
+
+def test_one_derived_home():
+    """What is derived from an instance lives on the instance.
+
+    A registered instance is a frozen value, so its snapshot, dataguide
+    and cost measurement are kept in its memo through
+    ``repro.storage.derived.derived``, called once per kind
+    (``snapshot_of``, ``guide_of``, ``measure``); nothing keeps them by
+    name or token.  So ``DerivedCache``, ``_per_catalog``,
+    ``MeasurementCache``, ``IndexCache`` and a module-level ``forget``
+    stay deleted; only ``core/instance.py`` assigns a ``memo`` and no
+    one assigns into one; and no module builds a dict whose name says
+    it holds snapshots, guides or measurements — a per-name derived
+    dict is the token-keyed cache growing back.  ``DataGuideCache`` is
+    an empty class kept for ``benchmarks/e2e/ladder.py``, and stays
+    empty.
+    """
+
+    def is_dict(value):
+        if isinstance(value, (ast.Dict, ast.DictComp)):
+            return True
+        return isinstance(value, ast.Call) and (
+            getattr(value.func, "id", getattr(value.func, "attr", "")) in _DICTS
+        )
+
+    def named(target):
+        name = getattr(target, "id", getattr(target, "attr", "")) or ""
+        return any(word in name.lower() for word in _DERIVED_WORDS)
+
+    problems = []
+    derived_at = set()
+    for file in sorted(pathlib.Path("src/repro").rglob("*.py")):
+        path = file.as_posix()
+
+        def visit(node, scope, in_class):
+            if isinstance(node, ast.ClassDef):
+                if node.name == "DataGuideCache" and (
+                    path != "src/repro/check/dataguide.py" or len(node.body) != 1
+                ):
+                    problems.append(f"{path}:{node.lineno}: DataGuideCache holds something")
+                scope, in_class = node.name, True
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name == "forget" and not in_class:
+                    problems.append(f"{path}:{node.lineno}: def forget")
+                scope = f"{scope}.{node.name}" if scope else node.name
+                in_class = False
+            line = getattr(node, "lineno", "?")
+            names = [getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None)]
+            if isinstance(node, ast.alias):
+                names.append(node.asname)
+                if node.name == "forget":
+                    problems.append(f"{path}:{line}: import forget")
+            problems.extend(f"{path}:{line}: {name}" for name in names if name in _DELETED_CACHES)
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "attr", getattr(node.func, "id", ""))
+                if isinstance(node.func, ast.Name) and called == "forget":
+                    problems.append(f"{path}:{line}: forget(")
+                if called == "derived" and path != "src/repro/storage/derived.py":
+                    if (path, scope) in _DERIVED_KINDS:
+                        derived_at.add((path, scope))
+                    else:
+                        problems.append(f"{path}:{line}: derived( in {scope}")
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Subscript) and getattr(target.value, "attr", None) == "memo":
+                        problems.append(f"{path}:{line}: {ast.unparse(target)} =")
+                    if getattr(target, "attr", None) == "memo" and path != "src/repro/core/instance.py":
+                        problems.append(f"{path}:{line}: {ast.unparse(target)} =")
+                    annotated = isinstance(node, ast.AnnAssign) and (
+                        "dict" in ast.unparse(node.annotation).lower()
+                    )
+                    if named(target) and (annotated or is_dict(node.value)):
+                        problems.append(f"{path}:{line}: per-name derived dict {ast.unparse(target)}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope, in_class)
+
+        visit(ast.parse(file.read_text(encoding="utf-8")), None, False)
+    problems.extend(
+        f"{path}: {scope} does not keep its value through derived"
+        for path, scope in sorted(_DERIVED_KINDS - derived_at)
     )
     assert not problems, "\n".join(problems)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.check.dataguide import DataGuideCache, build_dataguide
+import repro.check.dataguide as dataguide
+from repro.check.dataguide import build_dataguide, guide_of
 from repro.check.diagnostics import (
     ERROR,
     INFO,
@@ -76,11 +77,12 @@ class TestDataGuide:
         assert "author" in continuations
 
     def test_cache_keys_on_version(self, database):
-        cache = DataGuideCache()
-        first = cache.get(database, "bib")
-        assert cache.get(database, "bib") is first
+        """A guide is kept on its frozen instance: a re-registered name
+        maps to a new instance with a guide of its own."""
+        first = guide_of(database.get("bib"))
+        assert guide_of(database.get("bib")) is first
         database.register("bib", build_bib(), replace=True)
-        assert cache.get(database, "bib") is not first
+        assert guide_of(database.get("bib")) is not first
 
 
 class TestDiagnosticsFramework:
@@ -209,32 +211,30 @@ class TestPlanChecker:
 
 class TestLocate:
     """The check passes locate through ``repro.check.locate``: guide
-    first, then — lazily — the catalog's shared snapshot, else the walk."""
+    first, then — lazily — the instance's snapshot, else the walk."""
 
     def test_a_statement_the_guide_decides_builds_no_snapshot(self, database):
-        from repro.index import IndexCache
-
         for text in ("R.book.author", "R.movie"):
             path = PathExpression.parse(text)
             check_plan(PlanBuilder.scan("bib").exists(path).build(), database)
             check_plan(PlanBuilder.scan("bib").point(path, "A1").build(), database)
         live = PathExpression.parse("R.book.author")
         check_plan(PlanBuilder.scan("bib").select(live, "A1").build(), database)
-        assert len(IndexCache.of(database)) == 0
+        assert "snapshot" not in database.get("bib").memo
         # Only the wording of a finding on a failing condition asks for
         # the match itself.
         dead = PlanBuilder.scan("bib").select("R.movie", "A1").build()
         assert "PX220" in codes(check_plan(dead, database))
-        assert len(IndexCache.of(database)) == 1
+        assert database.get("bib").memo["snapshot"] is not None
 
     def test_projection_leaves_its_match_in_the_shared_memo(self, database):
-        from repro.index import IndexCache
+        from repro.index import snapshot_of
 
         path = PathExpression.parse("R.book.author")
         assert check_plan(
             PlanBuilder.scan("bib").project(path).build(), database
         ) == []
-        col = IndexCache.of(database).get(database, "bib")
+        col = snapshot_of("bib", database.get("bib"))
         assert path in col._match_memo      # the executor's match: a hit
 
     def test_unbuildable_snapshot_degrades_to_the_walk(
@@ -247,8 +247,8 @@ class TestLocate:
         dead = PlanBuilder.scan("bib").project("R.movie").build()
         expected = [check_plan(plan, database) for plan in (live, dead)]
         assert codes(expected[1]) == ["PX210"]
-        # A new version: the snapshot must be rebuilt.
-        database.register("bib", database.get("bib"), replace=True)
+        # A new instance: the snapshot must be built for it.
+        database.register("bib", build_bib(), replace=True)
 
         def explode(cls, pi):
             raise RuntimeError("no snapshot today")
@@ -266,7 +266,7 @@ class TestLocate:
 
 
 class TestTruncatedGuide:
-    """A guide cut off at ``max_paths`` has no entry for paths that do
+    """A guide cut off at ``DEFAULT_MAX_PATHS`` has no entry for paths that do
     match: it is no evidence of anything, to the plan checker as to the
     abstract interpreter, so a valid statement draws no finding from it
     (a false ``PX220`` is an *error*: it used to block the ``SELECT``)."""
@@ -274,16 +274,17 @@ class TestTruncatedGuide:
     PATH = "o0.l0_0.l1_0.l2_0.l3_0"
 
     @pytest.fixture
-    def interpreter(self):
+    def interpreter(self, monkeypatch):
         from repro.pxql import Interpreter
         from repro.workloads.generator import WorkloadSpec, generate_workload
 
+        # Read when a guide is built: the fresh instance's guide is cut.
+        monkeypatch.setattr(dataguide, "DEFAULT_MAX_PATHS", 3)
         interpreter = Interpreter()
         interpreter.database.register("t", generate_workload(
             WorkloadSpec(depth=4, branching=2, labeling="FR", seed=1)
         ).instance)
-        interpreter.engine.guides = DataGuideCache(max_paths=3)
-        assert interpreter.engine.guides.get(interpreter.database, "t").truncated
+        assert guide_of(interpreter.database.get("t")).truncated
         return interpreter
 
     def test_point_past_the_truncation_is_not_called_dead(self, interpreter):
@@ -298,11 +299,11 @@ class TestTruncatedGuide:
         assert not {"PX220", "PX240"} & set(codes(interpreter.last_diagnostics))
 
     def test_no_plan_finding_from_a_truncated_guide(self, interpreter):
-        database, guides = interpreter.database, interpreter.engine.guides
+        database = interpreter.database
         path = PathExpression.parse(self.PATH)
         for plan in (
             PlanBuilder.scan("t").exists(path).build(),
             PlanBuilder.scan("t").project(path).build(),
             PlanBuilder.scan("t").select(path, "o18").build(),
         ):
-            assert codes(check_plan(plan, database, guides=guides)) == []
+            assert codes(check_plan(plan, database)) == []

@@ -27,9 +27,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import existence_probability
-from repro.check import check_plan
+from repro.check import check_plan, dataguide
 from repro.check.absint import certify_plan
-from repro.check.dataguide import DataGuideCache, build_dataguide
+from repro.check.dataguide import build_dataguide, guide_of
 from repro.check.locate import Site
 from repro.check.model import has_errors, lint_instance
 from repro.core.builder import InstanceBuilder
@@ -264,17 +264,21 @@ def test_guide_and_snapshot_locate_like_the_walk(instance, truncated):
     database = Database()
     database.register("base", instance)
     # A truncated guide must be as good as none, to both passes alike.
-    guides = DataGuideCache(max_paths=2 if truncated else 10_000)
+    # The cap is read when the guide is built: once, on the instance.
+    with mock.patch.object(
+        dataguide, "DEFAULT_MAX_PATHS", 2 if truncated else 10_000
+    ):
+        guide_of(database.get("base"))
     for plan in _probe_plans(instance, structural):
         located = (
-            check_plan(plan, database, guides=guides),
-            certify_plan(plan, database, guides),
+            check_plan(plan, database),
+            certify_plan(plan, database),
         )
         with mock.patch.object(Site, "match", _walk_match), \
                 mock.patch.object(Site, "alive", _walk_alive):
             walked = (
-                check_plan(plan, database, guides=guides),
-                certify_plan(plan, database, guides),
+                check_plan(plan, database),
+                certify_plan(plan, database),
             )
         assert located[0] == walked[0], plan.label()
         assert located[1] == walked[1], plan.label()

@@ -3,7 +3,8 @@
 ``collector_paused`` is re-entrant across threads, restores what it
 found, and overlapping regions cannot keep the collector off for good; no
 collection of any generation starts while ``dumps`` / ``loads`` encode
-or decode a 5,461-object tree, or while a ``DerivedCache`` builds.
+or decode a 5,461-object tree, or while a value derived from an instance
+builds.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ import weakref
 
 import pytest
 
-from repro.check.dataguide import DataGuideCache, build_dataguide
+from repro.check.dataguide import build_dataguide, guide_of
 from repro.collector import collector_paused
-from repro.index.cache import IndexCache
+from repro.index.cache import snapshot_of
 from repro.index.columnar import ColumnarInstance
 from repro.io import json_codec
 from repro.storage.database import Database
-from repro.storage.derived import DerivedCache
+from repro.storage.derived import derived, fetch
 from repro.workloads.generator import WorkloadSpec, generate_workload
 
 
@@ -218,7 +219,7 @@ def test_no_collection_while_a_large_tree_is_encoded_or_decoded(big_tree):
     assert _collections_in(decoding, lambda: json_codec.loads(text)) == []
 
 
-def test_no_collection_while_a_derived_cache_builds(big_tree, tmp_path):
+def test_no_collection_while_a_derived_value_builds(big_tree, tmp_path):
     database = Database(tmp_path)
     database.register("big", big_tree)
     database.save("big")
@@ -229,14 +230,15 @@ def test_no_collection_while_a_derived_cache_builds(big_tree, tmp_path):
     }
 
     def build_both():
-        DataGuideCache.of(cold).get(cold, "big")
-        IndexCache.of(cold).get(cold, "big")
+        big = fetch(cold, "big")
+        guide_of(big)
+        snapshot_of("big", big)
 
     assert _collections_in(building, build_both) == []
 
 
 def test_a_hit_never_pauses_the_collector(big_tree, monkeypatch):
-    from repro.storage import derived
+    from repro.storage import derived as derived_module
 
     paused = []
 
@@ -244,10 +246,10 @@ def test_a_hit_never_pauses_the_collector(big_tree, monkeypatch):
         paused.append(True)
         return collector_paused()
 
-    monkeypatch.setattr(derived, "collector_paused", counted)
+    monkeypatch.setattr(derived_module, "collector_paused", counted)
     database = Database()
     database.register("big", big_tree)
-    cache = DerivedCache(lambda _name, instance: len(instance.objects))
-    assert cache.get(database, "big") == 5461
-    assert cache.get(database, "big") == 5461
+    big = database.get("big")
+    assert derived(big, "objects", lambda instance: len(instance.objects)) == 5461
+    assert derived(big, "objects", lambda instance: len(instance.objects)) == 5461
     assert paused == [True]

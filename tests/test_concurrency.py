@@ -201,7 +201,7 @@ class TestSharedSnapshot:
         import sys
 
         from repro.check.dataguide import build_dataguide
-        from repro.index import IndexCache, match_path_indexed
+        from repro.index import match_path_indexed, snapshot_of
         from repro.index.columnar import _MATCH_MEMO_CAP
         from repro.semistructured.paths import PathExpression, match_path
         from repro.workloads.generator import WorkloadSpec, generate_workload
@@ -224,10 +224,10 @@ class TestSharedSnapshot:
         assert len(set(paths)) == self.PATHS
         graph = pi.weak.graph()
         expected = {path: match_path(graph, path) for path in paths}
-        col = IndexCache.of(database).get(database, "t")
+        col = snapshot_of("t", pi)
 
         def match_all(index: int) -> None:
-            assert IndexCache.of(database).get(database, "t") is col
+            assert snapshot_of("t", database.get("t")) is col
             # Each thread walks the list from its own offset, so some
             # meet on a path and others evict each other's entries.
             start = index * self.PATHS // self.THREADS

@@ -313,9 +313,8 @@ def test_a_cold_count_asks_each_inclusion_once(cold_tree, monkeypatch):
     assert len(set(asked)) == len(asked)
     assert set(asked) <= closure
 
-    target = min(interpreter.engine.index_cache.get(
-        interpreter.database, "t"
-    )._match_memo[first].matched)
+    target = min(interpreter.database.get("t").memo["snapshot"]
+                 ._match_memo[first].matched)
     del asked[:]
     assert 0.0 < interpreter.execute(f"POINT {first} : {target} IN t").value
     assert interpreter.execute(f"PROB {target} IN t").value > 0.0

@@ -1,20 +1,25 @@
 """Tests for the LRU caches, versioned invalidation, and observability."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.check.dataguide import guide_of
 from repro.core.builder import InstanceBuilder
 from repro.engine import Engine, LRUCache, PlanBuilder
+from repro.index import snapshot_of
 from repro.obs.export import node_spans
 from repro.obs.tracing import Tracer, use_tracer
 from repro.pxql import Interpreter
 from repro.queries.engine import QueryEngine
 from repro.storage.database import Database, DatabaseError
-from repro.storage.derived import cache_token
+from repro.storage.derived import cache_token, fetch
 
 
-def small_instance(root="R", leaf="A", p=0.6):
+def small_instance(root="R", leaf="A", p=0.6, label="x"):
     b = InstanceBuilder(root)
-    b.children(root, "x", [leaf])
+    b.children(root, label, [leaf])
     b.opf(root, {(leaf,): p, (): 1 - p})
     b.leaf(leaf, "t", ["v"], {"v": 1.0})
     return b.build()
@@ -491,27 +496,23 @@ class TestPerNameEpoch:
     @pytest.fixture
     def served(self, tmp_path):
         """A catalog object with warm derived state for two names."""
-        from repro.check.dataguide import DataGuideCache
-        from repro.index import IndexCache
-
         database = Database(tmp_path)
         database.register("bib", small_instance())
         database.register("lib", small_instance(root="L", leaf="M"))
         database.save("bib")
         database.save("lib")
-        caches = (IndexCache(), DataGuideCache())
         engine = Engine(database)
         plan = PlanBuilder.scan("bib").point("R.x", "A").build()
-        built = self._derived(database, caches, engine, plan)
-        return database, caches, engine, plan, built
+        built = self._derived(database, engine, plan)
+        return database, engine, plan, built
 
     @staticmethod
-    def _derived(database, caches, engine, plan):
-        """Everything derived from ``bib`` right now."""
-        return (
-            engine.cache_key(plan),
-            [cache.get(database, "bib") for cache in caches],
-        )
+    def _derived(database, engine, plan):
+        """Everything derived from what ``bib`` maps to right now: the
+        key, and the snapshot and guide kept on the instance a scan
+        reads."""
+        bib = fetch(database, "bib")
+        return engine.cache_key(plan), [snapshot_of("bib", bib), guide_of(bib)]
 
     @staticmethod
     def _standing(now, built):
@@ -528,24 +529,24 @@ class TestPerNameEpoch:
     def test_unrelated_foreign_save_leaves_everything_standing(
         self, served, tmp_path
     ):
-        database, caches, engine, plan, built = served
+        database, engine, plan, built = served
         sibling = Database(tmp_path)
         sibling.register("lib", small_instance(root="L", leaf="N"), replace=True)
         sibling.save("lib")
         sibling.register("new", small_instance(root="S", leaf="B"))
         sibling.save("new")
         assert self._standing(
-            self._derived(database, caches, engine, plan), built
+            self._derived(database, engine, plan), built
         )
         assert cache_token(database, "lib")[1] == database.generation() - 1
 
     def test_foreign_save_of_the_name_moves_everything(self, served, tmp_path):
-        database, caches, engine, plan, built = served
+        database, engine, plan, built = served
         sibling = Database(tmp_path)
         sibling.register("bib", small_instance(p=0.9), replace=True)
         sibling.save("bib")
         assert self._all_moved(
-            self._derived(database, caches, engine, plan), built
+            self._derived(database, engine, plan), built
         )
         assert cache_token(database, "bib")[1] == database.generation()
 
@@ -591,10 +592,54 @@ class TestPerNameEpoch:
         interp.execute("PROJECT R.x FROM m AS y2")
         assert interp.execute("EXISTS R.x IN y2").value == pytest.approx(0.9)
 
+    @staticmethod
+    def _stale_reader(tmp_path, **options):
+        """An interpreter that has read ``bib`` (``R.x`` only), after a
+        sibling saved a ``bib`` with an ``R.y`` path the served copy
+        lacks; and the answer a fresh server gives."""
+        database = Database(tmp_path)
+        database.register("bib", small_instance(p=0.5))
+        database.save("bib")
+        served = Interpreter(database, **options)
+        assert served.execute("EXISTS R.x IN bib").value == 0.5
+
+        sibling = Database(tmp_path)
+        sibling.register("bib", small_instance(p=0.9, label="y"), replace=True)
+        sibling.save("bib")
+        fresh = Interpreter(Database(tmp_path))
+        return served, fresh.execute("EXISTS R.y IN bib").value
+
+    def test_a_derivation_then_a_read_sees_the_foreign_save(self, tmp_path):
+        """The checker's scan reads the name's token before its
+        instance: what it certifies from is the new file, not the copy
+        the token's move evicts."""
+        served, expected = self._stale_reader(tmp_path)
+        assert expected == pytest.approx(0.9)
+        served.execute("PROJECT R.y FROM bib AS v")
+        assert served.execute("EXISTS R.y IN bib").value == pytest.approx(expected)
+        assert served.execute("EXISTS R.y IN v").value == pytest.approx(expected)
+
+    def test_a_read_under_a_session_timeout_sees_the_foreign_save(
+        self, tmp_path
+    ):
+        served, expected = self._stale_reader(tmp_path)
+        served.execute("SET TIMEOUT 30")
+        assert served.execute("EXISTS R.y IN bib").value == pytest.approx(expected)
+
+    def test_an_unchecked_certified_read_sees_the_foreign_save(self, tmp_path):
+        """No checker, but the engine's certificate pass: its scan is
+        the first to read ``bib`` (a read with a deadline takes no
+        statement-tier token first)."""
+        served, expected = self._stale_reader(tmp_path, check="off")
+        assert served.engine.absint
+        assert served.execute(
+            "EXISTS R.y IN bib WITH TIMEOUT 30"
+        ).value == pytest.approx(expected)
+
     def test_foreign_save_leaves_a_dirty_copy_authoritative(
         self, served, tmp_path
     ):
-        database, _caches, _engine, _plan, _built = served
+        database, _engine, _plan, _built = served
         interp = Interpreter(database=database)
         database.register("bib", database.get("bib"), replace=True)  # unsaved
         mine = database.get("bib")
@@ -603,7 +648,7 @@ class TestPerNameEpoch:
         assert database.get("bib") is mine
 
     def test_foreign_drop_of_the_name_moves_its_token(self, served, tmp_path):
-        database, _caches, _engine, _plan, _built = served
+        database, _engine, _plan, _built = served
         before = cache_token(database, "bib")
         Database(tmp_path).drop("bib")
         after = cache_token(database, "bib")
@@ -614,7 +659,7 @@ class TestPerNameEpoch:
     def test_foreign_quarantine_of_the_name_moves_its_token(
         self, served, tmp_path
     ):
-        database, _caches, _engine, _plan, _built = served
+        database, _engine, _plan, _built = served
         before = cache_token(database, "bib")
         (tmp_path / "bib.pxml.json").write_text("not json", encoding="utf-8")
         sibling = Database(tmp_path, on_corrupt="quarantine")
@@ -625,25 +670,25 @@ class TestPerNameEpoch:
         assert after != before and after[1] == database.generation()
 
     def test_own_save_and_drop_move_nothing_else(self, served):
-        database, caches, engine, plan, built = served
+        database, engine, plan, built = served
         database.register("lib", database.get("lib"), replace=True)
         database.save("lib")
         database.register("tmp", small_instance(root="T", leaf="U"))
         database.save("tmp")
         database.drop("tmp")
         assert self._standing(
-            self._derived(database, caches, engine, plan), built
+            self._derived(database, engine, plan), built
         )
         assert cache_token(database, "lib")[1] == 0
 
     def test_compacted_journal_is_a_blanket_floor(self, served, tmp_path):
-        database, caches, engine, plan, built = served
+        database, engine, plan, built = served
         sibling = Database(tmp_path)
         sibling.register("new", small_instance(root="S", leaf="B"))
         sibling.save("new")
         assert sibling.journal.maybe_compact(threshold=1)
         assert self._all_moved(
-            self._derived(database, caches, engine, plan), built
+            self._derived(database, engine, plan), built
         )
         floor = database.generation()
         assert cache_token(database, "bib")[1] == floor
@@ -652,7 +697,7 @@ class TestPerNameEpoch:
     def test_unjournaled_generation_is_a_blanket_floor(self, served, tmp_path):
         from repro.storage.locking import GENERATION_NAME, bump_generation
 
-        database, _caches, _engine, _plan, _built = served
+        database, _engine, _plan, _built = served
         before = cache_token(database, "bib")
         bump_generation(tmp_path / GENERATION_NAME)  # a gap: no commit record
         after = cache_token(database, "bib")
@@ -662,7 +707,7 @@ class TestPerNameEpoch:
         from repro.errors import LockTimeout
         from repro.storage.locking import FileLock
 
-        database, _caches, _engine, _plan, _built = served
+        database, _engine, _plan, _built = served
         sibling = Database(tmp_path)
         sibling.register("new", small_instance(root="S", leaf="B"))
         sibling.save("new")
@@ -674,7 +719,7 @@ class TestPerNameEpoch:
         assert cache_token(database, "bib")[1] == database.generation()
 
     def test_epochs_are_bounded_by_live_names(self, served, tmp_path):
-        database, _caches, _engine, _plan, _built = served
+        database, _engine, _plan, _built = served
         sibling = Database(tmp_path)
         sibling.register("bib", sibling.get("bib"), replace=True)
         sibling.save("bib")
@@ -686,7 +731,7 @@ class TestPerNameEpoch:
         assert database._epochs == {}
 
     def test_not_behind_takes_no_lock_and_reads_nothing(self, served, monkeypatch):
-        database, _caches, _engine, _plan, _built = served
+        database, _engine, _plan, _built = served
         monkeypatch.setattr(
             Database, "_observe",
             lambda self, generation: pytest.fail("observed while not behind"),
@@ -755,10 +800,14 @@ class TestOneTokenPerStatement:
         assert calls["read_generation"] == 1
 
     def test_checker_and_engine_share_the_guides(self, counted):
-        interpreter, _calls = counted
+        """Neither keeps guides: the one guide lives on the instance."""
+        interpreter, calls = counted
         assert not hasattr(interpreter, "_guides")
+        assert not hasattr(interpreter.engine, "guides")
         interpreter.execute("EXISTS o0.l0_0 IN t")
-        assert len(interpreter.engine.guides) == 1
+        interpreter.execute("COUNT o0.l0_0 IN t")
+        assert calls["build_dataguide"] == 1
+        assert "guide" in interpreter.database.get("t").memo
 
     def test_the_checked_plan_runs_certified_once(self, counted, monkeypatch):
         """The plan that runs is the statement's plan as written — the
@@ -828,7 +877,7 @@ class TestOneTokenPerStatement:
         """One statement of each cold kind over ``t``, each on a path
         no other uses (a repeated path would be a memo hit), with the
         most snapshot matches it may make."""
-        guide = interpreter.engine.guides.get(interpreter.database, "t")
+        guide = guide_of(interpreter.database.get("t"))
         deepest = [e for e in guide.paths() if len(e.labels) >= 2]
         assert len(deepest) >= 5
         texts = [".".join(("o0", *entry.labels)) for entry in deepest]
@@ -934,9 +983,7 @@ class TestOneTokenPerStatement:
         # most, one snapshot for ``t`` — however many workers asked.
         assert builds == 1
         assert calls["build_dataguide"] <= 2
-        assert interpreters[0].engine.index_cache is \
-            interpreters[1].engine.index_cache
-        assert interpreters[0].engine.guides is interpreters[1].engine.guides
+        assert {"snapshot", "guide"} <= set(seed.database.get("t").memo)
 
 
 class TestStatementTier:
@@ -1268,13 +1315,15 @@ class TestLineageEviction:
     def test_project_as_drop_cycle_leaves_nothing_behind(self):
         interpreter = Interpreter(Database())
         interpreter.database.register("bib", small_instance())
-        engine = interpreter.engine
+        dropped = []
         for _round in range(3):
             interpreter.execute("PROJECT R.x FROM bib AS tmp")
             interpreter.execute("EXISTS R.x IN tmp")
+            dropped.append(weakref.ref(interpreter.database.get("tmp")))
             interpreter.execute("DROP tmp")
             assert interpreter.database.names() == ["bib"]
-            assert len(engine.guides) + len(engine.index_cache) <= 2
+        gc.collect()
+        assert [ref() for ref in dropped] == [None, None, None]
 
     def test_entry_whose_input_was_replaced_is_evicted(self):
         interpreter = Interpreter(Database())
@@ -1292,35 +1341,48 @@ class TestLineageEviction:
 
 
 class TestDroppedNamesAreForgotten:
-    """A dropped name leaves every derived cache of its catalog
-    (``Database.drop`` forgets it there): memory follows the live names,
-    not every name a server has ever derived."""
+    """What is derived from an instance lives on it: a dropped, replaced
+    or foreign-invalidated instance is freed together with its snapshot,
+    so memory follows the live names, not every name a server has ever
+    derived."""
 
     CYCLES = 300
 
     @staticmethod
-    def _cycle(execute, number):
+    def _held(database, name):
+        """Weak references to ``name``'s instance and its snapshot."""
+        instance = database.get(name)
+        snapshot = instance.memo["snapshot"]
+        assert snapshot is not None
+        return weakref.ref(instance), weakref.ref(snapshot)
+
+    @staticmethod
+    def _freed(refs):
+        gc.collect()
+        return [ref for ref in refs if ref() is not None] == []
+
+    def _cycle(self, execute, database, number):
         name = f"w_{number}"
         execute(f"PROJECT R.x FROM src AS {name}")
         execute(f"EXISTS R.x IN {name}")
+        held = self._held(database, name)
         execute(f"DROP {name}")
-
-    @staticmethod
-    def _kept(engine):
-        """Derived entries of the engine's catalog."""
-        return (
-            len(engine.guides) + len(engine.index_cache)
-            + len(engine.cost._measured)
-        )
+        return held
 
     def test_through_one_interpreter(self):
         interpreter = Interpreter()
-        interpreter.database.register("src", small_instance())
+        database = interpreter.database
+        database.register("src", small_instance())
+        refs = []
         for number in range(self.CYCLES):
-            self._cycle(interpreter.execute, number)
-        assert interpreter.database.names() == ["src"]
-        # One live name: at most a guide, a snapshot and a measurement.
-        assert self._kept(interpreter.engine) <= 3
+            refs.extend(self._cycle(interpreter.execute, database, number))
+        assert database.names() == ["src"]
+        # Replaced: the old instance and its snapshot go with it.
+        interpreter.execute("EXISTS R.x IN src")
+        refs.extend(self._held(database, "src"))
+        database.register("src", small_instance(p=0.3), replace=True)
+        assert interpreter.execute("EXISTS R.x IN src").value == pytest.approx(0.3)
+        assert self._freed(refs)
 
     def test_through_a_two_worker_server(self, tmp_path):
         from repro.server import PXQLServer
@@ -1328,22 +1390,15 @@ class TestDroppedNamesAreForgotten:
         database = Database(tmp_path)
         database.register("src", small_instance())
         database.save("src")
-        interpreters = []
-
-        def factory(index):
-            interpreters.append(Interpreter(database))
-            return interpreters[-1]
-
-        with PXQLServer(
-            database=database, workers=2, interpreter_factory=factory
-        ) as server:
+        refs = []
+        with PXQLServer(database=database, workers=2) as server:
             for number in range(self.CYCLES):
-                self._cycle(
-                    lambda text: server.execute(text, timeout_s=10.0), number
-                )
+                refs.extend(self._cycle(
+                    lambda text: server.execute(text, timeout_s=10.0),
+                    database, number,
+                ))
         assert database.names() == ["src"]
-        # The derived caches are the catalog's: one bound for every worker.
-        assert self._kept(interpreters[0].engine) <= 3
+        assert self._freed(refs)
 
     def test_foreign_drop_is_forgotten_too(self, tmp_path):
         database = Database(tmp_path)
@@ -1351,9 +1406,23 @@ class TestDroppedNamesAreForgotten:
         database.register("src", small_instance())
         database.save("src")
         interpreter.execute("EXISTS R.x IN src")
-        assert len(interpreter.engine.guides) == 1
+        refs = self._held(database, "src")
         Database(tmp_path).drop("src")
         with pytest.raises(Exception, match="src"):
             interpreter.execute("EXISTS R.x IN src")
-        assert len(interpreter.engine.guides) == 0
-        assert len(interpreter.engine.cost._measured) == 0
+        assert self._freed(refs)
+
+    def test_foreign_save_frees_the_served_copy(self, tmp_path):
+        database = Database(tmp_path)
+        interpreter = Interpreter(database)
+        database.register("src", small_instance())
+        database.save("src")
+        interpreter.execute("EXISTS R.x IN src")
+        refs = self._held(database, "src")
+        sibling = Database(tmp_path)
+        sibling.register("src", small_instance(p=0.3), replace=True)
+        sibling.save("src")
+        assert interpreter.execute("EXISTS R.x IN src WITH TIMEOUT 30").value == \
+            pytest.approx(0.3)
+        assert self._freed(refs)
+        assert database.get("src").memo["snapshot"] is not None

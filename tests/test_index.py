@@ -12,8 +12,9 @@ import random
 
 import pytest
 
+import repro.check.dataguide as dataguide
 from repro.check.absint import certify_plan
-from repro.check.dataguide import DataGuideCache
+from repro.check.dataguide import guide_of
 from repro.core.builder import InstanceBuilder
 from repro.core.compact import IndependentOPF
 from repro.core.distributions import TabularOPF
@@ -27,18 +28,19 @@ from repro.engine import (
 from repro.index import (
     HAS_NUMPY,
     ColumnarInstance,
-    IndexCache,
     marginalize_opf,
     marginalize_python,
     match_path_indexed,
+    snapshot_of,
 )
 from repro.index.columnar import _MATCH_MEMO_CAP
 from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.tracing import Tracer, use_tracer
 from repro.pxql import Interpreter, parse
 from repro.semistructured.graph import EdgeLabeledGraph
 from repro.semistructured.paths import PathExpression, match_path
 from repro.storage.database import Database
-from repro.storage.derived import cache_token
+from repro.storage.derived import cache_token, derived, fetch
 from repro.workloads.generator import (
     WorkloadSpec,
     generate_workload,
@@ -199,17 +201,16 @@ def test_match_parity_wide_tree():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_match_parity_dag(seed):
-    """A DAG has no snapshot: the cache keeps its ``None`` under the
-    token (built and counted once), and a statement over it is walked
-    and answers as the direct operator does."""
+    """A DAG has no snapshot: its ``None`` is kept on the instance
+    (built and counted once), and a statement over it is walked and
+    answers as the direct operator does."""
     pi = random_dag_instance(random.Random(seed))
     database = Database()
     database.register("base", pi)
     registry = MetricsRegistry()
-    cache = IndexCache.of(database)
     with use_registry(registry):
-        assert cache.try_get(database, "base") is None
-        assert cache.try_get(database, "base") is None
+        assert snapshot_of("base", database.get("base")) is None
+        assert snapshot_of("base", database.get("base")) is None
     assert registry.counter("index.builds").value == 1
     assert registry.counter("index.hits").value == 1
 
@@ -373,54 +374,96 @@ class TestCacheTokens:
 
         catalog.generation = read_again
         assert cache_token(catalog, "bib", 4) == (7, 4)
-        guides = DataGuideCache()
-        first = guides.get(catalog, "bib", 4)
-        assert guides.get(catalog, "bib", 4) is first
-        assert guides.get(catalog, "bib", 5) is not first
+        assert fetch(catalog, "bib", 4) is catalog.get("bib")
 
-    def test_dataguide_cache_invalidated_by_generation(self):
-        """Regression: a same-version catalog mutated by another process
-        (generation bump) must not serve a stale dataguide."""
-        catalog = _GenerationCatalog(build_bib())
-        guides = DataGuideCache()
-        first = guides.get(catalog, "bib")
-        assert guides.get(catalog, "bib") is first
-        catalog.bumps += 1
-        assert guides.get(catalog, "bib") is not first
+    @staticmethod
+    def _saved_elsewhere(tmp_path):
+        """A catalog object that has read ``bib``, and a sibling's save
+        of a different ``bib`` on the same directory."""
+        database = Database(tmp_path)
+        database.register("bib", build_bib())
+        database.save("bib")
+        served = fetch(database, "bib")
+        sibling = Database(tmp_path)
+        sibling.register("bib", build_bib(), replace=True)
+        sibling.save("bib")
+        return database, served
 
-    def test_index_cache_invalidated_by_generation(self):
-        catalog = _GenerationCatalog(build_bib())
-        cache = IndexCache()
-        first = cache.get(catalog, "bib")
-        assert cache.get(catalog, "bib") is first
-        catalog.bumps += 1
-        assert cache.get(catalog, "bib") is not first
+    def test_dataguide_cache_invalidated_by_generation(self, tmp_path):
+        """Regression: a catalog mutated by another process (a
+        generation bump, no in-process version move) must not serve a
+        stale dataguide: the scan maps the name to the new file's
+        instance, with a guide of its own."""
+        database, served = self._saved_elsewhere(tmp_path)
+        first = guide_of(served)
+        assert guide_of(served) is first
+        assert guide_of(fetch(database, "bib")) is not first
+
+    def test_index_cache_invalidated_by_generation(self, tmp_path):
+        database, served = self._saved_elsewhere(tmp_path)
+        first = snapshot_of("bib", served)
+        assert snapshot_of("bib", served) is first
+        assert snapshot_of("bib", fetch(database, "bib")) is not first
 
 
 class TestIndexCache:
+    """(Named for the per-catalog cache that is gone.)  A snapshot is
+    kept on its frozen instance."""
+
     def test_counters_and_rebuild_on_version_bump(self):
         registry = MetricsRegistry()
+        tracer = Tracer()
         database = Database()
         database.register("bib", build_bib())
-        cache = IndexCache()
-        with use_registry(registry):
-            first = cache.get(database, "bib")
-            assert cache.get(database, "bib") is first
+        with use_registry(registry), use_tracer(tracer):
+            first = snapshot_of("bib", database.get("bib"))
+            assert snapshot_of("bib", database.get("bib")) is first
             database.register("bib", build_bib(), replace=True)
-            rebuilt = cache.get(database, "bib")
+            rebuilt = snapshot_of("bib", database.get("bib"))
         assert rebuilt is not first
         assert registry.counter("index.builds").value == 2
         assert registry.counter("index.hits").value == 1
         assert registry.counter("index.misses").value == 2
+        builds = [root for root in tracer.roots() if root.name == "index.build"]
+        assert [span.attributes["instance"] for span in builds] == ["bib", "bib"]
 
-    def test_invalidate(self):
+    def test_a_failed_build_is_not_kept(self, monkeypatch):
         database = Database()
         database.register("bib", build_bib())
-        cache = IndexCache()
-        first = cache.get(database, "bib")
-        cache.invalidate("bib")
-        assert len(cache) == 0
-        assert cache.get(database, "bib") is not first
+        pi = database.get("bib")
+
+        def broken(instance):
+            raise RuntimeError("no snapshot today")
+
+        tracer = Tracer()
+        monkeypatch.setattr(ColumnarInstance, "from_instance", broken)
+        with use_tracer(tracer):
+            assert snapshot_of("bib", pi) is None
+        assert "index.build_error" in [root.name for root in tracer.roots()]
+        assert "snapshot" not in pi.memo
+        monkeypatch.undo()
+        assert snapshot_of("bib", pi) is not None
+        assert pi.memo["snapshot"] is snapshot_of("bib", pi)
+
+    def test_a_racing_build_keeps_one_value(self):
+        """Two builds of one kind may run; the first value kept is the
+        one both callers get."""
+        database = Database()
+        database.register("bib", build_bib())
+        pi = database.get("bib")
+
+        def outer(instance):
+            # Another reader misses and builds while this build runs.
+            inner = derived(instance, "objects", lambda _: frozenset(pi.objects))
+            return set(inner)
+
+        assert derived(pi, "objects", outer) is pi.memo["objects"]
+        assert isinstance(pi.memo["objects"], frozenset)
+
+    def test_a_mutable_instance_keeps_nothing(self):
+        pi = build_bib()
+        assert pi.memo is None
+        assert snapshot_of("bib", pi) is not snapshot_of("bib", pi)
 
 
 # ----------------------------------------------------------------------
@@ -439,9 +482,9 @@ def _zero_mass_bib():
     return b.build()
 
 
-def _skippable(database, path, guides=None):
+def _skippable(database, path):
     plan = PlanBuilder.scan("bib").exists(PathExpression.parse(path)).build()
-    return certify_plan(plan, database, guides).skippable
+    return certify_plan(plan, database).skippable
 
 
 class TestDeadPathProof:
@@ -454,16 +497,17 @@ class TestDeadPathProof:
         # it matches nothing — a path starts at the instance root.
         assert _skippable(database, "B1.author")
 
-    def test_proof_only_from_an_untruncated_guide(self):
+    def test_proof_only_from_an_untruncated_guide(self, monkeypatch):
         database = Database()
         database.register("bib", _zero_mass_bib())
         assert match_path(
             database.get("bib").weak.graph(), PathExpression.parse("R.book.isbn")
         ).matched == {"I2"}
         assert _skippable(database, "R.book.isbn")
-        truncated = DataGuideCache(max_paths=1)
-        assert truncated.get(database, "bib").truncated
-        assert not _skippable(database, "R.book.isbn", truncated)
+        monkeypatch.setattr(dataguide, "DEFAULT_MAX_PATHS", 1)
+        database.register("bib", _zero_mass_bib(), replace=True)
+        assert guide_of(database.get("bib")).truncated
+        assert not _skippable(database, "R.book.isbn")
 
     def test_broken_catalog_proves_nothing(self):
         class _Broken:

@@ -147,3 +147,32 @@ class TestFrozenCatalog:
         _SETTERS["set_lch"](mutable)
         assert "E9" in mutable and "E9" not in pi
 
+    @pytest.mark.parametrize("entry", ["register", "lazy_load", "reload"])
+    def test_the_interpretation_is_frozen_too(self, tmp_path, entry):
+        """Its OPFs and VPFs refuse every change as well, so what is
+        derived from it (kept in its memo) stays true to it; a copy is
+        mutable and keeps nothing."""
+        db = Database(tmp_path)
+        db.register("fig2", figure2_instance())
+        db.save("fig2")
+        if entry == "register":
+            pi = db.get("fig2")
+        elif entry == "lazy_load":
+            pi = Database(tmp_path).get("fig2")
+        else:
+            pi = db.reload("fig2")
+        opf, vpf = pi.opf("B1"), pi.vpf("T1")
+        interpretation = pi.interpretation
+        for change in (
+            lambda: interpretation.set_opf("B1", opf),
+            lambda: interpretation.set_vpf("T1", vpf),
+            lambda: interpretation.drop("B1"),
+        ):
+            with pytest.raises(ModelError, match="frozen"):
+                change()
+        assert pi.memo is not None
+        copy = pi.copy()
+        assert copy.memo is None
+        copy.interpretation.drop("B1")
+        assert copy.opf("B1") is None and pi.opf("B1") is opf
+
