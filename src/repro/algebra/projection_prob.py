@@ -42,7 +42,7 @@ from repro.core.distributions import ObjectProbabilityFunction, TabularOPF
 from repro.core.instance import ProbabilisticInstance
 from repro.core.weak_instance import WeakInstance
 from repro.errors import NonTreeInstanceError, SemanticsError
-from repro.index.opf import marginalize_opf
+from repro.index.opf import marginalize
 from repro.semantics.global_interpretation import GlobalInterpretation
 from repro.semistructured.graph import Oid
 from repro.semistructured.paths import PathExpression, PathMatch, match_path
@@ -183,7 +183,7 @@ def root_epsilon(
     zero-label / missing-OPF behaviour) carrying one float per object
     and rewriting no OPF: all an existential query reads.  Independent
     OPFs get ``1 - prod_j (1 - p_j eps_j)`` (over the non-empty mass
-    when conditioned on it); any other sums its support once.
+    when conditioned on it); any other sums its mask table once.
     """
     match = _locate(pi, path, match)
     if match.is_empty:
@@ -208,13 +208,18 @@ def root_epsilon(
                     if isinstance(opf, NonEmptyIndependentOPF) else 1.0
                 )
                 continue
+            tabular = opf.to_tabular()
+            dies = [
+                (1 << position, 1.0 - epsilon[child])
+                for position, child in enumerate(tabular.children)
+                if child in epsilon
+            ]
             total = dead = 0.0
-            for child_set, mass in opf.support():
+            for mask, mass in tabular.masks.items():
                 total += mass
-                for child in child_set:
-                    survives = epsilon.get(child)
-                    if survives is not None:
-                        mass *= 1.0 - survives
+                for bit, factor in dies:
+                    if mask & bit:
+                        mass *= factor
                 dead += mass
             # As epsilon_pass: the root keeps its empty-set mass, every
             # other object is measured by its surviving mass.
@@ -256,16 +261,20 @@ def _update_tabular(
     epsilon: dict[Oid, float],
     is_root: bool,
 ) -> tuple[ObjectProbabilityFunction | None, float]:
-    """Generic support-enumeration update (any OPF representation): the
-    unified marginalization formula of the module docstring."""
-    accum = marginalize_opf(opf, kept, epsilon)
-    survive_mass = sum(p for c, p in accum.items() if c)
+    """The unified marginalization formula of the module docstring over
+    the OPF's mask table (any other representation is tabulated first);
+    the result keeps the input's ``children``."""
+    tabular = opf.to_tabular()
+    table = marginalize(tabular, kept, epsilon)
+    survive_mass = sum(p for mask, p in table.items() if mask)
     if is_root:
-        return TabularOPF(accum), survive_mass
+        return TabularOPF.from_masks(tabular.children, table), survive_mass
     if survive_mass <= 0.0:
         return None, 0.0
     return (
-        TabularOPF({c: p / survive_mass for c, p in accum.items() if c}),
+        TabularOPF.from_masks(tabular.children, {
+            mask: p / survive_mass for mask, p in table.items() if mask
+        }),
         survive_mass,
     )
 
@@ -378,17 +387,12 @@ def _recompute_card(
                 low = max(low, 1)
             weak.set_card(oid, label, CardinalityInterval(low, possible))
         return
-    label_of: dict[Oid, str] = {}
+    tabular = opf.to_tabular()
+    if not tabular.masks:
+        return
     for label in labels:
+        label_mask = 0
         for child in weak.lch(oid, label):
-            label_of[child] = label
-    bounds: dict[str, tuple[int, int]] = {}
-    for child_set, _ in opf.support():
-        counts: dict[str, int] = {label: 0 for label in labels}
-        for child in child_set:
-            counts[label_of[child]] += 1
-        for label, count in counts.items():
-            low, high = bounds.get(label, (count, count))
-            bounds[label] = (min(low, count), max(high, count))
-    for label, (low, high) in bounds.items():
-        weak.set_card(oid, label, CardinalityInterval(low, high))
+            label_mask |= tabular.bit(child)
+        counts = {(mask & label_mask).bit_count() for mask in tabular.masks}
+        weak.set_card(oid, label, CardinalityInterval(min(counts), max(counts)))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Mapping
 
 from repro.core.potential import ChildSet
@@ -125,45 +126,131 @@ class ValueProbabilityFunction(ABC):
 
 
 class TabularOPF(ObjectProbabilityFunction):
-    """An OPF stored as an explicit ``{child set: probability}`` table."""
+    """An OPF stored as an explicit table, keyed by child-set bitmasks.
 
-    __slots__ = ("_table",)
+    ``children`` is a sorted tuple of object ids and ``masks`` maps each
+    child set of the support, as an int whose bit ``i`` stands for
+    ``children[i]``, to its nonzero probability.  A dict of ints and
+    floats is not tracked by the cyclic collector (a frozenset key per
+    entry was), and the hot readers (the projection's marginalizer,
+    ``root_epsilon``, the count aggregates, the codecs) work on the masks
+    directly.  :meth:`support`, :meth:`prob` and :meth:`items_sorted`
+    build frozensets on demand for the walked algorithms.
+    """
+
+    __slots__ = ("children", "masks")
 
     def __init__(self, table: Mapping[Iterable[str] | ChildSet, float]) -> None:
-        normalized: dict[ChildSet, float] = {}
+        keyed: dict[ChildSet, float] = {}
         for child_set, probability in table.items():
             key = child_set if isinstance(child_set, frozenset) else frozenset(child_set)
-            if key in normalized:
+            if key in keyed:
                 raise DistributionError(f"duplicate OPF entry for {sorted(key)!r}")
             if probability != 0.0:
-                normalized[key] = float(probability)
-        self._table = normalized
+                keyed[key] = float(probability)
+        self.children: tuple[str, ...] = tuple(sorted(frozenset().union(*keyed)))
+        bit = {child: 1 << i for i, child in enumerate(self.children)}
+        self.masks: dict[int, float] = {
+            sum(bit[child] for child in key): p for key, p in keyed.items()
+        }
+
+    @classmethod
+    def from_masks(
+        cls, children: tuple[str, ...], masks: dict[int, float]
+    ) -> "TabularOPF":
+        """The OPF whose table is ``masks`` over ``children`` (sorted,
+        distinct ids).  ``masks`` is kept, not copied; zero entries are
+        dropped."""
+        opf = cls.__new__(cls)
+        opf.children = children
+        opf.masks = (
+            {m: p for m, p in masks.items() if p != 0.0}
+            if 0.0 in masks.values() else masks
+        )
+        return opf
+
+    def bit(self, oid: str) -> int:
+        """``oid``'s bit in the masks (0 when it is not a child)."""
+        children = self.children
+        position = bisect_left(children, oid)
+        if position < len(children) and children[position] == oid:
+            return 1 << position
+        return 0
+
+    def members(self, mask: int) -> tuple[str, ...]:
+        """The children ``mask`` names, in sorted order."""
+        children = self.children
+        return tuple(children[i] for i in range(mask.bit_length()) if mask >> i & 1)
 
     def prob(self, child_set: ChildSet) -> float:
-        return self._table.get(frozenset(child_set), 0.0)
+        mask = 0
+        for child in child_set:
+            bit = self.bit(child)
+            if not bit:
+                return 0.0
+            mask |= bit
+        return self.masks.get(mask, 0.0)
 
     def support(self) -> Iterator[tuple[ChildSet, float]]:
-        return iter(self._table.items())
+        members = self.members
+        return ((frozenset(members(m)), p) for m, p in self.masks.items())
 
     def entry_count(self) -> int:
-        return len(self._table)
+        return len(self.masks)
+
+    def to_tabular(self) -> "TabularOPF":
+        return self
+
+    def marginal_inclusion(self, oid: str) -> float:
+        bit = self.bit(oid)
+        return sum(p for m, p in self.masks.items() if m & bit)
+
+    def restrict(
+        self, predicate: Callable[[ChildSet], bool]
+    ) -> tuple["TabularOPF", float]:
+        """As :meth:`ObjectProbabilityFunction.restrict`, on the mask
+        table: the conditional OPF keeps ``children``."""
+        members = self.members
+        kept = {
+            m: p for m, p in self.masks.items() if predicate(frozenset(members(m)))
+        }
+        mass = sum(kept.values())
+        if mass <= 0.0:
+            raise DistributionError("conditioning event has probability zero")
+        return (
+            TabularOPF.from_masks(self.children, {m: p / mass for m, p in kept.items()}),
+            mass,
+        )
+
+    def rows_sorted(self) -> list[tuple[tuple[str, ...], float]]:
+        """``(sorted members, probability)`` per entry, smaller sets
+        first and then by members: the order files are written in."""
+        members = self.members
+        return sorted(
+            ((members(m), p) for m, p in self.masks.items()),
+            key=lambda row: (len(row[0]), row[0]),
+        )
 
     def items_sorted(self) -> list[tuple[ChildSet, float]]:
         """Entries in a deterministic (sorted) order, for display and IO."""
-        return sorted(self._table.items(), key=lambda item: (len(item[0]), sorted(item[0])))
+        return [(frozenset(row), p) for row, p in self.rows_sorted()]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TabularOPF):
             return NotImplemented
-        if set(self._table) != set(other._table):
+        if self.children == other.children:
+            mine, theirs = self.masks, other.masks
+        else:
+            mine, theirs = dict(self.support()), dict(other.support())
+        if mine.keys() != theirs.keys():
             return False
         return all(
-            math.isclose(p, other._table[c], abs_tol=PROBABILITY_TOLERANCE)
-            for c, p in self._table.items()
+            math.isclose(p, theirs[c], abs_tol=PROBABILITY_TOLERANCE)
+            for c, p in mine.items()
         )
 
     def __repr__(self) -> str:
-        return f"TabularOPF({len(self._table)} entries)"
+        return f"TabularOPF({len(self.masks)} entries)"
 
     @classmethod
     def point_mass(cls, child_set: Iterable[str]) -> "TabularOPF":

@@ -10,8 +10,7 @@ snapshot is there (``Engine._strategy``), never a different plan:
   walk), plus :func:`match_path_indexed`, a path matcher that returns
   results identical to :func:`repro.semistructured.paths.match_path`;
 * :mod:`repro.index.opf` — OPF marginalization for the Section 6.1
-  epsilon pass (a dense numpy path for large tables, the sparse
-  pure-Python enumeration otherwise);
+  epsilon pass, one child at a time over the OPF's bitmask table;
 * :mod:`repro.index.cache` — the snapshot kept on its frozen instance
   (:func:`repro.storage.derived.derived`), through the one fail-open
   fetch (:func:`snapshot_of`) every reader uses.
@@ -20,20 +19,22 @@ Pruning of provably dead paths is not done here: the abstract
 interpreter (:mod:`repro.check.absint`) folds the dataguide into its
 certificate and the engine has one skip site for it.
 
-numpy is used only in the dense marginalizer (:mod:`repro.index.
-np_compat` guards the import); :data:`HAS_NUMPY` says whether it runs.
+Everything here is plain Python.  :data:`HAS_NUMPY` only reports whether
+numpy is installed, for the end-to-end benchmark's environment record.
 """
+
+from importlib.util import find_spec
 
 from repro.index.cache import snapshot_of
 from repro.index.columnar import ColumnarInstance, match_path_indexed
-from repro.index.np_compat import HAS_NUMPY
-from repro.index.opf import marginalize_opf, marginalize_python
+from repro.index.opf import marginalize
+
+HAS_NUMPY = find_spec("numpy") is not None
 
 __all__ = [
     "HAS_NUMPY",
     "ColumnarInstance",
-    "marginalize_opf",
-    "marginalize_python",
+    "marginalize",
     "match_path_indexed",
     "snapshot_of",
 ]

@@ -34,15 +34,15 @@ from pathlib import Path
 
 from repro.core.cardinality import CardinalityInterval
 from repro.core.compact import IndependentOPF
-from repro.core.distributions import TabularOPF, TabularVPF
+from repro.core.distributions import TabularVPF
 from repro.core.instance import ProbabilisticInstance
 from repro.core.interpretation import LocalInterpretation
 from repro.core.weak_instance import WeakInstance
 from repro.errors import CodecError
 from repro.io.json_codec import (
-    child_set_twice,
     register_type,
     replace_atomically,
+    tabular_opf,
 )
 from repro.semistructured.types import LeafType, TypeRegistry
 
@@ -96,9 +96,9 @@ def dumps(pi: ProbabilisticInstance) -> str:
             append(f"OPFI\t{oid}\t{json.dumps(opf.inclusion)}")
             continue
         append(f"OPF\t{oid}")
-        for child_set, probability in opf.support():
-            members = ",".join(sorted(child_set))
-            append(f"E\t{probability!r}\t{members}")
+        tabular = opf.to_tabular()
+        for mask, probability in tabular.masks.items():
+            append(f"E\t{probability!r}\t{','.join(tabular.members(mask))}")
     for oid, vpf in sorted(pi.interpretation.vpf_items()):
         append(f"VPF\t{oid}")
         for value, probability in vpf.support():
@@ -130,16 +130,20 @@ def loads(text: str) -> ProbabilisticInstance:
     weak = WeakInstance(root)
     interp = LocalInterpretation()
     current_opf_oid: str | None = None
-    current_opf: dict = {}
+    current_opf: list[tuple[list[str], float]] = []
     current_vpf_oid: str | None = None
     current_vpf: dict = {}
 
     def flush_opf() -> None:
         nonlocal current_opf_oid, current_opf
         if current_opf_oid is not None:
-            interp.set_opf(current_opf_oid, TabularOPF(current_opf))
+            lch = weak.lch_map(current_opf_oid) if current_opf_oid in weak else {}
+            interp.set_opf(
+                current_opf_oid,
+                tabular_opf(current_opf_oid, lch.values(), current_opf),
+            )
         current_opf_oid = None
-        current_opf = {}
+        current_opf = []
 
     def flush_vpf() -> None:
         nonlocal current_vpf_oid, current_vpf
@@ -180,10 +184,7 @@ def loads(text: str) -> ProbabilisticInstance:
                 if current_opf_oid is None:
                     raise CodecError(f"record {record!r} comes before any OPF record")
                 members = record[2].split(",") if record[2] else []
-                key = frozenset(members)
-                if key in current_opf:
-                    raise child_set_twice(str(current_opf_oid), key)
-                current_opf[key] = float(record[1])
+                current_opf.append((members, float(record[1])))
             elif kind == "OPFI":
                 flush_opf()
                 flush_vpf()

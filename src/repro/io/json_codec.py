@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import re
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 from typing import Any
 
@@ -126,10 +127,9 @@ def register_type(types: dict[str, LeafType], leaf_type: LeafType) -> None:
 def _encode_opf(opf: ObjectProbabilityFunction) -> dict:
     if isinstance(opf, IndependentOPF):
         return {"kind": "independent", "inclusion": opf.inclusion}
-    tabular = opf if isinstance(opf, TabularOPF) else opf.to_tabular()
     return {
         "kind": "tabular",
-        "entries": [[sorted(c), p] for c, p in tabular.items_sorted()],
+        "entries": [[list(row), p] for row, p in opf.to_tabular().rows_sorted()],
     }
 
 
@@ -157,24 +157,55 @@ def decode_instance(data: dict) -> ProbabilisticInstance:
         if "val" in entry:
             weak.set_val(oid, entry["val"])
         if "opf" in entry:
-            interp.set_opf(oid, _decode_opf(oid, entry["opf"]))
+            interp.set_opf(
+                oid, _decode_opf(oid, entry["opf"], entry.get("lch", {}).values())
+            )
         if "vpf" in entry:
             interp.set_vpf(oid, TabularVPF({v: p for v, p in entry["vpf"]}))
     return ProbabilisticInstance(weak, interp)
 
 
-def _decode_opf(oid: str, data: dict) -> ObjectProbabilityFunction:
+def _decode_opf(
+    oid: str, data: dict, lch: Iterable[Iterable[str]]
+) -> ObjectProbabilityFunction:
     kind = data.get("kind")
     if kind == "independent":
         return IndependentOPF(data["inclusion"])
     if kind == "tabular":
-        entries = data["entries"]
-        table = {frozenset(c): p for c, p in entries}
-        if len(table) < len(entries):
-            keys = [frozenset(c) for c, _p in entries]
-            raise child_set_twice(oid, next(k for k in keys if keys.count(k) > 1))
-        return TabularOPF(table)
+        return tabular_opf(oid, lch, data["entries"])
     raise CodecError(f"unknown OPF kind: {kind!r}")
+
+
+def tabular_opf(
+    oid: str,
+    lch: Iterable[Iterable[str]],
+    rows: Sequence[Sequence[Any]],
+) -> TabularOPF:
+    """``oid``'s tabular OPF from a file's ``(members, probability)``
+    rows, each keyed in one pass by its mask over the sorted ids of
+    ``oid``'s ``lch`` groups (the weak instance's own strings).  A child
+    set listed twice raises :func:`child_set_twice`."""
+    groups = list(lch)
+    try:
+        return _mask_table(oid, groups, rows)
+    except KeyError:    # a row names an object outside lch: key by every id
+        return _mask_table(oid, [*groups, *(members for members, _p in rows)], rows)
+
+
+def _mask_table(
+    oid: str, groups: list[Iterable[str]], rows: Sequence[Sequence[Any]]
+) -> TabularOPF:
+    children = tuple(sorted({child for group in groups for child in group}))
+    bit = {child: 1 << position for position, child in enumerate(children)}
+    masks: dict[int, float] = {}
+    for members, probability in rows:
+        mask = 0
+        for child in members:
+            mask |= bit[child]
+        if mask in masks:
+            raise child_set_twice(oid, frozenset(members))
+        masks[mask] = float(probability)
+    return TabularOPF.from_masks(children, masks)
 
 
 def child_set_twice(oid: str, children: frozenset[str]) -> CodecError:

@@ -134,9 +134,9 @@ def match_count_distribution(
     Computed bottom-up with per-branch count-generating polynomials
     (lists indexed by count) — polynomial in the number of matched
     objects, never enumerating worlds.  An OPF's entries are grouped by
-    their *mask* over the object's children on the match, all the count
-    depends on, and a mask's product extends that of the mask without
-    its lowest child; independent OPFs use their closed form.  A
+    their *mask* restricted to the object's children on the match, all
+    the count depends on, and a mask's product extends that of the mask
+    without its lowest child; independent OPFs use their closed form.  A
     precomputed ``match`` skips the structural locate step.
     """
     match = _locate(pi, path, match)
@@ -171,15 +171,17 @@ def match_count_distribution(
             if isinstance(opf, (IndependentOPF, NonEmptyIndependentOPF)):
                 counts[oid] = _independent_counts(opf, counts)
                 continue
-            bit_of: dict[Oid, int] = {}
+            tabular = opf.to_tabular()
+            on_match = sum(
+                1 << bit for bit, child in enumerate(tabular.children)
+                if child in counts
+            )
+            # Off the match a child counts nothing (its bits are masked out).
+            kept = [counts.get(child, [1.0]) for child in tabular.children]
             mass_of: dict[int, float] = {}
-            for child_set, probability in opf.support():
-                mask = 0
-                for child in child_set:
-                    if child in counts:
-                        mask |= bit_of.setdefault(child, 1 << len(bit_of))
+            for mask, probability in tabular.masks.items():
+                mask &= on_match
                 mass_of[mask] = mass_of.get(mask, 0.0) + probability
-            kept = [counts[child] for child in bit_of]
             products = {0: [1.0]}
             dist = [0.0] * (1 + sum(len(poly) - 1 for poly in kept))
             for mask, mass in mass_of.items():

@@ -96,13 +96,20 @@ class GeneratedWorkload:
         return self.instance.total_interpretation_entries()
 
 
-def _all_subsets(pool: list[Oid]) -> list[frozenset[Oid]]:
-    return [
-        frozenset(combo)
+def _full_table(rng: random.Random, pool: list[Oid]) -> TabularOPF:
+    """A random OPF over every subset of ``pool``: the subsets in
+    ``combinations`` order over ``pool`` (the order the draws are
+    made in), each as a mask over the sorted ids."""
+    children = tuple(sorted(pool))
+    bits = [1 << children.index(child) for child in pool]
+    masks = [
+        sum(combo)
         for combo in chain.from_iterable(
-            combinations(pool, size) for size in range(len(pool) + 1)
+            combinations(bits, size) for size in range(len(bits) + 1)
         )
     ]
+    probabilities = _random_distribution(rng, len(masks))
+    return TabularOPF.from_masks(children, dict(zip(masks, probabilities)))
 
 
 def _random_distribution(rng: random.Random, size: int) -> list[float]:
@@ -150,11 +157,7 @@ def generate_workload(spec: WorkloadSpec) -> GeneratedWorkload:
                     ),
                 )
             else:
-                subsets = _all_subsets(children)
-                probabilities = _random_distribution(rng, len(subsets))
-                interp.set_opf(
-                    parent, TabularOPF(dict(zip(subsets, probabilities)))
-                )
+                interp.set_opf(parent, _full_table(rng, children))
             next_frontier.extend(children)
         frontier = next_frontier
 

@@ -946,36 +946,28 @@ def test_one_collector_switch():
     assert not problems, "\n".join(problems)
 
 
-#: The dense OPF marginalizer and the guarded import it goes through:
-#: the only modules that may touch numpy.
-_NUMPY_MODULES = {"src/repro/index/opf.py", "src/repro/index/np_compat.py"}
-
-
 def test_one_tree_index():
     """The columnar snapshot is a tree index in plain Python.
 
     Section 6's efficient algorithms are defined on trees and the
     snapshot only feeds them, so it is one preorder build with one
     matcher: ``repro/index/encoding.py`` and the name
-    ``IntervalEncoding`` stay deleted; no module but ``index/opf.py``
-    and ``index/np_compat.py`` imports numpy or reads ``HAS_NUMPY``
-    (``repro/index/__init__.py`` re-exports it, nothing more); and
-    ``index/columnar.py`` defines one function behind
-    ``match_path_indexed`` — a second one is a matcher fork coming back.
+    ``IntervalEncoding`` stay deleted; no module under ``src/repro``
+    imports numpy, ``index/np_compat.py`` stays deleted and only
+    ``repro/index/__init__.py`` names ``HAS_NUMPY`` (an installation
+    report, read by nothing in the package); and ``index/columnar.py``
+    defines one function behind ``match_path_indexed`` — a second one
+    is a matcher fork coming back.
     """
-    numpy_names = {"numpy", "np_compat", "HAS_NUMPY"}
-    reexport = ("src/repro/index/__init__.py", "repro.index.np_compat", ("HAS_NUMPY",))
+    numpy_names = {"numpy", "np_compat"}
     problems = []
-    if pathlib.Path("src/repro/index/encoding.py").exists():
-        problems.append("src/repro/index/encoding.py exists")
+    for gone in ("src/repro/index/encoding.py", "src/repro/index/np_compat.py"):
+        if pathlib.Path(gone).exists():
+            problems.append(f"{gone} exists")
     for file in sorted(pathlib.Path("src/repro").rglob("*.py")):
         path = file.as_posix()
 
         def visit(node):
-            if isinstance(node, ast.ImportFrom) and (
-                path, node.module, tuple(alias.name for alias in node.names)
-            ) == reexport:
-                return
             names = [
                 getattr(node, "id", None), getattr(node, "attr", None),
                 getattr(node, "arg", None), getattr(node, "name", None),
@@ -987,10 +979,18 @@ def test_one_tree_index():
             line = getattr(node, "lineno", "?")
             if "IntervalEncoding" in names:
                 problems.append(f"{path}:{line}: IntervalEncoding")
-            if path not in _NUMPY_MODULES:
-                problems.extend(
-                    f"{path}:{line}: {name}" for name in numpy_names.intersection(names)
-                )
+            problems.extend(
+                f"{path}:{line}: {name}" for name in numpy_names.intersection(names)
+            )
+            if "HAS_NUMPY" in names and path != "src/repro/index/__init__.py":
+                problems.append(f"{path}:{line}: HAS_NUMPY")
+            if isinstance(node, ast.Call) and {"import_module", "__import__"} & {
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            } and any(
+                isinstance(arg, ast.Constant) and str(arg.value).split(".")[0] == "numpy"
+                for arg in node.args
+            ):
+                problems.append(f"{path}:{line}: imports numpy")
             for child in ast.iter_child_nodes(node):
                 visit(child)
 

@@ -1,6 +1,10 @@
 """Unit tests for tabular OPFs and VPFs."""
 
+import pickle
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core.distributions import TabularOPF, TabularVPF
 from repro.errors import DistributionError
@@ -122,3 +126,101 @@ class TestTabularVPF:
     def test_equality(self):
         assert TabularVPF({"x": 1.0}) == TabularVPF({"x": 1.0, "y": 0.0})
         assert TabularVPF({"x": 1.0}) != TabularVPF({"y": 1.0})
+
+
+# ----------------------------------------------------------------------
+# The mask table against a frozenset-keyed reference dict
+# ----------------------------------------------------------------------
+_IDS = st.text(alphabet="ab019", min_size=1, max_size=3)
+_PROBABILITY = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+#: Not a child of any generated table ("~" sorts after every id).
+_OUTSIDER = "~"
+
+
+@st.composite
+def _full_tables(draw):
+    """Every subset of up to six children, some with zero mass."""
+    children = draw(st.lists(_IDS, min_size=1, max_size=6, unique=True))
+    subsets = [
+        frozenset(c for i, c in enumerate(children) if mask >> i & 1)
+        for mask in range(1 << len(children))
+    ]
+    return {subset: draw(_PROBABILITY) for subset in subsets}
+
+
+@st.composite
+def _sparse_tables(draw):
+    """A few subsets of 20 to 28 children, some with zero mass."""
+    children = [f"c{i}" for i in range(draw(st.integers(20, 28)))]
+    subsets = draw(st.lists(
+        st.frozensets(st.sampled_from(children)), min_size=1, max_size=10,
+        unique=True,
+    ))
+    return {subset: draw(_PROBABILITY) for subset in subsets}
+
+
+def _mask_keyed(table, extra=()):
+    """``table`` through :meth:`TabularOPF.from_masks`, over an alphabet
+    that may hold ids no entry names."""
+    children = tuple(sorted({c for key in table for c in key} | set(extra)))
+    bit = {child: 1 << i for i, child in enumerate(children)}
+    return TabularOPF.from_masks(
+        children, {sum(bit[c] for c in key): p for key, p in table.items()}
+    )
+
+
+class TestMaskTableAgreesWithReference:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(_full_tables(), _sparse_tables()), st.booleans())
+    def test_every_reader(self, table, tuple_keys):
+        reference = {key: p for key, p in table.items() if p != 0.0}
+        assume(reference)
+        opf = TabularOPF(
+            {tuple(sorted(key)): p for key, p in table.items()}
+            if tuple_keys else table
+        )
+        children = sorted({c for key in reference for c in key})
+        assert opf.children == tuple(children)
+        assert opf.entry_count() == len(reference)
+        assert dict(opf.support()) == reference
+
+        assert opf.prob(frozenset()) == reference.get(frozenset(), 0.0)
+        for key, p in reference.items():
+            assert opf.prob(key) == p
+            assert opf.prob(key | {_OUTSIDER}) == 0.0
+        assert opf.prob(frozenset({_OUTSIDER})) == 0.0
+
+        for child in [*children, _OUTSIDER]:
+            assert opf.marginal_inclusion(child) == pytest.approx(
+                sum(p for key, p in reference.items() if child in key), abs=1e-12
+            )
+        assert opf.items_sorted() == sorted(
+            reference.items(), key=lambda item: (len(item[0]), sorted(item[0]))
+        )
+
+        masked = _mask_keyed(table, extra=[_OUTSIDER])
+        assert masked.entry_count() == len(reference)
+        assert masked == opf and opf == masked
+        assert masked == _mask_keyed(reference)
+        assert masked != TabularOPF({**reference, frozenset({_OUTSIDER}): 0.5})
+        first = next(iter(reference))
+        assert opf != TabularOPF({**reference, first: reference[first] + 0.01})
+
+        if children:
+            pivot = children[0]
+            kept = {k: p for k, p in reference.items() if pivot in k}
+            restricted, mass = opf.restrict(lambda c: pivot in c)
+            assert mass == pytest.approx(sum(kept.values()), abs=1e-12)
+            assert restricted == TabularOPF({k: p / mass for k, p in kept.items()})
+
+        for copy in (pickle.loads(pickle.dumps(opf)),
+                     pickle.loads(pickle.dumps(masked))):
+            assert copy == opf
+            assert dict(copy.support()) == reference
+
+    def test_from_masks_drops_zero_entries(self):
+        opf = TabularOPF.from_masks(("a", "b"), {0b01: 0.5, 0b10: 0.0, 0b11: 0.5})
+        assert opf.entry_count() == 2
+        assert dict(opf.support()) == {
+            frozenset({"a"}): 0.5, frozenset({"a", "b"}): 0.5,
+        }

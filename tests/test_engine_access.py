@@ -283,12 +283,18 @@ def test_a_cold_indexed_exists_builds_no_opf(cold_tree, monkeypatch):
     interpreter, first, _second, _closure = cold_tree
     built = []
     real = TabularOPF.__init__
+    real_from_masks = TabularOPF.from_masks
 
     def counting(self, table):
         built.append(len(table))
         real(self, table)
 
+    def counting_masks(cls, children, masks):
+        built.append(len(masks))
+        return real_from_masks(children, masks)
+
     monkeypatch.setattr(TabularOPF, "__init__", counting)
+    monkeypatch.setattr(TabularOPF, "from_masks", classmethod(counting_masks))
     result = interpreter.execute(f"EXPLAIN ANALYZE EXISTS {first} IN t")
     assert "strategy=indexed" in result.text.splitlines()[0]
     assert built == []
@@ -297,16 +303,21 @@ def test_a_cold_indexed_exists_builds_no_opf(cold_tree, monkeypatch):
 def test_a_cold_count_asks_each_inclusion_once(cold_tree, monkeypatch):
     """``reach`` is memoised on the snapshot: a cold ``COUNT`` makes at
     most one ``marginal_inclusion`` call per object of its match's
-    ancestor closure, and a later statement over them makes none."""
+    ancestor closure, and a later statement over them makes none.
+    ``TabularOPF`` overrides the method, so both are counted."""
     interpreter, first, second, closure = cold_tree
     asked = []
-    real = ObjectProbabilityFunction.marginal_inclusion
 
-    def counting(self, oid):
-        asked.append(oid)
-        return real(self, oid)
+    def counting(real):
+        def count(self, oid):
+            asked.append(oid)
+            return real(self, oid)
+        return count
 
-    monkeypatch.setattr(ObjectProbabilityFunction, "marginal_inclusion", counting)
+    for cls in (ObjectProbabilityFunction, TabularOPF):
+        monkeypatch.setattr(
+            cls, "marginal_inclusion", counting(cls.__dict__["marginal_inclusion"])
+        )
     count = interpreter.execute(f"COUNT {first} IN t").value
     assert count > 0.0
     assert 0 < len(asked) <= len(closure) - 1       # the root has no link

@@ -1,7 +1,7 @@
 """repro.index: the tree snapshot, matcher parity, caches, engine access.
 
 The load-bearing contract is *parity*: the snapshot's matcher and the
-dense marginalizer must produce results identical to the walked
+per-child OPF marginalizer must produce results identical to the walked
 evaluators they replace.  The randomized suites below hold that on 52
 generated tree instances and a tree wider than any of them, check that a
 DAG has no snapshot, and exercise the cache invalidation token, the
@@ -9,10 +9,15 @@ certificate-based skip of dead paths and the engine's runtime fallback.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
 import repro.check.dataguide as dataguide
+from repro.algebra.projection_prob import (
+    ancestor_projection_global,
+    ancestor_projection_local,
+)
 from repro.check.absint import certify_plan
 from repro.check.dataguide import guide_of
 from repro.core.builder import InstanceBuilder
@@ -26,10 +31,8 @@ from repro.engine import (
     plan_statement,
 )
 from repro.index import (
-    HAS_NUMPY,
     ColumnarInstance,
-    marginalize_opf,
-    marginalize_python,
+    marginalize,
     match_path_indexed,
     snapshot_of,
 )
@@ -37,6 +40,7 @@ from repro.index.columnar import _MATCH_MEMO_CAP
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.tracing import Tracer, use_tracer
 from repro.pxql import Interpreter, parse
+from repro.semantics.global_interpretation import GlobalInterpretation
 from repro.semistructured.graph import EdgeLabeledGraph
 from repro.semistructured.paths import PathExpression, match_path
 from repro.storage.database import Database
@@ -51,6 +55,7 @@ from tests.helpers import (
     evaluate_directly,
     path_statement,
     random_dag_instance,
+    random_tree_instance,
 )
 
 TOL = 1e-9
@@ -257,8 +262,41 @@ class TestMatchMemo:
 
 
 # ----------------------------------------------------------------------
-# Vectorized OPF marginalization
+# OPF marginalization: the per-child transform over the mask table
 # ----------------------------------------------------------------------
+def _enumerated(opf, kept, epsilon):
+    """The survivor-subset enumeration the transform replaced: every
+    entry splits into each subset of its uncertain kept children."""
+    certain = frozenset(c for c in kept if epsilon[c] >= 1.0)
+    uncertain = sorted(c for c in kept if epsilon[c] < 1.0)
+    accum = {}
+    for child_set, probability in opf.support():
+        sure_part = child_set & certain
+        unc_in = [c for c in uncertain if c in child_set]
+        for size in range(len(unc_in) + 1):
+            for chosen in combinations(unc_in, size):
+                weight = probability
+                for child in chosen:
+                    weight *= epsilon[child]
+                for child in unc_in:
+                    if child not in chosen:
+                        weight *= 1.0 - epsilon[child]
+                if weight == 0.0:
+                    continue
+                new_set = sure_part | frozenset(chosen)
+                accum[new_set] = accum.get(new_set, 0.0) + weight
+    return accum
+
+
+def _assert_transform_matches(opf, kept, epsilon):
+    table = marginalize(opf, kept, epsilon)
+    got = {frozenset(opf.members(mask)): p for mask, p in table.items() if p}
+    reference = _enumerated(opf, kept, epsilon)
+    assert set(got) == set(reference)
+    for key, value in reference.items():
+        assert got[key] == pytest.approx(value, abs=1e-12)
+
+
 def _random_opf(rng, children):
     subsets = {
         frozenset(rng.sample(children, rng.randint(0, len(children) - 1)))
@@ -270,9 +308,7 @@ def _random_opf(rng, children):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_marginalize_parity(seed, monkeypatch):
-    # Tables this small take the sparse loop: hold the dense one to it.
-    monkeypatch.setattr("repro.index.opf.MIN_DENSE_CELLS", 0)
+def test_marginalize_parity(seed):
     rng = random.Random(seed)
     children = [f"c{i}" for i in range(6)]
     opf = _random_opf(rng, children)
@@ -281,55 +317,65 @@ def test_marginalize_parity(seed, monkeypatch):
         c: 1.0 if rng.random() < 0.3 else rng.uniform(0.05, 0.95)
         for c in children
     }
-    fast = marginalize_opf(opf, kept, epsilon)
-    reference = marginalize_python(opf, kept, epsilon)
-    assert set(fast) == set(reference)
-    for key, value in reference.items():
-        assert fast[key] == pytest.approx(value, abs=1e-12)
+    _assert_transform_matches(opf, kept, epsilon)
 
 
-def test_marginalize_takes_the_dense_path_only_where_it_wins(monkeypatch):
-    """Below ``MIN_DENSE_CELLS`` the sparse loop runs; from there up
-    the dense matrix does — with the same table either way."""
-    import repro.index.opf as opf_module
-
-    dense_calls = []
-    real = opf_module._marginalize_numpy
-
-    def counting(support, *args):
-        dense_calls.append(len(support))
-        return real(support, *args)
-
-    monkeypatch.setattr(opf_module, "_marginalize_numpy", counting)
-    rng = random.Random(4)
-    children = [f"c{i}" for i in range(8)]
-    small = _random_opf(rng, children[:4])                  # 8 entries
-    large = IndependentOPF(
+@pytest.mark.parametrize("branching", [4, 8])
+def test_marginalize_full_tables_match_the_enumeration(branching):
+    """The paper's full ``2^b`` tables, with every child kept, some
+    kept and a certain child among them: the transform's table is the
+    enumeration's, key for key."""
+    rng = random.Random(branching)
+    children = [f"c{i}" for i in range(branching)]
+    opf = IndependentOPF(
         {child: rng.uniform(0.2, 0.8) for child in children}
-    ).to_tabular()                                          # 256 entries
+    ).to_tabular()
+    assert opf.entry_count() == 1 << branching
     epsilon = {child: rng.uniform(0.05, 0.95) for child in children}
-    for opf, kept, dense in ((small, children[:4], False),
-                             (large, children[:2], True),
-                             (large, children, True)):
-        del dense_calls[:]
-        fast = marginalize_opf(opf, kept, epsilon)
-        assert bool(dense_calls) == (dense and HAS_NUMPY)
-        reference = marginalize_python(opf, kept, epsilon)
-        assert set(fast) == set(reference)
-        for key, value in reference.items():
-            assert fast[key] == pytest.approx(value, abs=1e-12)
+    for kept in (children, children[:2], children[1::2]):
+        _assert_transform_matches(opf, kept, epsilon)
+    epsilon[children[0]] = 1.0
+    _assert_transform_matches(opf, children, epsilon)
 
 
 def test_marginalize_all_certain_short_circuits():
-    """With every kept child certain there is nothing to enumerate."""
+    """With every kept child certain there is nothing to split: the
+    table is the input's with the dropped children summed out."""
     rng = random.Random(99)
     children = [f"c{i}" for i in range(4)]
     opf = _random_opf(rng, children)
     kept = children[:3]
     epsilon = {c: 1.0 for c in children}
-    assert marginalize_opf(opf, kept, epsilon) == pytest.approx(
-        marginalize_python(opf, kept, epsilon)
+    _assert_transform_matches(opf, kept, epsilon)
+    summed = {}
+    for child_set, p in opf.support():
+        key = child_set - {children[3]}
+        summed[key] = summed.get(key, 0.0) + p
+    table = marginalize(opf, kept, epsilon)
+    assert {frozenset(opf.members(m)): p for m, p in table.items()} == (
+        pytest.approx(summed)
     )
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_projection_through_the_transform_matches_the_worlds(seed):
+    """``ancestor_projection_local`` (the transform on every tabular
+    OPF of the match) against Definition 5.3 by world enumeration in
+    :mod:`repro.semantics`."""
+    rng = random.Random(seed)
+    pi = random_tree_instance(rng, depth=rng.choice([2, 3]), max_children=3)
+    graph = pi.weak.graph()
+    labels, current = [], pi.root
+    while graph.children(current):
+        child = rng.choice(sorted(graph.children(current)))
+        labels.append(graph.label(current, child))
+        current = child
+    path = PathExpression(pi.root, tuple(labels))
+    reference = ancestor_projection_global(pi, path)
+    local = ancestor_projection_local(pi, path)
+    local.validate()
+    rebuilt = GlobalInterpretation.from_local(local)
+    assert rebuilt.is_close_to(reference, tolerance=1e-9), str(path)
 
 
 # ----------------------------------------------------------------------
@@ -690,10 +736,3 @@ def test_explain_shows_index_lowering():
     root = analyzed.text.splitlines()[0]
     assert root.startswith("engine.node.Query[exists R.book.author]")
     assert "strategy=indexed" in root
-
-
-def test_numpy_flag_is_consistent():
-    """HAS_NUMPY reflects whether the import actually succeeded."""
-    from repro.index import np_compat
-
-    assert HAS_NUMPY == (np_compat.numpy is not None)

@@ -1,5 +1,7 @@
 """Tests for the JSON and XML codecs."""
 
+import copy
+import gc
 import json
 
 import pytest
@@ -7,7 +9,12 @@ import pytest
 from repro.core.compact import IndependentOPF
 from repro.errors import CodecError
 from repro.io import json_codec, xml_codec
-from repro.paper import example41_s1, figure1_instance, figure2_instance
+from repro.paper import (
+    example41_s1,
+    example52_instance,
+    figure1_instance,
+    figure2_instance,
+)
 from repro.protdb.translate import to_pxml
 from repro.semantics.global_interpretation import GlobalInterpretation
 from repro.workloads.generator import WorkloadSpec, generate_workload
@@ -127,6 +134,75 @@ class TestJsonProbabilistic:
         payload = json_codec.dumps(figure2_instance(), indent=2)
         parsed = json.loads(payload)
         assert parsed["root"] == "R"
+
+
+def _reference_opf_entry(opf):
+    """The tabular OPF encoder before tables were keyed by masks: every
+    entry's sorted members, smaller sets first."""
+    if isinstance(opf, IndependentOPF):
+        return {"kind": "independent", "inclusion": opf.inclusion}
+    entries = sorted(
+        dict(opf.support()).items(),
+        key=lambda item: (len(item[0]), sorted(item[0])),
+    )
+    return {"kind": "tabular", "entries": [[sorted(c), p] for c, p in entries]}
+
+
+def _catalog_instances(source):
+    if source == "figure2":
+        return [figure2_instance()]
+    if source == "example52":
+        return [example52_instance()]
+    from benchmarks.e2e.corpus import build_catalog
+    from benchmarks.e2e.workloads import WORKLOADS
+
+    return list(build_catalog(WORKLOADS[source].shape, 1).values())
+
+
+class TestTabularOPFOnMasks:
+    @pytest.mark.parametrize("source", [
+        "figure2", "example52", "point_single", "point_sharded",
+        "scan_cold_single", "derive_write_sharded",
+    ])
+    def test_the_encoding_is_the_frozenset_encoders(self, source):
+        """Byte for byte: the mask table writes the file the frozenset
+        table wrote, and reads back to a table that writes it again."""
+        for pi in _catalog_instances(source):
+            data = json_codec.encode_instance(pi)
+            expected = copy.deepcopy(data)
+            for oid, entry in expected["objects"].items():
+                if "opf" in entry:
+                    entry["opf"] = _reference_opf_entry(pi.opf(oid))
+            text = json.dumps(data)
+            assert text == json.dumps(expected)
+            assert json_codec.dumps(json_codec.loads(text)) == text
+
+    def test_an_entry_outside_lch_still_decodes(self):
+        """Keyed over every id the rows name; the model's own check,
+        not the codec, refuses such an OPF."""
+        data = json.loads(json_codec.dumps(figure2_instance()))
+        data["objects"]["A1"]["opf"]["entries"] = [[[], 0.5], [["X9"], 0.5]]
+        opf = json_codec.loads(json.dumps(data)).opf("A1")
+        assert opf.prob(frozenset({"X9"})) == 0.5
+        assert "X9" in opf.children
+
+    def test_a_load_adds_few_tracked_objects(self):
+        """A tabular OPF is ints and floats over one tuple of the ids
+        the weak instance holds: loading a 5,461-object tree (b = 4,
+        d = 6) adds under 10,000 objects the cyclic collector tracks,
+        where a frozenset per entry made it 31,405."""
+        pi = generate_workload(WorkloadSpec(depth=6, branching=4, seed=3)).instance
+        text = json_codec.dumps(pi)
+        del pi
+        gc.collect()
+        before = len(gc.get_objects())
+        loaded = json_codec.loads(text)
+        added = len(gc.get_objects()) - before
+        assert len(loaded) == 5461
+        assert added < 10_000, added
+        # The OPF's ids are the weak instance's own strings, not copies.
+        held = {id(c) for group in loaded.weak.lch_map(loaded.root).values() for c in group}
+        assert {id(c) for c in loaded.opf(loaded.root).children} == held
 
 
 class TestJsonSemistructured:
